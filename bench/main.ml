@@ -26,6 +26,7 @@ module Sched = Hpbrcu_runtime.Sched
 module Config = Hpbrcu_core.Config
 module Stats = Hpbrcu_runtime.Stats
 module Schemes = Hpbrcu_schemes.Schemes
+module SI = Hpbrcu_core.Smr_intf
 module Ds = Hpbrcu_ds
 
 (* ------------------------------------------------------------------ *)
@@ -35,7 +36,7 @@ module Ds = Hpbrcu_ds
 (* Build per-scheme closures for each operation kernel.  Fixtures are
    created eagerly (prefilled structures + a session on this thread). *)
 
-module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
+module Kernels (S : SI.S) = struct
   module L = Ds.Harris_list.Make_hhs (S)
   module LM = Ds.Hm_list.Make (S)
   module H = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S)
@@ -145,17 +146,16 @@ module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
 end
 
 let micro_schemes =
-  [
-    ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-    ("RCU", (module Schemes.RCU));
-    ("HP", (module Schemes.HP));
-    ("HP++", (module Schemes.HPPP));
-    ("PEBR", (module Schemes.PEBR));
-    ("NBR", (module Schemes.NBR));
-    ("VBR", (module Schemes.VBR));
-    ("HP-RCU", (module Schemes.HP_RCU));
-    ("HP-BRCU", (module Schemes.HP_BRCU));
-  ]
+  [ "NR"; "RCU"; "HP"; "HP++"; "PEBR"; "NBR"; "VBR"; "HP-RCU"; "HP-BRCU" ]
+
+(* One domain per scheme, alive for the whole run: bechamel builds every
+   fixture before it measures any. *)
+let rec with_micro_domains acc names k =
+  match names with
+  | [] -> k (List.rev acc)
+  | name :: rest ->
+      Schemes.with_domain (Schemes.find name) (fun (module D) ->
+          with_micro_domains ((name, (module D.S : SI.S)) :: acc) rest k)
 
 module type KERNELS = sig
   val list_read : unit -> unit -> unit
@@ -168,21 +168,23 @@ module type KERNELS = sig
   val prim_retire_cycle : unit -> unit -> unit
 end
 
-let group name pick =
+let group schemes name pick =
   let tests =
     List.filter_map
       (fun (sname, s) ->
-        let module S = (val s : Hpbrcu_core.Smr_intf.S) in
+        let module S = (val s : SI.S) in
         let module K = Kernels (S) in
         match pick (module K : KERNELS) sname with
         | Some mk -> Some (Test.make ~name:sname (Staged.stage (mk ())))
         | None -> None)
-      micro_schemes
+      schemes
   in
   Test.make_grouped ~name tests
 
 let run_micro () =
   Alloc.set_strict false;
+  with_micro_domains [] micro_schemes @@ fun schemes ->
+  let group = group schemes in
   let groups =
     [
       (* One grouped Test per table/figure family. *)
@@ -224,39 +226,28 @@ let run_micro () =
 (* Part 3: ablations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let base_small =
-  { Config.default with batch = 32; max_local_tasks = 16; backup_period = 32; max_steps = 32 }
+let longrun_cfg ?(mode = W.Spec.Fibers 7) ?(seed = 42) range =
+  W.Longrun.config ~key_range:range ~readers:4 ~writers:4 ~duration:0.25 ~mode
+    ~seed ()
 
-let longrun_with (module S : Hpbrcu_core.Smr_intf.S) ?(hp = false) range =
-  Schemes.reset_all ();
-  S.reset ();
-  Alloc.reset ();
-  Alloc.set_strict false;
-  let cfg =
-    W.Longrun.config ~key_range:range ~readers:4 ~writers:4 ~duration:0.25
-      ~mode:(W.Spec.Fibers 7) ~seed:42 ()
-  in
-  if hp then
-    let module L = Ds.Hm_list.Make (S) in
-    let module R = W.Longrun.Run (L) in
-    R.go cfg ~scheme_stats:S.stats
-  else
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module R = W.Longrun.Run (L) in
-    R.go cfg ~scheme_stats:S.stats
+(* One long-running-read cell over HHSList in a fresh domain. *)
+let longrun_with entry cfg =
+  Schemes.with_domain entry (fun (module D) ->
+      let module R = W.Longrun.Run (Ds.Harris_list.Make_hhs (D.S)) in
+      R.go cfg ~scheme_stats:D.S.stats)
+
+let impl name = fst (Schemes.find name)
 
 let ablation_max_steps () =
   Fmt.pr "@.== ablation: HP-RCU max_steps (range 4096) ==@.";
   Fmt.pr "  %-10s %12s %8s@." "max_steps" "reads Mop/s" "peak";
   List.iter
     (fun ms ->
-      let module S =
-        Hpbrcu_schemes.Hp_rcu.Make (struct
-          let config = { base_small with Config.max_steps = ms }
-        end)
-        ()
+      let o =
+        longrun_with
+          (impl "HP-RCU", { Schemes.small with Config.max_steps = ms })
+          (longrun_cfg 4096)
       in
-      let o = longrun_with (module S) 4096 in
       Fmt.pr "  %-10d %12.4f %8d@." ms o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed)
     [ 4; 16; 64; 256; 4096 ]
@@ -266,13 +257,11 @@ let ablation_backup_period () =
   Fmt.pr "  %-10s %12s %8s %10s@." "period" "reads Mop/s" "peak" "rollbacks";
   List.iter
     (fun bp ->
-      let module S =
-        Hpbrcu_schemes.Hp_brcu.Make (struct
-          let config = { base_small with Config.backup_period = bp }
-        end)
-        ()
+      let o =
+        longrun_with
+          (impl "HP-BRCU", { Schemes.small with Config.backup_period = bp })
+          (longrun_cfg 4096)
       in
-      let o = longrun_with (module S) 4096 in
       Fmt.pr "  %-10d %12.4f %8d %10d@." bp o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed o.W.Longrun.scheme.Stats.rollbacks)
     [ 4; 16; 64; 256; 4096 ]
@@ -282,13 +271,11 @@ let ablation_force_threshold () =
   Fmt.pr "  %-10s %12s %8s %10s@." "threshold" "reads Mop/s" "peak" "signals";
   List.iter
     (fun ft ->
-      let module S =
-        Hpbrcu_schemes.Hp_brcu.Make (struct
-          let config = { base_small with Config.force_threshold = ft }
-        end)
-        ()
+      let o =
+        longrun_with
+          (impl "HP-BRCU", { Schemes.small with Config.force_threshold = ft })
+          (longrun_cfg 4096)
       in
-      let o = longrun_with (module S) 4096 in
       Fmt.pr "  %-10d %12.4f %8d %10d@." ft o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed o.W.Longrun.scheme.Stats.signals)
     [ 1; 2; 8; 32; 1024 ]
@@ -298,13 +285,11 @@ let ablation_nbr_batch () =
   Fmt.pr "  %-10s %12s %8s %10s@." "batch" "reads Mop/s" "peak" "signals";
   List.iter
     (fun b ->
-      let module S =
-        Hpbrcu_schemes.Nbr.Make (struct
-          let config = { base_small with Config.batch = b }
-        end)
-        ()
+      let o =
+        longrun_with
+          (impl "NBR", { Schemes.small with Config.batch = b })
+          (longrun_cfg 2048)
       in
-      let o = longrun_with (module S) 2048 in
       Fmt.pr "  %-10d %12.4f %8d %10d@." b o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed o.W.Longrun.scheme.Stats.signals)
     [ 32; 128; 1024; 8192 ]
@@ -318,21 +303,18 @@ let ablation_double_buffering () =
      single-buffered protector within the measurement window. *)
   List.iter
     (fun db ->
-      let module S =
-        Hpbrcu_schemes.Hp_brcu.Make (struct
-          let config =
-            {
-              base_small with
-              Config.double_buffering = db;
-              force_threshold = 1;
-              max_local_tasks = 4;
-              backup_period = 4;
-            }
-        end)
-        ()
+      let entry =
+        ( impl "HP-BRCU",
+          {
+            Schemes.small with
+            Config.double_buffering = db;
+            force_threshold = 1;
+            max_local_tasks = 4;
+            backup_period = 4;
+          } )
       in
       Sched.set_stall_inject ~period:500 ~ticks:50000;
-      let o = longrun_with (module S) 2048 in
+      let o = longrun_with entry (longrun_cfg 2048) in
       Sched.set_stall_inject ~period:0 ~ticks:0;
       Fmt.pr "  %-10s %12.4f %8d %12d@."
         (if db then "double" else "single")
@@ -346,27 +328,18 @@ let ablation_double_buffering () =
 let ablation_stalls () =
   Fmt.pr "@.== extension: stalled readers (stall injected mid-operation) ==@.";
   Fmt.pr "  %-10s %12s %8s@." "scheme" "reads Mop/s" "peak";
-  let run name (module S : Hpbrcu_core.Smr_intf.S) =
-    Schemes.reset_all ();
-    S.reset ();
-    Alloc.reset ();
-    Alloc.set_strict false;
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module R = W.Longrun.Run (L) in
+  let run name =
     Sched.set_stall_inject ~period:2000 ~ticks:20000;
-    let cfg =
-      W.Longrun.config ~key_range:2048 ~readers:4 ~writers:4 ~duration:0.25
-        ~mode:(W.Spec.Fibers 13) ~seed:21 ()
+    let o =
+      longrun_with
+        (Schemes.find ~tuning:`Small name)
+        (longrun_cfg ~mode:(W.Spec.Fibers 13) ~seed:21 2048)
     in
-    let o = R.go cfg ~scheme_stats:S.stats in
     Sched.set_stall_inject ~period:0 ~ticks:0;
     Fmt.pr "  %-10s %12.4f %8d@." name o.W.Longrun.reader_tput
       o.W.Longrun.peak_unreclaimed
   in
-  run "RCU" (module Schemes.Small.RCU);
-  run "HP-RCU" (module Schemes.Small.HP_RCU);
-  run "HP-BRCU" (module Schemes.Small.HP_BRCU);
-  run "HP" (module Schemes.Small.HP)
+  List.iter run [ "RCU"; "HP-RCU"; "HP-BRCU"; "HP" ]
 
 let run_ablations () =
   ablation_max_steps ();

@@ -262,13 +262,14 @@ let trace_cmd =
       W.Spec.cell ~threads ~key_range:range ~workload:W.Spec.Read_write
         ~limit:(W.Spec.Ops ops) ~mode:(W.Spec.Fibers seed) ~seed ()
     in
+    (* The log is taken before the cell's domain is torn down. *)
+    let dump r = (r, T.dump (), T.dropped ()) in
     let code =
-      match W.Matrix.run_cell ~ds:(W.Matrix.ds_of_string ds) ~scheme cell with
+      match W.Matrix.with_cell ~ds:(W.Matrix.ds_of_string ds) ~scheme cell dump with
       | None ->
           Printf.eprintf "%s does not support %s\n" scheme ds;
           1
-      | Some r ->
-          let recs = T.dump () in
+      | Some (r, recs, dropped) ->
           let total = List.length recs in
           (match trace_out with
           | Some out ->
@@ -287,7 +288,7 @@ let trace_cmd =
               Printf.printf
                 "# %d events kept (%d dropped by ring wraparound), %d ops, \
                  seed %d\n"
-                total (T.dropped ()) r.W.Spec.total_ops seed);
+                total dropped r.W.Spec.total_ops seed);
           0
     in
     T.disable ();

@@ -6,18 +6,6 @@ set -eu
 dune build
 dune runtest
 
-# Legacy-reset gate: S.reset is the compatibility shim of the
-# first-class-domain redesign (Smr_intf.Globalize) and must not gain new
-# call sites — new code creates and destroys its own domains.  The only
-# sanctioned callers are the compat layer itself and Schemes.reset_all's
-# info table.
-if grep -rnE '[A-Za-z_]+\.reset \(\)' lib bin test examples --include='*.ml' \
-  | grep -vE 'Alloc\.reset \(\)' \
-  | grep -v 'lib/schemes/schemes\.ml' ; then
-  echo "check.sh: new S.reset-style call site (use domain create/destroy instead)" >&2
-  exit 1
-fi
-
 # Chaos smoke gate: the full scheme matrix under every fault plan, three
 # seeds, with the traced determinism probes.  Exits non-zero on any
 # invariant violation (non-termination, use-after-free, bound overshoot,

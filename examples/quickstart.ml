@@ -3,17 +3,21 @@
    Run with:  dune exec examples/quickstart.exe
 
    The pattern is always the same:
-     1. pick a scheme module (here the paper's full solution, HP-BRCU);
-     2. instantiate a data structure functor with it;
+     1. look a scheme up by name (here the paper's full solution, HP-BRCU)
+        and open a fresh reclamation domain of it;
+     2. instantiate a data structure functor with the scheme bound to
+        that domain;
      3. per thread: open a session, run operations, close the session;
-     4. the allocator's counters show retirement/reclamation behaviour. *)
+     4. the allocator's counters show retirement/reclamation behaviour.
+   The domain is destroyed when the scope exits. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Scheme = Hpbrcu_schemes.Schemes.HP_BRCU
-module List_set = Hpbrcu_ds.Harris_list.Make_hhs (Scheme)
+module Schemes = Hpbrcu_schemes.Schemes
 
 let () =
+  Schemes.with_domain (Schemes.find "HP-BRCU") @@ fun (module D) ->
+  let module List_set = Hpbrcu_ds.Harris_list.Make_hhs (D.S) in
   let set = List_set.create () in
 
   (* Single-threaded taste. *)
@@ -43,7 +47,7 @@ let () =
 
   let st = Alloc.stats () in
   Fmt.pr "allocator: %a@." Alloc.pp_stats st;
-  Fmt.pr "scheme:    %a@." Hpbrcu_runtime.Stats.pp (Scheme.stats ());
+  Fmt.pr "scheme:    %a@." Hpbrcu_runtime.Stats.pp (D.S.stats ());
   assert (st.Alloc.uaf = 0);
   Fmt.pr "quickstart OK: no use-after-free, %d blocks reclaimed@."
     st.Alloc.reclaimed

@@ -63,9 +63,8 @@ let set_poisoning b = Atomic.set poisoning b
     ({!Block.set_owner}) and {!reclaim} debits the slot, so every domain
     gets its own retired-but-unreclaimed counter with a peak — the
     measurement the shard-isolation experiment is about.  Slot 0 is the
-    "no owner" slot (blocks retired outside any domain, or by the global
-    compatibility surface before it allocates a slot) and is never handed
-    out.  Slots are recycled through a free bitmap at domain destroy, so
+    "no owner" slot (blocks retired outside any domain) and is never
+    handed out.  Slots are recycled through a free bitmap at domain destroy, so
     thousands of short-lived cells cannot exhaust the table. *)
 module Owner = struct
   let max_owners = 512
@@ -233,8 +232,8 @@ let reset () =
   Atomic.set Admission.waits 0;
   Atomic.set Admission.rejects 0;
   (* Per-domain watermarks restart with the cell too, but the slots stay
-     claimed: long-lived domains (the compat Default domains in
-     particular) survive across cells. *)
+     claimed: a domain that outlives a cell (a service's shards) keeps
+     its slot. *)
   Array.iteri
     (fun i used ->
       if i > 0 && Atomic.get used then

@@ -72,10 +72,9 @@ module Smr_intf = Hpbrcu_core.Smr_intf
    make an aborted [retire_chain] observable.  Each case binds a FRESH
    domain of its scheme — or, under the "+shards" topology variant, one
    domain per shard of the sharded map — and hands the continuation a
-   [teardown] that force-destroys it: since the first-class-domain
-   redesign, destroy-at-census replaces the legacy whole-scheme [reset],
-   and cross-case state bleed is impossible by construction.  [sentinels]
-   is the map's head-block count for the leak equation. *)
+   [teardown] that force-destroys it at census time, so cross-case state
+   bleed is impossible by construction.  [sentinels] is the map's
+   head-block count for the leak equation. *)
 let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
     (k :
       (module Ds.Ds_intf.MAP) ->
@@ -99,39 +98,22 @@ let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
           (module M : Ds.Ds_intf.MAP)
           ~sentinels:M.sentinels ~teardown:M.destroy_created ~subjects:[])
   end
-  else begin
-    let caps = X.caps config in
-    let d = X.create ~label:"hunt" config in
-    let module S =
-      Smr_intf.Bind
-        (X)
-        (struct
-          let it = d
-        end)
-    in
-    (* Destroy raises the typed [Destroyed] on a second call now, and this
-       teardown legitimately runs twice (once at census, once from the
-       protecting [finally]) — gate on the lifecycle flag. *)
-    let teardown () =
-      if not (Smr_intf.Dom.destroyed (X.dom d)) then X.destroy ~force:true d
-    in
-    (* A supervision subject over the case's domain, for the "+watchdog"
-       variant: nudge/re-send only — recycling would invalidate the leak
-       census's books mid-case. *)
-    let module Sup = Smr_intf.Supervise (X) in
-    let subjects =
-      [ Sup.subject ~id:0 ~label:"hunt" ~current:(fun () -> d) () ]
-    in
-    Fun.protect ~finally:teardown (fun () ->
-        if X.scheme = "HP" || caps.Caps.supports Caps.HHSList = Caps.No then
-          k
-            (module Ds.Hm_list.Make (S) : Ds.Ds_intf.MAP)
-            ~sentinels:1 ~teardown ~subjects
-        else
-          k
-            (module Ds.Harris_list.Make_hhs (S) : Ds.Ds_intf.MAP)
-            ~sentinels:1 ~teardown ~subjects)
-  end
+  else
+    Schemes.with_domain ~label:"hunt" ((module X), config) (fun (module D) ->
+        let module S = D.S in
+        (* A supervision subject over the case's domain, for the
+           "+watchdog" variant: nudge/re-send only — recycling would
+           invalidate the leak census's books mid-case. *)
+        let module Sup = Smr_intf.Supervise (D.X) in
+        let subjects =
+          [ Sup.subject ~id:0 ~label:"hunt" ~current:(fun () -> D.it) () ]
+        in
+        let map =
+          if X.scheme = "HP" || S.caps.Caps.supports Caps.HHSList = Caps.No
+          then (module Ds.Hm_list.Make (S) : Ds.Ds_intf.MAP)
+          else (module Ds.Harris_list.Make_hhs (S))
+        in
+        k map ~sentinels:1 ~teardown:D.teardown ~subjects)
 
 let plan_has_signal_faults (pl : Fault.plan) =
   List.exists
@@ -153,9 +135,6 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
   let p = case.p in
   let nthreads = p.Chaos.readers + p.Chaos.writers in
   let bound = caps.Caps.bound ~nthreads in
-  (* Reset BEFORE arming the tracer (same rule as the chaos harness):
-     draining the previous case's leftovers must not pollute the log. *)
-  Schemes.reset_all ();
   Alloc.reset ();
   Alloc.set_strict false;
   Alloc.set_poisoning true;

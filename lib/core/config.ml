@@ -2,9 +2,9 @@
 
     The paper's evaluation (§6) fixes: epoch-advance attempt per 128
     retirements; BRCU forces (signals) after 2 consecutive failed advances;
-    NBR-Large uses an 8192-retirement threshold.  Schemes are functors over
-    a [CONFIG] so NBR and NBR-Large (and the ablation benches) are simply
-    two instantiations. *)
+    NBR-Large uses an 8192-retirement threshold.  A config is a plain value
+    passed to a scheme's [create], so NBR and NBR-Large (and the ablation
+    benches) are simply two domains of one scheme. *)
 
 type t = {
   batch : int;
@@ -51,15 +51,3 @@ let default =
 
 (** NBR-Large: amortize signals with a large batch (paper §6: 8192). *)
 let large_batch = { default with batch = 8192 }
-
-module type CONFIG = sig
-  val config : t
-end
-
-module Default : CONFIG = struct
-  let config = default
-end
-
-module Large : CONFIG = struct
-  let config = large_batch
-end

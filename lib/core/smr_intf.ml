@@ -1,22 +1,18 @@
 (** The unified safe-memory-reclamation interface.
 
-    Since the first-class-domain redesign this file defines {e two}
-    surfaces:
+    A scheme is a set of operations over an explicit reclamation domain:
 
-    - {!SCHEME} — the primary one.  A scheme is a set of operations over an
-      explicit [domain] {e value} ({!SCHEME.create} /{!SCHEME.destroy}), in
-      the style of P0484's [rcu_domain] and Hyaline's per-structure
-      contexts: registries, epochs, retired queues, signal routing and
-      statistics all hang off the domain, so one process can run any number
-      of independent instances of the same scheme (the sharded-service
-      architecture in [lib/ds/sharded_hashmap.ml] depends on exactly this).
-    - {!S} — the legacy single-global surface every data structure in
-      [lib/ds] is a functor over.  It is now a thin veneer produced by
-      {!Globalize} (one hidden default domain per functor application) or
-      {!Bind} (borrowing a caller-owned domain), kept so the harness and
-      the DS functors did not need a flag-day rewrite.  Its [reset] is the
-      compatibility shim for the old between-cells protocol and must not
-      gain new call sites (check.sh greps for them).
+    - {!SCHEME} is the scheme itself.  Its [domain] is a {e value}
+      ({!SCHEME.create} / {!SCHEME.destroy}), in the style of P0484's
+      [rcu_domain] and Hyaline's per-structure contexts: registries,
+      epochs, retired queues, signal routing and statistics all hang off
+      the domain, so one process can run any number of independent
+      instances of the same scheme (the sharded-service architecture in
+      [lib/ds/sharded_hashmap.ml] depends on exactly this).
+    - {!S} is a scheme bound to one caller-owned domain ({!Bind}): the
+      surface every data structure in [lib/ds] is a functor over.  The
+      caller creates the domain, binds it, and destroys it when done;
+      [Hpbrcu_schemes.Schemes.with_domain] packages that lifecycle.
 
     The phase discipline underneath is unchanged and is what the paper
     compares:
@@ -296,7 +292,7 @@ module type SCHEME = sig
 end
 
 (* ------------------------------------------------------------------ *)
-(* The legacy single-global surface                                    *)
+(* A scheme bound to a domain                                          *)
 (* ------------------------------------------------------------------ *)
 
 module type S = sig
@@ -304,14 +300,6 @@ module type S = sig
 
   val caps : Caps.t
   (** Robustness/applicability metadata (Tables 1 and 2). *)
-
-  val reset : unit -> unit
-  (** @deprecated Compatibility shim for the pre-domain between-cells
-      protocol: destroys the surface's hidden default domain (forcibly —
-      chaos cells leave crashed readers registered) and creates a fresh
-      one.  New code should own domains explicitly via {!SCHEME.create} /
-      {!SCHEME.destroy}; check.sh's grep gate rejects new [reset] call
-      sites outside the compat layer. *)
 
   (** {1 Thread lifecycle} *)
 
@@ -433,67 +421,18 @@ module type S = sig
 end
 
 (* ------------------------------------------------------------------ *)
-(* Compatibility functors                                              *)
+(* Binding a domain                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** [Globalize (X) (C) ()] — the old module-per-scheme surface: one hidden
-    default domain created at functor application, [reset] implemented as
-    forced destroy + create.  Generative ([()]) so two applications get
-    two independent domains, exactly like the old per-application global
-    state but without the shared-globals failure mode. *)
-module Globalize (X : SCHEME) (C : Config.CONFIG) () : S = struct
-  let caps = X.caps C.config
-  let name = caps.Caps.name
-
-  let make () = X.create ~label:(name ^ ":default") C.config
-  let cur = ref (make ())
-
-  (* The one sanctioned [reset] implementation (see the S.reset docs). *)
-  let reset () =
-    X.destroy ~force:true !cur;
-    cur := make ()
-
-  type handle = X.handle
-
-  let register () = X.register !cur
-  let unregister = X.unregister
-  let flush = X.flush
-
-  type shield = X.shield
-
-  let new_shield = X.new_shield
-  let protect = X.protect
-  let clear = X.clear
-
-  exception Restart = X.Restart
-
-  let op = X.op
-  let crit = X.crit
-  let mask = X.mask
-  let read = X.read
-  let deref = X.deref
-  let retire = X.retire
-  let recycles = X.recycles
-  let current_era () = X.current_era !cur
-  let traverse = X.traverse
-  let stats () = X.stats !cur
-end
-
-(** [Bind (X) (D)] — view a caller-owned domain through the legacy {!S}
-    surface, so the existing data-structure functors (which are written
-    over {!S}) can run inside an explicit domain — each shard of the
-    sharded hashmap binds its own.  The domain's lifetime belongs to the
-    caller: [reset] here is a programming error, not a teardown. *)
+(** [Bind (X) (D)] — view a caller-owned domain through {!S}, so the
+    data-structure functors (which are written over {!S}) run inside an
+    explicit domain — each shard of the sharded hashmap binds its own.
+    The domain's lifetime belongs to the caller. *)
 module Bind (X : SCHEME) (D : sig
   val it : X.domain
 end) : S = struct
   let caps = X.caps (Dom.config (X.dom D.it))
   let name = caps.Caps.name
-
-  let reset () =
-    invalid_arg
-      ("Smr_intf.Bind(" ^ name
-     ^ ").reset: surface borrows an external domain; destroy it instead")
 
   type handle = X.handle
 

@@ -56,8 +56,8 @@ module Make_gen (B : Hashmap.BUCKETS) (X : Smr_intf.SCHEME) = struct
     done;
     !size
 
-  (* One shard: a private domain, the legacy surface bound to it, and a
-     hash map instantiated over that surface.  The inner map's identity
+  (* One shard: a private domain, the scheme bound to it, and a hash map
+     instantiated over that binding.  The inner map's identity
      is hidden in the session closures — all the caller holds is the
      domain, for watermark accounting and destroy. *)
   let mk_shard ~label ~buckets config =
@@ -165,8 +165,7 @@ module Make_hm (X : Smr_intf.SCHEME) = Make_gen (Hm_list.Make) (X)
     drives its multi-domain smoke case through this.  Instances created
     through [create] own their domains; {!destroy_created} force-destroys
     every domain this functor application has created (idempotent), which
-    is the hook the hunt's census/teardown uses in place of the legacy
-    [reset]. *)
+    is the hook the hunt's census/teardown uses. *)
 module As_map (X : Smr_intf.SCHEME) (P : PARAMS) : sig
   include Ds_intf.MAP
 

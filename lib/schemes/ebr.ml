@@ -96,8 +96,3 @@ module Impl : Smr_intf.SCHEME = struct
 
   let stats (d : domain) = Dom.stamp_stats d.E.meta (E.stats d)
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

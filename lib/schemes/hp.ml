@@ -113,8 +113,3 @@ module Impl : Smr_intf.SCHEME = struct
 
   let stats (d : domain) = Dom.stamp_stats d.Core.meta (Core.stats d)
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

@@ -261,8 +261,3 @@ module Impl : Smr_intf.SCHEME = struct
         validate_failures = Stats.Counter.value d.tr_validate_fail;
       }
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

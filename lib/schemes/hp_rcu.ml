@@ -176,8 +176,3 @@ module Impl : Smr_intf.SCHEME = struct
     Dom.stamp_stats d.meta
       (Hpbrcu_runtime.Stats.add (E.stats d.ed) (H.stats d.hd))
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

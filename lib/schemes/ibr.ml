@@ -296,8 +296,3 @@ module Impl : Smr_intf.SCHEME = struct
         scans = Stats.Counter.value d.scans;
       }
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

@@ -19,7 +19,7 @@
     would not be rollback-safe.  The data-structure functors honour this
     via {!Caps.supports_nbr}.
 
-    A [Config.Large] domain is the paper's NBR-Large: an 8192-retirement
+    A {!Config.large_batch} domain is the paper's NBR-Large: an 8192-retirement
     batch that trades footprint for fewer signals ({!Impl.caps} picks the
     name from the batch size).
 
@@ -277,8 +277,3 @@ module Impl : Smr_intf.SCHEME = struct
         max_signals_inflight = Signal.max_inflight ();
       }
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

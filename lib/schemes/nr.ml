@@ -81,7 +81,3 @@ module Impl : Smr_intf.SCHEME = struct
 
   let stats d = Dom.stamp_stats d Hpbrcu_runtime.Stats.empty
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make () : Smr_intf.S = Smr_intf.Globalize (Impl) (Config.Default) ()

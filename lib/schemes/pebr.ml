@@ -335,8 +335,3 @@ module Impl : Smr_intf.SCHEME = struct
         max_signals_inflight = Signal.max_inflight ();
       }
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

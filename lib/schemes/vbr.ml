@@ -162,8 +162,3 @@ module Impl : Smr_intf.SCHEME = struct
         restarts = Stats.Counter.value d.restarts;
       }
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

@@ -88,9 +88,7 @@ module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     end
 
   let run ?(create = L.create) (c : Spec.cell)
-      ~(scheme_stats : unit -> Stats.snapshot) ~(reset : unit -> unit) :
-      Spec.result =
-    reset ();
+      ~(scheme_stats : unit -> Stats.snapshot) : Spec.result =
     Alloc.reset ();
     Alloc.set_strict false;
     let t = create () in

@@ -293,46 +293,33 @@ end
     returned alongside (used by the determinism check). *)
 let run_one ?(traced = false) ~scheme ~plan_id ~seed (p : params) :
     cell * Trace.record list =
-  let (module S : Matrix.SCHEME) =
-    (* Small-batch twins keep bounds (and cells) small; HE/IBR exist only
-       default-tuned. *)
-    try Matrix.find_scheme ~tuning:`Small scheme
-    with Invalid_argument _ -> Matrix.find_scheme scheme
-  in
   let p = effective_params p plan_id in
   let pl = plan_of p plan_id in
-  let nthreads = p.readers + p.writers in
-  let bound = S.caps.Caps.bound ~nthreads in
-  (* Reset BEFORE arming the tracer: draining the previous cell's leftover
-     retirements emits Reclaim events that depend on which cell ran last,
-     which would break the byte-identical-replay guarantee. *)
-  Schemes.reset_all ();
-  Alloc.reset ();
-  Alloc.set_strict false;
-  (* Spool, not ring: the determinism probes compare whole logs, and a
-     lossy ring would make "byte-identical" vacuous for any cell that
-     wraps; the spool also makes the log exportable to [smrbench
-     analyze]. *)
-  if traced then Trace.enable ~sink:Trace.Spool ();
-  let cell =
-    let key = (scheme, plan_name plan_id, seed) in
-    if scheme = "HP" then
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Runner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else if Matrix.supports (module S) Caps.HHSList then
-      let module L = Ds.Harris_list.Make_hhs (S) in
-      let module R = Runner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else
-      (* HE/IBR: hazard-pointer applicability — HMList. *)
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Runner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-  in
-  let log = if traced then Trace.dump () else [] in
-  if traced then Trace.disable ();
-  (cell, log)
+  (* Small-batch tuning keeps bounds (and cells) small. *)
+  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun (module D) ->
+      let module S = D.S in
+      let bound = S.caps.Caps.bound ~nthreads:(p.readers + p.writers) in
+      Alloc.reset ();
+      Alloc.set_strict false;
+      (* Spool, not ring: the determinism probes compare whole logs, and a
+         lossy ring would make "byte-identical" vacuous for any cell that
+         wraps; the spool also makes the log exportable to [smrbench
+         analyze].  The log is taken before the domain's teardown drain. *)
+      if traced then Trace.enable ~sink:Trace.Spool ();
+      let go (module L : Ds.Ds_intf.MAP) =
+        let module R = Runner (L) in
+        R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound
+          (scheme, plan_name plan_id, seed)
+      in
+      let cell =
+        (* HP and HE/IBR (hazard-pointer applicability) run HMList. *)
+        if scheme <> "HP" && Matrix.supports (module S) Caps.HHSList then
+          go (module Ds.Harris_list.Make_hhs (S))
+        else go (module Ds.Hm_list.Make (S))
+      in
+      let log = if traced then Trace.dump () else [] in
+      if traced then Trace.disable ();
+      (cell, log))
 
 (** [run_traced_to_file ~scheme ~plan_id ~seed ~out p] — one traced chaos
     cell, spooled non-lossily and written to [out] for [smrbench
@@ -413,7 +400,7 @@ let first_divergence l1 l2 =
   in
   go 0 (l1, l2)
 
-let all_schemes = List.map fst Matrix.schemes
+let all_schemes = Schemes.names
 
 (* Determinism probes: one signal-heavy robust scheme under crashes, one
    epoch scheme fault-free, one drop/delay cell.  Each is run twice with
@@ -605,33 +592,24 @@ end
     domains, plus the post-join allocator census verdict. *)
 let run_domains_one ~scheme ~plan_id ~seed (p : params) : cell * (bool * string)
     =
-  let (module S : Matrix.SCHEME) =
-    try Matrix.find_scheme ~tuning:`Small scheme
-    with Invalid_argument _ -> Matrix.find_scheme scheme
-  in
   let p = effective_params p plan_id in
   let pl = plan_of p plan_id in
-  let nthreads = p.readers + p.writers in
-  let bound = S.caps.Caps.bound ~nthreads in
-  Schemes.reset_all ();
-  Alloc.reset ();
-  Alloc.set_strict false;
-  let cell =
-    let key = (scheme, plan_name plan_id, seed) in
-    if scheme = "HP" then
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Druner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else if Matrix.supports (module S) Caps.HHSList then
-      let module L = Ds.Harris_list.Make_hhs (S) in
-      let module R = Druner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Druner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-  in
-  (cell, Domains_bench.census ())
+  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun (module D) ->
+      let module S = D.S in
+      let bound = S.caps.Caps.bound ~nthreads:(p.readers + p.writers) in
+      Alloc.reset ();
+      Alloc.set_strict false;
+      let go (module L : Ds.Ds_intf.MAP) =
+        let module R = Druner (L) in
+        R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound
+          (scheme, plan_name plan_id, seed)
+      in
+      let cell =
+        if scheme <> "HP" && Matrix.supports (module S) Caps.HHSList then
+          go (module Ds.Harris_list.Make_hhs (S))
+        else go (module Ds.Hm_list.Make (S))
+      in
+      (cell, Domains_bench.census ()))
 
 (* Expected crash count of a plan: the tid-indexed Crash rules (the ones
    the handshake can wait for). *)

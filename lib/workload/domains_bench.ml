@@ -70,7 +70,7 @@ let overhead_pairs =
     ("HP-BRCU", Caps.HHSList);
   ]
 
-let all_scheme_names = List.map fst Matrix.schemes
+let all_scheme_names = Hpbrcu_schemes.Schemes.names
 
 let default_dss = [ Caps.HMList; Caps.HHSList; Caps.HashMap; Caps.NMTree ]
 
@@ -106,12 +106,12 @@ let ns_per_op (r : Spec.result) =
   if r.Spec.total_ops = 0 then Float.infinity
   else r.Spec.elapsed *. 1e9 /. float_of_int r.Spec.total_ops
 
+let cell_of ~ds ~threads ~mode ~ops_per_thread ~seed =
+  Spec.cell ~threads ~key_range:(key_range_of ds) ~workload:Spec.Read_write
+    ~limit:(Spec.Ops ops_per_thread) ~mode ~seed ()
+
 let run_one ~scheme ~ds ~threads ~mode ~ops_per_thread ~seed =
-  let cell =
-    Spec.cell ~threads ~key_range:(key_range_of ds) ~workload:Spec.Read_write
-      ~limit:(Spec.Ops ops_per_thread) ~mode ~seed ()
-  in
-  Matrix.run_cell ~ds ~scheme cell
+  Matrix.run_cell ~ds ~scheme (cell_of ~ds ~threads ~mode ~ops_per_thread ~seed)
 
 (** [clamp_threads ts] — the usable subset of the requested sweep:
     deduplicated, capped at the hardware's parallelism. *)
@@ -297,10 +297,14 @@ let flight_delta ?(scheme = "HP-BRCU") ?(ds = Caps.HHSList)
   in
   let armed () =
     Trace.enable ~sink:Trace.Flight ~ndomains:threads ();
-    let r = cell () in
-    let kept = List.length (Trace.dump ()) and dropped = Trace.dropped () in
+    (* Count the log before the cell's domain is torn down. *)
+    let r =
+      Matrix.with_cell ~ds ~scheme
+        (cell_of ~ds ~threads ~mode:Spec.Domains ~ops_per_thread ~seed)
+        (fun r -> (ns_per_op r, List.length (Trace.dump ()), Trace.dropped ()))
+    in
     Trace.disable ();
-    Option.map (fun r -> (ns_per_op r, kept, dropped)) r
+    r
   in
   match best cell with
   | None -> None

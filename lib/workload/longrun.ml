@@ -45,7 +45,6 @@ type outcome = {
 
 module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
   let go (c : config) ~(scheme_stats : unit -> Stats.snapshot) : outcome =
-    Schemes.reset_all ();
     Alloc.reset ();
     Alloc.set_strict false;
     let t = L.create () in
@@ -146,20 +145,25 @@ module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     }
 end
 
-(** [run ~scheme config] — long-running-read benchmark for one scheme.
-    Uses the small-batch scheme instances (see {!Hpbrcu_schemes.Schemes.Small}):
-    the batch threshold scales down with the scaled key ranges. *)
-let run ~scheme (c : config) : outcome option =
-  let (module S) = Matrix.find_scheme ~tuning:`Small scheme in
-  if scheme = "HP" then
-    let module L = Ds.Hm_list.Make (S) in
-    let module R = Run (L) in
-    Some (R.go c ~scheme_stats:S.stats)
-  else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module R = Run (L) in
-    Some (R.go c ~scheme_stats:S.stats)
-  else None
+(** [with_run ~scheme c k] — the long-running-read cell for one scheme
+    in a fresh small-batch domain (see {!Hpbrcu_schemes.Schemes.small}: the
+    batch threshold scales down with the scaled key ranges), its outcome
+    handed to [k] before the domain is destroyed.  [None] if the scheme
+    supports neither list. *)
+let with_run ~scheme (c : config) k : 'a option =
+  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun (module D) ->
+      let module S = D.S in
+      let go (module L : Hpbrcu_ds.Ds_intf.MAP) =
+        let module R = Run (L) in
+        Some (k (R.go c ~scheme_stats:S.stats))
+      in
+      if scheme = "HP" then go (module Ds.Hm_list.Make (S))
+      else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
+        go (module Ds.Harris_list.Make_hhs (S))
+      else None)
+
+(** [run ~scheme c] — {!with_run} returning the outcome. *)
+let run ~scheme c = with_run ~scheme c Fun.id
 
 (** [run_traced ~scheme ~out c] — one long-running-read cell with the
     tracer recording, written to [out] on completion (the input format of
@@ -167,13 +171,10 @@ let run ~scheme (c : config) : outcome option =
     the trace is a pure function of the seed; in domain mode the
     flight recorder (DESIGN.md §15) records lossily-but-counted per-domain
     rings merged into calibrated CLOCK_MONOTONIC ns, with the GC track
-    riding along, and the file is tagged ["# unit: ns"]. *)
+    riding along, and the file is tagged ["# unit: ns"].  The log is
+    written before the cell's domain is destroyed, so teardown drains
+    never reach it. *)
 let run_traced ~scheme ~out (c : config) : outcome option =
-  (* Reset BEFORE arming the tracer: draining a previous cell's leftovers
-     emits Reclaim events that depend on what ran before (same rule as the
-     chaos replay probes). *)
-  Schemes.reset_all ();
-  Alloc.reset ();
   let unit_ =
     match c.mode with
     | Spec.Fibers _ ->
@@ -183,8 +184,7 @@ let run_traced ~scheme ~out (c : config) : outcome option =
         Trace.enable ~sink:Trace.Flight ~ndomains:(c.readers + c.writers) ();
         Some "ns"
   in
-  let r = run ~scheme c in
-  let log = Trace.dump () in
-  Trace.disable ();
-  if r <> None then Trace.to_file ?unit_ out log;
-  r
+  Fun.protect ~finally:Trace.disable (fun () ->
+      with_run ~scheme c (fun o ->
+          Trace.to_file ?unit_ out (Trace.dump ());
+          o))

@@ -8,40 +8,7 @@
 module Caps = Hpbrcu_core.Caps
 module Schemes = Hpbrcu_schemes.Schemes
 module Ds = Hpbrcu_ds
-
-module type SCHEME = Hpbrcu_core.Smr_intf.S
-
-let schemes : (string * (module SCHEME)) list =
-  [
-    ("NR", (module Schemes.NR));
-    ("RCU", (module Schemes.RCU));
-    ("HP", (module Schemes.HP));
-    ("HP++", (module Schemes.HPPP));
-    ("PEBR", (module Schemes.PEBR));
-    ("NBR", (module Schemes.NBR));
-    ("NBR-Large", (module Schemes.NBR_large));
-    ("VBR", (module Schemes.VBR));
-    ("HP-RCU", (module Schemes.HP_RCU));
-    ("HP-BRCU", (module Schemes.HP_BRCU));
-    (* Beyond the paper's §6 suite (Table 2 completeness): *)
-    ("HE", (module Schemes.HE));
-    ("IBR", (module Schemes.IBR));
-  ]
-
-(* Small-batch twins for the scaled long-running experiments. *)
-let schemes_small : (string * (module SCHEME)) list =
-  [
-    ("NR", (module Schemes.Small.NR));
-    ("RCU", (module Schemes.Small.RCU));
-    ("HP", (module Schemes.Small.HP));
-    ("HP++", (module Schemes.Small.HPPP));
-    ("PEBR", (module Schemes.Small.PEBR));
-    ("NBR", (module Schemes.Small.NBR));
-    ("NBR-Large", (module Schemes.Small.NBR_large));
-    ("VBR", (module Schemes.Small.VBR));
-    ("HP-RCU", (module Schemes.Small.HP_RCU));
-    ("HP-BRCU", (module Schemes.Small.HP_BRCU));
-  ]
+module SI = Hpbrcu_core.Smr_intf
 
 (* Hunt entries for lib/check's schedule/fault exploration: first-class
    implementations paired with hair-trigger reclamation configs — each
@@ -52,15 +19,9 @@ let schemes_small : (string * (module SCHEME)) list =
    through {!Hpbrcu_ds.Sharded_hashmap} (one domain per shard).  Variants
    share their base scheme's applicability — [supports] callers strip the
    suffix. *)
-module SI = Hpbrcu_core.Smr_intf
-
 let hunt_impls : (string * ((module SI.SCHEME) * Hpbrcu_core.Config.t)) list =
-  let impl name =
-    match Schemes.find_impl name with
-    | Some i -> i
-    | None -> invalid_arg ("unknown scheme: " ^ name)
-  in
-  let hunt = Schemes.Hunt_cfg.config in
+  let impl name = fst (Schemes.find name) in
+  let hunt = Schemes.hunt in
   [
     ("RCU", (impl "RCU", hunt));
     ("HP", (impl "HP", hunt));
@@ -70,8 +31,8 @@ let hunt_impls : (string * ((module SI.SCHEME) * Hpbrcu_core.Config.t)) list =
     ("HP-BRCU", (impl "HP-BRCU", hunt));
     ("RCU+shards", (impl "RCU", hunt));
     ("RCU+watchdog", (impl "RCU", hunt));
-    ("HP-BRCU!nomask", (impl "HP-BRCU", Schemes.Hunt_nomask_cfg.config));
-    ("HP-BRCU!nodb", (impl "HP-BRCU", Schemes.Hunt_nodb_cfg.config));
+    ("HP-BRCU!nomask", (impl "HP-BRCU", Schemes.hunt_nomask));
+    ("HP-BRCU!nodb", (impl "HP-BRCU", Schemes.hunt_nodb));
   ]
 
 let hunt_scheme_names =
@@ -110,16 +71,7 @@ let base_scheme_name n =
 
 (* The paper's §6 legend (figures use exactly these; HE/IBR remain
    addressable by name for custom sweeps and tests). *)
-let scheme_names =
-  List.filter (fun n -> n <> "HE" && n <> "IBR") (List.map fst schemes)
-
-let find_scheme ?(tuning = `Default) name : (module SCHEME) =
-  let table =
-    match tuning with `Default -> schemes | `Small -> schemes_small
-  in
-  match List.assoc_opt name table with
-  | Some s -> s
-  | None -> invalid_arg ("unknown scheme: " ^ name)
+let scheme_names = List.filter (fun n -> n <> "HE" && n <> "IBR") Schemes.names
 
 let ds_of_string = function
   | "HList" -> Caps.HList
@@ -131,55 +83,40 @@ let ds_of_string = function
   | s -> invalid_arg ("unknown data structure: " ^ s)
 
 (* NBR-Large shares NBR's applicability. *)
-let supports (module S : SCHEME) ds = S.caps.Caps.supports ds <> Caps.No
+let supports (module S : SI.S) ds = S.caps.Caps.supports ds <> Caps.No
 
 (* Hash tables sized so the expected chain length matches the paper's
    (≈1.7 nodes at 50% occupancy). *)
 let bucket_hint key_range = max 16 (key_range / 4)
 
-(** [run_cell ~ds ~scheme cell] executes one experiment cell, or returns
-    [None] when the pair is excluded by Table 1. *)
-let run_cell ~(ds : Caps.ds_id) ~(scheme : string) (cell : Spec.cell) :
-    Spec.result option =
-  let (module S) = find_scheme scheme in
-  if not (supports (module S) ds) then None
-  else
-    let reset () = Schemes.reset_all () in
-    let scheme_stats () = S.stats () in
-    let r =
-      match ds with
-      | Caps.HList ->
-          let module L = Ds.Harris_list.Make (S) in
+(** [with_cell ~ds ~scheme cell k] executes one experiment cell in a
+    fresh domain of [scheme] and hands the result to [k] before the domain
+    is destroyed — a traced caller dumps its log in [k], so the teardown
+    drain never reaches it.  [None] when the pair is excluded by Table 1. *)
+let with_cell ~(ds : Caps.ds_id) ~(scheme : string) (cell : Spec.cell) k =
+  Schemes.with_domain (Schemes.find scheme) (fun (module D) ->
+      let module S = D.S in
+      if not (supports (module S) ds) then None
+      else
+        let run (type a) (module L : Ds.Ds_intf.MAP with type t = a)
+            ?(create : (unit -> a) option) () =
           let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-      | Caps.HMList ->
-          let module L = Ds.Hm_list.Make (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-      | Caps.HHSList ->
-          let module L = Ds.Harris_list.Make_hhs (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-      | Caps.HashMap ->
-          if scheme = "HP" then begin
-            let module L = Ds.Hashmap.Make_gen (Ds.Hm_list.Make) (S) in
-            let module R = Cell_runner.Make (L) in
-            R.run cell ~scheme_stats ~reset
-              ~create:(fun () -> L.create_sized (bucket_hint cell.Spec.key_range))
-          end
-          else begin
-            let module L = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S) in
-            let module R = Cell_runner.Make (L) in
-            R.run cell ~scheme_stats ~reset
-              ~create:(fun () -> L.create_sized (bucket_hint cell.Spec.key_range))
-          end
-      | Caps.SkipList ->
-          let module L = Ds.Skiplist.Make (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-      | Caps.NMTree ->
-          let module L = Ds.Nmtree.Make (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-    in
-    Some r
+          k (R.run ?create cell ~scheme_stats:S.stats)
+        in
+        let buckets = bucket_hint cell.Spec.key_range in
+        Some
+          (match ds with
+          | Caps.HList -> run (module Ds.Harris_list.Make (S)) ()
+          | Caps.HMList -> run (module Ds.Hm_list.Make (S)) ()
+          | Caps.HHSList -> run (module Ds.Harris_list.Make_hhs (S)) ()
+          | Caps.HashMap when scheme = "HP" ->
+              let module L = Ds.Hashmap.Make_gen (Ds.Hm_list.Make) (S) in
+              run (module L) ~create:(fun () -> L.create_sized buckets) ()
+          | Caps.HashMap ->
+              let module L = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S) in
+              run (module L) ~create:(fun () -> L.create_sized buckets) ()
+          | Caps.SkipList -> run (module Ds.Skiplist.Make (S)) ()
+          | Caps.NMTree -> run (module Ds.Nmtree.Make (S)) ()))
+
+(** [run_cell ~ds ~scheme cell] — {!with_cell} returning the result. *)
+let run_cell ~ds ~scheme cell = with_cell ~ds ~scheme cell Fun.id

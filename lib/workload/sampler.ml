@@ -80,7 +80,6 @@ type outcome = {
 
 module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
   let go (p : params) : outcome =
-    Schemes.reset_all ();
     Alloc.reset ();
     Alloc.set_strict false;
     let t = L.create () in
@@ -215,16 +214,15 @@ end
     everyone else HHSList, as in Longrun); [None] if the scheme supports
     neither structure. *)
 let run (p : params) : outcome option =
-  let (module S) = Matrix.find_scheme ~tuning:`Small p.scheme in
-  if p.scheme = "HP" then
-    let module L = Ds.Hm_list.Make (S) in
-    let module G = Go (L) (S) in
-    Some (G.go p)
-  else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module G = Go (L) (S) in
-    Some (G.go p)
-  else None
+  Schemes.with_domain (Schemes.find ~tuning:`Small p.scheme) (fun (module D) ->
+      let module S = D.S in
+      if p.scheme = "HP" then
+        let module G = Go (Ds.Hm_list.Make (S)) (S) in
+        Some (G.go p)
+      else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
+        let module G = Go (Ds.Harris_list.Make_hhs (S)) (S) in
+        Some (G.go p)
+      else None)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

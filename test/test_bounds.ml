@@ -13,19 +13,23 @@ module Sched = Hpbrcu_runtime.Sched
 module Rng = Hpbrcu_runtime.Rng
 module Config = Hpbrcu_core.Config
 
-let reset () =
-  Hpbrcu_schemes.Schemes.reset_all ();
-  Alloc.reset ();
-  Alloc.set_strict false
-
 let small =
   { Config.default with batch = 16; max_local_tasks = 8; force_threshold = 2;
     backup_period = 16; max_steps = 16 }
 
-(* Run the long-running-reads workload for a scheme module over a list
-   flavour, in fiber mode with a fixed op budget (deterministic). *)
-let longrun (module S : Hpbrcu_core.Smr_intf.S) ~range ~stall =
-  reset ();
+(* [with_small name f] — [f] over a fresh domain of [name] under [small],
+   counting allocator. *)
+let with_small name f =
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  Schemes.with_domain (fst (Schemes.find name), small) (fun (module D) ->
+      Alloc.reset ();
+      Alloc.set_strict false;
+      f (module D.S : Hpbrcu_core.Smr_intf.S))
+
+(* Run the long-running-reads workload for a scheme over a list flavour,
+   in fiber mode with a fixed op budget (deterministic). *)
+let longrun scheme ~range ~stall =
+  with_small scheme @@ fun (module S) ->
   let module L = Hpbrcu_ds.Harris_list.Make_hhs (S) in
   let t = L.create () in
   let s0 = L.session t in
@@ -70,8 +74,7 @@ let longrun (module S : Hpbrcu_core.Smr_intf.S) ~range ~stall =
   (Alloc.peak_unreclaimed (), Atomic.get contended_reader_ops)
 
 let test_hp_bounded_by_shields () =
-  reset ();
-  let module S = Hpbrcu_schemes.Hp.Make (struct let config = small end) () in
+  with_small "HP" @@ fun (module S) ->
   let module L = Hpbrcu_ds.Hm_list.Make (S) in
   let t = L.create () in
   Sched.run (Sched.Fibers { seed = 4; switch_every = 2 }) ~nthreads:4 (fun tid ->
@@ -94,14 +97,10 @@ let test_hp_bounded_by_shields () =
    Compare peaks at range 512 vs 4096: RCU must grow markedly, HP-BRCU by
    far less. *)
 let test_growth_rcu_vs_hpbrcu () =
-  let module R = Hpbrcu_schemes.Ebr.Make (struct let config = small end) () in
-  let p_r_small, _ = longrun (module R) ~range:512 ~stall:false in
-  let module R2 = Hpbrcu_schemes.Ebr.Make (struct let config = small end) () in
-  let p_r_large, _ = longrun (module R2) ~range:4096 ~stall:false in
-  let module B = Hpbrcu_schemes.Hp_brcu.Make (struct let config = small end) () in
-  let p_b_small, _ = longrun (module B) ~range:512 ~stall:false in
-  let module B2 = Hpbrcu_schemes.Hp_brcu.Make (struct let config = small end) () in
-  let p_b_large, _ = longrun (module B2) ~range:4096 ~stall:false in
+  let p_r_small, _ = longrun "RCU" ~range:512 ~stall:false in
+  let p_r_large, _ = longrun "RCU" ~range:4096 ~stall:false in
+  let p_b_small, _ = longrun "HP-BRCU" ~range:512 ~stall:false in
+  let p_b_large, _ = longrun "HP-BRCU" ~range:4096 ~stall:false in
   Alcotest.(check bool)
     (Printf.sprintf "RCU grows: %d -> %d" p_r_small p_r_large)
     true
@@ -114,10 +113,8 @@ let test_growth_rcu_vs_hpbrcu () =
 (* Stalled readers: HP-BRCU's peak stays near its no-stall level; RCU's
    inflates under the same injected stalls. *)
 let test_stall_robustness () =
-  let module R = Hpbrcu_schemes.Ebr.Make (struct let config = small end) () in
-  let p_rcu, _ = longrun (module R) ~range:1024 ~stall:true in
-  let module B = Hpbrcu_schemes.Hp_brcu.Make (struct let config = small end) () in
-  let p_brcu, _ = longrun (module B) ~range:1024 ~stall:true in
+  let p_rcu, _ = longrun "RCU" ~range:1024 ~stall:true in
+  let p_brcu, _ = longrun "HP-BRCU" ~range:1024 ~stall:true in
   Alcotest.(check bool)
     (Printf.sprintf "stalled: RCU %d vs HP-BRCU %d" p_rcu p_brcu)
     true
@@ -128,10 +125,8 @@ let test_stall_robustness () =
    neutralization restarts them from the entry point — whereas HP-BRCU
    readers keep finishing from their checkpoints. *)
 let test_nbr_starves_hpbrcu_does_not () =
-  let module N = Hpbrcu_schemes.Nbr.Make (struct let config = small end) () in
-  let _, ops_nbr = longrun (module N) ~range:4096 ~stall:false in
-  let module B = Hpbrcu_schemes.Hp_brcu.Make (struct let config = small end) () in
-  let _, ops_brcu = longrun (module B) ~range:4096 ~stall:false in
+  let _, ops_nbr = longrun "NBR" ~range:4096 ~stall:false in
+  let _, ops_brcu = longrun "HP-BRCU" ~range:4096 ~stall:false in
   Alcotest.(check bool)
     (Printf.sprintf "contended reader completions: NBR %d vs HP-BRCU %d"
        ops_nbr ops_brcu)

@@ -15,7 +15,6 @@ module Cfg = struct
 end
 
 let reset () =
-  Hpbrcu_schemes.Schemes.reset_all ();
   Alloc.reset ();
   Alloc.set_strict true
 
@@ -217,14 +216,12 @@ let test_defer_waits_for_cs () =
 let test_hpbrcu_bound () =
   reset ();
   Alloc.set_strict false;
-  let module S =
-    Hpbrcu_schemes.Hp_brcu.Make (struct
-      let config =
-        { Config.default with batch = 16; max_local_tasks = 8; force_threshold = 2 }
-    end)
-    ()
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  let config =
+    { Config.default with batch = 16; max_local_tasks = 8; force_threshold = 2 }
   in
-  let module L = Hpbrcu_ds.Harris_list.Make_hhs (S) in
+  Schemes.with_domain (fst (Schemes.find "HP-BRCU"), config) @@ fun (module D) ->
+  let module L = Hpbrcu_ds.Harris_list.Make_hhs (D.S) in
   let nthreads = 6 in
   let t = L.create () in
   Sched.run (Sched.Fibers { seed = 11; switch_every = 2 }) ~nthreads (fun tid ->

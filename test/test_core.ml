@@ -67,45 +67,48 @@ let test_retired_free_callback () =
 
 (* Capability metadata must match the paper's applicability matrix for the
    schemes and structures we implement (Table 1's relevant rows). *)
+let caps ?tuning name =
+  let (module X : Hpbrcu_core.Smr_intf.SCHEME), config =
+    Hpbrcu_schemes.Schemes.find ?tuning name
+  in
+  X.caps config
+
 let test_caps_match_table1 () =
-  let module S = Hpbrcu_schemes.Schemes in
-  let check name (module M : Hpbrcu_core.Smr_intf.S) ds expected =
-    let got = M.caps.Caps.supports ds <> Caps.No in
+  let check name ds expected =
+    let got = (caps name).Caps.supports ds <> Caps.No in
     Alcotest.(check bool)
       (Printf.sprintf "%s on %s" name (Caps.ds_name ds))
       expected got
   in
   (* HP: HMList and HashMap only (plus SkipList at reduced progress). *)
-  check "HP" (module S.HP) Caps.HMList true;
-  check "HP" (module S.HP) Caps.HList false;
-  check "HP" (module S.HP) Caps.HHSList false;
-  check "HP" (module S.HP) Caps.NMTree false;
-  check "HP" (module S.HP) Caps.SkipList true;
+  check "HP" Caps.HMList true;
+  check "HP" Caps.HList false;
+  check "HP" Caps.HHSList false;
+  check "HP" Caps.NMTree false;
+  check "HP" Caps.SkipList true;
   (* NBR: no helping-during-traversal structures. *)
-  check "NBR" (module S.NBR) Caps.HMList false;
-  check "NBR" (module S.NBR) Caps.SkipList false;
-  check "NBR" (module S.NBR) Caps.HList true;
-  check "NBR" (module S.NBR) Caps.NMTree true;
+  check "NBR" Caps.HMList false;
+  check "NBR" Caps.SkipList false;
+  check "NBR" Caps.HList true;
+  check "NBR" Caps.NMTree true;
   (* The optimistic family runs everything. *)
   List.iter
     (fun ds ->
-      check "HP-BRCU" (module S.HP_BRCU) ds true;
-      check "RCU" (module S.RCU) ds true;
-      check "VBR" (module S.VBR) ds true)
+      check "HP-BRCU" ds true;
+      check "RCU" ds true;
+      check "VBR" ds true)
     Caps.all_ds
 
 let test_caps_match_table2 () =
-  let module S = Hpbrcu_schemes.Schemes in
-  let robust (module M : Hpbrcu_core.Smr_intf.S) = M.caps.Caps.robust_stalled in
-  let longrun (module M : Hpbrcu_core.Smr_intf.S) = M.caps.Caps.robust_longrun in
-  Alcotest.(check bool) "RCU not robust" false (robust (module S.RCU));
-  Alcotest.(check bool) "HP-RCU not stall-robust" false (robust (module S.HP_RCU));
-  Alcotest.(check bool) "HP-RCU longrun-robust" true (longrun (module S.HP_RCU));
-  Alcotest.(check bool) "HP-BRCU stall-robust" true (robust (module S.HP_BRCU));
-  Alcotest.(check bool) "HP-BRCU longrun-robust" true (longrun (module S.HP_BRCU));
-  Alcotest.(check bool) "NBR stall-robust" true (robust (module S.NBR));
-  Alcotest.(check bool) "HP robust both" true
-    (robust (module S.HP) && longrun (module S.HP))
+  let robust name = (caps name).Caps.robust_stalled in
+  let longrun name = (caps name).Caps.robust_longrun in
+  Alcotest.(check bool) "RCU not robust" false (robust "RCU");
+  Alcotest.(check bool) "HP-RCU not stall-robust" false (robust "HP-RCU");
+  Alcotest.(check bool) "HP-RCU longrun-robust" true (longrun "HP-RCU");
+  Alcotest.(check bool) "HP-BRCU stall-robust" true (robust "HP-BRCU");
+  Alcotest.(check bool) "HP-BRCU longrun-robust" true (longrun "HP-BRCU");
+  Alcotest.(check bool) "NBR stall-robust" true (robust "NBR");
+  Alcotest.(check bool) "HP robust both" true (robust "HP" && longrun "HP")
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -131,7 +134,44 @@ let test_config_defaults () =
   Alcotest.(check int) "force threshold" 2 Config.default.Config.force_threshold;
   Alcotest.(check bool) "double buffering on" true
     Config.default.Config.double_buffering;
-  Alcotest.(check int) "NBR-Large batch" 8192 Config.large_batch.Config.batch
+  Alcotest.(check int) "NBR-Large batch" 8192 Config.large_batch.Config.batch;
+  (* The scheme name table, pinned: every display name under each tuning
+     resolves to this scheme and these batch/max_steps.  NR and NBR-Large
+     ignore the tuning; HE and IBR keep the paper's config under both. *)
+  let paper = (128, 64) and small = (32, 32) and large = (8192, 64) in
+  let pinned =
+    [
+      ("NR", paper, paper);
+      ("RCU", paper, small);
+      ("HP", paper, small);
+      ("HP++", paper, small);
+      ("PEBR", paper, small);
+      ("NBR", paper, small);
+      ("NBR-Large", large, large);
+      ("VBR", paper, small);
+      ("HP-RCU", paper, small);
+      ("HP-BRCU", paper, small);
+      ("HE", paper, paper);
+      ("IBR", paper, paper);
+    ]
+  in
+  let check name tuning tag (batch, max_steps) =
+    let label = name ^ "/" ^ tag in
+    let (module X : Hpbrcu_core.Smr_intf.SCHEME), c =
+      Hpbrcu_schemes.Schemes.find ~tuning name
+    in
+    Alcotest.(check string) (label ^ " caps.name") name (X.caps c).Caps.name;
+    Alcotest.(check int) (label ^ " batch") batch c.Config.batch;
+    Alcotest.(check int) (label ^ " max_steps") max_steps c.Config.max_steps
+  in
+  List.iter
+    (fun (name, default_cfg, small_cfg) ->
+      check name `Default "default" default_cfg;
+      check name `Small "small" small_cfg)
+    pinned;
+  Alcotest.(check (list string)) "every name pinned"
+    (List.map (fun (name, _, _) -> name) pinned)
+    Hpbrcu_schemes.Schemes.names
 
 let () =
   Alcotest.run "core"

@@ -99,6 +99,56 @@ let test_destroyed_parity () =
   on_domains destroyed_check
 
 (* ------------------------------------------------------------------ *)
+(* Scoped domains: teardown on every exit path                         *)
+(* ------------------------------------------------------------------ *)
+
+let owner_labels () = List.map (fun (_, l, _, _) -> l) (Alloc.Owner.snapshot ())
+
+(* [Schemes.with_domain] hands out a live domain and releases its
+   watermark slot when the body returns or raises. *)
+let test_scoped_teardown () =
+  let label = "scoped-teardown" in
+  let live () = List.mem label (owner_labels ()) in
+  let dom = ref None in
+  let r =
+    Schemes.with_domain ~label (Schemes.find "HP-BRCU") (fun (module D) ->
+        Alcotest.(check bool) "slot live inside" true (live ());
+        dom := Some (D.X.dom D.it);
+        42)
+  in
+  Alcotest.(check int) "value through the scope" 42 r;
+  Alcotest.(check bool) "slot released on return" false (live ());
+  Alcotest.(check bool) "domain destroyed" true
+    (SI.Dom.destroyed (Option.get !dom));
+  (match
+     Schemes.with_domain ~label (Schemes.find "RCU") (fun (module D) ->
+         (* A registered reader left behind, as a crashed one would be. *)
+         ignore (D.S.register () : D.S.handle);
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "the body's exception must propagate"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "slot released on raise" false (live ())
+
+(* More back-to-back cells than there are watermark slots: each cell's
+   scope must give its slot back. *)
+let test_cells_outnumber_slots () =
+  let cell i =
+    W.Spec.cell ~threads:1 ~key_range:16 ~prefill:4 ~workload:W.Spec.Read_write
+      ~limit:(W.Spec.Ops 2) ~mode:(W.Spec.Fibers i) ~seed:i ()
+  in
+  let before = List.length (Alloc.Owner.snapshot ()) in
+  for i = 1 to Alloc.Owner.max_owners + 8 do
+    match W.Matrix.run_cell ~ds:Caps.HHSList ~scheme:"RCU" (cell i) with
+    | Some _ -> ()
+    | None -> Alcotest.fail "RCU must support HHSList"
+    | exception Alloc.Owner.Exhausted ->
+        Alcotest.failf "watermark slots exhausted at cell %d" i
+  done;
+  Alcotest.(check int) "no slot left behind" before
+    (List.length (Alloc.Owner.snapshot ()))
+
+(* ------------------------------------------------------------------ *)
 (* Flight recorder: merge order, drop census, file roundtrip           *)
 (* ------------------------------------------------------------------ *)
 
@@ -203,19 +253,18 @@ let test_flight_file_roundtrip () =
 (* ------------------------------------------------------------------ *)
 
 let traced_cell () =
-  Schemes.reset_all ();
-  Alloc.reset ();
   Trace.enable ~sink:Trace.Spool ();
-  let r =
-    W.Domains_bench.run_one ~scheme:"HP-BRCU" ~ds:Caps.HHSList ~threads:3
-      ~mode:(W.Spec.Fibers 5) ~ops_per_thread:150 ~seed:5
+  let ds = Caps.HHSList in
+  let log =
+    W.Matrix.with_cell ~ds ~scheme:"HP-BRCU"
+      (W.Domains_bench.cell_of ~ds ~threads:3 ~mode:(W.Spec.Fibers 5)
+         ~ops_per_thread:150 ~seed:5)
+      (fun _ -> Trace.dump ())
   in
-  let log = Trace.dump () in
   Trace.disable ();
-  (match r with
-  | Some _ -> ()
-  | None -> Alcotest.fail "HP-BRCU must support HHSList");
-  List.map Trace.record_to_string log
+  match log with
+  | Some log -> List.map Trace.record_to_string log
+  | None -> Alcotest.fail "HP-BRCU must support HHSList"
 
 let test_fiber_determinism () =
   let a = traced_cell () in
@@ -276,6 +325,13 @@ let () =
         [
           Alcotest.test_case "exhausted parity" `Quick test_exhausted_parity;
           Alcotest.test_case "destroyed parity" `Quick test_destroyed_parity;
+        ] );
+      ( "scoped",
+        [
+          Alcotest.test_case "teardown on return and raise" `Quick
+            test_scoped_teardown;
+          Alcotest.test_case "cells outnumber watermark slots" `Quick
+            test_cells_outnumber_slots;
         ] );
       ( "flight",
         [

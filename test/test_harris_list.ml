@@ -4,33 +4,22 @@
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Schemes = Hpbrcu_schemes.Schemes
 module ISet = Set.Make (Int)
 
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
-
 let schemes =
-  [
-    ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-    ("RCU", (module Schemes.RCU));
-    ("HP++", (module Schemes.HPPP));
-    ("PEBR", (module Schemes.PEBR));
-    ("NBR", (module Schemes.NBR));
-    ("NBR-Large", (module Schemes.NBR_large));
-    ("VBR", (module Schemes.VBR));
-    ("HP-RCU", (module Schemes.HP_RCU));
-    ("HP-BRCU", (module Schemes.HP_BRCU));
-  ]
+  [ "NR"; "RCU"; "HP++"; "PEBR"; "NBR"; "NBR-Large"; "VBR"; "HP-RCU"; "HP-BRCU" ]
 
 module Ds_sig = Hpbrcu_ds.Ds_intf
 
 module type LIST_MAKE = functor (S : Hpbrcu_core.Smr_intf.S) -> Ds_sig.MAP
 
+module type CHECK = sig
+  val seq : unit -> unit
+  val stress : seed:int -> unit -> unit
+end
+
 module Check (L : Ds_sig.MAP) = struct
   let seq () =
-    reset ();
     let t = L.create () in
     let s = L.session t in
     let model = ref ISet.empty in
@@ -53,7 +42,6 @@ module Check (L : Ds_sig.MAP) = struct
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 
   let stress ~seed () =
-    reset ();
     let t = L.create () in
     Sched.run
       (Sched.Fibers { seed; switch_every = 2 })
@@ -78,14 +66,17 @@ end
 let cases (flavour : string) (make_list : (module LIST_MAKE)) =
   let module M = (val make_list) in
   List.concat_map
-    (fun (n, s) ->
-      let module S = (val s : Hpbrcu_core.Smr_intf.S) in
-      let module L = M (S) in
-      let module C = Check (L) in
+    (fun n ->
+      let case label run =
+        Alcotest.test_case (flavour ^ "/" ^ label ^ "/" ^ n) `Quick (fun () ->
+            Test_util.with_scheme n (fun s ->
+                let module C = Check (M ((val s))) in
+                run (module C : CHECK)))
+      in
       [
-        Alcotest.test_case (flavour ^ "/seq/" ^ n) `Quick C.seq;
-        Alcotest.test_case (flavour ^ "/stress1/" ^ n) `Quick (C.stress ~seed:11);
-        Alcotest.test_case (flavour ^ "/stress2/" ^ n) `Quick (C.stress ~seed:12);
+        case "seq" (fun (module C) -> C.seq ());
+        case "stress1" (fun (module C) -> C.stress ~seed:11 ());
+        case "stress2" (fun (module C) -> C.stress ~seed:12 ());
       ])
     schemes
 

@@ -13,9 +13,5 @@ let () =
       ("hhs-buckets", Test_util.standard_cases ~make:mk_hhs Test_util.optimistic_schemes);
       ( "hm-buckets",
         Test_util.standard_cases ~make:mk_hm
-          [
-            ("HP", (module Hpbrcu_schemes.Schemes.HP : Hpbrcu_core.Smr_intf.S));
-            ("HE", (module Hpbrcu_schemes.Schemes.HE));
-            ("IBR", (module Hpbrcu_schemes.Schemes.IBR));
-          ] );
+          [ "HP"; "HE"; "IBR" ] );
     ]

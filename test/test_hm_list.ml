@@ -3,11 +3,6 @@
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Schemes = Hpbrcu_schemes.Schemes
-
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
 
 (* ------------------------------------------------------------------ *)
 (* Sequential model check against Stdlib.Set                           *)
@@ -19,7 +14,6 @@ module Seq_check (S : Hpbrcu_core.Smr_intf.S) = struct
   module L = Hpbrcu_ds.Hm_list.Make (S)
 
   let run () =
-    reset ();
     let t = L.create () in
     let s = L.session t in
     let model = ref ISet.empty in
@@ -45,10 +39,11 @@ module Seq_check (S : Hpbrcu_core.Smr_intf.S) = struct
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 end
 
-let seq_case (name : string) (module S : Hpbrcu_core.Smr_intf.S) =
+let seq_case name =
   Alcotest.test_case ("seq/" ^ name) `Quick (fun () ->
-      let module C = Seq_check (S) in
-      C.run ())
+      Test_util.with_scheme name (fun (module S) ->
+          let module C = Seq_check (S) in
+          C.run ()))
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent stress in deterministic fiber mode                       *)
@@ -58,7 +53,6 @@ module Stress (S : Hpbrcu_core.Smr_intf.S) = struct
   module L = Hpbrcu_ds.Hm_list.Make (S)
 
   let run ~seed ~nthreads ~ops () =
-    reset ();
     let t = L.create () in
     Sched.run
       (Sched.Fibers { seed; switch_every = 2 })
@@ -81,41 +75,26 @@ module Stress (S : Hpbrcu_core.Smr_intf.S) = struct
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 end
 
-let stress_case name (module S : Hpbrcu_core.Smr_intf.S) seed =
+let stress_case name seed =
   Alcotest.test_case
     (Printf.sprintf "stress/%s/seed%d" name seed)
     `Quick
     (fun () ->
-      let module T = Stress (S) in
-      T.run ~seed ~nthreads:4 ~ops:300 ())
+      Test_util.with_scheme name (fun (module S) ->
+          let module T = Stress (S) in
+          T.run ~seed ~nthreads:4 ~ops:300 ()))
 
 let () =
-  let seq_schemes =
-    [
-      ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-      ("RCU", (module Schemes.RCU));
-      ("HP", (module Schemes.HP));
-      ("HP++", (module Schemes.HPPP));
-      ("PEBR", (module Schemes.PEBR));
-      ("NBR", (module Schemes.NBR));
-      ("VBR", (module Schemes.VBR));
-      ("HP-RCU", (module Schemes.HP_RCU));
-      ("HP-BRCU", (module Schemes.HP_BRCU));
-      ("HE", (module Schemes.HE));
-      ("IBR", (module Schemes.IBR));
-    ]
-  in
+  let seq_schemes = List.filter (fun n -> n <> "NBR-Large") Test_util.all_schemes in
   (* NBR is excluded from HMList in the paper (helping during read phase);
      we still run it sequentially (no concurrent neutralization can strike)
      to validate the plumbing, but skip it in stress. *)
-  let stress_schemes =
-    List.filter (fun (n, _) -> n <> "NBR") seq_schemes
-  in
+  let stress_schemes = List.filter (fun n -> n <> "NBR") seq_schemes in
   Alcotest.run "hm_list"
     [
-      ("sequential", List.map (fun (n, s) -> seq_case n s) seq_schemes);
+      ("sequential", List.map seq_case seq_schemes);
       ( "stress",
         List.concat_map
-          (fun (n, s) -> List.map (stress_case n s) [ 1; 2; 3 ])
+          (fun n -> List.map (stress_case n) [ 1; 2; 3 ])
           stress_schemes );
     ]

@@ -3,17 +3,7 @@
    are excluded exactly as the paper excludes them (optimistic lookup). *)
 
 let schemes =
-  let module S = Hpbrcu_schemes.Schemes in
-  [
-    ("NR", (module S.NR : Hpbrcu_core.Smr_intf.S));
-    ("RCU", (module S.RCU));
-    ("HP++", (module S.HPPP));
-    ("PEBR", (module S.PEBR));
-    ("NBR", (module S.NBR));
-    ("VBR", (module S.VBR));
-    ("HP-RCU", (module S.HP_RCU));
-    ("HP-BRCU", (module S.HP_BRCU));
-  ]
+  [ "NR"; "RCU"; "HP++"; "PEBR"; "NBR"; "VBR"; "HP-RCU"; "HP-BRCU" ]
 
 let () =
   let mk (module S : Hpbrcu_core.Smr_intf.S) =

@@ -6,12 +6,7 @@ module Q = QCheck
 module Alloc = Hpbrcu_alloc.Alloc
 module Link = Hpbrcu_core.Link
 module Rng = Hpbrcu_runtime.Rng
-module Schemes = Hpbrcu_schemes.Schemes
 module ISet = Set.Make (Int)
-
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
 
 (* ---------------- op sequences vs model ---------------- *)
 
@@ -36,9 +31,14 @@ let ops_arb range = Q.make ~print:(fun ops ->
          ops))
     Q.Gen.(list_size (int_range 0 400) (op_gen range))
 
-(* One sequential run must agree with Stdlib.Set on every result. *)
-let model_agrees (module L : Hpbrcu_ds.Ds_intf.MAP) ops =
-  reset ();
+module type MAKE = functor (S : Hpbrcu_core.Smr_intf.S) ->
+  Hpbrcu_ds.Ds_intf.MAP
+
+(* One sequential run, in a fresh domain of [scheme], must agree with
+   Stdlib.Set on every result. *)
+let model_agrees scheme (module M : MAKE) ops =
+  Test_util.with_scheme scheme @@ fun (module S) ->
+  let module L = M (S) in
   let t = L.create () in
   let s = L.session t in
   let model = ref ISet.empty in
@@ -62,22 +62,25 @@ let model_agrees (module L : Hpbrcu_ds.Ds_intf.MAP) ops =
 
 let ds_props =
   let range = 32 in
-  let mk name (module L : Hpbrcu_ds.Ds_intf.MAP) =
-    Q.Test.make ~count:60 ~name (ops_arb range) (model_agrees (module L))
+  let mk ds make scheme =
+    Q.Test.make ~count:60
+      ~name:(Printf.sprintf "%s(%s)+model" ds scheme)
+      (ops_arb range) (model_agrees scheme make)
   in
+  let module Ds = Hpbrcu_ds in
   [
-    mk "HMList(HP)+model" (module Hpbrcu_ds.Hm_list.Make (Schemes.HP));
-    mk "HMList(HP-BRCU)+model" (module Hpbrcu_ds.Hm_list.Make (Schemes.HP_BRCU));
-    mk "HList(RCU)+model" (module Hpbrcu_ds.Harris_list.Make (Schemes.RCU));
-    mk "HList(VBR)+model" (module Hpbrcu_ds.Harris_list.Make (Schemes.VBR));
-    mk "HHSList(HP-BRCU)+model" (module Hpbrcu_ds.Harris_list.Make_hhs (Schemes.HP_BRCU));
-    mk "HHSList(NBR)+model" (module Hpbrcu_ds.Harris_list.Make_hhs (Schemes.NBR));
-    mk "HashMap(HP-BRCU)+model" (module Hpbrcu_ds.Hashmap.Make (Schemes.HP_BRCU));
-    mk "SkipList(RCU)+model" (module Hpbrcu_ds.Skiplist.Make (Schemes.RCU));
-    mk "SkipList(HP-BRCU)+model" (module Hpbrcu_ds.Skiplist.Make (Schemes.HP_BRCU));
-    mk "NMTree(HP-BRCU)+model" (module Hpbrcu_ds.Nmtree.Make (Schemes.HP_BRCU));
-    mk "NMTree(PEBR)+model" (module Hpbrcu_ds.Nmtree.Make (Schemes.PEBR));
-    mk "NMTree(VBR)+model" (module Hpbrcu_ds.Nmtree.Make (Schemes.VBR));
+    mk "HMList" (module Ds.Hm_list.Make) "HP";
+    mk "HMList" (module Ds.Hm_list.Make) "HP-BRCU";
+    mk "HList" (module Ds.Harris_list.Make) "RCU";
+    mk "HList" (module Ds.Harris_list.Make) "VBR";
+    mk "HHSList" (module Ds.Harris_list.Make_hhs) "HP-BRCU";
+    mk "HHSList" (module Ds.Harris_list.Make_hhs) "NBR";
+    mk "HashMap" (module Ds.Hashmap.Make) "HP-BRCU";
+    mk "SkipList" (module Ds.Skiplist.Make) "RCU";
+    mk "SkipList" (module Ds.Skiplist.Make) "HP-BRCU";
+    mk "NMTree" (module Ds.Nmtree.Make) "HP-BRCU";
+    mk "NMTree" (module Ds.Nmtree.Make) "PEBR";
+    mk "NMTree" (module Ds.Nmtree.Make) "VBR";
   ]
 
 (* Concurrent determinism: the same fiber seed must produce the same final
@@ -87,8 +90,8 @@ let concurrent_deterministic =
     Q.(int_range 1 1000)
     (fun seed ->
       let final () =
-        reset ();
-        let module L = Hpbrcu_ds.Harris_list.Make_hhs (Schemes.HP_BRCU) in
+        Test_util.with_scheme "HP-BRCU" @@ fun (module S) ->
+        let module L = Hpbrcu_ds.Harris_list.Make_hhs (S) in
         let t = L.create () in
         Hpbrcu_runtime.Sched.run
           (Hpbrcu_runtime.Sched.Fibers { seed; switch_every = 2 })

@@ -8,15 +8,12 @@ module Sched = Hpbrcu_runtime.Sched
 module Schemes = Hpbrcu_schemes.Schemes
 module Link = Hpbrcu_core.Link
 
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
+let with_scheme = Test_util.with_scheme
 
 (* Retire enough blocks through a scheme (with no readers) and check they
    all get reclaimed after flush + a second flush round. *)
 module Drain (S : Hpbrcu_core.Smr_intf.S) = struct
   let run () =
-    reset ();
     let h = S.register () in
     let n = 1000 in
     for _ = 1 to n do
@@ -33,16 +30,15 @@ module Drain (S : Hpbrcu_core.Smr_intf.S) = struct
     else Alcotest.(check int) "NR reclaims nothing" 0 st.Alloc.reclaimed
 end
 
-let drain_case (name, s) =
+let drain_case name =
   Alcotest.test_case ("drain/" ^ name) `Quick (fun () ->
-      let module S = (val s : Hpbrcu_core.Smr_intf.S) in
-      let module D = Drain (S) in
-      D.run ())
+      with_scheme name (fun (module S) ->
+          let module D = Drain (S) in
+          D.run ()))
 
 (* HP: a protected block survives scans; clearing the shield releases it. *)
 let test_hp_protection_defers () =
-  reset ();
-  let module S = Schemes.HP in
+  with_scheme "HP" @@ fun (module S) ->
   let h = S.register () in
   let sh = S.new_shield h in
   let b = Alloc.block () in
@@ -57,35 +53,34 @@ let test_hp_protection_defers () =
 
 (* EBR: a pinned reader blocks reclamation; unpinning unblocks it. *)
 let test_ebr_pin_blocks () =
-  reset ();
-  let module S = Schemes.RCU in
-  Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:2 (fun tid ->
-      if tid = 0 then begin
-        (* Reader pins across many scheduler quanta. *)
-        let h = S.register () in
-        S.crit h (fun () ->
-            for _ = 1 to 400 do
+  with_scheme "RCU" (fun (module S) ->
+      Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:2
+        (fun tid ->
+          if tid = 0 then begin
+            (* Reader pins across many scheduler quanta. *)
+            let h = S.register () in
+            S.crit h (fun () ->
+                for _ = 1 to 400 do
+                  Sched.yield ()
+                done;
+                (* While we are pinned, the writer's retirements (stamped at
+                   our epoch or later) must not all be reclaimed. *)
+                let st = Alloc.stats () in
+                if st.Alloc.retired > 300 then
+                  Alcotest.(check bool) "reclamation lags behind retirement" true
+                    (st.Alloc.reclaimed < st.Alloc.retired));
+            S.unregister h
+          end
+          else begin
+            let h = S.register () in
+            for _ = 1 to 600 do
+              S.retire h (Alloc.block ());
               Sched.yield ()
             done;
-            (* While we are pinned, the writer's retirements (stamped at
-               our epoch or later) must not all be reclaimed. *)
-            let st = Alloc.stats () in
-            if st.Alloc.retired > 300 then
-              Alcotest.(check bool) "reclamation lags behind retirement" true
-                (st.Alloc.reclaimed < st.Alloc.retired));
-        S.unregister h
-      end
-      else begin
-        let h = S.register () in
-        for _ = 1 to 600 do
-          S.retire h (Alloc.block ());
-          Sched.yield ()
-        done;
-        S.flush h;
-        S.unregister h
-      end);
-  (* After everyone is gone a reset drains the leftovers. *)
-  Schemes.reset_all ();
+            S.flush h;
+            S.unregister h
+          end));
+  (* After everyone is gone the domain's teardown drains the leftovers. *)
   let st = Alloc.stats () in
   Alcotest.(check int) "eventually all reclaimed" st.Alloc.retired st.Alloc.reclaimed
 
@@ -96,7 +91,6 @@ module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
   let shared : Block.t option ref = ref None
 
   let run () =
-    reset ();
     Sched.run (Sched.Fibers { seed = 2; switch_every = 1 }) ~nthreads:2 (fun tid ->
         if tid = 0 then begin
           let h = S.register () in
@@ -129,16 +123,14 @@ module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
           done;
           S.flush h;
           S.unregister h
-        end);
-    Schemes.reset_all ()
+        end)
 end
 
-let two_step_case (name, s) =
+let two_step_case name =
   Alcotest.test_case ("two-step/" ^ name) `Quick (fun () ->
-      let module S = (val s : Hpbrcu_core.Smr_intf.S) in
-      let module T = Two_step (S) in
-      T.shared := None;
-      T.run ())
+      with_scheme name (fun (module S) ->
+          let module T = Two_step (S) in
+          T.run ()))
 
 module SI = Hpbrcu_core.Smr_intf
 module Dom = SI.Dom
@@ -150,7 +142,7 @@ module Stats = Hpbrcu_runtime.Stats
    counters — and the destroy protocol enforces the handle census. *)
 let two_domains_case (name, impl) =
   Alcotest.test_case ("independent/" ^ name) `Quick (fun () ->
-      reset ();
+      Alloc.reset ();
       Alloc.set_strict false;
       let module X = (val impl : SI.SCHEME) in
       let d1 = X.create ~label:(name ^ "-a") Config.default in
@@ -201,7 +193,7 @@ let two_domains_case (name, impl) =
    exactly that.  (For every real scheme the same census is the crashed-
    reader stranding measure the shards experiment reads.) *)
 let test_leak_census () =
-  reset ();
+  Alloc.reset ();
   Alloc.set_strict false;
   let module X = (val (Option.get (Schemes.find_impl "NR")) : SI.SCHEME) in
   let d = X.create ~label:"census" Config.default in
@@ -217,7 +209,7 @@ let test_leak_census () =
 
 (* Epoch independence: churning one RCU domain advances its epoch only. *)
 let test_epochs_independent () =
-  reset ();
+  Alloc.reset ();
   Alloc.set_strict false;
   let module X = (val (Option.get (Schemes.find_impl "RCU")) : SI.SCHEME) in
   let d1 = X.create ~label:"busy" Config.default in
@@ -242,7 +234,7 @@ let test_epochs_independent () =
 (* The P0484-style scoped guards: session/flush guards release on every
    exit path, and the op/crit aliases pass values through. *)
 let test_scoped_guards () =
-  reset ();
+  Alloc.reset ();
   Alloc.set_strict false;
   let module X = (val (Option.get (Schemes.find_impl "RCU")) : SI.SCHEME) in
   let module G = SI.Scoped (X) in
@@ -267,8 +259,7 @@ let test_scoped_guards () =
 
 (* VBR reclaims immediately: the unreclaimed count never exceeds ~0. *)
 let test_vbr_immediate () =
-  reset ();
-  let module S = Schemes.VBR in
+  with_scheme "VBR" @@ fun (module S) ->
   let h = S.register () in
   for _ = 1 to 500 do
     S.retire h (Alloc.block ~recyclable:true ())
@@ -280,8 +271,7 @@ let test_vbr_immediate () =
 
 (* VBR era advances with retirement volume. *)
 let test_vbr_era_advances () =
-  reset ();
-  let module S = Schemes.VBR in
+  with_scheme "VBR" @@ fun (module S) ->
   let h = S.register () in
   let e0 = S.current_era () in
   for _ = 1 to 1000 do
@@ -291,24 +281,9 @@ let test_vbr_era_advances () =
   S.unregister h
 
 let () =
-  let all =
-    [
-      ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-      ("RCU", (module Schemes.RCU));
-      ("HP", (module Schemes.HP));
-      ("HP++", (module Schemes.HPPP));
-      ("PEBR", (module Schemes.PEBR));
-      ("NBR", (module Schemes.NBR));
-      ("NBR-Large", (module Schemes.NBR_large));
-      ("VBR", (module Schemes.VBR));
-      ("HP-RCU", (module Schemes.HP_RCU));
-      ("HP-BRCU", (module Schemes.HP_BRCU));
-      ("HE", (module Schemes.HE));
-      ("IBR", (module Schemes.IBR));
-    ]
-  in
+  let all = Test_util.all_schemes in
   let two_step_schemes =
-    List.filter (fun (n, _) -> List.mem n [ "HP"; "HP++"; "HP-RCU"; "HP-BRCU" ]) all
+    List.filter (fun n -> List.mem n [ "HP"; "HP++"; "HP-RCU"; "HP-BRCU" ]) all
   in
   Alcotest.run "schemes"
     [

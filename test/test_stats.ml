@@ -313,23 +313,23 @@ let test_participants_exhaustion () =
 (* ------------------------------------------------------------------ *)
 
 let run_traced ?(sink = Trace.Ring) () =
-  (* Drain leftovers (deferred tasks, allocator counters) from whatever ran
-     before, so both traced runs start from the same world state. *)
-  Hpbrcu_schemes.Schemes.reset_all ();
-  Hpbrcu_alloc.Alloc.reset ();
+  (* Each cell runs in a fresh domain, so both traced runs start from the
+     same world state; the log is taken before the domain's teardown. *)
   Trace.enable ~capacity:(1 lsl 16) ~sink ();
   let cell =
     W.Spec.cell ~threads:4 ~key_range:128 ~prefill:64 ~workload:W.Spec.Read_write
       ~limit:(W.Spec.Ops 150) ~mode:(W.Spec.Fibers 17) ~seed:17 ()
   in
-  let r =
-    match W.Matrix.run_cell ~ds:Hpbrcu_core.Caps.HHSList ~scheme:"HP-BRCU" cell with
-    | Some r -> r
+  let dump r = (r, Trace.dump ()) in
+  let rt =
+    match
+      W.Matrix.with_cell ~ds:Hpbrcu_core.Caps.HHSList ~scheme:"HP-BRCU" cell dump
+    with
+    | Some rt -> rt
     | None -> Alcotest.fail "HP-BRCU must support HHSList"
   in
-  let t = Trace.dump () in
   Trace.disable ();
-  (r, t)
+  rt
 
 let test_fiber_determinism () =
   let r1, t1 = run_traced () in

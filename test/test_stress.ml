@@ -16,7 +16,6 @@ let matrix_case ds scheme nthreads =
     (Printf.sprintf "%s/%s/t%d" (Caps.ds_name ds) scheme nthreads)
     `Quick
     (fun () ->
-      Schemes.reset_all ();
       Alloc.set_strict true;
       let cell =
         W.Spec.cell ~threads:nthreads ~key_range:64 ~workload:W.Spec.Read_write
@@ -35,8 +34,10 @@ let matrix_cases =
     (fun ds ->
       List.concat_map
         (fun scheme ->
-          let (module S) = W.Matrix.find_scheme scheme in
-          if W.Matrix.supports (module S) ds then
+          let (module X : Hpbrcu_core.Smr_intf.SCHEME), config =
+            Schemes.find scheme
+          in
+          if (X.caps config).Caps.supports ds <> Caps.No then
             [ matrix_case ds scheme 2; matrix_case ds scheme 6 ]
           else [])
         W.Matrix.scheme_names)
@@ -45,7 +46,6 @@ let matrix_cases =
 (* Real domains: oversubscribed smoke per scheme on the hash map. *)
 let domain_case scheme =
   Alcotest.test_case ("domains/" ^ scheme) `Quick (fun () ->
-      Schemes.reset_all ();
       Alloc.set_strict true;
       let cell =
         W.Spec.cell ~threads:4 ~key_range:512 ~workload:W.Spec.Read_write
@@ -58,7 +58,6 @@ let domain_case scheme =
 (* Seed sweep on the two most intricate pairs. *)
 let seed_sweep_case name ds scheme seed =
   Alcotest.test_case (Printf.sprintf "%s/seed%d" name seed) `Quick (fun () ->
-      Schemes.reset_all ();
       Alloc.set_strict true;
       let cell =
         W.Spec.cell ~threads:5 ~key_range:48 ~workload:W.Spec.Write_only
@@ -68,12 +67,11 @@ let seed_sweep_case name ds scheme seed =
       | None -> Alcotest.fail "unsupported"
       | Some r -> Alcotest.(check int) "no UAF" 0 r.W.Spec.uaf)
 
-(* Reclamation accounting: after a stress run, cleanup, flushes and a
-   global reset, every retired block must be reclaimed (no scheme may lose
-   track of garbage). *)
+(* Reclamation accounting: after a stress run, cleanup, flushes and the
+   cell domain's teardown, every retired block must be reclaimed (no
+   scheme may lose track of garbage). *)
 let accounting_case scheme =
   Alcotest.test_case ("accounting/" ^ scheme) `Quick (fun () ->
-      Schemes.reset_all ();
       Alloc.set_strict true;
       let cell =
         W.Spec.cell ~threads:4 ~key_range:64 ~workload:W.Spec.Write_only
@@ -83,8 +81,7 @@ let accounting_case scheme =
       (match W.Matrix.run_cell ~ds ~scheme cell with
       | None -> Alcotest.fail "unsupported"
       | Some r -> Alcotest.(check int) "no UAF" 0 r.W.Spec.uaf);
-      (* All sessions are closed; a reset may reclaim everything. *)
-      Schemes.reset_all ();
+      (* All sessions were closed, so the teardown reclaimed everything. *)
       let st = Alloc.stats () in
       Alcotest.(check int)
         (Printf.sprintf "retired=%d reclaimed=%d" st.Alloc.retired

@@ -13,7 +13,6 @@ module Schemes = Hpbrcu_schemes.Schemes
 module K = Hpbrcu_workload.Kvservice
 
 let reset () =
-  Schemes.reset_all ();
   Alloc.reset ();
   Alloc.Admission.clear_all ()
 
