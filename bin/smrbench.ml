@@ -253,11 +253,9 @@ let trace_cmd =
   let run scheme ds ops threads seed range last trace_out =
     (* Always the deterministic simulator: traces are timestamped by the
        virtual tick clock, so the same seed replays the same event log.
-       With --trace-out the sink is the non-lossy spool (analyze input);
-       otherwise a ring keeping the last 64K events for printing. *)
-    (match trace_out with
-    | Some _ -> T.enable ~sink:T.Spool ()
-    | None -> T.enable ~capacity:65536 ());
+       The sink is the spool: non-lossy up to its per-thread bound,
+       printed or written to --trace-out (analyze input). *)
+    T.enable ();
     let cell =
       W.Spec.cell ~threads ~key_range:range ~workload:W.Spec.Read_write
         ~limit:(W.Spec.Ops ops) ~mode:(W.Spec.Fibers seed) ~seed ()
@@ -286,8 +284,8 @@ let trace_cmd =
                 (fun rc -> print_endline (T.record_to_string rc))
                 shown;
               Printf.printf
-                "# %d events kept (%d dropped by ring wraparound), %d ops, \
-                 seed %d\n"
+                "# %d events kept (%d dropped by spool bound), %d ops, seed \
+                 %d\n"
                 total dropped r.W.Spec.total_ops seed);
           0
     in
@@ -344,9 +342,9 @@ let chaos_cmd =
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "Domains mode only: restrict the grid to the RCU / HP-BRCU \
-             schemes under the baseline and crash-reader plans (the CI \
-             hardware gate).")
+            "Restrict the grid to the RCU / HP-BRCU schemes under the \
+             baseline and crash-reader plans (the discriminator corner; \
+             the CI hardware gate under --mode domains).")
   in
   let threshold_arg =
     Arg.(
@@ -364,57 +362,31 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "baseline-out" ] ~docv:"FILE"
           ~doc:
-            "Domains mode only: append the grid's cells and discriminator \
-             ratios as a chaos-domains JSON document to $(docv) (advisory \
-             baseline, e.g. BENCH_domains.json).")
+            "Write the grid's cells and discriminator ratios as a \
+             chaos-fibers / chaos-domains JSON document to $(docv) \
+             (advisory baseline, e.g. for BENCH_domains.json).")
   in
   let split s = String.split_on_char ',' s |> List.map String.trim in
   let run mode seeds full quick scheme plan no_replay smoke threshold
       baseline_out trace_out =
     let substrate = mode_of_string mode in
     let p = if full && not quick then W.Chaos.full else W.Chaos.quick in
-    let schemes =
-      match scheme with None -> W.Chaos.all_schemes | Some s -> split s
+    let schemes, plans =
+      if smoke then (W.Chaos.smoke_schemes, W.Chaos.smoke_plans)
+      else
+        ( (match scheme with None -> W.Chaos.all_schemes | Some s -> split s),
+          match plan with
+          | None -> W.Chaos.all_plans
+          | Some s -> List.map W.Chaos.plan_of_name (split s) )
     in
-    let plans =
-      match plan with
-      | None -> W.Chaos.all_plans
-      | Some s -> List.map W.Chaos.plan_of_name (split s)
-    in
-    match substrate with
-    | `Domains -> (
-        (match trace_out with
-        | Some _ ->
-            Printf.eprintf "%s\n"
-              (W.Spec.fiber_only_msg ~who:"smrbench chaos" ~what:"--trace-out"
-                 ~alternative:
-                   "use serve --mode domains --trace-out (flight-recorder \
-                    trace) or drop --mode domains");
-            exit 1
-        | None -> ());
-        let schemes, plans =
-          if smoke then (W.Chaos.smoke_schemes, W.Chaos.smoke_plans)
-          else (schemes, plans)
-        in
-        let threshold =
-          match threshold with
-          | Some t -> t
-          | None -> W.Chaos.default_hw_threshold
-        in
-        let seeds = List.init (max 1 seeds) (fun i -> i + 1) in
-        let r =
-          W.Chaos.run_domains_grid ~schemes ~plans ~seeds ~threshold
-            ~verbose:true p
-        in
-        Fmt.pr "%a" W.Chaos.pp_domains_report r;
-        (match baseline_out with
-        | None -> ()
-        | Some path ->
-            W.Chaos.write_domains_json path r;
-            Fmt.pr "wrote %s@." path);
-        if W.Chaos.domains_report_ok r then 0 else 1)
-    | `Fibers -> (
     match trace_out with
+    | Some _ when substrate = `Domains ->
+        Printf.eprintf "%s\n"
+          (W.Spec.fiber_only_msg ~who:"smrbench chaos" ~what:"--trace-out"
+             ~alternative:
+               "use serve --mode domains --trace-out (flight-recorder \
+                trace) or drop --mode domains");
+        1
     | Some out ->
         (* One traced cell instead of the grid: first scheme/plan/seed of
            the (possibly restricted) selection. *)
@@ -430,21 +402,27 @@ let chaos_cmd =
         let seeds = List.init (max 1 seeds) (fun i -> i + 1) in
         let r =
           W.Chaos.run_grid ~schemes ~plans ~seeds ~replay:(not no_replay)
-            ~verbose:true p
+            ?threshold ~verbose:true ~substrate p
         in
         Fmt.pr "%a" W.Chaos.pp_report r;
-        if W.Chaos.report_ok r then 0 else 1)
+        (match baseline_out with
+        | None -> ()
+        | Some path ->
+            W.Chaos.write_json path r;
+            Fmt.pr "wrote %s@." path);
+        if W.Chaos.report_ok r then 0 else 1
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Run the scheme matrix under fault-injection plans \
           (crashed/stalled readers, lost signals, pool exhaustion) and check \
-          the termination, safety and boundedness invariants.  Under \
-          --mode fibers the plans are deterministic and byte-replayable; \
-          under --mode domains they inject on real worker domains and the \
-          invariants are statistical (UAF = 0, exact census, caps, and the \
-          RCU vs HP-BRCU crashed-reader discriminator).")
+          the same invariants on either substrate (termination, UAF = 0, \
+          exact census, caps, exactly the planned crashes).  Under --mode \
+          fibers the plans are deterministic and byte-replayable and the \
+          RCU crash/baseline discriminator must exceed 10x; under --mode \
+          domains they inject on real worker domains and the RCU vs \
+          HP-BRCU crashed-reader discriminator is gated on >= 2 cores.")
     Term.(
       const run $ mode_arg $ seeds_arg $ full_arg $ quick_arg $ scheme_arg
       $ plan_arg $ no_replay_arg $ smoke_arg $ threshold_arg

@@ -1,31 +1,66 @@
 #!/bin/sh
-# Pre-merge gate: build, tests, and (when ocamlformat is available) the
-# formatting check.  Run from the repository root.
-set -eu
+# Pre-merge gate: build, tests, the smoke and perf gates below, and (when
+# ocamlformat is available) the formatting check.  Run from the repository
+# root.  Every gate runs even after an earlier one fails; the script ends
+# with one table listing each gate as PASS, FAIL or SKIPPED (with the
+# reason) and exits non-zero if any gate failed.
+set -u
 
-dune build
-dune runtest
+summary=""
+failed=0
+
+# record NAME RESULT — append one row to the summary table.
+record() {
+  summary="$summary$(printf '  %-24s %s' "$1" "$2")
+"
+}
+
+# gate NAME CMD [ARGS...] — run one gate command and record its verdict.
+gate() {
+  name=$1
+  shift
+  echo "check.sh: == $name"
+  if "$@"; then
+    record "$name" PASS
+  else
+    record "$name" FAIL
+    failed=1
+  fi
+}
+
+# skip NAME REASON — record a gate that cannot run here.
+skip() {
+  echo "check.sh: skipping $1: $2"
+  record "$1" "SKIPPED ($2)"
+}
+
+gate build dune build
+gate runtest dune runtest
 
 # Chaos smoke gate: the full scheme matrix under every fault plan, three
 # seeds, with the traced determinism probes.  Exits non-zero on any
 # invariant violation (non-termination, use-after-free, bound overshoot,
 # missing EBR collapse, replay mismatch).
-dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
+gate chaos-fibers dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
 
 # Steady-state allocation gate (DESIGN.md §9): every gated reclamation
 # kernel (retire, scan, pin/unpin, failed advance, disabled trace emit)
 # must stay at zero minor-heap words per cycle (threshold 0.05 words/op
 # absorbs probe calibration noise); the disabled emit additionally must
 # stay single-digit ns.
-dune exec bin/smrbench.exe -- bench-reclaim --gate --quick --out /tmp/BENCH_reclaim.ci.json
+gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
+  --out /tmp/BENCH_reclaim.ci.json
 
 # Analyze smoke gate (DESIGN.md §10): spool a small traced longrun cell,
 # run the trace analyzer over it, and require non-empty time-to-reclaim
 # percentiles plus a loadable Perfetto export.  An empty join here means
 # the correlation ids or the spool sink broke.
-dune exec bin/smrbench.exe -- longrun --scheme HP-BRCU --trace-out /tmp/smrbench.ci.trace
-dune exec bin/smrbench.exe -- analyze --require-ttr --outdir /tmp/smrbench.ci.results \
-  --perfetto /tmp/smrbench.ci.perfetto.json /tmp/smrbench.ci.trace
+analyze_smoke() {
+  dune exec bin/smrbench.exe -- longrun --scheme HP-BRCU --trace-out /tmp/smrbench.ci.trace &&
+  dune exec bin/smrbench.exe -- analyze --require-ttr --outdir /tmp/smrbench.ci.results \
+    --perfetto /tmp/smrbench.ci.perfetto.json /tmp/smrbench.ci.trace
+}
+gate analyze-smoke analyze_smoke
 
 # Shard-isolation gate (DESIGN.md §12): the payoff discriminator of the
 # first-class-domain redesign.  A reader crashed inside shard 0's epoch
@@ -33,7 +68,7 @@ dune exec bin/smrbench.exe -- analyze --require-ttr --outdir /tmp/smrbench.ci.re
 # the one-domain-per-shard build, while the identical map over a single
 # shared domain balloons — the shared/isolated peak ratio must clear the
 # threshold, with exactly one crash and zero UAFs in both builds.
-dune exec bin/smrbench.exe -- shards --quick --gate
+gate shards-fibers dune exec bin/smrbench.exe -- shards --quick --gate
 
 # Self-healing gate (DESIGN.md §13): the KV service under a reader
 # crashed mid-section.  With the watchdog on, the escalation ladder
@@ -42,7 +77,8 @@ dune exec bin/smrbench.exe -- shards --quick --gate
 # one recycle in the trace; with it off, the same seed's peak must
 # exceed the supervised peak by >= 5x; both runs must be UAF-free and
 # the supervised run must replay byte-identically.
-dune exec bin/smrbench.exe -- serve --scheme RCU --faults crash-reader --compare --quick
+gate serve-compare dune exec bin/smrbench.exe -- serve --scheme RCU \
+  --faults crash-reader --compare --quick
 
 # Domains gate (DESIGN.md §14): the real-parallelism substrate.  The
 # full scheme matrix runs short ops-limited cells on Domain.spawn
@@ -53,7 +89,8 @@ dune exec bin/smrbench.exe -- serve --scheme RCU --faults crash-reader --compare
 # 1.5x of the identical fiber-substrate cell (measured against a
 # parked-companion baseline so both sides pay real fenced atomics).
 # Scalability-ratio gates arm themselves only on >= 2 cores.
-dune exec bin/smrbench.exe -- bench-domains --quick --gate --out /tmp/BENCH_domains.ci.json
+gate bench-domains dune exec bin/smrbench.exe -- bench-domains --quick --gate \
+  --out /tmp/BENCH_domains.ci.json
 
 # Flight-recorder smoke gate (DESIGN.md §15): a domains-mode service
 # run with the trace armed must produce a merged ns trace that the
@@ -62,16 +99,20 @@ dune exec bin/smrbench.exe -- bench-domains --quick --gate --out /tmp/BENCH_doma
 # count.  The census identity (merged + dropped = emitted) is asserted
 # inside the run itself; --require-gc-track makes the exporter validate
 # the JSON it wrote.
-dune exec bin/smrbench.exe -- serve --mode domains --quick --trace-out /tmp/smrbench.ci.flight.trace
-dune exec bin/smrbench.exe -- analyze --outdir /tmp/smrbench.ci.flight.results \
-  --perfetto /tmp/smrbench.ci.flight.perfetto.json --require-gc-track \
-  /tmp/smrbench.ci.flight.trace
+flight_smoke() {
+  dune exec bin/smrbench.exe -- serve --mode domains --quick \
+    --trace-out /tmp/smrbench.ci.flight.trace &&
+  dune exec bin/smrbench.exe -- analyze --outdir /tmp/smrbench.ci.flight.results \
+    --perfetto /tmp/smrbench.ci.flight.perfetto.json --require-gc-track \
+    /tmp/smrbench.ci.flight.trace
+}
+gate flight-smoke flight_smoke
 
 # The shard-isolation discriminator again, on real domains: the victim
 # emulates the crash by parking pinned inside shard 0's critical
 # section while the writers drain, and the shared/isolated ratio must
 # still clear the (schedule-aware) domain-mode threshold.
-dune exec bin/smrbench.exe -- shards --quick --gate --mode domains
+gate shards-domains dune exec bin/smrbench.exe -- shards --quick --gate --mode domains
 
 # Chaos on real cores (DESIGN.md §16): the RCU / HP-BRCU smoke corner of
 # the fault matrix on Domain.spawn workers — a crashed reader is a real
@@ -81,7 +122,7 @@ dune exec bin/smrbench.exe -- shards --quick --gate --mode domains
 # crashes.  The RCU-vs-HP-BRCU crashed-reader peak-ratio discriminator
 # arms itself on >= 2 hardware threads; on one core it is reported but
 # not gated (never faked).
-dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
+gate chaos-domains dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
 
 # Self-healing on real cores (DESIGN.md §16): the watchdog payoff cell
 # on the Domains backend.  The gate needs real parallelism for the
@@ -90,10 +131,10 @@ dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
 # skipped, not faked, on one.
 cores="$( (nproc || getconf _NPROCESSORS_ONLN) 2>/dev/null | head -n1 )"
 if [ "${cores:-1}" -ge 2 ]; then
-  dune exec bin/smrbench.exe -- serve --mode domains --scheme RCU \
-    --faults crash-reader --compare
+  gate serve-compare-domains dune exec bin/smrbench.exe -- serve --mode domains \
+    --scheme RCU --faults crash-reader --compare
 else
-  echo "check.sh: 1 hardware thread; skipping serve --mode domains --compare gate"
+  skip serve-compare-domains "1 hardware thread"
 fi
 
 # Atomics audit gate (DESIGN.md §16): the fault/watchdog/chaos/service
@@ -101,12 +142,15 @@ fi
 # new top-level 'ref' cells — cross-domain state is Atomic.t (or
 # single-writer arrays documented as such).  sched.ml keeps its
 # fiber-internal profiling refs and is deliberately out of scope.
-if grep -nE '^let [a-z_0-9]+( *: *[^=]*)? *= *ref ' \
-  lib/runtime/fault.ml lib/runtime/signal.ml lib/runtime/watchdog.ml \
-  lib/workload/chaos.ml lib/workload/kvservice.ml ; then
-  echo "check.sh: top-level ref in a domains-crossed module (use Atomic.t)" >&2
-  exit 1
-fi
+atomics_audit() {
+  if grep -nE '^let [a-z_0-9]+( *: *[^=]*)? *= *ref ' \
+    lib/runtime/fault.ml lib/runtime/signal.ml lib/runtime/watchdog.ml \
+    lib/workload/chaos.ml lib/workload/kvservice.ml ; then
+    echo "check.sh: top-level ref in a domains-crossed module (use Atomic.t)" >&2
+    return 1
+  fi
+}
+gate atomics-audit atomics_audit
 
 # Hunt smoke gate (DESIGN.md §11): the mutation test for the checker
 # itself.  Both planted mutants (HP-BRCU!nomask, HP-BRCU!nodb) must be
@@ -114,12 +158,18 @@ fi
 # strategies suits its bug shape — shrunk, and their repros replayed
 # byte-identically; the same budget over every real scheme must stay
 # silent.
-dune exec bin/smrbench.exe -- hunt --smoke --seed 1
+gate hunt-smoke dune exec bin/smrbench.exe -- hunt --smoke --seed 1
 
 if command -v ocamlformat >/dev/null 2>&1; then
-  dune build @fmt
+  gate fmt dune build @fmt
 else
-  echo "check.sh: ocamlformat not installed; skipping dune build @fmt"
+  skip fmt "ocamlformat not installed"
 fi
 
+echo "check.sh: summary"
+printf '%s' "$summary"
+if [ "$failed" -ne 0 ]; then
+  echo "check.sh: FAILED"
+  exit 1
+fi
 echo "check.sh: all checks passed"

@@ -2,10 +2,10 @@
     executed under the controlled scheduler with every oracle armed
     (DESIGN.md §11).
 
-    The execution mirrors the chaos harness — prefill to 50% occupancy
-    before faults arm, readers sweep the whole key range while writers
-    churn a hot region, a virtual-tick deadline bounds the run — with
-    three additions:
+    The execution reuses the chaos cell's prefill and op step
+    ({!Chaos.Runner}) — prefill to 50% occupancy before faults arm,
+    readers sweep the whole key range while writers churn a hot region —
+    under a virtual-tick deadline, with three additions:
 
     + the scheduler's branching decisions are delegated to a
       {!Schedule.spec} and recorded, so the exact interleaving is an
@@ -147,17 +147,13 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
   match
     with_map (module X) ~config ~sharded (fun (module L : Ds.Ds_intf.MAP)
                                               ~sentinels ~teardown ~subjects ->
+        (* The chaos cell's prefill and op step, so a hunt case draws the
+           same keys as the chaos cell with the same seed.  Prefill runs
+           outside fiber mode: fault counters and schedule decisions must
+           index the workload proper. *)
+        let module C = Chaos.Runner (L) in
         let t = L.create () in
-        (* Prefill runs outside fiber mode: fault counters and schedule
-           decisions must index the workload proper. *)
-        let s = L.session t in
-        let rng = Rng.create ~seed:(case.seed lxor 0xfeed) in
-        let inserted = ref 0 in
-        while !inserted < p.Chaos.key_range / 2 do
-          if L.insert t s (Rng.int rng p.Chaos.key_range) 0 then incr inserted
-        done;
-        L.close_session s;
-        Alloc.reset_peak ();
+        C.prefill ~p ~seed:case.seed t;
         let ops = Array.make nthreads 0 in
         let deadline_hit = ref false in
         let exhausted = ref false in
@@ -188,18 +184,12 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
         Sched.set_tick_deadline p.Chaos.tick_budget;
         let worker tid =
           let s = L.session t in
-          let rng = Rng.create ~seed:(case.seed + (tid * 104729)) in
+          let rng = C.worker_rng ~seed:case.seed tid in
           let reader = tid < p.Chaos.readers in
           let budget = if reader then p.Chaos.reader_ops else p.Chaos.writer_ops in
           (try
              for _ = 1 to budget do
-               if reader then
-                 ignore (L.get t s (Rng.int rng p.Chaos.key_range) : bool)
-               else begin
-                 let k = Rng.int rng p.Chaos.hot_width in
-                 if Rng.bool rng then ignore (L.insert t s k 0 : bool)
-                 else ignore (L.remove t s k : bool)
-               end;
+               C.step ~p t s rng ~reader;
                ops.(tid) <- ops.(tid) + 1
              done;
              L.close_session s

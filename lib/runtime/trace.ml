@@ -22,12 +22,12 @@
       [Op_begin]/[Op_end]) bracket phases so durations and abort rates fall
       out of the trace alone.
 
-    {b Sinks.}  The default {!Ring} sink keeps the last [capacity] events
-    per thread — bounded memory, arbitrarily long runs, but lossy.  The
-    {!Spool} sink is non-lossy up to a per-thread record bound: it grows by
-    fixed-size chunks (allocation amortized over {!chunk_records} events,
-    never on the steady emit path), which is what `smrbench analyze` and
-    the Perfetto export consume.  Both count what they drop.
+    {b Sinks.}  The default {!Spool} sink is non-lossy up to a per-thread
+    record bound: it grows by fixed-size chunks (allocation amortized over
+    {!chunk_records} events, never on the steady emit path), which is what
+    `smrbench analyze` and the Perfetto export consume; past the bound it
+    counts what it drops.  The {!Flight} sink is the domains-mode flight
+    recorder.
 
     Timestamps come from the scheduler's virtual clock ({!Sched.tick}), so
     in fiber mode a trace is a pure function of the simulator seed: the
@@ -260,26 +260,22 @@ let set_tid_provider f = tid_provider := f
 (* Sinks                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The third sink is the domains-mode flight recorder ({!Flight},
+(* The second sink is the domains-mode flight recorder ({!Flight},
    DESIGN.md §15): per-domain SPSC rings stamped in calibrated
    CLOCK_MONOTONIC ns instead of virtual ticks.  The dispatch lives here,
    inside [emit_enabled], so every scheme call site stays substrate-
-   agnostic and the fiber sinks' code paths (and therefore their byte-
-   deterministic traces) are untouched when the flight sink is armed. *)
-type sink = Ring | Spool | Flight
+   agnostic and the spool's code path (and therefore its byte-
+   deterministic traces) is untouched when the flight sink is armed. *)
+type sink = Spool | Flight
 
 (* Each record is four ints: tick, event code, arg, arg2. *)
 let rec_ints = 4
 
-(* One ring per logical tid (+1 slot for tid = -1).  [n] counts events
-   ever emitted, so the ring holds the LAST [capacity] events and
-   [dropped] is n - kept. *)
-type ring = { buf : int array; mutable n : int }
-
-(* Spools grow by whole chunks so the steady emit path performs only int
-   stores; the one allocation per [chunk_records] events is what
-   "allocation-amortized" means.  [limit] bounds records kept; beyond it
-   the spool only counts ([n] keeps growing, nothing is stored). *)
+(* One spool per logical tid (+1 slot for tid = -1).  Spools grow by
+   whole chunks so the steady emit path performs only int stores; the one
+   allocation per [chunk_records] events is what "allocation-amortized"
+   means.  [limit] bounds records kept; beyond it the spool only counts
+   ([sn] keeps growing, nothing is stored). *)
 type spool = {
   mutable full : int array list;  (* filled chunks, newest first *)
   mutable cur : int array;
@@ -290,13 +286,11 @@ type spool = {
 
 let chunk_records = 4096
 
-let max_rings = Stats.max_shards
-let rings : ring option array = Array.make max_rings None
-let spools : spool option array = Array.make max_rings None
-let capacity = ref 4096
+let max_spools = Stats.max_shards
+let spools : spool option array = Array.make max_spools None
 let spool_default_limit = 1 lsl 20
 let spool_limit = ref spool_default_limit
-let sink_mode = ref Ring
+let sink_mode = ref Spool
 let on = ref false
 
 (* [true] iff enabled with the {!Flight} sink on the hardware timebase.
@@ -319,23 +313,18 @@ let flight_rings = Flight.rings
 let enabled () = !on
 let sink () = !sink_mode
 
-let clear () =
-  Array.fill rings 0 max_rings None;
-  Array.fill spools 0 max_rings None
+let clear () = Array.fill spools 0 max_spools None
 
 (** [enable ?capacity ?sink ?ndomains ?gc ()] clears previous traces and
-    starts recording.  With the (default) {!Ring} sink, [capacity] is the
-    per-thread ring size in events (default 4096, lossy under wraparound);
-    with {!Spool}, it is the per-thread record bound (default
-    {!spool_default_limit}, non-lossy below it); with {!Flight}, it is the
-    per-domain flight-ring size and [ndomains]/[gc] are forwarded to
-    {!Flight.arm} (rings preallocated per announced worker, GC track on by
-    default). *)
-let enable ?capacity:cap ?(sink = Ring) ?(ndomains = 0) ?(gc = true) () =
+    starts recording.  With the (default) {!Spool} sink, [capacity] is the
+    per-thread record bound (default {!spool_default_limit}, non-lossy
+    below it); with {!Flight}, it is the per-domain flight-ring size and
+    [ndomains]/[gc] are forwarded to {!Flight.arm} (rings preallocated per
+    announced worker, GC track on by default). *)
+let enable ?capacity:cap ?(sink = Spool) ?(ndomains = 0) ?(gc = true) () =
   clear ();
   sink_mode := sink;
   (match sink with
-  | Ring -> capacity := max 1 (Option.value cap ~default:4096)
   | Spool -> spool_limit := max 1 (Option.value cap ~default:spool_default_limit)
   | Flight -> Flight.arm ?capacity:cap ~ndomains ~gc ());
   flight_on := sink = Flight;
@@ -357,28 +346,9 @@ let emit_enabled ev arg arg2 =
          slot from the fused C thread-local, not [tid_provider] — the
          DLS lookup is too slow for the 25 ns/event gate. *)
       Flight.emit_self ~code:(event_code ev) ~arg ~arg2
-  | Ring ->
-      let i = !tid_provider () + 1 in
-      if i >= 0 && i < max_rings then begin
-        let t = !clock () and code = event_code ev in
-        let r =
-          match rings.(i) with
-          | Some r -> r
-          | None ->
-              let r = { buf = Array.make (rec_ints * !capacity) 0; n = 0 } in
-              rings.(i) <- Some r;
-              r
-        in
-        let slot = r.n mod !capacity * rec_ints in
-        r.buf.(slot) <- t;
-        r.buf.(slot + 1) <- code;
-        r.buf.(slot + 2) <- arg;
-        r.buf.(slot + 3) <- arg2;
-        r.n <- r.n + 1
-      end
   | Spool ->
       let i = !tid_provider () + 1 in
-      if i >= 0 && i < max_rings then begin
+      if i >= 0 && i < max_spools then begin
         let t = !clock () and code = event_code ev in
         let s =
           match spools.(i) with
@@ -443,18 +413,11 @@ type record = {
   arg2 : int;
 }
 
-(** Events dropped by the active sink — ring wraparound or spool bound —
-    summed over threads. *)
+(** Events dropped by the active sink — spool bound or flight-ring
+    wraparound — summed over threads. *)
 let dropped () =
   match !sink_mode with
   | Flight -> Flight.dropped ()
-  | Ring ->
-      Array.fold_left
-        (fun acc r ->
-          match r with
-          | None -> acc
-          | Some r -> acc + max 0 (r.n - !capacity))
-        0 rings
   | Spool ->
       Array.fold_left
         (fun acc s ->
@@ -476,7 +439,7 @@ let spool_chunks s =
   List.rev ((s.cur, s.fill) :: List.map (fun c -> (c, Array.length c)) s.full)
 
 (** Pseudo thread id carrying the merged GC track of a flight trace.
-    Outside the real tid range (rings cover tids -1..max_rings-2), so it
+    Outside the real tid range (spools cover tids -1..max_spools-2), so it
     can never collide with a worker; the Perfetto export names it "gc". *)
 let gc_tid = 4096
 
@@ -525,59 +488,31 @@ let dump_flight () : record list =
 let dump () : record list =
   if !sink_mode = Flight then dump_flight ()
   else begin
-  let acc = ref [] in
-  for i = max_rings - 1 downto 0 do
-    match !sink_mode with
-    | Flight -> ()
-    | Ring -> (
-        match rings.(i) with
-        | None -> ()
-        | Some r ->
-            let tid = i - 1 in
-            let kept = min r.n !capacity in
-            for j = kept - 1 downto 0 do
-              let seq = r.n - kept + j in
-              let slot = seq mod !capacity * rec_ints in
-              acc :=
-                {
-                  tick = r.buf.(slot);
-                  tid;
-                  seq;
-                  event = event_of_code r.buf.(slot + 1);
-                  arg = r.buf.(slot + 2);
-                  arg2 = r.buf.(slot + 3);
-                }
-                :: !acc
-            done)
-    | Spool -> (
-        match spools.(i) with
+    let acc = ref [] in
+    Array.iteri
+      (fun i -> function
         | None -> ()
         | Some s ->
-            let tid = i - 1 in
             let seq = ref 0 in
-            let here = ref [] in
             List.iter
               (fun (chunk, used) ->
-                let j = ref 0 in
-                while !j < used do
-                  let slot = !j in
-                  here :=
+                for j = 0 to (used / rec_ints) - 1 do
+                  let slot = j * rec_ints in
+                  acc :=
                     {
                       tick = chunk.(slot);
-                      tid;
+                      tid = i - 1;
                       seq = !seq;
                       event = event_of_code chunk.(slot + 1);
                       arg = chunk.(slot + 2);
                       arg2 = chunk.(slot + 3);
                     }
-                    :: !here;
-                  incr seq;
-                  j := !j + rec_ints
+                    :: !acc;
+                  incr seq
                 done)
-              (spool_chunks s);
-            acc := List.rev_append !here !acc)
-  done;
-  chronological !acc
+              (spool_chunks s))
+      spools;
+    chronological !acc
   end
 
 (** Census identity of the flight recorder (asserted after every

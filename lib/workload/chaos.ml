@@ -1,36 +1,41 @@
-(** Chaos harness: the scheme matrix under deterministic fault plans.
+(** Chaos harness: the scheme matrix under fault plans, on either
+    substrate.
 
     The paper's robustness story (Table 2, Figure 1) is qualitative: EBR
     collapses when a reader stalls, HP-family schemes do not.  This module
     makes the claim executable and {e adversarial}: every scheme runs the
     long-running-read workload under a grid of {!Hpbrcu_runtime.Fault}
     plans — stall storms, crashed readers, lost and late signal
-    deliveries, allocator-pool exhaustion — and three invariants are
-    checked per cell:
+    deliveries, allocator-pool exhaustion.
 
-    + {b termination} — the run completes within a virtual-tick budget
-      even with crashed participants (graceful degradation, not deadlock);
-    + {b safety} — zero use-after-free detections, faults or no faults;
-    + {b boundedness} — the peak number of unreclaimed blocks stays within
-      the scheme's declared {!Hpbrcu_core.Caps.t.bound} (schemes declaring
-      [None] are exempt: unboundedness under stalls is their documented
-      failure mode, and the {!discriminator} asserts it actually shows).
+    There is one engine: one cell body ({!Runner}) over
+    {!Hpbrcu_ds.Ds_intf.MAP}, one {!run_one}, one {!run_grid}, one
+    {!check_cell} and one report, parameterised by a
+    [[ `Fibers | `Domains ]] substrate.  Every cell, on either substrate,
+    must satisfy the same invariants: termination within its budget, zero
+    use-after-free, peak unreclaimed within the scheme's declared
+    {!Hpbrcu_core.Caps.t.bound} (schemes declaring [None] are exempt:
+    unboundedness under stalls is their documented failure mode, and the
+    {!discriminator} asserts it actually shows), the exact allocator
+    census, and exactly the planned number of crashes.
 
-    Faults are counter-indexed, not clock-indexed, so a chaos cell is a
-    pure function of [(scheme, plan, seed)]: the harness can (and does)
-    re-run cells with the tracer on and require byte-identical event
-    logs.
+    The substrate forks in four places only:
 
-    {b Domains mode} ({!run_domains_grid}) runs the same plans against
-    real [Domain.spawn] workers — a crashed reader is a worker domain
-    parked forever while pinned ({!Hpbrcu_runtime.Fault.crash_park}), a
-    stall is a timed park, signal faults intercept at [Signal.send] on
-    the [Clock.now_ns] axis.  The invariants become statistical instead
-    of byte-replay: UAF = 0, exact post-join allocator census
-    ([unreclaimed = retired - reclaimed]), declared bounds never
-    overshot, every planned crash observed, and the RCU-vs-HP-BRCU
-    crashed-reader watermark discriminator reproduced on hardware
-    (ratio gate self-armed on >= 2 cores, like the shards gate). *)
+    + the scheduler and deadline — the deterministic fiber simulator
+      under a virtual-tick budget, or real [Domain.spawn] workers under
+      {!wall_budget_s};
+    + the stamp — a fiber cell records its last virtual tick, a domains
+      cell its elapsed wall-clock ns;
+    + the domains crash handshake — a crashed reader is a worker domain
+      parked forever while pinned ({!Hpbrcu_runtime.Fault.crash_park}), so
+      victims loop until their crash fires and survivors wait for every
+      victim to park;
+    + the verdict policy ({!discriminator}) — on fibers, RCU's
+      crashed-reader peak must exceed 10× its fault-free peak and the
+      traced replay probes must reproduce byte-identical event logs
+      (faults are counter-indexed, so a fiber cell is a pure function of
+      [(scheme, plan, seed)]); on domains, RCU's crashed-reader peak must
+      exceed HP-BRCU's by a threshold, gated only on >= 2 cores. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
@@ -206,31 +211,43 @@ let effective_params p = function
 (* One cell                                                            *)
 (* ------------------------------------------------------------------ *)
 
+type substrate = [ `Fibers | `Domains ]
+
 type cell = {
   scheme : string;
   plan : string;
   seed : int;
-  terminated : bool;  (** finished without hitting the tick budget *)
-  ticks : int;  (** last virtual tick observed by a finishing worker *)
-  wall_ns : int;  (** elapsed wall time (domains cells; 0 on fibers) *)
+  terminated : bool;  (** finished inside the tick (fibers) or wall budget *)
+  ticks : int;  (** last virtual tick observed by a finishing worker (fibers) *)
+  wall_ns : int;  (** elapsed wall time (domains) *)
   total_ops : int;
   peak : int;  (** peak unreclaimed blocks over the measured window *)
   final_unreclaimed : int;
   uaf : int;
   bound : int option;  (** the scheme's declared bound at this thread count *)
   crashes : int;
+  planned_crashes : int;  (** tid-indexed [Crash] rules of the plan *)
+  census_ok : bool;  (** [unreclaimed = retired - reclaimed], no double frees *)
+  census_msg : string;  (** "" when clean *)
   injected : Fault.injected;
   snap : Stats.snapshot;  (** typed scheme counters at window end *)
 }
 
+(* The tick budget's lat_unit-aware dual: virtual ticks converted through
+   the fault clock's exchange rate, floored at 10 s so a slow container
+   never turns an honest cell into a termination violation.  quick's 8M
+   ticks at the default 1 us/tick is a 10 s ceiling, full's 24M is 24 s. *)
+let wall_budget_s (p : params) =
+  Float.max 10. (float_of_int p.tick_budget *. float_of_int (Fault.tick_ns ()) *. 1e-9)
+
+(** The cell body over one map.  {!prefill}, {!worker_rng} and {!step}
+    are exposed so the hunt runner draws exactly the same keys. *)
 module Runner (L : Ds.Ds_intf.MAP) = struct
-  let go ~(p : params) ~(pl : Fault.plan) ~seed ~scheme_stats ~bound :
-      string * string * int -> cell =
-   fun (scheme, plan, _) ->
-    let t = L.create () in
-    (* Prefill to 50% before any fault is armed: the plan's occurrence
-       counters must start at the workload proper or a cell's faults would
-       depend on prefill length. *)
+  (** Prefill to 50% single-threaded, before any fault is armed: the
+      plan's occurrence counters must start at the workload proper or a
+      cell's faults would depend on prefill length.  The peak watermark
+      restarts afterwards, so it measures the workload alone. *)
+  let prefill ~(p : params) ~seed t =
     let s = L.session t in
     let rng = Rng.create ~seed:(seed lxor 0xfeed) in
     let inserted = ref 0 in
@@ -238,61 +255,120 @@ module Runner (L : Ds.Ds_intf.MAP) = struct
       if L.insert t s (Rng.int rng p.key_range) 0 then incr inserted
     done;
     L.close_session s;
-    Alloc.reset_peak ();
+    Alloc.reset_peak ()
+
+  let worker_rng ~seed tid = Rng.create ~seed:(seed + (tid * 104729))
+
+  (** One operation: readers [get] across the whole range, writers churn
+      the hot region with an even insert/remove mix. *)
+  let step ~(p : params) t s rng ~reader =
+    if reader then ignore (L.get t s (Rng.int rng p.key_range) : bool)
+    else begin
+      let k = Rng.int rng p.hot_width in
+      if Rng.bool rng then ignore (L.insert t s k 0 : bool)
+      else ignore (L.remove t s k : bool)
+    end
+
+  let go ~(substrate : substrate) ~(p : params) ~(pl : Fault.plan) ~seed
+      ~scheme_stats ~bound ~scheme ~plan : cell =
+    let t = L.create () in
+    prefill ~p ~seed t;
     let nthreads = p.readers + p.writers in
-    let ops = Array.make nthreads 0 in
-    let deadline_hit = ref false in
-    let end_tick = ref 0 in
+    let ops = Array.init nthreads (fun _ -> Atomic.make 0) in
+    let deadline_hit = Atomic.make false in
+    let end_tick = Atomic.make 0 in
+    (* The domains crash handshake.  A fiber crash fires at a fixed point
+       of the deterministic schedule; a real worker may be descheduled
+       past it, so on domains a victim loops until its crash rule fires
+       (the rule is indexed on the victim's own yield count) and the
+       survivors hold until every victim is parked pinned — the stranding
+       window then covers the full retirement volume, as in fiber mode. *)
+    let victims =
+      match substrate with `Fibers -> [] | `Domains -> Fault.crash_tids pl
+    in
+    let nvictims = List.length victims in
     Fault.install pl;
-    Sched.set_tick_deadline p.tick_budget;
+    let mode =
+      match substrate with
+      | `Fibers ->
+          Sched.set_tick_deadline p.tick_budget;
+          Sched.Fibers { seed; switch_every = 4 }
+      | `Domains ->
+          Sched.set_deadline (Unix.gettimeofday () +. wall_budget_s p);
+          Sched.Domains
+    in
+    let t0 = Clock.now_ns () in
     let worker tid =
       let s = L.session t in
-      let rng = Rng.create ~seed:(seed + (tid * 104729)) in
+      let rng = worker_rng ~seed tid in
       let reader = tid < p.readers in
-      let budget = if reader then p.reader_ops else p.writer_ops in
+      let one_op () =
+        step ~p t s rng ~reader;
+        Atomic.incr ops.(tid)
+      in
       (try
-         for _ = 1 to budget do
-           if reader then ignore (L.get t s (Rng.int rng p.key_range) : bool)
-           else begin
-             let k = Rng.int rng p.hot_width in
-             if Rng.bool rng then ignore (L.insert t s k 0 : bool)
-             else ignore (L.remove t s k : bool)
-           end;
-           ops.(tid) <- ops.(tid) + 1
-         done;
-         L.close_session s
-       with Sched.Deadline -> deadline_hit := true);
-      if Sched.tick () > !end_tick then end_tick := Sched.tick ()
+         if List.mem tid victims then
+           (* Exits via [Sched.Crashed] (absorbed by the backend) or the
+              wall deadline. *)
+           while true do
+             one_op ()
+           done
+         else begin
+           if nvictims > 0 then
+             Sched.wait_until (fun () -> Fault.parked_count () >= nvictims);
+           for _ = 1 to if reader then p.reader_ops else p.writer_ops do
+             one_op ()
+           done;
+           L.close_session s
+         end
+       with Sched.Deadline -> Atomic.set deadline_hit true);
+      if Sched.tick () > Atomic.get end_tick then Atomic.set end_tick (Sched.tick ())
     in
-    Sched.run (Sched.Fibers { seed; switch_every = 4 }) ~nthreads worker;
-    Sched.clear_tick_deadline ();
+    Sched.run mode ~nthreads worker;
+    let ticks, wall_ns =
+      match substrate with
+      | `Fibers ->
+          Sched.clear_tick_deadline ();
+          (Atomic.get end_tick, 0)
+      | `Domains ->
+          Sched.clear_deadline ();
+          (0, Clock.now_ns () - t0)
+    in
     let injected = Fault.injected () in
     let crashes = Sched.crashed_count () in
     Fault.clear ();
     let st = Alloc.stats () in
+    let census_ok, census_msg = Domains_bench.census () in
     {
       scheme;
       plan;
       seed;
-      terminated = not !deadline_hit;
-      ticks = !end_tick;
-      wall_ns = 0;
-      total_ops = Array.fold_left ( + ) 0 ops;
+      terminated = not (Atomic.get deadline_hit);
+      ticks;
+      wall_ns;
+      total_ops = Array.fold_left (fun a o -> a + Atomic.get o) 0 ops;
       peak = st.Alloc.peak_unreclaimed;
       final_unreclaimed = st.Alloc.unreclaimed;
       uaf = st.Alloc.uaf;
       bound;
       crashes;
+      planned_crashes = List.length (Fault.crash_tids pl);
+      census_ok;
+      census_msg;
       injected;
       snap = scheme_stats ();
     }
 end
 
-(** [run_one ~scheme ~plan_id ~seed p] executes one chaos cell.  With
-    [~traced:true] the event tracer records the run and the decoded log is
-    returned alongside (used by the determinism check). *)
-let run_one ?(traced = false) ~scheme ~plan_id ~seed (p : params) :
+(** [run_one ~substrate ~scheme ~plan_id ~seed p] executes one chaos
+    cell.  With [~traced:true] (fibers only) the event tracer records the
+    run and the decoded log is returned alongside (used by the
+    determinism check). *)
+let run_one ?(traced = false) ~substrate ~scheme ~plan_id ~seed (p : params) :
     cell * Trace.record list =
+  if traced then
+    Spec.require_fibers ~who:"Chaos.run_one" ~what:"~traced"
+      ~alternative:"trace a fiber cell" substrate;
   let p = effective_params p plan_id in
   let pl = plan_of p plan_id in
   (* Small-batch tuning keeps bounds (and cells) small. *)
@@ -301,15 +377,14 @@ let run_one ?(traced = false) ~scheme ~plan_id ~seed (p : params) :
       let bound = S.caps.Caps.bound ~nthreads:(p.readers + p.writers) in
       Alloc.reset ();
       Alloc.set_strict false;
-      (* Spool, not ring: the determinism probes compare whole logs, and a
-         lossy ring would make "byte-identical" vacuous for any cell that
-         wraps; the spool also makes the log exportable to [smrbench
-         analyze].  The log is taken before the domain's teardown drain. *)
+      (* The spool is non-lossy: the determinism probes compare whole
+         logs, and the log is exportable to [smrbench analyze].  It is
+         taken before the domain's teardown drain. *)
       if traced then Trace.enable ~sink:Trace.Spool ();
       let go (module L : Ds.Ds_intf.MAP) =
         let module R = Runner (L) in
-        R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound
-          (scheme, plan_name plan_id, seed)
+        R.go ~substrate ~p ~pl ~seed ~scheme_stats:S.stats ~bound ~scheme
+          ~plan:(plan_name plan_id)
       in
       let cell =
         (* HP and HE/IBR (hazard-pointer applicability) run HMList. *)
@@ -321,11 +396,11 @@ let run_one ?(traced = false) ~scheme ~plan_id ~seed (p : params) :
       if traced then Trace.disable ();
       (cell, log))
 
-(** [run_traced_to_file ~scheme ~plan_id ~seed ~out p] — one traced chaos
-    cell, spooled non-lossily and written to [out] for [smrbench
+(** [run_traced_to_file ~scheme ~plan_id ~seed ~out p] — one traced fiber
+    chaos cell, spooled non-lossily and written to [out] for [smrbench
     analyze] / Perfetto export. *)
 let run_traced_to_file ~scheme ~plan_id ~seed ~out (p : params) : cell =
-  let c, log = run_one ~traced:true ~scheme ~plan_id ~seed p in
+  let c, log = run_one ~traced:true ~substrate:`Fibers ~scheme ~plan_id ~seed p in
   Trace.to_file out log;
   c
 
@@ -333,55 +408,74 @@ let run_traced_to_file ~scheme ~plan_id ~seed ~out (p : params) : cell =
 (* Invariants                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Per-cell invariant check; returns human-readable violations. *)
+(** Per-cell invariant check, the same on both substrates; returns
+    human-readable violations. *)
 let check_cell (c : cell) : string list =
   let v = ref [] in
-  if not c.terminated then
-    v := Printf.sprintf "did not terminate within the tick budget" :: !v;
-  if c.uaf > 0 then v := Printf.sprintf "use-after-free detected: %d" c.uaf :: !v;
+  let fail msg = v := msg :: !v in
+  if not c.terminated then fail "did not terminate within its budget";
+  if c.uaf > 0 then fail (Printf.sprintf "use-after-free detected: %d" c.uaf);
   (match c.bound with
   | Some b when c.peak > b ->
-      v :=
-        Printf.sprintf "peak unreclaimed %d exceeds declared bound %d" c.peak b
-        :: !v
+      fail (Printf.sprintf "peak unreclaimed %d exceeds declared bound %d" c.peak b)
   | _ -> ());
+  if not c.census_ok then fail ("census: " ^ c.census_msg);
+  if c.crashes <> c.planned_crashes then
+    fail
+      (Printf.sprintf "crashed %d of %d planned workers" c.crashes
+         c.planned_crashes);
   List.rev !v
 
-(** The Table 2 discriminator: under a crashed reader, an EBR epoch can
-    never advance again, so RCU's footprint must blow past 10× its own
-    fault-free peak — while the robust schemes stay inside their bounds
-    (checked per cell above).  Returns [(seed, ratio, ok)]. *)
-let discriminator (cells : cell list) : (int * float * bool) list =
-  let find plan seed =
+(** The domains ratio gate's default threshold. *)
+let default_hw_threshold = 4.
+
+(** The robustness discriminator — the verdict policy, and the one place
+    the substrates judge differently.  Under a crashed reader an EBR
+    epoch can never advance again:
+
+    - fibers (Table 2): RCU's crashed-reader peak must blow past 10× its
+      own fault-free peak (deterministic, always armed);
+    - domains: RCU's crashed-reader peak must exceed HP-BRCU's — which
+      neutralizes the victim — by [threshold].  Statistical, so the
+      verdict arms only when [armed] ([None] = reported, not gated),
+      matching the shards convention.
+
+    Robust schemes staying inside their bounds is checked per cell.
+    Returns [(seed, ratio, verdict)] for each seed with both cells. *)
+let discriminator ~(substrate : substrate) ~threshold ~armed (cells : cell list)
+    : (int * float * bool option) list =
+  let find scheme plan seed =
     List.find_opt
-      (fun c -> c.scheme = "RCU" && c.plan = plan && c.seed = seed)
+      (fun c -> c.scheme = scheme && c.plan = plan && c.seed = seed)
       cells
   in
-  let seeds =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun c -> if c.scheme = "RCU" then Some c.seed else None)
-         cells)
+  let den_scheme, den_plan, passes =
+    match substrate with
+    | `Fibers -> ("RCU", "baseline", fun r -> r > 10.)
+    | `Domains -> ("HP-BRCU", "crash-reader", fun r -> r >= threshold)
   in
   List.filter_map
     (fun seed ->
-      match (find "baseline" seed, find "crash-reader" seed) with
-      | Some base, Some crash ->
-          let ratio =
-            float_of_int crash.peak /. float_of_int (max 1 base.peak)
-          in
-          Some (seed, ratio, ratio > 10.)
+      match (find "RCU" "crash-reader" seed, find den_scheme den_plan seed) with
+      | Some num, Some den ->
+          let ratio = float_of_int num.peak /. float_of_int (max 1 den.peak) in
+          Some (seed, ratio, if armed then Some (passes ratio) else None)
       | _ -> None)
-    seeds
+    (List.sort_uniq compare (List.map (fun c -> c.seed) cells))
 
 (* ------------------------------------------------------------------ *)
 (* The grid                                                            *)
 (* ------------------------------------------------------------------ *)
 
 type report = {
+  substrate : substrate;
   cells : cell list;
   violations : (cell * string) list;
-  ratios : (int * float * bool) list;  (** RCU crash/baseline discriminator *)
+  ratios : (int * float * bool option) list;
+      (** the discriminator per seed; verdict [None] = unarmed *)
+  armed : bool;  (** ratio gate armed (always on fibers; >= 2 cores on domains) *)
+  threshold : float;  (** the domains ratio gate *)
+  probes : int;  (** traced replay probes actually run *)
   replay_mismatches : (string * string * int * string) list;
       (** cells whose traced re-run diverged, with the first divergence *)
 }
@@ -402,10 +496,15 @@ let first_divergence l1 l2 =
 
 let all_schemes = Schemes.names
 
-(* Determinism probes: one signal-heavy robust scheme under crashes, one
-   epoch scheme fault-free, one drop/delay cell.  Each is run twice with
-   the tracer on; the decoded logs must be identical. *)
+(* Determinism probes (fibers only): one signal-heavy robust scheme under
+   crashes, one epoch scheme fault-free, one drop/delay cell.  Each is run
+   twice with the tracer on; the decoded logs must be identical. *)
 let replay_probes = [ ("HP-BRCU", Crash_reader); ("RCU", Baseline); ("NBR", Signal_chaos) ]
+
+(* The smoke subset: the two discriminator schemes under the plans the
+   discriminator needs.  check.sh runs exactly this on domains. *)
+let smoke_schemes = [ "RCU"; "HP-BRCU" ]
+let smoke_plans = [ Baseline; Crash_reader ]
 
 let pp_cell ppf (c : cell) =
   let i = c.injected in
@@ -419,55 +518,63 @@ let pp_cell ppf (c : cell) =
     c.crashes i.Fault.stalls i.Fault.crashes i.Fault.drops i.Fault.delays
     i.Fault.pool_misses c.snap.Stats.quarantines c.snap.Stats.leaked
 
-(** [run_grid p] — the full chaos matrix.  [verbose] prints one line per
-    cell as it lands; [replay] toggles the traced determinism probes. *)
+(** [run_grid ~substrate p] — the chaos matrix.  [verbose] prints one
+    line per cell as it lands; [replay] toggles the traced determinism
+    probes (fibers only); [threshold] is the domains ratio gate. *)
 let run_grid ?(schemes = all_schemes) ?(plans = all_plans) ?(seeds = [ 1 ])
-    ?(replay = true) ?(verbose = false) (p : params) : report =
-  let cells = ref [] in
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun scheme ->
-          List.iter
-            (fun plan_id ->
-              let c, _ = run_one ~scheme ~plan_id ~seed p in
-              if verbose then Fmt.pr "%a@." pp_cell c;
-              cells := c :: !cells)
-            plans)
-        schemes)
-    seeds;
-  let cells = List.rev !cells in
+    ?(replay = true) ?(threshold = default_hw_threshold) ?(verbose = false)
+    ~(substrate : substrate) (p : params) : report =
+  let cells =
+    List.concat_map
+      (fun seed ->
+        List.concat_map
+          (fun scheme ->
+            List.map
+              (fun plan_id ->
+                let c, _ = run_one ~substrate ~scheme ~plan_id ~seed p in
+                if verbose then Fmt.pr "%a@." pp_cell c;
+                c)
+              plans)
+          schemes)
+      seeds
+  in
   let violations =
     List.concat_map (fun c -> List.map (fun v -> (c, v)) (check_cell c)) cells
   in
-  let ratios =
-    if List.mem Baseline plans && List.mem Crash_reader plans then
-      discriminator cells
-    else []
-  in
-  let replay_mismatches =
-    if not replay then []
+  let armed = substrate = `Fibers || Backend.hardware_threads () >= 2 in
+  let probes =
+    if substrate = `Domains || not replay then []
     else
-      List.concat_map
-        (fun (scheme, plan_id) ->
-          if List.mem scheme schemes && List.mem plan_id plans then begin
-            let seed = match seeds with s :: _ -> s | [] -> 1 in
-            let c1, l1 = run_one ~traced:true ~scheme ~plan_id ~seed p in
-            let c2, l2 = run_one ~traced:true ~scheme ~plan_id ~seed p in
-            if l1 = l2 && c1.peak = c2.peak && c1.total_ops = c2.total_ops then
-              []
-            else
-              [ (scheme, plan_name plan_id, seed, first_divergence l1 l2) ]
-          end
-          else [])
+      List.filter
+        (fun (scheme, plan_id) -> List.mem scheme schemes && List.mem plan_id plans)
         replay_probes
   in
-  { cells; violations; ratios; replay_mismatches }
+  let replay_mismatches =
+    List.concat_map
+      (fun (scheme, plan_id) ->
+        let seed = match seeds with s :: _ -> s | [] -> 1 in
+        let traced () = run_one ~traced:true ~substrate ~scheme ~plan_id ~seed p in
+        let c1, l1 = traced () in
+        let c2, l2 = traced () in
+        if l1 = l2 && c1.peak = c2.peak && c1.total_ops = c2.total_ops then []
+        else [ (scheme, plan_name plan_id, seed, first_divergence l1 l2) ])
+      probes
+  in
+  {
+    substrate;
+    cells;
+    violations;
+    ratios = discriminator ~substrate ~threshold ~armed cells;
+    armed;
+    threshold;
+    probes = List.length probes;
+    replay_mismatches;
+  }
 
 let report_ok (r : report) =
   r.violations = []
   && r.replay_mismatches = []
-  && List.for_all (fun (_, _, ok) -> ok) r.ratios
+  && List.for_all (fun (_, _, verdict) -> verdict <> Some false) r.ratios
 
 let pp_report ppf (r : report) =
   List.iter
@@ -475,275 +582,41 @@ let pp_report ppf (r : report) =
       Fmt.pf ppf "VIOLATION %s/%s seed=%d: %s@." c.scheme c.plan c.seed v)
     r.violations;
   List.iter
-    (fun (seed, ratio, ok) ->
-      Fmt.pf ppf "discriminator seed=%d: RCU crash/baseline peak ratio %.1fx %s@."
-        seed ratio
-        (if ok then "(> 10x, EBR collapse reproduced)" else "TOO SMALL"))
+    (fun (seed, ratio, verdict) ->
+      match r.substrate with
+      | `Fibers ->
+          Fmt.pf ppf "discriminator seed=%d: RCU crash/baseline peak ratio %.1fx %s@."
+            seed ratio
+            (if verdict = Some true then "(> 10x, EBR collapse reproduced)"
+             else "TOO SMALL")
+      | `Domains ->
+          Fmt.pf ppf
+            "hw discriminator seed=%d: RCU/HP-BRCU crashed-reader peak ratio \
+             %.1fx %s@."
+            seed ratio
+            (match verdict with
+            | Some true -> Printf.sprintf "(>= %.1fx, gate passed)" r.threshold
+            | Some false -> Printf.sprintf "BELOW %.1fx GATE" r.threshold
+            | None -> "(1 core: ratio gate skipped, reported only)"))
     r.ratios;
   List.iter
     (fun (s, pl, seed, why) ->
       Fmt.pf ppf "REPLAY MISMATCH %s/%s seed=%d: %s@." s pl seed why)
     r.replay_mismatches;
-  Fmt.pf ppf "chaos: %d cells, %d violations, %d replay probes%s@."
+  Fmt.pf ppf "chaos%s: %d cells, %d violations, %s%s@."
+    (match r.substrate with `Fibers -> "" | `Domains -> "[domains]")
     (List.length r.cells)
     (List.length r.violations)
-    (List.length replay_probes)
+    (match r.substrate with
+    | `Fibers -> Printf.sprintf "%d replay probes" r.probes
+    | `Domains ->
+        "ratio gate " ^ if r.armed then "armed" else "skipped (1 core)")
     (if report_ok r then " — all invariants hold" else " — FAILED")
 
-(* ------------------------------------------------------------------ *)
-(* Domains mode: the same plans on real cores                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The tick budget's lat_unit-aware dual: virtual ticks converted through
-   the fault clock's exchange rate, floored at 10 s so a slow container
-   never turns an honest cell into a termination violation.  quick's 8M
-   ticks at the default 1 us/tick is a 10 s ceiling, full's 24M is 24 s. *)
-let wall_budget_s (p : params) =
-  Float.max 10. (float_of_int p.tick_budget *. float_of_int (Fault.tick_ns ()) *. 1e-9)
-
-module Druner (L : Ds.Ds_intf.MAP) = struct
-  let go ~(p : params) ~(pl : Fault.plan) ~seed ~scheme_stats ~bound :
-      string * string * int -> cell =
-   fun (scheme, plan, _) ->
-    let t = L.create () in
-    (* Prefill single-threaded, before any fault is armed, as in fiber
-       mode: occurrence counters must index the workload proper. *)
-    let s = L.session t in
-    let rng = Rng.create ~seed:(seed lxor 0xfeed) in
-    let inserted = ref 0 in
-    while !inserted < p.key_range / 2 do
-      if L.insert t s (Rng.int rng p.key_range) 0 then incr inserted
-    done;
-    L.close_session s;
-    Alloc.reset_peak ();
-    let nthreads = p.readers + p.writers in
-    let ops = Array.init nthreads (fun _ -> Atomic.make 0) in
-    let deadline_hit = Atomic.make false in
-    let victims = Fault.crash_tids pl in
-    let nvictims = List.length victims in
-    Fault.install pl;
-    Sched.set_deadline (Unix.gettimeofday () +. wall_budget_s p);
-    let t0 = Clock.now_ns () in
-    let worker tid =
-      let s = L.session t in
-      let rng = Rng.create ~seed:(seed + (tid * 104729)) in
-      let reader = tid < p.readers in
-      let victim = List.mem tid victims in
-      let one_op () =
-        if reader then ignore (L.get t s (Rng.int rng p.key_range) : bool)
-        else begin
-          let k = Rng.int rng p.hot_width in
-          if Rng.bool rng then ignore (L.insert t s k 0 : bool)
-          else ignore (L.remove t s k : bool)
-        end;
-        Atomic.incr ops.(tid)
-      in
-      try
-        if victim then
-          (* Op-loop until the crash rule fires: the rule is indexed on
-             this worker's own yield count, so looping guarantees the
-             occurrence is reached no matter how the OS schedules us.
-             Exits via [Sched.Crashed] (absorbed by the backend) or the
-             wall deadline. *)
-          while true do
-            one_op ()
-          done
-        else begin
-          (* Crash plans: hold until every victim is parked pinned, so
-             the stranding window covers the full retirement volume
-             regardless of OS scheduling — the hardware analogue of the
-             fiber plans' early crash index. *)
-          if nvictims > 0 then
-            Sched.wait_until (fun () -> Fault.parked_count () >= nvictims);
-          let budget = if reader then p.reader_ops else p.writer_ops in
-          for _ = 1 to budget do
-            one_op ()
-          done;
-          L.close_session s
-        end
-      with Sched.Deadline -> Atomic.set deadline_hit true
-    in
-    Sched.run Sched.Domains ~nthreads worker;
-    let wall_ns = Clock.now_ns () - t0 in
-    Sched.clear_deadline ();
-    let injected = Fault.injected () in
-    let crashes = Sched.crashed_count () in
-    Fault.clear ();
-    let st = Alloc.stats () in
-    {
-      scheme;
-      plan;
-      seed;
-      terminated = not (Atomic.get deadline_hit);
-      ticks = 0;
-      wall_ns;
-      total_ops = Array.fold_left (fun a o -> a + Atomic.get o) 0 ops;
-      peak = st.Alloc.peak_unreclaimed;
-      final_unreclaimed = st.Alloc.unreclaimed;
-      uaf = st.Alloc.uaf;
-      bound;
-      crashes;
-      injected;
-      snap = scheme_stats ();
-    }
-end
-
-(** [run_domains_one ~scheme ~plan_id ~seed p] — one chaos cell on real
-    domains, plus the post-join allocator census verdict. *)
-let run_domains_one ~scheme ~plan_id ~seed (p : params) : cell * (bool * string)
-    =
-  let p = effective_params p plan_id in
-  let pl = plan_of p plan_id in
-  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun (module D) ->
-      let module S = D.S in
-      let bound = S.caps.Caps.bound ~nthreads:(p.readers + p.writers) in
-      Alloc.reset ();
-      Alloc.set_strict false;
-      let go (module L : Ds.Ds_intf.MAP) =
-        let module R = Druner (L) in
-        R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound
-          (scheme, plan_name plan_id, seed)
-      in
-      let cell =
-        if scheme <> "HP" && Matrix.supports (module S) Caps.HHSList then
-          go (module Ds.Harris_list.Make_hhs (S))
-        else go (module Ds.Hm_list.Make (S))
-      in
-      (cell, Domains_bench.census ()))
-
-(* Expected crash count of a plan: the tid-indexed Crash rules (the ones
-   the handshake can wait for). *)
-let expected_crashes (p : params) plan_id =
-  List.length (Fault.crash_tids (plan_of p plan_id))
-
-(** Domains-cell invariants: the fiber checks minus tick determinism,
-    plus the exact census identity and "every planned crash observed". *)
-let check_domains_cell ~expected ((c, (census_ok, census_msg)) : cell * (bool * string)) :
-    string list =
-  let v = ref [] in
-  if not c.terminated then
-    v := "did not terminate within the wall budget" :: !v;
-  if c.uaf > 0 then v := Printf.sprintf "use-after-free detected: %d" c.uaf :: !v;
-  (match c.bound with
-  | Some b when c.peak > b ->
-      v :=
-        Printf.sprintf "peak unreclaimed %d exceeds declared bound %d" c.peak b
-        :: !v
-  | _ -> ());
-  if not census_ok then v := Printf.sprintf "census: %s" census_msg :: !v;
-  if c.crashes <> expected then
-    v :=
-      Printf.sprintf "crashed %d of %d planned workers" c.crashes expected :: !v;
-  List.rev !v
-
-(** The hardware crashed-reader discriminator: under a crashed reader on
-    real cores, RCU's epoch is pinned forever while HP-BRCU neutralizes
-    the victim, so RCU's peak watermark must exceed HP-BRCU's by the
-    threshold.  Statistical, so the verdict only arms on >= 2 cores
-    ([None] = reported, not gated), matching the shards convention. *)
-let default_hw_threshold = 4.
-
-let hw_discriminator ?(threshold = default_hw_threshold) ~armed
-    (cells : cell list) : (int * float * bool option) list =
-  let find scheme seed =
-    List.find_opt
-      (fun c -> c.scheme = scheme && c.plan = "crash-reader" && c.seed = seed)
-      cells
-  in
-  let seeds =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun c -> if c.plan = "crash-reader" then Some c.seed else None)
-         cells)
-  in
-  List.filter_map
-    (fun seed ->
-      match (find "RCU" seed, find "HP-BRCU" seed) with
-      | Some rcu, Some hpb ->
-          let ratio = float_of_int rcu.peak /. float_of_int (max 1 hpb.peak) in
-          Some (seed, ratio, if armed then Some (ratio >= threshold) else None)
-      | _ -> None)
-    seeds
-
-type domains_report = {
-  d_cells : (cell * (bool * string)) list;  (** cell + its census verdict *)
-  d_violations : (cell * string) list;
-  d_ratios : (int * float * bool option) list;
-      (** RCU / HP-BRCU crashed-reader watermark; verdict None = unarmed *)
-  d_armed : bool;  (** ratio gate armed (>= 2 hardware cores) *)
-  d_threshold : float;
-}
-
-(* The smoke subset: the two discriminator schemes under the plans the
-   hardware gate needs.  check.sh runs exactly this. *)
-let smoke_schemes = [ "RCU"; "HP-BRCU" ]
-let smoke_plans = [ Baseline; Crash_reader ]
-
-(** [run_domains_grid p] — the chaos matrix on real domains. *)
-let run_domains_grid ?(schemes = all_schemes) ?(plans = all_plans)
-    ?(seeds = [ 1 ]) ?(threshold = default_hw_threshold) ?(verbose = false)
-    (p : params) : domains_report =
-  let cells = ref [] in
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun scheme ->
-          List.iter
-            (fun plan_id ->
-              let (c, census) = run_domains_one ~scheme ~plan_id ~seed p in
-              if verbose then Fmt.pr "%a@." pp_cell c;
-              cells := ((c, census), expected_crashes p plan_id) :: !cells)
-            plans)
-        schemes)
-    seeds;
-  let cells = List.rev !cells in
-  let d_cells = List.map fst cells in
-  let d_violations =
-    List.concat_map
-      (fun ((c, _) as cc, expected) ->
-        List.map (fun v -> (c, v)) (check_domains_cell ~expected cc))
-      cells
-  in
-  let armed = Backend.hardware_threads () >= 2 in
-  let d_ratios =
-    if List.mem Crash_reader plans then
-      hw_discriminator ~threshold ~armed (List.map fst d_cells)
-    else []
-  in
-  { d_cells; d_violations; d_ratios; d_armed = armed; d_threshold = threshold }
-
-let domains_report_ok (r : domains_report) =
-  r.d_violations = []
-  && List.for_all
-       (fun (_, _, verdict) -> match verdict with Some ok -> ok | None -> true)
-       r.d_ratios
-
-let pp_domains_report ppf (r : domains_report) =
-  List.iter
-    (fun (c, v) ->
-      Fmt.pf ppf "VIOLATION %s/%s seed=%d: %s@." c.scheme c.plan c.seed v)
-    r.d_violations;
-  List.iter
-    (fun (seed, ratio, verdict) ->
-      Fmt.pf ppf
-        "hw discriminator seed=%d: RCU/HP-BRCU crashed-reader peak ratio \
-         %.1fx %s@."
-        seed ratio
-        (match verdict with
-        | Some true -> Printf.sprintf "(>= %.1fx, gate passed)" r.d_threshold
-        | Some false -> Printf.sprintf "BELOW %.1fx GATE" r.d_threshold
-        | None -> "(1 core: ratio gate skipped, reported only)"))
-    r.d_ratios;
-  Fmt.pf ppf "chaos[domains]: %d cells, %d violations, ratio gate %s%s@."
-    (List.length r.d_cells)
-    (List.length r.d_violations)
-    (if r.d_armed then "armed" else "skipped (1 core)")
-    (if domains_report_ok r then " — all invariants hold" else " — FAILED")
-
-(* Advisory baseline rows for BENCH_domains.json: peaks only, no gates —
-   the wall-clock numbers are whatever this box produced. *)
-let json_of_domains_report (r : domains_report) =
-  let row ((c : cell), (census_ok, _)) =
+(* Advisory baseline rows (e.g. for BENCH_domains.json): peaks only, no
+   gates — the wall-clock numbers are whatever this box produced. *)
+let json_of_report (r : report) =
+  let row (c : cell) =
     Json.Obj
       [
         ("scheme", Json.Str c.scheme);
@@ -754,7 +627,8 @@ let json_of_domains_report (r : domains_report) =
         ("final_unreclaimed", Json.Int c.final_unreclaimed);
         ("crashes", Json.Int c.crashes);
         ("uaf", Json.Int c.uaf);
-        ("census_ok", Json.Bool census_ok);
+        ("census_ok", Json.Bool c.census_ok);
+        ("ticks", Json.Int c.ticks);
         ("wall_ns", Json.Int c.wall_ns);
         ( "bound",
           match c.bound with None -> Json.Null | Some b -> Json.Int b );
@@ -762,26 +636,29 @@ let json_of_domains_report (r : domains_report) =
   in
   Json.Obj
     [
-      ("benchmark", Json.Str "chaos-domains");
+      ( "benchmark",
+        Json.Str
+          (match r.substrate with
+          | `Fibers -> "chaos-fibers"
+          | `Domains -> "chaos-domains") );
       ("hardware_threads", Json.Int (Backend.hardware_threads ()));
-      ("ratio_gates_active", Json.Bool r.d_armed);
-      ("threshold", Json.Float r.d_threshold);
-      ("cells", Json.List (List.map row r.d_cells));
-      ( "hw_discriminator",
+      ("ratio_gates_active", Json.Bool r.armed);
+      ("threshold", Json.Float r.threshold);
+      ("cells", Json.List (List.map row r.cells));
+      ( "discriminator",
         Json.List
           (List.map
              (fun (seed, ratio, verdict) ->
                Json.Obj
                  [
                    ("seed", Json.Int seed);
-                   ("rcu_over_hpbrcu_peak", Json.Float ratio);
+                   ("ratio", Json.Float ratio);
                    ( "gated_ok",
                      match verdict with
                      | Some ok -> Json.Bool ok
                      | None -> Json.Null );
                  ])
-             r.d_ratios) );
+             r.ratios) );
     ]
 
-let write_domains_json path (r : domains_report) =
-  Json.to_file path (json_of_domains_report r)
+let write_json path (r : report) = Json.to_file path (json_of_report r)

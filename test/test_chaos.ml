@@ -15,7 +15,9 @@ let plans = [ Chaos.Baseline; Chaos.Crash_reader; Chaos.Signal_chaos ]
 (* One grid run shared by the tests below (the cells are deterministic, so
    splitting it would only repeat work). *)
 let report =
-  lazy (Chaos.run_grid ~schemes ~plans ~seeds:[ 1 ] ~replay:true Chaos.quick)
+  lazy
+    (Chaos.run_grid ~schemes ~plans ~seeds:[ 1 ] ~replay:true ~substrate:`Fibers
+       Chaos.quick)
 
 let test_invariants () =
   let r = Lazy.force report in
@@ -31,8 +33,8 @@ let test_invariants () =
 let test_discriminator () =
   let r = Lazy.force report in
   match r.Chaos.ratios with
-  | [ (1, ratio, ok) ] ->
-      if not ok then
+  | [ (1, ratio, verdict) ] ->
+      if verdict <> Some true then
         Alcotest.failf
           "RCU crash/baseline peak ratio %.1fx — EBR collapse under a \
            crashed reader should exceed 10x"
@@ -57,10 +59,23 @@ let test_crash_quarantine () =
 
 let test_replay () =
   let r = Lazy.force report in
+  Alcotest.(check int) "every probe ran" 3 r.Chaos.probes;
   List.iter
     (fun (s, pl, seed, why) ->
       Alcotest.failf "replay mismatch %s/%s seed=%d: %s" s pl seed why)
     r.Chaos.replay_mismatches
+
+(* The summary counts the probes that actually ran: none when replay is
+   off, whatever the selection. *)
+let test_probe_count () =
+  let r =
+    Chaos.run_grid ~schemes:[ "RCU" ] ~plans:[ Chaos.Baseline ] ~replay:false
+      ~substrate:`Fibers Chaos.quick
+  in
+  Alcotest.(check int) "no replay, no probes" 0 r.Chaos.probes;
+  Alcotest.(check string) "summary line"
+    "chaos: 1 cells, 0 violations, 0 replay probes — all invariants hold\n"
+    (Fmt.str "%a" Chaos.pp_report r)
 
 (* The trace-level form of the Figure 6 claim: under a crashed reader,
    HP-BRCU's retire->reclaim latency distribution is non-empty and its
@@ -70,8 +85,8 @@ let test_replay () =
 let test_analyze_discriminator () =
   let traced scheme =
     let _, log =
-      Chaos.run_one ~traced:true ~scheme ~plan_id:Chaos.Crash_reader ~seed:1
-        Chaos.quick
+      Chaos.run_one ~traced:true ~substrate:`Fibers ~scheme
+        ~plan_id:Chaos.Crash_reader ~seed:1 Chaos.quick
     in
     Analyze.of_records ~source:scheme log
   in
@@ -90,8 +105,8 @@ let test_analyze_discriminator () =
   (* The signal->rollback join on a signal-heavy scheme: baseline NBR
      neutralizes everyone, so sends and rollbacks must correlate. *)
   let _, nbr_log =
-    Chaos.run_one ~traced:true ~scheme:"NBR" ~plan_id:Chaos.Baseline ~seed:1
-      Chaos.quick
+    Chaos.run_one ~traced:true ~substrate:`Fibers ~scheme:"NBR"
+      ~plan_id:Chaos.Baseline ~seed:1 Chaos.quick
   in
   let nbr = Analyze.of_records ~source:"NBR" nbr_log in
   Alcotest.(check bool) "NBR sends signals" true (nbr.Analyze.signals_sent > 0);
@@ -110,6 +125,8 @@ let () =
             test_discriminator;
           Alcotest.test_case "crashes quarantined" `Quick test_crash_quarantine;
           Alcotest.test_case "traces replay byte-identically" `Quick test_replay;
+          Alcotest.test_case "probe count follows --no-replay" `Quick
+            test_probe_count;
           Alcotest.test_case "analyze reproduces the Fig. 6 shape" `Quick
             test_analyze_discriminator;
         ] );

@@ -282,12 +282,12 @@ let test_fiber_determinism () =
    are the statistical ones — exactly the planned crash count, zero
    UAFs, an exact post-join census, wall-clock termination. *)
 let test_chaos_domains_crash_cell () =
-  let c, (census_ok, census_msg) =
-    W.Chaos.run_domains_one ~scheme:"HP-BRCU" ~plan_id:W.Chaos.Crash_reader
-      ~seed:1 W.Chaos.quick
+  let c, _ =
+    W.Chaos.run_one ~substrate:`Domains ~scheme:"HP-BRCU"
+      ~plan_id:W.Chaos.Crash_reader ~seed:1 W.Chaos.quick
   in
-  Alcotest.(check string) "census" "" census_msg;
-  Alcotest.(check bool) "census ok" true census_ok;
+  Alcotest.(check string) "census" "" c.W.Chaos.census_msg;
+  Alcotest.(check bool) "census ok" true c.W.Chaos.census_ok;
   Alcotest.(check int) "uaf" 0 c.W.Chaos.uaf;
   Alcotest.(check int) "one crash" 1 c.W.Chaos.crashes;
   Alcotest.(check bool) "survivors made progress" true (c.W.Chaos.total_ops > 0);
@@ -296,7 +296,37 @@ let test_chaos_domains_crash_cell () =
   (match c.W.Chaos.bound with
   | None -> Alcotest.fail "HP-BRCU must declare a bound"
   | Some b ->
-      Alcotest.(check bool) "bound never overshot" true (c.W.Chaos.peak <= b))
+      Alcotest.(check bool) "bound never overshot" true (c.W.Chaos.peak <= b));
+  Alcotest.(check (list string)) "the one cell check passes" []
+    (W.Chaos.check_cell c)
+
+(* The smoke corner of the grid on real domains, with tiny cells: the
+   one engine's report must be clean, carry one discriminator entry per
+   seed, and arm its ratio gate exactly when the box has two cores. *)
+let test_chaos_domains_grid () =
+  let p =
+    {
+      W.Chaos.quick with
+      W.Chaos.key_range = 64;
+      hot_width = 16;
+      reader_ops = 10;
+      writer_ops = 400;
+    }
+  in
+  let r =
+    W.Chaos.run_grid ~schemes:W.Chaos.smoke_schemes ~plans:W.Chaos.smoke_plans
+      ~seeds:[ 1; 2 ] ~substrate:`Domains p
+  in
+  List.iter
+    (fun ((c : W.Chaos.cell), v) ->
+      Alcotest.failf "violation %s/%s seed=%d: %s" c.scheme c.plan c.seed v)
+    r.W.Chaos.violations;
+  Alcotest.(check int) "every cell ran" 8 (List.length r.W.Chaos.cells);
+  Alcotest.(check (list int)) "one ratio per seed" [ 1; 2 ]
+    (List.map (fun (seed, _, _) -> seed) r.W.Chaos.ratios);
+  Alcotest.(check bool) "armed iff >= 2 cores"
+    (Backend.hardware_threads () >= 2) r.W.Chaos.armed;
+  Alcotest.(check int) "no replay probes on domains" 0 r.W.Chaos.probes
 
 (* The fiber-only rejection contract: one consistent message naming the
    flag, the mode, and the alternative — pinned byte for byte so every
@@ -348,6 +378,7 @@ let () =
         [
           Alcotest.test_case "crashed-reader cell" `Quick
             test_chaos_domains_crash_cell;
+          Alcotest.test_case "smoke grid" `Quick test_chaos_domains_grid;
           Alcotest.test_case "fiber-only rejection format" `Quick
             test_fiber_only_msg;
         ] );

@@ -1,5 +1,5 @@
 (* The observability layer (DESIGN.md §7): histogram bucket geometry and
-   percentile extraction, sharded counters, the tracer's ring buffers, the
+   percentile extraction, sharded counters, the tracer's spool sink, the
    registry-exhaustion bound, and — the headline property — that a fiber
    run's trace and stats snapshot are a pure function of the seed. *)
 
@@ -115,35 +115,30 @@ let test_counter_shards_sum () =
   Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
 
 (* ------------------------------------------------------------------ *)
-(* Tracer ring buffers                                                 *)
+(* Tracer enable/disable                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_ring_wraparound () =
-  Trace.enable ~capacity:8 ();
+let test_disabled_emit_noop () =
+  Trace.enable ();
   for i = 0 to 19 do
     Trace.emit Trace.Retire i
   done;
   let recs = Trace.dump () in
-  Alcotest.(check int) "kept = capacity" 8 (List.length recs);
-  Alcotest.(check int) "dropped" 12 (Trace.dropped ());
-  Alcotest.(check (list int))
-    "the LAST events survive, in order"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.map (fun r -> r.Trace.arg) recs);
+  Alcotest.(check int) "all kept" 20 (List.length recs);
   List.iter
     (fun r -> Alcotest.(check int) "outside-worker tid" (-1) r.Trace.tid)
     recs;
   Trace.disable ();
   (* Disabled: emit is a no-op, the old dump stays readable. *)
   Trace.emit Trace.Retire 99;
-  Alcotest.(check int) "no emit when disabled" 8 (List.length (Trace.dump ()));
-  Alcotest.(check int) "no drop when disabled" 12 (Trace.dropped ())
+  Alcotest.(check int) "no emit when disabled" 20 (List.length (Trace.dump ()));
+  Alcotest.(check int) "no drop when disabled" 0 (Trace.dropped ())
 
 let test_trace_enable_clears () =
   Trace.enable ~capacity:8 ();
   Trace.emit Trace.Rollback 0;
   Trace.enable ~capacity:8 ();
-  Alcotest.(check int) "enable clears old rings" 0 (List.length (Trace.dump ()));
+  Alcotest.(check int) "enable clears old spools" 0 (List.length (Trace.dump ()));
   Trace.disable ()
 
 (* ------------------------------------------------------------------ *)
@@ -229,7 +224,7 @@ let test_spool_growth () =
     recs
 
 (* Bounded: past the per-thread record bound the spool counts but stops
-   storing — the FIRST [capacity] events survive (vs the ring's last). *)
+   storing — the FIRST [capacity] events survive. *)
 let test_spool_bound () =
   Trace.enable ~capacity:10 ~sink:Trace.Spool ();
   for i = 0 to 24 do
@@ -312,10 +307,10 @@ let test_participants_exhaustion () =
 (* Determinism: trace and snapshot are pure functions of the seed      *)
 (* ------------------------------------------------------------------ *)
 
-let run_traced ?(sink = Trace.Ring) () =
+let run_traced () =
   (* Each cell runs in a fresh domain, so both traced runs start from the
      same world state; the log is taken before the domain's teardown. *)
-  Trace.enable ~capacity:(1 lsl 16) ~sink ();
+  Trace.enable ();
   let cell =
     W.Spec.cell ~threads:4 ~key_range:128 ~prefill:64 ~workload:W.Spec.Read_write
       ~limit:(W.Spec.Ops 150) ~mode:(W.Spec.Fibers 17) ~seed:17 ()
@@ -346,7 +341,7 @@ let test_fiber_determinism () =
   (* The run exercised the machinery the snapshot reports on. *)
   Alcotest.(check bool) "traversals counted" true (r1.W.Spec.scheme.Stats.traverses > 0)
 
-(* The spooled form of the same guarantee: same seed, byte-identical
+(* The on-disk form of the same guarantee: same seed, byte-identical
    on-disk trace AND identical analyze output (the whole derived summary,
    including percentile distributions, joins, and curves). *)
 let test_spool_determinism () =
@@ -356,8 +351,8 @@ let test_spool_determinism () =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let _, t1 = run_traced ~sink:Trace.Spool () in
-  let _, t2 = run_traced ~sink:Trace.Spool () in
+  let _, t1 = run_traced () in
+  let _, t2 = run_traced () in
   Alcotest.(check bool) "spooled log is non-trivial" true
     (List.length t1 > 100);
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ());
@@ -384,7 +379,7 @@ let test_spool_determinism () =
 (* Perfetto export smoke: valid-looking Chrome trace JSON with span and
    metadata events. *)
 let test_perfetto_export () =
-  let _, t = run_traced ~sink:Trace.Spool () in
+  let _, t = run_traced () in
   let path = Filename.temp_file "smrbench" ".perfetto.json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -411,7 +406,7 @@ let test_perfetto_export () =
 (* A different seed must give a different interleaving story. *)
 let test_fiber_seed_sensitivity () =
   let _, t1 = run_traced () in
-  Trace.enable ~capacity:(1 lsl 16) ();
+  Trace.enable ();
   let cell =
     W.Spec.cell ~threads:4 ~key_range:128 ~prefill:64 ~workload:W.Spec.Read_write
       ~limit:(W.Spec.Ops 150) ~mode:(W.Spec.Fibers 18) ~seed:17 ()
@@ -437,7 +432,7 @@ let () =
       ("gauge", [ Alcotest.test_case "watermarks" `Quick test_gauge ]);
       ( "trace",
         [
-          Alcotest.test_case "ring-wraparound" `Quick test_ring_wraparound;
+          Alcotest.test_case "disabled-emit-noop" `Quick test_disabled_emit_noop;
           Alcotest.test_case "enable-clears" `Quick test_trace_enable_clears;
           Alcotest.test_case "event-code-roundtrip" `Quick
             test_event_code_roundtrip;
