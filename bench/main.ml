@@ -36,14 +36,13 @@ module Ds = Hpbrcu_ds
 (* Build per-scheme closures for each operation kernel.  Fixtures are
    created eagerly (prefilled structures + a session on this thread). *)
 
-module Kernels (S : SI.S) = struct
-  module L = Ds.Harris_list.Make_hhs (S)
-  module LM = Ds.Hm_list.Make (S)
-  module H = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S)
+module Kernels (S : SI.S) () = struct
+  (* The list the scheme runs: HMList for HP, as in the paper. *)
+  module B = (val W.Matrix.list_for S.caps)
+  module L = B (S)
+  module H = Ds.Hashmap.Make_gen (B) (S)
   module SL = Ds.Skiplist.Make (S)
   module T = Ds.Nmtree.Make (S)
-
-  let hp_like = S.name = "HP"
 
   let prefill_list insert range =
     let rng = Rng.create ~seed:77 in
@@ -52,40 +51,19 @@ module Kernels (S : SI.S) = struct
       if insert (Rng.int rng range) then incr n
     done
 
-  (* Read kernel on a 1K sorted list (Figure 5a / Table 2 per-node cost).
-     HP gets the Harris-Michael list, as in the paper. *)
-  let list_read () =
-    let range = 1024 in
-    let rng = Rng.create ~seed:3 in
-    if hp_like then begin
-      let t = LM.create () in
-      let s = LM.session t in
-      prefill_list (fun k -> LM.insert t s k 0) range;
-      fun () -> ignore (LM.get t s (Rng.int rng range) : bool)
-    end
-    else begin
-      let t = L.create () in
-      let s = L.session t in
-      prefill_list (fun k -> L.insert t s k 0) range;
-      fun () -> ignore (L.get t s (Rng.int rng range) : bool)
-    end
+  (* One get over a prefilled sorted list of [range] keys. *)
+  let list_get ~range ~seed () =
+    let rng = Rng.create ~seed in
+    let t = L.create () in
+    let s = L.session t in
+    prefill_list (fun k -> L.insert t s k 0) range;
+    fun () -> ignore (L.get t s (Rng.int rng range) : bool)
+
+  (* Read kernel on a 1K sorted list (Figure 5a / Table 2 per-node cost). *)
+  let list_read = list_get ~range:1024 ~seed:3
 
   (* Long-read kernel (Figures 1/6/22): one get over a 8K list. *)
-  let long_read () =
-    let range = 8192 in
-    let rng = Rng.create ~seed:4 in
-    if hp_like then begin
-      let t = LM.create () in
-      let s = LM.session t in
-      prefill_list (fun k -> LM.insert t s k 0) range;
-      fun () -> ignore (LM.get t s (Rng.int rng range) : bool)
-    end
-    else begin
-      let t = L.create () in
-      let s = L.session t in
-      prefill_list (fun k -> L.insert t s k 0) range;
-      fun () -> ignore (L.get t s (Rng.int rng range) : bool)
-    end
+  let long_read = list_get ~range:8192 ~seed:4
 
   (* Update kernel on the HashMap (Figures 5b/7b): insert+remove pair. *)
   let hashmap_update () =
@@ -173,7 +151,7 @@ let group schemes name pick =
     List.filter_map
       (fun (sname, s) ->
         let module S = (val s : SI.S) in
-        let module K = Kernels (S) in
+        let module K = Kernels (S) () in
         match pick (module K : KERNELS) sname with
         | Some mk -> Some (Test.make ~name:sname (Staged.stage (mk ())))
         | None -> None)
@@ -230,11 +208,9 @@ let longrun_cfg ?(mode = W.Spec.Fibers 7) ?(seed = 42) range =
   W.Longrun.config ~key_range:range ~readers:4 ~writers:4 ~duration:0.25 ~mode
     ~seed ()
 
-(* One long-running-read cell over HHSList in a fresh domain. *)
+(* One long-running-read cell in a fresh domain. *)
 let longrun_with entry cfg =
-  Schemes.with_domain entry (fun (module D) ->
-      let module R = W.Longrun.Run (Ds.Harris_list.Make_hhs (D.S)) in
-      R.go cfg ~scheme_stats:D.S.stats)
+  Schemes.with_domain entry (fun d -> W.Longrun.run_in d cfg)
 
 let impl name = fst (Schemes.find name)
 

@@ -195,18 +195,13 @@ let longrun_cmd =
             ~writers:p.W.Figures.longrun_threads
             ~duration:p.W.Figures.duration ~mode ~seed:p.W.Figures.seed ()
         in
-        (match W.Longrun.run_traced ~scheme ~out c with
-        | Some o ->
-            Printf.printf
-              "wrote %s (%s, range %d, reader %.3f / writer %.3f Mop/s, peak \
-               unreclaimed %d)\n"
-              out scheme range o.W.Longrun.reader_tput o.W.Longrun.writer_tput
-              o.W.Longrun.peak_unreclaimed;
-            0
-        | None ->
-            Printf.eprintf "%s does not run the long-running benchmark\n"
-              scheme;
-            1)
+        let o = W.Longrun.run_traced ~scheme ~out c in
+        Printf.printf
+          "wrote %s (%s, range %d, reader %.3f / writer %.3f Mop/s, peak \
+           unreclaimed %d)\n"
+          out scheme range o.W.Longrun.reader_tput o.W.Longrun.writer_tput
+          o.W.Longrun.peak_unreclaimed;
+        0
     | None ->
         (match scheme with
         | None -> W.Figures.fig1 p
@@ -445,14 +440,6 @@ let shards_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic-schedule seed.")
   in
-  let gate_arg =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "Accepted for compatibility: the isolation verdict always \
-             drives the exit status now (any failed cell exits non-zero).")
-  in
   let threshold_arg =
     Arg.(
       value
@@ -467,10 +454,7 @@ let shards_cmd =
     Arg.(
       value & flag & info [ "quick" ] ~doc:"Reduced write budget (CI gate).")
   in
-  let run profile mode outdir stats_json scheme shards seed gate threshold
-      quick =
-    ignore (profile : string);
-    ignore (gate : bool);
+  let run mode outdir stats_json scheme shards seed threshold quick =
     setup outdir stats_json;
     let substrate = mode_of_string mode in
     let threshold =
@@ -498,9 +482,8 @@ let shards_cmd =
           unreclaimed watermarks must stay flat in the isolated build \
           while the shared build balloons.")
     Term.(
-      const run $ profile_arg $ mode_arg $ outdir_arg $ stats_json_arg
-      $ scheme_arg $ shards_arg $ seed_arg $ gate_arg $ threshold_arg
-      $ quick_arg)
+      const run $ mode_arg $ outdir_arg $ stats_json_arg $ scheme_arg
+      $ shards_arg $ seed_arg $ threshold_arg $ quick_arg)
 
 let serve_cmd =
   let module K = W.Kvservice in
@@ -855,22 +838,18 @@ let sample_cmd =
         seed;
       }
     in
-    match S.run p with
-    | None ->
-        Printf.eprintf "%s does not run the sampler workload\n" scheme;
-        1
-    | Some o ->
-        Fmt.pr "%a@." S.pp o;
-        S.to_csv out o;
-        Printf.printf "wrote %s\n" out;
-        (match json with
-        | Some j ->
-            S.to_json j o;
-            Printf.printf "wrote %s\n" j
-        | None -> ());
-        S.record o;
-        W.Report.write_stats_json ();
-        if o.S.uaf = 0 then 0 else 1
+    let o = S.run p in
+    Fmt.pr "%a@." S.pp o;
+    S.to_csv out o;
+    Printf.printf "wrote %s\n" out;
+    (match json with
+    | Some j ->
+        S.to_json j o;
+        Printf.printf "wrote %s\n" j
+    | None -> ());
+    S.record o;
+    W.Report.write_stats_json ();
+    if o.S.uaf = 0 then 0 else 1
   in
   Cmd.v
     (Cmd.info "sample"

@@ -68,7 +68,7 @@ gate analyze-smoke analyze_smoke
 # the one-domain-per-shard build, while the identical map over a single
 # shared domain balloons — the shared/isolated peak ratio must clear the
 # threshold, with exactly one crash and zero UAFs in both builds.
-gate shards-fibers dune exec bin/smrbench.exe -- shards --quick --gate
+gate shards-fibers dune exec bin/smrbench.exe -- shards --quick
 
 # Self-healing gate (DESIGN.md §13): the KV service under a reader
 # crashed mid-section.  With the watchdog on, the escalation ladder
@@ -108,11 +108,19 @@ flight_smoke() {
 }
 gate flight-smoke flight_smoke
 
-# The shard-isolation discriminator again, on real domains: the victim
-# emulates the crash by parking pinned inside shard 0's critical
-# section while the writers drain, and the shared/isolated ratio must
-# still clear the (schedule-aware) domain-mode threshold.
-gate shards-domains dune exec bin/smrbench.exe -- shards --quick --gate --mode domains
+# The shard-isolation discriminator again, on real domains: the same
+# fault plan crashes the victim at its crash_at-th yield, where it parks
+# pinned inside shard 0's critical section (Fault.crash_park) while the
+# survivors, held until it is parked, drain their budgets; the
+# shared/isolated ratio must still clear the (schedule-aware)
+# domain-mode threshold.
+gate shards-domains dune exec bin/smrbench.exe -- shards --quick --mode domains
+
+# Live-sampling smoke gate (DESIGN.md §15): a short balloon/heal run of
+# the long-running-read body on real domains with the observer sampling
+# it; the exit status is the run's use-after-free verdict.
+gate sample dune exec bin/smrbench.exe -- sample --duration 0.3 \
+  --stall-at 0.1 --heal-at 0.2 --out /tmp/smrbench.ci.sample.csv
 
 # Chaos on real cores (DESIGN.md §16): the RCU / HP-BRCU smoke corner of
 # the fault matrix on Domain.spawn workers — a crashed reader is a real

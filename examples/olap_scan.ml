@@ -23,11 +23,9 @@ let () =
   Fmt.pr "%-10s %14s %14s %8s@." "scheme" "reads (Mop/s)" "writes (Mop/s)" "peak";
   List.iter
     (fun scheme ->
-      match W.Longrun.run ~scheme cfg with
-      | Some o ->
-          Fmt.pr "%-10s %14.3f %14.3f %8d@." scheme o.W.Longrun.reader_tput
-            o.W.Longrun.writer_tput o.W.Longrun.peak_unreclaimed
-      | None -> Fmt.pr "%-10s %14s@." scheme "n/a")
+      let o = W.Longrun.run ~scheme cfg in
+      Fmt.pr "%-10s %14.3f %14.3f %8d@." scheme o.W.Longrun.reader_tput
+        o.W.Longrun.writer_tput o.W.Longrun.peak_unreclaimed)
     [ "NR"; "RCU"; "NBR"; "HP"; "HP-RCU"; "HP-BRCU" ];
   Fmt.pr
     "@.Reading the table: NBR's scans restart from scratch on every@.\

@@ -2,10 +2,10 @@
     executed under the controlled scheduler with every oracle armed
     (DESIGN.md §11).
 
-    The execution reuses the chaos cell's prefill and op step
-    ({!Chaos.Runner}) — prefill to 50% occupancy before faults arm,
-    readers sweep the whole key range while writers churn a hot region —
-    under a virtual-tick deadline, with three additions:
+    The execution runs the long-running-read body the chaos cell runs
+    ({!Hpbrcu_workload.Longrun.Body}) — prefill to 50% occupancy before
+    faults arm, readers sweep the whole key range while writers churn a
+    hot region — under a virtual-tick deadline, with three additions:
 
     + the scheduler's branching decisions are delegated to a
       {!Schedule.spec} and recorded, so the exact interleaving is an
@@ -33,6 +33,7 @@ module Schemes = Hpbrcu_schemes.Schemes
 module Registry = Hpbrcu_schemes.Registry
 module Matrix = Hpbrcu_workload.Matrix
 module Chaos = Hpbrcu_workload.Chaos
+module Longrun = Hpbrcu_workload.Longrun
 module Ds = Hpbrcu_ds
 
 type case = {
@@ -66,10 +67,11 @@ let pp_outcome ppf (o : outcome) =
 
 module Smr_intf = Hpbrcu_core.Smr_intf
 
-(* The hunt's ds dispatch, following the chaos harness: HP cannot traverse
-   optimistically and drives HMList; everyone else gets the
-   harris-herlihy-shavit list, whose multi-node marked chains are what
-   make an aborted [retire_chain] observable.  Each case binds a FRESH
+(* The hunt's ds dispatch, following the chaos harness: the list the
+   scheme runs ({!Matrix.list_for}) — the harris-herlihy-shavit list,
+   whose multi-node marked chains are what make an aborted
+   [retire_chain] observable, wherever the scheme can traverse
+   optimistically.  Each case binds a FRESH
    domain of its scheme — or, under the "+shards" topology variant, one
    domain per shard of the sharded map — and hands the continuation a
    [teardown] that force-destroys it at census time, so cross-case state
@@ -108,12 +110,8 @@ let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
         let subjects =
           [ Sup.subject ~id:0 ~label:"hunt" ~current:(fun () -> D.it) () ]
         in
-        let map =
-          if X.scheme = "HP" || S.caps.Caps.supports Caps.HHSList = Caps.No
-          then (module Ds.Hm_list.Make (S) : Ds.Ds_intf.MAP)
-          else (module Ds.Harris_list.Make_hhs (S))
-        in
-        k map ~sentinels:1 ~teardown:D.teardown ~subjects)
+        let module B = (val Matrix.list_for S.caps) in
+        k (module B (S)) ~sentinels:1 ~teardown:D.teardown ~subjects)
 
 let plan_has_signal_faults (pl : Fault.plan) =
   List.exists
@@ -147,13 +145,13 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
   match
     with_map (module X) ~config ~sharded (fun (module L : Ds.Ds_intf.MAP)
                                               ~sentinels ~teardown ~subjects ->
-        (* The chaos cell's prefill and op step, so a hunt case draws the
-           same keys as the chaos cell with the same seed.  Prefill runs
-           outside fiber mode: fault counters and schedule decisions must
-           index the workload proper. *)
-        let module C = Chaos.Runner (L) in
+        (* The long-running-read prefill and op step, so a hunt case draws
+           the same keys as the chaos cell with the same seed.  Prefill
+           runs outside fiber mode: fault counters and schedule decisions
+           must index the workload proper. *)
+        let module C = Longrun.Body (L) in
         let t = L.create () in
-        C.prefill ~p ~seed:case.seed t;
+        C.prefill ~key_range:p.Chaos.key_range ~seed:case.seed t;
         let ops = Array.make nthreads 0 in
         let deadline_hit = ref false in
         let exhausted = ref false in
@@ -189,7 +187,8 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
           let budget = if reader then p.Chaos.reader_ops else p.Chaos.writer_ops in
           (try
              for _ = 1 to budget do
-               C.step ~p t s rng ~reader;
+               C.step ~key_range:p.Chaos.key_range
+                 ~hot_width:p.Chaos.hot_width t s rng ~reader;
                ops.(tid) <- ops.(tid) + 1
              done;
              L.close_session s

@@ -352,6 +352,21 @@ let wait_until pred =
     end
   done
 
+(** [await_crash_victims plan] — the survivors' half of the domains crash
+    handshake.  A fiber crash fires at a fixed point of the deterministic
+    schedule; a real worker may be descheduled past it, so under domains
+    every worker that is not one of [plan]'s victims ({!Fault.crash_tids})
+    holds here until each victim has crash-parked pinned — the stranding
+    window then covers the survivors' whole workload, as it does under
+    fibers.  A no-op under fibers and for the victims themselves. *)
+let await_crash_victims (plan : Fault.plan) =
+  if not (fiber_mode ()) then begin
+    let victims = Fault.crash_tids plan in
+    let n = List.length victims in
+    if n > 0 && not (List.mem (self ()) victims) then
+      wait_until (fun () -> Fault.parked_count () >= n)
+  end
+
 (** [interrupt ~tid] wakes a fiber sleeping in {!stall} immediately —
     the simulator's analogue of a POSIX signal interrupting a blocked
     system call ([EINTR]).  No-op in domain mode and for running fibers. *)

@@ -535,6 +535,19 @@ let flight_census () =
          merged=kept and kept+dropped=emitted)"
         merged kept dropped emitted )
 
+(** [flight_checked ~who snap] — the end-of-cell step of every
+    domains-mode harness: when the flight recorder is armed, fail with
+    [who]'s prefix unless {!flight_census} holds, and fold the per-domain
+    drop lanes into [snap]'s [trace_dropped].  [snap] unchanged
+    otherwise. *)
+let flight_checked ~who (snap : Stats.snapshot) =
+  if not (!on && !sink_mode = Flight) then snap
+  else begin
+    let ok, msg = flight_census () in
+    if not ok then failwith (who ^ ": " ^ msg);
+    { snap with Stats.trace_dropped = dropped () }
+  end
+
 let pp_record ppf r =
   Fmt.pf ppf "%8d  t%-3d  %-16s %d %d" r.tick r.tid (event_name r.event) r.arg
     r.arg2

@@ -135,19 +135,6 @@ module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     let elapsed = Clock.now () -. t0 in
     let total_ops = Array.fold_left ( + ) 0 ops in
     let st = Alloc.stats () in
-    let scheme =
-      (* Domains-mode cells with the flight recorder armed fold the
-         per-domain drop lanes into the snapshot and assert the census
-         identity (merged + dropped = emitted) — the recorder must never
-         lose events silently. *)
-      let snap = scheme_stats () in
-      match c.mode with
-      | Spec.Domains when Trace.enabled () && Trace.sink () = Trace.Flight ->
-          let ok, msg = Trace.flight_census () in
-          if not ok then failwith ("Cell_runner: " ^ msg);
-          { snap with Stats.trace_dropped = Trace.dropped () }
-      | _ -> snap
-    in
     {
       Spec.total_ops;
       elapsed;
@@ -155,7 +142,11 @@ module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
       peak_unreclaimed = st.Alloc.peak_unreclaimed;
       final_unreclaimed = st.Alloc.unreclaimed;
       uaf = st.Alloc.uaf;
-      scheme;
+      (* Domains-mode cells with the flight recorder armed fold the
+         per-domain drop lanes into the snapshot and assert the census
+         identity (merged + dropped = emitted) — the recorder must never
+         lose events silently. *)
+      scheme = Trace.flight_checked ~who:"Cell_runner" (scheme_stats ());
       latency =
         {
           Spec.unit_ = lat_unit c;

@@ -8,10 +8,10 @@
     plans — stall storms, crashed readers, lost and late signal
     deliveries, allocator-pool exhaustion.
 
-    There is one engine: one cell body ({!Runner}) over
-    {!Hpbrcu_ds.Ds_intf.MAP}, one {!run_one}, one {!run_grid}, one
-    {!check_cell} and one report, parameterised by a
-    [[ `Fibers | `Domains ]] substrate.  Every cell, on either substrate,
+    There is one engine: one cell ({!Runner}) over the long-running-read
+    body that {!Longrun.Body} defines once for every harness, one
+    {!run_one}, one {!run_grid}, one {!check_cell} and one report,
+    parameterised by a [[ `Fibers | `Domains ]] substrate.  Every cell, on either substrate,
     must satisfy the same invariants: termination within its budget, zero
     use-after-free, peak unreclaimed within the scheme's declared
     {!Hpbrcu_core.Caps.t.bound} (schemes declaring [None] are exempt:
@@ -29,7 +29,7 @@
     + the domains crash handshake — a crashed reader is a worker domain
       parked forever while pinned ({!Hpbrcu_runtime.Fault.crash_park}), so
       victims loop until their crash fires and survivors wait for every
-      victim to park;
+      victim to park ({!Hpbrcu_runtime.Sched.await_crash_victims});
     + the verdict policy ({!discriminator}) — on fibers, RCU's
       crashed-reader peak must exceed 10× its fault-free peak and the
       traced replay probes must reproduce byte-identical event logs
@@ -240,53 +240,25 @@ type cell = {
 let wall_budget_s (p : params) =
   Float.max 10. (float_of_int p.tick_budget *. float_of_int (Fault.tick_ns ()) *. 1e-9)
 
-(** The cell body over one map.  {!prefill}, {!worker_rng} and {!step}
-    are exposed so the hunt runner draws exactly the same keys. *)
+(** A chaos cell over one map: the long-running-read body
+    ({!Longrun.Body}) under a fault plan and an op budget. *)
 module Runner (L : Ds.Ds_intf.MAP) = struct
-  (** Prefill to 50% single-threaded, before any fault is armed: the
-      plan's occurrence counters must start at the workload proper or a
-      cell's faults would depend on prefill length.  The peak watermark
-      restarts afterwards, so it measures the workload alone. *)
-  let prefill ~(p : params) ~seed t =
-    let s = L.session t in
-    let rng = Rng.create ~seed:(seed lxor 0xfeed) in
-    let inserted = ref 0 in
-    while !inserted < p.key_range / 2 do
-      if L.insert t s (Rng.int rng p.key_range) 0 then incr inserted
-    done;
-    L.close_session s;
-    Alloc.reset_peak ()
-
-  let worker_rng ~seed tid = Rng.create ~seed:(seed + (tid * 104729))
-
-  (** One operation: readers [get] across the whole range, writers churn
-      the hot region with an even insert/remove mix. *)
-  let step ~(p : params) t s rng ~reader =
-    if reader then ignore (L.get t s (Rng.int rng p.key_range) : bool)
-    else begin
-      let k = Rng.int rng p.hot_width in
-      if Rng.bool rng then ignore (L.insert t s k 0 : bool)
-      else ignore (L.remove t s k : bool)
-    end
+  module B = Longrun.Body (L)
 
   let go ~(substrate : substrate) ~(p : params) ~(pl : Fault.plan) ~seed
       ~scheme_stats ~bound ~scheme ~plan : cell =
     let t = L.create () in
-    prefill ~p ~seed t;
+    B.prefill ~key_range:p.key_range ~seed t;
     let nthreads = p.readers + p.writers in
     let ops = Array.init nthreads (fun _ -> Atomic.make 0) in
     let deadline_hit = Atomic.make false in
     let end_tick = Atomic.make 0 in
-    (* The domains crash handshake.  A fiber crash fires at a fixed point
-       of the deterministic schedule; a real worker may be descheduled
-       past it, so on domains a victim loops until its crash rule fires
-       (the rule is indexed on the victim's own yield count) and the
-       survivors hold until every victim is parked pinned — the stranding
-       window then covers the full retirement volume, as in fiber mode. *)
+    (* The victims' half of the domains crash handshake: a victim loops
+       until its crash rule fires (the rule is indexed on the victim's own
+       yield count); the survivors wait in {!Sched.await_crash_victims}. *)
     let victims =
       match substrate with `Fibers -> [] | `Domains -> Fault.crash_tids pl
     in
-    let nvictims = List.length victims in
     Fault.install pl;
     let mode =
       match substrate with
@@ -300,10 +272,10 @@ module Runner (L : Ds.Ds_intf.MAP) = struct
     let t0 = Clock.now_ns () in
     let worker tid =
       let s = L.session t in
-      let rng = worker_rng ~seed tid in
+      let rng = B.worker_rng ~seed tid in
       let reader = tid < p.readers in
       let one_op () =
-        step ~p t s rng ~reader;
+        B.step ~key_range:p.key_range ~hot_width:p.hot_width t s rng ~reader;
         Atomic.incr ops.(tid)
       in
       (try
@@ -314,8 +286,7 @@ module Runner (L : Ds.Ds_intf.MAP) = struct
              one_op ()
            done
          else begin
-           if nvictims > 0 then
-             Sched.wait_until (fun () -> Fault.parked_count () >= nvictims);
+           Sched.await_crash_victims pl;
            for _ = 1 to if reader then p.reader_ops else p.writer_ops do
              one_op ()
            done;
@@ -381,16 +352,11 @@ let run_one ?(traced = false) ~substrate ~scheme ~plan_id ~seed (p : params) :
          logs, and the log is exportable to [smrbench analyze].  It is
          taken before the domain's teardown drain. *)
       if traced then Trace.enable ~sink:Trace.Spool ();
-      let go (module L : Ds.Ds_intf.MAP) =
-        let module R = Runner (L) in
+      let module B = (val Matrix.list_for S.caps) in
+      let module R = Runner (B (S)) in
+      let cell =
         R.go ~substrate ~p ~pl ~seed ~scheme_stats:S.stats ~bound ~scheme
           ~plan:(plan_name plan_id)
-      in
-      let cell =
-        (* HP and HE/IBR (hazard-pointer applicability) run HMList. *)
-        if scheme <> "HP" && Matrix.supports (module S) Caps.HHSList then
-          go (module Ds.Harris_list.Make_hhs (S))
-        else go (module Ds.Hm_list.Make (S))
       in
       let log = if traced then Trace.dump () else [] in
       if traced then Trace.disable ();

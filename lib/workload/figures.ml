@@ -132,31 +132,23 @@ let longrun_tables ~title ~file p schemes =
         List.map (fun s -> (s, Longrun.run ~scheme:s cfg)) schemes
       in
       List.iter
-        (function
-          | s, Some o -> record_longrun_cell ~file ~range ~scheme:s o
-          | _, None -> ())
+        (fun (s, o) -> record_longrun_cell ~file ~range ~scheme:s o)
         outcomes;
       let base =
-        match List.assoc "NR" outcomes with
+        match List.assoc_opt "NR" outcomes with
         | Some o -> o.Longrun.reader_tput
-        | None | (exception Not_found) -> 1.0
+        | None -> 1.0
       in
       let ratio o = if base <= 0. then 0. else o /. base in
       rows_t :=
         (Report.i range
         :: List.map
-             (function
-               | _, Some o -> Report.f3 (ratio o.Longrun.reader_tput)
-               | _, None -> "n/a")
+             (fun (_, o) -> Report.f3 (ratio o.Longrun.reader_tput))
              outcomes)
         :: !rows_t;
       rows_p :=
         (Report.i range
-        :: List.map
-             (function
-               | _, Some o -> Report.i o.Longrun.peak_unreclaimed
-               | _, None -> "n/a")
-             outcomes)
+        :: List.map (fun (_, o) -> Report.i o.Longrun.peak_unreclaimed) outcomes)
         :: !rows_p)
     p.longrun_ranges;
   let rows_t = List.rev !rows_t and rows_p = List.rev !rows_p in

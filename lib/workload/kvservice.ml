@@ -267,52 +267,31 @@ type shard = {
 }
 
 (* Build one generation.  Runtime functor application, exactly like
-   [Sharded_hashmap.mk_shard]; the bucket flavour follows the paper's
-   split (HMList under HP, HHSList elsewhere). *)
+   [Sharded_hashmap.mk_shard]; the buckets are the list the scheme runs
+   ({!Matrix.list_for}). *)
 let make_gen (module X : SI.SCHEME) ~label ~buckets ~slots ~limit cfg : gen =
-  let caps = X.caps cfg in
   let d = X.create ~label cfg in
   let meta = X.dom d in
   if limit > 0 then Alloc.Admission.set_limit (Dom.id meta) limit;
   let opens = Array.init slots (fun _ -> Atomic.make 0) in
   let module Sup = SI.Supervise (X) in
   let current () = d in
-  let mk_open session ~get ~insert ~remove ~close tid =
-    let s = session () in
+  let module S = SI.Bind (X) (struct let it = d end) in
+  let module B = (val Matrix.list_for (X.caps cfg)) in
+  let module M = Ds.Hashmap.Make_gen (B) (S) in
+  let m = M.create_sized buckets in
+  let g_open tid =
+    let s = M.session m in
     Atomic.incr opens.(tid);
     {
-      k_get = (fun k -> get s k);
-      k_insert = (fun k v -> insert s k v);
-      k_remove = (fun k -> remove s k);
+      k_get = (fun k -> M.get m s k);
+      k_insert = (fun k v -> M.insert m s k v);
+      k_remove = (fun k -> M.remove m s k);
       k_close =
         (fun () ->
           Atomic.decr opens.(tid);
-          close s);
+          M.close_session s);
     }
-  in
-  let g_open =
-    if X.scheme = "HP" || caps.Caps.supports Caps.HHSList = Caps.No then begin
-      let module S = SI.Bind (X) (struct let it = d end) in
-      let module M = Ds.Hashmap.Make_gen (Ds.Hm_list.Make) (S) in
-      let m = M.create_sized buckets in
-      mk_open
-        (fun () -> M.session m)
-        ~get:(fun s k -> M.get m s k)
-        ~insert:(fun s k v -> M.insert m s k v)
-        ~remove:(fun s k -> M.remove m s k)
-        ~close:M.close_session
-    end
-    else begin
-      let module S = SI.Bind (X) (struct let it = d end) in
-      let module M = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S) in
-      let m = M.create_sized buckets in
-      mk_open
-        (fun () -> M.session m)
-        ~get:(fun s k -> M.get m s k)
-        ~insert:(fun s k v -> M.insert m s k v)
-        ~remove:(fun s k -> M.remove m s k)
-        ~close:M.close_session
-    end
   in
   {
     g_meta = meta;
@@ -571,17 +550,7 @@ let run_one ?(scheme = "RCU") ?(plan = "none") ?(substrate = `Fibers)
       end
     in
     (try
-       (* Domains-mode crash plans: non-victim clients hold until every
-          victim is parked pinned, so the stranding window covers their
-          full request volume regardless of OS scheduling (the fiber
-          substrate achieves the same with the early crash index). *)
-       (match substrate with
-       | `Domains ->
-           let victims = Fault.crash_tids pl in
-           let n = List.length victims in
-           if n > 0 && not (List.mem tid victims) then
-             Sched.wait_until (fun () -> Fault.parked_count () >= n)
-       | `Fibers -> ());
+       Sched.await_crash_victims pl;
        for req = 1 to p.requests do
          (* A recycle can destroy a domain between reading [sh_gen] and
             registering on it; the typed [Destroyed] tells the client to
@@ -652,20 +621,10 @@ let run_one ?(scheme = "RCU") ?(plan = "none") ?(substrate = `Fibers)
         backpressure_rejects = Alloc.Admission.reject_count ();
       }
   in
-  (* Flight-recorder drop lanes + census identity, as in Cell_runner. *)
-  let snap =
-    match substrate with
-    | `Domains when Trace.enabled () && Trace.sink () = Trace.Flight ->
-        let ok, msg = Trace.flight_census () in
-        if not ok then failwith ("Kvservice: " ^ msg);
-        { snap with Stats.trace_dropped = Trace.dropped () }
-    | _ -> snap
-  in
+  let snap = Trace.flight_checked ~who:"Kvservice" snap in
   Array.iter (fun sh -> (Atomic.get sh.sh_gen).g_destroy ()) shards;
   Alloc.Admission.clear_all ();
-  let expected_crashes =
-    match plan with "crash-reader" -> 1 | "crash-two" -> 2 | _ -> 0
-  in
+  let expected_crashes = List.length (Fault.crash_tids pl) in
   let lat_s = Stats.Histogram.summary lat in
   let v_latency =
     match substrate with

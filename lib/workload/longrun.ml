@@ -1,4 +1,4 @@
-(** The long-running-operation benchmark (Figures 1, 6, 22, B.3, C.3).
+(** The long-running-read workload (Figures 1, 6, 22, B.3, C.3).
 
     Half the threads run [get] over the whole (large) key range of a sorted
     list — operations whose length grows with the range — while the other
@@ -7,7 +7,13 @@
     throughput (plotted as a ratio to NR) and the peak number of
     unreclaimed blocks.
 
-    HP runs HMList; everyone else runs HHSList, as in §6. *)
+    This module is the one home of the workload's body ({!Body}: the 50%
+    prefill, the per-worker RNG and the op step).  The robustness
+    harnesses — {!Chaos}, {!Sampler} and the hunt runner in lib/check —
+    drive the same body under their own schedules and faults, so a seed
+    draws the same keys everywhere.  Every scheme runs the list
+    {!Matrix.list_for} picks: HHSList, or HMList where hazard pointers
+    cannot traverse optimistically, as in §6. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
@@ -43,20 +49,51 @@ type outcome = {
   writer_latency : Stats.Histogram.summary;  (** per-insert/remove latency *)
 }
 
-module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
+(** The workload body over one map. *)
+module Body (L : Ds.Ds_intf.MAP) = struct
+  (** Prefill to 50% single-threaded.  Harnesses that inject faults call
+      this before arming them, so a plan's occurrence counters index the
+      workload proper.  The peak watermark restarts afterwards, so it
+      measures the workload alone. *)
+  let prefill ~key_range ~seed t =
+    let s = L.session t in
+    let rng = Rng.create ~seed:(seed lxor 0xfeed) in
+    let inserted = ref 0 in
+    while !inserted < key_range / 2 do
+      if L.insert t s (Rng.int rng key_range) 0 then incr inserted
+    done;
+    L.close_session s;
+    Alloc.reset_peak ()
+
+  let worker_rng ~seed tid = Rng.create ~seed:(seed + (tid * 104729))
+
+  (** One operation: readers [get] across the whole range, writers insert
+      or remove (even mix) in [\[0, hot_width)].  With [~spans:true] the
+      op is bracketed by its [Op_begin]/[Op_end] span (0 get, 1 insert,
+      2 remove); a deadline abort leaves the span open, which Perfetto
+      renders as running to the end of the trace — exactly what
+      happened. *)
+  let step ?(spans = false) ~key_range ~hot_width t s rng ~reader =
+    if reader then begin
+      if spans then Trace.emit Trace.Op_begin 0;
+      ignore (L.get t s (Rng.int rng key_range) : bool);
+      if spans then Trace.emit Trace.Op_end 0
+    end
+    else begin
+      let k = Rng.int rng hot_width in
+      let op = if Rng.bool rng then 1 else 2 in
+      if spans then Trace.emit Trace.Op_begin op;
+      ignore (if op = 1 then L.insert t s k 0 else L.remove t s k : bool);
+      if spans then Trace.emit Trace.Op_end op
+    end
+
+  (** [go c ~scheme_stats] — one timed cell: every worker runs {!step}
+      until [c.duration] elapses. *)
   let go (c : config) ~(scheme_stats : unit -> Stats.snapshot) : outcome =
     Alloc.reset ();
     Alloc.set_strict false;
     let t = L.create () in
-    (* Prefill to 50%. *)
-    let s = L.session t in
-    let rng = Rng.create ~seed:(c.seed lxor 0xfeed) in
-    let inserted = ref 0 in
-    while !inserted < c.key_range / 2 do
-      if L.insert t s (Rng.int rng c.key_range) 0 then incr inserted
-    done;
-    L.close_session s;
-    Alloc.reset_peak ();
+    prefill ~key_range:c.key_range ~seed:c.seed t;
     let stop = Atomic.make false in
     let nthreads = c.readers + c.writers in
     let ops = Array.make nthreads 0 in
@@ -75,35 +112,16 @@ module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     Sched.set_deadline (t0 +. c.duration);
     let worker tid =
       let s = L.session t in
-      let rng = Rng.create ~seed:(c.seed + (tid * 104729)) in
+      let rng = worker_rng ~seed:c.seed tid in
       let n = ref 0 in
       let reader = tid < c.readers in
+      let lat = if reader then lat_readers else lat_writers in
       while not (Atomic.get stop) do
         (try
            let l0 = now_lat () in
-           (* Op spans (0 get / 1 insert / 2 remove): a deadline abort
-              leaves the last span open, which Perfetto renders as
-              running-to-end-of-trace — exactly what happened. *)
-           if reader then begin
-             Trace.emit Trace.Op_begin 0;
-             ignore (L.get t s (Rng.int rng c.key_range) : bool);
-             Trace.emit Trace.Op_end 0;
-             Stats.Histogram.record lat_readers (now_lat () - l0)
-           end
-           else begin
-             let k = Rng.int rng c.hot_width in
-             if Rng.bool rng then begin
-               Trace.emit Trace.Op_begin 1;
-               ignore (L.insert t s k 0 : bool);
-               Trace.emit Trace.Op_end 1
-             end
-             else begin
-               Trace.emit Trace.Op_begin 2;
-               ignore (L.remove t s k : bool);
-               Trace.emit Trace.Op_end 2
-             end;
-             Stats.Histogram.record lat_writers (now_lat () - l0)
-           end;
+           step ~spans:true ~key_range:c.key_range ~hot_width:c.hot_width t s
+             rng ~reader;
+           Stats.Histogram.record lat (now_lat () - l0);
            incr n
          with Sched.Deadline -> Atomic.set stop true);
         (* Readers' ops are long; check the clock every op for them and
@@ -122,22 +140,12 @@ module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     let elapsed = Clock.now () -. t0 in
     let sum a b = Array.fold_left ( + ) 0 (Array.sub ops a b) in
     let st = Alloc.stats () in
-    let scheme =
-      (* Same flight-recorder census + drop-lane fold as Cell_runner. *)
-      let snap = scheme_stats () in
-      match c.mode with
-      | Spec.Domains when Trace.enabled () && Trace.sink () = Trace.Flight ->
-          let ok, msg = Trace.flight_census () in
-          if not ok then failwith ("Longrun: " ^ msg);
-          { snap with Stats.trace_dropped = Trace.dropped () }
-      | _ -> snap
-    in
     {
       reader_tput = float_of_int (sum 0 c.readers) /. elapsed /. 1e6;
       writer_tput = float_of_int (sum c.readers c.writers) /. elapsed /. 1e6;
       peak_unreclaimed = st.Alloc.peak_unreclaimed;
       uaf = st.Alloc.uaf;
-      scheme;
+      scheme = Trace.flight_checked ~who:"Longrun" (scheme_stats ());
       latency_unit =
         (match c.mode with Spec.Fibers _ -> "tick" | Spec.Domains -> "ns");
       reader_latency = Stats.Histogram.summary lat_readers;
@@ -145,22 +153,20 @@ module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     }
 end
 
+(** [run_in (module D) c] — one cell on the domain [D], over the list its
+    scheme runs. *)
+let run_in (module D : Schemes.DOMAIN) (c : config) : outcome =
+  let module B = (val Matrix.list_for D.S.caps) in
+  let module R = Body (B (D.S)) in
+  R.go c ~scheme_stats:D.S.stats
+
 (** [with_run ~scheme c k] — the long-running-read cell for one scheme
     in a fresh small-batch domain (see {!Hpbrcu_schemes.Schemes.small}: the
     batch threshold scales down with the scaled key ranges), its outcome
-    handed to [k] before the domain is destroyed.  [None] if the scheme
-    supports neither list. *)
-let with_run ~scheme (c : config) k : 'a option =
-  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun (module D) ->
-      let module S = D.S in
-      let go (module L : Hpbrcu_ds.Ds_intf.MAP) =
-        let module R = Run (L) in
-        Some (k (R.go c ~scheme_stats:S.stats))
-      in
-      if scheme = "HP" then go (module Ds.Hm_list.Make (S))
-      else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
-        go (module Ds.Harris_list.Make_hhs (S))
-      else None)
+    handed to [k] before the domain is destroyed. *)
+let with_run ~scheme (c : config) k =
+  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun d ->
+      k (run_in d c))
 
 (** [run ~scheme c] — {!with_run} returning the outcome. *)
 let run ~scheme c = with_run ~scheme c Fun.id
@@ -174,7 +180,7 @@ let run ~scheme c = with_run ~scheme c Fun.id
     riding along, and the file is tagged ["# unit: ns"].  The log is
     written before the cell's domain is destroyed, so teardown drains
     never reach it. *)
-let run_traced ~scheme ~out (c : config) : outcome option =
+let run_traced ~scheme ~out (c : config) : outcome =
   let unit_ =
     match c.mode with
     | Spec.Fibers _ ->

@@ -2,8 +2,8 @@
 
     Benchmarks address cells by names ("HHSList", "HP-BRCU"); this module
     applies the right functors, honours the applicability matrix (Table 1:
-    unsupported pairs return [None]), and picks the paper's bucket-list
-    flavour for HashMap (HMList under HP, HHSList elsewhere). *)
+    unsupported pairs return [None]), and picks the list a scheme runs
+    ({!list_for}) for HashMap buckets and the whole-list workloads. *)
 
 module Caps = Hpbrcu_core.Caps
 module Schemes = Hpbrcu_schemes.Schemes
@@ -85,6 +85,15 @@ let ds_of_string = function
 (* NBR-Large shares NBR's applicability. *)
 let supports (module S : SI.S) ds = S.caps.Caps.supports ds <> Caps.No
 
+(** [list_for caps] — the sorted list a scheme with [caps] runs, whole or
+    as HashMap buckets: HHSList where Table 1 allows it, HMList otherwise
+    (HP, HE and IBR cannot traverse optimistically).  Every scheme
+    supports one of the two. *)
+let list_for (caps : Caps.t) : (module Ds.Hashmap.BUCKETS) =
+  if caps.Caps.supports Caps.HHSList <> Caps.No then
+    (module Ds.Harris_list.Make_hhs)
+  else (module Ds.Hm_list.Make)
+
 (* Hash tables sized so the expected chain length matches the paper's
    (≈1.7 nodes at 50% occupancy). *)
 let bucket_hint key_range = max 16 (key_range / 4)
@@ -109,11 +118,9 @@ let with_cell ~(ds : Caps.ds_id) ~(scheme : string) (cell : Spec.cell) k =
           | Caps.HList -> run (module Ds.Harris_list.Make (S)) ()
           | Caps.HMList -> run (module Ds.Hm_list.Make (S)) ()
           | Caps.HHSList -> run (module Ds.Harris_list.Make_hhs (S)) ()
-          | Caps.HashMap when scheme = "HP" ->
-              let module L = Ds.Hashmap.Make_gen (Ds.Hm_list.Make) (S) in
-              run (module L) ~create:(fun () -> L.create_sized buckets) ()
           | Caps.HashMap ->
-              let module L = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S) in
+              let module B = (val list_for S.caps) in
+              let module L = Ds.Hashmap.Make_gen (B) (S) in
               run (module L) ~create:(fun () -> L.create_sized buckets) ()
           | Caps.SkipList -> run (module Ds.Skiplist.Make (S)) ()
           | Caps.NMTree -> run (module Ds.Nmtree.Make (S)) ()))

@@ -11,12 +11,12 @@
     live gauges (epoch lag, signals in flight, admission waits) into a
     time-series the command writes as CSV/JSON.
 
-    The workload under observation is the balloon/heal discriminator: a
-    Longrun-style read/write churn where reader 0 (the {b victim}) parks
-    inside a critical section from [stall_after] to [heal_after] —
-    emulating the paper's crashed/preempted reader, then recovering.
-    Epoch-only schemes (RCU) balloon for the whole window because one
-    pinned reader blocks every reclamation; HP-BRCU keeps reclaiming
+    The workload under observation is the balloon/heal discriminator: the
+    long-running-read body ({!Longrun.Body}) where reader 0 (the
+    {b victim}) parks inside a critical section from [stall_after] to
+    [heal_after] — emulating the paper's crashed/preempted reader, then
+    recovering.  Epoch-only schemes (RCU) balloon for the whole window
+    because one pinned reader blocks every reclamation; HP-BRCU keeps reclaiming
     everything outside the victim's hazard pointers, so its curve stays
     within a few batches of the fault-free floor and the post-heal tail
     shows both converging back down.  All sampling is read-only over
@@ -24,11 +24,9 @@
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Rng = Hpbrcu_runtime.Rng
 module Clock = Hpbrcu_runtime.Clock
 module Stats = Hpbrcu_runtime.Stats
 module Schemes = Hpbrcu_schemes.Schemes
-module Ds = Hpbrcu_ds
 
 type params = {
   scheme : string;
@@ -79,18 +77,13 @@ type outcome = {
 }
 
 module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
+  module B = Longrun.Body (L)
+
   let go (p : params) : outcome =
     Alloc.reset ();
     Alloc.set_strict false;
     let t = L.create () in
-    let s = L.session t in
-    let rng = Rng.create ~seed:(p.seed lxor 0xfeed) in
-    let inserted = ref 0 in
-    while !inserted < p.key_range / 2 do
-      if L.insert t s (Rng.int rng p.key_range) 0 then incr inserted
-    done;
-    L.close_session s;
-    Alloc.reset_peak ();
+    B.prefill ~key_range:p.key_range ~seed:p.seed t;
     let t0 = Clock.now () in
     let stop = Atomic.make false in
     let stalled = Atomic.make false in
@@ -121,7 +114,7 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
     Sched.set_deadline (t0 +. p.duration +. (p.duration /. 2.));
     let worker tid =
       let s = L.session t in
-      let rng = Rng.create ~seed:(p.seed + (tid * 104729)) in
+      let rng = B.worker_rng ~seed:p.seed tid in
       let reader = tid < p.readers in
       let victim = tid = 0 in
       let n = ref 0 in
@@ -150,12 +143,9 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
              Atomic.set stalled false;
              S.unregister h
            end
-           else if reader then ignore (L.get t s (Rng.int rng p.key_range) : bool)
-           else begin
-             let k = Rng.int rng p.hot_width in
-             if Rng.bool rng then ignore (L.insert t s k 0 : bool)
-             else ignore (L.remove t s k : bool)
-           end;
+           else
+             B.step ~key_range:p.key_range ~hot_width:p.hot_width t s rng
+               ~reader;
            incr n
          with Sched.Deadline -> Atomic.set stop true);
         if !n land 63 = 0 && Clock.now () -. t0 >= p.duration then
@@ -210,19 +200,13 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
     }
 end
 
-(** [run p] — the balloon/heal cell for [p.scheme] (HP runs HMList,
-    everyone else HHSList, as in Longrun); [None] if the scheme supports
-    neither structure. *)
-let run (p : params) : outcome option =
+(** [run p] — the balloon/heal cell for [p.scheme], over the list its
+    scheme runs ({!Matrix.list_for}). *)
+let run (p : params) : outcome =
   Schemes.with_domain (Schemes.find ~tuning:`Small p.scheme) (fun (module D) ->
-      let module S = D.S in
-      if p.scheme = "HP" then
-        let module G = Go (Ds.Hm_list.Make (S)) (S) in
-        Some (G.go p)
-      else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
-        let module G = Go (Ds.Harris_list.Make_hhs (S)) (S) in
-        Some (G.go p)
-      else None)
+      let module B = (val Matrix.list_for D.S.caps) in
+      let module G = Go (B (D.S)) (D.S) in
+      G.go p)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

@@ -23,6 +23,7 @@
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
 module Rng = Hpbrcu_runtime.Rng
+module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
 module Config = Hpbrcu_core.Config
@@ -41,11 +42,10 @@ type params = {
   crash_at : int;  (** reader 0's crashing yield index *)
   seed : int;
   substrate : [ `Fibers | `Domains ];
-      (** [`Fibers] (default): the deterministic simulator; the crash is
-          injected by the fault plan, and the run is a pure function of
-          the seed.  [`Domains]: real [Domain.spawn] workers; fault
-          injection cannot drop an OS thread mid-stack, so the victim
-          {e emulates} the crash — see [run_build]. *)
+      (** [`Fibers] (default): the deterministic simulator, where the run
+          is a pure function of the seed.  [`Domains]: real
+          [Domain.spawn] workers, where the same fault plan's crash parks
+          the victim pinned — see [run_build]. *)
 }
 
 let default_params =
@@ -144,9 +144,13 @@ let run_build (module X : Hpbrcu_core.Smr_intf.SCHEME) ~(p : params) ~shared
   Alloc.reset_owner_peaks ();
   let nthreads = p.readers + p.writers in
   let ops = Array.make nthreads 0 in
-  (* Consulted only by the fiber scheduler; a no-op under domains, where
-     the victim emulates the crash cooperatively below. *)
-  Fault.install
+  (* Reader 0 crashes at its [crash_at]-th yield, pinned inside shard 0's
+     critical section.  Under fibers the scheduler drops its continuation;
+     under domains it parks pinned ({!Fault.crash_park}) until every
+     survivor has finished, and the survivors start only once it is
+     parked, so the stranding window covers their whole retirement
+     volume. *)
+  let plan =
     {
       Fault.label = "crash-shard0-reader";
       rules =
@@ -159,29 +163,15 @@ let run_build (module X : Hpbrcu_core.Smr_intf.SCHEME) ~(p : params) ~shared
             action = Crash;
           };
         ];
-    };
-  let writers_left = Atomic.make p.writers in
-  let victim_parked = Atomic.make false in
+    }
+  in
+  Fault.install plan;
   let worker tid =
     let s = Sh.session t in
     let rng = Rng.create ~seed:(p.seed + (tid * 104729)) in
     let reader = tid < p.readers in
-    let budget =
-      if not reader then p.writer_ops
-      else if tid = 0 && p.substrate = `Domains then
-        (* Domain-mode victim: a short warm-up, then the emulated crash. *)
-        max 1 (p.crash_at / 8)
-      else p.reader_ops
-    in
-    (* Domain mode: writers hold their burst until the victim is pinned,
-       so the stranding window covers the whole retirement volume — the
-       fiber plan achieves the same by crashing at an early yield index,
-       long before the writers' budgets drain. *)
-    if (not reader) && p.substrate = `Domains then
-      while not (Atomic.get victim_parked) do
-        Sched.yield ()
-      done;
-    for _ = 1 to budget do
+    Sched.await_crash_victims plan;
+    for _ = 1 to if reader then p.reader_ops else p.writer_ops do
       if tid = 0 then
         (* The victim: shard-0 keys only, so the crash lands inside a
            critical section pinned in shard 0's domain. *)
@@ -196,39 +186,16 @@ let run_build (module X : Hpbrcu_core.Smr_intf.SCHEME) ~(p : params) ~shared
       end;
       ops.(tid) <- ops.(tid) + 1
     done;
-    if not reader then Atomic.decr writers_left;
-    if tid = 0 && p.substrate = `Domains then begin
-      (* A real OS thread cannot be abandoned mid-stack the way the
-         simulator drops a crashed fiber's continuation, so the victim
-         reproduces the crash's *observable* effect instead: a fresh
-         handle on shard 0's domain enters a critical section and parks
-         there — pinned — until every writer has drained its budget.
-         The pin spans the whole retirement window, so the watermark
-         impact matches the injected crash, and the handle (like the
-         whole session) is never unregistered, exactly as a dead
-         thread's would not be. *)
-      let h = X.register t.Sh.shards.(0).Sh.sdom in
-      X.crit h (fun () ->
-          Atomic.set victim_parked true;
-          while Atomic.get writers_left > 0 do
-            Sched.yield ()
-          done);
-      Sched.mark_crashed ~tid:0
-    end
-    else Sh.close_session s
+    Sh.close_session s
   in
   (match p.substrate with
   | `Fibers ->
       Sched.run (Sched.Fibers { seed = p.seed; switch_every = 4 }) ~nthreads
         worker
   | `Domains -> Sched.run Sched.Domains ~nthreads worker);
-  (* Flight-recorder census (same identity Cell_runner asserts): even
-     with a crashed reader, every emitted record is either merged or
-     counted dropped. *)
-  (if p.substrate = `Domains && Trace.enabled () && Trace.sink () = Trace.Flight
-   then
-     let ok, msg = Trace.flight_census () in
-     if not ok then failwith ("Shards: " ^ msg));
+  (* Even with a crashed reader, every flight record is merged or counted
+     dropped. *)
+  ignore (Trace.flight_checked ~who:"Shards" Stats.empty : Stats.snapshot);
   let crashes = Sched.crashed_count () in
   Fault.clear ();
   (* Read the per-domain peaks before destroy releases the slots.  Under
