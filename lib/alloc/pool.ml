@@ -46,7 +46,9 @@ let backoff attempt =
   let cap = 1 lsl min attempt 6 in
   let n = 1 + (s land max_int) mod cap in
   for _ = 1 to n do
-    Sched.yield ()
+    Sched.yield ();
+    (* [yield] does not pause on domains; a backoff must. *)
+    if not (Sched.fiber_mode ()) then Domain.cpu_relax ()
   done
 
 let push t x =

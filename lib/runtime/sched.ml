@@ -277,8 +277,13 @@ let check_deadline () =
       end
 
 (** [yield ()] is a potential context-switch point.  In fiber mode the
-    scheduler may transfer control to another fiber; in domain mode it is a
-    spin-wait hint.  Schemes call this from every mediated read and poll. *)
+    scheduler may transfer control to another fiber.  In domain mode it
+    only ticks the deadline and consults an armed fault plan: it does not
+    pause, because schemes call it from every mediated read and poll, and
+    a PAUSE per read would price the simulator into real-core throughput.
+    A real backoff loop that wants a PAUSE on domains issues its own
+    [Domain.cpu_relax] (see [Pool.backoff]); a spin loop waiting on
+    another worker calls {!yield_now}. *)
 let yield () =
   check_deadline ();
   match !ctx_ref with
@@ -312,8 +317,7 @@ let yield () =
             Fault.crash_park ();
             raise Crashed
         | None -> ()
-      end;
-      Domain.cpu_relax ()
+      end
 
 (** Unconditional switch point (fiber mode); used by spin loops so that the
     thread being waited on is guaranteed to run. *)

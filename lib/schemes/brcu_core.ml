@@ -182,8 +182,12 @@ let handler d l () =
     (* Racing with Mask's exit CAS; CAS keeps exactly one winner. *)
     ignore (Atomic.compare_and_set l.status st_inrm st_rbreq)
 
-(** Neutralization delivery point: every mediated read/deref polls. *)
-let poll h = Signal.poll h.l.box ~handler:(handler h.d h.l)
+(** Neutralization delivery point: every mediated read/deref polls.  The
+    [deliverable] test comes first so that the common no-signal poll does
+    not allocate the [handler] closure. *)
+let poll h =
+  if Signal.deliverable h.l.box then
+    Signal.poll h.l.box ~handler:(handler h.d h.l)
 
 (** Delivery point for contexts that only know the calling thread and the
     domain (e.g. shield stores inside a checkpoint). *)
@@ -191,7 +195,9 @@ let poll_self d =
   let tid = Sched.self () in
   if tid >= 0 && tid < Array.length d.locals_by_tid then
     match d.locals_by_tid.(tid) with
-    | Some l -> Signal.poll l.box ~handler:(handler d l)
+    | Some l when Signal.deliverable l.box ->
+        Signal.poll l.box ~handler:(handler d l)
+    | Some _
     | None -> ()
 
 let in_cs h = Atomic.get h.l.status <> st_out

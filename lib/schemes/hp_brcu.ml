@@ -192,59 +192,71 @@ module Impl : Smr_intf.SCHEME = struct
        remover lost its unlink CAS. *)
     let started = ref false in
     let backup_period = h.d.backup_period in
+    (* Steps are counted in a local and published once, when the critical
+       section exits (by return, [Fail] or exception): a sharded-counter
+       RMW per node would cost more than the step it counts.  A fiber
+       crashed mid-traversal never exits, so its last section's steps go
+       uncounted. *)
+    let steps = ref 0 in
     Stats.Counter.incr h.d.tr_traverses;
-    let outcome =
-      B.crit h.bh (fun () ->
-          Stats.Counter.incr h.d.tr_resumes;
-          let resume =
-            if not !started then begin
-              let s = init () in
-              protect bufs.(0) s;
-              curs.(0) <- Some s;
-              comp := 0;
-              started := true;
-              Some s
-            end
-            else begin
-              (* Rollback resume: revalidate the checkpoint (R1 / §3.3). *)
-              let c = Option.get curs.(!comp mod 2) in
-              if validate c then Some c
-              else begin
-                Stats.Counter.incr h.d.tr_validate_fail;
-                None
-              end
-            end
+    let section () =
+      Stats.Counter.incr h.d.tr_resumes;
+      let resume =
+        if not !started then begin
+          let s = init () in
+          protect bufs.(0) s;
+          curs.(0) <- Some s;
+          comp := 0;
+          started := true;
+          Some s
+        end
+        else begin
+          (* Rollback resume: revalidate the checkpoint (R1 / §3.3). *)
+          let c = Option.get curs.(!comp mod 2) in
+          if validate c then Some c
+          else begin
+            Stats.Counter.incr h.d.tr_validate_fail;
+            None
+          end
+        end
+      in
+      match resume with
+      | None -> `Fail
+      | Some c0 ->
+          let cur = ref c0 in
+          let checkpoint () =
+            let nb = (!comp + 1) mod 2 in
+            (* Begin/end bracket the double-buffered protect stores — the
+               window a neutralization signal can land inside (§4.3). *)
+            Trace.emit Trace.Checkpoint_begin nb;
+            protect bufs.(nb) !cur;
+            curs.(nb) <- Some !cur;
+            incr comp;
+            Trace.emit Trace.Checkpoint nb
           in
-          match resume with
-          | None -> `Fail
-          | Some c0 ->
-            let cur = ref c0 in
-            begin
-            let checkpoint () =
-              let nb = (!comp + 1) mod 2 in
-              (* Begin/end bracket the double-buffered protect stores — the
-                 window a neutralization signal can land inside (§4.3). *)
-              Trace.emit Trace.Checkpoint_begin nb;
-              protect bufs.(nb) !cur;
-              curs.(nb) <- Some !cur;
-              incr comp;
-              Trace.emit Trace.Checkpoint nb
-            in
-            let rec go i =
-              Stats.Counter.incr h.d.tr_steps;
-              match step !cur with
-              | Smr_intf.Finish (c, r) ->
-                  cur := c;
-                  checkpoint ();
-                  `Done r
-              | Smr_intf.Continue c ->
-                  cur := c;
-                  if i mod backup_period = 0 then checkpoint ();
-                  go (i + 1)
-              | Smr_intf.Fail -> `Fail
-            in
-            go 1
-          end)
+          let rec go i =
+            incr steps;
+            match step !cur with
+            | Smr_intf.Finish (c, r) ->
+                cur := c;
+                checkpoint ();
+                `Done r
+            | Smr_intf.Continue c ->
+                cur := c;
+                if i mod backup_period = 0 then checkpoint ();
+                go (i + 1)
+            | Smr_intf.Fail -> `Fail
+          in
+          go 1
+    in
+    let outcome =
+      match B.crit h.bh section with
+      | o ->
+          Stats.Counter.add h.d.tr_steps !steps;
+          o
+      | exception e ->
+          Stats.Counter.add h.d.tr_steps !steps;
+          raise e
     in
     ignore (started : bool ref);
     match outcome with

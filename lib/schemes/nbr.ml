@@ -135,7 +135,10 @@ module Impl : Smr_intf.SCHEME = struct
 
   let handler l () = if Atomic.get l.status = st_incs then raise Rollback
 
-  let poll h = Signal.poll h.l.box ~handler:(handler h.l)
+  (* [deliverable] first: the no-signal poll allocates no closure. *)
+  let poll h =
+    if Signal.deliverable h.l.box then
+      Signal.poll h.l.box ~handler:(handler h.l)
 
   let op _ body =
     let rec go () = try body () with Restart -> go () in

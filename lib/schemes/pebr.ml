@@ -157,7 +157,10 @@ module Impl : Smr_intf.SCHEME = struct
      operation. *)
   let handler l () = if Atomic.get l.pin <> -1 then raise Restart
 
-  let poll h = Signal.poll h.l.box ~handler:(handler h.l)
+  (* [deliverable] first: the no-signal poll allocates no closure. *)
+  let poll h =
+    if Signal.deliverable h.l.box then
+      Signal.poll h.l.box ~handler:(handler h.l)
 
   let pin h =
     if h.nest = 0 then Atomic.set h.l.pin (Atomic.get h.d.global);

@@ -244,6 +244,69 @@ let test_hpbrcu_bound () =
     (Printf.sprintf "peak %d within 2GN+GN^2+H = %d" peak bound)
     true (peak <= bound)
 
+(* [traverse_steps] is counted in a local and published when the critical
+   section exits, so it must still equal the number of [step] calls
+   exactly — after a plain traversal, after one that answers [Fail], and
+   after ones that a neutralization signal rolled back mid-walk.  The
+   wrapper counts the calls the data structure makes, and can answer
+   [Fail] on one chosen call instead of stepping. *)
+module Counting_steps (S : Hpbrcu_core.Smr_intf.S) = struct
+  include S
+
+  let calls = ref 0
+  let fail_at = ref 0
+
+  let traverse h ~prot ~backup ~protect ~validate ~init ~step =
+    S.traverse h ~prot ~backup ~protect ~validate ~init ~step:(fun c ->
+        incr calls;
+        if !calls = !fail_at then Hpbrcu_core.Smr_intf.Fail else step c)
+end
+
+let test_traverse_steps_exact () =
+  reset ();
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  let config =
+    { Config.default with batch = 4; max_local_tasks = 4; force_threshold = 1 }
+  in
+  Schemes.with_domain (fst (Schemes.find "HP-BRCU"), config) @@ fun (module D) ->
+  let module C = Counting_steps (D.S) in
+  let module L = Hpbrcu_ds.Harris_list.Make_hhs (C) in
+  let t = L.create () in
+  let fibers nthreads body =
+    Sched.run (Sched.Fibers { seed = 7; switch_every = 1 }) ~nthreads (fun tid ->
+        let s = L.session t in
+        body tid s;
+        L.close_session s)
+  in
+  let exact what =
+    Alcotest.(check int) what !C.calls (D.S.stats ()).Stats.traverse_steps
+  in
+  fibers 1 (fun _ s ->
+      for k = 0 to 127 do
+        ignore (L.insert t s (2 * k) 0 : bool)
+      done);
+  exact "prefill";
+  let before = !C.calls in
+  fibers 1 (fun _ s -> Alcotest.(check bool) "get" true (L.get t s 200));
+  Alcotest.(check bool) "get walked the list" true (!C.calls - before > 100);
+  exact "plain get";
+  C.fail_at := !C.calls + 50;
+  fibers 1 (fun _ s -> Alcotest.(check bool) "get after Fail" true (L.get t s 200));
+  Alcotest.(check bool) "step answered Fail" true (!C.calls > !C.fail_at);
+  exact "Fail";
+  (* A reader walking to the tail while a writer churns the head: the
+     writer's forced advances neutralize the lagging reader mid-walk. *)
+  fibers 2 (fun tid s ->
+      for i = 1 to 100 do
+        if tid = 0 then ignore (L.get t s 255 : bool)
+        else if i land 1 = 0 then ignore (L.insert t s 1 0 : bool)
+        else ignore (L.remove t s 1 : bool)
+      done);
+  let st = D.S.stats () in
+  Alcotest.(check bool) "a traversal was rolled back" true
+    (st.Stats.rollbacks > 0 && st.Stats.traverse_resumes > st.Stats.traverses);
+  exact "rollback"
+
 let () =
   Alcotest.run "brcu"
     [
@@ -260,4 +323,6 @@ let () =
           Alcotest.test_case "defer-waits" `Quick test_defer_waits_for_cs;
         ] );
       ("bound", [ Alcotest.test_case "2GN+GN2+H" `Quick test_hpbrcu_bound ]);
+      ( "traverse",
+        [ Alcotest.test_case "steps-exact" `Quick test_traverse_steps_exact ] );
     ]

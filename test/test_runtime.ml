@@ -387,6 +387,33 @@ let test_fault_stall_deterministic () =
   Alcotest.(check int) "same stall count" s1 s2;
   Alcotest.(check (list (pair int int))) "same progress log" l1 l2
 
+(* Domain-mode [yield] does not pause, but it still consults an installed
+   plan at every call: a [Stall] and a [Crash] rule fire at exactly their
+   0-based occurrence counts. *)
+let test_fault_rules_fire_domains () =
+  let rule start action =
+    { Fault.site = Fault.Yield; tid = 0; start; period = 0; action }
+  in
+  Fault.install
+    {
+      Fault.label = "stall-then-crash";
+      rules = [ rule 10 (Fault.Stall 1); rule 20 Fault.Crash ];
+    };
+  let stalled_at = ref (-1) and completed = ref 0 in
+  Sched.run Sched.Domains ~nthreads:1 (fun _ ->
+      for i = 0 to 99 do
+        let stalls = (Fault.injected ()).Fault.stalls in
+        Sched.yield ();
+        if (Fault.injected ()).Fault.stalls > stalls then stalled_at := i;
+        completed := i + 1
+      done);
+  let injected = Fault.injected () in
+  Fault.clear ();
+  Alcotest.(check int) "stall fired at occurrence 10" 10 !stalled_at;
+  Alcotest.(check int) "crash fired at occurrence 20" 20 !completed;
+  Alcotest.(check int) "one crash injected" 1 injected.Fault.crashes;
+  Alcotest.(check bool) "victim is registered crashed" true (Sched.is_crashed 0)
+
 (* ---------------- deadline ---------------- *)
 
 let test_deadline_aborts_spin () =
@@ -394,6 +421,22 @@ let test_deadline_aborts_spin () =
   let aborted =
     try
       Sched.run (Sched.Fibers { seed = 10; switch_every = 1 }) ~nthreads:1 (fun _ ->
+          while true do
+            Sched.yield ()
+          done);
+      false
+    with Sched.Deadline -> true
+  in
+  Sched.clear_deadline ();
+  Alcotest.(check bool) "deadline fired" true aborted
+
+(* Domain-mode [yield] does not pause, but it still ticks the wall
+   deadline, so a worker spinning on it is aborted rather than stranded. *)
+let test_deadline_aborts_spin_domains () =
+  Sched.set_deadline (Unix.gettimeofday () +. 0.05);
+  let aborted =
+    try
+      Sched.run Sched.Domains ~nthreads:1 (fun _ ->
           while true do
             Sched.yield ()
           done);
@@ -492,10 +535,14 @@ let () =
             test_fault_crash_freezes_fiber;
           Alcotest.test_case "stall-deterministic" `Quick
             test_fault_stall_deterministic;
+          Alcotest.test_case "rules-fire-domains" `Quick
+            test_fault_rules_fire_domains;
         ] );
       ( "deadline",
         [
           Alcotest.test_case "aborts-spin" `Quick test_deadline_aborts_spin;
+          Alcotest.test_case "aborts-spin-domains" `Quick
+            test_deadline_aborts_spin_domains;
           Alcotest.test_case "tick-deterministic" `Quick
             test_tick_deadline_deterministic;
         ] );
