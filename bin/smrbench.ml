@@ -188,7 +188,7 @@ let longrun_cmd =
         let range =
           match p.W.Figures.longrun_ranges with r :: _ -> r | [] -> 4096
         in
-        let mode = p.W.Figures.longrun_mode in
+        let mode = p.W.Figures.mode in
         let c =
           W.Longrun.config ~key_range:range
             ~readers:p.W.Figures.longrun_threads

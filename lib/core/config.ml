@@ -3,8 +3,8 @@
     The paper's evaluation (§6) fixes: epoch-advance attempt per 128
     retirements; BRCU forces (signals) after 2 consecutive failed advances;
     NBR-Large uses an 8192-retirement threshold.  A config is a plain value
-    passed to a scheme's [create], so NBR and NBR-Large (and the ablation
-    benches) are simply two domains of one scheme. *)
+    passed to a scheme's [create], so NBR and NBR-Large are simply two
+    domains of one scheme. *)
 
 type t = {
   batch : int;

@@ -116,23 +116,6 @@ let reset_profile () =
   prof_wakes := 0;
   prof_wake_latency := 0
 
-(* ------------------------------------------------------------------ *)
-(* Stall injection (fiber mode)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Models readers preempted by the OS in the middle of an operation —
-   i.e. inside a critical section — the adversary of the paper's
-   "robustness against stalled threads" criterion (Table 2 row 1).
-   Every [period]-th yield point suspends the calling fiber for [ticks]
-   virtual ticks.  [period = 0] disables injection. *)
-let stall_period = Atomic.make 0
-let stall_ticks = Atomic.make 0
-let stall_counter = ref 0 (* racy pacing counter, like deadline_ticker *)
-
-let set_stall_inject ~period ~ticks =
-  Atomic.set stall_period (max 0 period);
-  Atomic.set stall_ticks (max 0 ticks)
-
 (** [self ()] is the logical thread id of the calling worker, or [-1] when
     called outside {!run}. *)
 let self () = Domain.DLS.get tid_key
@@ -293,12 +276,6 @@ let yield () =
         | Some (`Stall n) -> Effect.perform (Stall n)
         | Some `Crash -> Effect.perform Crash
         | None -> ()
-      end;
-      let p = Atomic.get stall_period in
-      if p > 0 then begin
-        incr stall_counter;
-        if !stall_counter mod p = 0 then
-          Effect.perform (Stall (Atomic.get stall_ticks))
       end;
       if c.switch_every <= 1 || Rng.int c.rng c.switch_every = 0 then
         Effect.perform Yield

@@ -11,13 +11,7 @@ type profile = {
   label : string;
   duration : float;  (** seconds per cell *)
   threads : int list;
-  mode : Spec.mode;
-  longrun_mode : Spec.mode;
-      (** The long-running/robustness experiments interleave reads and
-          reclamation at instruction granularity, which one timeshared
-          core cannot express with domains: a reader's whole operation
-          runs in one timeslice, during which writers retire nothing.
-          They therefore default to the fiber simulator (DESIGN.md §2.3). *)
+  mode : Spec.mode;  (** substrate of every cell, long-running ones included *)
   small_range : int;  (** paper: 1K lists / 100K others *)
   large_range : int;  (** paper: 10K lists / 100M others *)
   longrun_ranges : int list;  (** paper: 2^18 .. 2^29 *)
@@ -34,7 +28,6 @@ let quick =
        depend on its core count.  [with_mode] rebases a profile on real
        domains when the caller passes [--mode domains]. *)
     mode = Spec.Fibers 7;
-    longrun_mode = Spec.Fibers 7;
     small_range = 1024;
     large_range = 8192;
     longrun_ranges = [ 256; 512; 1024; 2048; 4096; 8192 ];
@@ -59,8 +52,6 @@ let sim =
   {
     quick with
     label = "sim";
-    mode = Spec.Fibers 7;
-    longrun_mode = Spec.Fibers 11;
     threads = [ 1; 8; 16; 32 ];
     duration = 0.2;
     seed = 1077;
@@ -72,12 +63,11 @@ let sim =
     [Domain.spawn] workers and clamps the thread list to what the
     hardware can actually run in parallel (oversubscribed domains
     measure the OS scheduler, not the reclamation scheme).  The
-    long-running experiments follow the same switch — on one timeshared
-    core their figures are qualitative at best (see the [longrun_mode]
-    field), but on real multicore hardware the wall-clock numbers are
-    the point.  Only the *traced* longrun path stays fiber-only: the
-    spooled trace needs the deterministic tick clock
-    ({!Longrun.run_traced} rejects domain mode). *)
+    long-running experiments follow the same switch: on one timeshared
+    core a reader's whole operation runs in one timeslice, during which
+    writers retire nothing, so their figures are qualitative at best
+    there; on real multicore hardware the wall-clock numbers are the
+    point. *)
 let with_mode p = function
   | `Fibers -> p
   | `Domains ->
@@ -89,7 +79,6 @@ let with_mode p = function
         p with
         mode = Spec.Domains;
         threads;
-        longrun_mode = Spec.Domains;
         longrun_threads = min p.longrun_threads hw;
       }
 
@@ -125,7 +114,7 @@ let longrun_tables ~title ~file p schemes =
     (fun range ->
       let cfg =
         Longrun.config ~key_range:range ~readers:p.longrun_threads
-          ~writers:p.longrun_threads ~duration:p.duration ~mode:p.longrun_mode
+          ~writers:p.longrun_threads ~duration:p.duration ~mode:p.mode
           ~seed:p.seed ()
       in
       let outcomes =

@@ -47,7 +47,6 @@ module Fault = Hpbrcu_runtime.Fault
 module Trace = Hpbrcu_runtime.Trace
 module Stats = Hpbrcu_runtime.Stats
 module Watchdog = Hpbrcu_runtime.Watchdog
-module Config = Hpbrcu_core.Config
 module Caps = Hpbrcu_core.Caps
 module SI = Hpbrcu_core.Smr_intf
 module Dom = SI.Dom
@@ -104,17 +103,6 @@ let default_params =
   }
 
 let quick p = { p with requests = 1500 }
-
-(* Small batches so watermarks track stranding, not the batch floor (same
-   tuning as the shards experiment). *)
-let config =
-  {
-    Config.default with
-    batch = 32;
-    max_local_tasks = 16;
-    backup_period = 32;
-    max_steps = 32;
-  }
 
 (* Supervisor tuning derived from the watermark budget: a shard domain is
    "laggard" above its share of the budget, and the ladder is tight
@@ -392,21 +380,10 @@ let run_one ?(scheme = "RCU") ?(plan = "none") ?(substrate = `Fibers)
      nanoseconds under domains, where the tick-denominated latency SLO is
      not evaluated (watermark and safety SLOs are substrate-independent,
      and domains-mode verdicts are statistical, never byte-replay). *)
-  (* NBR-Large is NBR under the paper's 8192-entry batches; every other
-     name resolves directly.  The huge batch is the point: it trades the
+  (* Small batches so watermarks track stranding, not the batch floor.
+     NBR-Large keeps the paper's 8192-entry batches: it trades the
      watermark for throughput, and the verdict table shows the cost. *)
-  let impl_name = if scheme = "NBR-Large" then "NBR" else scheme in
-  let config =
-    if scheme = "NBR-Large" then
-      { config with Config.batch = Config.large_batch.Config.batch }
-    else config
-  in
-  let impl =
-    match Schemes.find_impl impl_name with
-    | Some i -> i
-    | None -> invalid_arg ("unknown scheme: " ^ scheme)
-  in
-  let (module X : SI.SCHEME) = impl in
+  let (module X : SI.SCHEME), config = Schemes.find ~tuning:`Small scheme in
   let nshards = pow2_ge (max 1 p.shards) in
   let shard_mask = nshards - 1 in
   let pl = plan_of_name p plan in

@@ -153,20 +153,17 @@ module Body (L : Ds.Ds_intf.MAP) = struct
     }
 end
 
-(** [run_in (module D) c] — one cell on the domain [D], over the list its
-    scheme runs. *)
-let run_in (module D : Schemes.DOMAIN) (c : config) : outcome =
-  let module B = (val Matrix.list_for D.S.caps) in
-  let module R = Body (B (D.S)) in
-  R.go c ~scheme_stats:D.S.stats
-
 (** [with_run ~scheme c k] — the long-running-read cell for one scheme
     in a fresh small-batch domain (see {!Hpbrcu_schemes.Schemes.small}: the
-    batch threshold scales down with the scaled key ranges), its outcome
-    handed to [k] before the domain is destroyed. *)
+    batch threshold scales down with the scaled key ranges), over the list
+    the scheme runs, its outcome handed to [k] before the domain is
+    destroyed. *)
 let with_run ~scheme (c : config) k =
-  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun d ->
-      k (run_in d c))
+  Schemes.with_domain (Schemes.find ~tuning:`Small scheme)
+    (fun (module D : Schemes.DOMAIN) ->
+      let module B = (val Matrix.list_for D.S.caps) in
+      let module R = Body (B (D.S)) in
+      k (R.go c ~scheme_stats:D.S.stats))
 
 (** [run ~scheme c] — {!with_run} returning the outcome. *)
 let run ~scheme c = with_run ~scheme c Fun.id

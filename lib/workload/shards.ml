@@ -26,7 +26,6 @@ module Rng = Hpbrcu_runtime.Rng
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
-module Config = Hpbrcu_core.Config
 module Dom = Hpbrcu_core.Smr_intf.Dom
 module Schemes = Hpbrcu_schemes.Schemes
 module Ds = Hpbrcu_ds
@@ -64,17 +63,6 @@ let default_params =
 
 let quick p = { p with writer_ops = 2500 }
 
-(* Small batches so watermarks track stranding, not the batch floor (same
-   reasoning as the Small tuning in lib/schemes/schemes.ml). *)
-let config =
-  {
-    Config.default with
-    batch = 32;
-    max_local_tasks = 16;
-    backup_period = 32;
-    max_steps = 32;
-  }
-
 (** Per-shard peaks of one build over the measured window. *)
 type run = {
   peaks : int array;  (** indexed like the shards *)
@@ -110,8 +98,8 @@ let default_threshold_domains = 4.
 
 (* One build, one run.  [shared] picks the domain topology; everything
    else — routing, layout, schedule, fault plan — is identical. *)
-let run_build (module X : Hpbrcu_core.Smr_intf.SCHEME) ~(p : params) ~shared
-    : run =
+let run_build ((module X : Hpbrcu_core.Smr_intf.SCHEME), config) ~(p : params)
+    ~shared : run =
   let module Sh = Ds.Sharded_hashmap.Make (X) in
   Alloc.reset ();
   Alloc.set_strict false;
@@ -216,13 +204,10 @@ let run_build (module X : Hpbrcu_core.Smr_intf.SCHEME) ~(p : params) ~shared
     its verdict against [threshold]. *)
 let run_one ?(threshold = default_threshold) ?(scheme = "RCU") (p : params) :
     result =
-  let impl =
-    match Schemes.find_impl scheme with
-    | Some i -> i
-    | None -> invalid_arg ("unknown scheme: " ^ scheme)
-  in
-  let isolated = run_build impl ~p ~shared:false in
-  let shared = run_build impl ~p ~shared:true in
+  (* Small batches so watermarks track stranding, not the batch floor. *)
+  let scheme_config = Schemes.find ~tuning:`Small scheme in
+  let isolated = run_build scheme_config ~p ~shared:false in
+  let shared = run_build scheme_config ~p ~shared:true in
   let iso_other_max =
     Array.fold_left max 0
       (Array.mapi

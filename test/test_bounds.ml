@@ -10,6 +10,7 @@
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
+module Fault = Hpbrcu_runtime.Fault
 module Rng = Hpbrcu_runtime.Rng
 module Config = Hpbrcu_core.Config
 
@@ -26,6 +27,15 @@ let with_small name f =
       Alloc.set_strict false;
       f (module D.S : Hpbrcu_core.Smr_intf.S))
 
+(* The stalled-reader plan: each reader (tids 0 and 1) is suspended for
+   300k ticks at every 1500th yield, i.e. preempted mid-operation. *)
+let stalled_readers =
+  let rule tid =
+    { Fault.site = Fault.Yield; tid; start = 1499; period = 1500;
+      action = Fault.Stall 300_000 }
+  in
+  { Fault.label = "stalled-readers"; rules = [ rule 0; rule 1 ] }
+
 (* Run the long-running-reads workload for a scheme over a list flavour,
    in fiber mode with a fixed op budget (deterministic). *)
 let longrun scheme ~range ~stall =
@@ -40,7 +50,7 @@ let longrun scheme ~range ~stall =
   done;
   L.close_session s0;
   Alloc.reset_peak ();
-  if stall then Sched.set_stall_inject ~period:3000 ~ticks:300_000;
+  if stall then Fault.install stalled_readers;
   let reader_ops = Atomic.make 0 in
   let writers_live = Atomic.make 2 in
   let contended_reader_ops = Atomic.make 0 in
@@ -70,7 +80,7 @@ let longrun scheme ~range ~stall =
         Atomic.decr writers_live
       end;
       L.close_session s);
-  Sched.set_stall_inject ~period:0 ~ticks:0;
+  Fault.clear ();
   (Alloc.peak_unreclaimed (), Atomic.get contended_reader_ops)
 
 let test_hp_bounded_by_shields () =
@@ -120,6 +130,14 @@ let test_stall_robustness () =
     true
     (p_brcu * 2 < p_rcu)
 
+(* The stall plan is the only stall path and [Fault.install] restarts its
+   occurrence counters, so a stalled cell is a pure function of its seeds:
+   the same cell twice in one process gives the same peak. *)
+let test_stall_repeats () =
+  let p1, _ = longrun "RCU" ~range:1024 ~stall:true in
+  let p2, _ = longrun "RCU" ~range:1024 ~stall:true in
+  Alcotest.(check int) "stalled RCU peak, second run" p1 p2
+
 (* Long-running readers starve under NBR but not under HP-BRCU: while the
    writers churn, NBR readers complete (almost) no operations — every
    neutralization restarts them from the entry point — whereas HP-BRCU
@@ -141,6 +159,7 @@ let () =
           Alcotest.test_case "hp-shield-bound" `Quick test_hp_bounded_by_shields;
           Alcotest.test_case "rcu-grows-hpbrcu-flat" `Quick test_growth_rcu_vs_hpbrcu;
           Alcotest.test_case "stall-robustness" `Quick test_stall_robustness;
+          Alcotest.test_case "stall-repeats" `Quick test_stall_repeats;
           Alcotest.test_case "nbr-starvation" `Quick test_nbr_starves_hpbrcu_does_not;
         ] );
     ]
