@@ -1102,6 +1102,27 @@ module Reclaim_bench = struct
       gated = true;
     }
 
+  let best (ns, w) (ns', w') = (Float.min ns ns', Float.max w w')
+
+  (* [warm_best ~iters cycle] — spin [cycle] for ~60 ms first: frequency
+     governors ramp on a 1-10 ms scale, and the tick-stamped paths timed
+     with it are short enough that base-vs-boosted clock is the difference
+     between passing and failing a gate ([measure]'s own 16-cycle warmup,
+     ~0.2 ms, ends before the ramp starts).  Then take the best of five
+     windows: a single ~ms window on a shared virtualized box is routinely
+     inflated 20-40% by co-tenant preemption.  Words take the max — a
+     0-allocation claim must hold in every window. *)
+  let warm_best ~iters cycle =
+    let t0 = Clock.now () in
+    while Clock.now () -. t0 < 0.06 do
+      cycle ()
+    done;
+    let acc = ref (measure ~iters cycle) in
+    for _ = 1 to 4 do
+      acc := best !acc (measure ~iters cycle)
+    done;
+    !acc
+
   (* The armed flight recorder (DESIGN.md §15): one raw-tick read plus
      four int stores into the caller's private ring.  Measured under a
      parked companion domain so the runtime's multi-domain Atomic paths
@@ -1114,7 +1135,6 @@ module Reclaim_bench = struct
   let flight_emit_kernel ~iters =
     let module Trace = Hpbrcu_runtime.Trace in
     let ops = 256 in
-    let best (ns, w) (ns', w') = (Float.min ns ns', Float.max w w') in
     let attempt () =
       Hpbrcu_runtime.Backend.with_parked_domain (fun () ->
           (* A 4K-record ring (128 KiB) stays L2-resident, so the kernel
@@ -1130,25 +1150,9 @@ module Reclaim_bench = struct
               Trace.emit2 Trace.Reclaim k (k + 1)
             done
           in
-          (* Spin ~60 ms first: frequency governors ramp on a 1-10 ms
-             scale, and this path is short enough (tick read + a dozen
-             stores) that base-vs-boosted clock is the difference
-             between passing and failing the gate.  [measure]'s own
-             16-cycle warmup (~0.2 ms) ends before the ramp starts. *)
-          let t0 = Clock.now () in
-          while Clock.now () -. t0 < 0.06 do
-            cycle ()
-          done;
-          (* Best of five windows within the attempt: a single ~ms
-             window on a shared virtualized box is routinely inflated
-             20-40% by co-tenant preemption.  Words take the max — the
-             0-allocation claim must hold in every window. *)
-          let acc = ref (measure ~iters cycle) in
-          for _ = 1 to 4 do
-            acc := best !acc (measure ~iters cycle)
-          done;
+          let r = warm_best ~iters cycle in
           Trace.disable ();
-          !acc)
+          r)
     in
     (* The gate asks a capability question — does the armed emit run in
        its budget — so a whole attempt that lands on a contended vCPU
@@ -1173,6 +1177,30 @@ module Reclaim_bench = struct
       ns_per_op = ns /. float_of_int (ops * 2);
       minor_words_per_op = words /. float_of_int (ops * 2);
       gated = true;
+    }
+
+  (* The raw tick read alone, timed like [flight-emit] (parked companion,
+     warmup, best of five windows), so that kernel's cost splits into the
+     stamp and the ring stores.  Reported, not gated. *)
+  let clock_ticks_kernel ~iters =
+    let ops = 512 in
+    let cycle () =
+      for _ = 1 to ops do
+        ignore (Clock.raw_ticks () : int)
+      done
+    in
+    let ns, words =
+      Hpbrcu_runtime.Backend.with_parked_domain (fun () -> warm_best ~iters cycle)
+    in
+    {
+      kernel = "clock-ticks";
+      scheme = "-";
+      hazards = 0;
+      iters;
+      ops_per_cycle = ops;
+      ns_per_op = ns /. float_of_int ops;
+      minor_words_per_op = words /. float_of_int ops;
+      gated = false;
     }
 
   (* The P0484-style scoped guards (Smr_intf.Scoped): with_op/with_crit/
@@ -1275,6 +1303,7 @@ module Reclaim_bench = struct
       brcu_advance_kernel ~iters:(it 500);
       trace_emit_off_kernel ~iters:(it 2000);
       flight_emit_kernel ~iters:(it 2000);
+      clock_ticks_kernel ~iters:(it 2000);
     ]
 
   let write_json path rows =

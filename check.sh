@@ -37,6 +37,43 @@ skip() {
 gate build dune build
 gate runtest dune runtest
 
+# No-opaque gate (DESIGN.md §9): dune-workspace selects the release
+# profile, because the dev profile compiles every library module with
+# -opaque, which hides its .cmx from callers and stops cross-module
+# inlining of the per-node read path.  The rule that compiles HP-BRCU
+# must exist and must not carry -opaque.
+no_opaque() {
+  rules="$(dune rules \
+    _build/default/lib/schemes/.hpbrcu_schemes.objs/native/hpbrcu_schemes__Hp_brcu.cmx)" ||
+    return 1
+  if ! printf '%s\n' "$rules" | grep -q 'lib/schemes/hp_brcu\.ml'; then
+    echo "check.sh: no compile rule for hp_brcu.ml" >&2
+    return 1
+  fi
+  if printf '%s\n' "$rules" | grep -q -- '-opaque'; then
+    echo "check.sh: hp_brcu.ml is compiled with -opaque" >&2
+    return 1
+  fi
+}
+gate no-opaque no_opaque
+
+# Real-core benchmark smoke gate: one short hpbench run per workload
+# must give correct map answers with no failed operation (its own
+# census and teardown checks included), on the inlined build.
+hpbench_smoke() {
+  for w in list hash tree; do
+    res="$(python3 hpbench/run.py --workload "$w" --seed 1 --seconds 1 | tail -n 1)"
+    if ! printf '%s\n' "$res" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
+      echo "check.sh: hpbench $w: $res" >&2
+      return 1
+    fi
+  done
+}
+gate hpbench-smoke hpbench_smoke
+
 # Chaos smoke gate: the full scheme matrix under every fault plan, three
 # seeds, with the traced determinism probes.  Exits non-zero on any
 # invariant violation (non-termination, use-after-free, bound overshoot,

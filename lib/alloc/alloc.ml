@@ -322,18 +322,23 @@ let abandon b =
     Atomic.incr abandoned
   end
 
+(* [check_access]'s slow path: [b] is reclaimed. *)
+let check_access_slow b =
+  if not (Block.recyclable b) then begin
+    if Block.is_poisoned b then Atomic.incr poisoned_reads;
+    if Atomic.get strict then raise (Use_after_free b) else Atomic.incr uaf
+  end
+
 (** [check_access b] — called by scheme-mediated reads before a node's
     fields may be used.  Detects access to reclaimed memory.  Blocks from a
     recycling pool are exempt: VBR legitimately lets readers race with
     reuse and catches staleness by version instead.  Under poisoning mode
     the violation is additionally classified: a set poison stamp proves the
     read hit freed memory of a specific incarnation (the stamp encodes the
-    version at free time and is cleared on reanimation). *)
-let check_access b =
-  if Block.is_reclaimed b && not (Block.recyclable b) then begin
-    if Block.is_poisoned b then Atomic.incr poisoned_reads;
-    if Atomic.get strict then raise (Use_after_free b) else Atomic.incr uaf
-  end
+    version at free time and is cleared on reanimation).  Every mediated
+    read runs it, so it inlines to one load and compare; everything else is
+    out of line in [check_access_slow]. *)
+let[@inline] check_access b = if Block.is_reclaimed b then check_access_slow b
 
 (** Raw counter for harness-side assertions. *)
 let current_unreclaimed () = Hpbrcu_runtime.Counter.get unreclaimed

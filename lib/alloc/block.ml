@@ -83,7 +83,9 @@ let recyclable t = t.recyclable
 
 let is_live t = state t = Live
 let is_retired t = state t = Retired
-let is_reclaimed t = state t = Reclaimed
+(* The fast path of every mediated read's access check, so one load and
+   an int compare: 2 is [state_to_int Reclaimed]. *)
+let[@inline] is_reclaimed t = Atomic.get t.state = 2
 
 (** Atomically transition [from -> to_]; returns [false] if the block was
     not in [from] (e.g. a double retire). *)

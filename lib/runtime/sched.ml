@@ -249,14 +249,18 @@ let check_deadline () =
         raise Deadline
       end
   | None ->
-      let ticker = Domain.DLS.get deadline_ticker in
-      incr ticker;
-      if
-        !ticker land 1023 = 0
-        && Unix.gettimeofday () > Atomic.get deadline
-      then begin
-        Trace.emit Trace.Deadline_abort 0;
-        raise Deadline
+      (* Domains: an unarmed deadline costs one atomic load; the ticker and
+         the wall clock are touched only while a deadline is armed. *)
+      if Atomic.get deadline < infinity then begin
+        let ticker = Domain.DLS.get deadline_ticker in
+        incr ticker;
+        if
+          !ticker land 1023 = 0
+          && Unix.gettimeofday () > Atomic.get deadline
+        then begin
+          Trace.emit Trace.Deadline_abort 0;
+          raise Deadline
+        end
       end
 
 (** [yield ()] is a potential context-switch point.  In fiber mode the

@@ -182,12 +182,14 @@ let handler d l () =
     (* Racing with Mask's exit CAS; CAS keeps exactly one winner. *)
     ignore (Atomic.compare_and_set l.status st_inrm st_rbreq)
 
+(* [poll]'s slow path, out of line: building the [handler] closure would
+   keep [poll] from inlining. *)
+let poll_slow h = Signal.poll h.l.box ~handler:(handler h.d h.l)
+
 (** Neutralization delivery point: every mediated read/deref polls.  The
     [deliverable] test comes first so that the common no-signal poll does
-    not allocate the [handler] closure. *)
-let poll h =
-  if Signal.deliverable h.l.box then
-    Signal.poll h.l.box ~handler:(handler h.d h.l)
+    not allocate the [handler] closure; it inlines into the caller. *)
+let[@inline] poll h = if Signal.deliverable h.l.box then poll_slow h
 
 (** Delivery point for contexts that only know the calling thread and the
     domain (e.g. shield stores inside a checkpoint). *)

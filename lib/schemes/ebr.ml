@@ -78,7 +78,7 @@ module Impl : Smr_intf.SCHEME = struct
   let read h () ?src ~hdr:_ cell =
     assert (E.pinned h);
     Hpbrcu_runtime.Sched.yield ();
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     Link.get cell
 
   let deref _ blk = Alloc.check_access blk

@@ -204,7 +204,7 @@ module Impl : Smr_intf.SCHEME = struct
      is covered by it). *)
   let read _h s ?src ~hdr:_ cell =
     Sched.yield ();
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     let slot = s.sd.slots.Slots.slots.(s.slot) in
     let rec loop reserved =
       let l = Link.get cell in

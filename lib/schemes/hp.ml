@@ -85,7 +85,7 @@ module Impl : Smr_intf.SCHEME = struct
      visible. *)
   let read _h s ?src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     let rec loop l =
       (match Link.target l with
       | None -> Core.protect s None

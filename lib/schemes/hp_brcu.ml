@@ -153,7 +153,7 @@ module Impl : Smr_intf.SCHEME = struct
   let read h _s ?src ~hdr:_ cell =
     Sched.yield ();
     B.poll h.bh;
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     Link.get cell
 
   let deref h blk =
@@ -223,31 +223,34 @@ module Impl : Smr_intf.SCHEME = struct
       match resume with
       | None -> `Fail
       | Some c0 ->
-          let cur = ref c0 in
-          let checkpoint () =
+          let checkpoint c =
             let nb = (!comp + 1) mod 2 in
             (* Begin/end bracket the double-buffered protect stores — the
                window a neutralization signal can land inside (§4.3). *)
             Trace.emit Trace.Checkpoint_begin nb;
-            protect bufs.(nb) !cur;
-            curs.(nb) <- Some !cur;
+            protect bufs.(nb) c;
+            curs.(nb) <- Some c;
             incr comp;
             Trace.emit Trace.Checkpoint nb
           in
-          let rec go i =
+          (* [left] counts down the [Continue] steps to the next
+             checkpoint: one lands after every [backup_period]-th step of
+             the section. *)
+          let rec go cur left =
             incr steps;
-            match step !cur with
+            match step cur with
             | Smr_intf.Finish (c, r) ->
-                cur := c;
-                checkpoint ();
+                checkpoint c;
                 `Done r
             | Smr_intf.Continue c ->
-                cur := c;
-                if i mod backup_period = 0 then checkpoint ();
-                go (i + 1)
+                if left = 1 then begin
+                  checkpoint c;
+                  go c backup_period
+                end
+                else go c (left - 1)
             | Smr_intf.Fail -> `Fail
           in
-          go 1
+          go c0 backup_period
     in
     let outcome =
       match B.crit h.bh section with

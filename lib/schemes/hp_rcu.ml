@@ -108,7 +108,7 @@ module Impl : Smr_intf.SCHEME = struct
      point). *)
   let read _h _s ?src ~hdr:_ cell =
     Sched.yield ();
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     Link.get cell
 
   let deref _ blk = Alloc.check_access blk

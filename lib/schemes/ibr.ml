@@ -238,7 +238,7 @@ module Impl : Smr_intf.SCHEME = struct
      the per-read "tag check" of 2GEIBR. *)
   let read h () ?src ~hdr:_ cell =
     Sched.yield ();
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     let e = Atomic.get h.d.era in
     if Atomic.get h.l.upper < e then Atomic.set h.l.upper e;
     Link.get cell

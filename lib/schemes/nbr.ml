@@ -187,7 +187,7 @@ module Impl : Smr_intf.SCHEME = struct
   let read h _s ?src ~hdr:_ cell =
     Sched.yield ();
     poll h;
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     Link.get cell
 
   let deref h blk =

@@ -212,7 +212,7 @@ module Impl : Smr_intf.SCHEME = struct
   let read h s ?src ~hdr cell =
     Sched.yield ();
     poll h;
-    Option.iter Alloc.check_access src;
+    (match src with Some b -> Alloc.check_access b | None -> ());
     let l = Link.get cell in
     (match Link.target l with
     | None -> HPC.protect s None

@@ -77,6 +77,34 @@ let test_uaf_counting_mode () =
   Alcotest.(check int) "counted" 2 (Alloc.uaf_count ());
   Alloc.set_strict true
 
+(* [check_access]'s inlined fast path only tests the reclaimed state; the
+   out-of-line slow path decides the rest.  In counting mode a reclaimed,
+   poisoned, non-recyclable block bumps [uaf] and [poisoned_reads] once per
+   access; a reclaimed recyclable block bumps neither. *)
+let test_uaf_poisoned_counting () =
+  reset ();
+  Alloc.set_strict false;
+  Alloc.set_poisoning true;
+  let b = Alloc.block () in
+  Alloc.retire b;
+  Alloc.reclaim b;
+  Alcotest.(check bool) "poisoned" true (Block.is_poisoned b);
+  Alloc.check_access b;
+  Alloc.check_access b;
+  Alloc.check_access b;
+  let st = Alloc.stats () in
+  Alcotest.(check int) "uaf per access" 3 st.Alloc.uaf;
+  Alcotest.(check int) "poisoned per access" 3 st.Alloc.poisoned_reads;
+  let r = Alloc.block ~recyclable:true () in
+  Alloc.retire r;
+  Alloc.reclaim r;
+  Alloc.check_access r;
+  let st = Alloc.stats () in
+  Alcotest.(check int) "recyclable: no uaf" 3 st.Alloc.uaf;
+  Alcotest.(check int) "recyclable: no poisoned read" 3 st.Alloc.poisoned_reads;
+  Alloc.set_poisoning false;
+  Alloc.set_strict true
+
 let test_recyclable_exempt () =
   reset ();
   let b = Alloc.block ~recyclable:true () in
@@ -143,6 +171,7 @@ let () =
           Alcotest.test_case "double-reclaim" `Quick test_double_reclaim_raises;
           Alcotest.test_case "uaf-strict" `Quick test_uaf_detection;
           Alcotest.test_case "uaf-counting" `Quick test_uaf_counting_mode;
+          Alcotest.test_case "uaf-poisoned-counting" `Quick test_uaf_poisoned_counting;
           Alcotest.test_case "recyclable-exempt" `Quick test_recyclable_exempt;
           Alcotest.test_case "try-retire" `Quick test_try_retire_claims_once;
           Alcotest.test_case "reanimate" `Quick test_reanimate;

@@ -446,6 +446,38 @@ let test_deadline_aborts_spin_domains () =
   Sched.clear_deadline ();
   Alcotest.(check bool) "deadline fired" true aborted
 
+(* An unarmed domains-mode [yield] skips the deadline ticker entirely, so
+   the ticker must start counting when a deadline is armed while a worker
+   is already spinning: the worker spins with none armed, the main domain
+   arms one ~20 ms later, and the worker must raise [Deadline].  A worker
+   still spinning after 10 s gives up, failing the test instead of hanging
+   it. *)
+let test_deadline_armed_mid_run_domains () =
+  Sched.clear_deadline ();
+  let spinning = Atomic.make false in
+  let runner =
+    Domain.spawn (fun () ->
+        try
+          Sched.run Sched.Domains ~nthreads:1 (fun _ ->
+              let give_up = Unix.gettimeofday () +. 10. in
+              let n = ref 0 in
+              Atomic.set spinning true;
+              while !n land 0xffff <> 0 || Unix.gettimeofday () < give_up do
+                incr n;
+                Sched.yield ()
+              done);
+          false
+        with Sched.Deadline -> true)
+  in
+  while not (Atomic.get spinning) do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.02;
+  Sched.set_deadline (Unix.gettimeofday ());
+  let aborted = Domain.join runner in
+  Sched.clear_deadline ();
+  Alcotest.(check bool) "deadline armed mid-run fired" true aborted
+
 (* Satellite: fiber-mode deadlines are virtual-tick-based, so the same
    seed aborts at exactly the same virtual tick on every run. *)
 let test_tick_deadline_deterministic () =
@@ -543,6 +575,8 @@ let () =
           Alcotest.test_case "aborts-spin" `Quick test_deadline_aborts_spin;
           Alcotest.test_case "aborts-spin-domains" `Quick
             test_deadline_aborts_spin_domains;
+          Alcotest.test_case "armed-mid-run-domains" `Quick
+            test_deadline_armed_mid_run_domains;
           Alcotest.test_case "tick-deterministic" `Quick
             test_tick_deadline_deterministic;
         ] );
