@@ -986,9 +986,8 @@ module Reclaim_bench = struct
     in
     let h = X.register d in
     let prot = Array.init hazards (fun _ -> Alloc.block ()) in
-    let opts = Array.map (fun b -> Some b) prot in
     let shields = Array.init hazards (fun _ -> X.new_shield h) in
-    Array.iteri (fun k s -> X.protect s opts.(k)) shields;
+    Array.iteri (fun k s -> X.protect s prot.(k)) shields;
     let blocks, frees = make_ring 128 in
     let cycle () =
       for k = 0 to 127 do
@@ -1277,6 +1276,57 @@ module Reclaim_bench = struct
       gated = true;
     }
 
+  (* The Traverse read path (DESIGN.md §9): an HHSList [get] of an absent
+     key beyond the tail, which walks every node, on a 128-node and on a
+     1024-node list.  The difference of the two costs per get, over the
+     896 extra nodes, is the cost per traversed node, with every per-get
+     constant (op wrapper, critical-section entry, final protect)
+     cancelled: gated at zero words per node.  Reported, not gated, on a
+     [traverse-get] row: the 128-node get's ns, and its per-get constant
+     in words (the 128-node get less 128 nodes' worth). *)
+  let traverse_kernels ~iters (module X : Smr_intf.SCHEME) =
+    Alloc.reset ();
+    let d = X.create ~label:"bench-walk" Config.default in
+    let module S = Smr_intf.Bind (X) (struct let it = d end) in
+    let module L = Hpbrcu_ds.Harris_list.Make_hhs (S) in
+    let per_get n =
+      let t = L.create () in
+      let s = L.session t in
+      for k = 0 to n - 1 do
+        ignore (L.insert t s k 0 : bool)
+      done;
+      let r = warm_best ~iters (fun () -> ignore (L.get t s n : bool)) in
+      L.close_session s;
+      r
+    in
+    let short, long = (128, 1024) in
+    let ns_s, words_s = per_get short in
+    let ns_l, words_l = per_get long in
+    X.destroy ~force:true d;
+    Alloc.reset ();
+    let extra = float_of_int (long - short) in
+    let ns_node = (ns_l -. ns_s) /. extra in
+    let words_node = Float.max 0. ((words_l -. words_s) /. extra) in
+    let scheme = (X.caps Config.default).Hpbrcu_core.Caps.name in
+    let row kernel ns words gated =
+      {
+        kernel;
+        scheme;
+        hazards = 0;
+        iters;
+        ops_per_cycle = 1;
+        ns_per_op = ns;
+        minor_words_per_op = words;
+        gated;
+      }
+    in
+    [
+      row "traverse-walk" ns_node words_node true;
+      row "traverse-get" ns_s
+        (Float.max 0. (words_s -. (float_of_int short *. words_node)))
+        false;
+    ]
+
   let run_all ~quick =
     let sc = if quick then 8 else 1 in
     let it n = max 8 (n / sc) in
@@ -1305,6 +1355,14 @@ module Reclaim_bench = struct
       flight_emit_kernel ~iters:(it 2000);
       clock_ticks_kernel ~iters:(it 2000);
     ]
+    @ List.concat_map
+        (traverse_kernels ~iters:(it 400))
+        [
+          (module Hpbrcu_schemes.Nr.Impl : Smr_intf.SCHEME);
+          (module Ebr.Impl : Smr_intf.SCHEME);
+          (module Hp_rcu.Impl : Smr_intf.SCHEME);
+          (module Hp_brcu.Impl : Smr_intf.SCHEME);
+        ]
 
   let write_json path rows =
     let oc = open_out path in

@@ -74,6 +74,24 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
 }
 gate hpbench-smoke hpbench_smoke
 
+# Fiber-golden gate: fiber runs are pure functions of the seed, so the
+# HP-BRCU event traces of one seed on HHSList and NMTree must match the
+# committed goldens under repros/golden/ byte for byte.  A read-path
+# change that moves a yield, a checkpoint or a block id fails here.
+fiber_golden() {
+  for ds in HHSList NMTree; do
+    golden="repros/golden/trace-hp-brcu-$(printf '%s' "$ds" | tr 'A-Z' 'a-z')-seed1.txt"
+    out="/tmp/smrbench.ci.golden.$ds.txt"
+    dune exec bin/smrbench.exe -- trace --scheme HP-BRCU --ds "$ds" \
+      --ops 50 --seed 1 > "$out" || return 1
+    if ! cmp -s "$out" "$golden"; then
+      echo "check.sh: trace --ds $ds differs from $golden" >&2
+      return 1
+    fi
+  done
+}
+gate fiber-golden fiber_golden
+
 # Chaos smoke gate: the full scheme matrix under every fault plan, three
 # seeds, with the traced determinism probes.  Exits non-zero on any
 # invariant violation (non-termination, use-after-free, bound overshoot,
@@ -81,10 +99,11 @@ gate hpbench-smoke hpbench_smoke
 gate chaos-fibers dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
 
 # Steady-state allocation gate (DESIGN.md §9): every gated reclamation
-# kernel (retire, scan, pin/unpin, failed advance, disabled trace emit)
-# must stay at zero minor-heap words per cycle (threshold 0.05 words/op
-# absorbs probe calibration noise); the disabled emit additionally must
-# stay single-digit ns.
+# kernel (retire, scan, pin/unpin, failed advance, disabled trace emit,
+# and the traverse-walk words per traversed node of an HHSList get under
+# NR, RCU, HP-RCU and HP-BRCU) must stay at zero minor-heap words per
+# cycle (threshold 0.05 words/op absorbs probe calibration noise); the
+# disabled emit additionally must stay single-digit ns.
 gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
   --out /tmp/BENCH_reclaim.ci.json
 

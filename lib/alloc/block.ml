@@ -60,9 +60,9 @@ let next_id = Atomic.make 0
     a reclaim, never permit one, so a missed reset degrades nothing. *)
 let reset_ids () = Atomic.set next_id 0
 
-let make ?(recyclable = false) () =
+let build id recyclable =
   {
-    id = Atomic.fetch_and_add next_id 1;
+    id;
     state = Atomic.make (state_to_int Live);
     version = Atomic.make 0;
     birth_era = Atomic.make 0;
@@ -71,6 +71,16 @@ let make ?(recyclable = false) () =
     poison = Atomic.make 0;
     owner = Atomic.make 0;
   }
+
+let make ?(recyclable = false) () =
+  build (Atomic.fetch_and_add next_id 1) recyclable
+
+(** The block of no node: the [src] of a read from a cell that no managed
+    node owns (an entry point), and the value that empties a hazard slot.
+    It is never retired, so an access check on it passes, and it takes no
+    id from the sequence, so making it leaves every fiber run's block ids
+    unchanged. *)
+let none = build (-1) false
 
 let id t = t.id
 let owner t = Atomic.get t.owner

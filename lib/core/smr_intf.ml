@@ -24,8 +24,10 @@
       the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here —
       the "per-node overhead" of Table 2; coarse schemes do a plain load
       (plus signal poll and use-after-free check).
-    - {!S.traverse} is the paper's Traverse combinator (Algorithm 7).  Each
-      scheme instantiates its phase structure: a single unbounded critical
+    - {!S.traverse} is the paper's Traverse combinator (Algorithm 7): the
+      data structure supplies a budgeted {!walker}, and each scheme
+      instantiates its phase structure by the budgets and checkpoints it
+      drives the walker with: a single unbounded critical
       section (RCU), per-[max_steps] alternation (HP-RCU, Algorithm 3),
       rollback-and-resume with double-buffered checkpoints (HP-BRCU), or
       restart-from-entry (NBR) — which is precisely the difference that
@@ -49,11 +51,60 @@
 module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
 
-(** Result of one traversal step (paper Algorithm 7's [StepResult]). *)
-type ('c, 'r) step_result =
-  | Finish of 'c * 'r  (** reached the destination *)
-  | Continue of 'c  (** advanced one step *)
-  | Fail  (** cursor invalidated; caller must restart the operation *)
+(** A data structure's traversal, handed to {!S.traverse} (paper
+    Algorithm 7's cursor and step, turned inside out so that the scheme
+    drives budgets instead of single steps).  The structure builds one
+    walker per session and reuses it for every traversal; the {e live
+    cursor} and the answer live in the session, and each field below
+    acts on them:
+
+    - [init ()] loads the entry-point cursor into the session, into
+      cursor records it allocates afresh: young records keep the few
+      cursor writes a traversal makes (write-backs, slot copies) on the
+      write barrier's fast path, where rewriting long-lived session
+      records would cost a slow [caml_modify] each;
+    - [walk n] advances at most [n] steps and returns {!walk_more} (the
+      budget is used up), {!walk_done} (reached the destination) or
+      {!walk_fail} (the cursor was invalidated; the operation restarts).
+      Inside [walk] the cursor travels as arguments of a tail-recursive
+      loop and is written back to the session only when the walk stops,
+      so an ordinary step allocates nothing and stores no pointer into
+      the heap;
+      [walk n] is observably [n] calls of [walk 1].  It must be
+      abort-rollback-safe except inside {!S.mask};
+    - [save i] / [restore i] copy the live cursor into checkpoint slot
+      [i] (0 or 1) or back from it; [restore] then revalidates the
+      cursor (paper R1, §3.3) and returns whether it may be resumed;
+    - [protect sh] publishes the live cursor into the shield array [sh];
+    - [steps] is bumped once per step attempted, before the step's first
+      read, so a count taken across a rollback that lands mid-walk stays
+      exact. *)
+type 'sh walker = {
+  init : unit -> unit;
+  walk : int -> int;
+  save : int -> unit;
+  restore : int -> bool;
+  protect : 'sh array -> unit;
+  mutable steps : int;
+}
+
+(** [walk]'s answers. *)
+let walk_more = 0
+
+let walk_done = 1
+let walk_fail = 2
+
+(** A walker that fails at once: the placeholder a scheme handle holds
+    until its first traversal. *)
+let idle_walker () =
+  {
+    init = ignore;
+    walk = (fun _ -> walk_fail);
+    save = ignore;
+    restore = (fun _ -> false);
+    protect = ignore;
+    steps = 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Domain identity                                                     *)
@@ -240,7 +291,7 @@ module type SCHEME = sig
   type shield
 
   val new_shield : handle -> shield
-  val protect : shield -> Block.t option -> unit
+  val protect : shield -> Block.t -> unit
   val clear : shield -> unit
 
   (** {1 Phases} *)
@@ -254,7 +305,7 @@ module type SCHEME = sig
   (** {1 Mediated memory accesses} *)
 
   val read :
-    handle -> shield -> ?src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
+    handle -> shield -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
 
   val deref : handle -> Block.t -> unit
 
@@ -275,14 +326,7 @@ module type SCHEME = sig
   (** {1 Traversal} *)
 
   val traverse :
-    handle ->
-    prot:shield array ->
-    backup:shield array ->
-    protect:(shield array -> 'c -> unit) ->
-    validate:('c -> bool) ->
-    init:(unit -> 'c) ->
-    step:('c -> ('c, 'r) step_result) ->
-    ('c * shield array * 'r) option
+    handle -> prot:shield array -> backup:shield array -> shield walker -> bool
 
   (** {1 Introspection} *)
 
@@ -321,9 +365,10 @@ module type S = sig
   type shield
 
   val new_shield : handle -> shield
-  val protect : shield -> Block.t option -> unit
-  (** Publish protection of a block (no validation; paper R2 situations).
-      No-op in schemes without per-node protection. *)
+  val protect : shield -> Block.t -> unit
+  (** Publish protection of a block (no validation; paper R2 situations);
+      {!Hpbrcu_alloc.Block.none} empties the slot.  No-op in schemes
+      without per-node protection. *)
 
   val clear : shield -> unit
 
@@ -350,10 +395,11 @@ module type S = sig
   (** {1 Mediated memory accesses} *)
 
   val read :
-    handle -> shield -> ?src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
+    handle -> shield -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
   (** [read h s ~src ~hdr cell] loads a link during traversal.
       [src] is the block of the node owning [cell] (checked against
-      use-after-free); [hdr] projects the target node's block for
+      use-after-free), or {!Hpbrcu_alloc.Block.none} for a cell owned by
+      no managed node; [hdr] projects the target node's block for
       protection.  HP-family: ProtectFrom loop into [s].  BRCU-family:
       plain load, after polling for neutralization.  VBR: plain load, then
       era validation (may raise {!Restart}). *)
@@ -392,23 +438,16 @@ module type S = sig
   (** {1 Traversal} *)
 
   val traverse :
-    handle ->
-    prot:shield array ->
-    backup:shield array ->
-    protect:(shield array -> 'c -> unit) ->
-    validate:('c -> bool) ->
-    init:(unit -> 'c) ->
-    step:('c -> ('c, 'r) step_result) ->
-    ('c * shield array * 'r) option
-  (** The Traverse combinator (Algorithm 7).  [prot] and [backup] are two
-      equal-length shield arrays owned by the caller; on [Some (c, win, r)]
-      the array [win] (one of the two) holds a complete protection of [c]
-      and remains valid until the next [traverse]/[clear].  [protect]
-      writes a cursor into a shield array; [validate] implements
-      revalidation (paper R1, §3.3); [init] builds the entry-point cursor;
-      [step] advances one step and must be abort-rollback-safe except
-      inside {!mask}.  [None] means the cursor could not be revalidated
-      ([Fail]); the caller retries the operation. *)
+    handle -> prot:shield array -> backup:shield array -> shield walker -> bool
+  (** The Traverse combinator (Algorithm 7): drive the walker [w] from its
+      entry point to its destination, choosing the budgets and the
+      checkpoints ({!walker}).  [prot] and [backup] are two equal-length
+      shield arrays owned by the caller.  On [true] the walker's live
+      cursor is the destination, its answer is in the session, and one of
+      [prot] / [backup] holds a complete protection of that cursor until
+      the next [traverse] or [clear].  [false] means a walk failed or a
+      resumed cursor could not be revalidated; the caller retries the
+      operation. *)
 
   (** {1 Introspection} *)
 

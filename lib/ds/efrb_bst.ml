@@ -78,34 +78,163 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let create () =
     { root = mk_internal inf2 ~left:(mk_leaf inf1) ~right:(mk_leaf inf2) }
 
+  let child_cell n key = if key < n.key then n.left else n.right
+
+  (* ---------------- search ---------------- *)
+
+  (* Cursor: grandparent, parent, leaf plus the update words observed when
+     crossing them (the EFRB search postcondition).  A session keeps the
+     live cursor and the walker's two checkpoint slots in records like
+     this; [gp] is {!no_node} until the search has a grandparent. *)
+  type cursor = {
+    mutable gp : node;
+    mutable gpupdate : update;
+    mutable p : node;
+    mutable pupdate : update;
+    mutable l : node;
+  }
+
+  (* The grandparent of a cursor still at the root: a node outside the
+     tree, whose block is {!Block.none}. *)
+  let no_node =
+    {
+      blk = Block.none;
+      key = min_int;
+      leaf = true;
+      left = Link.cell None;
+      right = Link.cell None;
+      update = Atomic.make Clean;
+    }
+
   type session = {
     h : S.handle;
     prot : S.shield array;  (* gp, p, l *)
     backup : S.shield array;
     scratch : S.shield array;
     mutable rot : int;
+    mutable key : int;  (* the running search's key and answer *)
+    mutable found : bool;
+    mutable ds : t;  (* the structure the running search walks *)
+    mutable live : cursor;
+    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    w : S.shield walker;
   }
-
-  let session _t =
-    let h = S.register () in
-    {
-      h;
-      prot = Array.init 3 (fun _ -> S.new_shield h);
-      backup = Array.init 3 (fun _ -> S.new_shield h);
-      scratch = Array.init 5 (fun _ -> S.new_shield h);
-      rot = 0;
-    }
 
   let close_session s =
     S.flush s.h;
     S.unregister s.h
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    S.read s.h sh ~src ~hdr:blk cell
 
-  let child_cell n key = if key < n.key then n.left else n.right
+  let protect_cursor s (sh : S.shield array) =
+    let c = s.live in
+    S.protect sh.(0) c.gp.blk;
+    S.protect sh.(1) c.p.blk;
+    S.protect sh.(2) c.l.blk
+
+  (* Resuming a checkpointed EFRB cursor cannot be revalidated locally
+     (deletion state lives in ancestors' update words), so rollbacks
+     restart the operation from the root; EFRB searches are short (log n),
+     making restarts cheap. *)
+  let validate_cursor _ = false
+
+  let copy_cursor ~src ~dst =
+    dst.gp <- src.gp;
+    dst.gpupdate <- src.gpupdate;
+    dst.p <- src.p;
+    dst.pupdate <- src.pupdate;
+    dst.l <- src.l
+
+  let init_cursor t s =
+    let l0 =
+      Option.get (Link.target (scratch_read s ~src:t.root.blk t.root.left))
+    in
+    let pupdate = Atomic.get t.root.update in
+    let cursor () =
+      { gp = no_node; gpupdate = Clean; p = t.root; pupdate; l = l0 }
+    in
+    s.live <- cursor ();
+    s.slots.(0) <- cursor ();
+    s.slots.(1) <- cursor ()
+
+  (* The walk stops: write the cursor back to the session. *)
+  let stop s gp gpupdate p pupdate l r =
+    let c = s.live in
+    c.gp <- gp;
+    c.gpupdate <- gpupdate;
+    c.p <- p;
+    c.pupdate <- pupdate;
+    c.l <- l;
+    r
+
+  (* The search, at most [n] steps of it, with the cursor in the
+     arguments. *)
+  let rec walk s key n gp gpupdate p pupdate l =
+    if n = 0 then stop s gp gpupdate p pupdate l walk_more
+    else begin
+      s.w.steps <- s.w.steps + 1;
+      if l.leaf then begin
+        s.found <- l.key = key;
+        stop s gp gpupdate p pupdate l walk_done
+      end
+      else begin
+        let lupdate = Atomic.get l.update in
+        let next = scratch_read s ~src:l.blk (child_cell l key) in
+        match Link.target next with
+        | None -> walk_fail (* torn read; retry *)
+        | Some nl -> walk s key (n - 1) p pupdate l lupdate nl
+      end
+    end
+
+  let session t =
+    let h = S.register () in
+    let shields n = Array.init n (fun _ -> S.new_shield h) in
+    let prot = shields 3 in
+    let backup = shields 3 in
+    let scratch = shields 5 in
+    let cursor () =
+      { gp = no_node; gpupdate = Clean; p = t.root; pupdate = Clean; l = t.root }
+    in
+    let rec s =
+      {
+        h;
+        prot;
+        backup;
+        scratch;
+        rot = 0;
+        key = 0;
+        found = false;
+        ds = t;
+        live = cursor ();
+        slots = [| cursor (); cursor () |];
+        w =
+          {
+            init = (fun () -> init_cursor s.ds s);
+            walk =
+              (fun n ->
+                let c = s.live in
+                walk s s.key n c.gp c.gpupdate c.p c.pupdate c.l);
+            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            restore =
+              (fun i ->
+                copy_cursor ~src:s.slots.(i) ~dst:s.live;
+                validate_cursor s.live);
+            protect = (fun sh -> protect_cursor s sh);
+            steps = 0;
+          };
+      }
+    in
+    s
+
+  (* Search for [key]; the cursor and the answer stay in the session. *)
+  let rec search t s key =
+    s.ds <- t;
+    s.key <- key;
+    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key
 
   (* ---------------- helping ---------------- *)
 
@@ -196,72 +325,19 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       unflag_delete op
     end
 
-  (* ---------------- search ---------------- *)
-
-  (* Cursor: grandparent, parent, leaf plus the update words observed when
-     crossing them (the EFRB search postcondition). *)
-  type cursor = {
-    gp : node option;
-    gpupdate : update;
-    p : node;
-    pupdate : update;
-    l : node;
-  }
-
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Option.map blk c.gp);
-    S.protect sh.(1) (Some c.p.blk);
-    S.protect sh.(2) (Some c.l.blk)
-
-  (* Resuming a checkpointed EFRB cursor cannot be revalidated locally
-     (deletion state lives in ancestors' update words), so rollbacks
-     restart the operation from the root; EFRB searches are short (log n),
-     making restarts cheap. *)
-  let validate_cursor _ = false
-
-  let init_cursor t s () =
-    let l0 =
-      Option.get (Link.target (scratch_read s ~src:t.root.blk t.root.left))
-    in
-    {
-      gp = None;
-      gpupdate = Clean;
-      p = t.root;
-      pupdate = Atomic.get t.root.update;
-      l = l0;
-    }
-
-  let step _t s key c =
-    if c.l.leaf then Finish (c, c.l.key = key)
-    else begin
-      let pupdate = Atomic.get c.l.update in
-      let next =
-        scratch_read s ~src:c.l.blk (child_cell c.l key)
-      in
-      match Link.target next with
-      | None -> Fail (* torn read; retry *)
-      | Some nl ->
-          Continue
-            { gp = Some c.p; gpupdate = c.pupdate; p = c.l; pupdate; l = nl }
-    end
-
-  let rec search t s key =
-    match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
-        ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step t s key)
-    with
-    | Some (c, _win, found) -> (c, found)
-    | None -> search t s key
-
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (search t s key))
+  let get t s key =
+    S.op s.h (fun () ->
+        search t s key;
+        s.found)
 
   let insert t s key value =
     ignore value;
     S.op s.h (fun () ->
         let rec attempt () =
-          let c, found = search t s key in
+          search t s key;
+          let c = s.live and found = s.found in
           if found then false
           else if c.pupdate <> Clean then begin
             help s c.pupdate;
@@ -295,12 +371,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec attempt () =
-          let c, found = search t s key in
+          search t s key;
+          let c = s.live and found = s.found in
           if not found then false
           else
-            match c.gp with
-            | None -> false (* the leaf is a sentinel child of the root *)
-            | Some gp ->
+            let gp = c.gp in
+            if gp == no_node then false (* a sentinel child of the root *)
+            else
                 if c.gpupdate <> Clean then begin
                   help s c.gpupdate;
                   attempt ()

@@ -37,14 +37,20 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   }
 
   let blk n = n.blk
+  let opt_blk = function None -> Block.none | Some n -> n.blk
 
   type t = { head : node; pool : node Pool.t }
 
   (* Traversal cursor: [left] = last unmarked node whose loaded link is
      [left_next] (the snip CAS's expected value); [node] = node under
      examination (None = end of list).  [node == target left_next] iff no
-     marked chain is pending between them. *)
-  type cursor = { left : node; left_next : node Link.t; node : node option }
+     marked chain is pending between them.  A session keeps the live
+     cursor and the walker's two checkpoint slots in records like this. *)
+  type cursor = {
+    mutable left : node;
+    mutable left_next : node Link.t;
+    mutable node : node option;
+  }
 
   type session = {
     h : S.handle;
@@ -54,6 +60,13 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     mutable rot : int;
     mask0 : S.shield;
     mask1 : S.shield;
+    mutable key : int;  (* the running search's key ... *)
+    mutable help : bool;  (* ... whether it snips marked chains ... *)
+    mutable found : bool;  (* ... and its answer *)
+    mutable ds : t;  (* the structure the running search walks *)
+    mutable live : cursor;  (* the live cursor *)
+    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    w : S.shield walker;
   }
 
   let create () =
@@ -61,18 +74,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
       head =
         { blk = Alloc.block (); key = min_int; value = 0; next = Link.cell None };
       pool = Pool.create ();
-    }
-
-  let session _t =
-    let h = S.register () in
-    {
-      h;
-      prot = Array.init 3 (fun _ -> S.new_shield h);
-      backup = Array.init 3 (fun _ -> S.new_shield h);
-      scratch = Array.init 4 (fun _ -> S.new_shield h);
-      rot = 0;
-      mask0 = S.new_shield h;
-      mask1 = S.new_shield h;
     }
 
   let close_session s =
@@ -109,20 +110,21 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let discard t n =
     if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    S.read s.h sh ~src ~hdr:blk cell
 
-  let key_of s n =
+  let key_of s (n : node) =
     let k = n.key in
     S.deref s.h n.blk;
     k
 
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.left.blk);
-    S.protect sh.(1) (Option.map blk (Link.target c.left_next));
-    S.protect sh.(2) (Option.map blk c.node)
+  let protect_cursor s (sh : S.shield array) =
+    let c = s.live in
+    S.protect sh.(0) c.left.blk;
+    S.protect sh.(1) (opt_blk (Link.target c.left_next));
+    S.protect sh.(2) (opt_blk c.node)
 
   (* Revalidation (§3.3): resuming from [node] (or from [left] when at the
      end) requires it not logically deleted.  Checkpointed nodes are
@@ -135,6 +137,11 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     | None ->
         Alloc.check_access c.left.blk;
         not (Link.is_marked (Link.get c.left.next))
+
+  let copy_cursor ~src ~dst =
+    dst.left <- src.left;
+    dst.left_next <- src.left_next;
+    dst.node <- src.node
 
   (* Retire the frozen marked chain [from .. stop), patching successors for
      HP++.  Links of marked nodes are immutable, so the walk is stable. *)
@@ -156,8 +163,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      [left.next], then retire the chain.  Abort-rollback-unsafe, so masked
      on outliving protections. *)
   let snip t s c =
-    S.protect s.mask0 (Some c.left.blk);
-    S.protect s.mask1 (Option.map blk c.node);
+    S.protect s.mask0 c.left.blk;
+    S.protect s.mask1 (opt_blk c.node);
     let desired = Link.make c.node in
     S.mask s.h (fun () ->
         if Link.cas c.left.next ~expected:c.left_next ~desired then begin
@@ -166,68 +173,139 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         end
         else None)
 
-  let init_cursor t s () =
-    let ln = scratch_read s t.head.next in
-    { left = t.head; left_next = ln; node = Link.target ln }
+  let init_cursor t s =
+    let ln = scratch_read s ~src:Block.none t.head.next in
+    let cursor () = { left = t.head; left_next = ln; node = Link.target ln } in
+    s.live <- cursor ();
+    s.slots.(0) <- cursor ();
+    s.slots.(1) <- cursor ()
 
-  (* One step of Harris's search.  [help] enables chain snipping. *)
-  let step_search t s key ~help c =
-    match c.node with
-    | None ->
-        (* End of list.  If a marked chain dangles, snip it first. *)
-        if help && not (Link.same c.left_next (Link.make c.node)) then
-          match snip t s c with
-          | Some ln -> Finish ({ c with left_next = ln }, false)
-          | None -> Fail
-        else Finish (c, false)
-    | Some tnode -> (
-        let t_next = scratch_read s ~src:tnode.blk tnode.next in
-        if Link.is_marked t_next then
-          (* t is logically deleted: walk past it. *)
-          Continue { c with node = Link.target t_next }
-        else
-          let k = key_of s tnode in
-          if k < key then
-            (* t is a live node below the key: becomes the new left. *)
-            Continue { left = tnode; left_next = t_next; node = Link.target t_next }
-          else if
-            (* t = right.  Adjacent to left? *)
-            match Link.target c.left_next with
-            | Some l when l == tnode -> true
-            | _ -> false
-          then Finish (c, k = key)
-          else if help then
-            match snip t s c with
-            | Some ln -> Finish ({ c with left_next = ln }, k = key)
-            | None -> Fail
-          else Finish (c, k = key))
+  (* The walk stops: write the cursor back to the session. *)
+  let stop s left left_next node r =
+    let c = s.live in
+    c.left <- left;
+    c.left_next <- left_next;
+    c.node <- node;
+    r
 
+  let finish s left left_next node found =
+    s.found <- found;
+    stop s left left_next node walk_done
+
+  (* Finish after snipping the marked chain between [left] and [node]. *)
+  let finish_snip s left left_next node found =
+    ignore (stop s left left_next node walk_done : int);
+    match snip s.ds s s.live with
+    | Some ln ->
+        s.live.left_next <- ln;
+        s.found <- found;
+        walk_done
+    | None -> walk_fail
+
+  (* Harris's search, at most [n] steps of it, with the cursor in the
+     arguments.  [s.help] enables chain snipping. *)
+  let rec walk s key n left left_next node =
+    if n = 0 then stop s left left_next node walk_more
+    else begin
+      s.w.steps <- s.w.steps + 1;
+      match node with
+      | None ->
+          (* End of list.  If a marked chain dangles, snip it first. *)
+          if s.help && not (Link.same left_next (Link.make node)) then
+            finish_snip s left left_next node false
+          else finish s left left_next node false
+      | Some tnode ->
+          let t_next = scratch_read s ~src:tnode.blk tnode.next in
+          if Link.is_marked t_next then
+            (* t is logically deleted: walk past it. *)
+            walk s key (n - 1) left left_next (Link.target t_next)
+          else
+            let k = key_of s tnode in
+            if k < key then
+              (* t is a live node below the key: becomes the new left. *)
+              walk s key (n - 1) tnode t_next (Link.target t_next)
+            else if
+              (* t = right.  Adjacent to left? *)
+              match Link.target left_next with
+              | Some l when l == tnode -> true
+              | _ -> false
+            then finish s left left_next node (k = key)
+            else if s.help then finish_snip s left left_next node (k = key)
+            else finish s left left_next node (k = key)
+    end
+
+  let session t =
+    let h = S.register () in
+    let shields n = Array.init n (fun _ -> S.new_shield h) in
+    let prot = shields 3 in
+    let backup = shields 3 in
+    let scratch = shields 4 in
+    let mask0 = S.new_shield h in
+    let mask1 = S.new_shield h in
+    let cursor () = { left = t.head; left_next = Link.null; node = None } in
+    let rec s =
+      {
+        h;
+        prot;
+        backup;
+        scratch;
+        rot = 0;
+        mask0;
+        mask1;
+        key = 0;
+        help = false;
+        found = false;
+        ds = t;
+        live = cursor ();
+        slots = [| cursor (); cursor () |];
+        w =
+          {
+            init = (fun () -> init_cursor s.ds s);
+            walk =
+              (fun n ->
+                let c = s.live in
+                walk s s.key n c.left c.left_next c.node);
+            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            restore =
+              (fun i ->
+                copy_cursor ~src:s.slots.(i) ~dst:s.live;
+                validate_cursor s.live);
+            protect = (fun sh -> protect_cursor s sh);
+            steps = 0;
+          };
+      }
+    in
+    s
+
+  (* Search for [key]; the cursor it stops at and its answer stay in the
+     session.  Retried from the entry point when revalidation fails. *)
   let rec search t s key ~help =
-    match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
-        ~validate:validate_cursor ~init:(init_cursor t s)
-        ~step:(step_search t s key ~help)
-    with
-    | Some (c, _win, found) -> (c, found)
-    | None -> search t s key ~help
+    s.ds <- t;
+    s.key <- key;
+    s.help <- help;
+    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key ~help
 
   (* ---------------- operations ---------------- *)
 
   let get t s key =
-    S.op s.h (fun () -> snd (search t s key ~help:F.helping_get))
+    S.op s.h (fun () ->
+        search t s key ~help:F.helping_get;
+        s.found)
 
   let insert t s key value =
     S.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
-          let c, found = search t s key ~help:true in
-          if found then begin
+          search t s key ~help:true;
+          if s.found then begin
             discard t n;
             false
           end
           else begin
             (* After a helping search, left and right are adjacent:
                left_next's target is right (or None). *)
+            let c = s.live in
             Link.set n.next (Link.make (Link.target c.left_next));
             let desired = Link.make (Some n) in
             if Link.cas c.left.next ~expected:c.left_next ~desired then true
@@ -239,10 +317,11 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let remove t s key =
     S.op s.h (fun () ->
         let rec go () =
-          let c, found = search t s key ~help:true in
-          if not found then false
+          search t s key ~help:true;
+          if not s.found then false
           else
-            let right = Option.get (Link.target c.left_next) in
+            let left = s.live.left and left_next = s.live.left_next in
+            let right = Option.get (Link.target left_next) in
             let r_next = scratch_read s ~src:right.blk right.next in
             if Link.is_marked r_next then go ()
             else if
@@ -250,11 +329,11 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
                 ~desired:(Link.with_tag r_next 1)
             then begin
               (* Try to unlink immediately; otherwise later searches snip. *)
-              S.protect s.mask0 (Some c.left.blk);
-              S.protect s.mask1 (Some right.blk);
+              S.protect s.mask0 left.blk;
+              S.protect s.mask1 right.blk;
               let desired = Link.make (Link.target r_next) in
               S.mask s.h (fun () ->
-                  if Link.cas c.left.next ~expected:c.left_next ~desired then
+                  if Link.cas left.next ~expected:left_next ~desired then
                     S.retire s.h right.blk
                       ~patch:(match Link.target r_next with
                              | None -> []
@@ -266,7 +345,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         in
         go ())
 
-  (* A single max_int search is not enough: [step_search] advances [left]
+  (* A single max_int search is not enough: [walk] advances [left]
      past a marked chain whenever the next live node's key is below the
      search key, so chains that precede a live node survive it — physically
      linked, invisible to the read-only [get], and never retired, which the
@@ -277,8 +356,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     ignore
       (S.op s.h (fun () ->
            let rec sweep key =
-             let c, _ = search t s key ~help:true in
-             match c.node with
+             search t s key ~help:true;
+             match s.live.node with
              | Some n ->
                  let k = key_of s n in
                  if k < max_int then sweep (k + 1)

@@ -30,13 +30,16 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
+  let opt_blk = function None -> Block.none | Some n -> n.blk
 
   type t = { head : node (* sentinel, key = min_int *); pool : node Pool.t }
 
   (* The traversal cursor: [prev] and the link loaded from [prev.next]
      (whose target is [cur]).  Keeping the loaded link (not just the
-     target) gives CASes their physical-equality expected value. *)
-  type cursor = { prev : node; pnext : node Link.t }
+     target) gives CASes their physical-equality expected value.  A
+     session keeps the live cursor and the walker's two checkpoint slots
+     in records like this. *)
+  type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
   let cur_of c = Link.target c.pnext
 
@@ -48,6 +51,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable rot : int;
     mask0 : S.shield;  (* outliving shields for masked regions (Alg. 8) *)
     mask1 : S.shield;
+    mutable key : int;  (* the running search's key and answer *)
+    mutable found : bool;
+    mutable ds : t;  (* the structure the running search walks *)
+    mutable live : cursor;
+    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    w : S.shield walker;
   }
 
   let create () =
@@ -55,18 +64,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       head =
         { blk = Alloc.block (); key = min_int; value = 0; next = Link.cell None };
       pool = Pool.create ();
-    }
-
-  let session _t =
-    let h = S.register () in
-    {
-      h;
-      prot = [| S.new_shield h; S.new_shield h |];
-      backup = [| S.new_shield h; S.new_shield h |];
-      scratch = [| S.new_shield h; S.new_shield h; S.new_shield h |];
-      rot = 0;
-      mask0 = S.new_shield h;
-      mask1 = S.new_shield h;
     }
 
   let close_session s =
@@ -108,15 +105,15 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- mediated accesses ---------------- *)
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    S.read s.h sh ~src ~hdr:blk cell
 
   (* Read a node's key, then validate the access (order matters for VBR:
      the value is junk if the node was recycled meanwhile, and the
      validation detects exactly that). *)
-  let key_of s n =
+  let key_of s (n : node) =
     let k = n.key in
     S.deref s.h n.blk;
     k
@@ -124,9 +121,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* ---------------- Traverse plumbing (Algorithm 8) ---------------- *)
 
   (* ListCursorProtector.protect: publish both cursor nodes. *)
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.prev.blk);
-    S.protect sh.(1) (Option.map blk (cur_of c))
+  let protect_cursor s (sh : S.shield array) =
+    let c = s.live in
+    S.protect sh.(0) c.prev.blk;
+    S.protect sh.(1) (opt_blk (cur_of c))
 
   (* ListCursor.validate: the node the resumed traversal will dereference
      must not be logically deleted (checking the mark suffices for
@@ -141,65 +139,134 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         Alloc.check_access cur.blk;
         not (Link.is_marked (Link.get cur.next))
 
-  let init_cursor t s () = { prev = t.head; pnext = scratch_read s t.head.next }
+  let copy_cursor ~src ~dst =
+    dst.prev <- src.prev;
+    dst.pnext <- src.pnext
 
-  (* One traversal step (Algorithm 8's step closure). *)
-  let step t s key c =
-    match cur_of c with
-    | None -> Finish (c, false)  (* reached the end: key absent *)
-    | Some cur -> (
-        let next = scratch_read s ~src:cur.blk cur.next in
-        if Link.is_marked next then begin
-          (* cur is logically deleted: help unlink it.  The unlink + retire
-             pair is abort-rollback-unsafe, so it runs masked on outliving
-             protections (Algorithm 8 lines 23-27). *)
-          S.protect s.mask0 (Some c.prev.blk);
-          S.protect s.mask1 (Some cur.blk);
-          let desired = Link.make (Link.target next) in
-          let ok =
-            S.mask s.h (fun () ->
-                if Link.cas c.prev.next ~expected:c.pnext ~desired then begin
-                  S.retire s.h cur.blk
-                    ~patch:(match Link.target next with
-                           | None -> []
-                           | Some nx -> [ nx.blk ])
-                    ~free:(fun () -> if S.recycles then Pool.release t.pool cur);
-                  true
-                end
-                else false)
-          in
-          if ok then Continue { prev = c.prev; pnext = desired } else Fail
+  let init_cursor t s =
+    let pnext = scratch_read s ~src:Block.none t.head.next in
+    let cursor () = { prev = t.head; pnext } in
+    s.live <- cursor ();
+    s.slots.(0) <- cursor ();
+    s.slots.(1) <- cursor ()
+
+  (* The walk stops: write the cursor back to the session. *)
+  let stop s prev pnext r =
+    s.live.prev <- prev;
+    s.live.pnext <- pnext;
+    r
+
+  let finish s prev pnext found =
+    s.found <- found;
+    stop s prev pnext walk_done
+
+  (* [cur] is logically deleted: help unlink it from [prev] and retire it.
+     The unlink + retire pair is abort-rollback-unsafe, so it runs masked
+     on outliving protections (Algorithm 8 lines 23-27). *)
+  let help_unlink s prev pnext cur next desired =
+    let pool = s.ds.pool in
+    S.protect s.mask0 prev.blk;
+    S.protect s.mask1 cur.blk;
+    S.mask s.h (fun () ->
+        if Link.cas prev.next ~expected:pnext ~desired then begin
+          S.retire s.h cur.blk
+            ~patch:(match Link.target next with
+                   | None -> []
+                   | Some nx -> [ nx.blk ])
+            ~free:(fun () -> if S.recycles then Pool.release pool cur);
+          true
         end
-        else
-          let k = key_of s cur in
-          if k >= key then Finish (c, k = key)
-          else Continue { prev = cur; pnext = next })
+        else false)
+
+  (* Algorithm 8's step closure, at most [n] steps of it, with the cursor
+     in the arguments. *)
+  let rec walk s key n prev pnext =
+    if n = 0 then stop s prev pnext walk_more
+    else begin
+      s.w.steps <- s.w.steps + 1;
+      match Link.target pnext with
+      | None -> finish s prev pnext false (* reached the end: key absent *)
+      | Some cur ->
+          let next = scratch_read s ~src:cur.blk cur.next in
+          if Link.is_marked next then begin
+            let desired = Link.make (Link.target next) in
+            if help_unlink s prev pnext cur next desired then
+              walk s key (n - 1) prev desired
+            else walk_fail
+          end
+          else
+            let k = key_of s cur in
+            if k >= key then finish s prev pnext (k = key)
+            else walk s key (n - 1) cur next
+    end
+
+  let session t =
+    let h = S.register () in
+    let shields n = Array.init n (fun _ -> S.new_shield h) in
+    let prot = shields 2 in
+    let backup = shields 2 in
+    let scratch = shields 3 in
+    let mask0 = S.new_shield h in
+    let mask1 = S.new_shield h in
+    let cursor () = { prev = t.head; pnext = Link.null } in
+    let rec s =
+      {
+        h;
+        prot;
+        backup;
+        scratch;
+        rot = 0;
+        mask0;
+        mask1;
+        key = 0;
+        found = false;
+        ds = t;
+        live = cursor ();
+        slots = [| cursor (); cursor () |];
+        w =
+          {
+            init = (fun () -> init_cursor s.ds s);
+            walk = (fun n -> walk s s.key n s.live.prev s.live.pnext);
+            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            restore =
+              (fun i ->
+                copy_cursor ~src:s.slots.(i) ~dst:s.live;
+                validate_cursor s.live);
+            protect = (fun sh -> protect_cursor s sh);
+            steps = 0;
+          };
+      }
+    in
+    s
 
   (* TrySearch: traverse until the position of [key]; retry the whole
-     operation if revalidation failed (rare).  On success the returned
-     cursor is protected by the winning shield array. *)
+     operation if revalidation failed (rare).  On success the cursor and
+     the answer stay in the session, the cursor protected by one of its
+     shield arrays. *)
   let rec search t s key =
-    match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
-        ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step t s key)
-    with
-    | Some (c, _win, found) -> (c, found)
-    | None -> search t s key
+    s.ds <- t;
+    s.key <- key;
+    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (search t s key))
+  let get t s key =
+    S.op s.h (fun () ->
+        search t s key;
+        s.found)
 
   let insert t s key value =
     S.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
-          let c, found = search t s key in
-          if found then begin
+          search t s key;
+          if s.found then begin
             discard t n;
             false
           end
           else begin
+            let c = s.live in
             Link.set n.next (Link.make (cur_of c));
             let desired = Link.make (Some n) in
             if Link.cas c.prev.next ~expected:c.pnext ~desired then true
@@ -211,10 +278,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec go () =
-          let c, found = search t s key in
-          if not found then false
+          search t s key;
+          if not s.found then false
           else
-            let cur = Option.get (cur_of c) in
+            let prev = s.live.prev and pnext = s.live.pnext in
+            let cur = Option.get (Link.target pnext) in
             let next = scratch_read s ~src:cur.blk cur.next in
             if Link.is_marked next then go ()  (* lost the race *)
             else if
@@ -224,13 +292,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               (* Physical deletion; on failure a helping traversal will
                  finish the job (and retire the node). *)
               let desired = Link.make (Link.target next) in
-              if Link.cas c.prev.next ~expected:c.pnext ~desired then
+              if Link.cas prev.next ~expected:pnext ~desired then
                 S.retire s.h cur.blk
                   ~patch:(match Link.target next with
                          | None -> []
                          | Some nx -> [ nx.blk ])
                   ~free:(fun () -> if S.recycles then Pool.release t.pool cur)
-              else ignore (search t s key : cursor * bool);
+              else search t s key;
               true
             end
             else go ()

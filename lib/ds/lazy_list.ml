@@ -35,10 +35,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
+  let opt_blk = function None -> Block.none | Some n -> n.blk
 
   type t = { head : node; pool : node Pool.t }
 
-  type cursor = { prev : node; pnext : node Link.t }
+  (* The traversal cursor; a session keeps the live cursor and the
+     walker's two checkpoint slots in records like this. *)
+  type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
   let cur_of c = Link.target c.pnext
 
@@ -48,6 +51,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     backup : S.shield array;
     scratch : S.shield array;
     mutable rot : int;
+    mutable key : int;  (* the running search's key and answer *)
+    mutable found : bool;
+    mutable ds : t;  (* the structure the running search walks *)
+    mutable live : cursor;
+    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    w : S.shield walker;
   }
 
   let mk_node ?(recyclable = false) key value =
@@ -61,16 +70,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     }
 
   let create () = { head = mk_node min_int 0; pool = Pool.create () }
-
-  let session _t =
-    let h = S.register () in
-    {
-      h;
-      prot = Array.init 2 (fun _ -> S.new_shield h);
-      backup = Array.init 2 (fun _ -> S.new_shield h);
-      scratch = Array.init 3 (fun _ -> S.new_shield h);
-      rot = 0;
-    }
 
   let close_session s =
     S.flush s.h;
@@ -106,12 +105,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let discard t n =
     if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    S.read s.h sh ~src ~hdr:blk cell
 
-  let key_of s n =
+  let key_of s (n : node) =
     let k = n.key in
     S.deref s.h n.blk;
     k
@@ -136,35 +135,94 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- traversal ---------------- *)
 
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.prev.blk);
-    S.protect sh.(1) (Option.map blk (cur_of c))
+  let protect_cursor s (sh : S.shield array) =
+    let c = s.live in
+    S.protect sh.(0) c.prev.blk;
+    S.protect sh.(1) (opt_blk (cur_of c))
 
   (* Resuming follows prev.next: prev must not be logically deleted. *)
   let validate_cursor c =
     Alloc.check_access c.prev.blk;
     not (Atomic.get c.prev.marked)
 
-  let init_cursor t s () = { prev = t.head; pnext = scratch_read s t.head.next }
+  let copy_cursor ~src ~dst =
+    dst.prev <- src.prev;
+    dst.pnext <- src.pnext
 
-  (* Pure read steps: walk (possibly across marked nodes) until key ≥ k.
-     No helping — physical removal is the remover's job, under locks. *)
-  let step s key c =
-    match cur_of c with
-    | None -> Finish (c, false)
-    | Some cur ->
-        let k = key_of s cur in
-        if k < key then
-          Continue { prev = cur; pnext = scratch_read s ~src:cur.blk cur.next }
-        else Finish (c, k = key && not (Atomic.get cur.marked))
+  let init_cursor t s =
+    let pnext = scratch_read s ~src:Block.none t.head.next in
+    let cursor () = { prev = t.head; pnext } in
+    s.live <- cursor ();
+    s.slots.(0) <- cursor ();
+    s.slots.(1) <- cursor ()
 
+  let finish s prev pnext found =
+    s.found <- found;
+    s.live.prev <- prev;
+    s.live.pnext <- pnext;
+    walk_done
+
+  (* Pure read steps, at most [n] of them, with the cursor in the
+     arguments: walk (possibly across marked nodes) until key ≥ k.  No
+     helping — physical removal is the remover's job, under locks. *)
+  let rec walk s key n prev pnext =
+    if n = 0 then begin
+      s.live.prev <- prev;
+      s.live.pnext <- pnext;
+      walk_more
+    end
+    else begin
+      s.w.steps <- s.w.steps + 1;
+      match Link.target pnext with
+      | None -> finish s prev pnext false
+      | Some cur ->
+          let k = key_of s cur in
+          if k < key then
+            walk s key (n - 1) cur (scratch_read s ~src:cur.blk cur.next)
+          else finish s prev pnext (k = key && not (Atomic.get cur.marked))
+    end
+
+  let session t =
+    let h = S.register () in
+    let shields n = Array.init n (fun _ -> S.new_shield h) in
+    let prot = shields 2 in
+    let backup = shields 2 in
+    let scratch = shields 3 in
+    let cursor () = { prev = t.head; pnext = Link.null } in
+    let rec s =
+      {
+        h;
+        prot;
+        backup;
+        scratch;
+        rot = 0;
+        key = 0;
+        found = false;
+        ds = t;
+        live = cursor ();
+        slots = [| cursor (); cursor () |];
+        w =
+          {
+            init = (fun () -> init_cursor s.ds s);
+            walk = (fun n -> walk s s.key n s.live.prev s.live.pnext);
+            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            restore =
+              (fun i ->
+                copy_cursor ~src:s.slots.(i) ~dst:s.live;
+                validate_cursor s.live);
+            protect = (fun sh -> protect_cursor s sh);
+            steps = 0;
+          };
+      }
+    in
+    s
+
+  (* Search for [key]; the cursor and the answer stay in the session. *)
   let rec search t s key =
-    match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
-        ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step s key)
-    with
-    | Some (c, _win, found) -> (c, found)
-    | None -> search t s key
+    s.ds <- t;
+    s.key <- key;
+    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key
 
   (* Heller et al.'s two-node validation, under locks. *)
   let validate_locked prev cur_opt pnext =
@@ -174,18 +232,22 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (search t s key))
+  let get t s key =
+    S.op s.h (fun () ->
+        search t s key;
+        s.found)
 
   let insert t s key value =
     S.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
-          let c, found = search t s key in
-          if found then begin
+          search t s key;
+          if s.found then begin
             discard t n;
             false
           end
           else
+            let c = s.live in
             let outcome =
               with_locked c.prev (fun () ->
                   if not (validate_locked c.prev None c.pnext) then `Retry
@@ -211,9 +273,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec go () =
-          let c, found = search t s key in
-          if not found then false
+          search t s key;
+          if not s.found then false
           else
+            let c = s.live in
             let cur = Option.get (cur_of c) in
             let outcome =
               with_locked2 c.prev cur (fun () ->

@@ -36,6 +36,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
+  let opt_blk = function None -> Block.none | Some n -> n.blk
 
   (* Sentinel keys: every real key must be < inf0. *)
   let inf0 = max_int - 2
@@ -46,13 +47,15 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* Seek record (the NM paper's seekRecord): ancestor = deepest node whose
      edge toward the key is untagged; successor = that edge's target;
-     parent = leaf's parent; cur = current node (leaf at Finish). *)
+     parent = leaf's parent; cur = current node (leaf at the destination).
+     A session keeps the live cursor and the walker's two checkpoint slots
+     in records like this. *)
   type cursor = {
-    anc : node;
-    alink : node Link.t;  (* loaded ancestor child link (untagged) *)
-    par : node;
-    plink : node Link.t;  (* loaded parent child link toward cur *)
-    cur : node;
+    mutable anc : node;
+    mutable alink : node Link.t;  (* loaded ancestor child link (untagged) *)
+    mutable par : node;
+    mutable plink : node Link.t;  (* loaded parent child link toward cur *)
+    mutable cur : node;
   }
 
   type session = {
@@ -63,6 +66,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable rot : int;
     anc_sh : S.shield;  (* lasting protection of ancestor and parent *)
     par_sh : S.shield;
+    mutable key : int;  (* the running seek's key and answer *)
+    mutable found : bool;
+    mutable ds : t;  (* the structure the running search walks *)
+    mutable live : cursor;
+    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    w : S.shield walker;
   }
 
   let mk_leaf ?(recyclable = false) key value =
@@ -96,18 +105,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       }
     in
     { root = r; pool = Pool.create () }
-
-  let session _t =
-    let h = S.register () in
-    {
-      h;
-      prot = Array.init 5 (fun _ -> S.new_shield h);
-      backup = Array.init 5 (fun _ -> S.new_shield h);
-      scratch = Array.init 5 (fun _ -> S.new_shield h);
-      rot = 0;
-      anc_sh = S.new_shield h;
-      par_sh = S.new_shield h;
-    }
 
   let close_session s =
     S.flush s.h;
@@ -148,26 +145,27 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       right = Link.cell (Some right);
     }
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    S.read s.h sh ~src ~hdr:blk cell
 
-  let key_of s n =
+  let key_of s (n : node) =
     let k = n.key in
     S.deref s.h n.blk;
     k
 
-  let child_cell n key = if key < n.key then n.left else n.right
+  let child_cell (n : node) key = if key < n.key then n.left else n.right
 
   (* ---------------- seek (step-decomposed) ---------------- *)
 
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.anc.blk);
-    S.protect sh.(1) (Option.map blk (Link.target c.alink));
-    S.protect sh.(2) (Some c.par.blk);
-    S.protect sh.(3) (Some c.cur.blk);
-    S.protect sh.(4) (Option.map blk (Link.target c.plink))
+  let protect_cursor s (sh : S.shield array) =
+    let c = s.live in
+    S.protect sh.(0) c.anc.blk;
+    S.protect sh.(1) (opt_blk (Link.target c.alink));
+    S.protect sh.(2) c.par.blk;
+    S.protect sh.(3) c.cur.blk;
+    S.protect sh.(4) (opt_blk (Link.target c.plink))
 
   (* Revalidation (§3.3): resuming descends from [cur]; conservative and
      cheap: the parent must still hold a clean edge to cur.  (A leaf cursor
@@ -186,42 +184,113 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       ok c.par.left || ok c.par.right
     end
 
-  let init_cursor t s () =
-    let alink = scratch_read s t.root.left in
+  let copy_cursor ~src ~dst =
+    dst.anc <- src.anc;
+    dst.alink <- src.alink;
+    dst.par <- src.par;
+    dst.plink <- src.plink;
+    dst.cur <- src.cur
+
+  let init_cursor t s =
+    let alink = scratch_read s ~src:Block.none t.root.left in
     let su = Option.get (Link.target alink) in
     let plink = scratch_read s ~src:su.blk su.left in
-    {
-      anc = t.root;
-      alink;
-      par = su;
-      plink;
-      cur = Option.get (Link.target plink);
-    }
+    let cur = Option.get (Link.target plink) in
+    let cursor () = { anc = t.root; alink; par = su; plink; cur } in
+    s.live <- cursor ();
+    s.slots.(0) <- cursor ();
+    s.slots.(1) <- cursor ()
 
-  let step _t s key c =
-    if c.cur.leaf then Finish (c, key_of s c.cur = key)
+  (* The walk stops: write the cursor back to the session. *)
+  let stop s anc alink par plink cur r =
+    let c = s.live in
+    c.anc <- anc;
+    c.alink <- alink;
+    c.par <- par;
+    c.plink <- plink;
+    c.cur <- cur;
+    r
+
+  (* The seek, at most [n] steps of it, with the cursor in the arguments. *)
+  let rec walk s key n anc alink par plink cur =
+    if n = 0 then stop s anc alink par plink cur walk_more
     else begin
-      let next = scratch_read s ~src:c.cur.blk (child_cell c.cur key) in
-      match Link.target next with
-      | None -> Fail (* torn read of a recycled node (VBR): retry *)
-      | Some nx ->
-          (* Advance ancestor when the edge we just crossed was untagged. *)
-          let anc, alink =
-            if Link.tag c.plink land tag_bit = 0 then (c.par, c.plink)
-            else (c.anc, c.alink)
-          in
-          S.protect s.anc_sh (Some anc.blk);
-          S.protect s.par_sh (Some c.cur.blk);
-          Continue { anc; alink; par = c.cur; plink = next; cur = nx }
+      s.w.steps <- s.w.steps + 1;
+      if cur.leaf then begin
+        s.found <- key_of s cur = key;
+        stop s anc alink par plink cur walk_done
+      end
+      else begin
+        let next = scratch_read s ~src:cur.blk (child_cell cur key) in
+        match Link.target next with
+        | None -> walk_fail (* torn read of a recycled node (VBR): retry *)
+        | Some nx ->
+            (* Advance ancestor when the edge we just crossed was untagged. *)
+            let untagged = Link.tag plink land tag_bit = 0 in
+            let anc = if untagged then par else anc in
+            let alink = if untagged then plink else alink in
+            S.protect s.anc_sh anc.blk;
+            S.protect s.par_sh cur.blk;
+            walk s key (n - 1) anc alink cur next nx
+      end
     end
 
+  let session t =
+    let h = S.register () in
+    let shields n = Array.init n (fun _ -> S.new_shield h) in
+    let prot = shields 5 in
+    let backup = shields 5 in
+    let scratch = shields 5 in
+    let anc_sh = S.new_shield h in
+    let par_sh = S.new_shield h in
+    let cursor () =
+      {
+        anc = t.root;
+        alink = Link.null;
+        par = t.root;
+        plink = Link.null;
+        cur = t.root;
+      }
+    in
+    let rec s =
+      {
+        h;
+        prot;
+        backup;
+        scratch;
+        rot = 0;
+        anc_sh;
+        par_sh;
+        key = 0;
+        found = false;
+        ds = t;
+        live = cursor ();
+        slots = [| cursor (); cursor () |];
+        w =
+          {
+            init = (fun () -> init_cursor s.ds s);
+            walk =
+              (fun n ->
+                let c = s.live in
+                walk s s.key n c.anc c.alink c.par c.plink c.cur);
+            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            restore =
+              (fun i ->
+                copy_cursor ~src:s.slots.(i) ~dst:s.live;
+                validate_cursor s.live);
+            protect = (fun sh -> protect_cursor s sh);
+            steps = 0;
+          };
+      }
+    in
+    s
+
+  (* Seek [key]; the seek record and the answer stay in the session. *)
   let rec seek t s key =
-    match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
-        ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step t s key)
-    with
-    | Some (c, _win, found) -> (c, found)
-    | None -> seek t s key
+    s.ds <- t;
+    s.key <- key;
+    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
+      seek t s key
 
   (* ---------------- retirement of a pruned region ---------------- *)
 
@@ -245,7 +314,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (seek t s key))
+  let get t s key =
+    S.op s.h (fun () ->
+        seek t s key;
+        s.found)
 
   (* Cleanup (NM): tag the sibling edge, then swing the ancestor edge to
      the sibling subtree (preserving its flag, clearing its tag).  Returns
@@ -294,7 +366,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.op s.h (fun () ->
         let leaf = alloc_leaf t key value in
         let rec attempt () =
-          let c, found = seek t s key in
+          seek t s key;
+          let c = s.live and found = s.found in
           if found then begin
             (* Unpublished leaf: pool it, or book it as abandoned so the
                leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
@@ -331,7 +404,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec injection () =
-          let c, found = seek t s key in
+          seek t s key;
+          let c = s.live and found = s.found in
           if not found then false
           else begin
             let cell = child_cell c.par key in
@@ -349,7 +423,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               let victim = c.cur in
               let rec until_gone c =
                 if not (cleanup_edge t s key c) then begin
-                  let c', found = seek t s key in
+                  seek t s key;
+                  let c' = s.live and found = s.found in
                   if found && c'.cur == victim then until_gone c'
                 end
               in

@@ -35,6 +35,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
+  let opt_blk = function None -> Block.none | Some n -> n.blk
   let height n = Array.length n.next
 
   type t = {
@@ -48,13 +49,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   type level_rec = { lpred : node; llink : node Link.t; lsucc : node option }
 
   (* Search cursor: current level walk state plus the completed levels
-     below... above (head of [levels] = most recently completed = lowest
-     finished level). *)
+     above (head of [levels] = most recently completed = lowest finished
+     level).  A session keeps the live cursor and the walker's two
+     checkpoint slots in records like this. *)
   type cursor = {
-    lvl : int;
-    pred : node;
-    plink : node Link.t;  (* loaded pred.next.(lvl) *)
-    levels : level_rec list;  (* levels (lvl+1 .. max-1), lowest first *)
+    mutable lvl : int;
+    mutable pred : node;
+    mutable plink : node Link.t;  (* loaded pred.next.(lvl) *)
+    mutable levels : level_rec list;  (* levels (lvl+1 .. max-1), lowest first *)
   }
 
   type session = {
@@ -66,6 +68,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     pred_sh : S.shield;  (* keeps the current pred protected across steps *)
     level_sh : S.shield array;  (* lasting protection of completed levels *)
     rng : Hpbrcu_runtime.Rng.t;
+    mutable key : int;  (* the running search's key ... *)
+    mutable help : bool;  (* ... whether it unlinks marked nodes ... *)
+    mutable found : bool;  (* ... and its answer *)
+    mutable ds : t;  (* the structure the running search walks *)
+    mutable live : cursor;
+    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    w : S.shield walker;
   }
 
   let create () =
@@ -79,21 +88,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         };
       pools = Array.init (max_level + 1) (fun _ -> Pool.create ());
       level_seed = Atomic.make 1;
-    }
-
-  let session t =
-    let h = S.register () in
-    {
-      h;
-      prot = Array.init ((2 * max_level) + 2) (fun _ -> S.new_shield h);
-      backup = Array.init ((2 * max_level) + 2) (fun _ -> S.new_shield h);
-      scratch = Array.init 4 (fun _ -> S.new_shield h);
-      rot = 0;
-      pred_sh = S.new_shield h;
-      level_sh = Array.init (2 * max_level) (fun _ -> S.new_shield h);
-      rng =
-        Hpbrcu_runtime.Rng.create
-          ~seed:(Atomic.fetch_and_add t.level_seed 0x9E3779B9);
     }
 
   let close_session s =
@@ -137,27 +131,31 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if S.recycles then Pool.release t.pools.(height n) n
     else Alloc.abandon n.blk
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    S.read s.h sh ~src ~hdr:blk cell
 
-  let key_of s n =
+  let key_of s (n : node) =
     let k = n.key in
     S.deref s.h n.blk;
     k
 
   (* Checkpoint protection: every node the cursor can still reach. *)
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.pred.blk);
-    S.protect sh.(1) (Option.map blk (Link.target c.plink));
-    List.iteri
-      (fun i lr ->
-        if (2 * i) + 3 < Array.length sh then begin
-          S.protect sh.((2 * i) + 2) (Some lr.lpred.blk);
-          S.protect sh.((2 * i) + 3) (Option.map blk lr.lsucc)
-        end)
-      c.levels
+  let protect_cursor s (sh : S.shield array) =
+    let c = s.live in
+    S.protect sh.(0) c.pred.blk;
+    S.protect sh.(1) (opt_blk (Link.target c.plink));
+    let rec levels i = function
+      | [] -> ()
+      | lr :: rest ->
+          if (2 * i) + 3 < Array.length sh then begin
+            S.protect sh.((2 * i) + 2) lr.lpred.blk;
+            S.protect sh.((2 * i) + 3) (opt_blk lr.lsucc)
+          end;
+          levels (i + 1) rest
+    in
+    levels 0 c.levels
 
   (* Revalidation: resuming follows pred.next.(lvl); pred must not be
      deleted at that level (mark check suffices, §3.3). *)
@@ -165,81 +163,149 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     Alloc.check_access c.pred.blk;
     not (Link.is_marked (Link.get c.pred.next.(c.lvl)))
 
-  let init_cursor t s () =
+  let copy_cursor ~src ~dst =
+    dst.lvl <- src.lvl;
+    dst.pred <- src.pred;
+    dst.plink <- src.plink;
+    dst.levels <- src.levels
+
+  let init_cursor t s =
     let lvl = max_level - 1 in
-    S.protect s.pred_sh (Some t.head.blk);
-    { lvl; pred = t.head; plink = scratch_read s t.head.next.(lvl); levels = [] }
+    S.protect s.pred_sh t.head.blk;
+    let plink = scratch_read s ~src:Block.none t.head.next.(lvl) in
+    let cursor () = { lvl; pred = t.head; plink; levels = [] } in
+    s.live <- cursor ();
+    s.slots.(0) <- cursor ();
+    s.slots.(1) <- cursor ()
 
-  (* One step of the search.  [help] unlinks marked nodes (never retires —
-     the remover does).  Completing a level records (pred, link, succ),
-     protects them durably, and descends (or finishes at level 0). *)
-  let step t s key ~help c =
-    let complete_level c =
-      (* The recorded link becomes a CAS expected value in the write phase;
-         a marked link there would let the CAS *unmark* the predecessor
-         (HS's CASes expect the unmarked flag).  Restart instead.  The
-         read-only search has no write phase and may pass. *)
-      if help && Link.is_marked c.plink then Fail
-      else begin
-      let lsucc = Link.target c.plink in
-      let i = max_level - 1 - c.lvl in
-      if 2 * i < Array.length s.level_sh then begin
-        S.protect s.level_sh.(2 * i) (Some c.pred.blk);
-        S.protect s.level_sh.((2 * i) + 1) (Option.map blk lsucc)
-      end;
-      let levels = { lpred = c.pred; llink = c.plink; lsucc } :: c.levels in
-      if c.lvl = 0 then begin
-        let found =
-          match lsucc with
-          | Some n ->
-              let k = key_of s n in
-              k = key
-          | None -> false
-        in
-        Finish ({ c with levels }, found)
-      end
-      else begin
-        let lvl = c.lvl - 1 in
-        Continue
-          { lvl; pred = c.pred; plink = scratch_read s c.pred.next.(lvl); levels }
-      end
-      end
-    in
-    ignore t;
-    match Link.target c.plink with
-    | Some curr -> (
-        let succ = scratch_read s ~src:curr.blk curr.next.(c.lvl) in
-        if Link.is_marked succ then
-          if help then begin
-            (* Unlink curr.  The expected value must be unmarked: CASing
-               over a marked link would resurrect a deleted level. *)
-            if Link.is_marked c.plink then Fail
+  (* The walk stops: write the cursor back to the session. *)
+  let stop s lvl pred plink levels r =
+    let c = s.live in
+    c.lvl <- lvl;
+    c.pred <- pred;
+    c.plink <- plink;
+    c.levels <- levels;
+    r
+
+  (* The search, at most [n] steps of it, with the cursor in the
+     arguments.  [help] unlinks marked nodes (never retires — the remover
+     does).  Completing a level records (pred, link, succ), protects them
+     durably, and descends (or finishes at level 0). *)
+  let rec walk s key help n lvl pred plink levels =
+    if n = 0 then stop s lvl pred plink levels walk_more
+    else begin
+      s.w.steps <- s.w.steps + 1;
+      match Link.target plink with
+      | Some curr ->
+          let succ = scratch_read s ~src:curr.blk curr.next.(lvl) in
+          if Link.is_marked succ then
+            if help then begin
+              (* Unlink curr.  The expected value must be unmarked: CASing
+                 over a marked link would resurrect a deleted level. *)
+              if Link.is_marked plink then walk_fail
+              else
+                let desired = Link.make (Link.target succ) in
+                if Link.cas pred.next.(lvl) ~expected:plink ~desired then
+                  walk s key help (n - 1) lvl pred desired levels
+                else walk_fail
+            end
             else
-              let desired = Link.make (Link.target succ) in
-              if Link.cas c.pred.next.(c.lvl) ~expected:c.plink ~desired then
-                Continue { c with plink = desired }
-              else Fail
-          end
-          else Continue { c with plink = Link.make (Link.target succ) }
-        else
-          let k = key_of s curr in
-          if k < key then begin
-            S.protect s.pred_sh (Some curr.blk);
-            Continue { c with pred = curr; plink = succ }
-          end
-          else complete_level c)
-    | None -> complete_level c
+              walk s key help (n - 1) lvl pred
+                (Link.make (Link.target succ))
+                levels
+          else
+            let k = key_of s curr in
+            if k < key then begin
+              S.protect s.pred_sh curr.blk;
+              walk s key help (n - 1) lvl curr succ levels
+            end
+            else complete_level s key help n lvl pred plink levels
+      | None -> complete_level s key help n lvl pred plink levels
+    end
 
-  (* Full search: returns the completed level records (index 0 = level 0)
-     and whether the key was found at level 0. *)
+  and complete_level s key help n lvl pred plink levels =
+    (* The recorded link becomes a CAS expected value in the write phase;
+       a marked link there would let the CAS *unmark* the predecessor
+       (HS's CASes expect the unmarked flag).  Restart instead.  The
+       read-only search has no write phase and may pass. *)
+    if help && Link.is_marked plink then walk_fail
+    else begin
+      let lsucc = Link.target plink in
+      let i = max_level - 1 - lvl in
+      if 2 * i < Array.length s.level_sh then begin
+        S.protect s.level_sh.(2 * i) pred.blk;
+        S.protect s.level_sh.((2 * i) + 1) (opt_blk lsucc)
+      end;
+      let levels = { lpred = pred; llink = plink; lsucc } :: levels in
+      if lvl = 0 then begin
+        s.found <-
+          (match lsucc with Some n -> key_of s n = key | None -> false);
+        stop s lvl pred plink levels walk_done
+      end
+      else
+        let lvl = lvl - 1 in
+        walk s key help (n - 1) lvl pred
+          (scratch_read s ~src:Block.none pred.next.(lvl))
+          levels
+    end
+
+  let session t =
+    let h = S.register () in
+    let shields n = Array.init n (fun _ -> S.new_shield h) in
+    let prot = shields ((2 * max_level) + 2) in
+    let backup = shields ((2 * max_level) + 2) in
+    let scratch = shields 4 in
+    let pred_sh = S.new_shield h in
+    let level_sh = shields (2 * max_level) in
+    let rng =
+      Hpbrcu_runtime.Rng.create
+        ~seed:(Atomic.fetch_and_add t.level_seed 0x9E3779B9)
+    in
+    let cursor () = { lvl = 0; pred = t.head; plink = Link.null; levels = [] } in
+    let rec s =
+      {
+        h;
+        prot;
+        backup;
+        scratch;
+        rot = 0;
+        pred_sh;
+        level_sh;
+        rng;
+        key = 0;
+        help = false;
+        found = false;
+        ds = t;
+        live = cursor ();
+        slots = [| cursor (); cursor () |];
+        w =
+          {
+            init = (fun () -> init_cursor s.ds s);
+            walk =
+              (fun n ->
+                let c = s.live in
+                walk s s.key s.help n c.lvl c.pred c.plink c.levels);
+            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            restore =
+              (fun i ->
+                copy_cursor ~src:s.slots.(i) ~dst:s.live;
+                validate_cursor s.live);
+            protect = (fun sh -> protect_cursor s sh);
+            steps = 0;
+          };
+      }
+    in
+    s
+
+  (* Full search: returns the completed level records (index 0 = level 0);
+     whether the key was found at level 0 stays in [s.found]. *)
   let rec search t s key ~help =
-    match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
-        ~validate:validate_cursor ~init:(init_cursor t s)
-        ~step:(step t s key ~help)
-    with
-    | Some (c, _win, found) -> (Array.of_list c.levels, found)
-    | None -> search t s key ~help
+    s.ds <- t;
+    s.key <- key;
+    s.help <- help;
+    if S.traverse s.h ~prot:s.prot ~backup:s.backup s.w then
+      Array.of_list s.live.levels
+    else search t s key ~help
 
   (* ---------------- operations ---------------- *)
 
@@ -247,15 +313,18 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      else gets the read-only search. *)
   let helping_get = S.caps.Hpbrcu_core.Caps.per_node = Hpbrcu_core.Caps.ProtectAndValidate
 
-  let get t s key = S.op s.h (fun () -> snd (search t s key ~help:helping_get))
+  let get t s key =
+    S.op s.h (fun () ->
+        ignore (search t s key ~help:helping_get : level_rec array);
+        s.found)
 
   let insert t s key value =
     S.op s.h (fun () ->
         let n = alloc_node t s key value in
         let h = height n in
         let rec attempt () =
-          let levels, found = search t s key ~help:true in
-          if found then begin
+          let levels = search t s key ~help:true in
+          if s.found then begin
             discard t n;
             false
           end
@@ -293,8 +362,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                   then incr l
                   else begin
                     (* Stale pred at this level: re-search. *)
-                    let fresh, _ = search t s key ~help:true in
-                    lv := fresh
+                    lv := search t s key ~help:true
                   end
                 end
               done;
@@ -307,8 +375,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let attempt () =
-          let levels, found = search t s key ~help:true in
-          if not found then false
+          let levels = search t s key ~help:true in
+          if not s.found then false
           else
             let victim = Option.get levels.(0).lsucc in
             let vh = height victim in
@@ -334,12 +402,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             | `Lost -> false  (* a concurrent remover won the level-0 mark *)
             | `Won ->
                 (* Unlink everywhere via the helping search, then retire. *)
-                ignore (search t s key ~help:true : level_rec array * bool);
+                ignore (search t s key ~help:true : level_rec array);
                 S.retire s.h victim.blk
                   ~free:(fun () -> if S.recycles then Pool.release t.pools.(vh) victim);
                 true
         in
         attempt ())
 
-  let cleanup t s = ignore (S.op s.h (fun () -> search t s max_int ~help:true))
+  let cleanup t s =
+    ignore (S.op s.h (fun () -> search t s max_int ~help:true) : level_rec array)
 end

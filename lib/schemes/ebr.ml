@@ -75,10 +75,10 @@ module Impl : Smr_intf.SCHEME = struct
   let crit = E.crit
   let mask _ body = body ()
 
-  let read h () ?src ~hdr:_ cell =
+  let read h () ~src ~hdr:_ cell =
     assert (E.pinned h);
     Hpbrcu_runtime.Sched.yield ();
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     Link.get cell
 
   let deref _ blk = Alloc.check_access blk
@@ -91,8 +91,7 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = false
   let current_era _ = 0
 
-  let traverse _h ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    Scheme_common.plain_traverse ~prot ~protect ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats (d : domain) = Dom.stamp_stats d.E.meta (E.stats d)
 end

@@ -140,7 +140,14 @@ let pinned h = h.nest > 0
 (** Critical section without rollback (plain RCU). *)
 let crit h body =
   pin h;
-  Fun.protect ~finally:(fun () -> unpin h) body
+  match body () with
+  | r ->
+      unpin h;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unpin h;
+      Printexc.raise_with_backtrace e bt
 
 (* Full participant walk; returns the first lagging local, if any. *)
 let find_lagging d e =

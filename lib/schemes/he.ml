@@ -184,9 +184,9 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Pointer-protection API mapped onto eras: protecting any block reserves
      the current era (it covers every block alive now). *)
-  let protect s = function
-    | Some _ -> Atomic.set s.sd.slots.Slots.slots.(s.slot) (Atomic.get s.sd.era)
-    | None -> Atomic.set s.sd.slots.Slots.slots.(s.slot) (-1)
+  let protect s b =
+    if b == Block.none then Atomic.set s.sd.slots.Slots.slots.(s.slot) (-1)
+    else Atomic.set s.sd.slots.Slots.slots.(s.slot) (Atomic.get s.sd.era)
 
   let clear s = Atomic.set s.sd.slots.Slots.slots.(s.slot) (-1)
 
@@ -202,9 +202,9 @@ module Impl : Smr_intf.SCHEME = struct
   (* Era-validated read: reserve the era, load, and retry until the era is
      stable across the load (then everything reachable at the reservation
      is covered by it). *)
-  let read _h s ?src ~hdr:_ cell =
+  let read _h s ~src ~hdr:_ cell =
     Sched.yield ();
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     let slot = s.sd.slots.Slots.slots.(s.slot) in
     let rec loop reserved =
       let l = Link.get cell in
@@ -263,9 +263,7 @@ module Impl : Smr_intf.SCHEME = struct
     h.my_slots <- [];
     Dom.on_unregister h.d.meta
 
-  let traverse _h ~prot ~backup:_ ~protect:protect_cursor ~validate:_ ~init
-      ~step =
-    Scheme_common.plain_traverse ~prot ~protect:protect_cursor ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats d =
     Dom.stamp_stats d.meta

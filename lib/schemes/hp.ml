@@ -16,6 +16,7 @@
     list and scan counters all per-domain. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
 module Core = Hp_core
@@ -83,13 +84,13 @@ module Impl : Smr_intf.SCHEME = struct
      equality of the link record means the cell is unchanged, hence the
      target was still reachable from the source after the protection was
      visible. *)
-  let read _h s ?src ~hdr cell =
+  let read _h s ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     let rec loop l =
       (match Link.target l with
-      | None -> Core.protect s None
-      | Some n -> Core.protect s (Some (hdr n)));
+      | None -> Core.protect s Block.none
+      | Some n -> Core.protect s (hdr n));
       (* Atomic store above is SC: fence(SC) of line 7. *)
       let l' = Link.get cell in
       if l' == l then l
@@ -108,8 +109,7 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = false
   let current_era _ = 0
 
-  let traverse _h ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    Scheme_common.plain_traverse ~prot ~protect ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats (d : domain) = Dom.stamp_stats d.Core.meta (Core.stats d)
 end

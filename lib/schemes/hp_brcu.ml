@@ -95,11 +95,95 @@ module Impl : Smr_intf.SCHEME = struct
       Dom.finish_destroy d.meta
     end
 
-  type handle = { d : domain; bh : B.handle; hh : H.handle }
+  (* The HP slot plus the BRCU domain: the checkpoint delivery point must
+     poll the owning domain's pending signals, not some global. *)
+  type shield = { hs : H.shield; sbd : B.domain }
+
+  (* The running traversal's state lives in the handle, and [section] —
+     the critical-section body — is built once per handle, so neither a
+     traversal nor its rollbacks allocate a closure.  [bufs0]/[bufs1] are
+     the double buffer (the caller's [backup] and [prot]); [comp] counts
+     completed checkpoints, so [comp land 1] always indexes a buffer (and
+     a walker slot) holding a complete protection, even if a rollback
+     lands between the protect stores of a checkpoint. *)
+  type handle = {
+    d : domain;
+    bh : B.handle;
+    hh : H.handle;
+    mutable tw : shield Smr_intf.walker;
+    mutable bufs0 : shield array;
+    mutable bufs1 : shield array;
+    mutable comp : int;
+    mutable started : bool;
+    section : unit -> int;
+  }
+
+  (* A checkpoint: publish the live cursor into the buffer that does not
+     hold the last complete protection, then copy it into the matching
+     walker slot.  Begin/end bracket the double-buffered protect stores —
+     the window a neutralization signal can land inside (§4.3). *)
+  let checkpoint h w =
+    let nb = (h.comp + 1) land 1 in
+    Trace.emit Trace.Checkpoint_begin nb;
+    w.Smr_intf.protect (if nb = 0 then h.bufs0 else h.bufs1);
+    w.save nb;
+    h.comp <- h.comp + 1;
+    Trace.emit Trace.Checkpoint nb
+
+  (* Unlike HP-RCU there is no voluntary exit between checkpoints: the
+     critical section walks until the destination, one checkpoint after
+     every [backup_period] steps and one at the end, relying on
+     neutralization to bound it. *)
+  let rec walk_section h w =
+    let r = w.Smr_intf.walk h.d.backup_period in
+    if r = Smr_intf.walk_fail then r
+    else begin
+      checkpoint h w;
+      if r = Smr_intf.walk_more then walk_section h w else r
+    end
+
+  (* One run of the critical section: the first builds the entry-point
+     cursor, a rollback's re-run resumes from the last complete
+     checkpoint.  The first entry needs no revalidation — the cursor comes
+     fresh from the entry point inside this very critical section (R1
+     holds trivially), and crucially this lets the traversal *step
+     through* (and help unlink) a marked first node instead of failing
+     before it can help, which would livelock every thread behind a
+     marked entry node whose remover lost its unlink CAS. *)
+  let section h () =
+    Stats.Counter.incr h.d.tr_resumes;
+    let w = h.tw in
+    if not h.started then begin
+      w.init ();
+      w.protect h.bufs0;
+      w.save 0;
+      h.comp <- 0;
+      h.started <- true;
+      walk_section h w
+    end
+    (* Rollback resume: revalidate the checkpoint (R1 / §3.3). *)
+    else if w.restore (h.comp land 1) then walk_section h w
+    else begin
+      Stats.Counter.incr h.d.tr_validate_fail;
+      Smr_intf.walk_fail
+    end
 
   let register d =
     Dom.on_register d.meta;
-    { d; bh = B.register d.bd; hh = H.register d.hd }
+    let rec h =
+      {
+        d;
+        bh = B.register d.bd;
+        hh = H.register d.hd;
+        tw = Smr_intf.idle_walker ();
+        bufs0 = [||];
+        bufs1 = [||];
+        comp = 0;
+        started = false;
+        section = (fun () -> section h ());
+      }
+    in
+    h
 
   let unregister h =
     B.unregister h.bh;
@@ -115,10 +199,6 @@ module Impl : Smr_intf.SCHEME = struct
   let expedite h =
     B.expedite h.bh;
     H.flush h.hh
-
-  (* The HP slot plus the BRCU domain: the checkpoint delivery point must
-     poll the owning domain's pending signals, not some global. *)
-  type shield = { hs : H.shield; sbd : B.domain }
 
   let new_shield h = { hs = H.new_shield h.hh; sbd = h.d.bd }
 
@@ -150,10 +230,10 @@ module Impl : Smr_intf.SCHEME = struct
   (* Coarse protection inside critical sections; the poll is the
      neutralization delivery point (a pending signal rolls the critical
      section back before this read can observe freed memory). *)
-  let read h _s ?src ~hdr:_ cell =
+  let read h _s ~src ~hdr:_ cell =
     Sched.yield ();
     B.poll h.bh;
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     Link.get cell
 
   let deref h blk =
@@ -170,101 +250,30 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = false
   let current_era _ = 0
 
-  (* Traverse with double buffering (Algorithm 7).  Unlike HP-RCU there is
-     no voluntary exit between checkpoints: the critical section runs until
-     Finish, relying on neutralization to bound it.  [comp] always indexes
-     a buffer holding a complete protection, even if a rollback lands
-     between the two protect stores of a checkpoint. *)
-  let traverse h ~prot ~backup ~protect ~validate ~init ~step =
+  (* Traverse with double buffering (Algorithm 7). *)
+  let traverse h ~prot ~backup w =
+    if h.tw != w then h.tw <- w;
     (* Ablation hook: without double buffering both checkpoint slots are
        the same protector, so a rollback landing mid-checkpoint can leave
        no complete protection (§4.3). *)
     let backup = if h.d.double_buffering then backup else prot in
-    let bufs = [| backup; prot |] in
-    let curs = [| None; None |] in
-    let comp = ref 0 in
-    (* [started] flips once the entry-point cursor exists.  The first
-       entry needs no revalidation — the cursor comes fresh from the entry
-       point inside this very critical section (R1 holds trivially), and
-       crucially this lets the traversal *step through* (and help unlink) a
-       marked first node instead of failing before it can help, which
-       would livelock every thread behind a marked entry node whose
-       remover lost its unlink CAS. *)
-    let started = ref false in
-    let backup_period = h.d.backup_period in
-    (* Steps are counted in a local and published once, when the critical
-       section exits (by return, [Fail] or exception): a sharded-counter
-       RMW per node would cost more than the step it counts.  A fiber
-       crashed mid-traversal never exits, so its last section's steps go
-       uncounted. *)
-    let steps = ref 0 in
+    if h.bufs0 != backup then h.bufs0 <- backup;
+    if h.bufs1 != prot then h.bufs1 <- prot;
+    h.started <- false;
+    (* The walker bumps [steps] per step; the difference is published once,
+       when the critical section exits (by return, [walk_fail] or
+       exception): a sharded-counter RMW per node would cost more than the
+       step it counts.  A fiber crashed mid-traversal never exits, so its
+       last section's steps go uncounted. *)
+    let steps0 = w.steps in
     Stats.Counter.incr h.d.tr_traverses;
-    let section () =
-      Stats.Counter.incr h.d.tr_resumes;
-      let resume =
-        if not !started then begin
-          let s = init () in
-          protect bufs.(0) s;
-          curs.(0) <- Some s;
-          comp := 0;
-          started := true;
-          Some s
-        end
-        else begin
-          (* Rollback resume: revalidate the checkpoint (R1 / §3.3). *)
-          let c = Option.get curs.(!comp mod 2) in
-          if validate c then Some c
-          else begin
-            Stats.Counter.incr h.d.tr_validate_fail;
-            None
-          end
-        end
-      in
-      match resume with
-      | None -> `Fail
-      | Some c0 ->
-          let checkpoint c =
-            let nb = (!comp + 1) mod 2 in
-            (* Begin/end bracket the double-buffered protect stores — the
-               window a neutralization signal can land inside (§4.3). *)
-            Trace.emit Trace.Checkpoint_begin nb;
-            protect bufs.(nb) c;
-            curs.(nb) <- Some c;
-            incr comp;
-            Trace.emit Trace.Checkpoint nb
-          in
-          (* [left] counts down the [Continue] steps to the next
-             checkpoint: one lands after every [backup_period]-th step of
-             the section. *)
-          let rec go cur left =
-            incr steps;
-            match step cur with
-            | Smr_intf.Finish (c, r) ->
-                checkpoint c;
-                `Done r
-            | Smr_intf.Continue c ->
-                if left = 1 then begin
-                  checkpoint c;
-                  go c backup_period
-                end
-                else go c (left - 1)
-            | Smr_intf.Fail -> `Fail
-          in
-          go c0 backup_period
-    in
-    let outcome =
-      match B.crit h.bh section with
-      | o ->
-          Stats.Counter.add h.d.tr_steps !steps;
-          o
-      | exception e ->
-          Stats.Counter.add h.d.tr_steps !steps;
-          raise e
-    in
-    ignore (started : bool ref);
-    match outcome with
-    | `Done r -> Some (Option.get curs.(!comp mod 2), bufs.(!comp mod 2), r)
-    | `Fail -> None
+    match B.crit h.bh h.section with
+    | r ->
+        Stats.Counter.add h.d.tr_steps (w.steps - steps0);
+        r = Smr_intf.walk_done
+    | exception e ->
+        Stats.Counter.add h.d.tr_steps (w.steps - steps0);
+        raise e
 
   let stats d =
     Dom.stamp_stats d.meta

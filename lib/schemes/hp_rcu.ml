@@ -71,11 +71,62 @@ module Impl : Smr_intf.SCHEME = struct
       Dom.finish_destroy d.meta
     end
 
-  type handle = { d : domain; eh : E.handle; hh : H.handle }
+  (* The running traversal's walker, protector and progress live in the
+     handle, and [phase] — the critical-section body — is built once per
+     handle, so a traversal allocates nothing per phase. *)
+  type handle = {
+    d : domain;
+    eh : E.handle;
+    hh : H.handle;
+    mutable tw : H.shield Smr_intf.walker;
+    mutable tprot : H.shield array;
+    mutable started : bool;
+    phase : unit -> int;
+  }
+
+  (* One phase of RCU-expedited traversal (Algorithm 3): a critical
+     section of at most [max_steps] steps that checkpoints the cursor into
+     [prot] before it ends (protection inside a critical section needs no
+     validation — R2) and revalidates it when the next one begins (R1).
+     The first phase builds the cursor from the entry point inside its own
+     critical section, so no revalidation applies to it (R1 holds
+     trivially); failing a fresh entry-point cursor would prevent the
+     traversal from ever helping a marked entry node (see Hp_brcu). *)
+  let phase h () =
+    let w = h.tw in
+    let ok =
+      if h.started then w.restore 0
+      else begin
+        w.init ();
+        w.protect h.tprot;
+        h.started <- true;
+        true
+      end
+    in
+    if not ok then Smr_intf.walk_fail
+    else begin
+      let r = w.walk h.d.max_steps in
+      if r <> Smr_intf.walk_fail then begin
+        w.protect h.tprot;
+        w.save 0
+      end;
+      r
+    end
 
   let register d =
     Dom.on_register d.meta;
-    { d; eh = E.register d.ed; hh = H.register d.hd }
+    let rec h =
+      {
+        d;
+        eh = E.register d.ed;
+        hh = H.register d.hd;
+        tw = Smr_intf.idle_walker ();
+        tprot = [||];
+        started = false;
+        phase = (fun () -> phase h ());
+      }
+    in
+    h
 
   let unregister h =
     E.unregister h.eh;
@@ -106,9 +157,9 @@ module Impl : Smr_intf.SCHEME = struct
   (* Inside a critical section links are protected coarsely; no per-node
      work beyond the use-after-free check (and the fiber-mode interleaving
      point). *)
-  let read _h _s ?src ~hdr:_ cell =
+  let read _h _s ~src ~hdr:_ cell =
     Sched.yield ();
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     Link.get cell
 
   let deref _ blk = Alloc.check_access blk
@@ -124,53 +175,17 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = false
   let current_era _ = 0
 
-  (* RCU-expedited traversal (Algorithm 3): repeat [max_steps]-bounded
-     critical sections; checkpoint the cursor into [prot] before each one
-     ends (protection inside a critical section needs no validation — R2);
-     revalidate the cursor when the next begins (R1). *)
-  let traverse h ~prot ~backup:_ ~protect ~validate ~init ~step =
-    (* The first phase builds the cursor from the entry point inside its
-       own critical section, so no revalidation applies to it (R1 holds
-       trivially); failing a fresh entry-point cursor would prevent the
-       traversal from ever helping a marked entry node (see Hp_brcu). *)
-    let cursor = ref None in
-    let rec phases () =
-      let outcome =
-        E.crit h.eh (fun () ->
-            let c =
-              match !cursor with
-              | Some c -> if validate c then Some c else None
-              | None ->
-                  let c = init () in
-                  protect prot c;
-                  cursor := Some c;
-                  Some c
-            in
-            match c with
-            | None -> `Fail
-            | Some c -> (
-                match
-                  Scheme_common.bounded_steps ~n:h.d.max_steps ~step c
-                with
-                | Scheme_common.B_finished (c', r) ->
-                    protect prot c';
-                    cursor := Some c';
-                    `Done r
-                | Scheme_common.B_continue c' ->
-                    protect prot c';
-                    cursor := Some c';
-                    `More
-                | Scheme_common.B_failed -> `Fail))
-      in
-      match outcome with
-      | `Done r -> Some (Option.get !cursor, prot, r)
-      | `More ->
-          (* Leaving and re-entering the critical section is the point:
-             the epoch can advance between phases. *)
-          phases ()
-      | `Fail -> None
-    in
-    phases ()
+  (* Leaving and re-entering the critical section is the point: the epoch
+     can advance between phases. *)
+  let rec phases h =
+    let r = E.crit h.eh h.phase in
+    if r = Smr_intf.walk_more then phases h else r = Smr_intf.walk_done
+
+  let traverse h ~prot ~backup:_ w =
+    if h.tw != w then h.tw <- w;
+    if h.tprot != prot then h.tprot <- prot;
+    h.started <- false;
+    phases h
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -26,6 +26,7 @@
     [published_patches] list. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
 module Core = Hp_core
@@ -93,13 +94,13 @@ module Impl : Smr_intf.SCHEME = struct
      became marked (tag change) stays valid — the HP++ capability of
      traversing out of logically-deleted nodes.  If the node was since
      retired, its successor is held by the retirer's patch. *)
-  let read _h s ?src ~hdr cell =
+  let read _h s ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     let rec loop l =
       (match Link.target l with
-      | None -> Core.protect s None
-      | Some n -> Core.protect s (Some (hdr n)));
+      | None -> Core.protect s Block.none
+      | Some n -> Core.protect s (hdr n));
       let l' = Link.get cell in
       if
         l' == l
@@ -124,8 +125,7 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = false
   let current_era _ = 0
 
-  let traverse _h ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    Scheme_common.plain_traverse ~prot ~protect ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats (d : domain) = Dom.stamp_stats d.Core.meta (Core.stats d)
 end

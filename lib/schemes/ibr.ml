@@ -236,9 +236,9 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Each read widens the reservation to the current era before the load —
      the per-read "tag check" of 2GEIBR. *)
-  let read h () ?src ~hdr:_ cell =
+  let read h () ~src ~hdr:_ cell =
     Sched.yield ();
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     let e = Atomic.get h.d.era in
     if Atomic.get h.l.upper < e then Atomic.set h.l.upper e;
     Link.get cell
@@ -285,8 +285,7 @@ module Impl : Smr_intf.SCHEME = struct
     Registry.Participants.remove h.d.participants h.idx;
     Dom.on_unregister h.d.meta
 
-  let traverse _h ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    Scheme_common.plain_traverse ~prot ~protect ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -184,10 +184,10 @@ module Impl : Smr_intf.SCHEME = struct
     Atomic.set l.status st_out;
     Fun.protect ~finally:(fun () -> Atomic.set l.status saved) body
 
-  let read h _s ?src ~hdr:_ cell =
+  let read h _s ~src ~hdr:_ cell =
     Sched.yield ();
     poll h;
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     Link.get cell
 
   let deref h blk =
@@ -256,17 +256,8 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* NBR's traversal: one read-phase critical section from entry to
      destination, protecting the final cursor before the phase ends. *)
-  let traverse h ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    crit h (fun () ->
-        let rec go c =
-          match step c with
-          | Smr_intf.Continue c' -> go c'
-          | Smr_intf.Finish (c', r) ->
-              protect prot c';
-              Some (c', prot, r)
-          | Smr_intf.Fail -> None
-        in
-        go (init ()))
+  let traverse h ~prot ~backup:_ w =
+    crit h (fun () -> Scheme_common.plain_traverse ~prot w)
 
   let stats d =
     Dom.stamp_stats d.meta

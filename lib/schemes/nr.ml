@@ -63,7 +63,7 @@ module Impl : Smr_intf.SCHEME = struct
   let crit _ body = body ()
   let mask _ body = body ()
 
-  let read _ () ?src:_ ~hdr:_ cell =
+  let read _ () ~src:_ ~hdr:_ cell =
     Hpbrcu_runtime.Sched.yield ();
     Link.get cell
 
@@ -76,8 +76,7 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = false
   let current_era _ = 0
 
-  let traverse _ ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    Scheme_common.plain_traverse ~prot ~protect ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats d = Dom.stamp_stats d Hpbrcu_runtime.Stats.empty
 end

@@ -23,6 +23,7 @@
     ejection signals are routed by domain id. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 module Sched = Hpbrcu_runtime.Sched
 module Signal = Hpbrcu_runtime.Signal
 module Stats = Hpbrcu_runtime.Stats
@@ -209,14 +210,14 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Per-node protection (no validation needed while pinned), plus the
      ejection poll. *)
-  let read h s ?src ~hdr cell =
+  let read h s ~src ~hdr cell =
     Sched.yield ();
     poll h;
-    (match src with Some b -> Alloc.check_access b | None -> ());
+    Alloc.check_access src;
     let l = Link.get cell in
     (match Link.target l with
-    | None -> HPC.protect s None
-    | Some n -> HPC.protect s (Some (hdr n)));
+    | None -> HPC.protect s Block.none
+    | Some n -> HPC.protect s (hdr n));
     l
 
   let deref h blk =
@@ -321,8 +322,7 @@ module Impl : Smr_intf.SCHEME = struct
     Registry.Participants.remove h.d.participants h.idx;
     Dom.on_unregister h.d.meta
 
-  let traverse _h ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    Scheme_common.plain_traverse ~prot ~protect ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -25,7 +25,7 @@ exception Exhausted of string
 
 module Shields = struct
   type t = {
-    slots : Block.t option Atomic.t array;
+    slots : Block.t Atomic.t array;  (* Block.none = empty *)
     hwm : int Atomic.t;  (* slots.(0 .. hwm-1) have been handed out *)
     free : int list Atomic.t;
   }
@@ -45,12 +45,12 @@ module Shields = struct
     {
       slots =
         Hpbrcu_runtime.Layout.strided_init max_shields (fun _ ->
-            Atomic.make None);
+            Atomic.make Block.none);
       hwm = Atomic.make 0;
       free = Atomic.make [];
     }
 
-  type shield = { slot : Block.t option Atomic.t; idx : int; owner : t }
+  type shield = { slot : Block.t Atomic.t; idx : int; owner : t }
 
   let rec alloc t =
     match Atomic.get t.free with
@@ -82,7 +82,7 @@ module Shields = struct
   let release (s : shield) =
     (* Clear once, outside the retry loop: the store is not part of the
        free-list CAS and re-running it on contention is wasted work. *)
-    Atomic.set s.slot None;
+    Atomic.set s.slot Block.none;
     let rec give () =
       let old = Atomic.get s.owner.free in
       if not (Atomic.compare_and_set s.owner.free old (s.idx :: old)) then begin
@@ -94,8 +94,8 @@ module Shields = struct
 
   (* Atomic.set is an SC store in OCaml: the publication fence of
      Algorithm 1 line 7 is built in. *)
-  let protect (s : shield) (b : Block.t option) = Atomic.set s.slot b
-  let clear (s : shield) = Atomic.set s.slot None
+  let protect (s : shield) (b : Block.t) = Atomic.set s.slot b
+  let clear (s : shield) = Atomic.set s.slot Block.none
   let get (s : shield) = Atomic.get s.slot
 
   (** Snapshot the ids of all currently protected blocks into the caller's
@@ -106,15 +106,14 @@ module Shields = struct
     Hpbrcu_core.Idset.clear ids;
     let n = min (Atomic.get t.hwm) max_shields in
     for i = 0 to n - 1 do
-      match Atomic.get t.slots.(i) with
-      | None -> ()
-      | Some b -> Hpbrcu_core.Idset.add ids (Block.id b)
+      let b = Atomic.get t.slots.(i) in
+      if b != Block.none then Hpbrcu_core.Idset.add ids (Block.id b)
     done
 
   let reset t =
     let n = min (Atomic.get t.hwm) max_shields in
     for i = 0 to n - 1 do
-      Atomic.set t.slots.(i) None
+      Atomic.set t.slots.(i) Block.none
     done;
     Atomic.set t.hwm 0;
     Atomic.set t.free []

@@ -2,35 +2,14 @@
 
 open Hpbrcu_core.Smr_intf
 
-(** The degenerate Traverse of schemes without phase alternation: one plain
-    step loop; the final cursor is published into [prot] (for HP-family
-    callers this merely copies protection already held by the traversal's
-    scratch shields, so no validation is needed). *)
-let plain_traverse ~prot ~protect ~init ~step =
-  let rec go c =
-    match step c with
-    | Continue c' -> go c'
-    | Finish (c', r) ->
-        protect prot c';
-        Some (c', prot, r)
-    | Fail -> None
-  in
-  go (init ())
-
-(** Bounded-iteration runner used by phase-alternating traversals: run up to
-    [n] steps, returning the outcome. *)
-type ('c, 'r) bounded_outcome =
-  | B_finished of 'c * 'r
-  | B_continue of 'c
-  | B_failed
-
-let bounded_steps ~n ~step c0 =
-  let rec go i c =
-    if i >= n then B_continue c
-    else
-      match step c with
-      | Continue c' -> go (i + 1) c'
-      | Finish (c', r) -> B_finished (c', r)
-      | Fail -> B_failed
-  in
-  go 0 c0
+(** The degenerate Traverse of schemes without phase alternation: one
+    unbounded walk; the final cursor is published into [prot] (for
+    HP-family callers this merely copies protection already held by the
+    traversal's scratch shields, so no validation is needed). *)
+let plain_traverse ~prot w =
+  w.init ();
+  if w.walk max_int = walk_done then begin
+    w.protect prot;
+    true
+  end
+  else false

@@ -117,13 +117,10 @@ module Impl : Smr_intf.SCHEME = struct
   let validate_block h b =
     if Block.version b > 0 && Block.birth_era b > h.start_era then raise Restart
 
-  let read h () ?src ~hdr cell =
+  let read h () ~src ~hdr cell =
     Sched.yield ();
-    (match src with
-    | None -> ()
-    | Some b ->
-        Alloc.check_access b;
-        validate_block h b);
+    Alloc.check_access src;
+    validate_block h src;
     let l = Link.get cell in
     (match Link.target l with Some n -> validate_block h (hdr n) | None -> ());
     l
@@ -151,8 +148,7 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = true
   let current_era d = Atomic.get d.era
 
-  let traverse _h ~prot ~backup:_ ~protect ~validate:_ ~init ~step =
-    Scheme_common.plain_traverse ~prot ~protect ~init ~step
+  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -244,22 +244,45 @@ let test_hpbrcu_bound () =
     (Printf.sprintf "peak %d within 2GN+GN^2+H = %d" peak bound)
     true (peak <= bound)
 
-(* [traverse_steps] is counted in a local and published when the critical
-   section exits, so it must still equal the number of [step] calls
-   exactly — after a plain traversal, after one that answers [Fail], and
-   after ones that a neutralization signal rolled back mid-walk.  The
-   wrapper counts the calls the data structure makes, and can answer
-   [Fail] on one chosen call instead of stepping. *)
+(* [traverse_steps] is published when the critical section exits, from
+   a counter the walker bumps once per step, so it must still equal the
+   number of steps exactly — after a plain traversal, after one that
+   answers [walk_fail], and after ones that a neutralization signal rolled
+   back mid-walk.  The wrapper drives the data structure's walker one step
+   at a time ([walk 1]), counting each step before taking it, and can
+   answer [walk_fail] on one chosen step instead of taking it. *)
 module Counting_steps (S : Hpbrcu_core.Smr_intf.S) = struct
   include S
+  module SI = Hpbrcu_core.Smr_intf
 
   let calls = ref 0
   let fail_at = ref 0
 
-  let traverse h ~prot ~backup ~protect ~validate ~init ~step =
-    S.traverse h ~prot ~backup ~protect ~validate ~init ~step:(fun c ->
+  let counting (w : S.shield SI.walker) =
+    let rec walk (c : S.shield SI.walker) n =
+      if n = 0 then SI.walk_more
+      else begin
         incr calls;
-        if !calls = !fail_at then Hpbrcu_core.Smr_intf.Fail else step c)
+        c.steps <- c.steps + 1;
+        if !calls = !fail_at then SI.walk_fail
+        else
+          let r = w.walk 1 in
+          if r = SI.walk_more then walk c (n - 1) else r
+      end
+    in
+    let rec c =
+      {
+        SI.init = w.init;
+        walk = (fun n -> walk c n);
+        save = w.save;
+        restore = w.restore;
+        protect = w.protect;
+        steps = 0;
+      }
+    in
+    c
+
+  let traverse h ~prot ~backup w = S.traverse h ~prot ~backup (counting w)
 end
 
 let test_traverse_steps_exact () =
@@ -272,7 +295,11 @@ let test_traverse_steps_exact () =
   let module C = Counting_steps (D.S) in
   let module L = Hpbrcu_ds.Harris_list.Make_hhs (C) in
   let t = L.create () in
+  (* The tick deadline turns a walker that loses its place (and so
+     walks forever) into a [Sched.Deadline] failure. *)
   let fibers nthreads body =
+    Sched.set_tick_deadline 20_000_000;
+    Fun.protect ~finally:Sched.clear_tick_deadline @@ fun () ->
     Sched.run (Sched.Fibers { seed = 7; switch_every = 1 }) ~nthreads (fun tid ->
         let s = L.session t in
         body tid s;
@@ -292,8 +319,8 @@ let test_traverse_steps_exact () =
   exact "plain get";
   C.fail_at := !C.calls + 50;
   fibers 1 (fun _ s -> Alcotest.(check bool) "get after Fail" true (L.get t s 200));
-  Alcotest.(check bool) "step answered Fail" true (!C.calls > !C.fail_at);
-  exact "Fail";
+  Alcotest.(check bool) "walk answered fail" true (!C.calls > !C.fail_at);
+  exact "fail";
   (* A reader walking to the tail while a writer churns the head: the
      writer's forced advances neutralize the lagging reader mid-walk. *)
   fibers 2 (fun tid s ->
@@ -306,6 +333,103 @@ let test_traverse_steps_exact () =
   Alcotest.(check bool) "a traversal was rolled back" true
     (st.Stats.rollbacks > 0 && st.Stats.traverse_resumes > st.Stats.traverses);
   exact "rollback"
+
+(* The walker's budgets are invisible to the answers: a seeded
+   single-threaded op sequence gives the same answers and the same final
+   contents whether the scheme walks one step per budget
+   ([backup_period = max_steps = 1], so HP-BRCU checkpoints and HP-RCU
+   saves and restores at every node) or with the default budgets. *)
+module type MAP_OF = functor (S : Hpbrcu_core.Smr_intf.S) -> Hpbrcu_ds.Ds_intf.MAP
+
+let structures : (string * (module MAP_OF)) list =
+  let open Hpbrcu_ds in
+  [
+    ("HList", (module Harris_list.Make));
+    ("HHSList", (module Harris_list.Make_hhs));
+    ("HMList", (module Hm_list.Make));
+    ("LazyList", (module Lazy_list.Make));
+    ("SkipList", (module Skiplist.Make));
+    ("NMTree", (module Nmtree.Make));
+    ("EFRB-BST", (module Efrb_bst.Make));
+  ]
+
+(* The op sequence's answers, then the final contents. *)
+let answers ~scheme ~config (module M : MAP_OF) =
+  reset ();
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  Schemes.with_domain (fst (Schemes.find scheme), config) @@ fun (module D) ->
+  let module L = M (D.S) in
+  let t = L.create () in
+  let answers = ref [] and contents = ref [] in
+  (* A walker that loses its place under a small budget walks forever;
+     the tick deadline turns that into a [Sched.Deadline] failure. *)
+  Sched.set_tick_deadline 2_000_000;
+  Fun.protect ~finally:Sched.clear_tick_deadline @@ fun () ->
+  Sched.run (Sched.Fibers { seed = 3; switch_every = 1 }) ~nthreads:1 (fun _ ->
+      let s = L.session t in
+      let rng = Hpbrcu_runtime.Rng.create ~seed:11 in
+      for _ = 1 to 600 do
+        let k = Hpbrcu_runtime.Rng.int rng 64 in
+        let r =
+          match Hpbrcu_runtime.Rng.int rng 3 with
+          | 0 -> L.insert t s k k
+          | 1 -> L.remove t s k
+          | _ -> L.get t s k
+        in
+        answers := r :: !answers
+      done;
+      contents := List.filter (fun k -> L.get t s k) (List.init 64 Fun.id);
+      L.close_session s);
+  (List.rev !answers, !contents)
+
+let test_budgets_invisible () =
+  let one = { Config.default with backup_period = 1; max_steps = 1 } in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun (ds, m) ->
+          (* EFRB cannot revalidate a checkpoint (every resume restarts
+             the search), so under HP-RCU a search deeper than
+             [max_steps] never completes: with one-step phases, no
+             search does.  The budget is visible there by design. *)
+          if not (ds = "EFRB-BST" && scheme = "HP-RCU") then begin
+            let what = Printf.sprintf "%s(%s)" ds scheme in
+            let a, c = answers ~scheme ~config:Config.default m in
+            let a1, c1 = answers ~scheme ~config:one m in
+            Alcotest.(check (list bool)) (what ^ " answers") a a1;
+            Alcotest.(check (list int)) (what ^ " contents") c c1;
+            Alcotest.(check bool) (what ^ " not empty") true (c <> [])
+          end)
+        structures)
+    [ "NR"; "HP-RCU"; "HP-BRCU" ]
+
+(* A session is not bound to the structure it was opened on: HashMap
+   opens one on its first bucket and walks every bucket with it.  Each
+   walk must therefore follow the structure the operation names. *)
+let test_session_follows_structure () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun (ds, (module M : MAP_OF)) ->
+          reset ();
+          let module Schemes = Hpbrcu_schemes.Schemes in
+          Schemes.with_domain (Schemes.find scheme) @@ fun (module D) ->
+          let module L = M (D.S) in
+          let t1 = L.create () and t2 = L.create () in
+          Sched.run (Sched.Fibers { seed = 5; switch_every = 1 }) ~nthreads:1
+            (fun _ ->
+              let s = L.session t1 in
+              for k = 0 to 9 do
+                ignore (L.insert t2 s k k : bool)
+              done;
+              for k = 0 to 9 do
+                let what = Printf.sprintf "%s(%s) key %d" ds scheme k in
+                Alcotest.(check bool) (what ^ " in t2") true (L.get t2 s k);
+                Alcotest.(check bool) (what ^ " not in t1") false (L.get t1 s k)
+              done;
+              L.close_session s))
+        structures)
+    [ "NR"; "HP-BRCU" ]
 
 let () =
   Alcotest.run "brcu"
@@ -324,5 +448,10 @@ let () =
         ] );
       ("bound", [ Alcotest.test_case "2GN+GN2+H" `Quick test_hpbrcu_bound ]);
       ( "traverse",
-        [ Alcotest.test_case "steps-exact" `Quick test_traverse_steps_exact ] );
+        [
+          Alcotest.test_case "steps-exact" `Quick test_traverse_steps_exact;
+          Alcotest.test_case "budgets-invisible" `Quick test_budgets_invisible;
+          Alcotest.test_case "session-follows-structure" `Quick
+            test_session_follows_structure;
+        ] );
     ]

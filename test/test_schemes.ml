@@ -42,7 +42,7 @@ let test_hp_protection_defers () =
   let h = S.register () in
   let sh = S.new_shield h in
   let b = Alloc.block () in
-  S.protect sh (Some b);
+  S.protect sh b;
   S.retire h b;
   S.flush h;
   Alcotest.(check bool) "protected survives" true (Block.is_retired b);
@@ -98,7 +98,7 @@ module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
           let b = Alloc.block () in
           (* Publish b so the writer can retire it. *)
           shared := Some b;
-          S.crit h (fun () -> S.protect sh (Some b));
+          S.crit h (fun () -> S.protect sh b);
           (* Critical section over; the shield must still defer. *)
           for _ = 1 to 2000 do
             Sched.yield ()
