@@ -102,8 +102,9 @@ gate chaos-fibers dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
 # kernel (retire, scan, pin/unpin, failed advance, disabled trace emit,
 # and the traverse-walk words per traversed node of an HHSList get under
 # NR, RCU, HP-RCU and HP-BRCU) must stay at zero minor-heap words per
-# cycle (threshold 0.05 words/op absorbs probe calibration noise); the
-# disabled emit additionally must stay single-digit ns.
+# cycle (threshold 0.05 words/op absorbs probe calibration noise), and
+# block-alloc at one 8-word header per Alloc.block (); the disabled emit
+# additionally must stay single-digit ns.
 gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
   --out /tmp/BENCH_reclaim.ci.json
 

@@ -3,7 +3,7 @@
     OCaml's GC never exposes frees, so the paper's central objects —
     "retired blocks", "reclaimed blocks", "use-after-free" — are modelled
     explicitly: every node managed by a reclamation scheme embeds a
-    [Block.t] whose atomic [state] walks the lifecycle
+    [Block.t] whose atomic lifecycle state walks
 
     {v  Live --retire--> Retired --reclaim--> Reclaimed --(pool)--> Live  v}
 
@@ -13,7 +13,20 @@
 
     The [version]/[birth_era] fields exist for VBR, whose whole design is to
     reclaim instantly into a type-stable pool and detect stale readers by
-    version arithmetic rather than by blocking reuse. *)
+    version arithmetic rather than by blocking reuse.
+
+    {b Representation} (DESIGN.md §9, "objects per hop").  A header is one
+    7-field record — 8 words, one object — so a reader that reaches a node
+    touches one more object for its header, not eight.  Field 0, [word],
+    packs the lifecycle state into its low 2 bits and the version above
+    them; it is the only field written concurrently, and it is read and
+    CAS'd only through {!cell}, an [int Atomic.t] view of the record.
+    OCaml 5.1 has no atomic record fields, but an [Atomic.t] is a one-field
+    block whose primitives act on field 0, so the view is exact.  The other
+    mutable fields are plain: each is written before the block passes
+    through an atomic (the [word] itself, a link CAS, a pool or segment
+    CAS) and read only after it was received through one, so the atomic's
+    release/acquire orders them. *)
 
 type state = Live | Retired | Reclaimed
 
@@ -24,23 +37,23 @@ let pp_state ppf s =
   Fmt.string ppf (match s with Live -> "Live" | Retired -> "Retired" | Reclaimed -> "Reclaimed")
 
 type t = {
+  mutable word : int;
+      (** [version lsl 2 lor state]: access only through {!cell}.  The
+          version is bumped each time the block is recycled through a
+          pool; VBR's stale-read detector *)
   id : int;  (** unique allocation id (stable across pool reuse) *)
-  state : int Atomic.t;
-  version : int Atomic.t;
-      (** bumped each time the block is recycled through a pool; VBR's
-          stale-read detector *)
-  birth_era : int Atomic.t;  (** VBR: global era at (re)allocation *)
-  retire_era : int Atomic.t;  (** VBR: global era at retirement; -1 = live *)
   recyclable : bool;
       (** pool-managed blocks may legally be observed post-reclaim (VBR);
           access checks skip them *)
-  poison : int Atomic.t;
+  mutable birth_era : int;  (** VBR: global era at (re)allocation *)
+  mutable retire_era : int;  (** VBR: global era at retirement; -1 = live *)
+  mutable poison : int;
       (** poison stamp written at reclaim time when the allocator's
           poisoning mode is on: [1 + version-at-free], the simulation's
           0xdeadbeef.  0 = not poisoned.  Cleared by {!reanimate}, so a
           read of a poisoned block is provably a read of freed memory of a
           specific incarnation, not of a recycled successor. *)
-  owner : int Atomic.t;
+  mutable owner : int;
       (** reclamation-domain owner slot ({!Alloc.Owner}), stamped at retire
           time by the retiring domain; 0 = untagged.  This is the P0484
           [rcu_obj_base] idea flipped inside out: instead of embedding a
@@ -49,6 +62,13 @@ type t = {
           watermark at reclaim time — intrusive accounting with no
           per-retire closure. *)
 }
+
+(** The atomic view of [word] (field 0).  The only representation cast in
+    the library; every field of [t] is an immediate, so no write through
+    the view can bypass the GC's write barrier. *)
+external cell : t -> int Atomic.t = "%identity"
+
+let state_mask = 3
 
 let next_id = Atomic.make 0
 
@@ -62,14 +82,13 @@ let reset_ids () = Atomic.set next_id 0
 
 let build id recyclable =
   {
+    word = state_to_int Live;
     id;
-    state = Atomic.make (state_to_int Live);
-    version = Atomic.make 0;
-    birth_era = Atomic.make 0;
-    retire_era = Atomic.make (-1);
     recyclable;
-    poison = Atomic.make 0;
-    owner = Atomic.make 0;
+    birth_era = 0;
+    retire_era = -1;
+    poison = 0;
+    owner = 0;
   }
 
 let make ?(recyclable = false) () =
@@ -83,46 +102,53 @@ let make ?(recyclable = false) () =
 let none = build (-1) false
 
 let id t = t.id
-let owner t = Atomic.get t.owner
-let set_owner t o = Atomic.set t.owner o
-let state t = state_of_int (Atomic.get t.state)
-let version t = Atomic.get t.version
-let birth_era t = Atomic.get t.birth_era
-let retire_era t = Atomic.get t.retire_era
+let owner t = t.owner
+let set_owner t o = t.owner <- o
+let state t = state_of_int (Atomic.get (cell t) land state_mask)
+let version t = Atomic.get (cell t) lsr 2
+let birth_era t = t.birth_era
+let retire_era t = t.retire_era
 let recyclable t = t.recyclable
 
 let is_live t = state t = Live
 let is_retired t = state t = Retired
+
 (* The fast path of every mediated read's access check, so one load and
    an int compare: 2 is [state_to_int Reclaimed]. *)
-let[@inline] is_reclaimed t = Atomic.get t.state = 2
+let[@inline] is_reclaimed t = Atomic.get (cell t) land state_mask = 2
 
-(** Atomically transition [from -> to_]; returns [false] if the block was
-    not in [from] (e.g. a double retire). *)
-let transition t ~from ~to_ =
-  Atomic.compare_and_set t.state (state_to_int from) (state_to_int to_)
+(* Toplevel, so that the retry loop closes over nothing. *)
+let rec cas_state t from to_ =
+  let w = Atomic.get (cell t) in
+  if w land state_mask <> from then false
+  else
+    Atomic.compare_and_set (cell t) w (w - from + to_) || cas_state t from to_
+
+(** Atomically transition [from -> to_], keeping the version; returns
+    [false] if the block was not in [from] (e.g. a double retire). *)
+let transition t ~from ~to_ = cas_state t (state_to_int from) (state_to_int to_)
 
 (** [poison t] — stamp the block as freed (the stamp encodes the dying
     incarnation's version); {!is_poisoned} then identifies any later read
     as a use-after-free of that incarnation.  Idempotent. *)
-let poison t = Atomic.set t.poison (1 + Atomic.get t.version)
+let poison t = t.poison <- 1 + version t
 
-let unpoison t = Atomic.set t.poison 0
-let is_poisoned t = Atomic.get t.poison <> 0
+let unpoison t = t.poison <- 0
+let is_poisoned t = t.poison <> 0
 
 (** Reset a recycled block to [Live], bumping its version.  Only the pool
-    calls this. *)
+    calls this.  The plain fields are written first; one atomic store then
+    publishes the new version and [Live] together. *)
 let reanimate t ~era =
   assert t.recyclable;
-  Atomic.incr t.version;
-  Atomic.set t.birth_era era;
-  Atomic.set t.retire_era (-1);
-  Atomic.set t.poison 0;
-  Atomic.set t.owner 0;
-  Atomic.set t.state (state_to_int Live)
+  t.birth_era <- era;
+  t.retire_era <- -1;
+  t.poison <- 0;
+  t.owner <- 0;
+  Atomic.set (cell t) ((version t + 1) lsl 2 lor state_to_int Live)
 
-let mark_retire_era t ~era = Atomic.set t.retire_era era
-let set_birth_era t ~era = Atomic.set t.birth_era era
+let mark_retire_era t ~era = t.retire_era <- era
+let set_birth_era t ~era = t.birth_era <- era
 
 let pp ppf t =
   Fmt.pf ppf "block#%d[%a v%d]" t.id pp_state (state t) (version t)

@@ -98,6 +98,13 @@ let acquire t =
 (** [release t x] returns [x] to the pool for reuse. *)
 let release t x = push t x
 
+(** [free_hook ~recycles t x] — the [free] callback to retire [x] with:
+    return it to [t] after reclamation under a recycling scheme, and no
+    callback at all otherwise, so non-recycling retires allocate no
+    closure. *)
+let free_hook ~recycles t x =
+  if recycles then Some (fun () -> release t x) else None
+
 let recycled t = Atomic.get t.recycled
 let fresh_allocs t = Atomic.get t.fresh
 let size t = List.length (Atomic.get t.free)

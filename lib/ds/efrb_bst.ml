@@ -60,8 +60,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       blk = Alloc.block ~recyclable:S.recycles ();
       key;
       leaf = true;
-      left = Link.cell None;
-      right = Link.cell None;
+      left = Link.null_cell ();
+      right = Link.null_cell ();
       update = Atomic.make Clean;
     }
 
@@ -70,8 +70,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       blk = Alloc.block ~recyclable:S.recycles ();
       key;
       leaf = false;
-      left = Link.cell (Some left);
-      right = Link.cell (Some right);
+      left = Link.cell (Link.ptr left);
+      right = Link.cell (Link.ptr right);
       update = Atomic.make Clean;
     }
 
@@ -101,8 +101,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       blk = Block.none;
       key = min_int;
       leaf = true;
-      left = Link.cell None;
-      right = Link.cell None;
+      left = Link.null_cell ();
+      right = Link.null_cell ();
       update = Atomic.make Clean;
     }
 
@@ -149,9 +149,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.l <- src.l
 
   let init_cursor t s =
-    let l0 =
-      Option.get (Link.target (scratch_read s ~src:t.root.blk t.root.left))
-    in
+    let l0 = Link.target_exn (scratch_read s ~src:t.root.blk t.root.left) in
     let pupdate = Atomic.get t.root.update in
     let cursor () =
       { gp = no_node; gpupdate = Clean; p = t.root; pupdate; l = l0 }
@@ -183,9 +181,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       else begin
         let lupdate = Atomic.get l.update in
         let next = scratch_read s ~src:l.blk (child_cell l key) in
-        match Link.target next with
-        | None -> walk_fail (* torn read; retry *)
-        | Some nl -> walk s key (n - 1) p pupdate l lupdate nl
+        match next with
+        | Link.Null _ -> walk_fail (* torn read; retry *)
+        | Link.Ptr { target = nl; _ } -> walk s key (n - 1) p pupdate l lupdate nl
       end
     end
 
@@ -242,22 +240,15 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      once across all helpers because the expected link record is the one
      currently stored. *)
   let cas_child parent old_child desired =
-    let cell =
-      (* The old child's position: compare against both sides (keys of
-         descriptors may equal the routing key). *)
-      let l = Link.get parent.left in
-      match Link.target l with
-      | Some c when c == old_child -> Some (parent.left, l)
-      | _ -> (
-          let r = Link.get parent.right in
-          match Link.target r with
-          | Some c when c == old_child -> Some (parent.right, r)
-          | _ -> None)
-    in
-    match cell with
-    | None -> false
-    | Some (cell, expected) ->
-        Link.cas cell ~expected ~desired:(Link.make (Some desired))
+    (* The old child's position: compare against both sides (keys of
+       descriptors may equal the routing key). *)
+    let l = Link.get parent.left in
+    if Link.points_to l old_child then
+      Link.cas parent.left ~expected:l ~desired:(Link.ptr desired)
+    else
+      let r = Link.get parent.right in
+      Link.points_to r old_child
+      && Link.cas parent.right ~expected:r ~desired:(Link.ptr desired)
 
   (* Unflagging must CAS against the *installed* update record: variant
      values compare physically under [Atomic.compare_and_set], so a
@@ -287,12 +278,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.mask s.h (fun () ->
         (* Identify p's other child (frozen: p is marked). *)
         let other =
-          match Link.target (Link.get op.dp.left) with
-          | Some c when c == op.dl -> Link.target (Link.get op.dp.right)
-          | _ -> Link.target (Link.get op.dp.left)
+          let l = Link.get op.dp.left in
+          if Link.points_to l op.dl then Link.get op.dp.right else l
         in
         (match other with
-        | Some other ->
+        | Link.Ptr { target = other; _ } ->
             if cas_child op.dgp op.dp other then begin
               (* We unlinked p (and l with it): retire both. *)
               if Alloc.try_retire op.dp.blk then
@@ -300,7 +290,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               if Alloc.try_retire op.dl.blk then
                 S.retire s.h op.dl.blk ~claimed:true
             end
-        | None -> ());
+        | Link.Null _ -> ());
         unflag_delete op)
 
   let rec help s (u : update) =

@@ -37,19 +37,23 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   }
 
   let blk n = n.blk
-  let opt_blk = function None -> Block.none | Some n -> n.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
+
+  (* HP++'s patch set of a retired node: its successor, if any. *)
+  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ p.target.blk ]
 
   type t = { head : node; pool : node Pool.t }
 
   (* Traversal cursor: [left] = last unmarked node whose loaded link is
-     [left_next] (the snip CAS's expected value); [node] = node under
-     examination (None = end of list).  [node == target left_next] iff no
+     [left_next] (the snip CAS's expected value); [node] = a loaded link
+     whose target is the node under examination (null = end of list; its
+     tag is ignored).  [node] and [left_next] share their target iff no
      marked chain is pending between them.  A session keeps the live
      cursor and the walker's two checkpoint slots in records like this. *)
   type cursor = {
     mutable left : node;
     mutable left_next : node Link.t;
-    mutable node : node option;
+    mutable node : node Link.t;
   }
 
   type session = {
@@ -72,7 +76,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let create () =
     {
       head =
-        { blk = Alloc.block (); key = min_int; value = 0; next = Link.cell None };
+        { blk = Alloc.block (); key = min_int; value = 0; next = Link.null_cell () };
       pool = Pool.create ();
     }
 
@@ -101,7 +105,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     | None ->
         let b = Alloc.block ~recyclable:S.recycles () in
         Block.set_birth_era b ~era:(S.current_era ());
-        { blk = b; key; value; next = Link.cell None }
+        { blk = b; key; value; next = Link.null_cell () }
 
   (* A node that was allocated but never published: recyclers take it back
      into the pool; everyone else must tell the allocator it was abandoned,
@@ -123,18 +127,18 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
     S.protect sh.(0) c.left.blk;
-    S.protect sh.(1) (opt_blk (Link.target c.left_next));
-    S.protect sh.(2) (opt_blk c.node)
+    S.protect sh.(1) (link_blk c.left_next);
+    S.protect sh.(2) (link_blk c.node)
 
   (* Revalidation (§3.3): resuming from [node] (or from [left] when at the
      end) requires it not logically deleted.  Checkpointed nodes are
      shield-protected, so the bare load is safe. *)
   let validate_cursor c =
     match c.node with
-    | Some n ->
+    | Link.Ptr { target = n; _ } ->
         Alloc.check_access n.blk;
         not (Link.is_marked (Link.get n.next))
-    | None ->
+    | Link.Null _ ->
         Alloc.check_access c.left.blk;
         not (Link.is_marked (Link.get c.left.next))
 
@@ -146,15 +150,13 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   (* Retire the frozen marked chain [from .. stop), patching successors for
      HP++.  Links of marked nodes are immutable, so the walk is stable. *)
   let retire_chain t s ~from ~stop =
-    let rec go n =
-      match n with
-      | None -> ()
-      | Some x when (match stop with Some y -> x == y | None -> false) -> ()
-      | Some x ->
-          let nx = Link.target (Link.get x.next) in
-          S.retire s.h x.blk
-            ~patch:(match nx with None -> [] | Some y -> [ y.blk ])
-            ~free:(fun () -> if S.recycles then Pool.release t.pool x);
+    let rec go = function
+      | Link.Null _ -> ()
+      | Link.Ptr { target = x; _ } when Link.points_to stop x -> ()
+      | Link.Ptr { target = x; _ } ->
+          let nx = Link.get x.next in
+          S.retire s.h x.blk ~patch:(patch_of nx)
+            ?free:(Pool.free_hook ~recycles:S.recycles t.pool x);
           go nx
     in
     go from
@@ -164,18 +166,18 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      on outliving protections. *)
   let snip t s c =
     S.protect s.mask0 c.left.blk;
-    S.protect s.mask1 (opt_blk c.node);
-    let desired = Link.make c.node in
+    S.protect s.mask1 (link_blk c.node);
+    let desired = Link.with_tag c.node 0 in
     S.mask s.h (fun () ->
         if Link.cas c.left.next ~expected:c.left_next ~desired then begin
-          retire_chain t s ~from:(Link.target c.left_next) ~stop:c.node;
+          retire_chain t s ~from:c.left_next ~stop:c.node;
           Some desired
         end
         else None)
 
   let init_cursor t s =
     let ln = scratch_read s ~src:Block.none t.head.next in
-    let cursor () = { left = t.head; left_next = ln; node = Link.target ln } in
+    let cursor () = { left = t.head; left_next = ln; node = ln } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
     s.slots.(1) <- cursor ()
@@ -209,27 +211,24 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     else begin
       s.w.steps <- s.w.steps + 1;
       match node with
-      | None ->
+      | Link.Null _ ->
           (* End of list.  If a marked chain dangles, snip it first. *)
-          if s.help && not (Link.same left_next (Link.make node)) then
+          if s.help && not (Link.same left_next Link.null) then
             finish_snip s left left_next node false
           else finish s left left_next node false
-      | Some tnode ->
+      | Link.Ptr { target = tnode; _ } ->
           let t_next = scratch_read s ~src:tnode.blk tnode.next in
           if Link.is_marked t_next then
             (* t is logically deleted: walk past it. *)
-            walk s key (n - 1) left left_next (Link.target t_next)
+            walk s key (n - 1) left left_next t_next
           else
             let k = key_of s tnode in
             if k < key then
               (* t is a live node below the key: becomes the new left. *)
-              walk s key (n - 1) tnode t_next (Link.target t_next)
-            else if
-              (* t = right.  Adjacent to left? *)
-              match Link.target left_next with
-              | Some l when l == tnode -> true
-              | _ -> false
-            then finish s left left_next node (k = key)
+              walk s key (n - 1) tnode t_next t_next
+            else if Link.points_to left_next tnode then
+              (* t = right, adjacent to left. *)
+              finish s left left_next node (k = key)
             else if s.help then finish_snip s left left_next node (k = key)
             else finish s left left_next node (k = key)
     end
@@ -242,7 +241,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     let scratch = shields 4 in
     let mask0 = S.new_shield h in
     let mask1 = S.new_shield h in
-    let cursor () = { left = t.head; left_next = Link.null; node = None } in
+    let cursor () = { left = t.head; left_next = Link.null; node = Link.null } in
     let rec s =
       {
         h;
@@ -304,10 +303,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
           end
           else begin
             (* After a helping search, left and right are adjacent:
-               left_next's target is right (or None). *)
+               left_next's target is right (or null). *)
             let c = s.live in
-            Link.set n.next (Link.make (Link.target c.left_next));
-            let desired = Link.make (Some n) in
+            Link.set n.next (Link.with_tag c.left_next 0);
+            let desired = Link.ptr n in
             if Link.cas c.left.next ~expected:c.left_next ~desired then true
             else go ()
           end
@@ -321,7 +320,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
           if not s.found then false
           else
             let left = s.live.left and left_next = s.live.left_next in
-            let right = Option.get (Link.target left_next) in
+            let right = Link.target_exn left_next in
             let r_next = scratch_read s ~src:right.blk right.next in
             if Link.is_marked r_next then go ()
             else if
@@ -331,14 +330,11 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
               (* Try to unlink immediately; otherwise later searches snip. *)
               S.protect s.mask0 left.blk;
               S.protect s.mask1 right.blk;
-              let desired = Link.make (Link.target r_next) in
+              let desired = Link.with_tag r_next 0 in
               S.mask s.h (fun () ->
                   if Link.cas left.next ~expected:left_next ~desired then
-                    S.retire s.h right.blk
-                      ~patch:(match Link.target r_next with
-                             | None -> []
-                             | Some nx -> [ nx.blk ])
-                      ~free:(fun () -> if S.recycles then Pool.release t.pool right));
+                    S.retire s.h right.blk ~patch:(patch_of r_next)
+                      ?free:(Pool.free_hook ~recycles:S.recycles t.pool right));
               true
             end
             else go ()
@@ -358,10 +354,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
            let rec sweep key =
              search t s key ~help:true;
              match s.live.node with
-             | Some n ->
+             | Link.Ptr { target = n; _ } ->
                  let k = key_of s n in
                  if k < max_int then sweep (k + 1)
-             | None -> ()
+             | Link.Null _ -> ()
            in
            sweep min_int;
            true)

@@ -30,7 +30,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
-  let opt_blk = function None -> Block.none | Some n -> n.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
+
+  (* HP++'s patch set of a retired node: its successor, if any. *)
+  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ p.target.blk ]
 
   type t = { head : node (* sentinel, key = min_int *); pool : node Pool.t }
 
@@ -40,8 +43,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      session keeps the live cursor and the walker's two checkpoint slots
      in records like this. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
-
-  let cur_of c = Link.target c.pnext
 
   type session = {
     h : S.handle;
@@ -62,7 +63,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let create () =
     {
       head =
-        { blk = Alloc.block (); key = min_int; value = 0; next = Link.cell None };
+        { blk = Alloc.block (); key = min_int; value = 0; next = Link.null_cell () };
       pool = Pool.create ();
     }
 
@@ -94,7 +95,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     | None ->
         let b = Alloc.block ~recyclable:S.recycles () in
         Block.set_birth_era b ~era:(S.current_era ());
-        { blk = b; key; value; next = Link.cell None }
+        { blk = b; key; value; next = Link.null_cell () }
 
   (* A node that was allocated but never published: recyclers take it back
      into the pool; everyone else must tell the allocator it was abandoned,
@@ -124,18 +125,18 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
     S.protect sh.(0) c.prev.blk;
-    S.protect sh.(1) (opt_blk (cur_of c))
+    S.protect sh.(1) (link_blk c.pnext)
 
   (* ListCursor.validate: the node the resumed traversal will dereference
      must not be logically deleted (checking the mark suffices for
      revalidation, §3.3).  Cursor nodes are checkpoint-protected, hence
      unreclaimed, so bare loads are safe here. *)
   let validate_cursor c =
-    match cur_of c with
-    | None ->
+    match c.pnext with
+    | Link.Null _ ->
         Alloc.check_access c.prev.blk;
         not (Link.is_marked (Link.get c.prev.next))
-    | Some cur ->
+    | Link.Ptr { target = cur; _ } ->
         Alloc.check_access cur.blk;
         not (Link.is_marked (Link.get cur.next))
 
@@ -169,11 +170,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.protect s.mask1 cur.blk;
     S.mask s.h (fun () ->
         if Link.cas prev.next ~expected:pnext ~desired then begin
-          S.retire s.h cur.blk
-            ~patch:(match Link.target next with
-                   | None -> []
-                   | Some nx -> [ nx.blk ])
-            ~free:(fun () -> if S.recycles then Pool.release pool cur);
+          S.retire s.h cur.blk ~patch:(patch_of next)
+            ?free:(Pool.free_hook ~recycles:S.recycles pool cur);
           true
         end
         else false)
@@ -184,12 +182,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if n = 0 then stop s prev pnext walk_more
     else begin
       s.w.steps <- s.w.steps + 1;
-      match Link.target pnext with
-      | None -> finish s prev pnext false (* reached the end: key absent *)
-      | Some cur ->
+      match pnext with
+      | Link.Null _ -> finish s prev pnext false (* reached the end: key absent *)
+      | Link.Ptr { target = cur; _ } ->
           let next = scratch_read s ~src:cur.blk cur.next in
           if Link.is_marked next then begin
-            let desired = Link.make (Link.target next) in
+            let desired = Link.with_tag next 0 in
             if help_unlink s prev pnext cur next desired then
               walk s key (n - 1) prev desired
             else walk_fail
@@ -267,8 +265,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           end
           else begin
             let c = s.live in
-            Link.set n.next (Link.make (cur_of c));
-            let desired = Link.make (Some n) in
+            Link.set n.next (Link.with_tag c.pnext 0);
+            let desired = Link.ptr n in
             if Link.cas c.prev.next ~expected:c.pnext ~desired then true
             else go ()
           end
@@ -282,7 +280,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           if not s.found then false
           else
             let prev = s.live.prev and pnext = s.live.pnext in
-            let cur = Option.get (Link.target pnext) in
+            let cur = Link.target_exn pnext in
             let next = scratch_read s ~src:cur.blk cur.next in
             if Link.is_marked next then go ()  (* lost the race *)
             else if
@@ -291,13 +289,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             then begin
               (* Physical deletion; on failure a helping traversal will
                  finish the job (and retire the node). *)
-              let desired = Link.make (Link.target next) in
+              let desired = Link.with_tag next 0 in
               if Link.cas prev.next ~expected:pnext ~desired then
-                S.retire s.h cur.blk
-                  ~patch:(match Link.target next with
-                         | None -> []
-                         | Some nx -> [ nx.blk ])
-                  ~free:(fun () -> if S.recycles then Pool.release t.pool cur)
+                S.retire s.h cur.blk ~patch:(patch_of next)
+                  ?free:(Pool.free_hook ~recycles:S.recycles t.pool cur)
               else search t s key;
               true
             end

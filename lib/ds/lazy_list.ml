@@ -35,15 +35,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
-  let opt_blk = function None -> Block.none | Some n -> n.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
 
   type t = { head : node; pool : node Pool.t }
 
   (* The traversal cursor; a session keeps the live cursor and the
      walker's two checkpoint slots in records like this. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
-
-  let cur_of c = Link.target c.pnext
 
   type session = {
     h : S.handle;
@@ -64,7 +62,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       blk = Alloc.block ~recyclable ();
       key;
       value;
-      next = Link.cell None;
+      next = Link.null_cell ();
       lock = Atomic.make false;
       marked = Atomic.make false;
     }
@@ -138,7 +136,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
     S.protect sh.(0) c.prev.blk;
-    S.protect sh.(1) (opt_blk (cur_of c))
+    S.protect sh.(1) (link_blk c.pnext)
 
   (* Resuming follows prev.next: prev must not be logically deleted. *)
   let validate_cursor c =
@@ -173,9 +171,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     end
     else begin
       s.w.steps <- s.w.steps + 1;
-      match Link.target pnext with
-      | None -> finish s prev pnext false
-      | Some cur ->
+      match pnext with
+      | Link.Null _ -> finish s prev pnext false
+      | Link.Ptr { target = cur; _ } ->
           let k = key_of s cur in
           if k < key then
             walk s key (n - 1) cur (scratch_read s ~src:cur.blk cur.next)
@@ -252,13 +250,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               with_locked c.prev (fun () ->
                   if not (validate_locked c.prev None c.pnext) then `Retry
                   else
-                    match cur_of c with
-                    | Some cur when cur.key = key && not (Atomic.get cur.marked)
-                      ->
+                    match c.pnext with
+                    | Link.Ptr { target = cur; _ }
+                      when cur.key = key && not (Atomic.get cur.marked) ->
                         `Present
                     | _ ->
-                        Link.set n.next (Link.make (cur_of c));
-                        Link.set c.prev.next (Link.make (Some n));
+                        Link.set n.next (Link.with_tag c.pnext 0);
+                        Link.set c.prev.next (Link.ptr n);
                         `Inserted)
             in
             match outcome with
@@ -277,7 +275,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           if not s.found then false
           else
             let c = s.live in
-            let cur = Option.get (cur_of c) in
+            let cur = Link.target_exn c.pnext in
             let outcome =
               with_locked2 c.prev cur (fun () ->
                   if not (validate_locked c.prev (Some cur) c.pnext) then `Retry
@@ -291,10 +289,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             match outcome with
             | `Removed ->
                 S.retire s.h cur.blk
-                  ~patch:(match Link.target (Link.get cur.next) with
-                         | None -> []
-                         | Some nx -> [ nx.blk ])
-                  ~free:(fun () -> if S.recycles then Pool.release t.pool cur);
+                  ~patch:(match Link.get cur.next with
+                         | Link.Null _ -> []
+                         | Link.Ptr { target = nx; _ } -> [ nx.blk ])
+                  ?free:(Pool.free_hook ~recycles:S.recycles t.pool cur);
                 true
             | `Retry -> go ()
         in

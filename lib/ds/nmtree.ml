@@ -36,7 +36,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
-  let opt_blk = function None -> Block.none | Some n -> n.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
 
   (* Sentinel keys: every real key must be < inf0. *)
   let inf0 = max_int - 2
@@ -76,7 +76,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let mk_leaf ?(recyclable = false) key value =
     let b = Alloc.block ~recyclable () in
-    { blk = b; key; value; leaf = true; left = Link.cell None; right = Link.cell None }
+    {
+      blk = b;
+      key;
+      value;
+      leaf = true;
+      left = Link.null_cell ();
+      right = Link.null_cell ();
+    }
 
   let create () =
     (* R(inf2) -- left --> S(inf1) -- left --> leaf(inf0);
@@ -90,8 +97,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         key = inf1;
         value = 0;
         leaf = false;
-        left = Link.cell (Some l_inf0);
-        right = Link.cell (Some l_inf1);
+        left = Link.cell (Link.ptr l_inf0);
+        right = Link.cell (Link.ptr l_inf1);
       }
     in
     let r =
@@ -100,8 +107,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         key = inf2;
         value = 0;
         leaf = false;
-        left = Link.cell (Some s);
-        right = Link.cell (Some l_inf2);
+        left = Link.cell (Link.ptr s);
+        right = Link.cell (Link.ptr l_inf2);
       }
     in
     { root = r; pool = Pool.create () }
@@ -141,8 +148,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       key;
       value = 0;
       leaf = false;
-      left = Link.cell (Some left);
-      right = Link.cell (Some right);
+      left = Link.cell (Link.ptr left);
+      right = Link.cell (Link.ptr right);
     }
 
   let scratch_read s ~src cell =
@@ -162,10 +169,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
     S.protect sh.(0) c.anc.blk;
-    S.protect sh.(1) (opt_blk (Link.target c.alink));
+    S.protect sh.(1) (link_blk c.alink);
     S.protect sh.(2) c.par.blk;
     S.protect sh.(3) c.cur.blk;
-    S.protect sh.(4) (opt_blk (Link.target c.plink))
+    S.protect sh.(4) (link_blk c.plink)
 
   (* Revalidation (§3.3): resuming descends from [cur]; conservative and
      cheap: the parent must still hold a clean edge to cur.  (A leaf cursor
@@ -177,9 +184,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       Alloc.check_access c.par.blk;
       let ok cell =
         let lk = Link.get cell in
-        match Link.target lk with
-        | Some n -> n == c.cur && Link.tag lk = 0
-        | None -> false
+        Link.points_to lk c.cur && Link.tag lk = 0
       in
       ok c.par.left || ok c.par.right
     end
@@ -193,9 +198,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let init_cursor t s =
     let alink = scratch_read s ~src:Block.none t.root.left in
-    let su = Option.get (Link.target alink) in
+    let su = Link.target_exn alink in
     let plink = scratch_read s ~src:su.blk su.left in
-    let cur = Option.get (Link.target plink) in
+    let cur = Link.target_exn plink in
     let cursor () = { anc = t.root; alink; par = su; plink; cur } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -222,9 +227,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       end
       else begin
         let next = scratch_read s ~src:cur.blk (child_cell cur key) in
-        match Link.target next with
-        | None -> walk_fail (* torn read of a recycled node (VBR): retry *)
-        | Some nx ->
+        match next with
+        | Link.Null _ -> walk_fail (* torn read of a recycled node (VBR): retry *)
+        | Link.Ptr { target = nx; _ } ->
             (* Advance ancestor when the edge we just crossed was untagged. *)
             let untagged = Link.tag plink land tag_bit = 0 in
             let anc = if untagged then par else anc in
@@ -303,13 +308,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let retire_region s ~from ~keep =
     let rec go n =
       if n != keep && Alloc.try_retire n.blk then begin
-        let l = if n.leaf then None else Link.target (Link.get n.left) in
-        let r = if n.leaf then None else Link.target (Link.get n.right) in
+        let l = if n.leaf then Link.null else Link.get n.left in
+        let r = if n.leaf then Link.null else Link.get n.right in
         S.retire s.h n.blk ~claimed:true;
-        Option.iter go l;
-        Option.iter go r
+        go_link l;
+        go_link r
       end
-    in
+    and go_link = function Link.Null _ -> () | Link.Ptr p -> go p.target in
     go from
 
   (* ---------------- operations ---------------- *)
@@ -347,17 +352,16 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     in
     tag_edge ();
     let slink = Link.get sibling_c in
-    match Link.target slink with
-    | None -> false
-    | Some keep ->
+    match slink with
+    | Link.Null _ -> false
+    | Link.Ptr { target = keep; tag } ->
         S.mask s.h (fun () ->
-            let desired =
-              Link.make ~tag:(Link.tag slink land flag_bit) (Some keep)
-            in
+            let desired = Link.Ptr { target = keep; tag = tag land flag_bit } in
             if Link.cas (child_cell c.anc key) ~expected:c.alink ~desired then begin
-              (match Link.target c.alink with
-              | Some old_successor -> retire_region s ~from:old_successor ~keep
-              | None -> ());
+              (match c.alink with
+              | Link.Ptr { target = old_successor; _ } ->
+                  retire_region s ~from:old_successor ~keep
+              | Link.Null _ -> ());
               true
             end
             else false)
@@ -388,7 +392,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               else alloc_internal key ~left:sib ~right:leaf
             in
             let cell = child_cell c.par key in
-            if Link.cas cell ~expected:c.plink ~desired:(Link.make (Some internal))
+            if Link.cas cell ~expected:c.plink ~desired:(Link.ptr internal)
             then true
             else begin
               (* Lost the race; the internal wrapper is unpublished (the

@@ -35,7 +35,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   let blk n = n.blk
-  let opt_blk = function None -> Block.none | Some n -> n.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
   let height n = Array.length n.next
 
   type t = {
@@ -44,9 +44,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     level_seed : int Atomic.t;
   }
 
-  (* A completed level of the search: predecessor, the loaded link used as
-     CAS expected value, and the successor observed. *)
-  type level_rec = { lpred : node; llink : node Link.t; lsucc : node option }
+  (* A completed level of the search: predecessor and the loaded link used
+     as CAS expected value, whose target is the successor observed. *)
+  type level_rec = { lpred : node; llink : node Link.t }
 
   (* Search cursor: current level walk state plus the completed levels
      above (head of [levels] = most recently completed = lowest finished
@@ -84,7 +84,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           blk = Alloc.block ();
           key = min_int;
           value = 0;
-          next = Array.init max_level (fun _ -> Link.cell None);
+          next = Array.init max_level (fun _ -> Link.null_cell ());
         };
       pools = Array.init (max_level + 1) (fun _ -> Pool.create ());
       level_seed = Atomic.make 1;
@@ -123,7 +123,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     | None ->
         let b = Alloc.block ~recyclable:S.recycles () in
         Block.set_birth_era b ~era:(S.current_era ());
-        { blk = b; key; value; next = Array.init h (fun _ -> Link.cell None) }
+        { blk = b; key; value; next = Array.init h (fun _ -> Link.null_cell ()) }
 
   (* Unpublished node: back to the pool, or booked as abandoned so the
      leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
@@ -145,13 +145,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
     S.protect sh.(0) c.pred.blk;
-    S.protect sh.(1) (opt_blk (Link.target c.plink));
+    S.protect sh.(1) (link_blk c.plink);
     let rec levels i = function
       | [] -> ()
       | lr :: rest ->
           if (2 * i) + 3 < Array.length sh then begin
             S.protect sh.((2 * i) + 2) lr.lpred.blk;
-            S.protect sh.((2 * i) + 3) (opt_blk lr.lsucc)
+            S.protect sh.((2 * i) + 3) (link_blk lr.llink)
           end;
           levels (i + 1) rest
     in
@@ -195,8 +195,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if n = 0 then stop s lvl pred plink levels walk_more
     else begin
       s.w.steps <- s.w.steps + 1;
-      match Link.target plink with
-      | Some curr ->
+      match plink with
+      | Link.Ptr { target = curr; _ } ->
           let succ = scratch_read s ~src:curr.blk curr.next.(lvl) in
           if Link.is_marked succ then
             if help then begin
@@ -204,15 +204,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                  over a marked link would resurrect a deleted level. *)
               if Link.is_marked plink then walk_fail
               else
-                let desired = Link.make (Link.target succ) in
+                let desired = Link.with_tag succ 0 in
                 if Link.cas pred.next.(lvl) ~expected:plink ~desired then
                   walk s key help (n - 1) lvl pred desired levels
                 else walk_fail
             end
             else
-              walk s key help (n - 1) lvl pred
-                (Link.make (Link.target succ))
-                levels
+              walk s key help (n - 1) lvl pred (Link.with_tag succ 0) levels
           else
             let k = key_of s curr in
             if k < key then begin
@@ -220,7 +218,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               walk s key help (n - 1) lvl curr succ levels
             end
             else complete_level s key help n lvl pred plink levels
-      | None -> complete_level s key help n lvl pred plink levels
+      | Link.Null _ -> complete_level s key help n lvl pred plink levels
     end
 
   and complete_level s key help n lvl pred plink levels =
@@ -230,16 +228,17 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
        read-only search has no write phase and may pass. *)
     if help && Link.is_marked plink then walk_fail
     else begin
-      let lsucc = Link.target plink in
       let i = max_level - 1 - lvl in
       if 2 * i < Array.length s.level_sh then begin
         S.protect s.level_sh.(2 * i) pred.blk;
-        S.protect s.level_sh.((2 * i) + 1) (opt_blk lsucc)
+        S.protect s.level_sh.((2 * i) + 1) (link_blk plink)
       end;
-      let levels = { lpred = pred; llink = plink; lsucc } :: levels in
+      let levels = { lpred = pred; llink = plink } :: levels in
       if lvl = 0 then begin
         s.found <-
-          (match lsucc with Some n -> key_of s n = key | None -> false);
+          (match plink with
+          | Link.Ptr { target = n; _ } -> key_of s n = key
+          | Link.Null _ -> false);
         stop s lvl pred plink levels walk_done
       end
       else
@@ -331,11 +330,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           else begin
             (* Prepare the tower: level l points at the observed succ. *)
             for l = 0 to h - 1 do
-              Link.set n.next.(l) (Link.make levels.(l).lsucc)
+              Link.set n.next.(l) (Link.with_tag levels.(l).llink 0)
             done;
             (* Link level 0 (the linearization point). *)
             let l0 = levels.(0) in
-            if not (Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.make (Some n)))
+            if not (Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.ptr n))
             then attempt ()
             else begin
               (* Link the upper levels, refreshing the search on failure. *)
@@ -350,15 +349,16 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                 let mine = Link.get n.next.(!l) in
                 if Link.is_marked mine then give_up := true
                 else begin
-                  if not (Link.same mine (Link.make lr.lsucc)) then
+                  if not (Link.tag mine = 0 && Link.same_target mine lr.llink)
+                  then
                     ignore
                       (Link.cas n.next.(!l) ~expected:mine
-                         ~desired:(Link.make lr.lsucc)
+                         ~desired:(Link.with_tag lr.llink 0)
                         : bool);
                   if Link.is_marked (Link.get n.next.(!l)) then give_up := true
                   else if
                     Link.cas lr.lpred.next.(!l) ~expected:lr.llink
-                      ~desired:(Link.make (Some n))
+                      ~desired:(Link.ptr n)
                   then incr l
                   else begin
                     (* Stale pred at this level: re-search. *)
@@ -378,7 +378,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           let levels = search t s key ~help:true in
           if not s.found then false
           else
-            let victim = Option.get levels.(0).lsucc in
+            let victim = Link.target_exn levels.(0).llink in
             let vh = height victim in
             (* Mark the upper levels top-down. *)
             for l = vh - 1 downto 1 do
@@ -404,7 +404,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                 (* Unlink everywhere via the helping search, then retire. *)
                 ignore (search t s key ~help:true : level_rec array);
                 S.retire s.h victim.blk
-                  ~free:(fun () -> if S.recycles then Pool.release t.pools.(vh) victim);
+                  ?free:(Pool.free_hook ~recycles:S.recycles t.pools.(vh) victim);
                 true
         in
         attempt ())

@@ -88,9 +88,9 @@ module Impl : Smr_intf.SCHEME = struct
     Hpbrcu_runtime.Sched.yield ();
     Alloc.check_access src;
     let rec loop l =
-      (match Link.target l with
-      | None -> Core.protect s Block.none
-      | Some n -> Core.protect s (hdr n));
+      (match l with
+      | Link.Null _ -> Core.protect s Block.none
+      | Link.Ptr { target; _ } -> Core.protect s (hdr target));
       (* Atomic store above is SC: fence(SC) of line 7. *)
       let l' = Link.get cell in
       if l' == l then l

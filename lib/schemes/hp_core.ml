@@ -188,13 +188,8 @@ let retire h ?free ~patches ~claimed blk =
 
 (* -------- deferred retirement (the HP side of HP-RCU / HP-BRCU) ------ *)
 
-(** The deferred half of two-step retirement (Algorithm 4): called by the
-    epoch scheme's expired-task executor, possibly on any thread. *)
-let retire_deferred d ?free blk =
-  Segstack.push_one d.orphans { Retired.blk; free; stamp = 0; patches = [] };
-  Atomic.incr d.orphan_count
-
-(** Entry-passing variant for intrusive two-step retirement: the epoch
+(** The deferred half of two-step retirement (Algorithm 4): the epoch
+    scheme's expired-task executor, possibly on any thread.  The epoch
     side drains its expired {!Retired.entry}s straight into this domain's
     orphan list, no per-block closure anywhere on the path. *)
 let retire_deferred_entry d (e : Retired.entry) =

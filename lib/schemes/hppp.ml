@@ -98,17 +98,12 @@ module Impl : Smr_intf.SCHEME = struct
     Hpbrcu_runtime.Sched.yield ();
     Alloc.check_access src;
     let rec loop l =
-      (match Link.target l with
-      | None -> Core.protect s Block.none
-      | Some n -> Core.protect s (hdr n));
+      (match l with
+      | Link.Null _ -> Core.protect s Block.none
+      | Link.Ptr { target; _ } -> Core.protect s (hdr target));
       let l' = Link.get cell in
       if
-        l' == l
-        ||
-        match (Link.target l', Link.target l) with
-        | None, None -> true
-        | Some a, Some b -> a == b
-        | _ -> false
+        l' == l || Link.same_target l' l
       then l'
       else begin
         Hpbrcu_runtime.Sched.yield ();

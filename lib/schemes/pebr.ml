@@ -215,9 +215,9 @@ module Impl : Smr_intf.SCHEME = struct
     poll h;
     Alloc.check_access src;
     let l = Link.get cell in
-    (match Link.target l with
-    | None -> HPC.protect s Block.none
-    | Some n -> HPC.protect s (hdr n));
+    (match l with
+    | Link.Null _ -> HPC.protect s Block.none
+    | Link.Ptr { target; _ } -> HPC.protect s (hdr target));
     l
 
   let deref h blk =

@@ -24,12 +24,18 @@ exception Exhausted of string
 (* ------------------------------------------------------------------ *)
 
 module Shields = struct
+  (* A slot holds the protected block's id, -1 when empty — as HE's era
+     slots hold ints.  A protect is then an int store (no GC write barrier
+     on a pointer), and a scan reads ints instead of dereferencing one
+     [Block.t] per slot.  Scans always compared retired blocks to the
+     protected set by id, so which blocks a slot protects is unchanged. *)
   type t = {
-    slots : Block.t Atomic.t array;  (* Block.none = empty *)
+    slots : int Atomic.t array;  (* -1 = empty *)
     hwm : int Atomic.t;  (* slots.(0 .. hwm-1) have been handed out *)
     free : int list Atomic.t;
   }
 
+  let empty = -1
   let max_shields = 1 lsl 14
 
   (* Slots are handed out in index order (hwm bump), so under the Domains
@@ -45,12 +51,12 @@ module Shields = struct
     {
       slots =
         Hpbrcu_runtime.Layout.strided_init max_shields (fun _ ->
-            Atomic.make Block.none);
+            Atomic.make empty);
       hwm = Atomic.make 0;
       free = Atomic.make [];
     }
 
-  type shield = { slot : Block.t Atomic.t; idx : int; owner : t }
+  type shield = { slot : int Atomic.t; idx : int; owner : t }
 
   let rec alloc t =
     match Atomic.get t.free with
@@ -82,7 +88,7 @@ module Shields = struct
   let release (s : shield) =
     (* Clear once, outside the retry loop: the store is not part of the
        free-list CAS and re-running it on contention is wasted work. *)
-    Atomic.set s.slot Block.none;
+    Atomic.set s.slot empty;
     let rec give () =
       let old = Atomic.get s.owner.free in
       if not (Atomic.compare_and_set s.owner.free old (s.idx :: old)) then begin
@@ -93,10 +99,10 @@ module Shields = struct
     give ()
 
   (* Atomic.set is an SC store in OCaml: the publication fence of
-     Algorithm 1 line 7 is built in. *)
-  let protect (s : shield) (b : Block.t) = Atomic.set s.slot b
-  let clear (s : shield) = Atomic.set s.slot Block.none
-  let get (s : shield) = Atomic.get s.slot
+     Algorithm 1 line 7 is built in.  [Block.none]'s id is -1, so
+     protecting it empties the slot. *)
+  let protect (s : shield) (b : Block.t) = Atomic.set s.slot (Block.id b)
+  let clear (s : shield) = Atomic.set s.slot empty
 
   (** Snapshot the ids of all currently protected blocks into the caller's
       reusable scratch set (cleared first; caller sorts).  The scan of
@@ -106,14 +112,14 @@ module Shields = struct
     Hpbrcu_core.Idset.clear ids;
     let n = min (Atomic.get t.hwm) max_shields in
     for i = 0 to n - 1 do
-      let b = Atomic.get t.slots.(i) in
-      if b != Block.none then Hpbrcu_core.Idset.add ids (Block.id b)
+      let id = Atomic.get t.slots.(i) in
+      if id <> empty then Hpbrcu_core.Idset.add ids id
     done
 
   let reset t =
     let n = min (Atomic.get t.hwm) max_shields in
     for i = 0 to n - 1 do
-      Atomic.set t.slots.(i) Block.none
+      Atomic.set t.slots.(i) empty
     done;
     Atomic.set t.hwm 0;
     Atomic.set t.free []

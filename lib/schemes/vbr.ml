@@ -122,7 +122,9 @@ module Impl : Smr_intf.SCHEME = struct
     Alloc.check_access src;
     validate_block h src;
     let l = Link.get cell in
-    (match Link.target l with Some n -> validate_block h (hdr n) | None -> ());
+    (match l with
+    | Link.Ptr { target; _ } -> validate_block h (hdr target)
+    | Link.Null _ -> ());
     l
 
   let deref h blk =

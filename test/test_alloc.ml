@@ -133,6 +133,73 @@ let test_reanimate () =
   Alcotest.(check int) "birth era" 9 (Block.birth_era b);
   Alcotest.(check int) "retire era cleared" (-1) (Block.retire_era b)
 
+(* The header packs the version above the lifecycle state: a transition
+   moves the state only; [reanimate] bumps the version and returns the
+   block to [Live]. *)
+let test_transition_keeps_version () =
+  reset ();
+  let b = Alloc.block ~recyclable:true () in
+  let lap v =
+    Alcotest.(check int) "live version" v (Block.version b);
+    Alloc.retire b;
+    Alcotest.(check int) "retired version" v (Block.version b);
+    Alcotest.(check bool) "no retired->live" false
+      (Block.transition b ~from:Block.Live ~to_:Block.Retired);
+    Alcotest.(check int) "failed transition keeps version" v (Block.version b);
+    Alloc.reclaim b;
+    Alcotest.(check bool) "reclaimed" true (Block.is_reclaimed b);
+    Alcotest.(check int) "reclaimed version" v (Block.version b);
+    Block.reanimate b ~era:v;
+    Alcotest.(check bool) "live again" true (Block.is_live b);
+    Alcotest.(check int) "version bumped" (v + 1) (Block.version b)
+  in
+  List.iter lap [ 0; 1; 2; 3; 4 ]
+
+let domains2 f =
+  let d = Domain.spawn (fun () -> f 1) in
+  let r0 = f 0 in
+  (r0, Domain.join d)
+
+(* Two domains race to claim the same 10k blocks: exactly one winner per
+   block, and the [retired] total counts each block once. *)
+let test_try_retire_race () =
+  reset ();
+  let n = 10_000 in
+  let bs = Array.init n (fun _ -> Alloc.block ()) in
+  let claim _ = Array.map Alloc.try_retire bs in
+  let w0, w1 = domains2 claim in
+  let winners = ref 0 in
+  Array.iteri
+    (fun i b0 ->
+      if b0 = w1.(i) then
+        Alcotest.failf "block %d: %s" i (if b0 then "two winners" else "no winner");
+      if b0 || w1.(i) then incr winners)
+    w0;
+  Alcotest.(check int) "one winner per block" n !winners;
+  Alcotest.(check int) "retired" n (Alloc.stats ()).Alloc.retired;
+  Alcotest.(check int) "allocated" n (Alloc.stats ()).Alloc.allocated
+
+(* Two domains allocating at once never hand out the same id. *)
+let test_ids_distinct_across_domains () =
+  reset ();
+  let n = 50_000 in
+  let alloc _ = Array.init n (fun _ -> Block.id (Alloc.block ())) in
+  let a, b = domains2 alloc in
+  let all = Array.append a b in
+  Array.sort compare all;
+  for i = 1 to Array.length all - 1 do
+    if all.(i) = all.(i - 1) then Alcotest.failf "id %d handed out twice" all.(i)
+  done;
+  Alcotest.(check int) "allocated" (2 * n) (Alloc.stats ()).Alloc.allocated
+
+(* [Alloc.reset] restarts the id sequence at 0. *)
+let test_reset_restarts_ids () =
+  reset ();
+  let ids k = List.init k (fun _ -> Block.id (Alloc.block ())) in
+  ignore (ids 5 : int list);
+  Alloc.reset ();
+  Alcotest.(check (list int)) "restarted at 0" [ 0; 1; 2; 3; 4 ] (ids 5)
+
 (* ---------------- pool ---------------- *)
 
 let test_pool_lifo () =
@@ -175,6 +242,14 @@ let () =
           Alcotest.test_case "recyclable-exempt" `Quick test_recyclable_exempt;
           Alcotest.test_case "try-retire" `Quick test_try_retire_claims_once;
           Alcotest.test_case "reanimate" `Quick test_reanimate;
+          Alcotest.test_case "transition-keeps-version" `Quick
+            test_transition_keeps_version;
+          Alcotest.test_case "reset-restarts-ids" `Quick test_reset_restarts_ids;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "try-retire-race" `Quick test_try_retire_race;
+          Alcotest.test_case "ids-distinct" `Quick test_ids_distinct_across_domains;
         ] );
       ( "pool",
         [

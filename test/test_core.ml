@@ -6,37 +6,69 @@ module Caps = Hpbrcu_core.Caps
 module Config = Hpbrcu_core.Config
 module Alloc = Hpbrcu_alloc.Alloc
 
+(* A link's target as an option, for assertions. *)
+let target = function Link.Null _ -> None | Link.Ptr { target; _ } -> Some target
+
 let test_link_basics () =
-  let l = Link.make ~tag:0 (Some 42) in
-  Alcotest.(check (option int)) "target" (Some 42) (Link.target l);
+  let l = Link.ptr 42 in
+  Alcotest.(check (option int)) "target" (Some 42) (target l);
   Alcotest.(check int) "tag" 0 (Link.tag l);
   Alcotest.(check bool) "unmarked" false (Link.is_marked l);
+  Alcotest.(check bool) "points to" true (Link.points_to l 42);
   let m = Link.with_tag l 1 in
   Alcotest.(check bool) "marked" true (Link.is_marked m);
-  Alcotest.(check (option int)) "same target" (Some 42) (Link.target m);
-  Alcotest.(check bool) "null is null" true (Link.is_null Link.null)
+  Alcotest.(check (option int)) "same target" (Some 42) (target m);
+  Alcotest.(check int) "target_exn" 42 (Link.target_exn m);
+  (* Null against marked-null: both null, only one marked, and not the
+     same tagged pointer. *)
+  let mn = Link.with_tag Link.null 1 in
+  Alcotest.(check bool) "null is null" true (Link.is_null Link.null);
+  Alcotest.(check bool) "marked null is null" true (Link.is_null mn);
+  Alcotest.(check bool) "null unmarked" false (Link.is_marked Link.null);
+  Alcotest.(check bool) "marked null marked" true (Link.is_marked mn);
+  Alcotest.(check bool) "null vs marked null: same target" true
+    (Link.same_target Link.null mn);
+  Alcotest.(check bool) "null vs marked null: not same" false
+    (Link.same Link.null mn);
+  Alcotest.(check bool) "fresh null is same" true
+    (Link.same Link.null (Link.null_tagged 0));
+  Alcotest.(check bool) "fresh null is a fresh block" false
+    (Link.null_tagged 0 == Link.null_tagged 0);
+  Alcotest.(check bool) "null vs ptr" false (Link.same Link.null l);
+  Alcotest.(check bool) "null points nowhere" false (Link.points_to Link.null 42);
+  (* A store of [with_tag] replaces the block, so a CAS that still expects
+     the block loaded before the store fails, although the two denote the
+     same target. *)
+  let c = Link.null_cell () in
+  let stale = Link.get c in
+  Link.set c (Link.with_tag stale 0);
+  Alcotest.(check bool) "re-tagged store is same" true (Link.same stale (Link.get c));
+  Alcotest.(check bool) "cas with stale expected fails" false
+    (Link.cas c ~expected:stale ~desired:(Link.ptr 1));
+  Alcotest.(check bool) "cas with current expected succeeds" true
+    (Link.cas c ~expected:(Link.get c) ~desired:(Link.ptr 1))
 
 let test_link_cas_physical () =
-  let c = Link.cell (Some 1) in
+  let c = Link.cell (Link.ptr 1) in
   let l = Link.get c in
-  let l' = Link.make (Some 2) in
+  let l' = Link.ptr 2 in
   Alcotest.(check bool) "cas with loaded expected" true
     (Link.cas c ~expected:l ~desired:l');
   (* A structurally-equal but distinct record must NOT pass as expected. *)
-  let fake = Link.make (Some 2) in
+  let fake = Link.ptr 2 in
   Alcotest.(check bool) "cas with equal-but-fresh expected fails" false
-    (Link.cas c ~expected:fake ~desired:(Link.make (Some 3)));
+    (Link.cas c ~expected:fake ~desired:(Link.ptr 3));
   Alcotest.(check bool) "cas with the stored record" true
-    (Link.cas c ~expected:l' ~desired:(Link.make (Some 3)))
+    (Link.cas c ~expected:l' ~desired:(Link.ptr 3))
 
 let test_link_same () =
   let a = ref 1 in
-  let l1 = Link.make ~tag:2 (Some a) and l2 = Link.make ~tag:2 (Some a) in
+  let l1 = Link.with_tag (Link.ptr a) 2 and l2 = Link.with_tag (Link.ptr a) 2 in
   Alcotest.(check bool) "same" true (Link.same l1 l2);
   Alcotest.(check bool) "tag differs" false (Link.same l1 (Link.with_tag l2 3));
   Alcotest.(check bool) "target differs" false
-    (Link.same l1 (Link.make ~tag:2 (Some (ref 1))));
-  Alcotest.(check bool) "null same" true (Link.same Link.null (Link.make None))
+    (Link.same l1 (Link.with_tag (Link.ptr (ref 1)) 2));
+  Alcotest.(check bool) "null same" true (Link.same Link.null (Link.null_tagged 0))
 
 let test_retired_batch () =
   Alloc.reset ();

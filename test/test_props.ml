@@ -116,32 +116,39 @@ let concurrent_deterministic =
 
 (* ---------------- link laws ---------------- *)
 
+(* Links from and to options, for generators and assertions. *)
+let link_of ?(tag = 0) = function
+  | None -> Link.null_tagged tag
+  | Some x -> Link.with_tag (Link.ptr x) tag
+
+let target = function Link.Null _ -> None | Link.Ptr { target; _ } -> Some target
+
 let link_props =
   [
     Q.Test.make ~count:200 ~name:"with_tag preserves target"
       Q.(pair (option int) (int_bound 3))
       (fun (tgt, tag) ->
-        let l = Link.make tgt in
-        Link.target (Link.with_tag l tag) = tgt && Link.tag (Link.with_tag l tag) = tag);
+        let l = link_of tgt in
+        target (Link.with_tag l tag) = tgt && Link.tag (Link.with_tag l tag) = tag);
     Q.Test.make ~count:200 ~name:"same is reflexive on loads"
       Q.(option int)
       (fun tgt ->
-        let c = Link.cell tgt in
+        let c = Link.cell (link_of tgt) in
         let a = Link.get c and b = Link.get c in
         Link.same a b && a == b);
     Q.Test.make ~count:200 ~name:"cas success updates, failure preserves"
       Q.(pair (option int) (option int))
       (fun (t1, t2) ->
-        let c = Link.cell t1 in
+        let c = Link.cell (link_of t1) in
         let l = Link.get c in
-        let d = Link.make t2 in
+        let d = link_of t2 in
         let ok = Link.cas c ~expected:l ~desired:d in
         ok
         && Link.get c == d
-        && not (Link.cas c ~expected:l ~desired:(Link.make t1)));
+        && not (Link.cas c ~expected:l ~desired:(link_of t1)));
     Q.Test.make ~count:200 ~name:"marked iff odd tag"
       Q.(int_bound 7)
-      (fun tag -> Link.is_marked (Link.make ~tag None) = (tag land 1 = 1));
+      (fun tag -> Link.is_marked (link_of ~tag None) = (tag land 1 = 1));
   ]
 
 (* ---------------- allocator invariants ---------------- *)

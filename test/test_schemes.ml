@@ -36,20 +36,59 @@ let drain_case name =
           let module D = Drain (S) in
           D.run ()))
 
-(* HP: a protected block survives scans; clearing the shield releases it. *)
+(* HP: a protected block survives scans; clearing the shield releases it.
+   Shields publish block ids, so the scan withholds exactly that block: an
+   unprotected sibling retired alongside it, and a shield on [Block.none],
+   withhold nothing. *)
 let test_hp_protection_defers () =
   with_scheme "HP" @@ fun (module S) ->
   let h = S.register () in
-  let sh = S.new_shield h in
-  let b = Alloc.block () in
+  let sh = S.new_shield h and empty = S.new_shield h in
+  let b = Alloc.block () and c = Alloc.block () in
   S.protect sh b;
+  S.protect empty Block.none;
   S.retire h b;
+  S.retire h c;
   S.flush h;
   Alcotest.(check bool) "protected survives" true (Block.is_retired b);
+  Alcotest.(check bool) "unprotected reclaimed" true (Block.is_reclaimed c);
   S.clear sh;
   S.flush h;
   Alcotest.(check bool) "reclaimed after clear" true (Block.is_reclaimed b);
   S.unregister h
+
+(* Shield slots hold block ids: a snapshot is exactly the ids of the
+   protected blocks — nothing for a cleared or released slot, nothing for
+   [Block.none]. *)
+let test_shields_snapshot_ids () =
+  Alloc.reset ();
+  let module Shields = Hpbrcu_schemes.Registry.Shields in
+  let module Idset = Hpbrcu_core.Idset in
+  let t = Shields.create () in
+  let ids = Idset.create () in
+  let snapshot () =
+    Shields.snapshot t ids;
+    Idset.sort ids;
+    (* Every id made here is below 64; anything else, -1 included, is a
+       stray that the length check catches. *)
+    let found = List.filter (Idset.mem ids) (List.init 64 Fun.id) in
+    Alcotest.(check int) "no stray ids" (List.length found) (Idset.length ids);
+    found
+  in
+  let sh = Array.init 4 (fun _ -> Shields.alloc t) in
+  let bs = Array.init 4 (fun _ -> Alloc.block ()) in
+  Alcotest.(check (list int)) "empty" [] (snapshot ());
+  Array.iteri (fun i s -> Shields.protect s bs.(i)) sh;
+  let id i = Block.id bs.(i) in
+  Alcotest.(check (list int)) "all protected"
+    (List.sort compare [ id 0; id 1; id 2; id 3 ])
+    (snapshot ());
+  Shields.protect sh.(0) Block.none;
+  Shields.clear sh.(1);
+  Shields.release sh.(2);
+  Alcotest.(check (list int)) "none, clear, release" [ id 3 ] (snapshot ());
+  Shields.clear sh.(3);
+  Alcotest.(check (list int)) "all clear" [] (snapshot ())
 
 (* EBR: a pinned reader blocks reclamation; unpinning unblocks it. *)
 let test_ebr_pin_blocks () =
@@ -289,7 +328,10 @@ let () =
     [
       ("drain", List.map drain_case all);
       ( "hp",
-        [ Alcotest.test_case "protection-defers" `Quick test_hp_protection_defers ] );
+        [
+          Alcotest.test_case "protection-defers" `Quick test_hp_protection_defers;
+          Alcotest.test_case "shields-snapshot-ids" `Quick test_shields_snapshot_ids;
+        ] );
       ("ebr", [ Alcotest.test_case "pin-blocks" `Quick test_ebr_pin_blocks ]);
       ("two-step", List.map two_step_case two_step_schemes);
       ( "domains",
