@@ -325,7 +325,8 @@ let chaos_cmd =
       & info [ "plan" ]
           ~doc:
             "Comma-separated fault-plan subset (baseline|stall-storm|\
-             crash-reader|crash-many|signal-chaos|pool-squeeze).")
+             crash-reader|crash-many|signal-chaos|pool-squeeze|\
+             stall-reader).")
   in
   let no_replay_arg =
     Arg.(
@@ -375,20 +376,13 @@ let chaos_cmd =
           | Some s -> List.map W.Chaos.plan_of_name (split s) )
     in
     match trace_out with
-    | Some _ when substrate = `Domains ->
-        Printf.eprintf "%s\n"
-          (W.Spec.fiber_only_msg ~who:"smrbench chaos" ~what:"--trace-out"
-             ~alternative:
-               "use serve --mode domains --trace-out (flight-recorder \
-                trace) or drop --mode domains");
-        1
     | Some out ->
         (* One traced cell instead of the grid: first scheme/plan/seed of
            the (possibly restricted) selection. *)
         let scheme = match schemes with s :: _ -> s | [] -> "HP-BRCU" in
         let plan_id = match plans with pl :: _ -> pl | [] -> W.Chaos.Baseline in
         let c =
-          W.Chaos.run_traced_to_file ~scheme ~plan_id ~seed:1 ~out p
+          W.Chaos.run_traced_to_file ~substrate ~scheme ~plan_id ~seed:1 ~out p
         in
         Fmt.pr "%a@." W.Chaos.pp_cell c;
         Fmt.pr "wrote %s@." out;
@@ -432,11 +426,6 @@ let shards_cmd =
             "Scheme whose domains shard the map (the epoch-based default \
              shows the sharpest contrast).")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~doc:"Shard (= domain) count, rounded up to a power of two.")
-  in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic-schedule seed.")
   in
@@ -448,42 +437,61 @@ let shards_cmd =
           ~doc:
             "Minimum shared-domain / isolated-build peak ratio (default 8 \
              under fibers, 4 under domains — real scheduling spreads the \
-             non-crashed shards' peaks).")
+             unstranded shards' peaks).")
   in
   let quick_arg =
     Arg.(
-      value & flag & info [ "quick" ] ~doc:"Reduced write budget (CI gate).")
+      value & flag
+      & info [ "quick" ] ~doc:"Quick chaos cells (the CI gate); default full.")
   in
-  let run mode outdir stats_json scheme shards seed threshold quick =
+  let run mode outdir stats_json scheme seed threshold quick =
     setup outdir stats_json;
     let substrate = mode_of_string mode in
     let threshold =
-      match threshold with
-      | Some t -> t
-      | None -> (
-          match substrate with
-          | `Fibers -> W.Shards.default_threshold
-          | `Domains -> W.Shards.default_threshold_domains)
+      Option.value threshold ~default:(W.Chaos.isolation_threshold substrate)
     in
-    let p = { W.Shards.default_params with shards; seed; substrate } in
-    let p = if quick then W.Shards.quick p else p in
-    let r = W.Shards.run_one ~threshold ~scheme p in
-    Fmt.pr "%a@." W.Shards.pp r;
-    W.Shards.record r;
+    let p = if quick then W.Chaos.quick else W.Chaos.full in
+    let cell topology =
+      fst
+        (W.Chaos.run_one ~topology ~substrate ~scheme
+           ~plan_id:W.Chaos.Crash_reader ~seed p)
+    in
+    let v =
+      W.Chaos.isolation ~threshold ~isolated:(cell W.Chaos.Isolated)
+        ~shared:(cell W.Chaos.Shared)
+    in
+    Fmt.pr "%a@." W.Chaos.pp_isolation v;
+    let module J = W.Report.Json in
+    W.Report.record_cell
+      [
+        ("kind", J.Str "shards");
+        ("scheme", J.Str scheme);
+        ("seed", J.Int seed);
+        ( "isolated_peaks",
+          J.List
+            (Array.to_list
+               (Array.map (fun p -> J.Int p) v.isolated.W.Chaos.dom_peaks)) );
+        ("stranded_shard", J.Int v.stranded);
+        ("iso_other_max", J.Int v.others_max);
+        ("shared_peak", J.Int v.shared_peak);
+        ("ratio", J.Float v.ratio);
+        ("ok", J.Bool v.ok);
+      ];
     W.Report.write_stats_json ();
-    if r.W.Shards.ok then 0 else 1
+    if v.ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "shards"
        ~doc:
-         "Shard-isolation experiment: a sharded hash map with one \
-          reclamation domain per shard vs the same map over a single \
-          shared domain, under a reader crashed inside shard 0.  Per-shard \
+         "Shard-isolation experiment: the chaos crashed-reader cell over a \
+          sharded hash map with one reclamation domain per shard vs the \
+          same map over a single shared domain.  The unstranded shards' \
           unreclaimed watermarks must stay flat in the isolated build \
-          while the shared build balloons.")
+          while the shared build balloons; both builds must pass every \
+          chaos invariant.")
     Term.(
       const run $ mode_arg $ outdir_arg $ stats_json_arg $ scheme_arg
-      $ shards_arg $ seed_arg $ threshold_arg $ quick_arg)
+      $ seed_arg $ threshold_arg $ quick_arg)
 
 let serve_cmd =
   let module K = W.Kvservice in
@@ -762,109 +770,6 @@ let analyze_cmd =
     Term.(
       const run $ outdir_arg $ files_arg $ perfetto_arg $ require_ttr_arg
       $ require_gc_track_arg)
-
-let sample_cmd =
-  let module S = W.Sampler in
-  let d = S.default_params in
-  let scheme_arg =
-    Arg.(
-      value & opt string d.S.scheme
-      & info [ "scheme" ] ~doc:"SMR scheme under observation.")
-  in
-  let period_arg =
-    Arg.(
-      value & opt float d.S.period_ms
-      & info [ "period-ms" ] ~docv:"N"
-          ~doc:"Observer wake period in milliseconds.")
-  in
-  let duration_arg =
-    Arg.(
-      value & opt float d.S.duration
-      & info [ "duration" ] ~doc:"Measured window, seconds.")
-  in
-  let stall_arg =
-    Arg.(
-      value & opt float d.S.stall_after
-      & info [ "stall-at" ]
-          ~doc:"Offset (seconds) at which the victim reader parks pinned.")
-  in
-  let heal_arg =
-    Arg.(
-      value & opt float d.S.heal_after
-      & info [ "heal-at" ]
-          ~doc:"Offset (seconds) at which the victim resumes.")
-  in
-  let readers_arg =
-    Arg.(
-      value & opt int d.S.readers
-      & info [ "readers" ] ~doc:"Reader domains (tid 0 is the victim).")
-  in
-  let writers_arg =
-    Arg.(
-      value & opt int d.S.writers
-      & info [ "writers" ] ~doc:"Writer domains (hot-region churn).")
-  in
-  let range_arg =
-    Arg.(value & opt int d.S.key_range & info [ "range" ] ~doc:"Key range.")
-  in
-  let seed_arg =
-    Arg.(value & opt int d.S.seed & info [ "seed" ] ~doc:"Workload seed.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "sample.csv"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Time-series CSV output path.")
-  in
-  let json_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the series plus curve summary as JSON.")
-  in
-  let run outdir stats_json scheme period_ms duration stall_at heal_at readers
-      writers range seed out json =
-    setup outdir stats_json;
-    let p =
-      {
-        S.default_params with
-        S.scheme;
-        period_ms;
-        duration;
-        stall_after = stall_at;
-        heal_after = heal_at;
-        readers;
-        writers;
-        key_range = range;
-        seed;
-      }
-    in
-    let o = S.run p in
-    Fmt.pr "%a@." S.pp o;
-    S.to_csv out o;
-    Printf.printf "wrote %s\n" out;
-    (match json with
-    | Some j ->
-        S.to_json j o;
-        Printf.printf "wrote %s\n" j
-    | None -> ());
-    S.record o;
-    W.Report.write_stats_json ();
-    if o.S.uaf = 0 then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "sample"
-       ~doc:
-         "Live stats sampling on the Domains backend: an observer domain \
-          snapshots the unreclaimed watermark and scheme gauges (epoch lag, \
-          signals in flight, admission waits) every --period-ms while a \
-          churn workload runs with one reader parked pinned over \
-          [--stall-at, --heal-at) — the peak-garbage-over-time curve that \
-          separates hazard-bounded schemes from epoch-only ones under a \
-          crashed reader.")
-    Term.(
-      const run $ outdir_arg $ stats_json_arg $ scheme_arg $ period_arg
-      $ duration_arg $ stall_arg $ heal_arg $ readers_arg $ writers_arg
-      $ range_arg $ seed_arg $ out_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench-reclaim: reclamation data-plane kernels.                      *)
@@ -1934,7 +1839,6 @@ let main =
       serve_cmd;
       hunt_cmd;
       analyze_cmd;
-      sample_cmd;
       bench_reclaim_cmd;
       bench_domains_cmd;
       table_cmd "table1" W.Figures.table1;

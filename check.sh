@@ -120,11 +120,13 @@ analyze_smoke() {
 gate analyze-smoke analyze_smoke
 
 # Shard-isolation gate (DESIGN.md §12): the payoff discriminator of the
-# first-class-domain redesign.  A reader crashed inside shard 0's epoch
-# must leave the other shards' per-domain unreclaimed watermarks flat in
-# the one-domain-per-shard build, while the identical map over a single
+# first-class-domain redesign, run as a pair of chaos crashed-reader
+# cells.  A reader crashed inside one shard's epoch must leave the other
+# shards' per-domain unreclaimed watermarks flat in the
+# one-domain-per-shard build, while the identical map over a single
 # shared domain balloons — the shared/isolated peak ratio must clear the
-# threshold, with exactly one crash and zero UAFs in both builds.
+# threshold, and both builds must pass every chaos invariant (exactly
+# one crash, zero UAFs, a clean census).
 gate shards-fibers dune exec bin/smrbench.exe -- shards --quick
 
 # Self-healing gate (DESIGN.md §13): the KV service under a reader
@@ -166,18 +168,20 @@ flight_smoke() {
 gate flight-smoke flight_smoke
 
 # The shard-isolation discriminator again, on real domains: the same
-# fault plan crashes the victim at its crash_at-th yield, where it parks
-# pinned inside shard 0's critical section (Fault.crash_park) while the
-# survivors, held until it is parked, drain their budgets; the
+# fault plan crashes the victim at its 800th yield, where it parks
+# pinned inside one shard's critical section (Fault.crash_park) while
+# the survivors, held until it is parked, drain their budgets; the
 # shared/isolated ratio must still clear the (schedule-aware)
 # domain-mode threshold.
 gate shards-domains dune exec bin/smrbench.exe -- shards --quick --mode domains
 
-# Live-sampling smoke gate (DESIGN.md §15): a short balloon/heal run of
-# the long-running-read body on real domains with the observer sampling
-# it; the exit status is the run's use-after-free verdict.
-gate sample dune exec bin/smrbench.exe -- sample --duration 0.3 \
-  --stall-at 0.1 --heal-at 0.2 --out /tmp/smrbench.ci.sample.csv
+# Stalled reader on real cores (DESIGN.md §15): reader 0 parks for
+# 10 ms inside a critical section, then resumes.  Both cells must pass
+# every chaos invariant: termination, zero UAFs, an exact census, the
+# declared bound and no crash.  `chaos --trace-out` under --mode domains
+# records the same cell's garbage-over-time curve for `analyze`.
+gate chaos-stall-domains dune exec bin/smrbench.exe -- chaos --mode domains \
+  --scheme RCU,HP-BRCU --plan stall-reader --seeds 1
 
 # Chaos on real cores (DESIGN.md §16): the RCU / HP-BRCU smoke corner of
 # the fault matrix on Domain.spawn workers — a crashed reader is a real

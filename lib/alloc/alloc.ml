@@ -212,6 +212,31 @@ let stats () =
     double_reclaims = Atomic.get double_reclaims;
   }
 
+(** [census ()] — the allocator's books after a cell: no use-after-free,
+    no double retire or reclaim, [unreclaimed = retired - reclaimed]
+    exactly (an end-to-end check of the sharded counter's lane fold) and
+    [allocated >= retired + abandoned].  Read right after the cell: the
+    counters restart only at {!reset}, so they are still its own.
+    Returns [(ok, problems)], [problems = ""] when clean. *)
+let census () =
+  let st = stats () in
+  let problems = ref [] in
+  let check cond msg = if not cond then problems := msg :: !problems in
+  check (st.uaf = 0) (Printf.sprintf "uaf=%d" st.uaf);
+  check (st.double_retires = 0)
+    (Printf.sprintf "double_retires=%d" st.double_retires);
+  check (st.double_reclaims = 0)
+    (Printf.sprintf "double_reclaims=%d" st.double_reclaims);
+  check
+    (st.unreclaimed = st.retired - st.reclaimed)
+    (Printf.sprintf "unreclaimed=%d <> retired-reclaimed=%d" st.unreclaimed
+       (st.retired - st.reclaimed));
+  check
+    (st.allocated >= st.retired + st.abandoned)
+    (Printf.sprintf "allocated=%d < retired+abandoned=%d" st.allocated
+       (st.retired + st.abandoned));
+  (!problems = [], String.concat "; " (List.rev !problems))
+
 let reset () =
   Atomic.set allocated 0;
   Atomic.set retired 0;

@@ -40,12 +40,7 @@ module Make_gen (B : Hashmap.BUCKETS) (X : Smr_intf.SCHEME) = struct
     s_close : unit -> unit;
   }
 
-  type shard = {
-    sdom : X.domain;
-    meta : Dom.t;
-    open_session : unit -> shard_session;
-  }
-
+  type shard = { sdom : X.domain; open_session : unit -> shard_session }
   type t = { shards : shard array; mask : int }
   type session = shard_session array
 
@@ -56,12 +51,10 @@ module Make_gen (B : Hashmap.BUCKETS) (X : Smr_intf.SCHEME) = struct
     done;
     !size
 
-  (* One shard: a private domain, the scheme bound to it, and a hash map
-     instantiated over that binding.  The inner map's identity
-     is hidden in the session closures — all the caller holds is the
-     domain, for watermark accounting and destroy. *)
-  let mk_shard ~label ~buckets config =
-    let d = X.create ~label config in
+  (* One shard: a hash map instantiated over the scheme bound to [d].  The
+     inner map's identity is hidden in the session closures — all the
+     caller holds is the domain, for watermark accounting and destroy. *)
+  let shard_in d ~buckets =
     let module S = Smr_intf.Bind (X) (struct let it = d end) in
     let module M = Hashmap.Make_gen (B) (S) in
     let m = M.create_sized buckets in
@@ -75,7 +68,7 @@ module Make_gen (B : Hashmap.BUCKETS) (X : Smr_intf.SCHEME) = struct
         s_close = (fun () -> M.close_session s);
       }
     in
-    { sdom = d; meta = X.dom d; open_session }
+    { sdom = d; open_session }
 
   (** [create config] — [shards] independent domains (count rounded up to
       a power of two), labelled ["<label>0" … "<label>N-1"]. *)
@@ -85,9 +78,9 @@ module Make_gen (B : Hashmap.BUCKETS) (X : Smr_intf.SCHEME) = struct
     {
       shards =
         Array.init n (fun i ->
-            mk_shard
-              ~label:(Printf.sprintf "%s%d" label i)
-              ~buckets:buckets_per_shard config);
+            shard_in
+              (X.create ~label:(Printf.sprintf "%s%d" label i) config)
+              ~buckets:buckets_per_shard);
       mask = n - 1;
     }
 
@@ -100,27 +93,10 @@ module Make_gen (B : Hashmap.BUCKETS) (X : Smr_intf.SCHEME) = struct
       ?(buckets_per_shard = 64) config =
     let n = pow2_ge (max 1 shards) in
     let d = X.create ~label config in
-    let module S = Smr_intf.Bind (X) (struct let it = d end) in
-    let module M = Hashmap.Make_gen (B) (S) in
     {
-      shards =
-        Array.init n (fun _ ->
-            let m = M.create_sized buckets_per_shard in
-            let open_session () =
-              let s = M.session m in
-              {
-                s_get = (fun k -> M.get m s k);
-                s_insert = (fun k v -> M.insert m s k v);
-                s_remove = (fun k -> M.remove m s k);
-                s_cleanup = (fun () -> M.cleanup m s);
-                s_close = (fun () -> M.close_session s);
-              }
-            in
-            { sdom = d; meta = X.dom d; open_session });
+      shards = Array.init n (fun _ -> shard_in d ~buckets:buckets_per_shard);
       mask = n - 1;
     }
-
-  let shard_count t = t.mask + 1
 
   (* Shard routing uses the hash's top bits; the inner maps' bucket choice
      uses bits 17+, so the two splits stay independent. *)
@@ -128,10 +104,15 @@ module Make_gen (B : Hashmap.BUCKETS) (X : Smr_intf.SCHEME) = struct
     let h = key * 0x2545F4914F6CDD1D in
     (h lsr 48) land t.mask
 
-  (** The domain cores, indexed like the shards — for per-shard watermark
-      accounting ({!Dom.unreclaimed} / {!Dom.peak_unreclaimed}).  Under
-      {!create_shared} every slot is the same domain. *)
-  let metas t = Array.map (fun s -> s.meta) t.shards
+  (** The distinct domains, in shard order — one per shard under
+      {!create}, the single shared one under {!create_shared} — for
+      per-domain watermark accounting ({!Dom.peak_unreclaimed}) and
+      stats. *)
+  let domains t =
+    Array.of_list
+      (Array.fold_right
+         (fun s acc -> if List.memq s.sdom acc then acc else s.sdom :: acc)
+         t.shards [])
 
   let session t = Array.map (fun s -> s.open_session ()) t.shards
   let close_session ss = Array.iter (fun s -> s.s_close ()) ss
@@ -172,7 +153,6 @@ module As_map (X : Smr_intf.SCHEME) (P : PARAMS) : sig
   val sentinels : int
   (** List-head blocks allocated per instance, for leak accounting. *)
 
-  val metas : t -> Dom.t array
   val destroy_created : unit -> unit
 end = struct
   module Sh = Make (X)
@@ -193,7 +173,6 @@ end = struct
     created := t :: !created;
     t
 
-  let metas = Sh.metas
   let destroy_created () = List.iter (Sh.destroy ~force:true) !created
   let session = Sh.session
   let close_session = Sh.close_session

@@ -5,31 +5,38 @@
     collapses when a reader stalls, HP-family schemes do not.  This module
     makes the claim executable and {e adversarial}: every scheme runs the
     long-running-read workload under a grid of {!Hpbrcu_runtime.Fault}
-    plans — stall storms, crashed readers, lost and late signal
-    deliveries, allocator-pool exhaustion.
+    plans — stall storms, a stalled or crashed reader, lost and late
+    signal deliveries, allocator-pool exhaustion.
 
     There is one engine: one cell ({!Runner}) over the long-running-read
     body that {!Longrun.Body} defines once for every harness, one
     {!run_one}, one {!run_grid}, one {!check_cell} and one report,
-    parameterised by a [[ `Fibers | `Domains ]] substrate.  Every cell, on either substrate,
-    must satisfy the same invariants: termination within its budget, zero
-    use-after-free, peak unreclaimed within the scheme's declared
+    parameterised by a [[ `Fibers | `Domains ]] substrate and a
+    {!topology}: the one-domain list, or the sharded hash map with one
+    domain per shard ([Isolated]) or every shard in one domain ([Shared]),
+    whose pair of crashed-reader cells the {!isolation} verdict reads.
+    Every cell, on either substrate, must satisfy the same invariants:
+    termination within its budget, zero use-after-free, every domain's
+    peak unreclaimed within the scheme's declared
     {!Hpbrcu_core.Caps.t.bound} (schemes declaring [None] are exempt:
     unboundedness under stalls is their documented failure mode, and the
     {!discriminator} asserts it actually shows), the exact allocator
-    census, and exactly the planned number of crashes.
+    census (and the flight recorder's, when a domains cell is traced),
+    and exactly the planned number of crashes.
 
-    The substrate forks in four places only:
+    A crash victim loops until its crash rule fires, on both substrates,
+    and every survivor first waits for each victim to be down
+    ({!Hpbrcu_runtime.Sched.await_crash_victims}, a no-op on fibers,
+    where the crash fires at a fixed schedule point).  The substrates fork
+    in three places only:
 
     + the scheduler and deadline — the deterministic fiber simulator
       under a virtual-tick budget, or real [Domain.spawn] workers under
-      {!wall_budget_s};
-    + the stamp — a fiber cell records its last virtual tick, a domains
-      cell its elapsed wall-clock ns;
-    + the domains crash handshake — a crashed reader is a worker domain
-      parked forever while pinned ({!Hpbrcu_runtime.Fault.crash_park}), so
-      victims loop until their crash fires and survivors wait for every
-      victim to park ({!Hpbrcu_runtime.Sched.await_crash_victims});
+      {!wall_budget_s}, where a crashed reader is a worker parked forever
+      while pinned ({!Hpbrcu_runtime.Fault.crash_park});
+    + the stamp and the trace sink — a fiber cell records its last
+      virtual tick and traces to the non-lossy spool, a domains cell its
+      elapsed wall-clock ns and traces to the flight recorder;
     + the verdict policy ({!discriminator}) — on fibers, RCU's
       crashed-reader peak must exceed 10× its fault-free peak and the
       traced replay probes must reproduce byte-identical event logs
@@ -47,6 +54,7 @@ module Backend = Hpbrcu_runtime.Backend
 module Clock = Hpbrcu_runtime.Clock
 module Schemes = Hpbrcu_schemes.Schemes
 module Caps = Hpbrcu_core.Caps
+module Dom = Hpbrcu_core.Smr_intf.Dom
 module Ds = Hpbrcu_ds
 module Json = Report.Json
 
@@ -96,9 +104,20 @@ type plan_id =
   | Crash_many  (** one reader and one writer die *)
   | Signal_chaos  (** periodic dropped and delayed signal deliveries *)
   | Pool_squeeze  (** recycling pool misses + background stalls *)
+  | Stall_reader
+      (** reader 0 stalls once, long, likely inside a critical section,
+          then resumes: the garbage-over-time balloon and its drain *)
 
 let all_plans =
-  [ Baseline; Stall_storm; Crash_reader; Crash_many; Signal_chaos; Pool_squeeze ]
+  [
+    Baseline;
+    Stall_storm;
+    Crash_reader;
+    Crash_many;
+    Signal_chaos;
+    Pool_squeeze;
+    Stall_reader;
+  ]
 
 let plan_name = function
   | Baseline -> "baseline"
@@ -107,6 +126,7 @@ let plan_name = function
   | Crash_many -> "crash-many"
   | Signal_chaos -> "signal-chaos"
   | Pool_squeeze -> "pool-squeeze"
+  | Stall_reader -> "stall-reader"
 
 let plan_of_name = function
   | "baseline" -> Baseline
@@ -115,6 +135,7 @@ let plan_of_name = function
   | "crash-many" -> Crash_many
   | "signal-chaos" -> Signal_chaos
   | "pool-squeeze" -> Pool_squeeze
+  | "stall-reader" -> Stall_reader
   | s -> invalid_arg ("unknown fault plan: " ^ s)
 
 (* Readers are tids [0, readers); writers [readers, readers+writers). *)
@@ -199,6 +220,20 @@ let plan_of (p : params) = function
             };
           ];
       }
+  | Stall_reader ->
+      {
+        Fault.label = "stall-reader";
+        rules =
+          [
+            {
+              Fault.site = Yield;
+              tid = 0;
+              start = 800;
+              period = 0;
+              action = Stall 10_000;
+            };
+          ];
+      }
 
 (* Signal-chaos cells pay a bounded-wait timeout per dropped delivery, so
    they run with a reduced write budget to stay inside CI time; the bound
@@ -213,21 +248,39 @@ let effective_params p = function
 
 type substrate = [ `Fibers | `Domains ]
 
+(** What the cell's map is, and how many reclamation domains it spans. *)
+type topology =
+  | One  (** the list {!Matrix.list_for} picks, in one domain *)
+  | Isolated
+      (** {!Ds.Sharded_hashmap}, {!shards} × {!buckets_per_shard}, one
+          domain per shard *)
+  | Shared  (** the same sharded map, every shard in one domain *)
+
+let shards = 4
+let buckets_per_shard = 16
+
 type cell = {
   scheme : string;
   plan : string;
   seed : int;
+  topology : topology;
   terminated : bool;  (** finished inside the tick (fibers) or wall budget *)
   ticks : int;  (** last virtual tick observed by a finishing worker (fibers) *)
   wall_ns : int;  (** elapsed wall time (domains) *)
   total_ops : int;
   peak : int;  (** peak unreclaimed blocks over the measured window *)
+  dom_peaks : int array;
+      (** the same peak per distinct domain, in shard order ([[| peak |]]
+          for [One]) *)
   final_unreclaimed : int;
   uaf : int;
-  bound : int option;  (** the scheme's declared bound at this thread count *)
+  bound : int option;
+      (** the scheme's declared per-domain bound at this thread count *)
   crashes : int;
   planned_crashes : int;  (** tid-indexed [Crash] rules of the plan *)
-  census_ok : bool;  (** [unreclaimed = retired - reclaimed], no double frees *)
+  census_ok : bool;
+      (** [unreclaimed = retired - reclaimed], no double frees, and a
+          traced domains cell's flight records all merged or counted *)
   census_msg : string;  (** "" when clean *)
   injected : Fault.injected;
   snap : Stats.snapshot;  (** typed scheme counters at window end *)
@@ -240,25 +293,33 @@ type cell = {
 let wall_budget_s (p : params) =
   Float.max 10. (float_of_int p.tick_budget *. float_of_int (Fault.tick_ns ()) *. 1e-9)
 
-(** A chaos cell over one map: the long-running-read body
-    ({!Longrun.Body}) under a fault plan and an op budget. *)
+(* The allocator's census, joined by the flight recorder's when a domains
+   cell is traced. *)
+let census () =
+  let checks =
+    Alloc.census ()
+    :: (if Trace.enabled () && Trace.sink () = Trace.Flight then
+          [ Trace.flight_census () ]
+        else [])
+  in
+  ( List.for_all fst checks,
+    String.concat "; "
+      (List.filter_map (fun (ok, m) -> if ok then None else Some m) checks) )
+
+(** A chaos cell over one map [t]: the long-running-read body
+    ({!Longrun.Body}) under a fault plan and an op budget.  [dom_peaks]
+    reads the per-domain peaks after the run. *)
 module Runner (L : Ds.Ds_intf.MAP) = struct
   module B = Longrun.Body (L)
 
   let go ~(substrate : substrate) ~(p : params) ~(pl : Fault.plan) ~seed
-      ~scheme_stats ~bound ~scheme ~plan : cell =
-    let t = L.create () in
+      ~scheme_stats ~dom_peaks ~bound ~scheme ~plan ~topology (t : L.t) : cell =
     B.prefill ~key_range:p.key_range ~seed t;
     let nthreads = p.readers + p.writers in
     let ops = Array.init nthreads (fun _ -> Atomic.make 0) in
     let deadline_hit = Atomic.make false in
     let end_tick = Atomic.make 0 in
-    (* The victims' half of the domains crash handshake: a victim loops
-       until its crash rule fires (the rule is indexed on the victim's own
-       yield count); the survivors wait in {!Sched.await_crash_victims}. *)
-    let victims =
-      match substrate with `Fibers -> [] | `Domains -> Fault.crash_tids pl
-    in
+    let victims = Fault.crash_tids pl in
     Fault.install pl;
     let mode =
       match substrate with
@@ -280,8 +341,10 @@ module Runner (L : Ds.Ds_intf.MAP) = struct
       in
       (try
          if List.mem tid victims then
-           (* Exits via [Sched.Crashed] (absorbed by the backend) or the
-              wall deadline. *)
+           (* A victim's op budget must not end before its crash rule
+              (indexed on its own yield count) fires: it leaves through
+              the abandoned fiber, [Sched.Crashed] (absorbed by the
+              backend) or the deadline. *)
            while true do
              one_op ()
            done
@@ -309,21 +372,23 @@ module Runner (L : Ds.Ds_intf.MAP) = struct
     let crashes = Sched.crashed_count () in
     Fault.clear ();
     let st = Alloc.stats () in
-    let census_ok, census_msg = Domains_bench.census () in
+    let census_ok, census_msg = census () in
     {
       scheme;
       plan;
       seed;
+      topology;
       terminated = not (Atomic.get deadline_hit);
       ticks;
       wall_ns;
       total_ops = Array.fold_left (fun a o -> a + Atomic.get o) 0 ops;
       peak = st.Alloc.peak_unreclaimed;
+      dom_peaks = dom_peaks ();
       final_unreclaimed = st.Alloc.unreclaimed;
       uaf = st.Alloc.uaf;
       bound;
       crashes;
-      planned_crashes = List.length (Fault.crash_tids pl);
+      planned_crashes = List.length victims;
       census_ok;
       census_msg;
       injected;
@@ -332,59 +397,109 @@ module Runner (L : Ds.Ds_intf.MAP) = struct
 end
 
 (** [run_one ~substrate ~scheme ~plan_id ~seed p] executes one chaos
-    cell.  With [~traced:true] (fibers only) the event tracer records the
-    run and the decoded log is returned alongside (used by the
-    determinism check). *)
-let run_one ?(traced = false) ~substrate ~scheme ~plan_id ~seed (p : params) :
-    cell * Trace.record list =
-  if traced then
-    Spec.require_fibers ~who:"Chaos.run_one" ~what:"~traced"
-      ~alternative:"trace a fiber cell" substrate;
+    cell over [topology] (default [One]).  With [~traced:true] the event
+    tracer records the run — the non-lossy spool on fibers (used by the
+    determinism check), the flight recorder on domains — and the decoded
+    log, taken before the domains' teardown drain, is returned
+    alongside. *)
+let run_one ?(traced = false) ?(topology = One) ~substrate ~scheme ~plan_id
+    ~seed (p : params) : cell * Trace.record list =
   let p = effective_params p plan_id in
   let pl = plan_of p plan_id in
+  let nthreads = p.readers + p.writers in
   (* Small-batch tuning keeps bounds (and cells) small. *)
-  Schemes.with_domain (Schemes.find ~tuning:`Small scheme) (fun (module D) ->
-      let module S = D.S in
-      let bound = S.caps.Caps.bound ~nthreads:(p.readers + p.writers) in
-      Alloc.reset ();
-      Alloc.set_strict false;
-      (* The spool is non-lossy: the determinism probes compare whole
-         logs, and the log is exportable to [smrbench analyze].  It is
-         taken before the domain's teardown drain. *)
-      if traced then Trace.enable ~sink:Trace.Spool ();
-      let module B = (val Matrix.list_for S.caps) in
-      let module R = Runner (B (S)) in
-      let cell =
-        R.go ~substrate ~p ~pl ~seed ~scheme_stats:S.stats ~bound ~scheme
-          ~plan:(plan_name plan_id)
+  let ((module X : Hpbrcu_core.Smr_intf.SCHEME), config) as impl =
+    Schemes.find ~tuning:`Small scheme
+  in
+  let caps = X.caps config in
+  let bound = caps.Caps.bound ~nthreads in
+  let module B = (val Matrix.list_for caps) in
+  let start () =
+    Alloc.reset ();
+    Alloc.set_strict false;
+    if traced then
+      match substrate with
+      | `Fibers -> Trace.enable ~sink:Trace.Spool ()
+      | `Domains -> Trace.enable ~sink:Trace.Flight ~ndomains:nthreads ()
+  in
+  let finish cell =
+    let log = if traced then Trace.dump () else [] in
+    if traced then Trace.disable ();
+    (cell, log)
+  in
+  let plan = plan_name plan_id in
+  match topology with
+  | One ->
+      Schemes.with_domain impl (fun (module D) ->
+          start ();
+          let module L = B (D.S) in
+          let module R = Runner (L) in
+          finish
+            (R.go ~substrate ~p ~pl ~seed ~scheme_stats:D.S.stats
+               ~dom_peaks:(fun () -> [| Alloc.peak_unreclaimed () |])
+               ~bound ~scheme ~plan ~topology (L.create ())))
+  | Isolated | Shared ->
+      start ();
+      let module Sh = Ds.Sharded_hashmap.Make_gen (B) (X) in
+      let t =
+        if topology = Shared then
+          Sh.create_shared ~label:"shared" ~shards ~buckets_per_shard config
+        else Sh.create ~label:"shard" ~shards ~buckets_per_shard config
       in
-      let log = if traced then Trace.dump () else [] in
-      if traced then Trace.disable ();
-      (cell, log))
+      let doms = Sh.domains t in
+      let module R = Runner (struct
+        include Sh
 
-(** [run_traced_to_file ~scheme ~plan_id ~seed ~out p] — one traced fiber
-    chaos cell, spooled non-lossily and written to [out] for [smrbench
-    analyze] / Perfetto export. *)
-let run_traced_to_file ~scheme ~plan_id ~seed ~out (p : params) : cell =
-  let c, log = run_one ~traced:true ~substrate:`Fibers ~scheme ~plan_id ~seed p in
-  Trace.to_file out log;
+        let name = "ShardedHashMap"
+        let create () = t
+      end) in
+      Fun.protect
+        ~finally:(fun () -> Sh.destroy ~force:true t)
+        (fun () ->
+          finish
+            (R.go ~substrate ~p ~pl ~seed
+               ~scheme_stats:(fun () ->
+                 Array.fold_left
+                   (fun acc d -> Stats.add acc (X.stats d))
+                   Stats.empty doms)
+               ~dom_peaks:(fun () ->
+                 Array.map (fun d -> Dom.peak_unreclaimed (X.dom d)) doms)
+               ~bound ~scheme ~plan ~topology t))
+
+(** [run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out p] — one
+    traced chaos cell written to [out] for [smrbench analyze] / Perfetto
+    export: the fiber spool in virtual ticks, or the merged flight trace
+    under a [# unit: ns] header. *)
+let run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out (p : params) :
+    cell =
+  let c, log = run_one ~traced:true ~substrate ~scheme ~plan_id ~seed p in
+  let unit_ = match substrate with `Fibers -> None | `Domains -> Some "ns" in
+  Trace.to_file ?unit_ out log;
   c
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Per-cell invariant check, the same on both substrates; returns
-    human-readable violations. *)
+(** Per-cell invariant check, the same on both substrates and every
+    topology (the bound holds per domain); returns human-readable
+    violations. *)
 let check_cell (c : cell) : string list =
   let v = ref [] in
   let fail msg = v := msg :: !v in
   if not c.terminated then fail "did not terminate within its budget";
   if c.uaf > 0 then fail (Printf.sprintf "use-after-free detected: %d" c.uaf);
   (match c.bound with
-  | Some b when c.peak > b ->
-      fail (Printf.sprintf "peak unreclaimed %d exceeds declared bound %d" c.peak b)
-  | _ -> ());
+  | Some b ->
+      Array.iteri
+        (fun i pk ->
+          if pk > b then
+            fail
+              (Printf.sprintf "%speak unreclaimed %d exceeds declared bound %d"
+                 (if c.topology = One then "" else Printf.sprintf "domain %d " i)
+                 pk b))
+        c.dom_peaks
+  | None -> ());
   if not c.census_ok then fail ("census: " ^ c.census_msg);
   if c.crashes <> c.planned_crashes then
     fail
@@ -403,8 +518,7 @@ let default_hw_threshold = 4.
       own fault-free peak (deterministic, always armed);
     - domains: RCU's crashed-reader peak must exceed HP-BRCU's — which
       neutralizes the victim — by [threshold].  Statistical, so the
-      verdict arms only when [armed] ([None] = reported, not gated),
-      matching the shards convention.
+      verdict arms only when [armed] ([None] = reported, not gated).
 
     Robust schemes staying inside their bounds is checked per cell.
     Returns [(seed, ratio, verdict)] for each seed with both cells. *)
@@ -428,6 +542,72 @@ let discriminator ~(substrate : substrate) ~threshold ~armed (cells : cell list)
           Some (seed, ratio, if armed then Some (passes ratio) else None)
       | _ -> None)
     (List.sort_uniq compare (List.map (fun c -> c.seed) cells))
+
+(** Shard isolation (DESIGN.md §12): an [Isolated] and a [Shared] cell of
+    the same scheme, crashed-reader plan and seed.  The crash pins one
+    shard's domain in the isolated build, which strands only that shard's
+    retirements, while in the shared build it strands the whole map's.
+    The verdict divides the shared peak by the largest isolated peak
+    outside the most-stranded shard. *)
+type isolation = {
+  isolated : cell;
+  shared : cell;
+  stranded : int;  (** the isolated build's most-stranded shard *)
+  others_max : int;  (** the largest isolated peak outside it *)
+  shared_peak : int;
+  ratio : float;  (** [shared_peak / others_max] *)
+  threshold : float;
+  ok : bool;  (** the ratio clears [threshold] and both cells pass {!check_cell} *)
+}
+
+(** The isolation gate's default: 8× on fibers; 4× on domains, where a
+    reader can sit mid-section in any shard when a writer's batch fills,
+    so the unstranded shards' peaks wander several batches above their
+    fiber values. *)
+let isolation_threshold : substrate -> float = function
+  | `Fibers -> 8.
+  | `Domains -> 4.
+
+let isolation ~threshold ~(isolated : cell) ~(shared : cell) : isolation =
+  let peaks = Array.to_list isolated.dom_peaks in
+  let top = List.fold_left max 0 peaks in
+  let stranded = Option.get (List.find_index (( = ) top) peaks) in
+  let others_max =
+    List.fold_left max 0 (List.filteri (fun i _ -> i <> stranded) peaks)
+  in
+  let shared_peak = Array.fold_left max 0 shared.dom_peaks in
+  let ratio = float_of_int shared_peak /. float_of_int (max 1 others_max) in
+  {
+    isolated;
+    shared;
+    stranded;
+    others_max;
+    shared_peak;
+    ratio;
+    threshold;
+    ok = ratio >= threshold && check_cell isolated = [] && check_cell shared = [];
+  }
+
+let pp_isolation ppf (v : isolation) =
+  let i = v.isolated in
+  Fmt.pf ppf
+    "shards %s: %s, %d shards, seed=%d@\n\
+    \  isolated: per-shard peaks %a (most stranded: shard %d; others' max \
+     %d), ops=%d@\n\
+    \  shared:   domain peak %d, ops=%d@\n\
+    \  isolation ratio (shared / worst unstranded shard): %.1fx %s"
+    i.scheme i.plan (Array.length i.dom_peaks) i.seed
+    Fmt.(array ~sep:(any "/") int)
+    i.dom_peaks v.stranded v.others_max i.total_ops v.shared_peak
+    v.shared.total_ops v.ratio
+    (if v.ratio >= v.threshold then "(isolated)"
+     else Printf.sprintf "BELOW %.1fx" v.threshold);
+  List.iter
+    (fun (build, c) ->
+      List.iter
+        (fun msg -> Fmt.pf ppf "@\nVIOLATION %s build: %s" build msg)
+        (check_cell c))
+    [ ("isolated", v.isolated); ("shared", v.shared) ]
 
 (* ------------------------------------------------------------------ *)
 (* The grid                                                            *)

@@ -79,29 +79,6 @@ let key_range_of ds =
   | Caps.HList | Caps.HMList | Caps.HHSList -> 256
   | Caps.HashMap | Caps.SkipList | Caps.NMTree -> 1024
 
-(* The census reads the allocator's global counters right after the cell
-   (the runner resets them only at the *start* of a cell, so they are
-   still the cell's own numbers here). *)
-let census () =
-  let st = Alloc.stats () in
-  let problems = ref [] in
-  let check cond msg = if not cond then problems := msg :: !problems in
-  check (st.Alloc.uaf = 0) (Printf.sprintf "uaf=%d" st.Alloc.uaf);
-  check (st.Alloc.double_retires = 0)
-    (Printf.sprintf "double_retires=%d" st.Alloc.double_retires);
-  check (st.Alloc.double_reclaims = 0)
-    (Printf.sprintf "double_reclaims=%d" st.Alloc.double_reclaims);
-  check
-    (st.Alloc.unreclaimed = st.Alloc.retired - st.Alloc.reclaimed)
-    (Printf.sprintf "unreclaimed=%d <> retired-reclaimed=%d"
-       st.Alloc.unreclaimed
-       (st.Alloc.retired - st.Alloc.reclaimed));
-  check
-    (st.Alloc.allocated >= st.Alloc.retired + st.Alloc.abandoned)
-    (Printf.sprintf "allocated=%d < retired+abandoned=%d" st.Alloc.allocated
-       (st.Alloc.retired + st.Alloc.abandoned));
-  (!problems = [], String.concat "; " (List.rev !problems))
-
 let ns_per_op (r : Spec.result) =
   if r.Spec.total_ops = 0 then Float.infinity
   else r.Spec.elapsed *. 1e9 /. float_of_int r.Spec.total_ops
@@ -171,7 +148,7 @@ let sweep ?(schemes = all_scheme_names) ?(dss = default_dss)
               with
               | None -> () (* pair excluded by the applicability matrix *)
               | Some r ->
-                  let census_ok, census_msg = census () in
+                  let census_ok, census_msg = Alloc.census () in
                   let name =
                     Printf.sprintf "%s/%s@%d" scheme (Caps.ds_name ds) threads
                   in

@@ -9,7 +9,7 @@
 
     This module is the one home of the workload's body ({!Body}: the 50%
     prefill, the per-worker RNG and the op step).  The robustness
-    harnesses — {!Chaos}, {!Sampler} and the hunt runner in lib/check —
+    harnesses — {!Chaos} and the hunt runner in lib/check —
     drive the same body under their own schedules and faults, so a seed
     draws the same keys everywhere.  Every scheme runs the list
     {!Matrix.list_for} picks: HHSList, or HMList where hazard pointers
@@ -53,8 +53,8 @@ type outcome = {
 module Body (L : Ds.Ds_intf.MAP) = struct
   (** Prefill to 50% single-threaded.  Harnesses that inject faults call
       this before arming them, so a plan's occurrence counters index the
-      workload proper.  The peak watermark restarts afterwards, so it
-      measures the workload alone. *)
+      workload proper.  The peak watermarks (the allocator's and every
+      domain's) restart afterwards, so they measure the workload alone. *)
   let prefill ~key_range ~seed t =
     let s = L.session t in
     let rng = Rng.create ~seed:(seed lxor 0xfeed) in
@@ -63,7 +63,8 @@ module Body (L : Ds.Ds_intf.MAP) = struct
       if L.insert t s (Rng.int rng key_range) 0 then incr inserted
     done;
     L.close_session s;
-    Alloc.reset_peak ()
+    Alloc.reset_peak ();
+    Alloc.reset_owner_peaks ()
 
   let worker_rng ~seed tid = Rng.create ~seed:(seed + (tid * 104729))
 

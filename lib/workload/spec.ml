@@ -80,24 +80,3 @@ type result = {
 
 let pp_result ppf r =
   Fmt.pf ppf "%8.3f Mop/s  peak=%-8d uaf=%d" r.throughput r.peak_unreclaimed r.uaf
-
-(* ------------------------------------------------------------------ *)
-(* Fiber-only feature rejections                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** [fiber_only_msg ~who ~what ~alternative] — the one rejection format
-    for features that exist only on the deterministic fiber substrate:
-    it names the rejecting command, the flag or feature, the mode the
-    user asked for, and what to use instead.  CLI front-ends print it;
-    library guards raise it via {!require_fibers}; tests pin the exact
-    wording so front-ends cannot drift apart. *)
-let fiber_only_msg ~who ~what ~alternative =
-  Printf.sprintf "%s: %s is fiber-only (--mode domains given); %s" who what
-    alternative
-
-(** [require_fibers ~who ~what ~alternative mode] — typed guard for
-    library entry points: no-op under [`Fibers], raises
-    [Invalid_argument] with {!fiber_only_msg} under [`Domains]. *)
-let require_fibers ~who ~what ~alternative = function
-  | `Fibers -> ()
-  | `Domains -> invalid_arg (fiber_only_msg ~who ~what ~alternative)

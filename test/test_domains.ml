@@ -38,7 +38,7 @@ let test_scheme_smoke scheme () =
         | None -> try_ds rest
         | Some r ->
             Alcotest.(check int) "uaf" 0 r.W.Spec.uaf;
-            let ok, msg = W.Domains_bench.census () in
+            let ok, msg = Alloc.census () in
             Alcotest.(check string) "census" "" msg;
             Alcotest.(check bool) "census ok" true ok)
   in
@@ -328,19 +328,23 @@ let test_chaos_domains_grid () =
     (Backend.hardware_threads () >= 2) r.W.Chaos.armed;
   Alcotest.(check int) "no replay probes on domains" 0 r.W.Chaos.probes
 
-(* The fiber-only rejection contract: one consistent message naming the
-   flag, the mode, and the alternative — pinned byte for byte so every
-   CLI rejection stays in the same format. *)
-let test_fiber_only_msg () =
-  Alcotest.(check string) "message format"
-    "smrbench chaos: --trace-out is fiber-only (--mode domains given); \
-     use serve --mode domains --trace-out"
-    (W.Spec.fiber_only_msg ~who:"smrbench chaos" ~what:"--trace-out"
-       ~alternative:"use serve --mode domains --trace-out");
-  W.Spec.require_fibers ~who:"x" ~what:"y" ~alternative:"z" `Fibers;
-  Alcotest.check_raises "require_fibers raises under domains"
-    (Invalid_argument "x: y is fiber-only (--mode domains given); z")
-    (fun () -> W.Spec.require_fibers ~who:"x" ~what:"y" ~alternative:"z" `Domains)
+(* A traced stall-reader cell on real domains: the flight recorder runs
+   under the chaos engine, its census joins the allocator's, and the
+   analyzer draws a garbage-over-time curve from the merged ns trace. *)
+let test_chaos_domains_traced_stall () =
+  let c, log =
+    W.Chaos.run_one ~traced:true ~substrate:`Domains ~scheme:"HP-BRCU"
+      ~plan_id:W.Chaos.Stall_reader ~seed:1 W.Chaos.quick
+  in
+  Alcotest.(check string) "census (allocator and flight)" ""
+    c.W.Chaos.census_msg;
+  Alcotest.(check bool) "census ok" true c.W.Chaos.census_ok;
+  Alcotest.(check int) "uaf" 0 c.W.Chaos.uaf;
+  Alcotest.(check int) "the stall fired" 1
+    c.W.Chaos.injected.Hpbrcu_runtime.Fault.stalls;
+  let s = W.Analyze.of_records ~source:"HP-BRCU" ~unit_:"ns" log in
+  Alcotest.(check bool) "watermark curve non-empty" true
+    (s.W.Analyze.watermark <> [])
 
 let () =
   let scheme_cases =
@@ -379,8 +383,8 @@ let () =
           Alcotest.test_case "crashed-reader cell" `Quick
             test_chaos_domains_crash_cell;
           Alcotest.test_case "smoke grid" `Quick test_chaos_domains_grid;
-          Alcotest.test_case "fiber-only rejection format" `Quick
-            test_fiber_only_msg;
+          Alcotest.test_case "traced stall-reader cell" `Quick
+            test_chaos_domains_traced_stall;
         ] );
       ( "determinism",
         [

@@ -1,6 +1,7 @@
 (* The long-running-read workload and the harnesses built on it: the list
-   each scheme runs, a Longrun cell under fibers, a short Sampler run on
-   domains, and the shards experiment's fault-plan crash on domains. *)
+   each scheme runs, a Longrun cell under fibers, the chaos shard-isolation
+   cells on both substrates, and the stall-reader garbage-over-time
+   curve. *)
 
 module W = Hpbrcu_workload
 module Trace = Hpbrcu_runtime.Trace
@@ -59,46 +60,81 @@ let test_longrun_fibers scheme () =
   Alcotest.(check bool) "Op_end spans" true (has Trace.Op_end)
 
 (* ------------------------------------------------------------------ *)
-(* Sampler                                                             *)
+(* Shard isolation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_sampler () =
-  let o =
-    W.Sampler.run
-      {
-        W.Sampler.default_params with
-        duration = 0.1;
-        stall_after = 0.03;
-        heal_after = 0.06;
-        key_range = 256;
-      }
+let isolation_cells substrate =
+  let cell topology =
+    fst
+      (W.Chaos.run_one ~topology ~substrate ~scheme:"RCU"
+         ~plan_id:W.Chaos.Crash_reader ~seed:1 W.Chaos.quick)
   in
-  Alcotest.(check int) "uaf" 0 o.W.Sampler.uaf;
-  Alcotest.(check bool) "samples present" true (o.W.Sampler.samples <> []);
-  ignore
-    (List.fold_left
-       (fun prev s ->
-         if s.W.Sampler.t_ms < prev then
-           Alcotest.failf "t_ms went backwards: %.2f after %.2f" s.W.Sampler.t_ms
-             prev;
-         s.W.Sampler.t_ms)
-       neg_infinity o.W.Sampler.samples
-      : float)
-
-(* ------------------------------------------------------------------ *)
-(* Shards on domains                                                   *)
-(* ------------------------------------------------------------------ *)
+  (cell W.Chaos.Isolated, cell W.Chaos.Shared)
 
 (* The fault plan's crash, not an emulation: each build sees exactly one
-   crashed reader and no use-after-free.  The isolation ratio is the
-   check.sh gate's to judge. *)
-let test_shards_domains () =
-  let p = W.Shards.quick { W.Shards.default_params with substrate = `Domains } in
-  let r = W.Shards.run_one p in
-  Alcotest.(check int) "isolated build: one crash" 1 r.W.Shards.isolated.crashes;
-  Alcotest.(check int) "shared build: one crash" 1 r.W.Shards.shared.crashes;
-  Alcotest.(check int) "isolated build: uaf" 0 r.W.Shards.isolated.uaf;
-  Alcotest.(check int) "shared build: uaf" 0 r.W.Shards.shared.uaf
+   crashed reader, no use-after-free and a clean census.  On domains the
+   isolation ratio is the check.sh gate's to judge. *)
+let test_isolation_builds substrate () =
+  let isolated, shared = isolation_cells substrate in
+  List.iter
+    (fun (name, (c : W.Chaos.cell)) ->
+      Alcotest.(check int) (name ^ " build: one crash") 1 c.crashes;
+      Alcotest.(check int) (name ^ " build: uaf") 0 c.uaf;
+      Alcotest.(check string) (name ^ " build: census") "" c.census_msg;
+      Alcotest.(check (list string)) (name ^ " build: invariants") []
+        (W.Chaos.check_cell c))
+    [ ("isolated", isolated); ("shared", shared) ];
+  Alcotest.(check int) "one peak per shard" W.Chaos.shards
+    (Array.length isolated.dom_peaks);
+  Alcotest.(check int) "one shared domain" 1 (Array.length shared.dom_peaks)
+
+let test_isolation_verdict () =
+  let isolated, shared = isolation_cells `Fibers in
+  let v =
+    W.Chaos.isolation
+      ~threshold:(W.Chaos.isolation_threshold `Fibers)
+      ~isolated ~shared
+  in
+  if not v.ok then
+    Alcotest.failf "isolation verdict failed: %a" W.Chaos.pp_isolation v
+
+(* ------------------------------------------------------------------ *)
+(* Garbage over time under a stalled reader                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The stall-reader plan parks reader 0 for 10k ticks at its 800th yield.
+   From the trace alone: RCU's unreclaimed watermark balloons while the
+   reader is pinned and drains once it resumes; HP-BRCU reclaims around
+   it and stays near its fault-free level. *)
+let test_stall_reader_curve () =
+  let traced scheme =
+    let c, log =
+      W.Chaos.run_one ~traced:true ~substrate:`Fibers ~scheme
+        ~plan_id:W.Chaos.Stall_reader ~seed:1 W.Chaos.quick
+    in
+    Alcotest.(check (list string)) (scheme ^ " invariants") []
+      (W.Chaos.check_cell c);
+    let stall_end =
+      match List.find_opt (fun r -> r.Trace.event = Trace.Fault_stall) log with
+      | Some r -> r.Trace.tick + r.Trace.arg
+      | None -> Alcotest.failf "%s: the stall never fired" scheme
+    in
+    ((W.Analyze.of_records ~source:scheme log).W.Analyze.watermark, stall_end)
+  in
+  let peak curve = List.fold_left (fun m (_, v) -> max m v) 0 curve in
+  let rcu, stall_end = traced "RCU" in
+  let hb, _ = traced "HP-BRCU" in
+  let rcu_max = peak rcu and hb_max = peak hb in
+  if rcu_max < 5 * hb_max then
+    Alcotest.failf "RCU watermark max %d < 5x HP-BRCU's %d" rcu_max hb_max;
+  let drained =
+    List.fold_left
+      (fun m (t, v) -> if t >= stall_end then min m v else m)
+      max_int rcu
+  in
+  if drained > rcu_max / 5 then
+    Alcotest.failf "RCU drained only to %d after the stall (max %d)" drained
+      rcu_max
 
 let () =
   Alcotest.run "workload"
@@ -112,8 +148,16 @@ let () =
         List.map
           (fun s -> Alcotest.test_case s `Quick (test_longrun_fibers s))
           [ "HP"; "HP-BRCU" ] );
-      ("sampler", [ Alcotest.test_case "short run" `Quick test_sampler ]);
       ( "shards",
-        [ Alcotest.test_case "domains fault-plan crash" `Quick test_shards_domains ]
+        [
+          Alcotest.test_case "fibers fault-plan crash" `Quick
+            (test_isolation_builds `Fibers);
+          Alcotest.test_case "domains fault-plan crash" `Quick
+            (test_isolation_builds `Domains);
+          Alcotest.test_case "RCU isolation verdict" `Quick
+            test_isolation_verdict;
+        ] );
+      ( "stall-reader",
+        [ Alcotest.test_case "RCU balloons and drains" `Quick test_stall_reader_curve ]
       );
     ]
