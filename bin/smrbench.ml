@@ -949,6 +949,34 @@ module Reclaim_bench = struct
       gated = true;
     }
 
+  (* HP-BRCU critical-section enter/exit around a prebuilt empty body: the
+     fixed cost every HP-BRCU traversal pays.  The body is built once, so
+     anything [crit] allocates shows per op. *)
+  let brcu_crit_kernel ~iters =
+    let module X = Hp_brcu.Impl in
+    let d = X.create ~label:"bench-crit" Config.default in
+    let h = X.register d in
+    let body () = () in
+    let ops = 256 in
+    let cycle () =
+      for _ = 1 to ops do
+        X.crit h body
+      done
+    in
+    let ns, words = measure ~iters cycle in
+    X.unregister h;
+    X.destroy ~force:true d;
+    {
+      kernel = "brcu-crit";
+      scheme = "HP-BRCU";
+      hazards = 0;
+      iters;
+      ops_per_cycle = ops;
+      ns_per_op = ns /. float_of_int ops;
+      minor_words_per_op = words /. float_of_int ops;
+      gated = true;
+    }
+
   (* Repeated advance attempts that must fail: one participant stays pinned
      below the global epoch, the classic spin of a reclaimer waiting out a
      slow reader. *)
@@ -1279,6 +1307,7 @@ module Reclaim_bench = struct
       scan_kernel ~iters:(it 300) ~hazards:1024;
       scan_kernel ~iters:(it 60) ~hazards:16384;
       pin_kernel ~iters:(it 1000);
+      brcu_crit_kernel ~iters:(it 1000);
       advance_kernel ~iters:(it 1000);
       guards_kernel ~iters:(it 1000);
       brcu_advance_kernel ~iters:(it 500);

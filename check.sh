@@ -99,7 +99,8 @@ gate fiber-golden fiber_golden
 gate chaos-fibers dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
 
 # Steady-state allocation gate (DESIGN.md §9): every gated reclamation
-# kernel (retire, scan, pin/unpin, failed advance, disabled trace emit,
+# kernel (retire, scan, pin/unpin, HP-BRCU crit enter/exit around a
+# prebuilt body (brcu-crit), failed advance, disabled trace emit,
 # and the traverse-walk words per traversed node of an HHSList get under
 # NR, RCU, HP-RCU and HP-BRCU) must stay at zero minor-heap words per
 # cycle (threshold 0.05 words/op absorbs probe calibration noise), and

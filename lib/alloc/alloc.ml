@@ -279,6 +279,14 @@ let block ?recyclable () =
   Atomic.incr allocated;
   Block.make ?recyclable ()
 
+(** [reanimate b ~era] — a recycling pool hands [b] out again
+    ({!Block.reanimate}).  The new incarnation counts as an allocation,
+    so the census identity [allocated >= retired + abandoned] still holds
+    when one header is retired once per incarnation. *)
+let reanimate b ~era =
+  Atomic.incr allocated;
+  Block.reanimate b ~era
+
 (** [retire b] marks [b] retired: it has been unlinked and its reclamation
     is now the scheme's responsibility.  Counted as "unreclaimed" until
     {!reclaim}. *)

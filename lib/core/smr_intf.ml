@@ -18,8 +18,9 @@
     compares:
 
     - {!S.op} wraps a whole operation.  EBR pins an epoch for its entire
-      extent; VBR/PEBR put their announce-and-retry loop here; others are
-      transparent retry-on-{!S.Restart} loops.
+      extent; VBR/PEBR put their announce-and-retry loop here; most
+      others are transparent retry-on-{!S.Restart} loops, and HP-BRCU,
+      which never raises it, runs the body directly.
     - {!S.read} mediates every traversal link load.  HP-family schemes run
       the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here —
       the "per-node overhead" of Table 2; coarse schemes do a plain load
@@ -76,6 +77,11 @@ module Alloc = Hpbrcu_alloc.Alloc
       [i] (0 or 1) or back from it; [restore] then revalidates the
       cursor (paper R1, §3.3) and returns whether it may be resumed;
     - [protect sh] publishes the live cursor into the shield array [sh];
+    - [resumable] is [false] when [restore] can never answer [true] (the
+      cursor cannot be revalidated, as in EFRB).  A scheme that ends its
+      critical sections voluntarily (HP-RCU) must then walk to the
+      destination inside one section: every resume would restart the
+      walk, and a walk longer than one section would never finish;
     - [steps] is bumped once per step attempted, before the step's first
       read, so a count taken across a rollback that lands mid-walk stays
       exact. *)
@@ -85,6 +91,7 @@ type 'sh walker = {
   save : int -> unit;
   restore : int -> bool;
   protect : 'sh array -> unit;
+  resumable : bool;
   mutable steps : int;
 }
 
@@ -103,6 +110,7 @@ let idle_walker () =
     save = ignore;
     restore = (fun _ -> false);
     protect = ignore;
+    resumable = true;
     steps = 0;
   }
 

@@ -138,7 +138,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Resuming a checkpointed EFRB cursor cannot be revalidated locally
      (deletion state lives in ancestors' update words), so rollbacks
      restart the operation from the root; EFRB searches are short (log n),
-     making restarts cheap. *)
+     making restarts cheap.  The walker says so ([resumable = false]), so
+     that HP-RCU walks it in one critical section instead of ending a
+     section it could never resume. *)
   let validate_cursor _ = false
 
   let copy_cursor ~src ~dst =
@@ -221,6 +223,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
                 validate_cursor s.live);
             protect = (fun sh -> protect_cursor s sh);
+            resumable = false;
             steps = 0;
           };
       }

@@ -29,11 +29,16 @@ end
 module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = F.flavour_name ^ "(" ^ S.name ^ ")"
 
+  (* [pool] is the list's free pool, shared by all of its nodes: only the
+     recycling branches read it, and keeping it in every node lets the
+     list itself be its head node (a HashMap bucket slot then points
+     straight at the head, one dependent load fewer per operation). *)
   type node = {
     blk : Block.t;
     mutable key : int;
     mutable value : int;
     next : node Link.cell;
+    pool : node Pool.t;
   }
 
   let blk n = n.blk
@@ -42,7 +47,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   (* HP++'s patch set of a retired node: its successor, if any. *)
   let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ p.target.blk ]
 
-  type t = { head : node; pool : node Pool.t }
+  (* The list is its head sentinel (key = min_int). *)
+  type t = node
 
   (* Traversal cursor: [left] = last unmarked node whose loaded link is
      [left_next] (the snip CAS's expected value); [node] = a loaded link
@@ -73,11 +79,17 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     w : S.shield walker;
   }
 
+  (* Non-recycling schemes never read a node's pool: their lists share
+     this one. *)
+  let unused_pool = Pool.create ()
+
   let create () =
     {
-      head =
-        { blk = Alloc.block (); key = min_int; value = 0; next = Link.null_cell () };
-      pool = Pool.create ();
+      blk = Alloc.block ();
+      key = min_int;
+      value = 0;
+      next = Link.null_cell ();
+      pool = (if S.recycles then Pool.create () else unused_pool);
     }
 
   let close_session s =
@@ -90,7 +102,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
       else
         match Pool.acquire t.pool with
         | Some n when Block.retire_era n.blk <> S.current_era () ->
-            Block.reanimate n.blk ~era:(S.current_era ());
+            Alloc.reanimate n.blk ~era:(S.current_era ());
             n.key <- key;
             n.value <- value;
             Link.set n.next Link.null;
@@ -105,7 +117,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     | None ->
         let b = Alloc.block ~recyclable:S.recycles () in
         Block.set_birth_era b ~era:(S.current_era ());
-        { blk = b; key; value; next = Link.null_cell () }
+        { blk = b; key; value; next = Link.null_cell (); pool = t.pool }
 
   (* A node that was allocated but never published: recyclers take it back
      into the pool; everyone else must tell the allocator it was abandoned,
@@ -149,14 +161,14 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
 
   (* Retire the frozen marked chain [from .. stop), patching successors for
      HP++.  Links of marked nodes are immutable, so the walk is stable. *)
-  let retire_chain t s ~from ~stop =
+  let retire_chain s ~from ~stop =
     let rec go = function
       | Link.Null _ -> ()
       | Link.Ptr { target = x; _ } when Link.points_to stop x -> ()
       | Link.Ptr { target = x; _ } ->
           let nx = Link.get x.next in
           S.retire s.h x.blk ~patch:(patch_of nx)
-            ?free:(Pool.free_hook ~recycles:S.recycles t.pool x);
+            ?free:(Pool.free_hook ~recycles:S.recycles x.pool x);
           go nx
     in
     go from
@@ -164,20 +176,20 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   (* Snip the marked chain between left and [c.node]: one CAS on
      [left.next], then retire the chain.  Abort-rollback-unsafe, so masked
      on outliving protections. *)
-  let snip t s c =
+  let snip s c =
     S.protect s.mask0 c.left.blk;
     S.protect s.mask1 (link_blk c.node);
     let desired = Link.with_tag c.node 0 in
     S.mask s.h (fun () ->
         if Link.cas c.left.next ~expected:c.left_next ~desired then begin
-          retire_chain t s ~from:c.left_next ~stop:c.node;
+          retire_chain s ~from:c.left_next ~stop:c.node;
           Some desired
         end
         else None)
 
   let init_cursor t s =
-    let ln = scratch_read s ~src:Block.none t.head.next in
-    let cursor () = { left = t.head; left_next = ln; node = ln } in
+    let ln = scratch_read s ~src:Block.none t.next in
+    let cursor () = { left = t; left_next = ln; node = ln } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
     s.slots.(1) <- cursor ()
@@ -197,7 +209,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   (* Finish after snipping the marked chain between [left] and [node]. *)
   let finish_snip s left left_next node found =
     ignore (stop s left left_next node walk_done : int);
-    match snip s.ds s s.live with
+    match snip s s.live with
     | Some ln ->
         s.live.left_next <- ln;
         s.found <- found;
@@ -241,7 +253,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     let scratch = shields 4 in
     let mask0 = S.new_shield h in
     let mask1 = S.new_shield h in
-    let cursor () = { left = t.head; left_next = Link.null; node = Link.null } in
+    let cursor () = { left = t; left_next = Link.null; node = Link.null } in
     let rec s =
       {
         h;
@@ -270,6 +282,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
                 validate_cursor s.live);
             protect = (fun sh -> protect_cursor s sh);
+            resumable = true;
             steps = 0;
           };
       }
@@ -334,7 +347,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
               S.mask s.h (fun () ->
                   if Link.cas left.next ~expected:left_next ~desired then
                     S.retire s.h right.blk ~patch:(patch_of r_next)
-                      ?free:(Pool.free_hook ~recycles:S.recycles t.pool right));
+                      ?free:(Pool.free_hook ~recycles:S.recycles right.pool right));
               true
             end
             else go ()

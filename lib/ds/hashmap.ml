@@ -16,6 +16,9 @@ module Make_gen (B : BUCKETS) (S : Hpbrcu_core.Smr_intf.S) = struct
 
   let name = "HashMap[" ^ L.name ^ "]"
 
+  (* Both bucket lists are their own head sentinel, so a slot holds the
+     head node itself: picking a bucket is one load, with no list record
+     between the slot and the chain. *)
   type t = { buckets : L.t array; mask : int }
   type session = L.session
 

@@ -22,11 +22,16 @@ open Hpbrcu_core.Smr_intf
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "HMList(" ^ S.name ^ ")"
 
+  (* [pool] is the list's free pool, shared by all of its nodes: only the
+     recycling branches read it, and keeping it in every node lets the
+     list itself be its head node (a HashMap bucket slot then points
+     straight at the head, one dependent load fewer per operation). *)
   type node = {
     blk : Block.t;
     mutable key : int;  (* mutable only for pool reuse (VBR) *)
     mutable value : int;
     next : node Link.cell;
+    pool : node Pool.t;
   }
 
   let blk n = n.blk
@@ -35,7 +40,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* HP++'s patch set of a retired node: its successor, if any. *)
   let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ p.target.blk ]
 
-  type t = { head : node (* sentinel, key = min_int *); pool : node Pool.t }
+  (* The list is its head sentinel (key = min_int). *)
+  type t = node
 
   (* The traversal cursor: [prev] and the link loaded from [prev.next]
      (whose target is [cur]).  Keeping the loaded link (not just the
@@ -60,11 +66,17 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     w : S.shield walker;
   }
 
+  (* Non-recycling schemes never read a node's pool: their lists share
+     this one. *)
+  let unused_pool = Pool.create ()
+
   let create () =
     {
-      head =
-        { blk = Alloc.block (); key = min_int; value = 0; next = Link.null_cell () };
-      pool = Pool.create ();
+      blk = Alloc.block ();
+      key = min_int;
+      value = 0;
+      next = Link.null_cell ();
+      pool = (if S.recycles then Pool.create () else unused_pool);
     }
 
   let close_session s =
@@ -80,7 +92,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         match Pool.acquire t.pool with
         | Some n when Block.retire_era n.blk <> S.current_era () ->
             (* Cross-era reuse only: see Vbr's module comment. *)
-            Block.reanimate n.blk ~era:(S.current_era ());
+            Alloc.reanimate n.blk ~era:(S.current_era ());
             n.key <- key;
             n.value <- value;
             Link.set n.next Link.null;
@@ -95,7 +107,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     | None ->
         let b = Alloc.block ~recyclable:S.recycles () in
         Block.set_birth_era b ~era:(S.current_era ());
-        { blk = b; key; value; next = Link.null_cell () }
+        { blk = b; key; value; next = Link.null_cell (); pool = t.pool }
 
   (* A node that was allocated but never published: recyclers take it back
      into the pool; everyone else must tell the allocator it was abandoned,
@@ -145,8 +157,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.pnext <- src.pnext
 
   let init_cursor t s =
-    let pnext = scratch_read s ~src:Block.none t.head.next in
-    let cursor () = { prev = t.head; pnext } in
+    let pnext = scratch_read s ~src:Block.none t.next in
+    let cursor () = { prev = t; pnext } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
     s.slots.(1) <- cursor ()
@@ -165,13 +177,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      The unlink + retire pair is abort-rollback-unsafe, so it runs masked
      on outliving protections (Algorithm 8 lines 23-27). *)
   let help_unlink s prev pnext cur next desired =
-    let pool = s.ds.pool in
     S.protect s.mask0 prev.blk;
     S.protect s.mask1 cur.blk;
     S.mask s.h (fun () ->
         if Link.cas prev.next ~expected:pnext ~desired then begin
           S.retire s.h cur.blk ~patch:(patch_of next)
-            ?free:(Pool.free_hook ~recycles:S.recycles pool cur);
+            ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur);
           true
         end
         else false)
@@ -206,7 +217,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let scratch = shields 3 in
     let mask0 = S.new_shield h in
     let mask1 = S.new_shield h in
-    let cursor () = { prev = t.head; pnext = Link.null } in
+    let cursor () = { prev = t; pnext = Link.null } in
     let rec s =
       {
         h;
@@ -231,6 +242,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
                 validate_cursor s.live);
             protect = (fun sh -> protect_cursor s sh);
+            resumable = true;
             steps = 0;
           };
       }
@@ -292,7 +304,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               let desired = Link.with_tag next 0 in
               if Link.cas prev.next ~expected:pnext ~desired then
                 S.retire s.h cur.blk ~patch:(patch_of next)
-                  ?free:(Pool.free_hook ~recycles:S.recycles t.pool cur)
+                  ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur)
               else search t s key;
               true
             end

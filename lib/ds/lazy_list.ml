@@ -79,7 +79,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       else
         match Pool.acquire t.pool with
         | Some n when Block.retire_era n.blk <> S.current_era () ->
-            Block.reanimate n.blk ~era:(S.current_era ());
+            Alloc.reanimate n.blk ~era:(S.current_era ());
             n.key <- key;
             n.value <- value;
             Link.set n.next Link.null;
@@ -209,6 +209,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
                 validate_cursor s.live);
             protect = (fun sh -> protect_cursor s sh);
+            resumable = true;
             steps = 0;
           };
       }

@@ -56,11 +56,17 @@ let dummy_entry () =
 
 type local = {
   epoch : int Atomic.t;  (* -1 = ⊥ *)
-  status : int Atomic.t;
+  mutable status : int;
+      (* Owner-only (DESIGN.md §9): read and written only by the thread
+         that registered this local — by its [crit]/[mask], and by
+         [handler], which runs in the owner's context ([Signal.poll] at
+         the owner's delivery points, or the owner's self-neutralization).
+         Senders judge a reader by its [epoch] alone, so Algorithm 6's
+         status CAS has no racing writer and a plain field suffices. *)
   box : Signal.box;
   quarantined : bool Atomic.t;  (* confirmed crashed; no longer blocks *)
   _pad : int array;
-      (* live spacer: [epoch]/[status] are stored by their owner on every
+      (* live spacer: [epoch] is stored by its owner on every
          critical-section entry and read by every flusher — registration
          allocates locals back-to-back, so without the spacer two
          threads' hot cells share a cache line
@@ -153,7 +159,7 @@ let register d =
   let l =
     {
       epoch = Atomic.make (-1);
-      status = Atomic.make st_out;
+      status = st_out;
       box = Signal.make ();
       quarantined = Atomic.make false;
       _pad = Hpbrcu_runtime.Layout.spacer ();
@@ -169,9 +175,9 @@ let register d =
 let epoch d = Atomic.get d.global
 
 (* Signal handler (Algorithm 6 lines 4-7), run in the receiver's context
-   by Signal.poll. *)
+   by Signal.poll or by the receiver's own self-neutralization. *)
 let handler d l () =
-  let st = Atomic.get l.status in
+  let st = l.status in
   if st = st_incs then begin
     Stats.Counter.incr d.rollbacks;
     (* arg2 joins this rollback to the Signal_sent that caused it. *)
@@ -179,8 +185,10 @@ let handler d l () =
     raise Rollback
   end
   else if st = st_inrm then
-    (* Racing with Mask's exit CAS; CAS keeps exactly one winner. *)
-    ignore (Atomic.compare_and_set l.status st_inrm st_rbreq)
+    (* The owner is inside Mask: record the request for Mask's exit.  The
+       paper's CAS here races an asynchronous handler against Mask's exit
+       CAS; this handler runs only between the owner's own statements. *)
+    l.status <- st_rbreq
 
 (* [poll]'s slow path, out of line: building the [handler] closure would
    keep [poll] from inlining. *)
@@ -202,39 +210,41 @@ let poll_self d =
     | Some _
     | None -> ()
 
-let in_cs h = Atomic.get h.l.status <> st_out
+let in_cs h = h.l.status <> st_out
+
+(* One run of the critical section; a rollback re-enters it from the top,
+   Checkpoint(chkpt), by a tail call rather than through a closure built
+   per [crit]. *)
+let rec crit_run d l body =
+  Signal.consume_quietly l.box;  (* delivery while Out is a no-op *)
+  l.status <- st_incs;
+  let e = Atomic.get d.global in
+  Atomic.set l.epoch e;  (* SC: line 16's fence *)
+  Trace.emit Trace.Cs_begin e;
+  match body () with
+  | r ->
+      Atomic.set l.epoch (-1);
+      l.status <- st_out;
+      Signal.consume_quietly l.box;
+      Trace.emit Trace.Cs_end 0;
+      r
+  | exception Rollback ->
+      Atomic.set l.epoch (-1);
+      l.status <- st_out;
+      Trace.emit Trace.Cs_end 1;
+      Sched.yield ();
+      crit_run d l body
+  | exception e ->
+      Atomic.set l.epoch (-1);
+      l.status <- st_out;
+      Trace.emit Trace.Cs_end 2;
+      raise e
 
 (** CriticalSection (Algorithm 5 line 14).  The body may be re-executed
     after each rollback; it must be abort-rollback-safe (§4.1). *)
 let crit h body =
   assert (not (in_cs h));
-  let l = h.l in
-  let rec go () =
-    (* Checkpoint(chkpt): re-entry point of the rollback. *)
-    Signal.consume_quietly l.box;  (* delivery while Out is a no-op *)
-    Atomic.set l.status st_incs;
-    Atomic.set l.epoch (Atomic.get h.d.global);  (* SC: line 16's fence *)
-    Trace.emit Trace.Cs_begin (Atomic.get l.epoch);
-    match body () with
-    | r ->
-        Atomic.set l.epoch (-1);
-        Atomic.set l.status st_out;
-        Signal.consume_quietly l.box;
-        Trace.emit Trace.Cs_end 0;
-        r
-    | exception Rollback ->
-        Atomic.set l.epoch (-1);
-        Atomic.set l.status st_out;
-        Trace.emit Trace.Cs_end 1;
-        Sched.yield ();
-        go ()
-    | exception e ->
-        Atomic.set l.epoch (-1);
-        Atomic.set l.status st_out;
-        Trace.emit Trace.Cs_end 2;
-        raise e
-  in
-  go ()
+  crit_run h.d h.l body
 
 (** Abort-masked region (Algorithm 6 line 8).  Inside [crit], a
     neutralization received in the region is deferred to its exit.
@@ -242,19 +252,22 @@ let crit h body =
     runs as-is (write phases mask for uniformity). *)
 let mask_in_cs h body =
   let l = h.l in
-  Atomic.set l.status st_inrm;
+  l.status <- st_inrm;
   let result =
     try body ()
     with e ->
       (* Body failed on its own: restore and propagate. *)
-      Atomic.set l.status st_incs;
+      l.status <- st_incs;
       raise e
   in
-  if Atomic.compare_and_set l.status st_inrm st_incs then result
+  if l.status = st_inrm then begin
+    l.status <- st_incs;
+    result
+  end
   else begin
     (* A signal arrived inside the region: honour it now. *)
-    assert (Atomic.get l.status = st_rbreq);
-    Atomic.set l.status st_incs;
+    assert (l.status = st_rbreq);
+    l.status <- st_incs;
     Stats.Counter.incr h.d.rollbacks;
     (* The deferred delivery was consumed when the mask recorded the
        request, so its seq is still the one to cite. *)
@@ -268,7 +281,7 @@ let mask h body =
        self-neutralization mid-body aborts it instead of being deferred
        to the exit — Algorithm 6's bug, reintroduced on purpose. *)
     body ()
-  else if Atomic.get h.l.status <> st_incs then body ()
+  else if h.l.status <> st_incs then body ()
   else mask_in_cs h body
 
 (* Pop every segment stamped ≤ limit and run it (Algorithm 5 line 34).

@@ -59,7 +59,9 @@ module Impl : Smr_intf.SCHEME = struct
     meta : Dom.t;
     bd : B.domain;
     hd : H.domain;
-    (* Traversal diagnostics (reported via [stats]). *)
+    (* Traversal diagnostics (reported via [stats]).  Handles count steps,
+       traversals and resumes in plain fields and fold them in here at
+       [flush]/[unregister]. *)
     tr_steps : Stats.Counter.t;
     tr_validate_fail : Stats.Counter.t;
     tr_traverses : Stats.Counter.t;
@@ -105,7 +107,10 @@ module Impl : Smr_intf.SCHEME = struct
      the double buffer (the caller's [backup] and [prot]); [comp] counts
      completed checkpoints, so [comp land 1] always indexes a buffer (and
      a walker slot) holding a complete protection, even if a rollback
-     lands between the protect stores of a checkpoint. *)
+     lands between the protect stores of a checkpoint.  [n_traverses],
+     [n_steps] and [n_resumes] are owner-only tallies not yet folded into
+     the domain's counters: a sharded-counter RMW per traversal costs a
+     fenced call each, the fold one per [flush]. *)
   type handle = {
     d : domain;
     bh : B.handle;
@@ -116,6 +121,9 @@ module Impl : Smr_intf.SCHEME = struct
     mutable comp : int;
     mutable started : bool;
     section : unit -> int;
+    mutable n_traverses : int;
+    mutable n_steps : int;
+    mutable n_resumes : int;
   }
 
   (* A checkpoint: publish the live cursor into the buffer that does not
@@ -151,7 +159,7 @@ module Impl : Smr_intf.SCHEME = struct
      before it can help, which would livelock every thread behind a
      marked entry node whose remover lost its unlink CAS. *)
   let section h () =
-    Stats.Counter.incr h.d.tr_resumes;
+    h.n_resumes <- h.n_resumes + 1;
     let w = h.tw in
     if not h.started then begin
       w.init ();
@@ -181,16 +189,32 @@ module Impl : Smr_intf.SCHEME = struct
         comp = 0;
         started = false;
         section = (fun () -> section h ());
+        n_traverses = 0;
+        n_steps = 0;
+        n_resumes = 0;
       }
     in
     h
 
+  (* Publish the handle's traversal tallies.  A fiber crashed mid-run
+     never flushes, so its tallies go uncounted. *)
+  let fold_tallies h =
+    let d = h.d in
+    Stats.Counter.add d.tr_traverses h.n_traverses;
+    Stats.Counter.add d.tr_steps h.n_steps;
+    Stats.Counter.add d.tr_resumes h.n_resumes;
+    h.n_traverses <- 0;
+    h.n_steps <- 0;
+    h.n_resumes <- 0
+
   let unregister h =
+    fold_tallies h;
     B.unregister h.bh;
     H.unregister h.hh;
     Dom.on_unregister h.d.meta
 
   let flush h =
+    fold_tallies h;
     B.flush h.bh;
     H.flush h.hh
 
@@ -220,9 +244,10 @@ module Impl : Smr_intf.SCHEME = struct
 
   exception Restart
 
-  let op _ body =
-    let rec go () = try body () with Restart -> go () in
-    go ()
+  (* Nothing raises [Restart] here: a rollback unwinds to [crit], and no
+     structure raises it.  So an operation needs no retry frame, and
+     builds no retry closure. *)
+  let op _ body = body ()
 
   let crit h body = B.crit h.bh body
   let mask h body = B.mask h.bh body
@@ -260,19 +285,17 @@ module Impl : Smr_intf.SCHEME = struct
     if h.bufs0 != backup then h.bufs0 <- backup;
     if h.bufs1 != prot then h.bufs1 <- prot;
     h.started <- false;
-    (* The walker bumps [steps] per step; the difference is published once,
+    (* The walker bumps [steps] per step; the difference is tallied once,
        when the critical section exits (by return, [walk_fail] or
-       exception): a sharded-counter RMW per node would cost more than the
-       step it counts.  A fiber crashed mid-traversal never exits, so its
-       last section's steps go uncounted. *)
+       exception). *)
     let steps0 = w.steps in
-    Stats.Counter.incr h.d.tr_traverses;
+    h.n_traverses <- h.n_traverses + 1;
     match B.crit h.bh h.section with
     | r ->
-        Stats.Counter.add h.d.tr_steps (w.steps - steps0);
+        h.n_steps <- h.n_steps + w.steps - steps0;
         r = Smr_intf.walk_done
     | exception e ->
-        Stats.Counter.add h.d.tr_steps (w.steps - steps0);
+        h.n_steps <- h.n_steps + w.steps - steps0;
         raise e
 
   let stats d =

@@ -105,7 +105,8 @@ module Impl : Smr_intf.SCHEME = struct
     in
     if not ok then Smr_intf.walk_fail
     else begin
-      let r = w.walk h.d.max_steps in
+      (* A walk that cannot be resumed stays in this section to the end. *)
+      let r = w.walk (if w.resumable then h.d.max_steps else max_int) in
       if r <> Smr_intf.walk_fail then begin
         w.protect h.tprot;
         w.save 0

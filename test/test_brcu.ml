@@ -210,6 +210,95 @@ let test_defer_waits_for_cs () =
       Alcotest.(check bool)
         "no defer executed inside a live CS beyond bound" false !violation)
 
+(* [status] is owner-only: its handler runs in the owner's context (at
+   the owner's polls, or on its self-neutralization), so each case below
+   runs one thread, on either substrate, and must behave identically.
+   With one-task batches and a force threshold of 1, every [defer] flushes,
+   and from the second flush of a section on the section's own reader
+   lags the global epoch, so the flush neutralizes itself. *)
+let self_cfg = { Cfg.config with max_local_tasks = 1; force_threshold = 1 }
+
+let substrates =
+  [ ("fibers", Sched.Fibers { seed = 1; switch_every = 1 }); ("domains", Sched.Domains) ]
+
+let on_each_substrate ?(cfg = self_cfg) body () =
+  List.iter
+    (fun (name, mode) ->
+      reset ();
+      with_brcu ~cfg (fun bd ->
+          Sched.run mode ~nthreads:1 (fun _ ->
+              let h = B.register bd in
+              body name bd h;
+              Alcotest.(check bool) (name ^ ": status Out at the end") false (B.in_cs h);
+              B.unregister h)))
+    substrates
+
+let defer_fresh h =
+  let b = Alloc.block () in
+  Alloc.retire b;
+  B.defer h b
+
+(* Self-neutralized three times inside a mask: the mask body completes,
+   and exactly one rollback fires, at the mask's exit. *)
+let test_self_neutralization_in_mask =
+  on_each_substrate @@ fun name bd h ->
+  let runs = ref 0 and mask_done = ref 0 and after_mask = ref 0 in
+  B.crit h (fun () ->
+      incr runs;
+      if !runs = 1 then begin
+        B.mask h (fun () ->
+            for _ = 1 to 4 do
+              defer_fresh h
+            done;
+            incr mask_done);
+        incr after_mask
+      end);
+  let st = B.stats bd in
+  Alcotest.(check int) (name ^ ": self-signals") 3 st.Stats.signals;
+  Alcotest.(check int) (name ^ ": one rollback") 1 st.Stats.rollbacks;
+  Alcotest.(check int) (name ^ ": mask body completed") 1 !mask_done;
+  Alcotest.(check int) (name ^ ": rolled back at the mask's exit") 0 !after_mask;
+  Alcotest.(check int) (name ^ ": section re-ran once") 2 !runs
+
+(* A delivery while Out is acknowledged without a rollback, both when a
+   poll finds it and when the next section's entry consumes it. *)
+let test_out_delivery_quiet =
+  on_each_substrate @@ fun name bd h ->
+  let box = h.B.l.B.box in
+  let post () =
+    ignore (Hpbrcu_runtime.Signal.send box ~is_out:(fun () -> true) : Hpbrcu_runtime.Signal.outcome)
+  in
+  post ();
+  B.poll h;
+  post ();
+  let runs = ref 0 in
+  B.crit h (fun () ->
+      incr runs;
+      B.poll h);
+  Alcotest.(check int) (name ^ ": both deliveries acknowledged") 2
+    (Hpbrcu_runtime.Signal.delivered box);
+  Alcotest.(check int) (name ^ ": no rollback") 0 (B.stats bd).Stats.rollbacks;
+  Alcotest.(check int) (name ^ ": section ran once") 1 !runs
+
+(* A rollback in a bare section — no mask, or a mask with abort-masking
+   off — aborts the section at the self-neutralization itself, and the
+   re-run leaves the reader Out. *)
+let test_bare_rollback cfg ~masked =
+  on_each_substrate ~cfg @@ fun name bd h ->
+  let runs = ref 0 and torn = ref true in
+  let defers () =
+    for _ = 1 to 4 do
+      defer_fresh h
+    done;
+    torn := false
+  in
+  B.crit h (fun () ->
+      incr runs;
+      if !runs = 1 then if masked then B.mask h defers else defers ());
+  Alcotest.(check bool) (name ^ ": aborted mid-body") true !torn;
+  Alcotest.(check int) (name ^ ": one rollback") 1 (B.stats bd).Stats.rollbacks;
+  Alcotest.(check int) (name ^ ": section re-ran once") 2 !runs
+
 (* The §5 bound: with G = max_local_tasks × force_threshold, N threads and
    H shields, peak unreclaimed ≤ 2GN + GN² + H (we run HP-BRCU under churn
    and check the measured peak against the formula). *)
@@ -255,16 +344,20 @@ module Counting_steps (S : Hpbrcu_core.Smr_intf.S) = struct
   include S
   module SI = Hpbrcu_core.Smr_intf
 
-  let calls = ref 0
+  (* Totals across every thread: steps, traversals, and section runs
+     (each begins with [init] or [restore]). *)
+  let calls = Atomic.make 0
+  let traversals = Atomic.make 0
+  let resumes = Atomic.make 0
   let fail_at = ref 0
 
   let counting (w : S.shield SI.walker) =
     let rec walk (c : S.shield SI.walker) n =
       if n = 0 then SI.walk_more
       else begin
-        incr calls;
+        let call = Atomic.fetch_and_add calls 1 + 1 in
         c.steps <- c.steps + 1;
-        if !calls = !fail_at then SI.walk_fail
+        if call = !fail_at then SI.walk_fail
         else
           let r = w.walk 1 in
           if r = SI.walk_more then walk c (n - 1) else r
@@ -272,17 +365,33 @@ module Counting_steps (S : Hpbrcu_core.Smr_intf.S) = struct
     in
     let rec c =
       {
-        SI.init = w.init;
+        SI.init =
+          (fun () ->
+            Atomic.incr resumes;
+            w.init ());
         walk = (fun n -> walk c n);
         save = w.save;
-        restore = w.restore;
+        restore =
+          (fun i ->
+            Atomic.incr resumes;
+            w.restore i);
         protect = w.protect;
+        resumable = w.resumable;
         steps = 0;
       }
     in
     c
 
-  let traverse h ~prot ~backup w = S.traverse h ~prot ~backup (counting w)
+  let traverse h ~prot ~backup w =
+    Atomic.incr traversals;
+    S.traverse h ~prot ~backup (counting w)
+
+  (* The scheme's published counters equal the walker's totals. *)
+  let exact what =
+    let st = S.stats () in
+    Alcotest.(check int) (what ^ ": steps") (Atomic.get calls) st.Stats.traverse_steps;
+    Alcotest.(check int) (what ^ ": traverses") (Atomic.get traversals) st.Stats.traverses;
+    Alcotest.(check int) (what ^ ": resumes") (Atomic.get resumes) st.Stats.traverse_resumes
 end
 
 let test_traverse_steps_exact () =
@@ -305,21 +414,19 @@ let test_traverse_steps_exact () =
         body tid s;
         L.close_session s)
   in
-  let exact what =
-    Alcotest.(check int) what !C.calls (D.S.stats ()).Stats.traverse_steps
-  in
+  let exact = C.exact in
   fibers 1 (fun _ s ->
       for k = 0 to 127 do
         ignore (L.insert t s (2 * k) 0 : bool)
       done);
   exact "prefill";
-  let before = !C.calls in
+  let before = Atomic.get C.calls in
   fibers 1 (fun _ s -> Alcotest.(check bool) "get" true (L.get t s 200));
-  Alcotest.(check bool) "get walked the list" true (!C.calls - before > 100);
+  Alcotest.(check bool) "get walked the list" true (Atomic.get C.calls - before > 100);
   exact "plain get";
-  C.fail_at := !C.calls + 50;
+  C.fail_at := Atomic.get C.calls + 50;
   fibers 1 (fun _ s -> Alcotest.(check bool) "get after Fail" true (L.get t s 200));
-  Alcotest.(check bool) "walk answered fail" true (!C.calls > !C.fail_at);
+  Alcotest.(check bool) "walk answered fail" true (Atomic.get C.calls > !C.fail_at);
   exact "fail";
   (* A reader walking to the tail while a writer churns the head: the
      writer's forced advances neutralize the lagging reader mid-walk. *)
@@ -333,6 +440,84 @@ let test_traverse_steps_exact () =
   Alcotest.(check bool) "a traversal was rolled back" true
     (st.Stats.rollbacks > 0 && st.Stats.traverse_resumes > st.Stats.traverses);
   exact "rollback"
+
+(* The same totals on two real domains: each handle tallies into plain
+   fields and folds them into the domain's counters when its session
+   closes, so once both sessions are closed the counters are exact. *)
+let test_traverse_steps_exact_domains () =
+  reset ();
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  let config =
+    { Config.default with batch = 4; max_local_tasks = 4; force_threshold = 1 }
+  in
+  Schemes.with_domain (fst (Schemes.find "HP-BRCU"), config) @@ fun (module D) ->
+  let module C = Counting_steps (D.S) in
+  let module L = Hpbrcu_ds.Harris_list.Make_hhs (C) in
+  let t = L.create () in
+  Sched.run Sched.Domains ~nthreads:2 (fun tid ->
+      let s = L.session t in
+      if tid = 0 then
+        for k = 0 to 127 do
+          ignore (L.insert t s (2 * k) 0 : bool)
+        done;
+      L.close_session s);
+  C.exact "prefill";
+  Sched.run Sched.Domains ~nthreads:2 (fun tid ->
+      let s = L.session t in
+      for i = 1 to 300 do
+        if tid = 0 then ignore (L.get t s 255 : bool)
+        else if i land 1 = 0 then ignore (L.insert t s 1 0 : bool)
+        else ignore (L.remove t s 1 : bool)
+      done;
+      L.close_session s);
+  Alcotest.(check bool) "traversals ran" true (Atomic.get C.traversals > 600);
+  C.exact "two domains"
+
+(* The fold points: a handle's tallies reach the domain's counters at
+   [flush] and at [unregister], not before. *)
+let test_tallies_fold_points () =
+  reset ();
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  Schemes.with_domain (Schemes.find "HP-BRCU") @@ fun (module D) ->
+  let module SI = Hpbrcu_core.Smr_intf in
+  let counts () =
+    let st = D.S.stats () in
+    (st.Stats.traverses, st.Stats.traverse_steps, st.Stats.traverse_resumes)
+  in
+  let check what expected =
+    Alcotest.(check (triple int int int)) what expected (counts ())
+  in
+  Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:1 (fun _ ->
+      let h = D.S.register () in
+      let prot = [| D.S.new_shield h |] and backup = [| D.S.new_shield h |] in
+      (* Two steps per traversal, one section run each. *)
+      let rec w =
+        {
+          SI.init = ignore;
+          walk =
+            (fun _ ->
+              w.SI.steps <- w.SI.steps + 2;
+              SI.walk_done);
+          save = ignore;
+          restore = (fun _ -> true);
+          protect = ignore;
+          resumable = true;
+          steps = 0;
+        }
+      in
+      let traverse n =
+        for _ = 1 to n do
+          Alcotest.(check bool) "done" true (D.S.traverse h ~prot ~backup w)
+        done
+      in
+      traverse 5;
+      check "before flush" (0, 0, 0);
+      D.S.flush h;
+      check "after flush" (5, 10, 5);
+      traverse 3;
+      check "between" (5, 10, 5);
+      D.S.unregister h;
+      check "after unregister" (8, 16, 8))
 
 (* The walker's budgets are invisible to the answers: a seeded
    single-threaded op sequence gives the same answers and the same final
@@ -388,18 +573,12 @@ let test_budgets_invisible () =
     (fun scheme ->
       List.iter
         (fun (ds, m) ->
-          (* EFRB cannot revalidate a checkpoint (every resume restarts
-             the search), so under HP-RCU a search deeper than
-             [max_steps] never completes: with one-step phases, no
-             search does.  The budget is visible there by design. *)
-          if not (ds = "EFRB-BST" && scheme = "HP-RCU") then begin
-            let what = Printf.sprintf "%s(%s)" ds scheme in
-            let a, c = answers ~scheme ~config:Config.default m in
-            let a1, c1 = answers ~scheme ~config:one m in
-            Alcotest.(check (list bool)) (what ^ " answers") a a1;
-            Alcotest.(check (list int)) (what ^ " contents") c c1;
-            Alcotest.(check bool) (what ^ " not empty") true (c <> [])
-          end)
+          let what = Printf.sprintf "%s(%s)" ds scheme in
+          let a, c = answers ~scheme ~config:Config.default m in
+          let a1, c1 = answers ~scheme ~config:one m in
+          Alcotest.(check (list bool)) (what ^ " answers") a a1;
+          Alcotest.(check (list int)) (what ^ " contents") c c1;
+          Alcotest.(check bool) (what ^ " not empty") true (c <> []))
         structures)
     [ "NR"; "HP-RCU"; "HP-BRCU" ]
 
@@ -446,10 +625,20 @@ let () =
           Alcotest.test_case "mask-defers" `Quick test_mask_defers_rollback;
           Alcotest.test_case "defer-waits" `Quick test_defer_waits_for_cs;
         ] );
+      ( "owner-status",
+        [
+          Alcotest.test_case "self-signal-in-mask" `Quick test_self_neutralization_in_mask;
+          Alcotest.test_case "out-delivery-quiet" `Quick test_out_delivery_quiet;
+          Alcotest.test_case "bare-rollback" `Quick (test_bare_rollback self_cfg ~masked:false);
+          Alcotest.test_case "unmasked-rollback" `Quick
+            (test_bare_rollback { self_cfg with abort_masking = false } ~masked:true);
+        ] );
       ("bound", [ Alcotest.test_case "2GN+GN2+H" `Quick test_hpbrcu_bound ]);
       ( "traverse",
         [
           Alcotest.test_case "steps-exact" `Quick test_traverse_steps_exact;
+          Alcotest.test_case "steps-exact-domains" `Quick test_traverse_steps_exact_domains;
+          Alcotest.test_case "tallies-fold-points" `Quick test_tallies_fold_points;
           Alcotest.test_case "budgets-invisible" `Quick test_budgets_invisible;
           Alcotest.test_case "session-follows-structure" `Quick
             test_session_follows_structure;

@@ -1,6 +1,88 @@
 (* HashMap: HHSList buckets for optimistic schemes, HMList buckets for HP
    (as in the paper's benchmark suite). *)
 
+module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
+module Link = Hpbrcu_core.Link
+module Rng = Hpbrcu_runtime.Rng
+
+(* VBR recycles a freed node through its list's pool, and each bucket list
+   keeps its own pool, so a node freed from bucket i must only ever come
+   back in bucket i.  This wrapper records, per block id, the bucket whose
+   operation first reached it ([bucket] is set by the test before each
+   operation), and counts blocks reached again in another bucket, and
+   blocks reached again after their retirement (reuses). *)
+module Track (S : Hpbrcu_core.Smr_intf.S) = struct
+  include S
+
+  let bucket = ref (-1)
+  let home : (int, int) Hashtbl.t = Hashtbl.create 256
+  let freed : (int, unit) Hashtbl.t = Hashtbl.create 64
+  let strays = ref 0
+  let reuses = ref 0
+
+  let note blk =
+    let id = Block.id blk in
+    if id >= 0 then begin
+      (match Hashtbl.find_opt home id with
+      | Some b -> if b <> !bucket then incr strays
+      | None -> Hashtbl.add home id !bucket);
+      if Hashtbl.mem freed id then begin
+        Hashtbl.remove freed id;
+        incr reuses
+      end
+    end
+
+  let read h sh ~src ~hdr cell =
+    note src;
+    let l = S.read h sh ~src ~hdr cell in
+    (match l with Link.Ptr { target; _ } -> note (hdr target) | Link.Null _ -> ());
+    l
+
+  let deref h blk =
+    note blk;
+    S.deref h blk
+
+  let retire h ?free ?patch ?claimed blk =
+    S.retire h ?free ?patch ?claimed blk;
+    Hashtbl.replace freed (Block.id blk) ()
+end
+
+let test_vbr_reuse_stays_in_bucket () =
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  (* A short era (4 retirements) lets the pools hand nodes back often. *)
+  let config = { Hpbrcu_core.Config.default with batch = 4 } in
+  Schemes.with_domain (fst (Schemes.find "VBR"), config) @@ fun (module D) ->
+  Alloc.reset ();
+  Alloc.set_strict true;
+  let module T = Track (D.S) in
+  let module M = Hpbrcu_ds.Hashmap.Make_gen (Hpbrcu_ds.Harris_list.Make_hhs) (T) in
+  let t = M.create_sized 4 in
+  let index k =
+    let b = M.bucket t k in
+    let rec find i = if t.M.buckets.(i) == b then i else find (i + 1) in
+    find 0
+  in
+  let s = M.session t in
+  let rng = Rng.create ~seed:5 in
+  for _ = 1 to 4000 do
+    let k = Rng.int rng 64 in
+    T.bucket := index k;
+    ignore
+      (if Rng.bool rng then M.insert t s k k else M.remove t s k : bool)
+  done;
+  Array.iteri
+    (fun i b ->
+      T.bucket := i;
+      M.L.cleanup b s)
+    t.M.buckets;
+  M.close_session s;
+  Alcotest.(check bool) "nodes were reused" true (!T.reuses > 100);
+  Alcotest.(check int) "blocks reached outside their home bucket" 0 !T.strays;
+  let clean, msg = Alloc.census () in
+  Alcotest.(check bool) ("census: " ^ msg) true clean;
+  Alcotest.(check int) "nothing unreclaimed" 0 (Alloc.stats ()).Alloc.unreclaimed
+
 let () =
   let mk_hhs (module S : Hpbrcu_core.Smr_intf.S) =
     (module Hpbrcu_ds.Hashmap.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
@@ -14,4 +96,9 @@ let () =
       ( "hm-buckets",
         Test_util.standard_cases ~make:mk_hm
           [ "HP"; "HE"; "IBR" ] );
+      ( "vbr",
+        [
+          Alcotest.test_case "reuse-stays-in-bucket" `Quick
+            test_vbr_reuse_stays_in_bucket;
+        ] );
     ]
