@@ -75,11 +75,12 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
 gate hpbench-smoke hpbench_smoke
 
 # Fiber-golden gate: fiber runs are pure functions of the seed, so the
-# HP-BRCU event traces of one seed on HHSList and NMTree must match the
-# committed goldens under repros/golden/ byte for byte.  A read-path
-# change that moves a yield, a checkpoint or a block id fails here.
+# HP-BRCU event traces of one seed on HList, HHSList, HMList, HashMap and
+# NMTree must match the committed goldens under repros/golden/ byte for
+# byte.  A read-path or node-layout change that moves a yield, a
+# checkpoint or a block id fails here.
 fiber_golden() {
-  for ds in HHSList NMTree; do
+  for ds in HList HHSList HMList HashMap NMTree; do
     golden="repros/golden/trace-hp-brcu-$(printf '%s' "$ds" | tr 'A-Z' 'a-z')-seed1.txt"
     out="/tmp/smrbench.ci.golden.$ds.txt"
     dune exec bin/smrbench.exe -- trace --scheme HP-BRCU --ds "$ds" \
@@ -91,6 +92,48 @@ fiber_golden() {
   done
 }
 gate fiber-golden fiber_golden
+
+# Field-0 audit gate (DESIGN.md §9): a "%identity" external that views a
+# record as an Atomic.t reads, stores and CASes the record's field 0, so
+# it is memory-safe only while field 0 is the field the view's type
+# names.  The allowlist is Block.cell (a header's word) and the next_cell
+# of the three list nodes, and each of their records must declare the
+# viewed field first.  Any other "%identity" under lib/, a missing or
+# extra view, or a reordered record fails, naming the file.
+field0_view() {
+  # field0_view FILE TYPE FIRST-FIELD VIEW
+  views="$(grep -F '"%identity"' "$1" | sed 's/^ *//')"
+  if [ "$views" != "$4" ]; then
+    echo "check.sh: $1: expected exactly one \"%identity\" view: $4" >&2
+    return 1
+  fi
+  if ! awk -v ty="$2" -v field="$3" '
+    $0 ~ "^ *type " ty " = [{] *$" { getline; sub(/^ */, ""); n++; bad += ($0 != field) }
+    END { exit !(n == 1 && bad == 0) }' "$1"; then
+    echo "check.sh: $1: type $2 must declare '$3' as its first field" >&2
+    return 1
+  fi
+}
+field0_audit() {
+  ok=0
+  for f in $(grep -rlF '"%identity"' lib --include='*.ml'); do
+    case $f in
+      lib/alloc/block.ml | lib/ds/harris_list.ml | lib/ds/hm_list.ml | lib/ds/lazy_list.ml) ;;
+      *)
+        echo "check.sh: $f: \"%identity\" outside the field-0 allowlist" >&2
+        ok=1
+        ;;
+    esac
+  done
+  field0_view lib/alloc/block.ml t 'mutable word : int;' \
+    'external cell : t -> int Atomic.t = "%identity"' || ok=1
+  for f in lib/ds/harris_list.ml lib/ds/hm_list.ml lib/ds/lazy_list.ml; do
+    field0_view "$f" node 'mutable next_ : node Link.t;' \
+      'external next_cell : node -> node Link.cell = "%identity"' || ok=1
+  done
+  return $ok
+}
+gate field0-audit field0_audit
 
 # Chaos smoke gate: the full scheme matrix under every fault plan, three
 # seeds, with the traced determinism probes.  Exits non-zero on any

@@ -63,9 +63,9 @@ type t = {
           per-retire closure. *)
 }
 
-(** The atomic view of [word] (field 0).  The only representation cast in
-    the library; every field of [t] is an immediate, so no write through
-    the view can bypass the GC's write barrier. *)
+(** The atomic view of [word] (field 0).  One of the library's four
+    field-0 views (DESIGN.md §9, "the field-0 rule"), with the list nodes'
+    [next_cell]s: [word] must stay the first field of [t]. *)
 external cell : t -> int Atomic.t = "%identity"
 
 let state_mask = 3

@@ -3,7 +3,9 @@
     Lock-free lists and trees mark nodes for logical deletion by setting tag
     bits inside the {e successor pointer} ("pointer tagging").  C/Rust steal
     low pointer bits; in OCaml a link is an immutable block holding the
-    target and the tag, stored in an [Atomic.t]:
+    target and the tag, stored in a {!cell}: an [Atomic.t] of its own, or
+    field 0 of a list node viewed as one (DESIGN.md §9, "the field-0
+    rule"):
 
     - a link {e load} returns the block;
     - a link {e CAS} compares the block by {b physical equality}, so the

@@ -32,14 +32,22 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   (* [pool] is the list's free pool, shared by all of its nodes: only the
      recycling branches read it, and keeping it in every node lets the
      list itself be its head node (a HashMap bucket slot then points
-     straight at the head, one dependent load fewer per operation). *)
+     straight at the head, one dependent load fewer per operation).
+
+     A node is its own [next] cell (DESIGN.md §9, "objects per hop"):
+     [next_] must stay field 0, and it is read, set and CAS'd only through
+     {!next_cell}, so a hop goes node -> link -> node with no [Atomic.t]
+     box in between. *)
   type node = {
+    mutable next_ : node Link.t;
     blk : Block.t;
     mutable key : int;
     mutable value : int;
-    next : node Link.cell;
     pool : node Pool.t;
   }
+
+  (* The atomic view of [next_], as {!Block.cell} is of a header's word. *)
+  external next_cell : node -> node Link.cell = "%identity"
 
   let blk n = n.blk
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
@@ -85,10 +93,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
 
   let create () =
     {
+      next_ = Link.null_tagged 0;
       blk = Alloc.block ();
       key = min_int;
       value = 0;
-      next = Link.null_cell ();
       pool = (if S.recycles then Pool.create () else unused_pool);
     }
 
@@ -105,7 +113,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
             Alloc.reanimate n.blk ~era:(S.current_era ());
             n.key <- key;
             n.value <- value;
-            Link.set n.next Link.null;
+            Link.set (next_cell n) Link.null;
             Some n
         | Some n ->
             Pool.release t.pool n;
@@ -117,7 +125,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     | None ->
         let b = Alloc.block ~recyclable:S.recycles () in
         Block.set_birth_era b ~era:(S.current_era ());
-        { blk = b; key; value; next = Link.null_cell (); pool = t.pool }
+        { next_ = Link.null_tagged 0; blk = b; key; value; pool = t.pool }
 
   (* A node that was allocated but never published: recyclers take it back
      into the pool; everyone else must tell the allocator it was abandoned,
@@ -149,10 +157,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     match c.node with
     | Link.Ptr { target = n; _ } ->
         Alloc.check_access n.blk;
-        not (Link.is_marked (Link.get n.next))
+        not (Link.is_marked (Link.get (next_cell n)))
     | Link.Null _ ->
         Alloc.check_access c.left.blk;
-        not (Link.is_marked (Link.get c.left.next))
+        not (Link.is_marked (Link.get (next_cell c.left)))
 
   let copy_cursor ~src ~dst =
     dst.left <- src.left;
@@ -166,7 +174,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
       | Link.Null _ -> ()
       | Link.Ptr { target = x; _ } when Link.points_to stop x -> ()
       | Link.Ptr { target = x; _ } ->
-          let nx = Link.get x.next in
+          let nx = Link.get (next_cell x) in
           S.retire s.h x.blk ~patch:(patch_of nx)
             ?free:(Pool.free_hook ~recycles:S.recycles x.pool x);
           go nx
@@ -181,14 +189,14 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     S.protect s.mask1 (link_blk c.node);
     let desired = Link.with_tag c.node 0 in
     S.mask s.h (fun () ->
-        if Link.cas c.left.next ~expected:c.left_next ~desired then begin
+        if Link.cas (next_cell c.left) ~expected:c.left_next ~desired then begin
           retire_chain s ~from:c.left_next ~stop:c.node;
           Some desired
         end
         else None)
 
   let init_cursor t s =
-    let ln = scratch_read s ~src:Block.none t.next in
+    let ln = scratch_read s ~src:Block.none (next_cell t) in
     let cursor () = { left = t; left_next = ln; node = ln } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -229,7 +237,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
             finish_snip s left left_next node false
           else finish s left left_next node false
       | Link.Ptr { target = tnode; _ } ->
-          let t_next = scratch_read s ~src:tnode.blk tnode.next in
+          let t_next = scratch_read s ~src:tnode.blk (next_cell tnode) in
           if Link.is_marked t_next then
             (* t is logically deleted: walk past it. *)
             walk s key (n - 1) left left_next t_next
@@ -318,9 +326,9 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
             (* After a helping search, left and right are adjacent:
                left_next's target is right (or null). *)
             let c = s.live in
-            Link.set n.next (Link.with_tag c.left_next 0);
+            Link.set (next_cell n) (Link.with_tag c.left_next 0);
             let desired = Link.ptr n in
-            if Link.cas c.left.next ~expected:c.left_next ~desired then true
+            if Link.cas (next_cell c.left) ~expected:c.left_next ~desired then true
             else go ()
           end
         in
@@ -334,10 +342,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
           else
             let left = s.live.left and left_next = s.live.left_next in
             let right = Link.target_exn left_next in
-            let r_next = scratch_read s ~src:right.blk right.next in
+            let r_next = scratch_read s ~src:right.blk (next_cell right) in
             if Link.is_marked r_next then go ()
             else if
-              Link.cas right.next ~expected:r_next
+              Link.cas (next_cell right) ~expected:r_next
                 ~desired:(Link.with_tag r_next 1)
             then begin
               (* Try to unlink immediately; otherwise later searches snip. *)
@@ -345,7 +353,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
               S.protect s.mask1 right.blk;
               let desired = Link.with_tag r_next 0 in
               S.mask s.h (fun () ->
-                  if Link.cas left.next ~expected:left_next ~desired then
+                  if Link.cas (next_cell left) ~expected:left_next ~desired then
                     S.retire s.h right.blk ~patch:(patch_of r_next)
                       ?free:(Pool.free_hook ~recycles:S.recycles right.pool right));
               true

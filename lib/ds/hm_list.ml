@@ -25,14 +25,22 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* [pool] is the list's free pool, shared by all of its nodes: only the
      recycling branches read it, and keeping it in every node lets the
      list itself be its head node (a HashMap bucket slot then points
-     straight at the head, one dependent load fewer per operation). *)
+     straight at the head, one dependent load fewer per operation).
+
+     A node is its own [next] cell (DESIGN.md §9, "objects per hop"):
+     [next_] must stay field 0, and it is read, set and CAS'd only through
+     {!next_cell}, so a hop goes node -> link -> node with no [Atomic.t]
+     box in between. *)
   type node = {
+    mutable next_ : node Link.t;
     blk : Block.t;
     mutable key : int;  (* mutable only for pool reuse (VBR) *)
     mutable value : int;
-    next : node Link.cell;
     pool : node Pool.t;
   }
+
+  (* The atomic view of [next_], as {!Block.cell} is of a header's word. *)
+  external next_cell : node -> node Link.cell = "%identity"
 
   let blk n = n.blk
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
@@ -72,10 +80,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let create () =
     {
+      next_ = Link.null_tagged 0;
       blk = Alloc.block ();
       key = min_int;
       value = 0;
-      next = Link.null_cell ();
       pool = (if S.recycles then Pool.create () else unused_pool);
     }
 
@@ -95,7 +103,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             Alloc.reanimate n.blk ~era:(S.current_era ());
             n.key <- key;
             n.value <- value;
-            Link.set n.next Link.null;
+            Link.set (next_cell n) Link.null;
             Some n
         | Some n ->
             Pool.release t.pool n;
@@ -107,7 +115,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     | None ->
         let b = Alloc.block ~recyclable:S.recycles () in
         Block.set_birth_era b ~era:(S.current_era ());
-        { blk = b; key; value; next = Link.null_cell (); pool = t.pool }
+        { next_ = Link.null_tagged 0; blk = b; key; value; pool = t.pool }
 
   (* A node that was allocated but never published: recyclers take it back
      into the pool; everyone else must tell the allocator it was abandoned,
@@ -147,17 +155,17 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     match c.pnext with
     | Link.Null _ ->
         Alloc.check_access c.prev.blk;
-        not (Link.is_marked (Link.get c.prev.next))
+        not (Link.is_marked (Link.get (next_cell c.prev)))
     | Link.Ptr { target = cur; _ } ->
         Alloc.check_access cur.blk;
-        not (Link.is_marked (Link.get cur.next))
+        not (Link.is_marked (Link.get (next_cell cur)))
 
   let copy_cursor ~src ~dst =
     dst.prev <- src.prev;
     dst.pnext <- src.pnext
 
   let init_cursor t s =
-    let pnext = scratch_read s ~src:Block.none t.next in
+    let pnext = scratch_read s ~src:Block.none (next_cell t) in
     let cursor () = { prev = t; pnext } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -180,7 +188,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.protect s.mask0 prev.blk;
     S.protect s.mask1 cur.blk;
     S.mask s.h (fun () ->
-        if Link.cas prev.next ~expected:pnext ~desired then begin
+        if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
           S.retire s.h cur.blk ~patch:(patch_of next)
             ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur);
           true
@@ -196,7 +204,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       match pnext with
       | Link.Null _ -> finish s prev pnext false (* reached the end: key absent *)
       | Link.Ptr { target = cur; _ } ->
-          let next = scratch_read s ~src:cur.blk cur.next in
+          let next = scratch_read s ~src:cur.blk (next_cell cur) in
           if Link.is_marked next then begin
             let desired = Link.with_tag next 0 in
             if help_unlink s prev pnext cur next desired then
@@ -277,9 +285,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           end
           else begin
             let c = s.live in
-            Link.set n.next (Link.with_tag c.pnext 0);
+            Link.set (next_cell n) (Link.with_tag c.pnext 0);
             let desired = Link.ptr n in
-            if Link.cas c.prev.next ~expected:c.pnext ~desired then true
+            if Link.cas (next_cell c.prev) ~expected:c.pnext ~desired then true
             else go ()
           end
         in
@@ -293,16 +301,16 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           else
             let prev = s.live.prev and pnext = s.live.pnext in
             let cur = Link.target_exn pnext in
-            let next = scratch_read s ~src:cur.blk cur.next in
+            let next = scratch_read s ~src:cur.blk (next_cell cur) in
             if Link.is_marked next then go ()  (* lost the race *)
             else if
               (* Logical deletion: mark cur's next link. *)
-              Link.cas cur.next ~expected:next ~desired:(Link.with_tag next 1)
+              Link.cas (next_cell cur) ~expected:next ~desired:(Link.with_tag next 1)
             then begin
               (* Physical deletion; on failure a helping traversal will
                  finish the job (and retire the node). *)
               let desired = Link.with_tag next 0 in
-              if Link.cas prev.next ~expected:pnext ~desired then
+              if Link.cas (next_cell prev) ~expected:pnext ~desired then
                 S.retire s.h cur.blk ~patch:(patch_of next)
                   ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur)
               else search t s key;

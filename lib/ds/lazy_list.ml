@@ -25,14 +25,20 @@ open Hpbrcu_core.Smr_intf
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "LazyList(" ^ S.name ^ ")"
 
+  (* A node is its own [next] cell (DESIGN.md §9, "objects per hop"):
+     [next_] must stay field 0, and it is read and set only through
+     {!next_cell}. *)
   type node = {
+    mutable next_ : node Link.t;
     blk : Block.t;
     mutable key : int;
     mutable value : int;
-    next : node Link.cell;
     lock : bool Atomic.t;
     marked : bool Atomic.t;  (* logical deletion flag (not a link tag) *)
   }
+
+  (* The atomic view of [next_], as {!Block.cell} is of a header's word. *)
+  external next_cell : node -> node Link.cell = "%identity"
 
   let blk n = n.blk
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
@@ -59,10 +65,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let mk_node ?(recyclable = false) key value =
     {
+      next_ = Link.null_tagged 0;
       blk = Alloc.block ~recyclable ();
       key;
       value;
-      next = Link.null_cell ();
       lock = Atomic.make false;
       marked = Atomic.make false;
     }
@@ -82,7 +88,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             Alloc.reanimate n.blk ~era:(S.current_era ());
             n.key <- key;
             n.value <- value;
-            Link.set n.next Link.null;
+            Link.set (next_cell n) Link.null;
             Atomic.set n.lock false;
             Atomic.set n.marked false;
             Some n
@@ -148,7 +154,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.pnext <- src.pnext
 
   let init_cursor t s =
-    let pnext = scratch_read s ~src:Block.none t.head.next in
+    let pnext = scratch_read s ~src:Block.none (next_cell t.head) in
     let cursor () = { prev = t.head; pnext } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -176,7 +182,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       | Link.Ptr { target = cur; _ } ->
           let k = key_of s cur in
           if k < key then
-            walk s key (n - 1) cur (scratch_read s ~src:cur.blk cur.next)
+            walk s key (n - 1) cur (scratch_read s ~src:cur.blk (next_cell cur))
           else finish s prev pnext (k = key && not (Atomic.get cur.marked))
     end
 
@@ -226,7 +232,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Heller et al.'s two-node validation, under locks. *)
   let validate_locked prev cur_opt pnext =
     (not (Atomic.get prev.marked))
-    && Link.get prev.next == pnext
+    && Link.get (next_cell prev) == pnext
     && match cur_opt with Some c -> not (Atomic.get c.marked) | None -> true
 
   (* ---------------- operations ---------------- *)
@@ -256,8 +262,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                       when cur.key = key && not (Atomic.get cur.marked) ->
                         `Present
                     | _ ->
-                        Link.set n.next (Link.with_tag c.pnext 0);
-                        Link.set c.prev.next (Link.ptr n);
+                        Link.set (next_cell n) (Link.with_tag c.pnext 0);
+                        Link.set (next_cell c.prev) (Link.ptr n);
                         `Inserted)
             in
             match outcome with
@@ -283,14 +289,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                   else begin
                     (* Logical then physical deletion, both under locks. *)
                     Atomic.set cur.marked true;
-                    Link.set c.prev.next (Link.get cur.next);
+                    Link.set (next_cell c.prev) (Link.get (next_cell cur));
                     `Removed
                   end)
             in
             match outcome with
             | `Removed ->
                 S.retire s.h cur.blk
-                  ~patch:(match Link.get cur.next with
+                  ~patch:(match Link.get (next_cell cur) with
                          | Link.Null _ -> []
                          | Link.Ptr { target = nx; _ } -> [ nx.blk ])
                   ?free:(Pool.free_hook ~recycles:S.recycles t.pool cur);

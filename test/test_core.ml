@@ -70,6 +70,86 @@ let test_link_same () =
     (Link.same l1 (Link.with_tag (Link.ptr (ref 1)) 2));
   Alcotest.(check bool) "null same" true (Link.same Link.null (Link.null_tagged 0))
 
+(* A record that is its own link cell, as a list node is: field 0 is the
+   link, read, set and CAS'd through an [Atomic.t] view of the record. *)
+type vnode = { mutable next_ : vnode Link.t; id : int }
+
+external vcell : vnode -> vnode Link.cell = "%identity"
+
+let vnode id = { next_ = Link.null_tagged 0; id }
+
+(* The target id (-1 for null) and the tag of [v]'s link. *)
+let loaded v =
+  match Link.get (vcell v) with
+  | Link.Ptr { target; tag } -> (target.id, tag)
+  | Link.Null { tag } -> (-1, tag)
+
+(* Young links to young targets, stored into a promoted record through the
+   view: only the view's write barrier keeps them reachable, and every
+   collection (a minor one moves them, a compaction moves the record too)
+   must leave the loads returning what was stored. *)
+let test_link_field0_gc () =
+  let holder = Sys.opaque_identity (vnode 0) in
+  Gc.full_major ();
+  let survives what want =
+    List.iter
+      (fun (name, collect) ->
+        collect ();
+        Alcotest.(check (pair int int)) (what ^ " after " ^ name) want (loaded holder))
+      [ ("minor", Gc.minor); ("full_major", Gc.full_major); ("compact", Gc.compact) ]
+  in
+  Link.set (vcell holder) (Link.with_tag (Link.ptr (vnode 1)) 1);
+  survives "set" (1, 1);
+  let expected = Link.get (vcell holder) in
+  Alcotest.(check bool) "cas succeeds" true
+    (Link.cas (vcell holder) ~expected ~desired:(Link.with_tag (Link.ptr (vnode 2)) 0));
+  survives "cas" (2, 0);
+  (* A young chain hung off the old record, linked through the view. *)
+  for id = 3 to 202 do
+    let n = vnode id in
+    Link.set (vcell n) (Link.get (vcell holder));
+    Link.set (vcell holder) (Link.ptr n)
+  done;
+  survives "chain head" (202, 0);
+  let rec ids acc v =
+    match Link.get (vcell v) with
+    | Link.Ptr { target; _ } -> ids (target.id :: acc) target
+    | Link.Null _ -> acc
+  in
+  Alcotest.(check (list int)) "chain" (List.init 201 (fun i -> i + 2)) (ids [] holder)
+
+(* Two domains CAS-prepend to one promoted chain through the view, with a
+   minor collection every few hundred CASes: no prepend is lost or
+   duplicated, so the chain is exactly as long as the successful CASes. *)
+let test_link_field0_domains () =
+  let head = Sys.opaque_identity (vnode 0) in
+  Gc.full_major ();
+  let attempts = 20_000 in
+  let prepend d () =
+    let wins = ref 0 in
+    for i = 1 to attempts do
+      let cur = Link.get (vcell head) in
+      let n = vnode ((d * attempts) + i) in
+      Link.set (vcell n) (Link.with_tag cur 0);
+      if Link.cas (vcell head) ~expected:cur ~desired:(Link.ptr n) then incr wins;
+      if i mod 300 = 0 then Gc.minor ()
+    done;
+    !wins
+  in
+  let other = Domain.spawn (prepend 1) in
+  let mine = prepend 0 () in
+  let wins = mine + Domain.join other in
+  Gc.compact ();
+  let rec length acc v =
+    match Link.get (vcell v) with
+    | Link.Ptr { target; tag } ->
+        Alcotest.(check int) "untagged" 0 tag;
+        length (acc + 1) target
+    | Link.Null _ -> acc
+  in
+  Alcotest.(check bool) "some CASes won" true (wins > 0);
+  Alcotest.(check int) "chain length = successful CASes" wins (length 0 head)
+
 let test_retired_batch () =
   Alloc.reset ();
   let t = Retired.create () in
@@ -213,6 +293,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_link_basics;
           Alcotest.test_case "cas-physical" `Quick test_link_cas_physical;
           Alcotest.test_case "same" `Quick test_link_same;
+          Alcotest.test_case "field0-view-gc" `Quick test_link_field0_gc;
+          Alcotest.test_case "field0-view-domains" `Quick test_link_field0_domains;
         ] );
       ( "retired",
         [

@@ -83,6 +83,61 @@ let test_vbr_reuse_stays_in_bucket () =
   Alcotest.(check bool) ("census: " ^ msg) true clean;
   Alcotest.(check int) "nothing unreclaimed" 0 (Alloc.stats ()).Alloc.unreclaimed
 
+(* An HHSList-bucket HashMap on two real domains, with a compaction
+   between two phases: the compaction moves every list node, each of
+   which is its own [next] cell, while other nodes hold links to it.
+   Workers own disjoint keys (worker [w] the keys [k] with [k mod 2 = w]),
+   so each checks every answer against its own model. *)
+let test_compaction_on_domains scheme () =
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  let module Sched = Hpbrcu_runtime.Sched in
+  Schemes.with_domain (Schemes.find scheme) @@ fun (module D) ->
+  Alloc.reset ();
+  Alloc.set_strict true;
+  let module M = Hpbrcu_ds.Hashmap.Make_gen (Hpbrcu_ds.Harris_list.Make_hhs) (D.S) in
+  let t = M.create_sized 64 in
+  let keys = 512 in
+  let present = Array.make keys false in
+  let wrong = Array.make 2 0 in
+  let phase seed =
+    Sched.run Sched.Domains ~nthreads:2 (fun w ->
+        let s = M.session t in
+        let rng = Rng.create ~seed:(seed + w) in
+        for _ = 1 to 3000 do
+          let k = (2 * Rng.int rng (keys / 2)) + w in
+          let got, want =
+            match Rng.int rng 3 with
+            | 0 -> (M.get t s k, present.(k))
+            | 1 ->
+                let want = not present.(k) in
+                present.(k) <- true;
+                (M.insert t s k k, want)
+            | _ ->
+                let want = present.(k) in
+                present.(k) <- false;
+                (M.remove t s k, want)
+          in
+          if got <> want then wrong.(w) <- wrong.(w) + 1
+        done;
+        M.close_session s)
+  in
+  phase 11;
+  Gc.compact ();
+  phase 21;
+  Alcotest.(check (array int)) "wrong answers per worker" [| 0; 0 |] wrong;
+  let s = M.session t in
+  Array.iteri
+    (fun k want -> Alcotest.(check bool) (Printf.sprintf "final get %d" k) want (M.get t s k))
+    present;
+  M.cleanup t s;
+  M.close_session s;
+  let clean, msg = Alloc.census () in
+  Alcotest.(check bool) ("census: " ^ msg) true clean;
+  Alcotest.(check bool) "blocks were retired" true ((Alloc.stats ()).Alloc.retired > 0);
+  D.teardown ();
+  Alcotest.(check int) "retired blocks surviving teardown" 0
+    (Alloc.current_unreclaimed ())
+
 let () =
   let mk_hhs (module S : Hpbrcu_core.Smr_intf.S) =
     (module Hpbrcu_ds.Hashmap.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
@@ -101,4 +156,9 @@ let () =
           Alcotest.test_case "reuse-stays-in-bucket" `Quick
             test_vbr_reuse_stays_in_bucket;
         ] );
+      ( "compaction-on-domains",
+        List.map
+          (fun scheme ->
+            Alcotest.test_case scheme `Quick (test_compaction_on_domains scheme))
+          [ "HP-BRCU"; "RCU" ] );
     ]
