@@ -1135,6 +1135,45 @@ module Reclaim_bench = struct
       gated = false;
     }
 
+  (* Run [f] inside a single spawned worker under the Domains backend.
+     [Gc.minor_words] inside the worker counts that domain's own minor
+     allocation (the main domain sits in [Domain.join] and allocates
+     nothing meanwhile), so the allocation gate is measured where the
+     work actually happens. *)
+  let in_domain (f : unit -> 'a) : 'a =
+    let module Sched = Hpbrcu_runtime.Sched in
+    let r = ref None in
+    Sched.run Sched.Domains ~nthreads:1 (fun _ -> r := Some (f ()));
+    Option.get !r
+
+  (* An unarmed [Sched.yield ()] inside a Domains worker: no fiber
+     scheduler, wall deadline or fault plan, so each yield is the inlined
+     test of the hooks word (DESIGN.md §9) that every mediated read pays.
+     Gated at zero words; its ns is reported, not gated. *)
+  let yield_kernel ~iters =
+    let module Sched = Hpbrcu_runtime.Sched in
+    let ops = 512 in
+    let cycle () =
+      for _ = 1 to ops do
+        Sched.yield ()
+      done
+    in
+    let ns, words =
+      in_domain (fun () ->
+          assert (Atomic.get Hpbrcu_runtime.Fault.hooks = 0);
+          warm_best ~iters cycle)
+    in
+    {
+      kernel = "yield";
+      scheme = "-";
+      hazards = 0;
+      iters;
+      ops_per_cycle = ops;
+      ns_per_op = ns /. float_of_int ops;
+      minor_words_per_op = words /. float_of_int ops;
+      gated = true;
+    }
+
   (* The P0484-style scoped guards (Smr_intf.Scoped): with_op/with_crit/
      with_mask are direct aliases of the underlying phase combinators, so
      the guard layer must add exactly nothing over the bare phases.  The
@@ -1314,6 +1353,7 @@ module Reclaim_bench = struct
       trace_emit_off_kernel ~iters:(it 2000);
       flight_emit_kernel ~iters:(it 2000);
       clock_ticks_kernel ~iters:(it 2000);
+      yield_kernel ~iters:(it 2000);
       block_alloc_kernel ~iters:(it 2000);
     ]
     @ List.concat_map
@@ -1423,17 +1463,6 @@ module Reclaim_bench = struct
     dom_ns : float;  (** ns/op inside a [Sched.run Domains] worker *)
     dom_words : float;  (** minor words/op measured inside the worker *)
   }
-
-  (* Run [f] inside a single spawned worker under the Domains backend.
-     [Gc.minor_words] inside the worker counts that domain's own minor
-     allocation (the main domain sits in [Domain.join] and allocates
-     nothing meanwhile), so the allocation gate is measured where the
-     work actually happens. *)
-  let in_domain (f : unit -> 'a) : 'a =
-    let module Sched = Hpbrcu_runtime.Sched in
-    let r = ref None in
-    Sched.run Sched.Domains ~nthreads:1 (fun _ -> r := Some (f ()));
-    Option.get !r
 
   (** [domain_parity ~quick] — re-runs the gated retire kernels and the
       epoch pin kernel inside a spawned domain and pairs each with its

@@ -57,6 +57,38 @@ no_opaque() {
 }
 gate no-opaque no_opaque
 
+# Read-inline gate (DESIGN.md §9): a per-node mediation is one inlined
+# load, so in the release objects of NR, EBR and HP-BRCU the read and
+# deref functions must not call Sched.yield or Sched.check_deadline out
+# of line (a call to Sched.yield_slow, taken only while a hook is armed,
+# is allowed).  Each module must have both functions, so a rename cannot
+# pass vacuously.
+read_inline() {
+  objs=_build/default/lib/schemes/.hpbrcu_schemes.objs/native
+  ok=0
+  for m in Nr Ebr Hp_brcu; do
+    o="$objs/hpbrcu_schemes__$m.o"
+    if ! objdump -dr "$o" | awk -v m="$m" '
+      /^[0-9a-f]+ <.*\.(read|deref)_[0-9]+>:$/ { inside = 1; found++; fn = $2; next }
+      /^[0-9a-f]+ </ { inside = 0 }
+      inside && /Sched[._]+(yield|check_deadline)_[0-9]+/ {
+        print "check.sh: " m " " fn " calls " $NF > "/dev/stderr"; bad = 1
+      }
+      END {
+        if (found != 2) print "check.sh: " m ": expected read and deref, found " found > "/dev/stderr"
+        exit (bad || found != 2)
+      }'; then
+      ok=1
+    fi
+  done
+  return $ok
+}
+if command -v objdump >/dev/null 2>&1; then
+  gate read-inline read_inline
+else
+  skip read-inline "objdump not installed"
+fi
+
 # Real-core benchmark smoke gate: one short hpbench run per workload
 # must give correct map answers with no failed operation (its own
 # census and teardown checks included), on the inlined build.

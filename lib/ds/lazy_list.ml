@@ -111,7 +111,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
-    s.rot <- (s.rot + 1) mod Array.length s.scratch;
+    let r = s.rot + 1 in
+    s.rot <- (if r = Array.length s.scratch then 0 else r);
     S.read s.h sh ~src ~hdr:blk cell
 
   let key_of s (n : node) =

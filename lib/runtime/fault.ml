@@ -82,14 +82,13 @@ let no_faults = { label = "none"; rules = [] }
 let counter_width = 257 (* tids -1..255, same layout as Stats shards *)
 
 (* All of this state is read from worker domains in domains mode, so none
-   of it may live in a bare ref: the plan and the on-flag are published by
+   of it may live in a bare ref: the plan and its hooks bit are published by
    [install] on the spawning domain, and the occurrence counters are
    advanced concurrently by every worker (each in its own tid slot, so
    the RMW below never contends in practice — it exists for the tid=-1
    "any" rules and for the memory model). *)
 let plan_ref = Atomic.make no_faults
 let counters : int Atomic.t array array Atomic.t = Atomic.make [||]
-let on = Atomic.make false
 
 (* Injected-fault tallies, reset by [install]. *)
 let n_stalls = Atomic.make 0
@@ -119,8 +118,32 @@ let total_injected () =
   let i = injected () in
   i.stalls + i.crashes + i.drops + i.delays + i.pool_misses
 
+(* ------------------------------------------------------------------ *)
+(* The hooks word                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* {!Sched.yield} runs on every mediated read, so on real cores its
+   unarmed path must be one inlined load.  [hooks] has one bit per hook
+   that makes a yield do anything, set exactly while that hook is armed:
+   a fiber scheduler is running ({!Sched.run_fibers}), a wall deadline is
+   armed ({!Sched.set_deadline}), or a plan with rules is installed
+   ({!install}).  Tick deadlines act only under fibers, so they need no
+   bit.  The word lives here, in the lowest module that arms a hook. *)
+let hooks = Atomic.make 0
+
+let hook_fibers = 1
+let hook_deadline = 2
+let hook_fault = 4
+
+(** [set_hook bit armed] sets or clears [bit] in {!hooks}.  A CAS loop, so
+    two domains arming different hooks at once cannot lose a bit. *)
+let rec set_hook bit armed =
+  let h = Atomic.get hooks in
+  let h' = if armed then h lor bit else h land lnot bit in
+  if h' <> h && not (Atomic.compare_and_set hooks h h') then set_hook bit armed
+
 (** [active ()] — cheap gate for the hot paths: one atomic load. *)
-let[@inline] active () = Atomic.get on
+let[@inline] active () = Atomic.get hooks land hook_fault <> 0
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock fault clock (Domains backend)                            *)
@@ -197,7 +220,7 @@ let install p =
   Atomic.set n_delays 0;
   Atomic.set n_pool 0;
   Atomic.set n_parked 0;
-  Atomic.set on (p.rules <> [])
+  set_hook hook_fault (p.rules <> [])
 
 let clear () = install no_faults
 let current () = Atomic.get plan_ref
@@ -236,7 +259,7 @@ let fire site ~tid =
 (** Consulted by {!Sched.yield} for the current worker (fiber or domain).
     Returns the stall or crash to inject, if any. *)
 let on_yield ~tid =
-  if not (Atomic.get on) then None
+  if not (active ()) then None
   else
     match fire Yield ~tid with
     | Some (Stall n) when n > 0 ->
@@ -251,7 +274,7 @@ let on_yield ~tid =
 
 (** Consulted by {!Signal.send}; [tid] is the {e receiver}. *)
 let on_send ~tid =
-  if not (Atomic.get on) then None
+  if not (active ()) then None
   else
     match fire Signal_send ~tid with
     | Some Drop_signal ->
@@ -266,7 +289,7 @@ let on_send ~tid =
 
 (** Consulted by {!Pool.acquire}; [true] = pretend the pool is empty. *)
 let on_pool_acquire ~tid =
-  Atomic.get on
+  active ()
   &&
   match fire Pool_acquire ~tid with
   | Some Exhaust_pool ->

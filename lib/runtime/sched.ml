@@ -63,8 +63,15 @@ let deadline : float Atomic.t = Atomic.make infinity
 let deadline_ticker : int ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref 0)
 
-let set_deadline t = Atomic.set deadline t
-let clear_deadline () = Atomic.set deadline infinity
+(* The deadline's bit in {!Fault.hooks} is set exactly while a finite
+   deadline is armed, so an unarmed domains-mode {!yield} never reads it. *)
+let set_deadline t =
+  Atomic.set deadline t;
+  Fault.set_hook Fault.hook_deadline (t < infinity)
+
+let clear_deadline () =
+  Fault.set_hook Fault.hook_deadline false;
+  Atomic.set deadline infinity
 
 (* Virtual-tick deadline, the fiber-mode analogue of [set_deadline]: the
    wall clock is nondeterministic, so a duration-limited fiber cell could
@@ -263,15 +270,8 @@ let check_deadline () =
         end
       end
 
-(** [yield ()] is a potential context-switch point.  In fiber mode the
-    scheduler may transfer control to another fiber.  In domain mode it
-    only ticks the deadline and consults an armed fault plan: it does not
-    pause, because schemes call it from every mediated read and poll, and
-    a PAUSE per read would price the simulator into real-core throughput.
-    A real backoff loop that wants a PAUSE on domains issues its own
-    [Domain.cpu_relax] (see [Pool.backoff]); a spin loop waiting on
-    another worker calls {!yield_now}. *)
-let yield () =
+(* The body of {!yield} whenever some hook is armed. *)
+let yield_slow () =
   check_deadline ();
   match !ctx_ref with
   | Some c ->
@@ -299,6 +299,20 @@ let yield () =
             raise Crashed
         | None -> ()
       end
+
+(** [yield ()] is a potential context-switch point.  In fiber mode the
+    scheduler may transfer control to another fiber.  In domain mode it
+    only ticks the deadline and consults an armed fault plan: it does not
+    pause, because schemes call it from every mediated read and poll, and
+    a PAUSE per read would price the simulator into real-core throughput.
+    A real backoff loop that wants a PAUSE on domains issues its own
+    [Domain.cpu_relax] (see [Pool.backoff]); a spin loop waiting on
+    another worker calls {!yield_now}.
+
+    Inlined into every caller: while no hook is armed ({!Fault.hooks}: no
+    fiber scheduler, wall deadline or fault plan) a yield is one atomic
+    load and a branch.  Fiber mode always takes {!yield_slow}. *)
+let[@inline] yield () = if Atomic.get Fault.hooks <> 0 then yield_slow ()
 
 (** Unconditional switch point (fiber mode); used by spin loops so that the
     thread being waited on is guaranteed to run. *)
@@ -487,9 +501,13 @@ let run_fibers ~seed ~switch_every ~nthreads body =
     }
   in
   ctx_ref := Some c;
+  Fault.set_hook Fault.hook_fibers true;
   prof_last_run := -1;
   reset_crashed ();
-  let finish () = ctx_ref := None in
+  let finish () =
+    ctx_ref := None;
+    Fault.set_hook Fault.hook_fibers false
+  in
   (try
      while c.live > 0 && c.failure = None do
        schedule_step c

@@ -500,6 +500,131 @@ let test_tick_deadline_deterministic () =
     (a >= 4_990 && a <= 5_000);
   Alcotest.(check int) "same abort tick on replay" a b
 
+(* ---------------- hooks word ---------------- *)
+
+let hooks () = Atomic.get Fault.hooks
+
+(* A one-rule plan firing [action] at thread 0's next yield. *)
+let yield_plan label action =
+  {
+    Fault.label;
+    rules =
+      [ { Fault.site = Fault.Yield; tid = 0; start = 0; period = 0; action } ];
+  }
+
+(* [Fault.hooks] has exactly the bits of the armed hooks after every arm
+   and disarm, a fiber run that raises included, and ends at 0. *)
+let test_hooks_track_armed () =
+  let fibers = Fault.hook_fibers
+  and deadline = Fault.hook_deadline
+  and fault = Fault.hook_fault in
+  let plan = yield_plan "one-stall" (Fault.Stall 1) in
+  let fibers_run body =
+    Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:1 body
+  in
+  Alcotest.(check int) "unarmed at start" 0 (hooks ());
+  Sched.set_deadline (Unix.gettimeofday () +. 60.);
+  Alcotest.(check int) "deadline" deadline (hooks ());
+  Fault.install plan;
+  Alcotest.(check int) "deadline + fault" (deadline lor fault) (hooks ());
+  Fault.install { plan with rules = [] };
+  Alcotest.(check int) "empty plan disarms" deadline (hooks ());
+  Fault.install plan;
+  Sched.clear_deadline ();
+  Alcotest.(check int) "fault" fault (hooks ());
+  Fault.clear ();
+  Alcotest.(check int) "all clear" 0 (hooks ());
+  Sched.set_deadline infinity;
+  Alcotest.(check int) "infinite deadline is unarmed" 0 (hooks ());
+  let inside = ref (-1) in
+  fibers_run (fun _ -> inside := hooks ());
+  Alcotest.(check int) "fiber run" fibers !inside;
+  Alcotest.(check int) "fiber run ends" 0 (hooks ());
+  Sched.set_deadline (Unix.gettimeofday () +. 60.);
+  fibers_run (fun _ -> inside := hooks ());
+  Alcotest.(check int) "fiber run under a deadline" (fibers lor deadline)
+    !inside;
+  Alcotest.(check int) "deadline outlives the run" deadline (hooks ());
+  Sched.clear_deadline ();
+  (try fibers_run (fun _ -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check int) "raising fiber run ends" 0 (hooks ())
+
+(* The unarmed domains-mode [yield] is one load of the hooks word, so a
+   Yield-site crash rule installed while a worker is already spinning in
+   [yield] must still fire: the worker spins with no hook armed, the main
+   domain installs the rule ~20 ms later, and the worker must crash at its
+   next yield (it parks, then unwinds through the backend, never reaching
+   the end of its loop).  A worker still spinning after 10 s gives up,
+   failing the test instead of hanging it. *)
+let test_hooks_fault_armed_mid_run_domains () =
+  Fault.clear ();
+  let spinning = Atomic.make false and finished = Atomic.make false in
+  let runner =
+    Domain.spawn (fun () ->
+        Sched.run Sched.Domains ~nthreads:1 (fun _ ->
+            let give_up = Unix.gettimeofday () +. 10. in
+            let n = ref 0 in
+            Atomic.set spinning true;
+            while !n land 0xffff <> 0 || Unix.gettimeofday () < give_up do
+              incr n;
+              Sched.yield ()
+            done;
+            Atomic.set finished true))
+  in
+  while not (Atomic.get spinning) do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.02;
+  Fault.install (yield_plan "crash-mid-run" Fault.Crash);
+  Domain.join runner;
+  let injected = Fault.injected () in
+  Fault.clear ();
+  Alcotest.(check int) "one crash injected" 1 injected.Fault.crashes;
+  Alcotest.(check bool) "worker crashed before finishing" false
+    (Atomic.get finished);
+  Alcotest.(check bool) "victim is registered crashed" true (Sched.is_crashed 0)
+
+(* Two domains arming and disarming different hooks at once, each
+   checking after every step that its own bit reads as it left it: a
+   lost update would clear or resurrect the other domain's bit. *)
+let test_hooks_concurrent_arming () =
+  let plan = yield_plan "one-stall" (Fault.Stall 1) in
+  let go = Atomic.make false in
+  let toggle ~bit ~arm ~disarm =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        let stop = Unix.gettimeofday () +. 0.1 and bad = ref 0 in
+        while Unix.gettimeofday () < stop do
+          disarm ();
+          if hooks () land bit <> 0 then incr bad;
+          arm ();
+          if hooks () land bit = 0 then incr bad
+        done;
+        !bad)
+  in
+  let d =
+    toggle ~bit:Fault.hook_deadline
+      ~arm:(fun () -> Sched.set_deadline (Unix.gettimeofday () +. 60.))
+      ~disarm:Sched.clear_deadline
+  and f =
+    toggle ~bit:Fault.hook_fault
+      ~arm:(fun () -> Fault.install plan)
+      ~disarm:Fault.clear
+  in
+  Atomic.set go true;
+  let bad_d = Domain.join d and bad_f = Domain.join f in
+  let both = hooks () in
+  Sched.clear_deadline ();
+  Fault.clear ();
+  Alcotest.(check int) "deadline bit never lost" 0 bad_d;
+  Alcotest.(check int) "fault bit never lost" 0 bad_f;
+  Alcotest.(check int) "both bits kept"
+    (Fault.hook_deadline lor Fault.hook_fault)
+    both;
+  Alcotest.(check int) "all clear" 0 (hooks ())
+
 (* ---------------- counters ---------------- *)
 
 let test_counter_peak () =
@@ -579,6 +704,14 @@ let () =
             test_deadline_armed_mid_run_domains;
           Alcotest.test_case "tick-deterministic" `Quick
             test_tick_deadline_deterministic;
+        ] );
+      ( "hooks",
+        [
+          Alcotest.test_case "track-armed" `Quick test_hooks_track_armed;
+          Alcotest.test_case "fault-armed-mid-run-domains" `Quick
+            test_hooks_fault_armed_mid_run_domains;
+          Alcotest.test_case "concurrent-arming" `Quick
+            test_hooks_concurrent_arming;
         ] );
       ( "counter",
         [
