@@ -493,176 +493,6 @@ let shards_cmd =
       const run $ mode_arg $ outdir_arg $ stats_json_arg $ scheme_arg
       $ seed_arg $ threshold_arg $ quick_arg)
 
-let serve_cmd =
-  let module K = W.Kvservice in
-  let scheme_arg =
-    Arg.(
-      value & opt string "RCU"
-      & info [ "scheme" ] ~doc:"SMR scheme backing every shard's domain.")
-  in
-  let faults_arg =
-    Arg.(
-      value & opt string "none"
-      & info [ "faults" ]
-          ~doc:
-            "Fault plan: none, crash-reader, crash-two, stall-storm or \
-             signal-chaos.")
-  in
-  let watchdog_arg =
-    Arg.(
-      value
-      & opt (enum [ ("on", true); ("off", false) ]) true
-      & info [ "watchdog" ] ~docv:"on|off"
-          ~doc:"Arm the per-domain reclamation supervisor fiber.")
-  in
-  let no_backpressure_arg =
-    Arg.(
-      value & flag
-      & info [ "no-backpressure" ]
-          ~doc:"Disable per-domain allocation admission limits.")
-  in
-  let shards_arg =
-    Arg.(value & opt int K.default_params.K.shards & info [ "shards" ] ~doc:"Shard (= domain) count, rounded up to a power of two.")
-  in
-  let keys_arg =
-    Arg.(value & opt int K.default_params.K.keys & info [ "keys" ] ~doc:"Key-space size.")
-  in
-  let theta_arg =
-    Arg.(value & opt float K.default_params.K.theta & info [ "theta" ] ~doc:"Zipf skew (0 = uniform).")
-  in
-  let clients_arg =
-    Arg.(value & opt int K.default_params.K.clients & info [ "clients" ] ~doc:"Client fibers.")
-  in
-  let requests_arg =
-    Arg.(value & opt int K.default_params.K.requests & info [ "requests" ] ~doc:"Requests per client.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt (pair ~sep:',' int int) (K.default_params.K.read_pct, K.default_params.K.write_pct)
-      & info [ "mix" ] ~docv:"READ,WRITE"
-          ~doc:"Read,write percentages; range scans take the remainder.")
-  in
-  let scan_len_arg =
-    Arg.(value & opt int K.default_params.K.scan_len & info [ "scan-len" ] ~doc:"Keys per range scan.")
-  in
-  let churn_arg =
-    Arg.(
-      value & opt int K.default_params.K.churn_period
-      & info [ "churn" ] ~doc:"Requests between key-space rotations (0 = off).")
-  in
-  let budget_arg =
-    Arg.(value & opt int K.default_params.K.budget & info [ "budget" ] ~doc:"Peak-unreclaimed watermark SLO (whole service).")
-  in
-  let slo_p99_arg =
-    Arg.(value & opt int K.default_params.K.slo_p99 & info [ "slo-p99" ] ~doc:"p99 request-latency SLO, virtual ticks.")
-  in
-  let slo_p999_arg =
-    Arg.(value & opt int K.default_params.K.slo_p999 & info [ "slo-p999" ] ~doc:"p999 request-latency SLO, virtual ticks.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic-schedule seed.")
-  in
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduced request budget (CI gate).")
-  in
-  let compare_arg =
-    Arg.(
-      value & flag
-      & info [ "compare" ]
-          ~doc:
-            "Run the watchdog payoff cell: the same service with the \
-             supervisor on then off; fails unless on stays within budget \
-             (with at least one recycle), off exceeds the on-peak by the \
-             ratio, both runs are UAF-free and the on-run replays \
-             byte-identically.")
-  in
-  let ratio_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "ratio" ]
-          ~doc:
-            "Minimum watchdog-off / watchdog-on peak ratio (--compare; \
-             default 5 under fibers, 3 under domains — real scheduling \
-             reclaims opportunistically between crash and supervisor \
-             round).")
-  in
-  let trace_out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Spool the run's event log to $(docv) (v2 text format).")
-  in
-  let run mode outdir stats_json scheme faults watchdog no_backpressure
-      shards keys theta clients requests (read_pct, write_pct) scan_len churn
-      budget slo_p99 slo_p999 seed quick compare ratio trace_out =
-    setup outdir stats_json;
-    let substrate = mode_of_string mode in
-    (* Both substrates take the full flag set now (ISSUE 10): under
-       --mode domains the fault plans inject at real worker domains'
-       yield points and --compare gates on the statistical off/on peak
-       ratio instead of byte-replay. *)
-    let p =
-      {
-        K.default_params with
-        K.shards;
-        keys;
-        theta;
-        clients;
-        requests;
-        read_pct;
-        write_pct;
-        scan_len;
-        churn_period = churn;
-        budget;
-        slo_p99;
-        slo_p999;
-        watchdog;
-        backpressure = not no_backpressure;
-        seed;
-      }
-    in
-    let p = if quick then K.quick p else p in
-    let code =
-      if compare then begin
-        let c = K.run_compare ?ratio ~scheme ~plan:faults ~substrate p in
-        Fmt.pr "%a@." K.pp_compare c;
-        K.record c.K.on_run;
-        K.record c.K.off_run;
-        if c.K.cmp_ok then 0 else 1
-      end
-      else begin
-        let r =
-          match trace_out with
-          | Some path ->
-              K.run_traced_to_file ~scheme ~plan:faults ~substrate ~path p
-          | None -> K.run_one ~scheme ~plan:faults ~substrate p
-        in
-        Fmt.pr "%a@." K.pp r;
-        K.record r;
-        if r.K.verdict.K.v_ok then 0 else 1
-      end
-    in
-    W.Report.write_stats_json ();
-    code
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Self-healing KV service: a sharded hash map (one reclamation \
-          domain per shard) under a Zipfian read/write/range-scan mix with \
-          key churn and fault plans, supervised by the per-domain watchdog \
-          (nudge -> re-signal -> quarantine -> domain recycle) with \
-          allocation backpressure.  Exits non-zero on any SLO miss \
-          (p99/p999 latency, peak-unreclaimed watermark, UAFs).")
-    Term.(
-      const run $ mode_arg $ outdir_arg $ stats_json_arg $ scheme_arg
-      $ faults_arg $ watchdog_arg $ no_backpressure_arg $ shards_arg
-      $ keys_arg $ theta_arg $ clients_arg $ requests_arg $ mix_arg
-      $ scan_len_arg $ churn_arg $ budget_arg $ slo_p99_arg $ slo_p999_arg
-      $ seed_arg $ quick_arg $ compare_arg $ ratio_arg $ trace_out_arg)
-
 let analyze_cmd =
   let module T = Hpbrcu_runtime.Trace in
   let module H = Hpbrcu_runtime.Stats.Histogram in
@@ -1894,7 +1724,6 @@ let main =
       trace_cmd;
       chaos_cmd;
       shards_cmd;
-      serve_cmd;
       hunt_cmd;
       analyze_cmd;
       bench_reclaim_cmd;

@@ -205,16 +205,6 @@ gate analyze-smoke analyze_smoke
 # one crash, zero UAFs, a clean census).
 gate shards-fibers dune exec bin/smrbench.exe -- shards --quick
 
-# Self-healing gate (DESIGN.md §13): the KV service under a reader
-# crashed mid-section.  With the watchdog on, the escalation ladder
-# (nudge -> re-signal -> quarantine -> domain recycle) must keep the
-# peak retired-but-unreclaimed watermark within the budget with at least
-# one recycle in the trace; with it off, the same seed's peak must
-# exceed the supervised peak by >= 5x; both runs must be UAF-free and
-# the supervised run must replay byte-identically.
-gate serve-compare dune exec bin/smrbench.exe -- serve --scheme RCU \
-  --faults crash-reader --compare --quick
-
 # Domains gate (DESIGN.md §14): the real-parallelism substrate.  The
 # full scheme matrix runs short ops-limited cells on Domain.spawn
 # workers (thread counts clamped to the hardware) — every cell must be
@@ -227,16 +217,16 @@ gate serve-compare dune exec bin/smrbench.exe -- serve --scheme RCU \
 gate bench-domains dune exec bin/smrbench.exe -- bench-domains --quick --gate \
   --out /tmp/BENCH_domains.ci.json
 
-# Flight-recorder smoke gate (DESIGN.md §15): a domains-mode service
-# run with the trace armed must produce a merged ns trace that the
-# analyzer can turn into a well-formed Perfetto timeline with per-domain
-# worker tracks AND the Runtime_events GC track, with a nonzero event
-# count.  The census identity (merged + dropped = emitted) is asserted
-# inside the run itself; --require-gc-track makes the exporter validate
-# the JSON it wrote.
+# Flight-recorder smoke gate (DESIGN.md §15): a domains-mode chaos cell
+# (HP-BRCU, stalled reader) recorded with the trace armed must produce a
+# merged ns trace that the analyzer can turn into a well-formed Perfetto
+# timeline with per-domain worker tracks AND the Runtime_events GC
+# track, with a nonzero event count.  The census identity (merged +
+# dropped = emitted) is part of the cell's own census; --require-gc-track
+# makes the exporter validate the JSON it wrote.
 flight_smoke() {
-  dune exec bin/smrbench.exe -- serve --mode domains --quick \
-    --trace-out /tmp/smrbench.ci.flight.trace &&
+  dune exec bin/smrbench.exe -- chaos --mode domains --scheme HP-BRCU \
+    --plan stall-reader --trace-out /tmp/smrbench.ci.flight.trace &&
   dune exec bin/smrbench.exe -- analyze --outdir /tmp/smrbench.ci.flight.results \
     --perfetto /tmp/smrbench.ci.flight.perfetto.json --require-gc-track \
     /tmp/smrbench.ci.flight.trace
@@ -269,28 +259,14 @@ gate chaos-stall-domains dune exec bin/smrbench.exe -- chaos --mode domains \
 # not gated (never faked).
 gate chaos-domains dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
 
-# Self-healing on real cores (DESIGN.md §16): the watchdog payoff cell
-# on the Domains backend.  The gate needs real parallelism for the
-# off-run to balloon convincingly (the full request budget, not --quick:
-# the post-crash window must dominate), so it runs only on >= 2 cores —
-# skipped, not faked, on one.
-cores="$( (nproc || getconf _NPROCESSORS_ONLN) 2>/dev/null | head -n1 )"
-if [ "${cores:-1}" -ge 2 ]; then
-  gate serve-compare-domains dune exec bin/smrbench.exe -- serve --mode domains \
-    --scheme RCU --faults crash-reader --compare
-else
-  skip serve-compare-domains "1 hardware thread"
-fi
-
-# Atomics audit gate (DESIGN.md §16): the fault/watchdog/chaos/service
-# crash paths run on real domains now, so their modules must not grow
-# new top-level 'ref' cells — cross-domain state is Atomic.t (or
-# single-writer arrays documented as such).  sched.ml keeps its
-# fiber-internal profiling refs and is deliberately out of scope.
+# Atomics audit gate (DESIGN.md §16): the fault/chaos crash paths run on
+# real domains, so their modules must not grow new top-level 'ref'
+# cells — cross-domain state is Atomic.t (or single-writer arrays
+# documented as such).  sched.ml keeps its fiber-internal profiling refs
+# and is deliberately out of scope.
 atomics_audit() {
   if grep -nE '^let [a-z_0-9]+( *: *[^=]*)? *= *ref ' \
-    lib/runtime/fault.ml lib/runtime/signal.ml lib/runtime/watchdog.ml \
-    lib/workload/chaos.ml lib/workload/kvservice.ml ; then
+    lib/runtime/fault.ml lib/runtime/signal.ml lib/workload/chaos.ml ; then
     echo "check.sh: top-level ref in a domains-crossed module (use Atomic.t)" >&2
     return 1
   fi

@@ -131,73 +131,6 @@ module Owner = struct
     done
 end
 
-(** Allocation backpressure (DESIGN.md §13).
-
-    The watchdog bounds how long garbage can pile up; admission control
-    bounds how fast it piles up while the watchdog works.  A domain may be
-    given an admission limit — typically a fraction of its {!Caps.bound}
-    or of the service's watermark budget — and allocating writers consult
-    {!Admission.admit} before publishing a node that will eventually be
-    retired to that domain.  Over the limit, the admission {b blocks then
-    retries}: a bounded number of scheduler yields (each a chance for the
-    supervisor and the reclaimers to run), after which the caller receives
-    a typed {!Admission.outcome} — never an unbounded wait, so a wedged
-    domain degrades writes into explicit [Backpressure] results instead of
-    wedging the writers too. *)
-module Admission = struct
-  type outcome =
-    | Admitted
-    | Backpressure of { owner : int; waited : int }
-          (** the bounded retry budget ran out with the domain still over
-              its limit; [waited] yields were spent trying *)
-
-  (* 0 = no limit (the default: admission control is strictly opt-in). *)
-  let limits = Array.make Owner.max_owners 0
-  let waits = Atomic.make 0
-  let rejects = Atomic.make 0
-
-  let set_limit i n = if Owner.valid i then limits.(i) <- max 0 n
-  let limit i = if Owner.valid i then limits.(i) else 0
-
-  let clear_all () =
-    Array.fill limits 0 Owner.max_owners 0;
-    Atomic.set waits 0;
-    Atomic.set rejects 0
-
-  let wait_count () = Atomic.get waits
-  let reject_count () = Atomic.get rejects
-
-  let default_rounds = 64
-
-  (** [admit ~owner ()] — gate one allocation against domain [owner]'s
-      admission limit.  Fast path (under limit, or no limit set) is two
-      array reads.  Over the limit it yields up to [rounds] times waiting
-      for reclamation to catch up, then reports {!Backpressure}.  May
-      propagate {!Hpbrcu_runtime.Sched.Deadline} from the yields, like any
-      other fiber code. *)
-  let admit ?(rounds = default_rounds) ~owner () =
-    let lim = limit owner in
-    if lim = 0 || Owner.unreclaimed owner <= lim then Admitted
-    else begin
-      Atomic.incr waits;
-      if Hpbrcu_runtime.Trace.enabled () then
-        Hpbrcu_runtime.Trace.emit2 Hpbrcu_runtime.Trace.Backpressure_wait owner
-          (Owner.unreclaimed owner);
-      let waited = ref 0 in
-      while !waited < rounds && Owner.unreclaimed owner > lim do
-        incr waited;
-        Hpbrcu_runtime.Sched.yield_now ()
-      done;
-      if Owner.unreclaimed owner <= lim then Admitted
-      else begin
-        Atomic.incr rejects;
-        Hpbrcu_runtime.Trace.emit2 Hpbrcu_runtime.Trace.Backpressure_reject
-          owner !waited;
-        Backpressure { owner; waited = !waited }
-      end
-    end
-end
-
 let stats () =
   {
     allocated = Atomic.get allocated;
@@ -252,13 +185,8 @@ let reset () =
   Block.reset_ids ();
   Hpbrcu_runtime.Signal.reset_telemetry ();
   Pool.reset_stats ();
-  (* Backpressure telemetry restarts with the cell; admission limits are
-     configuration, not measurement, and stay as set. *)
-  Atomic.set Admission.waits 0;
-  Atomic.set Admission.rejects 0;
   (* Per-domain watermarks restart with the cell too, but the slots stay
-     claimed: a domain that outlives a cell (a service's shards) keeps
-     its slot. *)
+     claimed: a domain that outlives a cell keeps its slot. *)
   Array.iteri
     (fun i used ->
       if i > 0 && Atomic.get used then

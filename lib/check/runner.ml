@@ -23,8 +23,6 @@
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Rng = Hpbrcu_runtime.Rng
-module Watchdog = Hpbrcu_runtime.Watchdog
 module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
 module Signal = Hpbrcu_runtime.Signal
@@ -82,7 +80,6 @@ let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
       (module Ds.Ds_intf.MAP) ->
       sentinels:int ->
       teardown:(unit -> unit) ->
-      subjects:Watchdog.subject list ->
       'a) : 'a =
   if sharded then begin
     let module M =
@@ -98,20 +95,13 @@ let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
     Fun.protect ~finally:M.destroy_created (fun () ->
         k
           (module M : Ds.Ds_intf.MAP)
-          ~sentinels:M.sentinels ~teardown:M.destroy_created ~subjects:[])
+          ~sentinels:M.sentinels ~teardown:M.destroy_created)
   end
   else
     Schemes.with_domain ~label:"hunt" ((module X), config) (fun (module D) ->
         let module S = D.S in
-        (* A supervision subject over the case's domain, for the
-           "+watchdog" variant: nudge/re-send only — recycling would
-           invalidate the leak census's books mid-case. *)
-        let module Sup = Smr_intf.Supervise (D.X) in
-        let subjects =
-          [ Sup.subject ~id:0 ~label:"hunt" ~current:(fun () -> D.it) () ]
-        in
         let module B = (val Matrix.list_for S.caps) in
-        k (module B (S)) ~sentinels:1 ~teardown:D.teardown ~subjects)
+        k (module B (S)) ~sentinels:1 ~teardown:D.teardown)
 
 let plan_has_signal_faults (pl : Fault.plan) =
   List.exists
@@ -144,7 +134,7 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
   in
   match
     with_map (module X) ~config ~sharded (fun (module L : Ds.Ds_intf.MAP)
-                                              ~sentinels ~teardown ~subjects ->
+                                              ~sentinels ~teardown ->
         (* The long-running-read prefill and op step, so a hunt case draws
            the same keys as the chaos cell with the same seed.  Prefill
            runs outside fiber mode: fault counters and schedule decisions
@@ -156,28 +146,6 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
         let deadline_hit = ref false in
         let exhausted = ref false in
         let end_tick = ref 0 in
-        let workers_done = ref 0 in
-        (* The "+watchdog" variant: one extra fiber walking the escalation
-           ladder over the case's domain, with threshold/poll/deadlines
-           fuzzed from the case seed.  Supervision must be invisible to
-           every oracle — it may only accelerate reclamation. *)
-        let watchdogged = Matrix.is_watchdog case.scheme && subjects <> [] in
-        let wd =
-          if not watchdogged then None
-          else begin
-            let wrng = Rng.create ~seed:(case.seed lxor 0x77a7c4) in
-            let cfg =
-              {
-                (Watchdog.default_config ~threshold:(1 + Rng.int wrng 64)) with
-                Watchdog.poll_every = 4 + Rng.int wrng 28;
-                nudge_deadline = 1 + Rng.int wrng 3;
-                resend_deadline = 1 + Rng.int wrng 3;
-                quarantine_deadline = 1 + Rng.int wrng 3;
-              }
-            in
-            Some (Watchdog.create ~seed:(case.seed lxor 0x5d0c) cfg subjects)
-          end
-        in
         Fault.install case.plan;
         Sched.set_tick_deadline p.Chaos.tick_budget;
         let worker tid =
@@ -195,22 +163,13 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
            with
           | Sched.Deadline -> deadline_hit := true
           | Registry.Exhausted _ -> exhausted := true);
-          if Sched.tick () > !end_tick then end_tick := Sched.tick ();
-          incr workers_done
+          if Sched.tick () > !end_tick then end_tick := Sched.tick ()
         in
-        let fiber tid =
-          match wd with
-          | Some w when tid = nthreads ->
-              Watchdog.run w ~until:(fun () ->
-                  !workers_done + Sched.crashed_count () >= nthreads)
-          | _ -> worker tid
-        in
-        let total_fibers = nthreads + if wd = None then 0 else 1 in
         let (), recording =
           Schedule.with_spec ~seed:case.seed spec (fun () ->
               Sched.run
                 (Sched.Fibers { seed = case.seed; switch_every = 1 })
-                ~nthreads:total_fibers fiber)
+                ~nthreads worker)
         in
         Sched.clear_tick_deadline ();
         let crashes = Sched.crashed_count () in

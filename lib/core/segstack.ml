@@ -40,8 +40,6 @@ let push_arr (t : 'a t) ?(stamp = 0) items =
 let push_one (t : 'a t) ?(stamp = 0) x =
   push_seg t { items = [| x |]; count = 1; stamp; next = None }
 
-let is_empty (t : 'a t) = Atomic.get t = None
-
 (** Detach the whole chain; [None] when empty. *)
 let rec take_all (t : 'a t) =
   match Atomic.get t with

@@ -7,7 +7,7 @@
       [rcu_domain] and Hyaline's per-structure contexts: registries,
       epochs, retired queues, signal routing and statistics all hang off
       the domain, so one process can run any number of independent
-      instances of the same scheme (the sharded-service architecture in
+      instances of the same scheme (the sharded map in
       [lib/ds/sharded_hashmap.ml] depends on exactly this).
     - {!S} is a scheme bound to one caller-owned domain ({!Bind}): the
       surface every data structure in [lib/ds] is a functor over.  The
@@ -284,16 +284,6 @@ module type SCHEME = sig
 
   val flush : handle -> unit
 
-  val expedite : handle -> unit
-  (** Supervision entry ({!Supervise}'s nudge rung): like {!flush}, but
-      additionally pushes any stranded domain-global deferred work
-      through immediately — for the BRCU family a forced advance that
-      re-signals laggards past the force threshold even when this
-      handle's own batch is empty.  Schemes with no global deferred queue
-      alias it to {!flush}.  Never called by unsupervised paths, so
-      schedules without a watchdog are byte-identical to pre-supervision
-      runs. *)
-
   (** {1 Shields (hazard-pointer slots)} *)
 
   type shield
@@ -532,88 +522,4 @@ module Scoped (X : SCHEME) = struct
   (** [with_flush h f] — run [f] and flush the handle's deferred batches
       on the way out, even on exceptions. *)
   let with_flush h f = Fun.protect ~finally:(fun () -> X.flush h) (fun () -> f h)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Watchdog wiring                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** [Supervise (X)] builds {!Hpbrcu_runtime.Watchdog} subjects over a
-    scheme's domains — the glue between the generic escalation-ladder
-    engine (which lives in the runtime and cannot see scheme types) and
-    {!SCHEME}.  The domain is passed as an accessor [current] rather than
-    a value because the recycle rung replaces the domain out from under
-    the supervisor: after a recycle, the next probe must read the fresh
-    domain, not the corpse. *)
-module Supervise (X : SCHEME) = struct
-  module W = Hpbrcu_runtime.Watchdog
-  module Stats = Hpbrcu_runtime.Stats
-
-  let dead_probe = { W.unreclaimed = 0; lag = 0; no_acks = 0 }
-
-  (** Health sample: per-domain unreclaimed watermark from the allocator,
-      worst epoch lag and cumulative [No_ack]s from the scheme's own
-      counters.
-
-      Blocks parked on a scheme's leaked-but-bounded quarantine list are
-      subtracted from the watermark: they are the scheme's {e declared}
-      residue of an already-handled crash (BRCU quarantines the dead
-      reader and strands only the batches it pinned — the paper's
-      bounded-leak claim), and no ladder rung short of a recycle could
-      ever free them.  Counting them would escalate every crash to a
-      recycle; skipping them is what separates bounded schemes (heal at
-      the nudge rung) from unbounded ones (watermark keeps climbing, so
-      the ladder rightly escalates). *)
-  let probe current () =
-    let d = current () in
-    let meta = X.dom d in
-    if Dom.destroyed meta then dead_probe
-    else
-      let s = X.stats d in
-      {
-        W.unreclaimed = max 0 (Dom.unreclaimed meta - s.Stats.leaked);
-        lag = s.Stats.max_epoch_lag;
-        no_acks = s.Stats.signal_timeouts;
-      }
-
-  (** Rung 1: register a transient participant and expedite — for epoch
-      schemes a forced advance-and-collect, for HP-family a scan, for
-      BRCU-family a forced advance that re-signals laggards past
-      [force_threshold] even though the transient handle's own batch is
-      empty. *)
-  let nudge current () =
-    let d = current () in
-    if not (Dom.destroyed (X.dom d)) then begin
-      let h = X.register d in
-      Fun.protect ~finally:(fun () -> X.unregister h) (fun () -> X.expedite h)
-    end
-
-  (** Rung 2: same mechanism, but report whether it moved the watermark so
-      the engine can reset its backoff on progress. *)
-  let resend current () =
-    let d = current () in
-    let meta = X.dom d in
-    if Dom.destroyed meta then true
-    else begin
-      let before = Dom.unreclaimed meta in
-      nudge current ();
-      Dom.unreclaimed meta < before
-    end
-
-  (** [subject ~id ~current ()] — a watchdog subject over [current ()].
-      [id] is a stable identity for trace events (shard index, or the
-      initial domain id); it must not change across recycles.  [recycle]
-      and [quarantine] come from the embedding: only it knows how to
-      rebind users to a fresh domain or which participants are safe to
-      evict. *)
-  let subject ?recycle ?(quarantine = fun () -> 0) ~id ~label ~current () =
-    {
-      W.label;
-      id;
-      probe = probe current;
-      nudge = nudge current;
-      resend = resend current;
-      quarantine;
-      recycle;
-    }
 end

@@ -45,8 +45,7 @@ external ticks_and_slot : unit -> int = "hpbrcu_flight_ticks_slot"
 (** [sleep_ns ns] — park the calling thread for at least [ns] nanoseconds
     (best effort; the OS rounds short sleeps up to its timer slack).  The
     wall-clock dual of a simulator [Sched.stall]: domains-mode fault
-    stalls and watchdog probe pacing go through here so the denominations
-    stay in one place. *)
+    stalls go through here so the denominations stay in one place. *)
 let sleep_ns ns = if ns > 0 then Unix.sleepf (float_of_int ns *. 1e-9)
 
 (** [time f] runs [f ()] and returns [(result, elapsed_seconds)]. *)

@@ -201,7 +201,7 @@ let crash_park () =
 
 (** [crash_tids p] — the tids with a [Crash] rule (tid=-1 "any" crash
     rules are excluded: a handshake cannot wait for an anonymous victim).
-    Chaos/service harnesses use this to hold non-victims until every
+    The chaos harness uses this to hold non-victims until every
     victim is parked, so the stranding window covers the full retirement
     volume regardless of OS scheduling. *)
 let crash_tids p =

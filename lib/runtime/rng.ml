@@ -38,9 +38,6 @@ let int t bound =
 (** [bool t] returns a uniform boolean. *)
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-(** [float t] returns a uniform float in [0, 1). *)
-let float t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1p-53
-
 (** [below t ~percent] is true with probability [percent]/100. *)
 let below t ~percent = int t 100 < percent
 

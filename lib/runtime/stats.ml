@@ -289,16 +289,6 @@ type snapshot = {
           or forced advance; bounded for BRCU, unbounded for plain EBR *)
   max_signals_inflight : int;
       (** peak concurrent {!Signal.send}s posted but not yet resolved *)
-  watchdog_nudges : int;  (** supervisor forced-advance/scan nudges *)
-  watchdog_resends : int;  (** supervisor signal re-send attempts *)
-  watchdog_quarantines : int;  (** participants quarantined by the ladder *)
-  watchdog_recycles : int;  (** domains drained, destroyed and recreated *)
-  backpressure_waits : int;
-      (** allocation admissions that had to block-then-retry because the
-          unreclaimed watermark crossed the admission threshold *)
-  backpressure_rejects : int;
-      (** admissions that exhausted their bounded retry rounds and were
-          returned to the caller as a typed [Backpressure] outcome *)
   trace_dropped : int;
       (** trace events lost to flight-ring wraparound (domains-mode
           recorder, DESIGN.md §15), folded from the per-domain [dropped]
@@ -332,12 +322,6 @@ let empty =
     validate_failures = 0;
     max_epoch_lag = 0;
     max_signals_inflight = 0;
-    watchdog_nudges = 0;
-    watchdog_resends = 0;
-    watchdog_quarantines = 0;
-    watchdog_recycles = 0;
-    backpressure_waits = 0;
-    backpressure_rejects = 0;
     trace_dropped = 0;
   }
 
@@ -373,12 +357,6 @@ let add a b =
     validate_failures = a.validate_failures + b.validate_failures;
     max_epoch_lag = max a.max_epoch_lag b.max_epoch_lag;
     max_signals_inflight = max a.max_signals_inflight b.max_signals_inflight;
-    watchdog_nudges = a.watchdog_nudges + b.watchdog_nudges;
-    watchdog_resends = a.watchdog_resends + b.watchdog_resends;
-    watchdog_quarantines = a.watchdog_quarantines + b.watchdog_quarantines;
-    watchdog_recycles = a.watchdog_recycles + b.watchdog_recycles;
-    backpressure_waits = a.backpressure_waits + b.backpressure_waits;
-    backpressure_rejects = a.backpressure_rejects + b.backpressure_rejects;
     trace_dropped = a.trace_dropped + b.trace_dropped;
   }
 
@@ -411,12 +389,6 @@ let to_fields ?(keep_zeros = false) s =
       ("validate_failures", s.validate_failures);
       ("max_epoch_lag", s.max_epoch_lag);
       ("max_signals_inflight", s.max_signals_inflight);
-      ("watchdog_nudges", s.watchdog_nudges);
-      ("watchdog_resends", s.watchdog_resends);
-      ("watchdog_quarantines", s.watchdog_quarantines);
-      ("watchdog_recycles", s.watchdog_recycles);
-      ("backpressure_waits", s.backpressure_waits);
-      ("backpressure_rejects", s.backpressure_rejects);
       ("trace_dropped", s.trace_dropped);
     ]
   in

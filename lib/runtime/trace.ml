@@ -71,21 +71,6 @@ type event =
           stamp taken at retire time, joining each block — and so each
           [Retire]/[Reclaim] pair — to its reclamation domain, which is
           what lets the analyzer group lifecycle metrics per domain *)
-  | Watchdog_nudge
-      (** arg = subject (domain) id, arg2 = unreclaimed blocks observed by
-          the probe that triggered the nudge *)
-  | Watchdog_resend
-      (** arg = subject id, arg2 = re-send attempt number (drives the
-          seeded exponential backoff) *)
-  | Watchdog_quarantine
-      (** arg = subject id, arg2 = participants quarantined by this step *)
-  | Watchdog_recycle
-      (** arg = subject id, arg2 = outcome: 1 recycled, 0 deferred (live
-          non-crashed sessions still open) *)
-  | Backpressure_wait
-      (** arg = owning domain id, arg2 = unreclaimed blocks at admission *)
-  | Backpressure_reject
-      (** arg = owning domain id, arg2 = bounded retry rounds exhausted *)
   | Gc_begin
       (** arg = collection kind (0 minor, 1 major slice), arg2 = runtime
           domain id; merged into domains-mode traces from [Runtime_events]
@@ -117,14 +102,8 @@ let event_code = function
   | Op_begin -> 21
   | Op_end -> 22
   | Owner_retire -> 23
-  | Watchdog_nudge -> 24
-  | Watchdog_resend -> 25
-  | Watchdog_quarantine -> 26
-  | Watchdog_recycle -> 27
-  | Backpressure_wait -> 28
-  | Backpressure_reject -> 29
-  | Gc_begin -> 30
-  | Gc_end -> 31
+  | Gc_begin -> 24
+  | Gc_end -> 25
 
 (* The code table above is the identity on the runtime representation:
    every [event] constructor is constant, so its immediate value is its
@@ -161,19 +140,13 @@ let event_of_code = function
   | 21 -> Op_begin
   | 22 -> Op_end
   | 23 -> Owner_retire
-  | 24 -> Watchdog_nudge
-  | 25 -> Watchdog_resend
-  | 26 -> Watchdog_quarantine
-  | 27 -> Watchdog_recycle
-  | 28 -> Backpressure_wait
-  | 29 -> Backpressure_reject
-  | 30 -> Gc_begin
-  | 31 -> Gc_end
+  | 24 -> Gc_begin
+  | 25 -> Gc_end
   | _ -> invalid_arg "Trace.event_of_code"
 
 (** Number of event codes; codes are contiguous in [0, n_event_codes).
     The roundtrip test iterates this range against {!all_events}. *)
-let n_event_codes = 32
+let n_event_codes = 26
 
 (** Every constructor, in code order. *)
 let all_events =
@@ -202,12 +175,6 @@ let all_events =
     Op_begin;
     Op_end;
     Owner_retire;
-    Watchdog_nudge;
-    Watchdog_resend;
-    Watchdog_quarantine;
-    Watchdog_recycle;
-    Backpressure_wait;
-    Backpressure_reject;
     Gc_begin;
     Gc_end;
   ]
@@ -237,12 +204,6 @@ let event_name = function
   | Op_begin -> "op-begin"
   | Op_end -> "op-end"
   | Owner_retire -> "owner-retire"
-  | Watchdog_nudge -> "watchdog-nudge"
-  | Watchdog_resend -> "watchdog-resend"
-  | Watchdog_quarantine -> "watchdog-quarantine"
-  | Watchdog_recycle -> "watchdog-recycle"
-  | Backpressure_wait -> "backpressure-wait"
-  | Backpressure_reject -> "backpressure-reject"
   | Gc_begin -> "gc-begin"
   | Gc_end -> "gc-end"
 

@@ -378,28 +378,19 @@ let cache_witness d eg l =
 
 (* Flush the local batch and try to advance the epoch, signaling lagging
    readers once the force threshold is reached (Algorithm 5 lines 25-34).
-
-   [forced] is the supervision entry ({!expedite}): it ignores the
-   force-threshold pacing and walks laggards immediately, and it runs
-   even with an EMPTY local batch as long as the global TASKS stack has
-   stranded work to push through.  The ordinary flush path keeps the
-   paper's semantics exactly — empty batch, no-op — so supervision never
-   perturbs an unsupervised schedule. *)
-let advance_with ~forced h =
+   An empty batch is a no-op. *)
+let flush_and_advance h =
   let d = h.d in
-  let have_batch = not (Vec.is_empty h.ltasks) in
-  if have_batch || (forced && not (Segstack.is_empty d.tasks)) then begin
+  if not (Vec.is_empty h.ltasks) then begin
     let eg = Atomic.get d.global in
     Trace.emit Trace.Flush_begin eg;
     (* 0 = advanced this round, 1 = gave up / vetoed; set where known. *)
     let outcome = ref 1 in
-    if have_batch then begin
-      (* SC fences around the load (line 25) are implied by SC atomics. *)
-      Segstack.push_arr d.tasks ~stamp:eg (Vec.to_array h.ltasks);
-      Vec.clear h.ltasks;
-      h.push_cnt <- h.push_cnt + 1
-    end;
-    let below_force = (not forced) && h.push_cnt < d.force_threshold in
+    (* SC fences around the load (line 25) are implied by SC atomics. *)
+    Segstack.push_arr d.tasks ~stamp:eg (Vec.to_array h.ltasks);
+    Vec.clear h.ltasks;
+    h.push_cnt <- h.push_cnt + 1;
+    let below_force = h.push_cnt < d.force_threshold in
     if below_force && cached_violating d eg then
       (* Give up for now (line 31): the cached reader still lags and we
          are below the force threshold, so the walk's outcome is known. *)
@@ -468,8 +459,6 @@ let advance_with ~forced h =
 (** Defer (Algorithm 5 line 22) — intrusive: block + [free] ride in a
     preallocated entry; the segment stamp added at flush carries the
     epoch tag. *)
-let flush_and_advance h = advance_with ~forced:false h
-
 let defer h ?free blk =
   Vec.push h.ltasks { Retired.blk; free; stamp = 0; patches = [] };
   if Vec.length h.ltasks >= h.d.max_local_tasks then flush_and_advance h
@@ -500,16 +489,6 @@ let flush h =
         end;
         ignore (run_expired d (eg - 1) : int)
   end
-
-(** Supervision entry (the watchdog's nudge rung): a forced advance that
-    pushes stranded TASKS through even when this handle's own batch is
-    empty, ignoring the force-threshold pacing so laggards are
-    re-signaled immediately; then the same second advance attempt an
-    ordinary {!flush} makes.  Never called by the paper's own paths —
-    unsupervised schedules are byte-identical with or without it. *)
-let expedite h =
-  advance_with ~forced:true h;
-  flush h
 
 let unregister h =
   assert (not (in_cs h));

@@ -55,7 +55,6 @@ module Impl : Smr_intf.SCHEME = struct
     Dom.on_unregister h.E.d.E.meta
 
   let flush = E.flush
-  let expedite = flush
 
   type shield = unit
 

@@ -252,8 +252,6 @@ module Impl : Smr_intf.SCHEME = struct
     Atomic.incr h.d.era;
     scan h
 
-  let expedite = flush
-
   let unregister h =
     flush h;
     (* Leftovers may still be covered by other threads' reservations:

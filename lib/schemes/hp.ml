@@ -62,7 +62,6 @@ module Impl : Smr_intf.SCHEME = struct
     Dom.on_unregister h.Core.d.Core.meta
 
   let flush = Core.flush
-  let expedite = flush
 
   type shield = Core.shield
 

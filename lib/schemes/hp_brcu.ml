@@ -218,12 +218,6 @@ module Impl : Smr_intf.SCHEME = struct
     B.flush h.bh;
     H.flush h.hh
 
-  (* The nudge rung: force stranded TASKS through even though the
-     supervisor's transient handle has an empty batch of its own. *)
-  let expedite h =
-    B.expedite h.bh;
-    H.flush h.hh
-
   let new_shield h = { hs = H.new_shield h.hh; sbd = h.d.bd }
 
   (* A shield store is a preemption and delivery point: the paper's

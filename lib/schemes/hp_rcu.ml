@@ -138,8 +138,6 @@ module Impl : Smr_intf.SCHEME = struct
     E.flush h.eh;
     H.flush h.hh
 
-  let expedite = flush
-
   type shield = H.shield
 
   let new_shield h = H.new_shield h.hh

@@ -276,8 +276,6 @@ module Impl : Smr_intf.SCHEME = struct
     Atomic.incr h.d.era;
     scan h
 
-  let expedite = flush
-
   let unregister h =
     assert (h.nest = 0);
     flush h;

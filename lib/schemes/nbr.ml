@@ -245,7 +245,6 @@ module Impl : Smr_intf.SCHEME = struct
   let current_era _ = 0
 
   let flush h = neutralize_and_reclaim h
-  let expedite = flush
 
   let unregister h =
     flush h;

@@ -46,7 +46,6 @@ module Impl : Smr_intf.SCHEME = struct
 
   let unregister h = Dom.on_unregister h
   let flush _ = ()
-  let expedite = flush
 
   type shield = unit
 

@@ -309,7 +309,6 @@ module Impl : Smr_intf.SCHEME = struct
   let current_era _ = 0
 
   let flush h = try_advance h
-  let expedite = flush
 
   let unregister h =
     assert (h.nest = 0);

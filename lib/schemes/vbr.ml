@@ -87,7 +87,6 @@ module Impl : Smr_intf.SCHEME = struct
 
   let unregister h = Dom.on_unregister h.d.meta
   let flush _ = ()
-  let expedite = flush
 
   type shield = unit
 

@@ -30,7 +30,6 @@ let hunt_impls : (string * ((module SI.SCHEME) * Hpbrcu_core.Config.t)) list =
     ("HP-RCU", (impl "HP-RCU", hunt));
     ("HP-BRCU", (impl "HP-BRCU", hunt));
     ("RCU+shards", (impl "RCU", hunt));
-    ("RCU+watchdog", (impl "RCU", hunt));
     ("HP-BRCU!nomask", (impl "HP-BRCU", Schemes.hunt_nomask));
     ("HP-BRCU!nodb", (impl "HP-BRCU", Schemes.hunt_nodb));
   ]
@@ -52,12 +51,6 @@ let has_suffix suffix n =
 
 (** [is_sharded n] — the "+shards" multi-domain topology variant. *)
 let is_sharded n = has_suffix "+shards" n
-
-(** [is_watchdog n] — the "+watchdog" supervision variant: the runner arms
-    an extra watchdog fiber over the case's domain, with ladder deadlines
-    fuzzed from the case seed.  Real schemes must stay silent under it —
-    supervision may only {e accelerate} reclamation, never break safety. *)
-let is_watchdog n = has_suffix "+watchdog" n
 
 (** [base_scheme_name n] strips a mutant's "!bug" or a topology variant's
     "+shards" suffix. *)

@@ -238,6 +238,44 @@ let defer_fresh h =
   Alloc.retire b;
   B.defer h b
 
+(* Algorithm 5 lines 25-34 with no readers: a flush pushes the batch at
+   the current epoch and advances, but the batch's own stamp is not yet
+   expired, so it stays on TASKS.  [pending] leaves the handle there,
+   batch empty, one block stranded. *)
+let pending f =
+  reset ();
+  with_brcu (fun bd ->
+      let h = B.register bd in
+      let e0 = B.epoch bd in
+      defer_fresh h;
+      B.flush_and_advance h;
+      Alcotest.(check int) "batch flush advances" (e0 + 1) (B.epoch bd);
+      Alcotest.(check int) "its batch is not yet expired" 1
+        (Alloc.current_unreclaimed ());
+      f bd h e0;
+      B.unregister h)
+
+(* An empty local batch is a no-op, even with work stranded on TASKS:
+   no epoch advance, nothing reclaimed. *)
+let test_empty_batch_noop () =
+  pending (fun bd h e0 ->
+      let advances = (B.stats bd).Stats.advances in
+      B.flush_and_advance h;
+      Alcotest.(check int) "epoch unchanged" (e0 + 1) (B.epoch bd);
+      Alcotest.(check int) "no advance counted" advances
+        (B.stats bd).Stats.advances;
+      Alcotest.(check int) "stranded block stays" 1
+        (Alloc.current_unreclaimed ()))
+
+(* [flush]'s second advance attempt is what pushes stranded work
+   through: one more epoch expires the pending batch. *)
+let test_flush_expires_stranded () =
+  pending (fun bd h e0 ->
+      B.flush h;
+      Alcotest.(check int) "second attempt advances" (e0 + 2) (B.epoch bd);
+      Alcotest.(check int) "stranded block reclaimed" 0
+        (Alloc.current_unreclaimed ()))
+
 (* Self-neutralized three times inside a mask: the mask body completes,
    and exactly one rollback fires, at the mask's exit. *)
 let test_self_neutralization_in_mask =
@@ -632,6 +670,12 @@ let () =
           Alcotest.test_case "bare-rollback" `Quick (test_bare_rollback self_cfg ~masked:false);
           Alcotest.test_case "unmasked-rollback" `Quick
             (test_bare_rollback { self_cfg with abort_masking = false } ~masked:true);
+        ] );
+      ( "flush",
+        [
+          Alcotest.test_case "empty-batch-noop" `Quick test_empty_batch_noop;
+          Alcotest.test_case "flush-expires-stranded" `Quick
+            test_flush_expires_stranded;
         ] );
       ("bound", [ Alcotest.test_case "2GN+GN2+H" `Quick test_hpbrcu_bound ]);
       ( "traverse",

@@ -115,6 +115,24 @@ let test_analyze_discriminator () =
   Alcotest.(check bool) "joins never exceed sends" true
     (nbr.Analyze.sig_rb.H.count <= nbr.Analyze.signals_sent)
 
+(* Every scheme under a crashed reader: the cell's invariants hold (UAF 0,
+   the declared bound, exactly the planned crash), and a second run from
+   the same seed reproduces it. *)
+let test_crashed_reader scheme () =
+  let run () =
+    fst
+      (Chaos.run_one ~substrate:`Fibers ~scheme ~plan_id:Chaos.Crash_reader
+         ~seed:1 Chaos.quick)
+  in
+  let c = run () in
+  List.iter (fun v -> Alcotest.failf "%s: %s" scheme v) (Chaos.check_cell c);
+  Alcotest.(check int) "one reader crashed" 1 c.Chaos.crashes;
+  let c' = run () in
+  Alcotest.(check (list int))
+    "same seed, same cell"
+    [ c.ticks; c.total_ops; c.peak; c.final_unreclaimed ]
+    [ c'.ticks; c'.total_ops; c'.peak; c'.final_unreclaimed ]
+
 let () =
   Alcotest.run "chaos"
     [
@@ -130,4 +148,8 @@ let () =
           Alcotest.test_case "analyze reproduces the Fig. 6 shape" `Quick
             test_analyze_discriminator;
         ] );
+      ( "crashed reader",
+        List.map
+          (fun s -> Alcotest.test_case s `Quick (test_crashed_reader s))
+          Chaos.all_schemes );
     ]

@@ -290,6 +290,9 @@ let test_chaos_domains_crash_cell () =
   Alcotest.(check bool) "census ok" true c.W.Chaos.census_ok;
   Alcotest.(check int) "uaf" 0 c.W.Chaos.uaf;
   Alcotest.(check int) "one crash" 1 c.W.Chaos.crashes;
+  Alcotest.(check bool)
+    "crashed reader quarantined" true
+    (c.W.Chaos.snap.Hpbrcu_runtime.Stats.quarantines >= 1);
   Alcotest.(check bool) "survivors made progress" true (c.W.Chaos.total_ops > 0);
   Alcotest.(check bool) "terminated inside the wall budget" true c.W.Chaos.terminated;
   Alcotest.(check bool) "wall clock measured" true (c.W.Chaos.wall_ns > 0);

@@ -5,6 +5,7 @@
 module Alloc = Hpbrcu_alloc.Alloc
 module Block = Hpbrcu_alloc.Block
 module Sched = Hpbrcu_runtime.Sched
+module Fault = Hpbrcu_runtime.Fault
 module Schemes = Hpbrcu_schemes.Schemes
 module Link = Hpbrcu_core.Link
 
@@ -296,6 +297,58 @@ let test_scoped_guards () =
     (Dom.live_handles (X.dom d));
   X.destroy d
 
+(* A fiber that crashes inside [Scoped.with_session] never unwinds, so
+   the guard cannot release — the handle must stay VISIBLE in the live
+   census (a typed Domain_active on destroy), never a silent pin that
+   force-destroy's leak accounting then loses. *)
+let test_scoped_crash_mid_section () =
+  Alloc.reset ();
+  Alloc.set_strict false;
+  let module X = (val (Option.get (Schemes.find_impl "RCU")) : SI.SCHEME) in
+  let module G = SI.Scoped (X) in
+  let d = X.create ~label:"scoped-crash" Config.default in
+  Fault.install
+    {
+      Fault.label = "crash-in-guard";
+      rules =
+        [ { Fault.site = Yield; tid = 0; start = 10; period = 0; action = Crash } ];
+    };
+  Sched.run
+    (Sched.Fibers { seed = 5; switch_every = 1 })
+    ~nthreads:2
+    (fun tid ->
+      if tid = 0 then
+        G.with_session d (fun h ->
+            G.with_op h (fun () ->
+                G.with_crit h (fun () ->
+                    for _ = 1 to 100 do
+                      X.retire h (Alloc.block ());
+                      (* The mediated switch point — where Yield-site
+                         faults (the crash) are consulted. *)
+                      Sched.yield ()
+                    done)))
+      else
+        G.with_session d (fun h ->
+            for _ = 1 to 20 do
+              X.retire h (Alloc.block ());
+              Sched.yield ()
+            done));
+  Fault.clear ();
+  Alcotest.(check int) "one fiber crashed" 1 (Sched.crashed_count ());
+  (* The survivor's guard released; the victim's could not and must be
+     counted, not dropped. *)
+  Alcotest.(check int) "crashed guard still in the census" 1
+    (Dom.live_handles (X.dom d));
+  (match X.destroy d with
+  | () -> Alcotest.fail "destroy under a crashed guard must raise"
+  | exception Dom.Domain_active { live; _ } ->
+      Alcotest.(check int) "census names the pin" 1 live);
+  (* Teardown under dead readers is the documented force path. *)
+  X.destroy ~force:true d;
+  (match X.register d with
+  | _ -> Alcotest.fail "register after force-destroy must raise"
+  | exception Dom.Destroyed _ -> ())
+
 (* VBR reclaims immediately: the unreclaimed count never exceeds ~0. *)
 let test_vbr_immediate () =
   with_scheme "VBR" @@ fun (module S) ->
@@ -346,5 +399,10 @@ let () =
         [
           Alcotest.test_case "immediate-reclaim" `Quick test_vbr_immediate;
           Alcotest.test_case "era-advances" `Quick test_vbr_era_advances;
+        ] );
+      ( "scoped",
+        [
+          Alcotest.test_case "crash-mid-section" `Quick
+            test_scoped_crash_mid_section;
         ] );
     ]
