@@ -19,6 +19,7 @@
 module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
 module Link = Hpbrcu_core.Link
+module Caps = Hpbrcu_core.Caps
 open Hpbrcu_core.Smr_intf
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
@@ -124,11 +125,18 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.flush s.h;
     S.unregister s.h
 
+  (* A [NoOverhead] scheme's [read] ignores its shield, so a hop under one
+     rotates no scratch shield (DESIGN.md §9). *)
+  let hop_shields = S.caps.Caps.per_node <> Caps.NoOverhead
+
   let scratch_read s ~src cell =
-    let sh = s.scratch.(s.rot) in
-    let r = s.rot + 1 in
-    s.rot <- (if r = Array.length s.scratch then 0 else r);
-    S.read s.h sh ~src ~hdr:blk cell
+    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
+    else begin
+      let sh = s.scratch.(s.rot) in
+      let r = s.rot + 1 in
+      s.rot <- (if r = Array.length s.scratch then 0 else r);
+      S.read s.h sh ~src ~hdr:blk cell
+    end
 
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in

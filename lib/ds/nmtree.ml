@@ -17,6 +17,7 @@ module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
 module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
+module Caps = Hpbrcu_core.Caps
 open Hpbrcu_core.Smr_intf
 
 (* Edge bits carried in Link tags. *)
@@ -60,11 +61,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   type session = {
     h : S.handle;
-    prot : S.shield array;  (* anc, successor, par, cur *)
+    prot : S.shield array;  (* anc, successor, par, cur, plink's target *)
     backup : S.shield array;
     scratch : S.shield array;
     mutable rot : int;
-    anc_sh : S.shield;  (* lasting protection of ancestor and parent *)
+    anc_sh : S.shield;
+        (* lasting protection of ancestor and parent, for schemes whose
+           [per_node] is not [NoOverhead] *)
     par_sh : S.shield;
     mutable key : int;  (* the running seek's key and answer *)
     mutable found : bool;
@@ -152,11 +155,20 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       right = Link.cell (Link.ptr right);
     }
 
+  (* Under a [NoOverhead] scheme a hop touches no shield (DESIGN.md §9):
+     its [read] ignores the shield, so no scratch shield rotates, and the
+     walk runs inside a section whose [traverse] publishes the whole cursor
+     with [protect_cursor], so [anc_sh] and [par_sh] stay unused. *)
+  let hop_shields = S.caps.Caps.per_node <> Caps.NoOverhead
+
   let scratch_read s ~src cell =
-    let sh = s.scratch.(s.rot) in
-    let r = s.rot + 1 in
-    s.rot <- (if r = Array.length s.scratch then 0 else r);
-    S.read s.h sh ~src ~hdr:blk cell
+    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
+    else begin
+      let sh = s.scratch.(s.rot) in
+      let r = s.rot + 1 in
+      s.rot <- (if r = Array.length s.scratch then 0 else r);
+      S.read s.h sh ~src ~hdr:blk cell
+    end
 
   let key_of s (n : node) =
     let k = n.key in
@@ -235,8 +247,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             let untagged = Link.tag plink land tag_bit = 0 in
             let anc = if untagged then par else anc in
             let alink = if untagged then plink else alink in
-            S.protect s.anc_sh anc.blk;
-            S.protect s.par_sh cur.blk;
+            if hop_shields then begin
+              S.protect s.anc_sh anc.blk;
+              S.protect s.par_sh cur.blk
+            end;
             walk s key (n - 1) anc alink cur next nx
       end
     end

@@ -20,6 +20,7 @@ module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
 module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
+module Caps = Hpbrcu_core.Caps
 open Hpbrcu_core.Smr_intf
 
 let max_level = 12
@@ -65,8 +66,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     backup : S.shield array;
     scratch : S.shield array;
     mutable rot : int;
-    pred_sh : S.shield;  (* keeps the current pred protected across steps *)
-    level_sh : S.shield array;  (* lasting protection of completed levels *)
+    (* Lasting protection, for schemes whose [per_node] is not
+       [NoOverhead]: the current pred across steps, completed levels. *)
+    pred_sh : S.shield;
+    level_sh : S.shield array;
     rng : Hpbrcu_runtime.Rng.t;
     mutable key : int;  (* the running search's key ... *)
     mutable help : bool;  (* ... whether it unlinks marked nodes ... *)
@@ -131,11 +134,21 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if S.recycles then Pool.release t.pools.(height n) n
     else Alloc.abandon n.blk
 
+  (* Under a [NoOverhead] scheme a hop touches no shield (DESIGN.md §9):
+     its [read] ignores the shield, so no scratch shield rotates, and the
+     walk runs inside a section whose [traverse] publishes the whole cursor
+     — every level's pred and link — with [protect_cursor], so [pred_sh]
+     and [level_sh] stay unused. *)
+  let hop_shields = S.caps.Caps.per_node <> Caps.NoOverhead
+
   let scratch_read s ~src cell =
-    let sh = s.scratch.(s.rot) in
-    let r = s.rot + 1 in
-    s.rot <- (if r = Array.length s.scratch then 0 else r);
-    S.read s.h sh ~src ~hdr:blk cell
+    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
+    else begin
+      let sh = s.scratch.(s.rot) in
+      let r = s.rot + 1 in
+      s.rot <- (if r = Array.length s.scratch then 0 else r);
+      S.read s.h sh ~src ~hdr:blk cell
+    end
 
   let key_of s (n : node) =
     let k = n.key in
@@ -172,7 +185,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let init_cursor t s =
     let lvl = max_level - 1 in
-    S.protect s.pred_sh t.head.blk;
+    if hop_shields then S.protect s.pred_sh t.head.blk;
     let plink = scratch_read s ~src:Block.none t.head.next.(lvl) in
     let cursor () = { lvl; pred = t.head; plink; levels = [] } in
     s.live <- cursor ();
@@ -215,7 +228,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           else
             let k = key_of s curr in
             if k < key then begin
-              S.protect s.pred_sh curr.blk;
+              if hop_shields then S.protect s.pred_sh curr.blk;
               walk s key help (n - 1) lvl curr succ levels
             end
             else complete_level s key help n lvl pred plink levels
@@ -230,7 +243,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if help && Link.is_marked plink then walk_fail
     else begin
       let i = max_level - 1 - lvl in
-      if 2 * i < Array.length s.level_sh then begin
+      if hop_shields && 2 * i < Array.length s.level_sh then begin
         S.protect s.level_sh.(2 * i) pred.blk;
         S.protect s.level_sh.((2 * i) + 1) (link_blk plink)
       end;
@@ -312,7 +325,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* HP must help (it cannot traverse past marked nodes safely); everyone
      else gets the read-only search. *)
-  let helping_get = S.caps.Hpbrcu_core.Caps.per_node = Hpbrcu_core.Caps.ProtectAndValidate
+  let helping_get = S.caps.Caps.per_node = Caps.ProtectAndValidate
 
   let get t s key =
     S.op s.h (fun () ->

@@ -6,4 +6,5 @@ let () =
     (module Hpbrcu_ds.Skiplist.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
   in
   Alcotest.run "skiplist"
-    [ ("all", Test_util.standard_cases ~make:mk Test_util.all_schemes) ]
+    [ ("all", Test_util.standard_cases ~make:mk Test_util.all_schemes);
+      ("hop-shields", Test_util.hop_shield_cases ~make:mk Hpbrcu_core.Caps.SkipList) ]

@@ -103,3 +103,75 @@ let standard_cases
         case "stress-stall" (fun l -> stress l ~seed:23 ~stalls:true ());
       ])
     schemes
+
+(* ---------------- shields published per hop ---------------- *)
+
+(* [S] with a count of the [protect] calls a data structure makes outside
+   its walker's [protect] — the shields its hops publish themselves.  A
+   checkpoint publishes through the walker, so it does not count. *)
+module Hop_protects (S : Hpbrcu_core.Smr_intf.S) = struct
+  include S
+
+  let count = ref 0
+  let in_walker_protect = ref false
+
+  let protect sh b =
+    if not !in_walker_protect then incr count;
+    S.protect sh b
+
+  let traverse h ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker) =
+    let protect sh =
+      in_walker_protect := true;
+      Fun.protect
+        ~finally:(fun () -> in_walker_protect := false)
+        (fun () -> w.protect sh)
+    in
+    S.traverse h ~prot ~backup { w with protect }
+end
+
+(* Hop protects per 16 [get]s of present keys, on a structure of [nkeys]
+   keys inserted in a shuffled order (so a tree stays logarithmic). *)
+let hop_protects ~make (module S : Hpbrcu_core.Smr_intf.S) nkeys =
+  let module C = Hop_protects (S) in
+  let (module L : Hpbrcu_ds.Ds_intf.MAP) = make (module C : Hpbrcu_core.Smr_intf.S) in
+  let t = L.create () in
+  let s = L.session t in
+  let rng = Rng.create ~seed:5 in
+  let keys = Array.init nkeys Fun.id in
+  for i = nkeys - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let k = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- k
+  done;
+  Array.iter (fun k -> ignore (L.insert t s k 0 : bool)) keys;
+  C.count := 0;
+  for i = 0 to 15 do
+    let k = i * nkeys / 16 in
+    if not (L.get t s k) then Alcotest.failf "get %d: key missing" k
+  done;
+  let n = !C.count in
+  L.close_session s;
+  n
+
+(* Table 2's "no per-node overhead" as a count: under a [NoOverhead]
+   scheme a hop publishes no shield, so 16 gets on a 16-key structure and
+   on a 4Ki-key one make the same number of hop protects; under every
+   other scheme that runs the structure the deeper gets make more. *)
+let hop_shield_cases ~make ds =
+  Schemes.names
+  |> List.filter (fun n ->
+         let (module X : Hpbrcu_core.Smr_intf.SCHEME), config = Schemes.find n in
+         (X.caps config).Hpbrcu_core.Caps.supports ds <> Hpbrcu_core.Caps.No)
+  |> List.map (fun n ->
+         Alcotest.test_case ("hop-protects/" ^ n) `Quick (fun () ->
+             with_scheme n (fun (module S) ->
+                 let shallow = hop_protects ~make (module S) 16 in
+                 let deep = hop_protects ~make (module S) 4096 in
+                 if S.caps.per_node = Hpbrcu_core.Caps.NoOverhead then
+                   Alcotest.(check int)
+                     (Printf.sprintf "NoOverhead: deep = shallow (%d)" shallow)
+                     shallow deep
+                 else if deep <= shallow then
+                   Alcotest.failf "per-hop shields: deep %d <= shallow %d" deep
+                     shallow)))
