@@ -107,12 +107,12 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'; then
 gate hpbench-smoke hpbench_smoke
 
 # Fiber-golden gate: fiber runs are pure functions of the seed, so the
-# HP-BRCU event traces of one seed on HList, HHSList, HMList, HashMap and
-# NMTree must match the committed goldens under repros/golden/ byte for
-# byte.  A read-path or node-layout change that moves a yield, a
+# HP-BRCU event traces of one seed on HList, HHSList, HMList, HashMap,
+# NMTree and SkipList must match the committed goldens under repros/golden/
+# byte for byte.  A read-path or node-layout change that moves a yield, a
 # checkpoint or a block id fails here.
 fiber_golden() {
-  for ds in HList HHSList HMList HashMap NMTree; do
+  for ds in HList HHSList HMList HashMap NMTree SkipList; do
     golden="repros/golden/trace-hp-brcu-$(printf '%s' "$ds" | tr 'A-Z' 'a-z')-seed1.txt"
     out="/tmp/smrbench.ci.golden.$ds.txt"
     dune exec bin/smrbench.exe -- trace --scheme HP-BRCU --ds "$ds" \
