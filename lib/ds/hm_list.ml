@@ -17,7 +17,6 @@ module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
 module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
-module Caps = Hpbrcu_core.Caps
 open Hpbrcu_core.Smr_intf
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
@@ -127,9 +126,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- mediated accesses ---------------- *)
 
-  (* A [NoOverhead] scheme's [read] ignores its shield, so a hop under one
-     rotates no scratch shield (DESIGN.md §9). *)
-  let hop_shields = S.caps.Caps.per_node <> Caps.NoOverhead
+  (* Without hop shields [read] ignores its shield: no rotation. *)
+  let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
 
   let scratch_read s ~src cell =
     if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell

@@ -17,7 +17,6 @@ module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
 module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
-module Caps = Hpbrcu_core.Caps
 open Hpbrcu_core.Smr_intf
 
 (* Edge bits carried in Link tags. *)
@@ -155,11 +154,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       right = Link.cell (Link.ptr right);
     }
 
-  (* Under a [NoOverhead] scheme a hop touches no shield (DESIGN.md §9):
-     its [read] ignores the shield, so no scratch shield rotates, and the
-     walk runs inside a section whose [traverse] publishes the whole cursor
-     with [protect_cursor], so [anc_sh] and [par_sh] stay unused. *)
-  let hop_shields = S.caps.Caps.per_node <> Caps.NoOverhead
+  (* Without hop shields no scratch shield rotates, and [anc_sh] and
+     [par_sh] stay unused: [traverse] publishes the whole cursor with
+     [protect_cursor] inside the section. *)
+  let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
 
   let scratch_read s ~src cell =
     if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell

@@ -134,12 +134,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if S.recycles then Pool.release t.pools.(height n) n
     else Alloc.abandon n.blk
 
-  (* Under a [NoOverhead] scheme a hop touches no shield (DESIGN.md §9):
-     its [read] ignores the shield, so no scratch shield rotates, and the
-     walk runs inside a section whose [traverse] publishes the whole cursor
-     — every level's pred and link — with [protect_cursor], so [pred_sh]
-     and [level_sh] stay unused. *)
-  let hop_shields = S.caps.Caps.per_node <> Caps.NoOverhead
+  (* Without hop shields no scratch shield rotates, and [pred_sh] and
+     [level_sh] stay unused: [traverse] publishes the whole cursor (every
+     level's pred and link) with [protect_cursor] inside the section. *)
+  let hop_shields = Caps.hop_shields S.caps
 
   let scratch_read s ~src cell =
     if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell

@@ -38,6 +38,18 @@ let int t bound =
 (** [bool t] returns a uniform boolean. *)
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
+(** [permutation t n] returns [0 .. n-1] in a uniform random order
+    (Fisher-Yates, drawing [int t (i + 1)] for [i = n-1] down to [1]). *)
+let permutation t n =
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = int t (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
 (** [below t ~percent] is true with probability [percent]/100. *)
 let below t ~percent = int t 100 < percent
 

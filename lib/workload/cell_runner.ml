@@ -15,13 +15,7 @@ module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
   let prefill t (c : Spec.cell) =
     let s = L.session t in
     let rng = Rng.create ~seed:(c.seed lxor 0x5eed) in
-    let keys = Array.init c.key_range Fun.id in
-    for i = c.key_range - 1 downto 1 do
-      let j = Rng.int rng (i + 1) in
-      let tmp = keys.(i) in
-      keys.(i) <- keys.(j);
-      keys.(j) <- tmp
-    done;
+    let keys = Rng.permutation rng c.key_range in
     for i = 0 to min c.prefill c.key_range - 1 do
       ignore (L.insert t s keys.(i) i : bool)
     done;

@@ -136,14 +136,7 @@ let hop_protects ~make (module S : Hpbrcu_core.Smr_intf.S) nkeys =
   let (module L : Hpbrcu_ds.Ds_intf.MAP) = make (module C : Hpbrcu_core.Smr_intf.S) in
   let t = L.create () in
   let s = L.session t in
-  let rng = Rng.create ~seed:5 in
-  let keys = Array.init nkeys Fun.id in
-  for i = nkeys - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let k = keys.(i) in
-    keys.(i) <- keys.(j);
-    keys.(j) <- k
-  done;
+  let keys = Rng.permutation (Rng.create ~seed:5) nkeys in
   Array.iter (fun k -> ignore (L.insert t s k 0 : bool)) keys;
   C.count := 0;
   for i = 0 to 15 do
