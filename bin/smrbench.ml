@@ -1155,6 +1155,41 @@ module Reclaim_bench = struct
         false;
     ]
 
+  (* The tree read path: NMTree [get]s of 64 present keys spread over a
+     4Ki-key tree built in a shuffled order, so its depth stays
+     logarithmic (~2 ln 4096, about 17 hops a get).  Reported, not
+     gated: set beside NR's row, each scheme's row is its per-get cost
+     on a tree. *)
+  let tree_get_kernel ~iters (module X : Smr_intf.SCHEME) =
+    Alloc.reset ();
+    let d = X.create ~label:"bench-tree" Config.default in
+    let module S = Smr_intf.Bind (X) (struct let it = d end) in
+    let module T = Hpbrcu_ds.Nmtree.Make (S) in
+    let n = 4096 and probes = 64 in
+    let t = T.create () in
+    let s = T.session t in
+    let keys = Hpbrcu_runtime.Rng.(permutation (create ~seed:11) n) in
+    Array.iter (fun k -> ignore (T.insert t s k 0 : bool)) keys;
+    let cycle () =
+      for i = 0 to probes - 1 do
+        ignore (T.get t s (i * (n / probes)) : bool)
+      done
+    in
+    let ns, words = warm_best ~iters cycle in
+    T.close_session s;
+    X.destroy ~force:true d;
+    Alloc.reset ();
+    {
+      kernel = "tree-get";
+      scheme = (X.caps Config.default).Hpbrcu_core.Caps.name;
+      hazards = 0;
+      iters;
+      ops_per_cycle = probes;
+      ns_per_op = ns /. float_of_int probes;
+      minor_words_per_op = words /. float_of_int probes;
+      gated = false;
+    }
+
   let run_all ~quick =
     let sc = if quick then 8 else 1 in
     let it n = max 8 (n / sc) in
@@ -1187,7 +1222,8 @@ module Reclaim_bench = struct
       block_alloc_kernel ~iters:(it 2000);
     ]
     @ List.concat_map
-        (traverse_kernels ~iters:(it 400))
+        (fun m ->
+          traverse_kernels ~iters:(it 400) m @ [ tree_get_kernel ~iters:(it 100) m ])
         [
           (module Hpbrcu_schemes.Nr.Impl : Smr_intf.SCHEME);
           (module Ebr.Impl : Smr_intf.SCHEME);
