@@ -38,8 +38,9 @@ type t = {
   robust_stalled : bool;  (** bounds garbage under preempted readers *)
   robust_longrun : bool;  (** bounds garbage under long-running operations *)
   per_node : per_node;
-      (** Table 2: per-node traversal overhead.  Data structures read it
-          once per functor application: see {!hop_shields}; under
+      (** Table 2: per-node traversal overhead.  The HP-family [read]s
+          pay it in their own hop ring; data structures read it once per
+          functor application: see {!hop_shields}; under
           [ProtectAndValidate] the skip list's [get] helps. *)
   starvation : starvation;
       (** Table 2: starvation-freedom in long-running operations *)
@@ -57,10 +58,12 @@ type t = {
 
 let yes_all _ = Yes
 
-(** [hop_shields c] — whether a traversal hop under [c] publishes shields
-    of its own.  Not under [NoOverhead]: such a scheme walks inside a
-    section whose [traverse] publishes the whole cursor, and its [read]
-    ignores its shield (DESIGN.md §9). *)
+(** [hop_shields c] — whether a traversal under [c] keeps nodes
+    protected across hops in lasting shields of the structure's own
+    (NMTree's ancestor and parent, SkipList's pred and completed levels),
+    so a session registers them.  Not under [NoOverhead]: such a scheme
+    walks inside a section whose [traverse] publishes the whole cursor
+    (DESIGN.md §9). *)
 let hop_shields c = c.per_node <> NoOverhead
 
 (** The [bound] of the non-robust schemes (NR, RCU, HP-RCU). *)

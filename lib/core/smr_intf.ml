@@ -22,9 +22,11 @@
       others are transparent retry-on-{!S.Restart} loops, and HP-BRCU,
       which never raises it, runs the body directly.
     - {!S.read} mediates every traversal link load.  HP-family schemes run
-      the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here —
-      the "per-node overhead" of Table 2; coarse schemes do a plain load
-      (plus signal poll and use-after-free check).
+      the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here,
+      into a ring of {!hop_ring} shields the handle owns — the "per-node
+      overhead" of Table 2; coarse schemes do a plain load (plus signal
+      poll and use-after-free check).  The data structure passes no
+      shield: per-hop protection is the scheme's business.
     - {!S.traverse} is the paper's Traverse combinator (Algorithm 7): the
       data structure supplies a budgeted {!walker}, and each scheme
       instantiates its phase structure by the budgets and checkpoints it
@@ -76,7 +78,9 @@ module Alloc = Hpbrcu_alloc.Alloc
     - [save i] / [restore i] copy the live cursor into checkpoint slot
       [i] (0 or 1) or back from it; [restore] then revalidates the
       cursor (paper R1, §3.3) and returns whether it may be resumed;
-    - [protect sh] publishes the live cursor into the shield array [sh];
+    - [protect sh] publishes the live cursor into the shield array [sh]
+      (a scheme's checkpoint: hops between checkpoints are protected, if
+      at all, by {!S.read}'s own ring);
     - [resumable] is [false] when [restore] can never answer [true] (the
       cursor cannot be revalidated, as in EFRB).  A scheme that ends its
       critical sections voluntarily (HP-RCU) must then walk to the
@@ -94,6 +98,11 @@ type 'sh walker = {
   resumable : bool;
   mutable steps : int;
 }
+
+(** K of the HP paper: how many hop shields a handle of a scheme whose
+    {!S.read} publishes protection (HP, HP++, PEBR, HE) rotates through.
+    The most any structure's cursor holds across a hop (NMTree, EFRB). *)
+let hop_ring = 5
 
 (** [walk]'s answers. *)
 let walk_more = 0
@@ -303,7 +312,7 @@ module type SCHEME = sig
   (** {1 Mediated memory accesses} *)
 
   val read :
-    handle -> shield -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
+    handle -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
 
   val deref : handle -> Block.t -> unit
 
@@ -393,14 +402,19 @@ module type S = sig
   (** {1 Mediated memory accesses} *)
 
   val read :
-    handle -> shield -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
-  (** [read h s ~src ~hdr cell] loads a link during traversal.
+    handle -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
+  (** [read h ~src ~hdr cell] loads a link during traversal.
       [src] is the block of the node owning [cell] (checked against
       use-after-free), or {!Hpbrcu_alloc.Block.none} for a cell owned by
       no managed node; [hdr] projects the target node's block for
-      protection.  HP-family: ProtectFrom loop into [s].  BRCU-family:
-      plain load, after polling for neutralization.  VBR: plain load, then
-      era validation (may raise {!Restart}). *)
+      protection.  HP, HP++ and PEBR: ProtectFrom loop into the next
+      shield of the handle's own ring of {!hop_ring}; HE likewise
+      reserves the era in its ring.  The target therefore stays protected
+      across the handle's next [hop_ring - 1] reads; a cursor that holds
+      more nodes than that across hops keeps the rest in lasting shields
+      of its own.  BRCU-family: plain load, after polling for
+      neutralization.  VBR: plain load, then era validation (may raise
+      {!Restart}). *)
 
   val deref : handle -> Block.t -> unit
   (** Declare an access to a node's immutable fields (key, value).  Checks

@@ -110,8 +110,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     h : S.handle;
     prot : S.shield array;  (* gp, p, l *)
     backup : S.shield array;
-    scratch : S.shield array;
-    mutable rot : int;
     mutable key : int;  (* the running search's key and answer *)
     mutable found : bool;
     mutable ds : t;  (* the structure the running search walks *)
@@ -124,17 +122,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.flush s.h;
     S.unregister s.h
 
-  (* Without hop shields [read] ignores its shield: no rotation. *)
-  let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
-
-  let scratch_read s ~src cell =
-    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
-    else begin
-      let sh = s.scratch.(s.rot) in
-      let r = s.rot + 1 in
-      s.rot <- (if r = Array.length s.scratch then 0 else r);
-      S.read s.h sh ~src ~hdr:blk cell
-    end
 
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
@@ -158,7 +145,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.l <- src.l
 
   let init_cursor t s =
-    let l0 = Link.target_exn (scratch_read s ~src:t.root.blk t.root.left) in
+    let l0 =
+      Link.target_exn (S.read s.h ~src:t.root.blk ~hdr:blk t.root.left)
+    in
     let pupdate = Atomic.get t.root.update in
     let cursor () =
       { gp = no_node; gpupdate = Clean; p = t.root; pupdate; l = l0 }
@@ -189,7 +178,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       end
       else begin
         let lupdate = Atomic.get l.update in
-        let next = scratch_read s ~src:l.blk (child_cell l key) in
+        let next = S.read s.h ~src:l.blk ~hdr:blk (child_cell l key) in
         match next with
         | Link.Null _ -> walk_fail (* torn read; retry *)
         | Link.Ptr { target = nl; _ } -> walk s key (n - 1) p pupdate l lupdate nl
@@ -201,7 +190,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 3 in
     let backup = shields 3 in
-    let scratch = shields 5 in
     let cursor () =
       { gp = no_node; gpupdate = Clean; p = t.root; pupdate = Clean; l = t.root }
     in
@@ -210,8 +198,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         h;
         prot;
         backup;
-        scratch;
-        rot = 0;
         key = 0;
         found = false;
         ds = t;

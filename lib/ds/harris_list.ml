@@ -74,8 +74,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     h : S.handle;
     prot : S.shield array;  (* left, left_next-target, node *)
     backup : S.shield array;
-    scratch : S.shield array;
-    mutable rot : int;
     mask0 : S.shield;
     mask1 : S.shield;
     mutable key : int;  (* the running search's key ... *)
@@ -134,17 +132,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let discard t n =
     if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-  (* Without hop shields [read] ignores its shield: no rotation. *)
-  let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
-
-  let scratch_read s ~src cell =
-    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
-    else begin
-      let sh = s.scratch.(s.rot) in
-      let r = s.rot + 1 in
-      s.rot <- (if r = Array.length s.scratch then 0 else r);
-      S.read s.h sh ~src ~hdr:blk cell
-    end
 
   let key_of s (n : node) =
     let k = n.key in
@@ -203,7 +190,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         else None)
 
   let init_cursor t s =
-    let ln = scratch_read s ~src:Block.none (next_cell t) in
+    let ln = S.read s.h ~src:Block.none ~hdr:blk (next_cell t) in
     let cursor () = { left = t; left_next = ln; node = ln } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -244,7 +231,9 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
             finish_snip s left left_next node false
           else finish s left left_next node false
       | Link.Ptr { target = tnode; _ } ->
-          let t_next = scratch_read s ~src:tnode.blk (next_cell tnode) in
+          let t_next =
+            S.read s.h ~src:tnode.blk ~hdr:blk (next_cell tnode)
+          in
           if Link.is_marked t_next then
             (* t is logically deleted: walk past it. *)
             walk s key (n - 1) left left_next t_next
@@ -265,7 +254,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 3 in
     let backup = shields 3 in
-    let scratch = shields 4 in
     let mask0 = S.new_shield h in
     let mask1 = S.new_shield h in
     let cursor () = { left = t; left_next = Link.null; node = Link.null } in
@@ -274,8 +262,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         h;
         prot;
         backup;
-        scratch;
-        rot = 0;
         mask0;
         mask1;
         key = 0;
@@ -349,7 +335,9 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
           else
             let left = s.live.left and left_next = s.live.left_next in
             let right = Link.target_exn left_next in
-            let r_next = scratch_read s ~src:right.blk (next_cell right) in
+            let r_next =
+              S.read s.h ~src:right.blk ~hdr:blk (next_cell right)
+            in
             if Link.is_marked r_next then go ()
             else if
               Link.cas (next_cell right) ~expected:r_next

@@ -62,8 +62,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     h : S.handle;
     prot : S.shield array;  (* protector: prev, cur *)
     backup : S.shield array;  (* double-buffer twin *)
-    scratch : S.shield array;  (* rotating per-read shields (HP family) *)
-    mutable rot : int;
     mask0 : S.shield;  (* outliving shields for masked regions (Alg. 8) *)
     mask1 : S.shield;
     mutable key : int;  (* the running search's key and answer *)
@@ -126,17 +124,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- mediated accesses ---------------- *)
 
-  (* Without hop shields [read] ignores its shield: no rotation. *)
-  let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
-
-  let scratch_read s ~src cell =
-    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
-    else begin
-      let sh = s.scratch.(s.rot) in
-      let r = s.rot + 1 in
-      s.rot <- (if r = Array.length s.scratch then 0 else r);
-      S.read s.h sh ~src ~hdr:blk cell
-    end
 
   (* Read a node's key, then validate the access (order matters for VBR:
      the value is junk if the node was recycled meanwhile, and the
@@ -172,7 +159,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.pnext <- src.pnext
 
   let init_cursor t s =
-    let pnext = scratch_read s ~src:Block.none (next_cell t) in
+    let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell t) in
     let cursor () = { prev = t; pnext } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -211,7 +198,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       match pnext with
       | Link.Null _ -> finish s prev pnext false (* reached the end: key absent *)
       | Link.Ptr { target = cur; _ } ->
-          let next = scratch_read s ~src:cur.blk (next_cell cur) in
+          let next = S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur) in
           if Link.is_marked next then begin
             let desired = Link.with_tag next 0 in
             if help_unlink s prev pnext cur next desired then
@@ -229,7 +216,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 2 in
     let backup = shields 2 in
-    let scratch = shields 3 in
     let mask0 = S.new_shield h in
     let mask1 = S.new_shield h in
     let cursor () = { prev = t; pnext = Link.null } in
@@ -238,8 +224,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         h;
         prot;
         backup;
-        scratch;
-        rot = 0;
         mask0;
         mask1;
         key = 0;
@@ -308,7 +292,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           else
             let prev = s.live.prev and pnext = s.live.pnext in
             let cur = Link.target_exn pnext in
-            let next = scratch_read s ~src:cur.blk (next_cell cur) in
+            let next = S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur) in
             if Link.is_marked next then go ()  (* lost the race *)
             else if
               (* Logical deletion: mark cur's next link. *)

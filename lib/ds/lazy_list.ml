@@ -53,8 +53,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     h : S.handle;
     prot : S.shield array;
     backup : S.shield array;
-    scratch : S.shield array;
-    mutable rot : int;
     mutable key : int;  (* the running search's key and answer *)
     mutable found : bool;
     mutable ds : t;  (* the structure the running search walks *)
@@ -109,17 +107,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let discard t n =
     if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-  (* Without hop shields [read] ignores its shield: no rotation. *)
-  let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
-
-  let scratch_read s ~src cell =
-    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
-    else begin
-      let sh = s.scratch.(s.rot) in
-      let r = s.rot + 1 in
-      s.rot <- (if r = Array.length s.scratch then 0 else r);
-      S.read s.h sh ~src ~hdr:blk cell
-    end
 
   let key_of s (n : node) =
     let k = n.key in
@@ -161,7 +148,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.pnext <- src.pnext
 
   let init_cursor t s =
-    let pnext = scratch_read s ~src:Block.none (next_cell t.head) in
+    let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell t.head) in
     let cursor () = { prev = t.head; pnext } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -189,7 +176,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       | Link.Ptr { target = cur; _ } ->
           let k = key_of s cur in
           if k < key then
-            walk s key (n - 1) cur (scratch_read s ~src:cur.blk (next_cell cur))
+            walk s key (n - 1) cur
+              (S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur))
           else finish s prev pnext (k = key && not (Atomic.get cur.marked))
     end
 
@@ -198,15 +186,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 2 in
     let backup = shields 2 in
-    let scratch = shields 3 in
     let cursor () = { prev = t.head; pnext = Link.null } in
     let rec s =
       {
         h;
         prot;
         backup;
-        scratch;
-        rot = 0;
         key = 0;
         found = false;
         ds = t;

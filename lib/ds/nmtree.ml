@@ -62,12 +62,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     h : S.handle;
     prot : S.shield array;  (* anc, successor, par, cur, plink's target *)
     backup : S.shield array;
-    scratch : S.shield array;
-    mutable rot : int;
-    anc_sh : S.shield;
-        (* lasting protection of ancestor and parent, for schemes whose
-           [per_node] is not [NoOverhead] *)
-    par_sh : S.shield;
+    lasting : S.shield array;
+        (* ancestor and parent across hops, under {!hop_shields} only;
+           empty otherwise *)
     mutable key : int;  (* the running seek's key and answer *)
     mutable found : bool;
     mutable ds : t;  (* the structure the running search walks *)
@@ -154,19 +151,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       right = Link.cell (Link.ptr right);
     }
 
-  (* Without hop shields no scratch shield rotates, and [anc_sh] and
-     [par_sh] stay unused: [traverse] publishes the whole cursor with
-     [protect_cursor] inside the section. *)
+  (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
+     publishes the whole cursor with [protect_cursor] inside the section.
+     Otherwise [read]'s ring holds the hops, and [lasting] the ancestor
+     and parent a seek may keep longer than the ring does. *)
   let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
-
-  let scratch_read s ~src cell =
-    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
-    else begin
-      let sh = s.scratch.(s.rot) in
-      let r = s.rot + 1 in
-      s.rot <- (if r = Array.length s.scratch then 0 else r);
-      S.read s.h sh ~src ~hdr:blk cell
-    end
 
   let key_of s (n : node) =
     let k = n.key in
@@ -208,9 +197,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.cur <- src.cur
 
   let init_cursor t s =
-    let alink = scratch_read s ~src:Block.none t.root.left in
+    let alink = S.read s.h ~src:Block.none ~hdr:blk t.root.left in
     let su = Link.target_exn alink in
-    let plink = scratch_read s ~src:su.blk su.left in
+    let plink = S.read s.h ~src:su.blk ~hdr:blk su.left in
     let cur = Link.target_exn plink in
     let cursor () = { anc = t.root; alink; par = su; plink; cur } in
     s.live <- cursor ();
@@ -237,7 +226,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         stop s anc alink par plink cur walk_done
       end
       else begin
-        let next = scratch_read s ~src:cur.blk (child_cell cur key) in
+        let next = S.read s.h ~src:cur.blk ~hdr:blk (child_cell cur key) in
         match next with
         | Link.Null _ -> walk_fail (* torn read of a recycled node (VBR): retry *)
         | Link.Ptr { target = nx; _ } ->
@@ -246,8 +235,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             let anc = if untagged then par else anc in
             let alink = if untagged then plink else alink in
             if hop_shields then begin
-              S.protect s.anc_sh anc.blk;
-              S.protect s.par_sh cur.blk
+              S.protect s.lasting.(0) anc.blk;
+              S.protect s.lasting.(1) cur.blk
             end;
             walk s key (n - 1) anc alink cur next nx
       end
@@ -258,9 +247,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 5 in
     let backup = shields 5 in
-    let scratch = shields 5 in
-    let anc_sh = S.new_shield h in
-    let par_sh = S.new_shield h in
+    let lasting = shields (if hop_shields then 2 else 0) in
     let cursor () =
       {
         anc = t.root;
@@ -275,10 +262,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         h;
         prot;
         backup;
-        scratch;
-        rot = 0;
-        anc_sh;
-        par_sh;
+        lasting;
         key = 0;
         found = false;
         ds = t;

@@ -64,12 +64,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     h : S.handle;
     prot : S.shield array;  (* 2*max_level + 2 *)
     backup : S.shield array;
-    scratch : S.shield array;
-    mutable rot : int;
-    (* Lasting protection, for schemes whose [per_node] is not
-       [NoOverhead]: the current pred across steps, completed levels. *)
-    pred_sh : S.shield;
-    level_sh : S.shield array;
+    lasting : S.shield array;
+        (* under {!hop_shields} only, empty otherwise: the current pred
+           across steps at 0, then each completed level's pred and link *)
     rng : Hpbrcu_runtime.Rng.t;
     mutable key : int;  (* the running search's key ... *)
     mutable help : bool;  (* ... whether it unlinks marked nodes ... *)
@@ -134,19 +131,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if S.recycles then Pool.release t.pools.(height n) n
     else Alloc.abandon n.blk
 
-  (* Without hop shields no scratch shield rotates, and [pred_sh] and
-     [level_sh] stay unused: [traverse] publishes the whole cursor (every
-     level's pred and link) with [protect_cursor] inside the section. *)
+  (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
+     publishes the whole cursor (every level's pred and link) with
+     [protect_cursor] inside the section.  Otherwise [read]'s ring holds
+     the hops, and [lasting] what the search keeps longer than that. *)
   let hop_shields = Caps.hop_shields S.caps
-
-  let scratch_read s ~src cell =
-    if not hop_shields then S.read s.h s.scratch.(0) ~src ~hdr:blk cell
-    else begin
-      let sh = s.scratch.(s.rot) in
-      let r = s.rot + 1 in
-      s.rot <- (if r = Array.length s.scratch then 0 else r);
-      S.read s.h sh ~src ~hdr:blk cell
-    end
 
   let key_of s (n : node) =
     let k = n.key in
@@ -183,8 +172,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let init_cursor t s =
     let lvl = max_level - 1 in
-    if hop_shields then S.protect s.pred_sh t.head.blk;
-    let plink = scratch_read s ~src:Block.none t.head.next.(lvl) in
+    if hop_shields then S.protect s.lasting.(0) t.head.blk;
+    let plink = S.read s.h ~src:Block.none ~hdr:blk t.head.next.(lvl) in
     let cursor () = { lvl; pred = t.head; plink; levels = [] } in
     s.live <- cursor ();
     s.slots.(0) <- cursor ();
@@ -209,7 +198,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       s.w.steps <- s.w.steps + 1;
       match plink with
       | Link.Ptr { target = curr; _ } ->
-          let succ = scratch_read s ~src:curr.blk curr.next.(lvl) in
+          let succ = S.read s.h ~src:curr.blk ~hdr:blk curr.next.(lvl) in
           if Link.is_marked succ then
             if help then begin
               (* Unlink curr.  The expected value must be unmarked: CASing
@@ -226,7 +215,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           else
             let k = key_of s curr in
             if k < key then begin
-              if hop_shields then S.protect s.pred_sh curr.blk;
+              if hop_shields then S.protect s.lasting.(0) curr.blk;
               walk s key help (n - 1) lvl curr succ levels
             end
             else complete_level s key help n lvl pred plink levels
@@ -241,9 +230,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     if help && Link.is_marked plink then walk_fail
     else begin
       let i = max_level - 1 - lvl in
-      if hop_shields && 2 * i < Array.length s.level_sh then begin
-        S.protect s.level_sh.(2 * i) pred.blk;
-        S.protect s.level_sh.((2 * i) + 1) (link_blk plink)
+      if hop_shields then begin
+        S.protect s.lasting.((2 * i) + 1) pred.blk;
+        S.protect s.lasting.((2 * i) + 2) (link_blk plink)
       end;
       let levels = { lpred = pred; llink = plink } :: levels in
       if lvl = 0 then begin
@@ -256,7 +245,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       else
         let lvl = lvl - 1 in
         walk s key help (n - 1) lvl pred
-          (scratch_read s ~src:Block.none pred.next.(lvl))
+          (S.read s.h ~src:Block.none ~hdr:blk pred.next.(lvl))
           levels
     end
 
@@ -265,9 +254,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields ((2 * max_level) + 2) in
     let backup = shields ((2 * max_level) + 2) in
-    let scratch = shields 4 in
-    let pred_sh = S.new_shield h in
-    let level_sh = shields (2 * max_level) in
+    let lasting = shields (if hop_shields then 1 + (2 * max_level) else 0) in
     let rng =
       Hpbrcu_runtime.Rng.create
         ~seed:(Atomic.fetch_and_add t.level_seed 0x9E3779B9)
@@ -278,10 +265,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         h;
         prot;
         backup;
-        scratch;
-        rot = 0;
-        pred_sh;
-        level_sh;
+        lasting;
         rng;
         key = 0;
         help = false;

@@ -74,7 +74,7 @@ module Impl : Smr_intf.SCHEME = struct
   let crit = E.crit
   let mask _ body = body ()
 
-  let read h () ~src ~hdr:_ cell =
+  let read h ~src ~hdr:_ cell =
     assert (E.pinned h);
     Hpbrcu_runtime.Sched.yield ();
     Alloc.check_access src;

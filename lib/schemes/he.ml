@@ -154,6 +154,8 @@ module Impl : Smr_intf.SCHEME = struct
     d : domain;
     batch : Retired.t;
     mutable my_slots : int list;
+    hops : int array;  (* the per-hop ring of era slots [read] rotates *)
+    mutable hop : int;
     eras : Idset.t;  (* scratch: reserved eras, rebuilt per scan *)
     scan_pred : Retired.entry -> bool;  (* built once; reads [eras] *)
   }
@@ -161,10 +163,13 @@ module Impl : Smr_intf.SCHEME = struct
   let register d =
     Dom.on_register d.meta;
     let eras = Idset.create () in
+    let hops = Array.init Smr_intf.hop_ring (fun _ -> Slots.alloc d.slots) in
     {
       d;
       batch = Retired.create ();
-      my_slots = [];
+      my_slots = Array.to_list hops;
+      hops;
+      hop = 0;
       eras;
       scan_pred =
         (fun e ->
@@ -201,14 +206,17 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Era-validated read: reserve the era, load, and retry until the era is
      stable across the load (then everything reachable at the reservation
-     is covered by it). *)
-  let read _h s ~src ~hdr:_ cell =
+     is covered by it).  The reservation goes into the next slot of the
+     handle's ring. *)
+  let read h ~src ~hdr:_ cell =
     Sched.yield ();
     Alloc.check_access src;
-    let slot = s.sd.slots.Slots.slots.(s.slot) in
+    let i = h.hop in
+    h.hop <- (if i + 1 = Smr_intf.hop_ring then 0 else i + 1);
+    let slot = h.d.slots.Slots.slots.(h.hops.(i)) in
     let rec loop reserved =
       let l = Link.get cell in
-      let e = Atomic.get s.sd.era in
+      let e = Atomic.get h.d.era in
       if e = reserved then l
       else begin
         Atomic.set slot e;
@@ -216,7 +224,7 @@ module Impl : Smr_intf.SCHEME = struct
         loop e
       end
     in
-    let e0 = Atomic.get s.sd.era in
+    let e0 = Atomic.get h.d.era in
     Atomic.set slot e0;
     loop e0
 

@@ -55,7 +55,7 @@ module Impl : Smr_intf.SCHEME = struct
 
   let register d =
     Dom.on_register (dom d);
-    Core.register d
+    Core.register ~hop_ring:true d
 
   let unregister (h : handle) =
     Core.unregister h;
@@ -82,10 +82,12 @@ module Impl : Smr_intf.SCHEME = struct
      re-reading the source cell after the SC protection store; physical
      equality of the link record means the cell is unchanged, hence the
      target was still reachable from the source after the protection was
-     visible. *)
-  let read _h s ~src ~hdr cell =
+     visible.  The hazard goes into the next shield of the handle's
+     ring. *)
+  let read h ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
     Alloc.check_access src;
+    let s = Core.next_hop h in
     let rec loop l =
       (match l with
       | Link.Null _ -> Core.protect s Block.none

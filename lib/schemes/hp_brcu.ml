@@ -182,7 +182,7 @@ module Impl : Smr_intf.SCHEME = struct
       {
         d;
         bh = B.register d.bd;
-        hh = H.register d.hd;
+        hh = H.register ~hop_ring:false d.hd;
         tw = Smr_intf.idle_walker ();
         bufs0 = [||];
         bufs1 = [||];
@@ -249,7 +249,7 @@ module Impl : Smr_intf.SCHEME = struct
   (* Coarse protection inside critical sections; the poll is the
      neutralization delivery point (a pending signal rolls the critical
      section back before this read can observe freed memory). *)
-  let read h _s ~src ~hdr:_ cell =
+  let read h ~src ~hdr:_ cell =
     Sched.yield ();
     B.poll h.bh;
     Alloc.check_access src;

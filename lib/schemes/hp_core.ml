@@ -79,6 +79,10 @@ type handle = {
   d : domain;
   batch : Retired.t;
   mutable my_shields : Registry.Shields.shield list;
+  hops : Registry.Shields.shield array;
+      (* the per-hop ring {!next_hop} rotates through; empty unless the
+         embedding scheme's [read] protects (HP, HP++, PEBR) *)
+  mutable hop : int;
   mutable patch_slot : Block.t list Atomic.t option;
       (* present only under HP++: the handle's published patch set *)
   scan_ids : Idset.t;  (* scratch: protected ids, rebuilt per scan *)
@@ -87,13 +91,23 @@ type handle = {
 }
 
 (* Handle census is the embedding scheme's job (composite schemes register
-   both halves under one Dom.t); this layer only builds the record. *)
-let register d =
+   both halves under one Dom.t); this layer only builds the record.
+   [hop_ring] registers the ring of {!Smr_intf.hop_ring} hop shields; the
+   section-protected schemes (HP-RCU, HP-BRCU, NBR) read without one. *)
+let register ~hop_ring d =
   let scan_ids = Idset.create () in
+  let hops =
+    if hop_ring then
+      Array.init Hpbrcu_core.Smr_intf.hop_ring (fun _ ->
+          Registry.Shields.alloc d.shields)
+    else [||]
+  in
   {
     d;
     batch = Retired.create ();
-    my_shields = [];
+    my_shields = Array.to_list hops;
+    hops;
+    hop = 0;
     patch_slot = None;
     scan_ids;
     scan_pred = (fun e -> not (Idset.mem scan_ids (Block.id e.Retired.blk)));
@@ -108,6 +122,13 @@ let new_shield h =
 
 let protect = Registry.Shields.protect
 let clear = Registry.Shields.clear
+
+(** The ring's next shield: a [read]'s target stays protected across the
+    handle's next [hop_ring - 1] reads. *)
+let[@inline] next_hop h =
+  let i = h.hop in
+  h.hop <- (if i + 1 = Array.length h.hops then 0 else i + 1);
+  h.hops.(i)
 
 let rec publish_patch_slot d slot =
   let old = Atomic.get d.published_patches in

@@ -120,7 +120,7 @@ module Impl : Smr_intf.SCHEME = struct
       {
         d;
         eh = E.register d.ed;
-        hh = H.register d.hd;
+        hh = H.register ~hop_ring:false d.hd;
         tw = Smr_intf.idle_walker ();
         tprot = [||];
         started = false;
@@ -156,7 +156,7 @@ module Impl : Smr_intf.SCHEME = struct
   (* Inside a critical section links are protected coarsely; no per-node
      work beyond the use-after-free check (and the fiber-mode interleaving
      point). *)
-  let read _h _s ~src ~hdr:_ cell =
+  let read _h ~src ~hdr:_ cell =
     Sched.yield ();
     Alloc.check_access src;
     Link.get cell

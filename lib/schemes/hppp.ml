@@ -64,7 +64,7 @@ module Impl : Smr_intf.SCHEME = struct
 
   let register d =
     Dom.on_register (dom d);
-    let h = Core.register d in
+    let h = Core.register ~hop_ring:true d in
     Core.enable_patches h;
     h
 
@@ -93,9 +93,10 @@ module Impl : Smr_intf.SCHEME = struct
      became marked (tag change) stays valid — the HP++ capability of
      traversing out of logically-deleted nodes.  If the node was since
      retired, its successor is held by the retirer's patch. *)
-  let read _h s ~src ~hdr cell =
+  let read h ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
     Alloc.check_access src;
+    let s = Core.next_hop h in
     let rec loop l =
       (match l with
       | Link.Null _ -> Core.protect s Block.none

@@ -236,7 +236,7 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Each read widens the reservation to the current era before the load —
      the per-read "tag check" of 2GEIBR. *)
-  let read h () ~src ~hdr:_ cell =
+  let read h ~src ~hdr:_ cell =
     Sched.yield ();
     Alloc.check_access src;
     let e = Atomic.get h.d.era in

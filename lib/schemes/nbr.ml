@@ -123,7 +123,13 @@ module Impl : Smr_intf.SCHEME = struct
     in
     Signal.attach ~domain:(Dom.id d.meta) l.box;
     let idx = Registry.Participants.add d.participants l in
-    { d; l; idx; hph = Core.register d.hp; pending = Retired.create () }
+    {
+      d;
+      l;
+      idx;
+      hph = Core.register ~hop_ring:false d.hp;
+      pending = Retired.create ();
+    }
 
   type shield = Core.shield
 
@@ -184,7 +190,7 @@ module Impl : Smr_intf.SCHEME = struct
     Atomic.set l.status st_out;
     Fun.protect ~finally:(fun () -> Atomic.set l.status saved) body
 
-  let read h _s ~src ~hdr:_ cell =
+  let read h ~src ~hdr:_ cell =
     Sched.yield ();
     poll h;
     Alloc.check_access src;

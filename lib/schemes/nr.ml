@@ -62,7 +62,7 @@ module Impl : Smr_intf.SCHEME = struct
   let crit _ body = body ()
   let mask _ body = body ()
 
-  let read _ () ~src:_ ~hdr:_ cell =
+  let read _ ~src:_ ~hdr:_ cell =
     Hpbrcu_runtime.Sched.yield ();
     Link.get cell
 

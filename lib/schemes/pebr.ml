@@ -140,7 +140,7 @@ module Impl : Smr_intf.SCHEME = struct
       d;
       l;
       idx;
-      hph = HPC.register d.hp;
+      hph = HPC.register ~hop_ring:true d.hp;
       nest = 0;
       tasks = Vec.create (Epoch_core.dummy_entry ());
       expired = Vec.create (Epoch_core.dummy_entry ());
@@ -208,13 +208,14 @@ module Impl : Smr_intf.SCHEME = struct
 
   let mask _ body = body ()
 
-  (* Per-node protection (no validation needed while pinned), plus the
-     ejection poll. *)
-  let read h s ~src ~hdr cell =
+  (* Per-node protection into the handle's hop ring (no validation
+     needed while pinned), plus the ejection poll. *)
+  let read h ~src ~hdr cell =
     Sched.yield ();
     poll h;
     Alloc.check_access src;
     let l = Link.get cell in
+    let s = HPC.next_hop h.hph in
     (match l with
     | Link.Null _ -> HPC.protect s Block.none
     | Link.Ptr { target; _ } -> HPC.protect s (hdr target));

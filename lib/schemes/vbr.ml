@@ -116,7 +116,7 @@ module Impl : Smr_intf.SCHEME = struct
   let validate_block h b =
     if Block.version b > 0 && Block.birth_era b > h.start_era then raise Restart
 
-  let read h () ~src ~hdr cell =
+  let read h ~src ~hdr cell =
     Sched.yield ();
     Alloc.check_access src;
     validate_block h src;

@@ -33,9 +33,9 @@ module Track (S : Hpbrcu_core.Smr_intf.S) = struct
       end
     end
 
-  let read h sh ~src ~hdr cell =
+  let read h ~src ~hdr cell =
     note src;
-    let l = S.read h sh ~src ~hdr cell in
+    let l = S.read h ~src ~hdr cell in
     (match l with Link.Ptr { target; _ } -> note (hdr target) | Link.Null _ -> ());
     l
 
