@@ -151,6 +151,80 @@ let test_nbr_starves_hpbrcu_does_not () =
     true
     (ops_brcu > 4 * max 1 ops_nbr)
 
+(* ---------------- shields a session registers ---------------- *)
+
+module Caps = Hpbrcu_core.Caps
+module Ds = Hpbrcu_ds
+
+type maker = (module Hpbrcu_core.Smr_intf.S) -> (module Ds.Ds_intf.MAP)
+
+(* Every structure under lib/ds, with the Table 1 row that gates it; the
+   lazy list and EFRB run under every [NoOverhead] scheme. *)
+let structures : (string * Caps.ds_id option * maker) list =
+  [
+    ("HList", Some Caps.HList, fun (module S) -> (module Ds.Harris_list.Make (S)));
+    ("HHSList", Some Caps.HHSList, fun (module S) -> (module Ds.Harris_list.Make_hhs (S)));
+    ("HMList", Some Caps.HMList, fun (module S) -> (module Ds.Hm_list.Make (S)));
+    ( "HashMap",
+      Some Caps.HashMap,
+      fun (module S) ->
+        let module B = (val Hpbrcu_workload.Matrix.list_for S.caps) in
+        (module Ds.Hashmap.Make_gen (B) (S)) );
+    ("SkipList", Some Caps.SkipList, fun (module S) -> (module Ds.Skiplist.Make (S)));
+    ("NMTree", Some Caps.NMTree, fun (module S) -> (module Ds.Nmtree.Make (S)));
+    ("LazyList", None, fun (module S) -> (module Ds.Lazy_list.Make (S)));
+    ("EFRB-BST", None, fun (module S) -> (module Ds.Efrb_bst.Make (S)));
+  ]
+
+(* The H term of a bounded [NoOverhead] scheme's bound charges 64 shields
+   per thread (HP-BRCU's [n * (batch + 64)], NBR's [(2 * batch) + 64]). *)
+let shield_allowance = 64
+
+(* What one HP-BRCU session of each structure registers: its checkpoint
+   arrays ([prot] and [backup]) and, in the Harris and Michael lists, the
+   two shields its masked snip holds.  No hop shield: the scheme's [read]
+   needs none. *)
+let hpbrcu_shields =
+  [ ("HList", 8); ("HHSList", 8); ("HMList", 6); ("HashMap", 8);
+    ("SkipList", 52); ("NMTree", 10); ("LazyList", 4); ("EFRB-BST", 6) ]
+
+let session_shields (make : maker) (module S : Hpbrcu_core.Smr_intf.S) =
+  let module C = Test_util.New_shields (S) in
+  let (module L) = make (module C) in
+  let t = L.create () in
+  C.count := 0;
+  let s = L.session t in
+  let n = !C.count in
+  L.close_session s;
+  n
+
+let shield_allowance_cases =
+  Test_util.all_schemes
+  |> List.concat_map (fun name ->
+         let (module X : Hpbrcu_core.Smr_intf.SCHEME), config =
+           Hpbrcu_schemes.Schemes.find name
+         in
+         let caps = X.caps config in
+         if caps.Caps.per_node <> Caps.NoOverhead
+            || caps.Caps.bound ~nthreads:1 = None
+         then []
+         else
+           structures
+           |> List.filter (fun (_, ds, _) ->
+                  match ds with
+                  | Some ds -> caps.Caps.supports ds <> Caps.No
+                  | None -> true)
+           |> List.map (fun (ds, _, make) ->
+                  Alcotest.test_case (name ^ "/" ^ ds) `Quick (fun () ->
+                      Test_util.with_scheme name (fun s ->
+                          let n = session_shields make s in
+                          if n > shield_allowance then
+                            Alcotest.failf "%s session registers %d shields > %d"
+                              ds n shield_allowance;
+                          if name = "HP-BRCU" then
+                            Alcotest.(check int) "HP-BRCU session shields"
+                              (List.assoc ds hpbrcu_shields) n))))
+
 let () =
   Alcotest.run "bounds"
     [
@@ -162,4 +236,5 @@ let () =
           Alcotest.test_case "stall-repeats" `Quick test_stall_repeats;
           Alcotest.test_case "nbr-starvation" `Quick test_nbr_starves_hpbrcu_does_not;
         ] );
+      ("shield-allowance", shield_allowance_cases);
     ]

@@ -58,6 +58,37 @@ let test_hp_protection_defers () =
   Alcotest.(check bool) "reclaimed after clear" true (Block.is_reclaimed b);
   S.unregister h
 
+(* HP and HE: [read] protects its target in the next shield of a ring of
+   [hop_ring] the handle owns, so after [hop_ring + 1] reads a scan
+   withholds exactly the last [hop_ring] targets and reclaims the first.
+   Each target lives in an era of its own (a flush advances HE's clock),
+   so an era reservation covers one target only. *)
+let hop_ring_case name =
+  Alcotest.test_case ("hop-ring/" ^ name) `Quick (fun () ->
+      with_scheme name @@ fun (module S) ->
+      let k = Hpbrcu_core.Smr_intf.hop_ring in
+      let h = S.register () in
+      let targets =
+        Array.init (k + 1) (fun _ ->
+            S.flush h;
+            let b = Alloc.block () in
+            Block.set_birth_era b ~era:(S.current_era ());
+            let cell = Link.cell (Link.ptr b) in
+            ignore (S.read h ~src:Block.none ~hdr:Fun.id cell : Block.t Link.t);
+            S.retire h b;
+            b)
+      in
+      S.flush h;
+      Alcotest.(check bool) "first target reclaimed" true
+        (Block.is_reclaimed targets.(0));
+      for i = 1 to k do
+        Alcotest.(check bool)
+          (Printf.sprintf "target %d withheld" i)
+          true
+          (Block.is_retired targets.(i))
+      done;
+      S.unregister h)
+
 (* Shield slots hold block ids: a snapshot is exactly the ids of the
    protected blocks — nothing for a cleared or released slot, nothing for
    [Block.none]. *)
@@ -384,6 +415,8 @@ let () =
         [
           Alcotest.test_case "protection-defers" `Quick test_hp_protection_defers;
           Alcotest.test_case "shields-snapshot-ids" `Quick test_shields_snapshot_ids;
+          hop_ring_case "HP";
+          hop_ring_case "HE";
         ] );
       ("ebr", [ Alcotest.test_case "pin-blocks" `Quick test_ebr_pin_blocks ]);
       ("two-step", List.map two_step_case two_step_schemes);

@@ -129,6 +129,18 @@ module Hop_protects (S : Hpbrcu_core.Smr_intf.S) = struct
     S.traverse h ~prot ~backup { w with protect }
 end
 
+(* [S] with a count of the [new_shield] calls made through it: the
+   shields a data structure registers. *)
+module New_shields (S : Hpbrcu_core.Smr_intf.S) = struct
+  include S
+
+  let count = ref 0
+
+  let new_shield h =
+    incr count;
+    S.new_shield h
+end
+
 (* Hop protects per 16 [get]s of present keys, on a structure of [nkeys]
    keys inserted in a shuffled order (so a tree stays logarithmic). *)
 let hop_protects ~make (module S : Hpbrcu_core.Smr_intf.S) nkeys =
