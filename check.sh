@@ -262,7 +262,7 @@ gate chaos-domains dune exec bin/smrbench.exe -- chaos --mode domains --smoke --
 # Atomics audit gate (DESIGN.md §16): the fault/chaos crash paths run on
 # real domains, so their modules must not grow new top-level 'ref'
 # cells — cross-domain state is Atomic.t (or single-writer arrays
-# documented as such).  sched.ml keeps its fiber-internal profiling refs
+# documented as such).  sched.ml keeps its fiber-internal last-run ref
 # and is deliberately out of scope.
 atomics_audit() {
   if grep -nE '^let [a-z_0-9]+( *: *[^=]*)? *= *ref ' \

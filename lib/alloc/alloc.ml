@@ -184,7 +184,6 @@ let reset () =
      trace correlation arguments are deterministic per seed. *)
   Block.reset_ids ();
   Hpbrcu_runtime.Signal.reset_telemetry ();
-  Pool.reset_stats ();
   (* Per-domain watermarks restart with the cell too, but the slots stay
      claimed: a domain that outlives a cell keeps its slot. *)
   Array.iteri

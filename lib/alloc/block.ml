@@ -133,7 +133,6 @@ let transition t ~from ~to_ = cas_state t (state_to_int from) (state_to_int to_)
     as a use-after-free of that incarnation.  Idempotent. *)
 let poison t = t.poison <- 1 + version t
 
-let unpoison t = t.poison <- 0
 let is_poisoned t = t.poison <> 0
 
 (** Reset a recycled block to [Live], bumping its version.  Only the pool

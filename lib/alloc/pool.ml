@@ -11,32 +11,22 @@
     capped exponential) instead of a bare yield: under a chaos-mode
     contention storm every contender retrying at the same cadence can
     livelock each other for a long time, while jitter decorrelates them.
-    Retries are counted in a {!Stats.Counter} so the harness can see
-    contention.  In fiber mode CAS failures cannot happen at all (fibers
+    In fiber mode CAS failures cannot happen at all (fibers
     switch only at yields, never between a load and its CAS), so the
     backoff RNG never perturbs deterministic runs. *)
 
 module Sched = Hpbrcu_runtime.Sched
-module Stats = Hpbrcu_runtime.Stats
 module Fault = Hpbrcu_runtime.Fault
 
-type 'a t = { free : 'a list Atomic.t; recycled : int Atomic.t; fresh : int Atomic.t }
+type 'a t = { free : 'a list Atomic.t; recycled : int Atomic.t }
 
-let create () = { free = Atomic.make []; recycled = Atomic.make 0; fresh = Atomic.make 0 }
-
-(* Global across pools: contention is a property of the run, not of one
-   type's free list. *)
-let retries = Stats.Counter.make ()
-
-let cas_retries () = Stats.Counter.value retries
-let reset_stats () = Stats.Counter.reset retries
+let create () = { free = Atomic.make []; recycled = Atomic.make 0 }
 
 (* Cheap xorshift for backoff jitter only; racy updates are harmless (any
    value is a fine jitter source) and it is never consulted in fiber mode. *)
 let jitter_state = Atomic.make 0x2545F4914F6CDD1D
 
 let backoff attempt =
-  Stats.Counter.incr retries;
   let s = Atomic.get jitter_state in
   let s = s lxor (s lsl 13) in
   let s = s lxor (s lsr 7) in
@@ -82,18 +72,13 @@ let pop t =
     non-empty, exercising the fresh-allocation path under reuse
     pressure. *)
 let acquire t =
-  if Fault.active () && Fault.on_pool_acquire ~tid:(Sched.self ()) then begin
-    Atomic.incr t.fresh;
-    None
-  end
+  if Fault.active () && Fault.on_pool_acquire ~tid:(Sched.self ()) then None
   else
     match pop t with
     | Some x ->
         Atomic.incr t.recycled;
         Some x
-    | None ->
-        Atomic.incr t.fresh;
-        None
+    | None -> None
 
 (** [release t x] returns [x] to the pool for reuse. *)
 let release t x = push t x
@@ -106,5 +91,4 @@ let free_hook ~recycles t x =
   if recycles then Some (fun () -> release t x) else None
 
 let recycled t = Atomic.get t.recycled
-let fresh_allocs t = Atomic.get t.fresh
 let size t = List.length (Atomic.get t.free)

@@ -47,11 +47,6 @@ type spec =
       (** expected scheduling steps between priority change points *)
   | Replay of int array
 
-let spec_name = function
-  | Rand -> "rand"
-  | Pct _ -> "pct"
-  | Replay _ -> "replay"
-
 (* The chooser close over mutable recording state; [with_spec] installs it
    around [f] and returns what was recorded. *)
 let with_spec ~seed spec f =

@@ -28,8 +28,6 @@ type support =
   | No  (** ✗ not supported *)
   | NoWaitFree  (** ▲ supported but wait-freedom degraded to lock-freedom *)
 
-let support_mark = function Yes -> "Y" | No -> "-" | NoWaitFree -> "^"
-
 type per_node = NoOverhead | ValidationOnly | ProtectAndValidate
 type starvation = Free | Fine | Coarse
 

@@ -53,10 +53,3 @@ let time f =
   let t0 = now () in
   let r = f () in
   (r, now () -. t0)
-
-(** Pretty-print a duration. *)
-let pp_span ppf s =
-  if s < 1e-6 then Fmt.pf ppf "%.0fns" (s *. 1e9)
-  else if s < 1e-3 then Fmt.pf ppf "%.1fus" (s *. 1e6)
-  else if s < 1.0 then Fmt.pf ppf "%.1fms" (s *. 1e3)
-  else Fmt.pf ppf "%.2fs" s

@@ -114,10 +114,6 @@ let injected () =
     pool_misses = Atomic.get n_pool;
   }
 
-let total_injected () =
-  let i = injected () in
-  i.stalls + i.crashes + i.drops + i.delays + i.pool_misses
-
 (* ------------------------------------------------------------------ *)
 (* The hooks word                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -151,15 +147,12 @@ let[@inline] active () = Atomic.get hooks land hook_fault <> 0
 
 (* Rule durations (stall lengths, delay floors) are authored in simulator
    ticks so the same plan text drives both substrates; [tick_ns] is the
-   exchange rate.  The default makes one virtual tick one microsecond,
-   matching [Sched.stall]'s domains-mode fallback. *)
-let tick_ns_v = Atomic.make 1_000
-
-let set_tick_ns n = Atomic.set tick_ns_v (max 1 n)
-let tick_ns () = Atomic.get tick_ns_v
+   exchange rate: one virtual tick is one microsecond, matching
+   [Sched.stall]'s domains-mode fallback. *)
+let tick_ns = 1_000
 
 (** [ns_of_ticks n] — a tick-denominated duration on the wall-clock axis. *)
-let[@inline] ns_of_ticks n = n * Atomic.get tick_ns_v
+let[@inline] ns_of_ticks n = n * tick_ns
 
 (* ------------------------------------------------------------------ *)
 (* Crash parking (Domains backend)                                     *)
@@ -296,31 +289,6 @@ let on_pool_acquire ~tid =
       Atomic.incr n_pool;
       true
   | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Pretty-printing (chaos reports)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let action_to_string = function
-  | Stall n -> Printf.sprintf "stall(%d)" n
-  | Crash -> "crash"
-  | Drop_signal -> "drop-signal"
-  | Delay_signal n -> Printf.sprintf "delay-signal(%d)" n
-  | Exhaust_pool -> "exhaust-pool"
-
-let site_to_string = function
-  | Yield -> "yield"
-  | Signal_send -> "send"
-  | Pool_acquire -> "pool"
-
-let rule_to_string r =
-  Printf.sprintf "%s@%s[tid=%d,start=%d,period=%d]"
-    (action_to_string r.action) (site_to_string r.site) r.tid r.start r.period
-
-let plan_to_string p =
-  match p.rules with
-  | [] -> p.label
-  | rs -> p.label ^ ": " ^ String.concat " " (List.map rule_to_string rs)
 
 (* ------------------------------------------------------------------ *)
 (* Plan serialization                                                  *)

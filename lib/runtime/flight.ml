@@ -121,7 +121,6 @@ let gc_kind_major = 1
 
 (* (ns, kind, is_begin, runtime ring/domain id), newest first. *)
 let gc_buf : (int * int * bool * int) list ref = ref []
-let gc_lost = ref 0
 let cursor : Runtime_events.cursor option ref = ref None
 
 let gc_push dom ts phase is_begin =
@@ -140,7 +139,6 @@ let callbacks =
     (Runtime_events.Callbacks.create
        ~runtime_begin:(fun dom ts phase -> gc_push dom ts phase true)
        ~runtime_end:(fun dom ts phase -> gc_push dom ts phase false)
-       ~lost_events:(fun _dom n -> gc_lost := !gc_lost + n)
        ())
 
 let poll_gc () =
@@ -156,10 +154,6 @@ let poll_gc () =
 let gc_collected () =
   poll_gc ();
   List.rev !gc_buf
-
-(** Runtime_events records overwritten before we polled them; the GC
-    track's own drop counter. *)
-let gc_lost_events () = !gc_lost
 
 (* ------------------------------------------------------------------ *)
 (* Arm / emit / drain                                                  *)
@@ -180,7 +174,6 @@ let arm ?capacity ?(ndomains = 0) ?(gc = true) () =
     rings.(slot) <- Some (new_ring ())
   done;
   gc_buf := [];
-  gc_lost := 0;
   tick_source := ticks;
   identity_timebase := false;
   Clock.flight_rebase !mask;
@@ -289,15 +282,6 @@ let kept () = fold_rings (fun acc _ r -> acc + min r.n !cap) 0
     ring's [n] has one writer, and [dropped = n - min n capacity] is
     computed from a single read of it. *)
 let dropped () = fold_rings (fun acc _ r -> acc + max 0 (r.n - !cap)) 0
-
-(** Per-domain drop lanes as [(tid, dropped)], populated slots only. *)
-let dropped_by_tid () =
-  List.rev
-    (fold_rings
-       (fun acc slot r ->
-         let d = max 0 (r.n - !cap) in
-         if d > 0 then (slot - 1, d) :: acc else acc)
-       [])
 
 (* ------------------------------------------------------------------ *)
 (* Merge-side iteration                                                *)

@@ -84,44 +84,10 @@ let tick_deadline : int Atomic.t = Atomic.make max_int
 let set_tick_deadline t = Atomic.set tick_deadline t
 let clear_tick_deadline () = Atomic.set tick_deadline max_int
 
-(* ------------------------------------------------------------------ *)
-(* Scheduler profiling (fiber mode)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Aggregate scheduler-level observables of one fiber run: how often
-    control actually moved between fibers, how many stalls were injected or
-    requested, and how long stalled fibers waited past their wake-up tick
-    (scheduler-induced wake latency).  All zero in domain mode, where the
-    OS owns these numbers. *)
-type profile = {
-  switches : int;  (** scheduling decisions that changed the running fiber *)
-  stalls : int;  (** [Stall] suspensions (injected and explicit) *)
-  wakes : int;  (** resumptions of previously stalled fibers *)
-  wake_latency_total : int;
-      (** summed ticks between a fiber's wake-up time and its actual
-          resumption; divide by [wakes] for the mean *)
-}
-
-(* Written only by the single domain driving the fiber scheduler. *)
-let prof_switches = ref 0
-let prof_stalls = ref 0
-let prof_wakes = ref 0
-let prof_wake_latency = ref 0
-let prof_last_run = ref (-1) (* fiber index that ran last; -1 = none yet *)
-
-let profile () =
-  {
-    switches = !prof_switches;
-    stalls = !prof_stalls;
-    wakes = !prof_wakes;
-    wake_latency_total = !prof_wake_latency;
-  }
-
-let reset_profile () =
-  prof_switches := 0;
-  prof_stalls := 0;
-  prof_wakes := 0;
-  prof_wake_latency := 0
+(* Written only by the single domain driving the fiber scheduler: the
+   fiber index that ran last (-1 = none yet), the [Context_switch] event's
+   arg2. *)
+let last_run = ref (-1)
 
 (** [self ()] is the logical thread id of the calling worker, or [-1] when
     called outside {!run}. *)
@@ -412,20 +378,16 @@ let schedule_step c =
     let prev = c.current in
     c.current <- idx;
     Domain.DLS.set tid_key f.ftid;
-    if idx <> !prof_last_run then begin
-      incr prof_switches;
+    if idx <> !last_run then begin
       (* arg2 = the fiber switched away from, so the analyzer can chain
          occupancy intervals without replaying the scheduler. *)
-      Trace.emit2 Trace.Context_switch f.ftid !prof_last_run;
-      prof_last_run := idx
+      Trace.emit2 Trace.Context_switch f.ftid !last_run;
+      last_run := idx
     end;
     if f.wake_at > 0 then begin
       (* Resuming a fiber that was stalled: the gap between its scheduled
          wake-up and now is scheduler-induced wake latency. *)
-      incr prof_wakes;
-      let lat = c.tick - f.wake_at in
-      prof_wake_latency := !prof_wake_latency + lat;
-      Trace.emit2 Trace.Wake lat f.wake_at;
+      Trace.emit2 Trace.Wake (c.tick - f.wake_at) f.wake_at;
       f.wake_at <- 0
     end;
     let handler : (unit, unit) Effect.Deep.handler =
@@ -453,7 +415,6 @@ let schedule_step c =
             | Stall ticks ->
                 Some
                   (fun (k : (a, unit) Effect.Deep.continuation) ->
-                    incr prof_stalls;
                     Trace.emit Trace.Stall ticks;
                     f.wake_at <- c.tick + ticks;
                     f.state <- Paused k)
@@ -502,7 +463,7 @@ let run_fibers ~seed ~switch_every ~nthreads body =
   in
   ctx_ref := Some c;
   Fault.set_hook Fault.hook_fibers true;
-  prof_last_run := -1;
+  last_run := -1;
   reset_crashed ();
   let finish () =
     ctx_ref := None;

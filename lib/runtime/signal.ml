@@ -32,12 +32,7 @@
     wait with exponential backoff expires without an acknowledgement.
     Callers must treat [No_ack] as "the reader may still be running" — it
     is NOT safe to reclaim past an unacked live reader; only a confirmed
-    [Dead_receiver] may be quarantined.
-
-    Real signals cost a kernel round trip (~1–10 µs); benchmarks can charge
-    a synthetic sender-side cost via {!set_send_cost} so that
-    signal-frequency effects (NBR's weakness) stay visible on the simulated
-    substrate. *)
+    [Dead_receiver] may be quarantined. *)
 
 type outcome =
   | Delivered  (** the receiver ran its handler, or was observed out *)
@@ -138,12 +133,6 @@ let mark_self_delivery box ~seq = Atomic.set box.consumed_seq seq
 let inflight = Atomic.make 0
 let inflight_gauge = Stats.Gauge.make ()
 
-(* Sends refused by the domain fence (sender's domain stamp <> receiver's
-   box routing).  Nonzero means a registry leaked a participant across
-   domains — a bug the fence contains and this counter surfaces. *)
-let cross_domain_refused_c = Atomic.make 0
-let cross_domain_refused () = Atomic.get cross_domain_refused_c
-
 (** Peak concurrent sends since the last {!reset_telemetry}. *)
 let max_inflight () = Stats.Gauge.maximum inflight_gauge
 
@@ -153,7 +142,6 @@ let reset_telemetry () =
   Atomic.set seq_counter 0;
   Atomic.set inflight 0;
   Stats.Gauge.reset inflight_gauge;
-  Atomic.set cross_domain_refused_c 0;
   Atomic.set all_boxes []
 
 (** [attach ?domain box] binds the box to the calling thread so that
@@ -171,26 +159,8 @@ let attach ?(domain = 0) box =
     The quiescence audit ({!undelivered_pending}) skips detached boxes. *)
 let detach box = Atomic.set box.detached true
 
-let send_cost = Atomic.make 0 (* iterations of busy work per send *)
-
-(** [set_send_cost n] makes every {!send} spin for [n] iterations on the
-    sender, modelling the kernel cost of [pthread_kill]. *)
-let set_send_cost n = Atomic.set send_cost (max 0 n)
-
 let sent box = Atomic.get box.sent
 let delivered box = Atomic.get box.acks
-
-(* Sink for the synthetic busy-work loop so it cannot be optimized away.
-   Atomic because domains-mode senders run on distinct OS threads (a bare
-   ref here would be a data race, not just an inaccuracy). *)
-let burn_sink = Atomic.make 0
-
-let burn n =
-  let acc = ref (Atomic.get burn_sink) in
-  for i = 1 to n do
-    acc := (!acc * 25214903917) + i
-  done;
-  Atomic.set burn_sink !acc
 
 (* A pending delivery is visible to the receiver only once the clock
    passes [not_before] (delayed-delivery fault; 0 = no floor, the normal
@@ -274,8 +244,6 @@ let wait_domain box ~before ~is_out =
 let send_unrouted ~seq box ~is_out =
   Atomic.incr box.sent;
   Stats.Gauge.observe inflight_gauge (Atomic.fetch_and_add inflight 1 + 1);
-  let cost = Atomic.get send_cost in
-  if cost > 0 then burn cost;
   let outcome =
     if Sched.is_crashed box.owner_tid then Dead_receiver
     else begin
@@ -364,10 +332,7 @@ let send ?(seq = 0) ?(domain = 0) box ~is_out =
     domain <> 0
     && Atomic.get box.domain <> 0
     && Atomic.get box.domain <> domain
-  then begin
-    Atomic.incr cross_domain_refused_c;
-    No_ack
-  end
+  then No_ack
   else send_unrouted ~seq box ~is_out
 
 (** [poll box ~handler] — receiver side.  If a delivery is pending (and its

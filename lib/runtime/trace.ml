@@ -509,10 +509,6 @@ let flight_checked ~who (snap : Stats.snapshot) =
     { snap with Stats.trace_dropped = dropped () }
   end
 
-let pp_record ppf r =
-  Fmt.pf ppf "%8d  t%-3d  %-16s %d %d" r.tick r.tid (event_name r.event) r.arg
-    r.arg2
-
 let record_to_string r =
   Printf.sprintf "%8d  t%-3d  %-16s %d %d" r.tick r.tid (event_name r.event)
     r.arg r.arg2

@@ -291,7 +291,7 @@ type cell = {
    never turns an honest cell into a termination violation.  quick's 8M
    ticks at the default 1 us/tick is a 10 s ceiling, full's 24M is 24 s. *)
 let wall_budget_s (p : params) =
-  Float.max 10. (float_of_int p.tick_budget *. float_of_int (Fault.tick_ns ()) *. 1e-9)
+  Float.max 10. (float_of_int p.tick_budget *. float_of_int Fault.tick_ns *. 1e-9)
 
 (* The allocator's census, joined by the flight recorder's when a domains
    cell is traced. *)

@@ -59,14 +59,6 @@ type latency = {
   remove : Stats.Histogram.summary;
 }
 
-let no_latency unit_ =
-  {
-    unit_;
-    get = Stats.Histogram.empty_summary;
-    insert = Stats.Histogram.empty_summary;
-    remove = Stats.Histogram.empty_summary;
-  }
-
 type result = {
   total_ops : int;
   elapsed : float;  (** seconds *)
@@ -77,6 +69,3 @@ type result = {
   scheme : Stats.snapshot;  (** typed scheme counters *)
   latency : latency;
 }
-
-let pp_result ppf r =
-  Fmt.pf ppf "%8.3f Mop/s  peak=%-8d uaf=%d" r.throughput r.peak_unreclaimed r.uaf
