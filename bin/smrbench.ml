@@ -654,6 +654,19 @@ module Reclaim_bench = struct
     ignore (sample () : float);
     sample ()
 
+  (* A row from a kernel's [(ns, words)] per cycle of [ops] ops. *)
+  let row ~kernel ~scheme ?(hazards = 0) ~iters ~ops ~gated (ns, words) =
+    {
+      kernel;
+      scheme;
+      hazards;
+      iters;
+      ops_per_cycle = ops;
+      ns_per_op = ns /. float_of_int ops;
+      minor_words_per_op = words /. float_of_int ops;
+      gated;
+    }
+
   let measure ~iters f =
     for _ = 1 to 16 do f () done;  (* steady state: grow scratch, warm pools *)
     let w0 = Gc.minor_words () in
@@ -698,35 +711,30 @@ module Reclaim_bench = struct
     X.unregister h;
     X.destroy ~force:true d;
     Alloc.reset ();
-    {
-      kernel = "retire";
-      scheme = (X.caps Config.default).Hpbrcu_core.Caps.name;
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated;
-    }
+    row ~kernel:"retire" ~scheme:(X.caps Config.default).Hpbrcu_core.Caps.name
+      ~iters ~ops ~gated (ns, words)
 
   (* One cycle = 128 retirements + one explicit scan against [hazards] live
      shields (the batch threshold is pushed out of reach so only [flush]
-     scans).  Reported per cycle: the scan dominates at every H. *)
+     scans).  Reported per cycle: the scan dominates at every H.  HP's
+     machinery is driven directly, with no hop ring, so the shield table
+     holds exactly the H shields (H = 16384 fills it). *)
   let scan_kernel ~iters ~hazards =
-    let module X = Hp.Impl in
+    let module X = Hpbrcu_schemes.Hp_core in
     Alloc.reset ();
-    let d =
-      X.create ~label:"bench-scan"
+    let meta =
+      Smr_intf.Dom.make ~scheme:"HP" ~label:"bench-scan"
         { Config.default with batch = max_int lsr 1 }
     in
-    let h = X.register d in
+    let d = X.create meta in
+    let h = X.register ~hop_ring:false d in
     let prot = Array.init hazards (fun _ -> Alloc.block ()) in
     let shields = Array.init hazards (fun _ -> X.new_shield h) in
     Array.iteri (fun k s -> X.protect s prot.(k)) shields;
     let blocks, frees = make_ring 128 in
     let cycle () =
       for k = 0 to 127 do
-        X.retire h ?free:frees.(k) blocks.(k)
+        X.retire h ?free:frees.(k) ~patches:[] ~claimed:false blocks.(k)
       done;
       X.flush h
     in
@@ -734,18 +742,12 @@ module Reclaim_bench = struct
     Array.iter X.clear shields;
     X.flush h;
     X.unregister h;
-    X.destroy ~force:true d;
+    Smr_intf.Dom.begin_destroy ~force:true meta;
+    X.drain d;
+    Smr_intf.Dom.finish_destroy meta;
     Alloc.reset ();
-    {
-      kernel = "scan";
-      scheme = "HP";
-      hazards;
-      iters;
-      ops_per_cycle = 1;
-      ns_per_op = ns;
-      minor_words_per_op = words;
-      gated = true;
-    }
+    row ~kernel:"scan" ~scheme:"HP" ~hazards ~iters ~ops:1 ~gated:true
+      (ns, words)
 
   let dom_make ~scheme =
     Smr_intf.Dom.make ~scheme ~label:"bench" Config.default
@@ -768,16 +770,7 @@ module Reclaim_bench = struct
     Epoch_core.unregister h;
     Epoch_core.drain ed;
     dom_drop ed.Epoch_core.meta;
-    {
-      kernel = "pin_unpin";
-      scheme = "EBR";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
+    row ~kernel:"pin_unpin" ~scheme:"EBR" ~iters ~ops ~gated:true (ns, words)
 
   (* HP-BRCU critical-section enter/exit around a prebuilt empty body: the
      fixed cost every HP-BRCU traversal pays.  The body is built once, so
@@ -796,16 +789,8 @@ module Reclaim_bench = struct
     let ns, words = measure ~iters cycle in
     X.unregister h;
     X.destroy ~force:true d;
-    {
-      kernel = "brcu-crit";
-      scheme = "HP-BRCU";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
+    row ~kernel:"brcu-crit" ~scheme:"HP-BRCU" ~iters ~ops ~gated:true
+      (ns, words)
 
   (* Repeated advance attempts that must fail: one participant stays pinned
      below the global epoch, the classic spin of a reclaimer waiting out a
@@ -827,16 +812,7 @@ module Reclaim_bench = struct
     Array.iter Epoch_core.unregister hs;
     Epoch_core.drain ed;
     dom_drop ed.Epoch_core.meta;
-    {
-      kernel = "advance_fail";
-      scheme = "EBR";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
+    row ~kernel:"advance_fail" ~scheme:"EBR" ~iters ~ops ~gated:true (ns, words)
 
   (* The disabled-tracer fast path: every hot-path emit in the runtime is
      one ref read and a branch when tracing is off (DESIGN.md §10).
@@ -853,16 +829,8 @@ module Reclaim_bench = struct
       done
     in
     let ns, words = measure ~iters cycle in
-    {
-      kernel = "trace-emit-off";
-      scheme = "-";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops * 2;
-      ns_per_op = ns /. float_of_int (ops * 2);
-      minor_words_per_op = words /. float_of_int (ops * 2);
-      gated = true;
-    }
+    row ~kernel:"trace-emit-off" ~scheme:"-" ~iters ~ops:(ops * 2) ~gated:true
+      (ns, words)
 
   let best (ns, w) (ns', w') = (Float.min ns ns', Float.max w w')
 
@@ -930,16 +898,8 @@ module Reclaim_bench = struct
       in
       go 3 (infinity, 0.)
     in
-    {
-      kernel = "flight-emit";
-      scheme = "-";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops * 2;
-      ns_per_op = ns /. float_of_int (ops * 2);
-      minor_words_per_op = words /. float_of_int (ops * 2);
-      gated = true;
-    }
+    row ~kernel:"flight-emit" ~scheme:"-" ~iters ~ops:(ops * 2) ~gated:true
+      (ns, words)
 
   (* The raw tick read alone, timed like [flight-emit] (parked companion,
      warmup, best of five windows), so that kernel's cost splits into the
@@ -954,16 +914,7 @@ module Reclaim_bench = struct
     let ns, words =
       Hpbrcu_runtime.Backend.with_parked_domain (fun () -> warm_best ~iters cycle)
     in
-    {
-      kernel = "clock-ticks";
-      scheme = "-";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = false;
-    }
+    row ~kernel:"clock-ticks" ~scheme:"-" ~iters ~ops ~gated:false (ns, words)
 
   (* Run [f] inside a single spawned worker under the Domains backend.
      [Gc.minor_words] inside the worker counts that domain's own minor
@@ -993,16 +944,7 @@ module Reclaim_bench = struct
           assert (Atomic.get Hpbrcu_runtime.Fault.hooks = 0);
           warm_best ~iters cycle)
     in
-    {
-      kernel = "yield";
-      scheme = "-";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
+    row ~kernel:"yield" ~scheme:"-" ~iters ~ops ~gated:true (ns, words)
 
   (* The P0484-style scoped guards (Smr_intf.Scoped): with_op/with_crit/
      with_mask are direct aliases of the underlying phase combinators, so
@@ -1037,17 +979,8 @@ module Reclaim_bench = struct
     X.unregister h;
     X.destroy ~force:true d;
     Alloc.reset ();
-    {
-      kernel = "guards";
-      scheme = "EBR";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops * 3;
-      ns_per_op = ns /. float_of_int (ops * 3);
-      minor_words_per_op =
-        Float.max 0. (words -. bare_words) /. float_of_int (ops * 3);
-      gated = true;
-    }
+    row ~kernel:"guards" ~scheme:"EBR" ~iters ~ops:(ops * 3) ~gated:true
+      (ns, Float.max 0. (words -. bare_words))
 
   let brcu_advance_kernel ~iters =
     let bd = Brcu_core.create (dom_make ~scheme:"BRCU") in
@@ -1067,16 +1000,8 @@ module Reclaim_bench = struct
     Array.iter Brcu_core.unregister hs;
     Brcu_core.drain bd;
     dom_drop bd.Brcu_core.meta;
-    {
-      kernel = "advance_fail";
-      scheme = "BRCU";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
+    row ~kernel:"advance_fail" ~scheme:"BRCU" ~iters ~ops ~gated:true
+      (ns, words)
 
   (* One node header: [Alloc.block ()] must allocate exactly one 7-field
      [Block.t] record (8 words with its header) and nothing else — no
@@ -1093,16 +1018,7 @@ module Reclaim_bench = struct
     in
     let ns, words = measure ~iters cycle in
     Alloc.reset ();
-    {
-      kernel = "block-alloc";
-      scheme = "-";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
+    row ~kernel:"block-alloc" ~scheme:"-" ~iters ~ops ~gated:true (ns, words)
 
   (* The Traverse read path (DESIGN.md §9): an HHSList [get] of an absent
      key beyond the tail, which walks every node, on a 128-node and on a
@@ -1136,23 +1052,11 @@ module Reclaim_bench = struct
     let ns_node = (ns_l -. ns_s) /. extra in
     let words_node = Float.max 0. ((words_l -. words_s) /. extra) in
     let scheme = (X.caps Config.default).Hpbrcu_core.Caps.name in
-    let row kernel ns words gated =
-      {
-        kernel;
-        scheme;
-        hazards = 0;
-        iters;
-        ops_per_cycle = 1;
-        ns_per_op = ns;
-        minor_words_per_op = words;
-        gated;
-      }
-    in
     [
-      row "traverse-walk" ns_node words_node true;
-      row "traverse-get" ns_s
-        (Float.max 0. (words_s -. (float_of_int short *. words_node)))
-        false;
+      row ~kernel:"traverse-walk" ~scheme ~iters ~ops:1 ~gated:true
+        (ns_node, words_node);
+      row ~kernel:"traverse-get" ~scheme ~iters ~ops:1 ~gated:false
+        (ns_s, Float.max 0. (words_s -. (float_of_int short *. words_node)));
     ]
 
   (* The tree read path: NMTree [get]s of 64 present keys spread over a
@@ -1179,16 +1083,8 @@ module Reclaim_bench = struct
     T.close_session s;
     X.destroy ~force:true d;
     Alloc.reset ();
-    {
-      kernel = "tree-get";
-      scheme = (X.caps Config.default).Hpbrcu_core.Caps.name;
-      hazards = 0;
-      iters;
-      ops_per_cycle = probes;
-      ns_per_op = ns /. float_of_int probes;
-      minor_words_per_op = words /. float_of_int probes;
-      gated = false;
-    }
+    row ~kernel:"tree-get" ~scheme:(X.caps Config.default).Hpbrcu_core.Caps.name
+      ~iters ~ops:probes ~gated:false (ns, words)
 
   let run_all ~quick =
     let sc = if quick then 8 else 1 in
