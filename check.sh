@@ -28,6 +28,34 @@ gate() {
   fi
 }
 
+# ratio_gate NAME UNARMED CMD [ARGS...] — [gate] for a domains gate whose
+# ratio check arms only on >= 2 hardware threads.  The command's stdout
+# goes to $out; UNARMED is a function that reads the gate's own output and
+# prints the hardware-thread count when that output says the ratio check
+# did not arm.  Such a pass is recorded as "PASS (ratio unarmed: N hardware
+# thread)", so a one-core run never reads as a full pass.
+ratio_gate() {
+  name=$1
+  unarmed=$2
+  shift 2
+  echo "check.sh: == $name"
+  out="/tmp/smrbench.ci.$name.out"
+  "$@" > "$out"
+  rc=$?
+  cat "$out"
+  if [ "$rc" -ne 0 ]; then
+    record "$name" FAIL
+    failed=1
+  else
+    n="$($unarmed)"
+    if [ -n "$n" ]; then
+      record "$name" "PASS (ratio unarmed: $n hardware thread)"
+    else
+      record "$name" PASS
+    fi
+  fi
+}
+
 # skip NAME REASON — record a gate that cannot run here.
 skip() {
   echo "check.sh: skipping $1: $2"
@@ -214,7 +242,15 @@ gate shards-fibers dune exec bin/smrbench.exe -- shards --quick
 # 1.5x of the identical fiber-substrate cell (measured against a
 # parked-companion baseline so both sides pay real fenced atomics).
 # Scalability-ratio gates arm themselves only on >= 2 cores.
-gate bench-domains dune exec bin/smrbench.exe -- bench-domains --quick --gate \
+bench_domains_unarmed() {
+  python3 -c '
+import json, sys
+d = json.load(open(sys.argv[1]))
+if not d["ratio_gates_active"]:
+    print(d["hardware_threads"])' /tmp/BENCH_domains.ci.json
+}
+ratio_gate bench-domains bench_domains_unarmed \
+  dune exec bin/smrbench.exe -- bench-domains --quick --gate \
   --out /tmp/BENCH_domains.ci.json
 
 # Flight-recorder smoke gate (DESIGN.md §15): a domains-mode chaos cell
@@ -238,7 +274,8 @@ gate flight-smoke flight_smoke
 # pinned inside one shard's critical section (Fault.crash_park) while
 # the survivors, held until it is parked, drain their budgets; the
 # shared/isolated ratio must still clear the (schedule-aware)
-# domain-mode threshold.
+# domain-mode threshold.  Unlike bench-domains and chaos-domains, this
+# ratio check is armed on any core count, so it is a plain [gate].
 gate shards-domains dune exec bin/smrbench.exe -- shards --quick --mode domains
 
 # Stalled reader on real cores (DESIGN.md §15): reader 0 parks for
@@ -257,7 +294,11 @@ gate chaos-stall-domains dune exec bin/smrbench.exe -- chaos --mode domains \
 # crashes.  The RCU-vs-HP-BRCU crashed-reader peak-ratio discriminator
 # arms itself on >= 2 hardware threads; on one core it is reported but
 # not gated (never faked).
-gate chaos-domains dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
+chaos_domains_unarmed() {
+  sed -n 's/.*ratio gate skipped (\([0-9]*\) core).*/\1/p' "$out"
+}
+ratio_gate chaos-domains chaos_domains_unarmed \
+  dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
 
 # Atomics audit gate (DESIGN.md §16): the fault/chaos crash paths run on
 # real domains, so their modules must not grow new top-level 'ref'
