@@ -162,15 +162,21 @@ type maker = (module Hpbrcu_core.Smr_intf.S) -> (module Ds.Ds_intf.MAP)
    lazy list and EFRB run under every [NoOverhead] scheme. *)
 let structures : (string * Caps.ds_id option * maker) list =
   [
-    ("HList", Some Caps.HList, fun (module S) -> (module Ds.Harris_list.Make (S)));
-    ("HHSList", Some Caps.HHSList, fun (module S) -> (module Ds.Harris_list.Make_hhs (S)));
+    ( "HList",
+      Some Caps.HList,
+      fun (module S) -> (module Ds.Harris_list.Make (S)) );
+    ( "HHSList",
+      Some Caps.HHSList,
+      fun (module S) -> (module Ds.Harris_list.Make_hhs (S)) );
     ("HMList", Some Caps.HMList, fun (module S) -> (module Ds.Hm_list.Make (S)));
     ( "HashMap",
       Some Caps.HashMap,
       fun (module S) ->
         let module B = (val Hpbrcu_workload.Matrix.list_for S.caps) in
         (module Ds.Hashmap.Make_gen (B) (S)) );
-    ("SkipList", Some Caps.SkipList, fun (module S) -> (module Ds.Skiplist.Make (S)));
+    ( "SkipList",
+      Some Caps.SkipList,
+      fun (module S) -> (module Ds.Skiplist.Make (S)) );
     ("NMTree", Some Caps.NMTree, fun (module S) -> (module Ds.Nmtree.Make (S)));
     ("LazyList", None, fun (module S) -> (module Ds.Lazy_list.Make (S)));
     ("EFRB-BST", None, fun (module S) -> (module Ds.Efrb_bst.Make (S)));
@@ -219,7 +225,7 @@ let shield_allowance_cases =
                       Test_util.with_scheme name (fun s ->
                           let n = session_shields make s in
                           if n > shield_allowance then
-                            Alcotest.failf "%s session registers %d shields > %d"
+                            Alcotest.failf "%s session registers %d > %d shields"
                               ds n shield_allowance;
                           if name = "HP-BRCU" then
                             Alcotest.(check int) "HP-BRCU session shields"
