@@ -198,8 +198,22 @@ gate field0-audit field0_audit
 # Chaos smoke gate: the full scheme matrix under every fault plan, three
 # seeds, with the traced determinism probes.  Exits non-zero on any
 # invariant violation (non-termination, use-after-free, bound overshoot,
-# missing EBR collapse, replay mismatch).
-gate chaos-fibers dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
+# missing EBR collapse, replay mismatch).  The run is a pure function of
+# its seeds, so its stdout must also match the committed golden byte for
+# byte: a change that moves any cell's ops, peak or fault counts fails.
+chaos_fibers() {
+  golden=repros/golden/chaos-quick-seeds3.txt
+  out=/tmp/smrbench.ci.chaos-fibers.out
+  dune exec bin/smrbench.exe -- chaos --seeds 3 --quick > "$out"
+  rc=$?
+  cat "$out"
+  [ "$rc" -eq 0 ] || return 1
+  if ! cmp -s "$out" "$golden"; then
+    echo "check.sh: chaos --seeds 3 --quick differs from $golden" >&2
+    return 1
+  fi
+}
+gate chaos-fibers chaos_fibers
 
 # Steady-state allocation gate (DESIGN.md §9): every gated reclamation
 # kernel (retire, scan, pin/unpin, HP-BRCU crit enter/exit around a

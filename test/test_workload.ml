@@ -1,11 +1,12 @@
-(* The long-running-read workload and the harnesses built on it: the list
-   each scheme runs, a Longrun cell under fibers, the chaos shard-isolation
-   cells on both substrates, and the stall-reader garbage-over-time
-   curve. *)
+(* The long-running-read workload and the harnesses built on it: exact
+   pins of one deterministic cell per harness, the list each scheme runs,
+   a Longrun cell under fibers, the chaos shard-isolation cells on both
+   substrates, and the stall-reader garbage-over-time curve. *)
 
 module W = Hpbrcu_workload
 module Trace = Hpbrcu_runtime.Trace
 module Schemes = Hpbrcu_schemes.Schemes
+module Runner = Hpbrcu_check.Runner
 
 (* ------------------------------------------------------------------ *)
 (* The list pick                                                       *)
@@ -136,9 +137,73 @@ let test_stall_reader_curve () =
     Alcotest.failf "RCU drained only to %d after the stall (max %d)" drained
       rcu_max
 
+(* ------------------------------------------------------------------ *)
+(* Engine pins                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact outputs of op-budgeted fiber cells, one per harness that drives
+   workers through the cell engine: a chaos cell, a hunt case and a
+   figure cell.  Each is a pure function of its seed, so a change to the
+   engine that moves a yield, an RNG draw or the stop rule shows here. *)
+
+let test_pin_chaos () =
+  let pin scheme plan_id want =
+    let c, _ =
+      W.Chaos.run_one ~substrate:`Fibers ~scheme ~plan_id ~seed:1 W.Chaos.quick
+    in
+    Alcotest.(check (list int))
+      (scheme ^ " " ^ W.Chaos.plan_name plan_id ^ ": ticks, ops, peak")
+      want
+      [ c.W.Chaos.ticks; c.total_ops; c.peak ]
+  in
+  pin "HP-BRCU" W.Chaos.Crash_reader [ 62952; 12045; 111 ];
+  pin "RCU" W.Chaos.Baseline [ 43554; 12080; 67 ]
+
+let test_pin_hunt () =
+  let p = { W.Chaos.quick with writer_ops = 400 } in
+  let pin scheme plan want =
+    let o, _ =
+      Runner.run
+        {
+          Runner.scheme;
+          seed = 3;
+          p;
+          plan = W.Chaos.plan_of p plan;
+          spec = Hpbrcu_check.Schedule.Rand;
+        }
+    in
+    Alcotest.(check string) (scheme ^ " outcome") want
+      (Fmt.str "%a" Runner.pp_outcome o)
+  in
+  pin "HP-BRCU" W.Chaos.Crash_reader
+    "clean ops=845 ticks=23907 peak=32 crashes=1";
+  pin "RCU" W.Chaos.Baseline "clean ops=880 ticks=21291 peak=37 crashes=0"
+
+let test_pin_cell () =
+  let cell =
+    W.Spec.cell ~threads:3 ~key_range:128 ~workload:W.Spec.Read_write
+      ~limit:(W.Spec.Ops 300) ~mode:(W.Spec.Fibers 7) ~seed:7 ()
+  in
+  match W.Matrix.run_cell ~ds:Hpbrcu_core.Caps.HHSList ~scheme:"HP-BRCU" cell with
+  | None -> Alcotest.fail "HP-BRCU must support HHSList"
+  | Some r ->
+      let module H = Hpbrcu_runtime.Stats.Histogram in
+      let g = r.W.Spec.latency.W.Spec.get in
+      Alcotest.(check string) "latency unit" "tick" r.W.Spec.latency.W.Spec.unit_;
+      Alcotest.(check (list int))
+        "ops; get count, sum, p50, p90, p99, max"
+        [ 900; 468; 13067; 26; 48; 64; 89 ]
+        [ r.W.Spec.total_ops; g.H.count; g.H.sum; g.H.p50; g.H.p90; g.H.p99; g.H.max ]
+
 let () =
   Alcotest.run "workload"
     [
+      ( "engine pins",
+        [
+          Alcotest.test_case "chaos cells" `Quick test_pin_chaos;
+          Alcotest.test_case "hunt cases" `Quick test_pin_hunt;
+          Alcotest.test_case "figure cell" `Quick test_pin_cell;
+        ] );
       ( "list pick",
         [
           Alcotest.test_case "HMList for HP/HE/IBR only" `Quick test_list_pick;
