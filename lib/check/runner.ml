@@ -2,10 +2,13 @@
     executed under the controlled scheduler with every oracle armed
     (DESIGN.md §11).
 
-    The execution runs the long-running-read body the chaos cell runs
-    ({!Hpbrcu_workload.Longrun.Body}) — prefill to 50% occupancy before
-    faults arm, readers sweep the whole key range while writers churn a
-    hot region — under a virtual-tick deadline, with three additions:
+    The workers run the chaos cell's drive
+    ({!Hpbrcu_workload.Chaos.Runner.drive}: the long-running-read body
+    over the cell engine — prefill to 50% occupancy before faults arm,
+    readers sweep the whole key range while writers churn a hot region,
+    op budgets, a plan's crash victims looping until they crash, a
+    virtual-tick deadline), with the scheduler switching at every
+    yield.  The hunt adds three things:
 
     + the scheduler's branching decisions are delegated to a
       {!Schedule.spec} and recorded, so the exact interleaving is an
@@ -27,11 +30,10 @@ module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
 module Signal = Hpbrcu_runtime.Signal
 module Caps = Hpbrcu_core.Caps
-module Schemes = Hpbrcu_schemes.Schemes
 module Registry = Hpbrcu_schemes.Registry
 module Matrix = Hpbrcu_workload.Matrix
 module Chaos = Hpbrcu_workload.Chaos
-module Longrun = Hpbrcu_workload.Longrun
+module Cell_runner = Hpbrcu_workload.Cell_runner
 module Ds = Hpbrcu_ds
 
 type case = {
@@ -98,10 +100,8 @@ let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
           ~sentinels:M.sentinels ~teardown:M.destroy_created)
   end
   else
-    Schemes.with_domain ~label:"hunt" ((module X), config) (fun (module D) ->
-        let module S = D.S in
-        let module B = (val Matrix.list_for S.caps) in
-        k (module B (S)) ~sentinels:1 ~teardown:D.teardown)
+    Matrix.with_list ~label:"hunt" ((module X), config) (fun (module L) (module D) ->
+        k (module L) ~sentinels:1 ~teardown:D.teardown)
 
 let plan_has_signal_faults (pl : Fault.plan) =
   List.exists
@@ -123,10 +123,11 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
   let p = case.p in
   let nthreads = p.Chaos.readers + p.Chaos.writers in
   let bound = caps.Caps.bound ~nthreads in
+  let mode = Sched.Fibers { seed = case.seed; switch_every = 1 } in
   Alloc.reset ();
   Alloc.set_strict false;
   Alloc.set_poisoning true;
-  if traced then Trace.enable ~sink:Trace.Spool ();
+  if traced then Trace.enable ~sink:(fst (Cell_runner.trace_sink mode)) ();
   let restore () =
     Alloc.set_poisoning false;
     Alloc.set_strict true;
@@ -135,46 +136,18 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
   match
     with_map (module X) ~config ~sharded (fun (module L : Ds.Ds_intf.MAP)
                                               ~sentinels ~teardown ->
-        (* The long-running-read prefill and op step, so a hunt case draws
-           the same keys as the chaos cell with the same seed.  Prefill
-           runs outside fiber mode: fault counters and schedule decisions
-           must index the workload proper. *)
-        let module C = Longrun.Body (L) in
+        (* The chaos cell's drive: the long-running-read prefill (outside
+           fiber mode, so fault counters and schedule decisions index the
+           workload proper) and op step, so a hunt case draws the same
+           keys as the chaos cell with the same seed. *)
+        let module R = Chaos.Runner (L) in
         let t = L.create () in
-        C.prefill ~key_range:p.Chaos.key_range ~seed:case.seed t;
-        let ops = Array.make nthreads 0 in
-        let deadline_hit = ref false in
-        let exhausted = ref false in
-        let end_tick = ref 0 in
-        Fault.install case.plan;
-        Sched.set_tick_deadline p.Chaos.tick_budget;
-        let worker tid =
-          let s = L.session t in
-          let rng = C.worker_rng ~seed:case.seed tid in
-          let reader = tid < p.Chaos.readers in
-          let budget = if reader then p.Chaos.reader_ops else p.Chaos.writer_ops in
-          (try
-             for _ = 1 to budget do
-               C.step ~key_range:p.Chaos.key_range
-                 ~hot_width:p.Chaos.hot_width t s rng ~reader;
-               ops.(tid) <- ops.(tid) + 1
-             done;
-             L.close_session s
-           with
-          | Sched.Deadline -> deadline_hit := true
-          | Registry.Exhausted _ -> exhausted := true);
-          if Sched.tick () > !end_tick then end_tick := Sched.tick ()
-        in
-        let (), recording =
+        let r, recording =
           Schedule.with_spec ~seed:case.seed spec (fun () ->
-              Sched.run
-                (Sched.Fibers { seed = case.seed; switch_every = 1 })
-                ~nthreads worker)
+              R.drive ~mode ~plan:case.plan ~seed:case.seed p t)
         in
-        Sched.clear_tick_deadline ();
-        let crashes = Sched.crashed_count () in
-        Fault.clear ();
-        let terminated = not !deadline_hit in
+        let crashes = r.Cell_runner.crashes in
+        let terminated = not r.Cell_runner.deadline_hit in
         (* Quiescence audits, in gate order.  [undelivered_pending] must be
            read before the census creates fresh boxes. *)
         let pending =
@@ -185,7 +158,7 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
         (* Census + drain: only meaningful (and only exact) for a clean
            terminating run — a crashed or deadline-aborted fiber may hold
            an in-flight node that is neither published nor discarded. *)
-        let clean = terminated && crashes = 0 && not !exhausted in
+        let clean = terminated && crashes = 0 && not r.Cell_runner.exhausted in
         let present = ref 0 in
         let census_ok = ref false in
         if clean then begin
@@ -231,9 +204,9 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
           findings = List.rev !findings;
           terminated;
           crashes;
-          exhausted = !exhausted;
-          ticks = !end_tick;
-          total_ops = Array.fold_left ( + ) 0 ops;
+          exhausted = r.Cell_runner.exhausted;
+          ticks = r.Cell_runner.ticks;
+          total_ops = Array.fold_left ( + ) 0 r.Cell_runner.ops;
           peak = st.Alloc.peak_unreclaimed;
           recording;
         })
@@ -243,9 +216,6 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
       restore ();
       (outcome, log)
   | exception e ->
-      Sched.clear_tick_deadline ();
-      Sched.clear_chooser ();
-      Fault.clear ();
       restore ();
       raise e
 

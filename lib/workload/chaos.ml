@@ -8,35 +8,38 @@
     plans — stall storms, a stalled or crashed reader, lost and late
     signal deliveries, allocator-pool exhaustion.
 
-    There is one engine: one cell ({!Runner}) over the long-running-read
-    body that {!Longrun.Body} defines once for every harness, one
+    The workers run through the cell engine ({!Cell_runner.Make.drive})
+    over the long-running-read body ({!Longrun.Body}); this module adds
+    the fault plans, the census and the {!cell} record, and one
     {!run_one}, one {!run_grid}, one {!check_cell} and one report,
     parameterised by a [[ `Fibers | `Domains ]] substrate and a
     {!topology}: the one-domain list, or the sharded hash map with one
     domain per shard ([Isolated]) or every shard in one domain ([Shared]),
     whose pair of crashed-reader cells the {!isolation} verdict reads.
     Every cell, on either substrate, must satisfy the same invariants:
-    termination within its budget, zero use-after-free, every domain's
-    peak unreclaimed within the scheme's declared
-    {!Hpbrcu_core.Caps.t.bound} (schemes declaring [None] are exempt:
-    unboundedness under stalls is their documented failure mode, and the
-    {!discriminator} asserts it actually shows), the exact allocator
-    census (and the flight recorder's, when a domains cell is traced),
-    and exactly the planned number of crashes.
+    termination within its budget, no registry exhaustion, zero
+    use-after-free, every domain's peak unreclaimed within the scheme's
+    declared {!Hpbrcu_core.Caps.t.bound} (schemes declaring [None] are
+    exempt: unboundedness under stalls is their documented failure mode,
+    and the {!discriminator} asserts it actually shows), the exact
+    allocator census (and the flight recorder's, when a domains cell is
+    traced), and exactly the planned number of crashes.
 
-    A crash victim loops until its crash rule fires, on both substrates,
-    and every survivor first waits for each victim to be down
+    The engine gives a crash victim of the plan no op budget, so it
+    loops until its crash rule fires, on both substrates, and every
+    survivor first waits for each victim to be down
     ({!Hpbrcu_runtime.Sched.await_crash_victims}, a no-op on fibers,
     where the crash fires at a fixed schedule point).  The substrates fork
     in three places only:
 
     + the scheduler and deadline — the deterministic fiber simulator
       under a virtual-tick budget, or real [Domain.spawn] workers under
-      {!wall_budget_s}, where a crashed reader is a worker parked forever
-      while pinned ({!Hpbrcu_runtime.Fault.crash_park});
-    + the stamp and the trace sink — a fiber cell records its last
-      virtual tick and traces to the non-lossy spool, a domains cell its
-      elapsed wall-clock ns and traces to the flight recorder;
+      {!Cell_runner.wall_budget_s}, where a crashed reader is a worker
+      parked forever while pinned ({!Hpbrcu_runtime.Fault.crash_park});
+    + the stamp and the trace sink ({!Cell_runner.trace_sink}) — a fiber
+      cell records its last virtual tick and traces to the non-lossy
+      spool, a domains cell its elapsed wall-clock ns and traces to the
+      flight recorder;
     + the verdict policy ({!discriminator}) — on fibers, RCU's
       crashed-reader peak must exceed 10× its fault-free peak and the
       traced replay probes must reproduce byte-identical event logs
@@ -45,13 +48,10 @@
       exceed HP-BRCU's by a threshold, gated only on >= 2 cores. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
-module Sched = Hpbrcu_runtime.Sched
-module Rng = Hpbrcu_runtime.Rng
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
 module Backend = Hpbrcu_runtime.Backend
-module Clock = Hpbrcu_runtime.Clock
 module Schemes = Hpbrcu_schemes.Schemes
 module Caps = Hpbrcu_core.Caps
 module Dom = Hpbrcu_core.Smr_intf.Dom
@@ -265,6 +265,7 @@ type cell = {
   seed : int;
   topology : topology;
   terminated : bool;  (** finished inside the tick (fibers) or wall budget *)
+  exhausted : bool;  (** a worker ran a slot registry out *)
   ticks : int;  (** last virtual tick observed by a finishing worker (fibers) *)
   wall_ns : int;  (** elapsed wall time (domains) *)
   total_ops : int;
@@ -286,13 +287,6 @@ type cell = {
   snap : Stats.snapshot;  (** typed scheme counters at window end *)
 }
 
-(* The tick budget's lat_unit-aware dual: virtual ticks converted through
-   the fault clock's exchange rate, floored at 10 s so a slow container
-   never turns an honest cell into a termination violation.  quick's 8M
-   ticks at the default 1 us/tick is a 10 s ceiling, full's 24M is 24 s. *)
-let wall_budget_s (p : params) =
-  Float.max 10. (float_of_int p.tick_budget *. float_of_int Fault.tick_ns *. 1e-9)
-
 (* The allocator's census, joined by the flight recorder's when a domains
    cell is traced. *)
 let census () =
@@ -306,140 +300,97 @@ let census () =
     String.concat "; "
       (List.filter_map (fun (ok, m) -> if ok then None else Some m) checks) )
 
-(** A chaos cell over one map [t]: the long-running-read body
-    ({!Longrun.Body}) under a fault plan and an op budget.  [dom_peaks]
-    reads the per-domain peaks after the run. *)
+(** The chaos workload over one map: the long-running-read body
+    ({!Longrun.Body}) under a fault plan and a cell's op budgets. *)
 module Runner (L : Ds.Ds_intf.MAP) = struct
   module B = Longrun.Body (L)
 
-  let go ~(substrate : substrate) ~(p : params) ~(pl : Fault.plan) ~seed
-      ~scheme_stats ~dom_peaks ~bound ~scheme ~plan ~topology (t : L.t) : cell =
+  (** [drive ~mode ~plan ~seed p t] — prefill [t], then run the body
+      under [plan] with each reader's and writer's op budget and [p]'s
+      tick budget.  The hunt runner drives its cases through this too. *)
+  let drive ~mode ~plan ~seed (p : params) t =
     B.prefill ~key_range:p.key_range ~seed t;
-    let nthreads = p.readers + p.writers in
-    let ops = Array.init nthreads (fun _ -> Atomic.make 0) in
-    let deadline_hit = Atomic.make false in
-    let end_tick = Atomic.make 0 in
-    let victims = Fault.crash_tids pl in
-    Fault.install pl;
-    let mode =
-      match substrate with
-      | `Fibers ->
-          Sched.set_tick_deadline p.tick_budget;
-          Sched.Fibers { seed; switch_every = 4 }
-      | `Domains ->
-          Sched.set_deadline (Unix.gettimeofday () +. wall_budget_s p);
-          Sched.Domains
-    in
-    let t0 = Clock.now_ns () in
-    let worker tid =
-      let s = L.session t in
-      let rng = B.worker_rng ~seed tid in
-      let reader = tid < p.readers in
-      let one_op () =
-        B.step ~key_range:p.key_range ~hot_width:p.hot_width t s rng ~reader;
-        Atomic.incr ops.(tid)
-      in
-      (try
-         if List.mem tid victims then
-           (* A victim's op budget must not end before its crash rule
-              (indexed on its own yield count) fires: it leaves through
-              the abandoned fiber, [Sched.Crashed] (absorbed by the
-              backend) or the deadline. *)
-           while true do
-             one_op ()
-           done
-         else begin
-           Sched.await_crash_victims pl;
-           for _ = 1 to if reader then p.reader_ops else p.writer_ops do
-             one_op ()
-           done;
-           L.close_session s
-         end
-       with Sched.Deadline -> Atomic.set deadline_hit true);
-      if Sched.tick () > Atomic.get end_tick then Atomic.set end_tick (Sched.tick ())
-    in
-    Sched.run mode ~nthreads worker;
-    let ticks, wall_ns =
-      match substrate with
-      | `Fibers ->
-          Sched.clear_tick_deadline ();
-          (Atomic.get end_tick, 0)
-      | `Domains ->
-          Sched.clear_deadline ();
-          (0, Clock.now_ns () - t0)
-    in
-    let injected = Fault.injected () in
-    let crashes = Sched.crashed_count () in
-    Fault.clear ();
-    let st = Alloc.stats () in
-    let census_ok, census_msg = census () in
-    {
-      scheme;
-      plan;
-      seed;
-      topology;
-      terminated = not (Atomic.get deadline_hit);
-      ticks;
-      wall_ns;
-      total_ops = Array.fold_left (fun a o -> a + Atomic.get o) 0 ops;
-      peak = st.Alloc.peak_unreclaimed;
-      dom_peaks = dom_peaks ();
-      final_unreclaimed = st.Alloc.unreclaimed;
-      uaf = st.Alloc.uaf;
-      bound;
-      crashes;
-      planned_crashes = List.length victims;
-      census_ok;
-      census_msg;
-      injected;
-      snap = scheme_stats ();
-    }
+    B.drive ~mode
+      ~limit:
+        (Cell_runner.Ops
+           (fun tid -> if tid < p.readers then p.reader_ops else p.writer_ops))
+      ~ticks:p.tick_budget ~plan ~seed ~readers:p.readers ~writers:p.writers
+      ~key_range:p.key_range ~hot_width:p.hot_width t
 end
+
+(* The scheduler a chaos cell of [seed] runs under. *)
+let mode_of (substrate : substrate) ~seed =
+  Cell_runner.sched_mode
+    (match substrate with `Fibers -> Spec.Fibers seed | `Domains -> Spec.Domains)
 
 (** [run_one ~substrate ~scheme ~plan_id ~seed p] executes one chaos
     cell over [topology] (default [One]).  With [~traced:true] the event
-    tracer records the run — the non-lossy spool on fibers (used by the
-    determinism check), the flight recorder on domains — and the decoded
-    log, taken before the domains' teardown drain, is returned
-    alongside. *)
+    tracer records the run into the substrate's sink
+    ({!Cell_runner.trace_sink}), and the decoded log, taken before the
+    domains' teardown drain, is returned alongside. *)
 let run_one ?(traced = false) ?(topology = One) ~substrate ~scheme ~plan_id
     ~seed (p : params) : cell * Trace.record list =
   let p = effective_params p plan_id in
   let pl = plan_of p plan_id in
   let nthreads = p.readers + p.writers in
+  let mode = mode_of substrate ~seed in
   (* Small-batch tuning keeps bounds (and cells) small. *)
   let ((module X : Hpbrcu_core.Smr_intf.SCHEME), config) as impl =
     Schemes.find ~tuning:`Small scheme
   in
   let caps = X.caps config in
-  let bound = caps.Caps.bound ~nthreads in
-  let module B = (val Matrix.list_for caps) in
   let start () =
     Alloc.reset ();
     Alloc.set_strict false;
     if traced then
-      match substrate with
-      | `Fibers -> Trace.enable ~sink:Trace.Spool ()
-      | `Domains -> Trace.enable ~sink:Trace.Flight ~ndomains:nthreads ()
+      Trace.enable ~sink:(fst (Cell_runner.trace_sink mode)) ~ndomains:nthreads ()
   in
-  let finish cell =
+  (* Drive [t], then read the books: [dom_peaks] gives the per-domain
+     peaks, and the log is taken before any domain is torn down. *)
+  let cell (type a) (module L : Ds.Ds_intf.MAP with type t = a) ~scheme_stats
+      ~dom_peaks (t : a) =
+    let module R = Runner (L) in
+    let r = R.drive ~mode ~plan:pl ~seed p t in
+    let st = Alloc.stats () in
+    let census_ok, census_msg = census () in
+    let c =
+      {
+        scheme;
+        plan = plan_name plan_id;
+        seed;
+        topology;
+        terminated = not r.deadline_hit;
+        exhausted = r.exhausted;
+        ticks = r.ticks;
+        wall_ns = (if substrate = `Fibers then 0 else r.elapsed_ns);
+        total_ops = Array.fold_left ( + ) 0 r.ops;
+        peak = st.Alloc.peak_unreclaimed;
+        dom_peaks = dom_peaks ();
+        final_unreclaimed = st.Alloc.unreclaimed;
+        uaf = st.Alloc.uaf;
+        bound = caps.Caps.bound ~nthreads;
+        crashes = r.crashes;
+        planned_crashes = List.length (Fault.crash_tids pl);
+        census_ok;
+        census_msg;
+        injected = r.injected;
+        snap = scheme_stats ();
+      }
+    in
     let log = if traced then Trace.dump () else [] in
     if traced then Trace.disable ();
-    (cell, log)
+    (c, log)
   in
-  let plan = plan_name plan_id in
   match topology with
   | One ->
-      Schemes.with_domain impl (fun (module D) ->
+      Matrix.with_list impl (fun (module L) (module D) ->
           start ();
-          let module L = B (D.S) in
-          let module R = Runner (L) in
-          finish
-            (R.go ~substrate ~p ~pl ~seed ~scheme_stats:D.S.stats
-               ~dom_peaks:(fun () -> [| Alloc.peak_unreclaimed () |])
-               ~bound ~scheme ~plan ~topology (L.create ())))
+          cell (module L) ~scheme_stats:D.S.stats
+            ~dom_peaks:(fun () -> [| Alloc.peak_unreclaimed () |])
+            (L.create ()))
   | Isolated | Shared ->
       start ();
+      let module B = (val Matrix.list_for caps) in
       let module Sh = Ds.Sharded_hashmap.Make_gen (B) (X) in
       let t =
         if topology = Shared then
@@ -447,24 +398,22 @@ let run_one ?(traced = false) ?(topology = One) ~substrate ~scheme ~plan_id
         else Sh.create ~label:"shard" ~shards ~buckets_per_shard config
       in
       let doms = Sh.domains t in
-      let module R = Runner (struct
-        include Sh
-
-        let name = "ShardedHashMap"
-        let create () = t
-      end) in
       Fun.protect
         ~finally:(fun () -> Sh.destroy ~force:true t)
         (fun () ->
-          finish
-            (R.go ~substrate ~p ~pl ~seed
-               ~scheme_stats:(fun () ->
-                 Array.fold_left
-                   (fun acc d -> Stats.add acc (X.stats d))
-                   Stats.empty doms)
-               ~dom_peaks:(fun () ->
-                 Array.map (fun d -> Dom.peak_unreclaimed (X.dom d)) doms)
-               ~bound ~scheme ~plan ~topology t))
+          cell
+            (module struct
+              include Sh
+
+              let name = "ShardedHashMap"
+              let create () = t
+            end : Ds.Ds_intf.MAP
+              with type t = Sh.t)
+            ~scheme_stats:(fun () ->
+              Array.fold_left (fun acc d -> Stats.add acc (X.stats d)) Stats.empty doms)
+            ~dom_peaks:(fun () ->
+              Array.map (fun d -> Dom.peak_unreclaimed (X.dom d)) doms)
+            t)
 
 (** [run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out p] — one
     traced chaos cell written to [out] for [smrbench analyze] / Perfetto
@@ -473,7 +422,7 @@ let run_one ?(traced = false) ?(topology = One) ~substrate ~scheme ~plan_id
 let run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out (p : params) :
     cell =
   let c, log = run_one ~traced:true ~substrate ~scheme ~plan_id ~seed p in
-  let unit_ = match substrate with `Fibers -> None | `Domains -> Some "ns" in
+  let _, unit_ = Cell_runner.trace_sink (mode_of substrate ~seed) in
   Trace.to_file ?unit_ out log;
   c
 
@@ -488,6 +437,7 @@ let check_cell (c : cell) : string list =
   let v = ref [] in
   let fail msg = v := msg :: !v in
   if not c.terminated then fail "did not terminate within its budget";
+  if c.exhausted then fail "a worker exhausted a slot registry";
   if c.uaf > 0 then fail (Printf.sprintf "use-after-free detected: %d" c.uaf);
   (match c.bound with
   | Some b ->

@@ -266,12 +266,14 @@ let flight_delta ?(scheme = "HP-BRCU") ?(ds = Caps.HHSList)
   let cell () =
     run_one ~scheme ~ds ~threads ~mode:Spec.Domains ~ops_per_thread ~seed
   in
-  let best f =
-    match (f (), f ()) with
-    | Some a, Some b -> Some (Float.min (ns_per_op a) (ns_per_op b))
-    | Some a, None | None, Some a -> Some (ns_per_op a)
+  (* The faster of two runs, by [ns]; [None] only if neither ran. *)
+  let faster ns a b =
+    match (a, b) with
+    | Some x, Some y -> Some (if ns x <= ns y then x else y)
+    | (Some _ as r), None | None, (Some _ as r) -> r
     | None, None -> None
   in
+  let disarmed () = Option.map ns_per_op (cell ()) in
   let armed () =
     Trace.enable ~sink:Trace.Flight ~ndomains:threads ();
     (* Count the log before the cell's domain is torn down. *)
@@ -283,39 +285,21 @@ let flight_delta ?(scheme = "HP-BRCU") ?(ds = Caps.HHSList)
     Trace.disable ();
     r
   in
-  match best cell with
+  match faster Fun.id (disarmed ()) (disarmed ()) with
   | None -> None
-  | Some off_ns -> (
-      match (armed (), armed ()) with
-      | Some (a, ka, da), Some (b, kb, db) ->
-          let on_ns, fd_kept, fd_dropped =
-            if a <= b then (a, ka, da) else (b, kb, db)
-          in
-          Some
-            {
-              fd_scheme = scheme;
-              fd_ds = ds;
-              fd_threads = threads;
-              off_ns;
-              on_ns;
-              overhead_pct = (on_ns -. off_ns) /. Float.max 1e-9 off_ns *. 100.;
-              fd_kept;
-              fd_dropped;
-            }
-      | Some (on_ns, fd_kept, fd_dropped), None
-      | None, Some (on_ns, fd_kept, fd_dropped) ->
-          Some
-            {
-              fd_scheme = scheme;
-              fd_ds = ds;
-              fd_threads = threads;
-              off_ns;
-              on_ns;
-              overhead_pct = (on_ns -. off_ns) /. Float.max 1e-9 off_ns *. 100.;
-              fd_kept;
-              fd_dropped;
-            }
-      | None, None -> None)
+  | Some off_ns ->
+      faster (fun (ns, _, _) -> ns) (armed ()) (armed ())
+      |> Option.map (fun (on_ns, fd_kept, fd_dropped) ->
+             {
+               fd_scheme = scheme;
+               fd_ds = ds;
+               fd_threads = threads;
+               off_ns;
+               on_ns;
+               overhead_pct = (on_ns -. off_ns) /. Float.max 1e-9 off_ns *. 100.;
+               fd_kept;
+               fd_dropped;
+             })
 
 let json_of_flight_delta (f : flight_delta) =
   Json.Obj

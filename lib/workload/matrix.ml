@@ -87,6 +87,16 @@ let list_for (caps : Caps.t) : (module Ds.Hashmap.BUCKETS) =
     (module Ds.Harris_list.Make_hhs)
   else (module Ds.Hm_list.Make)
 
+(** [with_list ?label impl k] — a fresh domain of [impl] and the list
+    its scheme runs ({!list_for}) bound to it, handed to [k] as
+    [k (module L) (module D)]; the domain is torn down when [k]
+    returns or raises.  The long-running-read list of {!Longrun}, the
+    chaos cell's one-domain topology and the hunt's unsharded cases. *)
+let with_list ?label impl k =
+  Schemes.with_domain ?label impl (fun (module D : Schemes.DOMAIN) ->
+      let module B = (val list_for D.S.caps) in
+      k (module B (D.S) : Ds.Ds_intf.MAP) (module D : Schemes.DOMAIN))
+
 (* Hash tables sized so the expected chain length matches the paper's
    (≈1.7 nodes at 50% occupancy). *)
 let bucket_hint key_range = max 16 (key_range / 4)
