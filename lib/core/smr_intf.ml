@@ -80,7 +80,10 @@ module Alloc = Hpbrcu_alloc.Alloc
       cursor (paper R1, §3.3) and returns whether it may be resumed;
     - [protect sh] publishes the live cursor into the shield array [sh]
       (a scheme's checkpoint: hops between checkpoints are protected, if
-      at all, by {!S.read}'s own ring);
+      at all, by {!S.read}'s own ring).  A scheme calls it only for a
+      cursor that outlives the critical section it was read in: one it
+      resumes from in a later section, or, under [~hold:true], the
+      destination the caller keeps using;
     - [resumable] is [false] when [restore] can never answer [true] (the
       cursor cannot be revalidated, as in EFRB).  A scheme that ends its
       critical sections voluntarily (HP-RCU) must then walk to the
@@ -333,7 +336,12 @@ module type SCHEME = sig
   (** {1 Traversal} *)
 
   val traverse :
-    handle -> prot:shield array -> backup:shield array -> shield walker -> bool
+    handle ->
+    hold:bool ->
+    prot:shield array ->
+    backup:shield array ->
+    shield walker ->
+    bool
 
   (** {1 Introspection} *)
 
@@ -450,15 +458,27 @@ module type S = sig
   (** {1 Traversal} *)
 
   val traverse :
-    handle -> prot:shield array -> backup:shield array -> shield walker -> bool
+    handle ->
+    hold:bool ->
+    prot:shield array ->
+    backup:shield array ->
+    shield walker ->
+    bool
   (** The Traverse combinator (Algorithm 7): drive the walker [w] from its
       entry point to its destination, choosing the budgets and the
       checkpoints ({!walker}).  [prot] and [backup] are two equal-length
       shield arrays owned by the caller.  On [true] the walker's live
-      cursor is the destination, its answer is in the session, and one of
-      [prot] / [backup] holds a complete protection of that cursor until
-      the next [traverse] or [clear].  [false] means a walk failed or a
-      resumed cursor could not be revalidated; the caller retries the
+      cursor is the destination and its answer is in the session.
+      [hold] says whether the caller uses that cursor after [traverse]
+      returns: with [~hold:true] (an update's write phase) one of [prot] /
+      [backup] holds a complete protection of it until the next
+      [traverse] or [clear]; with [~hold:false] (a lookup whose answer
+      was computed during the walk) the scheme publishes only what it
+      resumes from, so a walk that ends inside its first critical section
+      stores no shield at all, and the caller must not dereference the
+      cursor.  A pointer a section guards needs a hazard only if it
+      outlives that section.  [false] means a walk failed or a resumed
+      cursor could not be revalidated; the caller retries the
       operation. *)
 
   (** {1 Introspection} *)

@@ -223,12 +223,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     in
     s
 
-  (* Search for [key]; the cursor and the answer stay in the session. *)
-  let rec search t s key =
+  (* Search for [key]; the cursor and the answer stay in the session, the
+     cursor protected when [hold]. *)
+  let rec search t s key ~hold =
     s.ds <- t;
     s.key <- key;
-    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key ~hold
 
   (* ---------------- helping ---------------- *)
 
@@ -315,14 +316,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let get t s key =
     S.op s.h (fun () ->
-        search t s key;
+        search t s key ~hold:false;
         s.found)
 
   let insert t s key value =
     ignore value;
     S.op s.h (fun () ->
         let rec attempt () =
-          search t s key;
+          search t s key ~hold:true;
           let c = s.live and found = s.found in
           if found then false
           else if c.pupdate <> Clean then begin
@@ -357,7 +358,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec attempt () =
-          search t s key;
+          search t s key ~hold:true;
           let c = s.live and found = s.found in
           if not found then false
           else

@@ -291,26 +291,27 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     s
 
   (* Search for [key]; the cursor it stops at and its answer stay in the
-     session.  Retried from the entry point when revalidation fails. *)
-  let rec search t s key ~help =
+     session, the cursor protected when [hold] (see {!S.traverse}).
+     Retried from the entry point when revalidation fails. *)
+  let rec search t s key ~help ~hold =
     s.ds <- t;
     s.key <- key;
     s.help <- help;
-    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key ~help
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key ~help ~hold
 
   (* ---------------- operations ---------------- *)
 
   let get t s key =
     S.op s.h (fun () ->
-        search t s key ~help:F.helping_get;
+        search t s key ~help:F.helping_get ~hold:false;
         s.found)
 
   let insert t s key value =
     S.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
-          search t s key ~help:true;
+          search t s key ~help:true ~hold:true;
           if s.found then begin
             discard t n;
             false
@@ -330,7 +331,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let remove t s key =
     S.op s.h (fun () ->
         let rec go () =
-          search t s key ~help:true;
+          search t s key ~help:true ~hold:true;
           if not s.found then false
           else
             let left = s.live.left and left_next = s.live.left_next in
@@ -368,7 +369,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     ignore
       (S.op s.h (fun () ->
            let rec sweep key =
-             search t s key ~help:true;
+             search t s key ~help:true ~hold:true;
              match s.live.node with
              | Link.Ptr { target = n; _ } ->
                  let k = key_of s n in

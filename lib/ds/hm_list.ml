@@ -251,25 +251,25 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* TrySearch: traverse until the position of [key]; retry the whole
      operation if revalidation failed (rare).  On success the cursor and
      the answer stay in the session, the cursor protected by one of its
-     shield arrays. *)
-  let rec search t s key =
+     shield arrays when [hold]. *)
+  let rec search t s key ~hold =
     s.ds <- t;
     s.key <- key;
-    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key ~hold
 
   (* ---------------- operations ---------------- *)
 
   let get t s key =
     S.op s.h (fun () ->
-        search t s key;
+        search t s key ~hold:false;
         s.found)
 
   let insert t s key value =
     S.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
-          search t s key;
+          search t s key ~hold:true;
           if s.found then begin
             discard t n;
             false
@@ -287,7 +287,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec go () =
-          search t s key;
+          search t s key ~hold:true;
           if not s.found then false
           else
             let prev = s.live.prev and pnext = s.live.pnext in
@@ -304,7 +304,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               if Link.cas (next_cell prev) ~expected:pnext ~desired then
                 S.retire s.h cur.blk ~patch:(patch_of next)
                   ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur)
-              else search t s key;
+              else search t s key ~hold:true;
               true
             end
             else go ()

@@ -214,12 +214,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     in
     s
 
-  (* Search for [key]; the cursor and the answer stay in the session. *)
-  let rec search t s key =
+  (* Search for [key]; the cursor and the answer stay in the session, the
+     cursor protected when [hold]. *)
+  let rec search t s key ~hold =
     s.ds <- t;
     s.key <- key;
-    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key ~hold
 
   (* Heller et al.'s two-node validation, under locks. *)
   let validate_locked prev cur_opt pnext =
@@ -231,14 +232,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let get t s key =
     S.op s.h (fun () ->
-        search t s key;
+        search t s key ~hold:false;
         s.found)
 
   let insert t s key value =
     S.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
-          search t s key;
+          search t s key ~hold:true;
           if s.found then begin
             discard t n;
             false
@@ -270,7 +271,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec go () =
-          search t s key;
+          search t s key ~hold:true;
           if not s.found then false
           else
             let c = s.live in

@@ -288,12 +288,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     in
     s
 
-  (* Seek [key]; the seek record and the answer stay in the session. *)
-  let rec seek t s key =
+  (* Seek [key]; the seek record and the answer stay in the session, the
+     record protected when [hold]. *)
+  let rec seek t s key ~hold =
     s.ds <- t;
     s.key <- key;
-    if not (S.traverse s.h ~prot:s.prot ~backup:s.backup s.w) then
-      seek t s key
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      seek t s key ~hold
 
   (* ---------------- retirement of a pruned region ---------------- *)
 
@@ -319,7 +320,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let get t s key =
     S.op s.h (fun () ->
-        seek t s key;
+        seek t s key ~hold:false;
         s.found)
 
   (* Cleanup (NM): tag the sibling edge, then swing the ancestor edge to
@@ -368,7 +369,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.op s.h (fun () ->
         let leaf = alloc_leaf t key value in
         let rec attempt () =
-          seek t s key;
+          seek t s key ~hold:true;
           let c = s.live and found = s.found in
           if found then begin
             (* Unpublished leaf: pool it, or book it as abandoned so the
@@ -406,7 +407,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let rec injection () =
-          seek t s key;
+          seek t s key ~hold:true;
           let c = s.live and found = s.found in
           if not found then false
           else begin
@@ -425,7 +426,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               let victim = c.cur in
               let rec until_gone c =
                 if not (cleanup_edge t s key c) then begin
-                  seek t s key;
+                  seek t s key ~hold:true;
                   let c' = s.live and found = s.found in
                   if found && c'.cur == victim then until_gone c'
                 end

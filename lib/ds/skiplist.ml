@@ -293,15 +293,20 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     in
     s
 
-  (* Full search: returns the completed level records (index 0 = level 0);
-     whether the key was found at level 0 stays in [s.found]. *)
-  let rec search t s key ~help =
+  (* Full search: the completed level records stay in [s.live.levels]
+     (head = level 0), protected when [hold], and whether the key was
+     found at level 0 in [s.found]. *)
+  let rec search t s key ~help ~hold =
     s.ds <- t;
     s.key <- key;
     s.help <- help;
-    if S.traverse s.h ~prot:s.prot ~backup:s.backup s.w then
-      Array.of_list s.live.levels
-    else search t s key ~help
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search t s key ~help ~hold
+
+  (* A held search's level records as an array (index 0 = level 0). *)
+  let search_levels t s key =
+    search t s key ~help:true ~hold:true;
+    Array.of_list s.live.levels
 
   (* ---------------- operations ---------------- *)
 
@@ -311,7 +316,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let get t s key =
     S.op s.h (fun () ->
-        ignore (search t s key ~help:helping_get : level_rec array);
+        search t s key ~help:helping_get ~hold:false;
         s.found)
 
   let insert t s key value =
@@ -319,7 +324,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         let n = alloc_node t s key value in
         let h = height n in
         let rec attempt () =
-          let levels = search t s key ~help:true in
+          let levels = search_levels t s key in
           if s.found then begin
             discard t n;
             false
@@ -359,7 +364,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                   then incr l
                   else begin
                     (* Stale pred at this level: re-search. *)
-                    lv := search t s key ~help:true
+                    lv := search_levels t s key
                   end
                 end
               done;
@@ -372,7 +377,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let remove t s key =
     S.op s.h (fun () ->
         let attempt () =
-          let levels = search t s key ~help:true in
+          let levels = search_levels t s key in
           if not s.found then false
           else
             let victim = Link.target_exn levels.(0).llink in
@@ -399,7 +404,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             | `Lost -> false  (* a concurrent remover won the level-0 mark *)
             | `Won ->
                 (* Unlink everywhere via the helping search, then retire. *)
-                ignore (search t s key ~help:true : level_rec array);
+                search t s key ~help:true ~hold:true;
                 S.retire s.h victim.blk
                   ?free:(Pool.free_hook ~recycles:S.recycles t.pools.(vh) victim);
                 true
@@ -407,5 +412,5 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         attempt ())
 
   let cleanup t s =
-    ignore (S.op s.h (fun () -> search t s max_int ~help:true) : level_rec array)
+    S.op s.h (fun () -> search t s max_int ~help:true ~hold:true)
 end

@@ -90,7 +90,8 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = false
   let current_era _ = 0
 
-  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
+  let traverse _ ~hold ~prot ~backup:_ w =
+    Scheme_common.plain_traverse ~hold ~prot w
 
   let stats (d : domain) = Dom.stamp_stats d.E.meta (E.stats d)
 end

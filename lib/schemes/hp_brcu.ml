@@ -105,9 +105,11 @@ module Impl : Smr_intf.SCHEME = struct
      the critical-section body — is built once per handle, so neither a
      traversal nor its rollbacks allocate a closure.  [bufs0]/[bufs1] are
      the double buffer (the caller's [backup] and [prot]); [comp] counts
-     completed checkpoints, so [comp land 1] always indexes a buffer (and
-     a walker slot) holding a complete protection, even if a rollback
-     lands between the protect stores of a checkpoint.  [n_traverses],
+     completed checkpoints minus one, so it is -1 until the first, and
+     from then on [comp land 1] indexes a buffer (and a walker slot)
+     holding a complete protection, even if a rollback lands between the
+     protect stores of a checkpoint.  [hold] is the running traversal's
+     [~hold]: whether its destination is checkpointed too.  [n_traverses],
      [n_steps] and [n_resumes] are owner-only tallies not yet folded into
      the domain's counters: a sharded-counter RMW per traversal costs a
      fenced call each, the fold one per [flush]. *)
@@ -119,7 +121,7 @@ module Impl : Smr_intf.SCHEME = struct
     mutable bufs0 : shield array;
     mutable bufs1 : shield array;
     mutable comp : int;
-    mutable started : bool;
+    mutable hold : bool;
     section : unit -> int;
     mutable n_traverses : int;
     mutable n_steps : int;
@@ -140,33 +142,36 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Unlike HP-RCU there is no voluntary exit between checkpoints: the
      critical section walks until the destination, one checkpoint after
-     every [backup_period] steps and one at the end, relying on
-     neutralization to bound it. *)
+     every [backup_period] steps, relying on neutralization to bound it.
+     A checkpoint exists to carry the cursor across sections, so the
+     destination gets one only when the caller holds it past this one. *)
   let rec walk_section h w =
     let r = w.Smr_intf.walk h.d.backup_period in
-    if r = Smr_intf.walk_fail then r
-    else begin
+    if r = Smr_intf.walk_more then begin
       checkpoint h w;
-      if r = Smr_intf.walk_more then walk_section h w else r
+      walk_section h w
+    end
+    else begin
+      if r = Smr_intf.walk_done && h.hold then checkpoint h w;
+      r
     end
 
-  (* One run of the critical section: the first builds the entry-point
-     cursor, a rollback's re-run resumes from the last complete
-     checkpoint.  The first entry needs no revalidation — the cursor comes
-     fresh from the entry point inside this very critical section (R1
-     holds trivially), and crucially this lets the traversal *step
+  (* One run of the critical section.  Until the first checkpoint
+     completes there is nothing to resume from, and none is needed: the
+     run builds the entry-point cursor afresh, whether it is the first run
+     or a rollback's re-run — re-running [init] does all that a checkpoint
+     of the entry cursor would.  That cursor needs no revalidation — it
+     comes fresh from the entry point inside this very critical section
+     (R1 holds trivially), and crucially this lets the traversal *step
      through* (and help unlink) a marked first node instead of failing
      before it can help, which would livelock every thread behind a
-     marked entry node whose remover lost its unlink CAS. *)
+     marked entry node whose remover lost its unlink CAS.  Later re-runs
+     resume from the last complete checkpoint. *)
   let section h () =
     h.n_resumes <- h.n_resumes + 1;
     let w = h.tw in
-    if not h.started then begin
+    if h.comp < 0 then begin
       w.init ();
-      w.protect h.bufs0;
-      w.save 0;
-      h.comp <- 0;
-      h.started <- true;
       walk_section h w
     end
     (* Rollback resume: revalidate the checkpoint (R1 / §3.3). *)
@@ -186,8 +191,8 @@ module Impl : Smr_intf.SCHEME = struct
         tw = Smr_intf.idle_walker ();
         bufs0 = [||];
         bufs1 = [||];
-        comp = 0;
-        started = false;
+        comp = -1;
+        hold = false;
         section = (fun () -> section h ());
         n_traverses = 0;
         n_steps = 0;
@@ -270,7 +275,7 @@ module Impl : Smr_intf.SCHEME = struct
   let current_era _ = 0
 
   (* Traverse with double buffering (Algorithm 7). *)
-  let traverse h ~prot ~backup w =
+  let traverse h ~hold ~prot ~backup w =
     if h.tw != w then h.tw <- w;
     (* Ablation hook: without double buffering both checkpoint slots are
        the same protector, so a rollback landing mid-checkpoint can leave
@@ -278,7 +283,8 @@ module Impl : Smr_intf.SCHEME = struct
     let backup = if h.d.double_buffering then backup else prot in
     if h.bufs0 != backup then h.bufs0 <- backup;
     if h.bufs1 != prot then h.bufs1 <- prot;
-    h.started <- false;
+    h.comp <- -1;
+    h.hold <- hold;
     (* The walker bumps [steps] per step; the difference is tallied once,
        when the critical section exits (by return, [walk_fail] or
        exception). *)

@@ -71,9 +71,9 @@ module Impl : Smr_intf.SCHEME = struct
       Dom.finish_destroy d.meta
     end
 
-  (* The running traversal's walker, protector and progress live in the
-     handle, and [phase] — the critical-section body — is built once per
-     handle, so a traversal allocates nothing per phase. *)
+  (* The running traversal's walker, protector, progress and [~hold] live
+     in the handle, and [phase] — the critical-section body — is built once
+     per handle, so a traversal allocates nothing per phase. *)
   type handle = {
     d : domain;
     eh : E.handle;
@@ -81,6 +81,7 @@ module Impl : Smr_intf.SCHEME = struct
     mutable tw : H.shield Smr_intf.walker;
     mutable tprot : H.shield array;
     mutable started : bool;
+    mutable hold : bool;
     phase : unit -> int;
   }
 
@@ -88,17 +89,19 @@ module Impl : Smr_intf.SCHEME = struct
      section of at most [max_steps] steps that checkpoints the cursor into
      [prot] before it ends (protection inside a critical section needs no
      validation — R2) and revalidates it when the next one begins (R1).
-     The first phase builds the cursor from the entry point inside its own
-     critical section, so no revalidation applies to it (R1 holds
-     trivially); failing a fresh entry-point cursor would prevent the
-     traversal from ever helping a marked entry node (see Hp_brcu). *)
+     A cursor that does not outlive the phase — the destination of a
+     [~hold:false] walk — is not checkpointed.  The first phase builds the
+     cursor from the entry point inside its own critical section, so no
+     revalidation applies to it (R1 holds trivially), and no protection
+     either: the phase publishes before it ends whatever it hands on.
+     Failing a fresh entry-point cursor would prevent the traversal from
+     ever helping a marked entry node (see Hp_brcu). *)
   let phase h () =
     let w = h.tw in
     let ok =
       if h.started then w.restore 0
       else begin
         w.init ();
-        w.protect h.tprot;
         h.started <- true;
         true
       end
@@ -107,7 +110,7 @@ module Impl : Smr_intf.SCHEME = struct
     else begin
       (* A walk that cannot be resumed stays in this section to the end. *)
       let r = w.walk (if w.resumable then h.d.max_steps else max_int) in
-      if r <> Smr_intf.walk_fail then begin
+      if r = Smr_intf.walk_more || (r = Smr_intf.walk_done && h.hold) then begin
         w.protect h.tprot;
         w.save 0
       end;
@@ -124,6 +127,7 @@ module Impl : Smr_intf.SCHEME = struct
         tw = Smr_intf.idle_walker ();
         tprot = [||];
         started = false;
+        hold = false;
         phase = (fun () -> phase h ());
       }
     in
@@ -180,10 +184,11 @@ module Impl : Smr_intf.SCHEME = struct
     let r = E.crit h.eh h.phase in
     if r = Smr_intf.walk_more then phases h else r = Smr_intf.walk_done
 
-  let traverse h ~prot ~backup:_ w =
+  let traverse h ~hold ~prot ~backup:_ w =
     if h.tw != w then h.tw <- w;
     if h.tprot != prot then h.tprot <- prot;
     h.started <- false;
+    h.hold <- hold;
     phases h
 
   let stats d =

@@ -283,7 +283,8 @@ module Impl : Smr_intf.SCHEME = struct
     Registry.Participants.remove h.d.participants h.idx;
     Dom.on_unregister h.d.meta
 
-  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
+  let traverse _ ~hold ~prot ~backup:_ w =
+    Scheme_common.plain_traverse ~hold ~prot w
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -260,9 +260,10 @@ module Impl : Smr_intf.SCHEME = struct
     Dom.on_unregister h.d.meta
 
   (* NBR's traversal: one read-phase critical section from entry to
-     destination, protecting the final cursor before the phase ends. *)
-  let traverse h ~prot ~backup:_ w =
-    crit h (fun () -> Scheme_common.plain_traverse ~prot w)
+     destination, protecting the final cursor before the phase ends when
+     the caller holds it past the section. *)
+  let traverse h ~hold ~prot ~backup:_ w =
+    crit h (fun () -> Scheme_common.plain_traverse ~hold ~prot w)
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -3,13 +3,15 @@
 open Hpbrcu_core.Smr_intf
 
 (** The degenerate Traverse of schemes without phase alternation: one
-    unbounded walk; the final cursor is published into [prot] (for
-    HP-family callers this merely copies protection already held by the
-    handle's hop ring, so no validation is needed). *)
-let plain_traverse ~prot w =
+    unbounded walk; under [~hold:true] the final cursor is published into
+    [prot] (for HP-family callers this merely copies protection already
+    held by the handle's hop ring, so no validation is needed).  A
+    [~hold:false] caller is done with the cursor when the walk ends, so
+    nothing is published. *)
+let plain_traverse ~hold ~prot w =
   w.init ();
   if w.walk max_int = walk_done then begin
-    w.protect prot;
+    if hold then w.protect prot;
     true
   end
   else false

@@ -43,9 +43,12 @@ let hunt =
    benchmark suite).  [hunt_nomask] drops BRCU's Mask (Algorithm 6) so a
    self-neutralization can abort a physical-deletion region mid-chain;
    [hunt_nodb] drops §4.3's double buffering so rollbacks can tear
-   Traverse checkpoints. *)
+   Traverse checkpoints.  A traversal publishes only its periodic
+   checkpoints (and an update's destination), and the hunt's writers
+   touch only the first few nodes of a list, so [hunt_nodb] checkpoints
+   every 2 steps: a torn checkpoint must sit where those writers unlink. *)
 let hunt_nomask = { hunt with abort_masking = false }
-let hunt_nodb = { hunt with double_buffering = false }
+let hunt_nodb = { hunt with double_buffering = false; backup_period = 2 }
 
 (** First-class scheme implementations, keyed by base scheme name. *)
 let impls : (string * (module SI.SCHEME)) list =

@@ -149,7 +149,8 @@ module Impl : Smr_intf.SCHEME = struct
   let recycles = true
   let current_era d = Atomic.get d.era
 
-  let traverse _ ~prot ~backup:_ w = Scheme_common.plain_traverse ~prot w
+  let traverse _ ~hold ~prot ~backup:_ w =
+    Scheme_common.plain_traverse ~hold ~prot w
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -420,9 +420,9 @@ module Counting_steps (S : Hpbrcu_core.Smr_intf.S) = struct
     in
     c
 
-  let traverse h ~prot ~backup w =
+  let traverse h ~hold ~prot ~backup w =
     Atomic.incr traversals;
-    S.traverse h ~prot ~backup (counting w)
+    S.traverse h ~hold ~prot ~backup (counting w)
 
   (* The scheme's published counters equal the walker's totals. *)
   let exact what =
@@ -545,7 +545,7 @@ let test_tallies_fold_points () =
       in
       let traverse n =
         for _ = 1 to n do
-          Alcotest.(check bool) "done" true (D.S.traverse h ~prot ~backup w)
+          Alcotest.(check bool) "done" true (D.S.traverse h ~hold:true ~prot ~backup w)
         done
       in
       traverse 5;
@@ -648,6 +648,76 @@ let test_session_follows_structure () =
         structures)
     [ "NR"; "HP-BRCU" ]
 
+(* A checkpoint carries a cursor out of its critical section, so a
+   traversal publishes one only for a cursor that leaves it: a [get]
+   shorter than the budget publishes nothing, an insert publishes its
+   destination once, and a rollback before the first periodic checkpoint
+   rebuilds the cursor with [init] instead of restoring one.  HP-RCU's
+   epoch sections never roll back, so only HP-BRCU and NBR take the
+   injected rollback. *)
+let test_checkpoint_counts () =
+  let module Caps = Hpbrcu_core.Caps in
+  (* Table 1's rows; the lazy list and EFRB run under all three. *)
+  let row = function
+    | "HList" -> Some Caps.HList
+    | "HHSList" -> Some Caps.HHSList
+    | "HMList" -> Some Caps.HMList
+    | "SkipList" -> Some Caps.SkipList
+    | "NMTree" -> Some Caps.NMTree
+    | "HashMap" -> Some Caps.HashMap
+    | _ -> None
+  in
+  List.iter
+    (fun (scheme, rollback) ->
+      List.iter
+        (fun (ds, (module M : MAP_OF)) ->
+          Test_util.with_scheme scheme @@ fun (module S) ->
+          let supported =
+            match row ds with
+            | None -> true
+            | Some id -> S.caps.Caps.supports id <> Caps.No
+          in
+          if supported then begin
+            let module C = Test_util.Walker_protects (S) in
+            let module L = M (C) in
+            let what = Printf.sprintf "%s(%s)" ds scheme in
+            let t = L.create () in
+            let s = L.session t in
+            for k = 0 to 7 do
+              ignore (L.insert t s (2 * k) 0 : bool)
+            done;
+            let counts f =
+              C.reset ();
+              let r = f () in
+              (r, !C.protects, !C.inits, !C.restores)
+            in
+            let check label expected got =
+              Alcotest.(check (pair bool (triple int int int)))
+                (what ^ " " ^ label) expected
+                (let r, p, i, rs = got in
+                 (r, (p, i, rs)))
+            in
+            check "get present" (true, (0, 1, 0)) (counts (fun () -> L.get t s 6));
+            check "get absent" (false, (0, 1, 0)) (counts (fun () -> L.get t s 7));
+            check "insert" (true, (1, 1, 0)) (counts (fun () -> L.insert t s 7 0));
+            (match rollback with
+            | None -> ()
+            | Some e ->
+                C.rollback_once := Some e;
+                check "get rolled back" (true, (0, 2, 0))
+                  (counts (fun () -> L.get t s 6));
+                C.rollback_once := Some e;
+                check "insert rolled back" (true, (1, 2, 0))
+                  (counts (fun () -> L.insert t s 9 0)));
+            L.close_session s
+          end)
+        (structures @ [ ("HashMap", (module Hpbrcu_ds.Hashmap.Make : MAP_OF)) ]))
+    [
+      ("HP-BRCU", Some Hpbrcu_schemes.Brcu_core.Rollback);
+      ("HP-RCU", None);
+      ("NBR", Some Hpbrcu_schemes.Nbr.Rollback);
+    ]
+
 let () =
   Alcotest.run "brcu"
     [
@@ -686,5 +756,6 @@ let () =
           Alcotest.test_case "budgets-invisible" `Quick test_budgets_invisible;
           Alcotest.test_case "session-follows-structure" `Quick
             test_session_follows_structure;
+          Alcotest.test_case "checkpoint-counts" `Quick test_checkpoint_counts;
         ] );
     ]

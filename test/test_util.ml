@@ -119,14 +119,59 @@ module Hop_protects (S : Hpbrcu_core.Smr_intf.S) = struct
     if not !in_walker_protect then incr count;
     S.protect sh b
 
-  let traverse h ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker) =
+  let traverse h ~hold ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker) =
     let protect sh =
       in_walker_protect := true;
       Fun.protect
         ~finally:(fun () -> in_walker_protect := false)
         (fun () -> w.protect sh)
     in
-    S.traverse h ~prot ~backup { w with protect }
+    S.traverse h ~hold ~prot ~backup { w with protect }
+end
+
+(* [S] with a count of its walkers' [protect] calls — the checkpoints a
+   traversal publishes, the complement of [Hop_protects] — and of their
+   [init] and [restore] calls.  Setting [rollback_once] makes the next
+   [walk] raise it before taking a step: a rollback injected before the
+   traversal's first periodic checkpoint. *)
+module Walker_protects (S : Hpbrcu_core.Smr_intf.S) = struct
+  include S
+
+  let protects = ref 0
+  let inits = ref 0
+  let restores = ref 0
+  let rollback_once : exn option ref = ref None
+
+  let reset () =
+    protects := 0;
+    inits := 0;
+    restores := 0
+
+  let traverse h ~hold ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker) =
+    let walk n =
+      match !rollback_once with
+      | Some e ->
+          rollback_once := None;
+          raise e
+      | None -> w.walk n
+    in
+    S.traverse h ~hold ~prot ~backup
+      {
+        w with
+        init =
+          (fun () ->
+            incr inits;
+            w.init ());
+        walk;
+        restore =
+          (fun i ->
+            incr restores;
+            w.restore i);
+        protect =
+          (fun sh ->
+            incr protects;
+            w.protect sh);
+      }
 end
 
 (* [S] with a count of the [new_shield] calls made through it: the
