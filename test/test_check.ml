@@ -240,7 +240,8 @@ let quiet = ignore
 
 let test_mutants_convicted () =
   (* Budgets sized ~2.5x the observed conviction depth of each pairing
-     (rand finds the nomask leak, pct the nodb use-after-free). *)
+     (rand finds the nomask leak in 48 cases, pct the nodb use-after-free
+     in 191). *)
   let nomask =
     Hunt.run
       { (Hunt.default_config ~scheme:"HP-BRCU!nomask" ~strategy:`Rand ~seed:2 ~runs:60)
@@ -257,7 +258,7 @@ let test_mutants_convicted () =
   let nodb =
     Hunt.run
       { (Hunt.default_config ~scheme:"HP-BRCU!nodb"
-           ~strategy:(Hunt.strategy_of_string "pct") ~seed:1 ~runs:50)
+           ~strategy:(Hunt.strategy_of_string "pct") ~seed:1 ~runs:480)
         with Hunt.shrink_budget = 60; log = quiet }
   in
   match nodb.Hunt.finding with

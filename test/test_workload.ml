@@ -156,7 +156,7 @@ let test_pin_chaos () =
       want
       [ c.W.Chaos.ticks; c.total_ops; c.peak ]
   in
-  pin "HP-BRCU" W.Chaos.Crash_reader [ 62952; 12045; 111 ];
+  pin "HP-BRCU" W.Chaos.Crash_reader [ 53754; 12045; 129 ];
   pin "RCU" W.Chaos.Baseline [ 43554; 12080; 67 ]
 
 let test_pin_hunt () =
@@ -176,7 +176,7 @@ let test_pin_hunt () =
       (Fmt.str "%a" Runner.pp_outcome o)
   in
   pin "HP-BRCU" W.Chaos.Crash_reader
-    "clean ops=845 ticks=23907 peak=32 crashes=1";
+    "clean ops=845 ticks=21352 peak=32 crashes=1";
   pin "RCU" W.Chaos.Baseline "clean ops=880 ticks=21291 peak=37 crashes=0"
 
 let test_pin_cell () =
@@ -192,7 +192,7 @@ let test_pin_cell () =
       Alcotest.(check string) "latency unit" "tick" r.W.Spec.latency.W.Spec.unit_;
       Alcotest.(check (list int))
         "ops; get count, sum, p50, p90, p99, max"
-        [ 900; 468; 13067; 26; 48; 64; 89 ]
+        [ 900; 468; 11024; 20; 44; 64; 78 ]
         [ r.W.Spec.total_ops; g.H.count; g.H.sum; g.H.p50; g.H.p90; g.H.p99; g.H.max ]
 
 let () =
