@@ -607,6 +607,7 @@ let analyze_cmd =
 
 module Reclaim_bench = struct
   module Config = Hpbrcu_core.Config
+  module Link = Hpbrcu_core.Link
   module Smr_intf = Hpbrcu_core.Smr_intf
   module Alloc = Hpbrcu_alloc.Alloc
   module Block = Hpbrcu_alloc.Block
@@ -814,24 +815,6 @@ module Reclaim_bench = struct
     dom_drop ed.Epoch_core.meta;
     row ~kernel:"advance_fail" ~scheme:"EBR" ~iters ~ops ~gated:true (ns, words)
 
-  (* The disabled-tracer fast path: every hot-path emit in the runtime is
-     one ref read and a branch when tracing is off (DESIGN.md §10).
-     Gated at zero allocation AND single-digit ns/emit — the instrumented
-     hot paths stay free when nobody is tracing. *)
-  let trace_emit_off_kernel ~iters =
-    let module Trace = Hpbrcu_runtime.Trace in
-    assert (not (Trace.enabled ()));
-    let ops = 256 in
-    let cycle () =
-      for k = 1 to ops do
-        Trace.emit Trace.Retire k;
-        Trace.emit2 Trace.Reclaim k (k + 1)
-      done
-    in
-    let ns, words = measure ~iters cycle in
-    row ~kernel:"trace-emit-off" ~scheme:"-" ~iters ~ops:(ops * 2) ~gated:true
-      (ns, words)
-
   let best (ns, w) (ns', w') = (Float.min ns ns', Float.max w w')
 
   (* [warm_best ~iters cycle] — spin [cycle] for ~60 ms first: frequency
@@ -852,6 +835,25 @@ module Reclaim_bench = struct
       acc := best !acc (measure ~iters cycle)
     done;
     !acc
+
+  (* The disabled-tracer fast path: every hot-path emit in the runtime is
+     one ref read and a branch when tracing is off (DESIGN.md §10).
+     Gated at zero allocation AND single-digit ns/emit — the instrumented
+     hot paths stay free when nobody is tracing.  Timed with [warm_best]:
+     one slow stretch of a single window read 22.5 ns against ~4. *)
+  let trace_emit_off_kernel ~iters =
+    let module Trace = Hpbrcu_runtime.Trace in
+    assert (not (Trace.enabled ()));
+    let ops = 256 in
+    let cycle () =
+      for k = 1 to ops do
+        Trace.emit Trace.Retire k;
+        Trace.emit2 Trace.Reclaim k (k + 1)
+      done
+    in
+    let ns, words = warm_best ~iters cycle in
+    row ~kernel:"trace-emit-off" ~scheme:"-" ~iters ~ops:(ops * 2) ~gated:true
+      (ns, words)
 
   (* The armed flight recorder (DESIGN.md §15): one raw-tick read plus
      four int stores into the caller's private ring.  Measured under a
@@ -1059,6 +1061,57 @@ module Reclaim_bench = struct
         (ns_s, Float.max 0. (words_s -. (float_of_int short *. words_node)));
     ]
 
+  (* The floor under [traverse-walk]: the same get past the tail of a
+     128-node and of a 1024-node list, per node over the 896 extra nodes,
+     on a local record with HHSList's node layout ([next_] in field 0
+     behind a ["%identity"] atomic view, header, key, value, pool) walked
+     by a plain loop: no scheme, walker, [read], yield or access check.
+     Reported, not gated: NR's [traverse-walk] over this row is what the
+     library's mediation costs per node. *)
+  type raw_node = {
+    mutable next_ : raw_node Link.t;
+    blk : Block.t;
+    key : int;
+    value : int;
+    pool : raw_node Hpbrcu_alloc.Pool.t;
+  }
+
+  external raw_next : raw_node -> raw_node Link.cell = "%identity"
+
+  (* HHSList's [get], minus the scheme: skip marked nodes, stop at the
+     first key >= [key]. *)
+  let rec raw_walk key = function
+    | Link.Null _ -> false
+    | Link.Ptr { target = n; _ } ->
+        let k = n.key in
+        let next = Link.get (raw_next n) in
+        if Link.is_marked next || k < key then raw_walk key next else k = key
+
+  let raw_walk_kernel ~iters =
+    let pool = Hpbrcu_alloc.Pool.create () in
+    let node key =
+      { next_ = Link.null_tagged 0; blk = Alloc.block (); key; value = 0; pool }
+    in
+    let per_get n =
+      (* Linked in key order, allocated in key order, as the inserts of
+         [traverse_kernels] leave an HHSList. *)
+      let head = node min_int in
+      let nodes = Array.init n node in
+      Array.iteri
+        (fun k x ->
+          Link.set (raw_next (if k = 0 then head else nodes.(k - 1))) (Link.ptr x))
+        nodes;
+      let walk () = raw_walk n (Link.get (raw_next head)) in
+      warm_best ~iters (fun () -> ignore (Sys.opaque_identity (walk ()) : bool))
+    in
+    let short, long = (128, 1024) in
+    let ns_s, words_s = per_get short in
+    let ns_l, words_l = per_get long in
+    Alloc.reset ();
+    let extra = float_of_int (long - short) in
+    row ~kernel:"raw-walk" ~scheme:"-" ~iters ~ops:1 ~gated:false
+      ((ns_l -. ns_s) /. extra, Float.max 0. ((words_l -. words_s) /. extra))
+
   (* Short reads: 64 [get]s of present keys spread over a map of [n] keys
      inserted in a shuffled order.  [tree-get] is an NMTree of 4Ki keys
      (depth ~2 ln 4096, about 17 hops a get); [hash-get] a HashMap of
@@ -1130,6 +1183,7 @@ module Reclaim_bench = struct
       clock_ticks_kernel ~iters:(it 2000);
       yield_kernel ~iters:(it 2000);
       block_alloc_kernel ~iters:(it 2000);
+      raw_walk_kernel ~iters:(it 400);
     ]
     @ List.concat_map
         (fun m ->

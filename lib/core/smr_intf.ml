@@ -425,9 +425,16 @@ module type S = sig
       {!Restart}). *)
 
   val deref : handle -> Block.t -> unit
-  (** Declare an access to a node's immutable fields (key, value).  Checks
-      use-after-free, polls signals, validates eras.  Call before touching
-      fields of a node not just returned by [read]. *)
+  (** Declare an access to a node's fields other than its links (key,
+      value).  Checks use-after-free, polls signals, validates eras.  Load
+      the fields first, then call it: the validation after the load is
+      what covers it (under VBR the node may be recycled in between).
+      A structure needs it only for a node that no later [read ~src] of
+      the same node checks: a walk that loads a node's key just before
+      [read]ing that node's link is covered by the read, so list hops
+      make none (DESIGN.md §9).  The node a walk stops at without
+      reading its link (the lazy list's last node, NMTree's leaf) and a
+      node met outside a walk (HList's cleanup sweep) still do. *)
 
   (** {1 Retirement and allocation} *)
 

@@ -132,7 +132,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let discard t n =
     if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-
+  (* A node's key, for a node no read has checked: load, then [deref]
+     (for VBR the order matters: the validation after the load detects a
+     recycled node's junk key).  Walks need none: they load the key
+     before the hop's [read ~src], whose check covers the load. *)
   let key_of s (n : node) =
     let k = n.key in
     S.deref s.h n.blk;
@@ -231,22 +234,24 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
             finish_snip s left left_next node false
           else finish s left left_next node false
       | Link.Ptr { target = tnode; _ } ->
+          (* The key is loaded before the read: the read's access check
+             (and VBR's validation) of [tnode] comes after the load and
+             covers it, so the hop needs no [deref] of its own. *)
+          let k = tnode.key in
           let t_next =
             S.read s.h ~src:tnode.blk ~hdr:blk (next_cell tnode)
           in
           if Link.is_marked t_next then
             (* t is logically deleted: walk past it. *)
             walk s key (n - 1) left left_next t_next
-          else
-            let k = key_of s tnode in
-            if k < key then
-              (* t is a live node below the key: becomes the new left. *)
-              walk s key (n - 1) tnode t_next t_next
-            else if Link.points_to left_next tnode then
-              (* t = right, adjacent to left. *)
-              finish s left left_next node (k = key)
-            else if s.help then finish_snip s left left_next node (k = key)
-            else finish s left left_next node (k = key)
+          else if k < key then
+            (* t is a live node below the key: becomes the new left. *)
+            walk s key (n - 1) tnode t_next t_next
+          else if Link.points_to left_next tnode then
+            (* t = right, adjacent to left. *)
+            finish s left left_next node (k = key)
+          else if s.help then finish_snip s left left_next node (k = key)
+          else finish s left left_next node (k = key)
     end
 
   let session t =

@@ -122,17 +122,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let discard t n =
     if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-  (* ---------------- mediated accesses ---------------- *)
-
-
-  (* Read a node's key, then validate the access (order matters for VBR:
-     the value is junk if the node was recycled meanwhile, and the
-     validation detects exactly that). *)
-  let key_of s (n : node) =
-    let k = n.key in
-    S.deref s.h n.blk;
-    k
-
   (* ---------------- Traverse plumbing (Algorithm 8) ---------------- *)
 
   (* ListCursorProtector.protect: publish both cursor nodes. *)
@@ -198,6 +187,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       match pnext with
       | Link.Null _ -> finish s prev pnext false (* reached the end: key absent *)
       | Link.Ptr { target = cur; _ } ->
+          (* Key before read: the read's access check (and VBR's
+             validation) of [cur] follows the load and covers it, so the
+             hop needs no [deref] (DESIGN.md §9). *)
+          let k = cur.key in
           let next = S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur) in
           if Link.is_marked next then begin
             let desired = Link.with_tag next 0 in
@@ -205,10 +198,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               walk s key (n - 1) prev desired
             else walk_fail
           end
-          else
-            let k = key_of s cur in
-            if k >= key then finish s prev pnext (k = key)
-            else walk s key (n - 1) cur next
+          else if k >= key then finish s prev pnext (k = key)
+          else walk s key (n - 1) cur next
     end
 
   let session t =

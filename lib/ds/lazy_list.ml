@@ -107,12 +107,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let discard t n =
     if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-
-  let key_of s (n : node) =
-    let k = n.key in
-    S.deref s.h n.blk;
-    k
-
   (* Spin lock; only ever taken in write phases on shield-protected
      nodes.  Never called while the deadline-protected section holds
      another resource without a Fun.protect (see callers). *)
@@ -174,11 +168,17 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       match pnext with
       | Link.Null _ -> finish s prev pnext false
       | Link.Ptr { target = cur; _ } ->
-          let k = key_of s cur in
+          (* A node walked past is the next read's [src]: that read's
+             access check (and VBR's validation) follows the key load and
+             covers it.  Only the node the walk stops at needs a [deref]. *)
+          let k = cur.key in
           if k < key then
             walk s key (n - 1) cur
               (S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur))
-          else finish s prev pnext (k = key && not (Atomic.get cur.marked))
+          else begin
+            S.deref s.h cur.blk;
+            finish s prev pnext (k = key && not (Atomic.get cur.marked))
+          end
     end
 
   let session t =

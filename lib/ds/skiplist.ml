@@ -137,11 +137,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      the hops, and [lasting] what the search keeps longer than that. *)
   let hop_shields = Caps.hop_shields S.caps
 
-  let key_of s (n : node) =
-    let k = n.key in
-    S.deref s.h n.blk;
-    k
-
   (* Checkpoint protection: every node the cursor can still reach. *)
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
@@ -198,6 +193,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       s.w.steps <- s.w.steps + 1;
       match plink with
       | Link.Ptr { target = curr; _ } ->
+          (* Key before read: the read's access check (and VBR's
+             validation) of [curr] follows the load and covers it. *)
+          let k = curr.key in
           let succ = S.read s.h ~src:curr.blk ~hdr:blk curr.next.(lvl) in
           if Link.is_marked succ then
             if help then begin
@@ -212,17 +210,18 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             end
             else
               walk s key help (n - 1) lvl pred (Link.with_tag succ 0) levels
-          else
-            let k = key_of s curr in
-            if k < key then begin
-              if hop_shields then S.protect s.lasting.(0) curr.blk;
-              walk s key help (n - 1) lvl curr succ levels
-            end
-            else complete_level s key help n lvl pred plink levels
-      | Link.Null _ -> complete_level s key help n lvl pred plink levels
+          else if k < key then begin
+            if hop_shields then S.protect s.lasting.(0) curr.blk;
+            walk s key help (n - 1) lvl curr succ levels
+          end
+          else complete_level s key help n lvl pred plink levels (k = key)
+      | Link.Null _ -> complete_level s key help n lvl pred plink levels false
     end
 
-  and complete_level s key help n lvl pred plink levels =
+  (* [hit]: [plink]'s target holds the key.  A level completes in the
+     step that read its target (or found none), so at level 0 [hit] is
+     the answer, from a key load that step's read checked: no [deref]. *)
+  and complete_level s key help n lvl pred plink levels hit =
     (* The recorded link becomes a CAS expected value in the write phase;
        a marked link there would let the CAS *unmark* the predecessor
        (HS's CASes expect the unmarked flag).  Restart instead.  The
@@ -236,10 +235,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       end;
       let levels = { lpred = pred; llink = plink } :: levels in
       if lvl = 0 then begin
-        s.found <-
-          (match plink with
-          | Link.Ptr { target = n; _ } -> key_of s n = key
-          | Link.Null _ -> false);
+        s.found <- hit;
         stop s lvl pred plink levels walk_done
       end
       else

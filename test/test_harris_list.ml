@@ -80,9 +80,22 @@ let cases (flavour : string) (make_list : (module LIST_MAKE)) =
       ])
     schemes
 
+let hlist (module S : Hpbrcu_core.Smr_intf.S) =
+  (module Hpbrcu_ds.Harris_list.Make (S) : Ds_sig.MAP)
+
+let hhslist (module S : Hpbrcu_core.Smr_intf.S) =
+  (module Hpbrcu_ds.Harris_list.Make_hhs (S) : Ds_sig.MAP)
+
+let mediation_schemes = [ "NR"; "RCU"; "HP++"; "HP-BRCU" ]
+
 let () =
   Alcotest.run "harris_list"
     [
       ("hlist", cases "HList" (module Hpbrcu_ds.Harris_list.Make));
       ("hhslist", cases "HHSList" (module Hpbrcu_ds.Harris_list.Make_hhs));
+      ( "hlist-mediations",
+        Test_util.mediation_cases ~make:hlist ~entry_reads:1 mediation_schemes );
+      ( "hhslist-mediations",
+        Test_util.mediation_cases ~make:hhslist ~entry_reads:1 mediation_schemes );
+      ("hhslist-uaf", [ Test_util.uaf_key_load_case ~make:hhslist "RCU" ]);
     ]

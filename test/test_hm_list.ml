@@ -90,8 +90,15 @@ let () =
      we still run it sequentially (no concurrent neutralization can strike)
      to validate the plumbing, but skip it in stress. *)
   let stress_schemes = List.filter (fun n -> n <> "NBR") seq_schemes in
+  let mk (module S : Hpbrcu_core.Smr_intf.S) =
+    (module Hpbrcu_ds.Hm_list.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
+  in
   Alcotest.run "hm_list"
     [
+      ( "mediations",
+        Test_util.mediation_cases ~make:mk ~entry_reads:1
+          [ "NR"; "RCU"; "HP"; "HP++"; "HP-BRCU" ] );
+      ("uaf", [ Test_util.uaf_key_load_case ~make:mk "RCU" ]);
       ("sequential", List.map seq_case seq_schemes);
       ( "stress",
         List.concat_map

@@ -10,4 +10,9 @@ let () =
     (module Hpbrcu_ds.Lazy_list.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
   in
   Alcotest.run "lazy_list"
-    [ ("all", Test_util.standard_cases ~make:mk schemes) ]
+    [
+      ("all", Test_util.standard_cases ~make:mk schemes);
+      ( "mediations",
+        Test_util.mediation_cases ~make:mk ~entry_reads:1
+          [ "NR"; "RCU"; "HP++"; "HP-BRCU" ] );
+    ]

@@ -174,6 +174,110 @@ module Walker_protects (S : Hpbrcu_core.Smr_intf.S) = struct
       }
 end
 
+(* [S] with a count of the mediated accesses a data structure makes: its
+   [read]s (with each one's [src], newest first) and [deref]s, and the
+   steps its walkers take. *)
+module Mediations (S : Hpbrcu_core.Smr_intf.S) = struct
+  include S
+
+  let reads = ref 0
+  let derefs = ref 0
+  let steps = ref 0
+  let srcs : Hpbrcu_alloc.Block.t list ref = ref []
+
+  let reset () =
+    reads := 0;
+    derefs := 0;
+    steps := 0;
+    srcs := []
+
+  let read h ~src ~hdr cell =
+    incr reads;
+    srcs := src :: !srcs;
+    S.read h ~src ~hdr cell
+
+  let deref h b =
+    incr derefs;
+    S.deref h b
+
+  let traverse h ~hold ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker) =
+    let s0 = w.steps in
+    let r = S.traverse h ~hold ~prot ~backup w in
+    steps := !steps + (w.steps - s0);
+    r
+end
+
+(* One mediated access per hop: on a 64-key structure, a [get] of each of
+   16 present keys makes one [read] per walker step, plus at most
+   [entry_reads] reads of entry links that no step made (the head's
+   link; a skip list's first link of each level), and at most one
+   [deref] however far it walks: every node a step passes is the [src]
+   of that step's read, whose access check covers the node's key. *)
+let mediation_cases ~make ~entry_reads schemes =
+  List.map
+    (fun n ->
+      Alcotest.test_case ("mediations/" ^ n) `Quick (fun () ->
+          with_scheme n (fun (module S) ->
+              let module M = Mediations (S) in
+              let (module L : Hpbrcu_ds.Ds_intf.MAP) =
+                make (module M : Hpbrcu_core.Smr_intf.S)
+              in
+              let t = L.create () in
+              let s = L.session t in
+              let nkeys = 64 in
+              Array.iter
+                (fun k -> ignore (L.insert t s k 0 : bool))
+                (Rng.permutation (Rng.create ~seed:5) nkeys);
+              let deepest = ref 0 in
+              for i = 0 to 15 do
+                let k = (i * 4) + 3 in
+                M.reset ();
+                if not (L.get t s k) then Alcotest.failf "get %d: key missing" k;
+                let steps = !M.steps and reads = !M.reads in
+                deepest := max !deepest steps;
+                if !M.derefs > 1 then
+                  Alcotest.failf "get %d: %d derefs over %d steps (at most 1)" k
+                    !M.derefs steps;
+                if reads < steps || reads > steps + entry_reads then
+                  Alcotest.failf "get %d: %d reads over %d steps (%d entry reads)"
+                    k reads steps entry_reads
+              done;
+              L.close_session s;
+              (* The bound means something only if some get walked far. *)
+              if !deepest < 16 then
+                Alcotest.failf "deepest get took %d steps" !deepest)))
+    schemes
+
+(* The key load stays checked: a still-linked middle node of 16 whose
+   block is retired and reclaimed behind the scheme's back must make a
+   [get] past it raise [Use_after_free] for exactly that block, while a
+   [get] that stops before it still answers.  [make] builds a list whose
+   [get] of key [k] reads the links of the nodes of keys 0..k in order. *)
+let uaf_key_load_case ~make name =
+  Alcotest.test_case ("uaf-key-load/" ^ name) `Quick (fun () ->
+      with_scheme name (fun (module S) ->
+          let module M = Mediations (S) in
+          let (module L : Hpbrcu_ds.Ds_intf.MAP) =
+            make (module M : Hpbrcu_core.Smr_intf.S)
+          in
+          let t = L.create () in
+          let s = L.session t in
+          for k = 0 to 15 do
+            ignore (L.insert t s k 0 : bool)
+          done;
+          M.reset ();
+          ignore (L.get t s 15 : bool);
+          (* The reads' [src]s, oldest first: none for the head's link,
+             then the nodes of keys 0..15; the victim holds key 8. *)
+          let victim = List.nth (List.rev !M.srcs) 9 in
+          Alloc.retire victim;
+          Alloc.reclaim victim;
+          Alcotest.(check bool) "get before the victim" true (L.get t s 3);
+          match L.get t s 15 with
+          | exception Alloc.Use_after_free b when b == victim -> ()
+          | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+          | _ -> Alcotest.fail "a get past a reclaimed node answered"))
+
 (* [S] with a count of the [new_shield] calls made through it: the
    shields a data structure registers. *)
 module New_shields (S : Hpbrcu_core.Smr_intf.S) = struct
