@@ -133,6 +133,39 @@ let test_crashed_reader scheme () =
     [ c.ticks; c.total_ops; c.peak; c.final_unreclaimed ]
     [ c'.ticks; c'.total_ops; c'.peak; c'.final_unreclaimed ]
 
+(* Pinned rows: the exact [pp_cell] line of the signal- and era-based
+   schemes under a crashed reader and under signal chaos (seed 1, quick),
+   equal to the matching lines of repros/golden/chaos-quick-seeds3.txt.
+   A change that moves a cell's ops, peak, quarantines or leak fails here
+   as well as in the chaos golden. *)
+let pinned_rows =
+  [
+    ( "PEBR",
+      Chaos.Crash_reader,
+      "PEBR      crash-reader seed=1  ok       ops=12046  peak=64     bound=1024    crashes=1 faults[stall=0 crash=1 drop=0 delay=0 pool=0] quar=1 leak=0" );
+    ( "PEBR",
+      Chaos.Signal_chaos,
+      "PEBR      signal-chaos seed=1  ok       ops=1580   peak=63     bound=1024    crashes=0 faults[stall=0 crash=0 drop=0 delay=0 pool=0] quar=0 leak=0" );
+    ( "NBR",
+      Chaos.Crash_reader,
+      "NBR       crash-reader seed=1  ok       ops=12046  peak=65     bound=1024    crashes=1 faults[stall=0 crash=1 drop=0 delay=0 pool=0] quar=1 leak=0" );
+    ( "NBR",
+      Chaos.Signal_chaos,
+      "NBR       signal-chaos seed=1  ok       ops=1580   peak=66     bound=1024    crashes=0 faults[stall=0 crash=0 drop=7 delay=4 pool=0] quar=0 leak=0" );
+    ( "HE",
+      Chaos.Crash_reader,
+      "HE        crash-reader seed=1  ok       ops=12046  peak=283    bound=2304    crashes=1 faults[stall=0 crash=1 drop=0 delay=0 pool=0] quar=0 leak=0" );
+    ( "HE",
+      Chaos.Signal_chaos,
+      "HE        signal-chaos seed=1  ok       ops=1580   peak=259    bound=2304    crashes=0 faults[stall=0 crash=0 drop=0 delay=0 pool=0] quar=0 leak=0" );
+  ]
+
+let test_pinned_row (scheme, plan_id, expected) () =
+  let c, _ =
+    Chaos.run_one ~substrate:`Fibers ~scheme ~plan_id ~seed:1 Chaos.quick
+  in
+  Alcotest.(check string) "pp_cell row" expected (Fmt.str "%a" Chaos.pp_cell c)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -152,4 +185,11 @@ let () =
         List.map
           (fun s -> Alcotest.test_case s `Quick (test_crashed_reader s))
           Chaos.all_schemes );
+      ( "pinned rows",
+        List.map
+          (fun ((s, p, _) as row) ->
+            Alcotest.test_case
+              (Fmt.str "%s %s" s (Chaos.plan_name p))
+              `Quick (test_pinned_row row))
+          pinned_rows );
     ]
