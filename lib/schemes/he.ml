@@ -13,9 +13,10 @@
     an era reservation made while standing on an already-retired node
     proves nothing about its successors.
 
-    The era clock, the reservation-slot table and the orphan list are all
-    per-domain; a shield closes over its domain so [protect] can read the
-    domain's era clock. *)
+    The era clock, the reservation table and the orphan list are all
+    per-domain.  Reservations live in a {!Registry.Shields} table, the one
+    HP scans: a slot holds a reserved era instead of a block id.  A shield
+    closes over its domain so [protect] can read the domain's era clock. *)
 
 module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
@@ -25,79 +26,6 @@ module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
-
-(* Era reservation slots, scanned like HP's shield table — one table per
-   domain. *)
-module Slots = struct
-  let max_slots = 1 lsl 14
-
-  type t = {
-    slots : int Atomic.t array;
-    hwm : int Atomic.t;
-    free : int list Atomic.t;
-  }
-
-  (* Index-strided like [Registry.Shields]: era slots are claimed in hwm
-     order, so adjacent threads own adjacent indices — the stride keeps
-     their reservation cells off each other's cache lines. *)
-  let create () =
-    {
-      slots =
-        Hpbrcu_runtime.Layout.strided_init max_slots (fun _ ->
-            Atomic.make (-1));
-      hwm = Atomic.make 0;
-      free = Atomic.make [];
-    }
-
-  let rec alloc t =
-    match Atomic.get t.free with
-    | i :: rest as old ->
-        if Atomic.compare_and_set t.free old rest then i
-        else begin
-          Sched.yield ();
-          alloc t
-        end
-    | [] ->
-        (* Bounded CAS, as in [Registry.Shields.alloc]: a fetch_and_add
-           would grow [hwm] past capacity on every failed alloc and the
-           clamps below would mask the overflow. *)
-        let i = Atomic.get t.hwm in
-        if i >= max_slots then
-          raise (Registry.Exhausted "HE: era slots exhausted");
-        if Atomic.compare_and_set t.hwm i (i + 1) then i
-        else begin
-          Sched.yield ();
-          alloc t
-        end
-
-  let release t i =
-    Atomic.set t.slots.(i) (-1);
-    let rec give () =
-      let old = Atomic.get t.free in
-      if not (Atomic.compare_and_set t.free old (i :: old)) then begin
-        Sched.yield ();
-        give ()
-      end
-    in
-    give ()
-
-  (* Snapshot all active reservations into the caller's scratch set. *)
-  let snapshot t (ids : Idset.t) =
-    Idset.clear ids;
-    let n = min (Atomic.get t.hwm) max_slots in
-    for i = 0 to n - 1 do
-      let e = Atomic.get t.slots.(i) in
-      if e <> -1 then Idset.add ids e
-    done
-
-  let reset t =
-    let n = min (Atomic.get t.hwm) max_slots in
-    for i = 0 to n - 1 do
-      Atomic.set t.slots.(i) (-1)
-    done;
-    Atomic.set t.hwm 0;
-    Atomic.set t.free []
-end
 
 module Impl : Smr_intf.SCHEME = struct
   let scheme = "HE"
@@ -120,7 +48,7 @@ module Impl : Smr_intf.SCHEME = struct
     meta : Dom.t;
     era : int Atomic.t;
     scans : Stats.Counter.t;
-    slots : Slots.t;
+    slots : Registry.Shields.t;  (* each slot holds a reserved era, -1 = none *)
     orphans : Retired.entry Segstack.t;
         (* batches of departed threads, adopted by later scanners *)
     batch_n : int;
@@ -131,7 +59,7 @@ module Impl : Smr_intf.SCHEME = struct
       meta = Dom.make ~scheme ?label config;
       era = Atomic.make 1;
       scans = Stats.Counter.make ();
-      slots = Slots.create ();
+      slots = Registry.Shields.create ();
       orphans = Segstack.create ();
       batch_n = config.Config.batch;
     }
@@ -141,7 +69,7 @@ module Impl : Smr_intf.SCHEME = struct
   let destroy ?force d =
     Dom.begin_destroy ?force d.meta;
     begin
-      Slots.reset d.slots;
+      Registry.Shields.reset d.slots;
       (match Segstack.take_all d.orphans with
       | None -> ()
       | Some _ as chain -> Segstack.iter chain Retired.reclaim_entry);
@@ -153,8 +81,9 @@ module Impl : Smr_intf.SCHEME = struct
   type handle = {
     d : domain;
     batch : Retired.t;
-    mutable my_slots : int list;
-    hops : int array;  (* the per-hop ring of era slots [read] rotates *)
+    mutable my_slots : Registry.Shields.shield list;
+    hops : Registry.Shields.shield array;
+        (* the per-hop ring of era slots [read] rotates *)
     mutable hop : int;
     eras : Idset.t;  (* scratch: reserved eras, rebuilt per scan *)
     scan_pred : Retired.entry -> bool;  (* built once; reads [eras] *)
@@ -163,7 +92,9 @@ module Impl : Smr_intf.SCHEME = struct
   let register d =
     Dom.on_register d.meta;
     let eras = Idset.create () in
-    let hops = Array.init Smr_intf.hop_ring (fun _ -> Slots.alloc d.slots) in
+    let hops =
+      Array.init Smr_intf.hop_ring (fun _ -> Registry.Shields.alloc d.slots)
+    in
     {
       d;
       batch = Retired.create ();
@@ -178,22 +109,22 @@ module Impl : Smr_intf.SCHEME = struct
           not (Idset.mem_range eras (Block.birth_era b) (Block.retire_era b)));
     }
 
-  (* The slot index plus its domain: [protect] must read the owning
+  (* The reservation slot plus its domain: [protect] must read the owning
      domain's era clock, not a global one. *)
-  type shield = { sd : domain; slot : int }
+  type shield = { sd : domain; sh : Registry.Shields.shield }
 
   let new_shield h =
-    let i = Slots.alloc h.d.slots in
-    h.my_slots <- i :: h.my_slots;
-    { sd = h.d; slot = i }
+    let sh = Registry.Shields.alloc h.d.slots in
+    h.my_slots <- sh :: h.my_slots;
+    { sd = h.d; sh }
 
   (* Pointer-protection API mapped onto eras: protecting any block reserves
      the current era (it covers every block alive now). *)
   let protect s b =
-    if b == Block.none then Atomic.set s.sd.slots.Slots.slots.(s.slot) (-1)
-    else Atomic.set s.sd.slots.Slots.slots.(s.slot) (Atomic.get s.sd.era)
+    if b == Block.none then Registry.Shields.clear s.sh
+    else Atomic.set s.sh.slot (Atomic.get s.sd.era)
 
-  let clear s = Atomic.set s.sd.slots.Slots.slots.(s.slot) (-1)
+  let clear s = Registry.Shields.clear s.sh
 
   exception Restart
 
@@ -213,7 +144,7 @@ module Impl : Smr_intf.SCHEME = struct
     Alloc.check_access src;
     let i = h.hop in
     h.hop <- (if i + 1 = Smr_intf.hop_ring then 0 else i + 1);
-    let slot = h.d.slots.Slots.slots.(h.hops.(i)) in
+    let slot = h.hops.(i).Registry.Shields.slot in
     let rec loop reserved =
       let l = Link.get cell in
       let e = Atomic.get h.d.era in
@@ -236,7 +167,7 @@ module Impl : Smr_intf.SCHEME = struct
     | None -> ()
     | Some _ as chain ->
         Segstack.iter chain (fun e -> Retired.push_entry h.batch e));
-    Slots.snapshot h.d.slots h.eras;
+    Registry.Shields.snapshot h.d.slots h.eras;
     Idset.sort h.eras;
     ignore (Retired.reclaim_where h.batch h.scan_pred : int)
 
@@ -265,7 +196,7 @@ module Impl : Smr_intf.SCHEME = struct
     (* Leftovers may still be covered by other threads' reservations:
        orphan them for adoption by later scans. *)
     Segstack.push_arr h.d.orphans (Retired.drain_array h.batch);
-    List.iter (Slots.release h.d.slots) h.my_slots;
+    List.iter Registry.Shields.release h.my_slots;
     h.my_slots <- [];
     Dom.on_unregister h.d.meta
 

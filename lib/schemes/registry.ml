@@ -1,7 +1,8 @@
 (** Shared registries used by the scheme implementations:
 
     - {!Shields}: the global hazard-pointer slot table an HP-family
-      reclaimer scans (Algorithm 1 line 14);
+      reclaimer scans (Algorithm 1 line 14), which HE reuses as its era
+      reservation table;
     - {!Participants}: the list of per-thread records an epoch-family
       reclaimer walks to compute the minimum announced epoch (Algorithm 5's
       [LOCALS]).
@@ -13,8 +14,8 @@
 module Block = Hpbrcu_alloc.Block
 
 exception Exhausted of string
-(** A fixed-capacity slot table ran out ({!Shields.alloc},
-    {!Participants.add}, HE's era table).  Typed — unlike the [Failure]
+(** A fixed-capacity slot table ran out ({!Shields.alloc} or
+    {!Participants.add}).  Typed — unlike the [Failure]
     it replaces — so harnesses that drive fuzzed schedules (lib/check) can
     catch exactly this condition at the worker and report a typed
     "registry exhausted" outcome instead of letting an anonymous failure
@@ -24,11 +25,12 @@ exception Exhausted of string
 (* ------------------------------------------------------------------ *)
 
 module Shields = struct
-  (* A slot holds the protected block's id, -1 when empty — as HE's era
-     slots hold ints.  A protect is then an int store (no GC write barrier
-     on a pointer), and a scan reads ints instead of dereferencing one
-     [Block.t] per slot.  Scans always compared retired blocks to the
-     protected set by id, so which blocks a slot protects is unchanged. *)
+  (* A slot holds the protected block's id, -1 when empty; under HE it
+     holds a reserved era instead, and HE stores into [slot] directly.  A
+     protect is then an int store (no GC write barrier on a pointer), and
+     a scan reads ints instead of dereferencing one [Block.t] per slot.
+     Scans always compared retired blocks to the protected set by id, so
+     which blocks a slot protects is unchanged. *)
   type t = {
     slots : int Atomic.t array;  (* -1 = empty *)
     hwm : int Atomic.t;  (* slots.(0 .. hwm-1) have been handed out *)
