@@ -221,6 +221,34 @@ let wait_domain box ~before ~is_out =
   done;
   Option.get !result
 
+(* Post one delivery to [box], or drop it when the fault plan says so
+   (then [false]).  Both substrates consult the fault rules at this same
+   site; only the axis of a delayed delivery's deliverable-after floor
+   differs: virtual ticks under fibers, [Clock.now_ns] under domains.  A
+   drop never posts, and stamps the seq so the analyzer can close the
+   edge as "dropped" rather than "unmatched".  A fault-free post clears
+   any floor left over from an earlier run: a stale positive floor from
+   the other axis would make the post undeliverable. *)
+let publish box ~seq ~not_before =
+  Atomic.set box.not_before not_before;
+  Atomic.set box.posted_seq seq;
+  Atomic.set box.pending true;
+  true
+
+let post ~seq box ~fibers =
+  if not (Fault.active ()) then publish box ~seq ~not_before:0
+  else
+    match Fault.on_send ~tid:box.owner_tid with
+    | Some `Drop ->
+        Trace.emit2 Trace.Signal_dropped box.owner_tid seq;
+        false
+    | Some (`Delay n) ->
+        publish box ~seq
+          ~not_before:
+            (if fibers then Sched.tick () + n
+             else Clock.now_ns () + Fault.ns_of_ticks n)
+    | None -> publish box ~seq ~not_before:0
+
 (** [send_unrouted ~seq box ~is_out] delivers a signal and reports the
     {!outcome} (the domain fence lives in {!send} below).
     [seq] (from {!next_seq}) correlates this send with the rollback it
@@ -248,75 +276,18 @@ let send_unrouted ~seq box ~is_out =
     if Sched.is_crashed box.owner_tid then Dead_receiver
     else begin
       let before = Atomic.get box.acks in
-      if Sched.fiber_mode () then begin
-        let posted =
-          if Fault.active () then begin
-            match Fault.on_send ~tid:box.owner_tid with
-            | Some `Drop ->
-                (* The drop is where a correlated rollback will never
-                   appear; stamp the seq so the analyzer can close the
-                   edge as "dropped" rather than "unmatched". *)
-                Trace.emit2 Trace.Signal_dropped box.owner_tid seq;
-                false
-            | Some (`Delay n) ->
-                Atomic.set box.not_before (Sched.tick () + n);
-                Atomic.set box.posted_seq seq;
-                Atomic.set box.pending true;
-                true
-            | None ->
-                Atomic.set box.not_before 0;
-                Atomic.set box.posted_seq seq;
-                Atomic.set box.pending true;
-                true
-          end
-          else begin
-            Atomic.set box.not_before 0;
-            Atomic.set box.posted_seq seq;
-            Atomic.set box.pending true;
-            true
-          end
-        in
+      let fibers = Sched.fiber_mode () in
+      let posted = post ~seq box ~fibers in
+      if fibers then begin
         if box.owner_tid >= 0 then Sched.interrupt ~tid:box.owner_tid;
         if posted && not (Fault.active ()) then Delivered
         else wait_fiber box ~before ~is_out
       end
-      else begin
-        (* Domains: the same fault rules consulted at the same site.  A
-           drop never posts (and resolves immediately — the receiver will
-           never ack, so a bounded wait would just burn the full budget);
-           a delay posts with a deliverable-after floor on the
-           [Clock.now_ns] axis.  The fault-free path clears any floor
-           left over from a fiber run: a stale positive tick floor would
-           otherwise make the post undeliverable forever and every send
-           time out as [No_ack]. *)
-        let posted =
-          if Fault.active () then begin
-            match Fault.on_send ~tid:box.owner_tid with
-            | Some `Drop ->
-                Trace.emit2 Trace.Signal_dropped box.owner_tid seq;
-                false
-            | Some (`Delay n) ->
-                Atomic.set box.not_before (Clock.now_ns () + Fault.ns_of_ticks n);
-                Atomic.set box.posted_seq seq;
-                Atomic.set box.pending true;
-                true
-            | None ->
-                Atomic.set box.not_before 0;
-                Atomic.set box.posted_seq seq;
-                Atomic.set box.pending true;
-                true
-          end
-          else begin
-            Atomic.set box.not_before 0;
-            Atomic.set box.posted_seq seq;
-            Atomic.set box.pending true;
-            true
-          end
-        in
-        if posted then wait_domain box ~before ~is_out
-        else if is_out () then Delivered
-        else No_ack
-      end
+      else if posted then wait_domain box ~before ~is_out
+      (* A dropped post resolves at once: the receiver will never ack,
+         so a bounded wait would only burn its whole budget. *)
+      else if is_out () then Delivered
+      else No_ack
     end
   in
   Atomic.decr inflight;
