@@ -93,9 +93,7 @@ type domain = {
   advances : Stats.Counter.t;
   forced : Stats.Counter.t;
   rollbacks : Stats.Counter.t;
-  signals : Stats.Counter.t;
-  signal_timeouts : Stats.Counter.t;
-  quarantines : Stats.Counter.t;
+  neut : Scheme_common.neutralizer;
   leaked_blocks : Stats.Counter.t;
   lag_gauge : Stats.Gauge.t;
       (* worst (global - announced) gap seen at a flush walk: how far
@@ -134,9 +132,7 @@ let create ?execute meta =
     advances = Stats.Counter.make ();
     forced = Stats.Counter.make ();
     rollbacks = Stats.Counter.make ();
-    signals = Stats.Counter.make ();
-    signal_timeouts = Stats.Counter.make ();
-    quarantines = Stats.Counter.make ();
+    neut = Scheme_common.neutralizer meta;
     leaked_blocks = Stats.Counter.make ();
     lag_gauge = Stats.Gauge.make ();
     lag_epoch = Atomic.make (-1);
@@ -296,20 +292,16 @@ let run_expired d limit =
       Segstack.iter expired d.execute;
       n
 
-(* Quarantine a participant whose box answered [Dead_receiver]: it is a
-   confirmed crash (never runs again, never dereferences again), so its
-   frozen epoch may stop blocking advancement.  Its record leaves the
-   registry, and every queued batch its announced epoch could still pin
-   (tag ≤ current global) moves to the [leaked] parking lot — leaked
-   because we must never run a task a dead-but-pinning reader protects,
-   bounded because no new batch can acquire a tag the dead reader pins.
-   Quarantining a LIVE reader would be a use-after-free: only the crash
-   registry's verdict, never a timeout, reaches this path. *)
+(* Quarantine a participant whose box answered [Dead_receiver]
+   ({!Scheme_common.quarantine}), once: the flag also keeps the laggard
+   witness from citing it.  On top of the common path, every queued
+   batch its announced epoch could still pin (tag ≤ current global) moves
+   to the [leaked] parking lot — leaked because we must never run a task
+   a dead-but-pinning reader protects, bounded because no new batch can
+   acquire a tag the dead reader pins. *)
 let quarantine d l =
   if Atomic.compare_and_set l.quarantined false true then begin
-    Stats.Counter.incr d.quarantines;
-    Trace.emit Trace.Participant_quarantined l.box.Signal.owner_tid;
-    Registry.Participants.remove_where d.participants (fun l' -> l' == l);
+    Scheme_common.quarantine d.neut d.participants l l.box;
     let eg = Atomic.get d.global in
     match Segstack.take_all d.tasks with
     | None -> ()
@@ -336,16 +328,12 @@ let neutralize d l ~eg =
     e = -1 || e >= eg
   in
   let rec attempt n =
-    Stats.Counter.incr d.signals;
-    let seq = Signal.next_seq () in
-    Trace.emit2 Trace.Signal_sent l.box.Signal.owner_tid seq;
-    match Signal.send ~seq ~domain:(Dom.id d.meta) l.box ~is_out with
+    match Scheme_common.signal d.neut l.box ~is_out with
     | Signal.Delivered -> true
     | Signal.Dead_receiver ->
         quarantine d l;
         true
     | Signal.No_ack ->
-        Stats.Counter.incr d.signal_timeouts;
         if n >= signal_retry_cap then false
         else begin
           (* Exponential backoff between retries: 2^n unconditional
@@ -423,7 +411,7 @@ let flush_and_advance h =
                    so do we.  Inside a mask this records the rollback
                    request; in a bare critical section it aborts the rest
                    of this flush, exactly as a self-longjmp would. *)
-                Stats.Counter.incr d.signals;
+                Stats.Counter.incr d.neut.sent;
                 let seq = Signal.next_seq () in
                 Trace.emit2 Trace.Signal_sent l.box.Signal.owner_tid seq;
                 Signal.mark_self_delivery l.box ~seq;
@@ -520,9 +508,7 @@ let drain d =
   Stats.Counter.reset d.advances;
   Stats.Counter.reset d.forced;
   Stats.Counter.reset d.rollbacks;
-  Stats.Counter.reset d.signals;
-  Stats.Counter.reset d.signal_timeouts;
-  Stats.Counter.reset d.quarantines;
+  Scheme_common.reset_neutralizer d.neut;
   Stats.Counter.reset d.leaked_blocks;
   Stats.Gauge.reset d.lag_gauge
 
@@ -533,9 +519,9 @@ let stats d =
     advances = Stats.Counter.value d.advances;
     forced_advances = Stats.Counter.value d.forced;
     rollbacks = Stats.Counter.value d.rollbacks;
-    signals = Stats.Counter.value d.signals;
-    signal_timeouts = Stats.Counter.value d.signal_timeouts;
-    quarantines = Stats.Counter.value d.quarantines;
+    signals = Stats.Counter.value d.neut.sent;
+    signal_timeouts = Stats.Counter.value d.neut.timeouts;
+    quarantines = Stats.Counter.value d.neut.quarantines;
     leaked = Stats.Counter.value d.leaked_blocks;
     max_epoch_lag = Stats.Gauge.maximum d.lag_gauge;
     max_signals_inflight = Signal.max_inflight ();

@@ -73,10 +73,8 @@ module Impl : Smr_intf.SCHEME = struct
     hp : Core.domain;
     participants : local Registry.Participants.t;
     neutralizations : Stats.Counter.t;
-    signals : Stats.Counter.t;
+    neut : Scheme_common.neutralizer;
     rollbacks : Stats.Counter.t;
-    signal_timeouts : Stats.Counter.t;
-    quarantines : Stats.Counter.t;
     batch_n : int;
   }
 
@@ -87,10 +85,8 @@ module Impl : Smr_intf.SCHEME = struct
       hp = Core.create meta;
       participants = Registry.Participants.create ();
       neutralizations = Stats.Counter.make ();
-      signals = Stats.Counter.make ();
+      neut = Scheme_common.neutralizer meta;
       rollbacks = Stats.Counter.make ();
-      signal_timeouts = Stats.Counter.make ();
-      quarantines = Stats.Counter.make ();
       batch_n = config.Config.batch;
     }
 
@@ -217,24 +213,12 @@ module Impl : Smr_intf.SCHEME = struct
     let mine = h.l in
     let all_acked = ref true in
     Registry.Participants.iter d.participants (fun l ->
-        if l != mine then begin
-          Stats.Counter.incr d.signals;
-          let seq = Signal.next_seq () in
-          Trace.emit2 Trace.Signal_sent l.box.Signal.owner_tid seq;
-          match
-            Signal.send ~seq ~domain:(Dom.id d.meta) l.box
-              ~is_out:(fun () -> Atomic.get l.status = st_out)
-          with
-          | Signal.Delivered -> ()
-          | Signal.Dead_receiver ->
-              Stats.Counter.incr d.quarantines;
-              Trace.emit Trace.Participant_quarantined l.box.Signal.owner_tid;
-              Registry.Participants.remove_where d.participants (fun l' ->
-                  l' == l)
-          | Signal.No_ack ->
-              Stats.Counter.incr d.signal_timeouts;
-              all_acked := false
-        end);
+        if
+          l != mine
+          && not
+               (Scheme_common.neutralize d.neut d.participants l l.box
+                  ~is_out:(fun () -> Atomic.get l.status = st_out))
+        then all_acked := false);
     if !all_acked then begin
       (* Move the snapshot into the HP batch and scan. *)
       Retired.transfer h.pending ~into:h.hph.Core.batch;
@@ -270,10 +254,10 @@ module Impl : Smr_intf.SCHEME = struct
       {
         (Core.stats d.hp) with
         Stats.neutralizations = Stats.Counter.value d.neutralizations;
-        signals = Stats.Counter.value d.signals;
+        signals = Stats.Counter.value d.neut.sent;
         rollbacks = Stats.Counter.value d.rollbacks;
-        signal_timeouts = Stats.Counter.value d.signal_timeouts;
-        quarantines = Stats.Counter.value d.quarantines;
+        signal_timeouts = Stats.Counter.value d.neut.timeouts;
+        quarantines = Stats.Counter.value d.neut.quarantines;
         max_signals_inflight = Signal.max_inflight ();
       }
 end
