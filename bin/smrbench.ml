@@ -759,7 +759,7 @@ module Reclaim_bench = struct
 
   let pin_kernel ~iters =
     let ed = Epoch_core.create (dom_make ~scheme:"RCU") in
-    let h = Epoch_core.register ed in
+    let h = Epoch_core.register ed () in
     let ops = 256 in
     let cycle () =
       for _ = 1 to ops do
@@ -798,7 +798,7 @@ module Reclaim_bench = struct
      slow reader. *)
   let advance_kernel ~iters =
     let ed = Epoch_core.create (dom_make ~scheme:"RCU") in
-    let hs = Array.init 256 (fun _ -> Epoch_core.register ed) in
+    let hs = Array.init 256 (fun _ -> Epoch_core.register ed ()) in
     Epoch_core.pin hs.(0);
     (* One successful advance turns hs.(0) into the lagging reader. *)
     ignore (Epoch_core.try_advance ed : bool);

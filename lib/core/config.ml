@@ -22,8 +22,6 @@ type t = {
   max_local_tasks : int;
       (** BRCU: deferred tasks buffered thread-locally before flushing to
           the global queue (Algorithm 5's [MaxLocalTasks]) *)
-  pebr_eject_threshold : int;
-      (** PEBR: failed advances tolerated before ejecting a lagging reader *)
   double_buffering : bool;
       (** HP-BRCU: use the two-protector checkpoint scheme of §4.3.
           Disabling it (ablation only!) makes checkpoints tearable by
@@ -44,7 +42,6 @@ let default =
     backup_period = 64;
     force_threshold = 2;
     max_local_tasks = 64;
-    pebr_eject_threshold = 2;
     double_buffering = true;
     abort_masking = true;
   }

@@ -32,7 +32,7 @@ module Impl : Smr_intf.SCHEME = struct
       bound = Caps.unbounded;
     }
 
-  type domain = E.domain
+  type domain = unit E.domain
 
   let create ?label config = E.create (Dom.make ~scheme ?label config)
   let dom (d : domain) = d.E.meta
@@ -44,11 +44,11 @@ module Impl : Smr_intf.SCHEME = struct
       Dom.finish_destroy d.E.meta
     end
 
-  type handle = E.handle
+  type handle = unit E.handle
 
   let register d =
     Dom.on_register (dom d);
-    E.register d
+    E.register d ()
 
   let unregister (h : handle) =
     E.unregister h;

@@ -1,5 +1,9 @@
-(** Fraser-style epoch machinery (the paper's "epoch-based RCU", §2.2),
-    shared by EBR, PEBR, and the RCU side of HP-RCU.
+(** Fraser-style epoch machinery (the paper's "epoch-based RCU", §2.2).
+    Its users: EBR (the whole scheme), the RCU side of HP-RCU, and PEBR's
+    epoch half, which keeps only its ejecting advance ({!advance_from} is
+    the shared last step) and drives {!push}, {!adopt_orphans},
+    {!run_expired} and {!leave} itself.  HP-BRCU's bounded RCU keeps its
+    own machinery in {!Brcu_core}.
 
     Invariants (paper §2.2): a global epoch; each critical section pins the
     global epoch into a local announcement; concurrent critical sections'
@@ -15,8 +19,8 @@
     Deferred work is {e intrusive} (P0484's [rcu_obj_base] idea): a
     deferral is a {!Hpbrcu_core.Retired.entry} — the block header plus an
     epoch stamp in a preallocated slot — executed by the domain's
-    [execute] function once expired.  EBR's executor reclaims directly;
-    HP-RCU and PEBR install an executor that hands the entry to their
+    [execute] function once expired.  EBR's and PEBR's executor reclaims
+    directly; HP-RCU installs one that hands the entry to its
     hazard-pointer half ({!Hp_core.retire_deferred_entry}).  No per-retire
     closure is allocated anywhere on the path (the optional [free]
     callback rides in the entry's existing field).
@@ -40,8 +44,11 @@ module Segstack = Hpbrcu_core.Segstack
 let dummy_entry () =
   { Retired.blk = Retired.dummy_block; free = None; stamp = 0; patches = [] }
 
-type local = {
+(* ['x] is what the embedding scheme attaches to its participant record:
+   PEBR's ejection signal box, [unit] for EBR and HP-RCU. *)
+type 'x local = {
   pin : int Atomic.t;  (* -1 = unpinned *)
+  ext : 'x;
   _pad : int array;
       (* live spacer allocated right after [pin]: keeps one thread's
          announcement a cache line away from the next registrant's, since
@@ -49,10 +56,10 @@ type local = {
          (see {!Hpbrcu_runtime.Layout}) *)
 }
 
-type domain = {
+type 'x domain = {
   meta : Dom.t;
   global : int Atomic.t;
-  participants : local Registry.Participants.t;
+  participants : 'x local Registry.Participants.t;
   orphans : Retired.entry Segstack.t;
       (* deferred entries of unregistered threads, adopted by later
          collectors *)
@@ -73,7 +80,7 @@ type domain = {
      falls back to the full walk; it never claims an advance is
      possible. *)
   lag_epoch : int Atomic.t;
-  lag_local : local option Atomic.t;
+  lag_local : 'x local option Atomic.t;
   batch_n : int;
 }
 
@@ -93,9 +100,9 @@ let create ?execute meta =
     batch_n = (Dom.config meta).Hpbrcu_core.Config.batch;
   }
 
-type handle = {
-  d : domain;
-  l : local;
+type 'x handle = {
+  d : 'x domain;
+  l : 'x local;
   idx : int;
   mutable nest : int;
   tasks : Retired.entry Vec.t;
@@ -103,8 +110,10 @@ type handle = {
   mutable running : bool;  (* reentrancy guard: executors may defer *)
 }
 
-let register d =
-  let l = { pin = Atomic.make (-1); _pad = Hpbrcu_runtime.Layout.spacer () } in
+let register d ext =
+  let l =
+    { pin = Atomic.make (-1); ext; _pad = Hpbrcu_runtime.Layout.spacer () }
+  in
   let idx = Registry.Participants.add d.participants l in
   {
     d;
@@ -126,14 +135,18 @@ let pin h =
   end;
   h.nest <- h.nest + 1
 
-let unpin h =
+(** [unpin_as h outcome] leaves a section that ended with [outcome]
+    ([Trace.Cs_end]'s argument: 0 done, 1 restarted, 2 raised). *)
+let[@inline] unpin_as h outcome =
   h.nest <- h.nest - 1;
   assert (h.nest >= 0);
   if h.nest = 0 then begin
     Atomic.set h.l.pin (-1);
-    (* Plain RCU sections cannot abort: the outcome is always 0. *)
-    Trace.emit Trace.Cs_end 0
+    Trace.emit Trace.Cs_end outcome
   end
+
+(* Plain RCU sections cannot abort: the outcome is always 0. *)
+let unpin h = unpin_as h 0
 
 let pinned h = h.nest > 0
 
@@ -171,6 +184,14 @@ let cached_lagging d e =
          let p = Atomic.get l.pin in
          p <> -1 && p < e)
 
+(** Move the global epoch from [e] to [e + 1]; losing the CAS means
+    another thread already did. *)
+let advance_from d e =
+  if Atomic.compare_and_set d.global e (e + 1) then begin
+    Stats.Counter.incr d.advances;
+    Trace.emit Trace.Epoch_advance (e + 1)
+  end
+
 (* The global epoch can advance from [e] only when no participant is
    pinned at an epoch < [e]; pins never exceed the global they read. *)
 let try_advance d =
@@ -191,10 +212,7 @@ let try_advance d =
         Stats.Counter.incr d.advance_failures;
         false
     | None ->
-        if Atomic.compare_and_set d.global e (e + 1) then begin
-          Stats.Counter.incr d.advances;
-          Trace.emit Trace.Epoch_advance (e + 1)
-        end;
+        advance_from d e;
         true
 
 let adopt_orphans h =
@@ -231,24 +249,34 @@ let advance_and_collect h =
   Trace.emit Trace.Flush_end (if advanced then 0 else 1);
   run_expired h
 
+(** [push h ?free blk] queues [blk]'s deferral, stamped with the current
+    global epoch, and tells whether the local queue has reached the batch
+    size — the caller's cue to collect. *)
+let[@inline] push h ?free blk =
+  Vec.push h.tasks
+    { Retired.blk; free; stamp = Atomic.get h.d.global; patches = [] };
+  Vec.length h.tasks >= h.d.batch_n
+
 (** [defer h ?free blk] schedules [blk]'s deferred work (RCU's Defer,
     Algorithm 2): once all current critical sections have ended, the
     domain's executor runs on the entry.  Intrusive — the block and the
     epoch stamp land in a preallocated {!Retired.entry}, no closure. *)
 let defer h ?free blk =
-  Vec.push h.tasks
-    { Retired.blk; free; stamp = Atomic.get h.d.global; patches = [] };
-  if Vec.length h.tasks >= h.d.batch_n then
-    ignore (advance_and_collect h : int)
+  if push h ?free blk then ignore (advance_and_collect h : int)
 
 let flush h = ignore (advance_and_collect h : int)
 
-let unregister h =
+(** Leave the domain: orphan the not-yet-expired entries for later
+    collectors and free the participant slot. *)
+let leave h =
   assert (h.nest = 0);
-  ignore (advance_and_collect h : int);
   Segstack.push_arr h.d.orphans (Vec.to_array h.tasks);
   Vec.clear h.tasks;
   Registry.Participants.remove h.d.participants h.idx
+
+let unregister h =
+  ignore (advance_and_collect h : int);
+  leave h
 
 (** Domain teardown: no threads registered, run everything. *)
 let drain d =

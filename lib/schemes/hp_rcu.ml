@@ -44,7 +44,7 @@ module Impl : Smr_intf.SCHEME = struct
 
   type domain = {
     meta : Dom.t;
-    ed : E.domain;
+    ed : unit E.domain;
     hd : H.domain;
     max_steps : int;
   }
@@ -76,7 +76,7 @@ module Impl : Smr_intf.SCHEME = struct
      per handle, so a traversal allocates nothing per phase. *)
   type handle = {
     d : domain;
-    eh : E.handle;
+    eh : unit E.handle;
     hh : H.handle;
     mutable tw : H.shield Smr_intf.walker;
     mutable tprot : H.shield array;
@@ -122,7 +122,7 @@ module Impl : Smr_intf.SCHEME = struct
     let rec h =
       {
         d;
-        eh = E.register d.ed;
+        eh = E.register d.ed ();
         hh = H.register ~hop_ring:false d.hd;
         tw = Smr_intf.idle_walker ();
         tprot = [||];

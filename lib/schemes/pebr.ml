@@ -17,8 +17,10 @@
     mode.  Both the footprint bound and the restart-induced starvation —
     the properties the paper measures — are preserved.
 
-    The domain carries its own epoch (global, participants, orphans) next
-    to an embedded {!Hp_core.domain} for shields; deferral is intrusive
+    The epoch half is an {!Epoch_core} domain whose participant records
+    carry the ejection signal box; PEBR adds only its ejecting advance,
+    [op]'s restart loop and its counters.  An embedded {!Hp_core.domain}
+    holds the shields [read] protects into.  Deferral is intrusive
     ({!Hpbrcu_core.Retired.entry} vectors, no per-retire closure), and
     ejection signals are routed by domain id. *)
 
@@ -30,7 +32,11 @@ module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
+module E = Epoch_core
 module HPC = Hp_core
+
+(* Failed advances tolerated before a lagging reader is ejected. *)
+let eject_threshold = 2
 
 module Impl : Smr_intf.SCHEME = struct
   let scheme = "PEBR"
@@ -48,105 +54,52 @@ module Impl : Smr_intf.SCHEME = struct
          leaks its local batch and is quarantined. *)
       bound =
         (fun ~nthreads ->
-          Some
-            (nthreads * cfg.Config.batch
-            * (cfg.Config.pebr_eject_threshold + 2)
-            * 2));
+          Some (nthreads * cfg.Config.batch * (eject_threshold + 2) * 2));
     }
 
   exception Restart
 
-  type local = {
-    pin : int Atomic.t;
-    box : Signal.box;
-    _pad : int array;  (* live inter-record spacer; see Hpbrcu_runtime.Layout *)
-  }
-
   type domain = {
-    meta : Dom.t;
+    ed : Signal.box E.domain;  (* participants carry their ejection box *)
     hp : HPC.domain;
-    global : int Atomic.t;
-    participants : local Registry.Participants.t;
-    orphans : Retired.entry Segstack.t;
-        (* unexpired entries of departed threads, adopted later *)
-    (* Worst (global - lagging pin) gap at an advance attempt; ejection
-       bounds it by the patience threshold. *)
-    lag_gauge : Stats.Gauge.t;
-    ejections : Stats.Counter.t;
+    neut : Scheme_common.neutralizer;  (* [sent] counts ejections *)
     restarts : Stats.Counter.t;
-    advances : Stats.Counter.t;
-    signal_timeouts : Stats.Counter.t;
-    quarantines : Stats.Counter.t;
-    batch_n : int;
-    eject_threshold : int;
   }
 
   let create ?label config =
     let meta = Dom.make ~scheme ?label config in
     {
-      meta;
+      ed = E.create meta;
       hp = HPC.create meta;
-      global = Atomic.make 2;
-      participants = Registry.Participants.create ();
-      orphans = Segstack.create ();
-      lag_gauge = Stats.Gauge.make ();
-      ejections = Stats.Counter.make ();
+      neut = Scheme_common.neutralizer meta;
       restarts = Stats.Counter.make ();
-      advances = Stats.Counter.make ();
-      signal_timeouts = Stats.Counter.make ();
-      quarantines = Stats.Counter.make ();
-      batch_n = config.Config.batch;
-      eject_threshold = config.Config.pebr_eject_threshold;
     }
 
-  let dom d = d.meta
+  let dom d = d.ed.E.meta
 
   let destroy ?force d =
-    Dom.begin_destroy ?force d.meta;
+    Dom.begin_destroy ?force (dom d);
     begin
       (* No readers remain: run everything. *)
-      (match Segstack.take_all d.orphans with
-      | None -> ()
-      | Some _ as chain -> Segstack.iter chain Retired.reclaim_entry);
+      E.drain d.ed;
       HPC.drain d.hp;
-      Registry.Participants.reset d.participants;
-      Dom.finish_destroy d.meta
+      Dom.finish_destroy (dom d)
     end
 
   type handle = {
     d : domain;
-    l : local;
-    idx : int;
+    eh : Signal.box E.handle;
+    box : Signal.box;  (* [eh]'s box, one load closer to every poll *)
     hph : HPC.handle;
-    mutable nest : int;
-    tasks : Retired.entry Vec.t;
-    expired : Retired.entry Vec.t;  (* scratch for [run_expired] *)
-    mutable running : bool;  (* reentrancy guard: tasks may retire *)
     mutable push_cnt : int;
   }
 
   let register d =
-    Dom.on_register d.meta;
-    let l =
-      {
-        pin = Atomic.make (-1);
-        box = Signal.make ();
-        _pad = Hpbrcu_runtime.Layout.spacer ();
-      }
-    in
-    Signal.attach ~domain:(Dom.id d.meta) l.box;
-    let idx = Registry.Participants.add d.participants l in
-    {
-      d;
-      l;
-      idx;
-      hph = HPC.register ~hop_ring:true d.hp;
-      nest = 0;
-      tasks = Vec.create (Epoch_core.dummy_entry ());
-      expired = Vec.create (Epoch_core.dummy_entry ());
-      running = false;
-      push_cnt = 0;
-    }
+    Dom.on_register (dom d);
+    let box = Signal.make () in
+    Signal.attach ~domain:(Dom.id (dom d)) box;
+    let eh = E.register d.ed box in
+    { d; eh; box; hph = HPC.register ~hop_ring:true d.hp; push_cnt = 0 }
 
   type shield = HPC.shield
 
@@ -156,56 +109,38 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Ejection is delivered like a signal; the handler aborts the victim's
      operation. *)
-  let handler l () = if Atomic.get l.pin <> -1 then raise Restart
+  let handler (l : _ E.local) () = if Atomic.get l.pin <> -1 then raise Restart
 
   (* [deliverable] first: the no-signal poll allocates no closure. *)
   let poll h =
-    if Signal.deliverable h.l.box then
-      Signal.poll h.l.box ~handler:(handler h.l)
+    if Signal.deliverable h.box then
+      Signal.poll h.box ~handler:(handler h.eh.E.l)
 
-  let pin h =
-    if h.nest = 0 then Atomic.set h.l.pin (Atomic.get h.d.global);
-    h.nest <- h.nest + 1
-
-  let unpin h =
-    h.nest <- h.nest - 1;
-    if h.nest = 0 then Atomic.set h.l.pin (-1)
-
+  (* An ejected operation restarts from scratch.  Its rollback is traced
+     before the section's [Cs_end 1]. *)
   let op h body =
+    let eh = h.eh in
     let rec go () =
-      pin h;
-      Trace.emit Trace.Cs_begin (Atomic.get h.l.pin);
+      E.pin eh;
       match body () with
       | r ->
-          unpin h;
-          Trace.emit Trace.Cs_end 0;
+          E.unpin eh;
           r
       | exception Restart ->
-          unpin h;
           Stats.Counter.incr h.d.restarts;
           (* The ejection that raised Restart was consumed by poll; cite
              its send-sequence id so the analyzer can join the edge. *)
-          Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq h.l.box);
-          Trace.emit Trace.Cs_end 1;
+          Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq h.box);
+          E.unpin_as eh 1;
           Sched.yield ();
           go ()
       | exception e ->
-          unpin h;
-          Trace.emit Trace.Cs_end 2;
+          E.unpin_as eh 2;
           raise e
     in
     go ()
 
-  let crit h body =
-    let outer = h.nest = 0 in
-    pin h;
-    if outer then Trace.emit Trace.Cs_begin (Atomic.get h.l.pin);
-    Fun.protect
-      ~finally:(fun () ->
-        unpin h;
-        if outer then Trace.emit Trace.Cs_end 0)
-      body
-
+  let crit h body = E.crit h.eh body
   let mask _ body = body ()
 
   (* Per-node protection into the handle's hop ring (no validation
@@ -225,44 +160,23 @@ module Impl : Smr_intf.SCHEME = struct
     poll h;
     Alloc.check_access blk
 
-  let adopt_orphans h =
-    match Segstack.take_all h.d.orphans with
-    | None -> ()
-    | Some _ as chain -> Segstack.iter chain (fun t -> Vec.push h.tasks t)
-
-  let run_expired h =
-    adopt_orphans h;
-    if not h.running then begin
-      h.running <- true;
-      let limit = Atomic.get h.d.global - 2 in
-      Vec.clear h.expired;
-      Vec.partition_into h.tasks
-        (fun (e : Retired.entry) -> e.stamp <= limit)
-        h.expired;
-      (try Vec.iter h.expired Retired.reclaim_entry
-       with e ->
-         h.running <- false;
-         raise e);
-      h.running <- false
-    end
-
   (* Advance with ejection: lagging readers other than ourselves are
      ejected once the patience threshold passes.  (Never self: retirement
-     must complete once the node is unlinked.) *)
+     must complete once the node is unlinked.)  Then collect. *)
   let try_advance h =
-    let d = h.d in
-    let e = Atomic.get d.global in
+    let ed = h.d.ed and me = h.eh.E.l in
+    let e = E.epoch ed in
     let lagging = ref [] in
-    Registry.Participants.iter d.participants (fun l ->
-        let p = Atomic.get l.pin in
-        if p <> -1 && p < e then Stats.Gauge.observe d.lag_gauge (e - p);
-        if p <> -1 && p < e && l != h.l then lagging := l :: !lagging);
+    Registry.Participants.iter ed.E.participants (fun l ->
+        let p = Atomic.get l.E.pin in
+        if p <> -1 && p < e then Stats.Gauge.observe ed.E.lag_gauge (e - p);
+        if p <> -1 && p < e && l != me then lagging := l :: !lagging);
     let self_lags =
-      let p = Atomic.get h.l.pin in
+      let p = Atomic.get me.E.pin in
       p <> -1 && p < e
     in
     h.push_cnt <- h.push_cnt + 1;
-    if !lagging <> [] && h.push_cnt < d.eject_threshold then ()
+    if !lagging <> [] && h.push_cnt < eject_threshold then ()
     else begin
       (* Every ejection must be confirmed before the epoch may advance: a
          dropped ejection with an advance on top would reclaim under a
@@ -271,40 +185,25 @@ module Impl : Smr_intf.SCHEME = struct
          again); [No_ack] vetoes this round's advance. *)
       let all_ejected = ref true in
       List.iter
-        (fun l ->
-          Stats.Counter.incr d.ejections;
-          let seq = Signal.next_seq () in
-          Trace.emit2 Trace.Signal_sent l.box.Signal.owner_tid seq;
-          match
-            Signal.send ~seq ~domain:(Dom.id d.meta) l.box ~is_out:(fun () ->
-                let p = Atomic.get l.pin in
-                p = -1 || p >= e)
-          with
-          | Signal.Delivered -> ()
-          | Signal.Dead_receiver ->
-              Stats.Counter.incr d.quarantines;
-              Trace.emit Trace.Participant_quarantined l.box.Signal.owner_tid;
-              Registry.Participants.remove_where d.participants (fun l' ->
-                  l' == l)
-          | Signal.No_ack ->
-              Stats.Counter.incr d.signal_timeouts;
-              all_ejected := false)
+        (fun (l : _ E.local) ->
+          if
+            not
+              (Scheme_common.neutralize h.d.neut ed.E.participants l l.ext
+                 ~is_out:(fun () ->
+                   let p = Atomic.get l.pin in
+                   p = -1 || p >= e))
+          then all_ejected := false)
         !lagging;
       h.push_cnt <- 0;
-      if (not self_lags) && !all_ejected then
-        if Atomic.compare_and_set d.global e (e + 1) then begin
-          Stats.Counter.incr d.advances;
-          Trace.emit Trace.Epoch_advance (e + 1)
-        end
+      if (not self_lags) && !all_ejected then E.advance_from ed e
     end;
-    run_expired h
+    E.adopt_orphans h.eh;
+    ignore (E.run_expired h.eh : int)
 
   let retire h ?free ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
-    Dom.tag_retire h.d.meta blk;
-    Vec.push h.tasks
-      { Retired.blk; free; stamp = Atomic.get h.d.global; patches = [] };
-    if Vec.length h.tasks >= h.d.batch_n then try_advance h
+    Dom.tag_retire (dom h.d) blk;
+    if E.push h.eh ?free blk then try_advance h
 
   let recycles = false
   let current_era _ = 0
@@ -312,30 +211,24 @@ module Impl : Smr_intf.SCHEME = struct
   let flush h = try_advance h
 
   let unregister h =
-    assert (h.nest = 0);
-    Signal.detach h.l.box;
+    Signal.detach h.box;
     try_advance h;
     (* Remaining tasks are not yet expired; orphan them for adoption. *)
-    Segstack.push_arr h.d.orphans (Vec.to_array h.tasks);
-    Vec.clear h.tasks;
+    E.leave h.eh;
     HPC.unregister h.hph;
-    Registry.Participants.remove h.d.participants h.idx;
-    Dom.on_unregister h.d.meta
+    Dom.on_unregister (dom h.d)
 
   let traverse _ ~hold ~prot ~backup:_ w =
     Scheme_common.plain_traverse ~hold ~prot w
 
   let stats d =
-    Dom.stamp_stats d.meta
+    Dom.stamp_stats (dom d)
       {
-        Stats.empty with
-        epoch = Atomic.get d.global;
-        advances = Stats.Counter.value d.advances;
-        ejections = Stats.Counter.value d.ejections;
+        (E.stats d.ed) with
+        ejections = Stats.Counter.value d.neut.sent;
         restarts = Stats.Counter.value d.restarts;
-        signal_timeouts = Stats.Counter.value d.signal_timeouts;
-        quarantines = Stats.Counter.value d.quarantines;
-        max_epoch_lag = Stats.Gauge.maximum d.lag_gauge;
+        signal_timeouts = Stats.Counter.value d.neut.timeouts;
+        quarantines = Stats.Counter.value d.neut.quarantines;
         max_signals_inflight = Signal.max_inflight ();
       }
 end
