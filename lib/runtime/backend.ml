@@ -1,7 +1,7 @@
 (** Execution-substrate backends (DESIGN.md §14).
 
-    The repository runs every workload on one of two substrates behind a
-    single interface:
+    The repository runs every workload on one of two substrates, chosen by
+    {!Sched.run}'s mode:
 
     - the {b Domains} backend below: one OS thread per worker via
       [Domain.spawn], hardware-bound wall-clock execution — the substrate
@@ -11,10 +11,9 @@
       pure function of the seed — the verification/chaos/hunt substrate.
 
     The fiber implementation lives in {!Sched} (it owns the effect
-    handlers, virtual clock and chooser hook) and is wrapped into this
-    interface there; this module holds what both substrates share — the
-    worker-identity key — and the Domains implementation, which must not
-    depend on any fiber machinery.
+    handlers, virtual clock and chooser hook); this module holds what both
+    substrates share — the worker-identity key — and the Domains spawn,
+    which must not depend on any fiber machinery.
 
     Invariant split (what each backend guarantees):
     - Domains: genuine parallelism, monotone wall-clock time
@@ -36,19 +35,6 @@ let self () = Domain.DLS.get tid_key
     sweeps clamp to this: oversubscribing domains on a small box measures
     the OS scheduler, not the reclamation scheme. *)
 let hardware_threads () = Domain.recommended_domain_count ()
-
-module type S = sig
-  val name : string
-
-  val deterministic : bool
-  (** Whether two runs with identical inputs replay identically.  Gates
-      that compare traces byte-for-byte require a deterministic backend. *)
-
-  val spawn : nthreads:int -> (int -> unit) -> unit
-  (** [spawn ~nthreads body] runs [body 0 .. body (nthreads-1)] to
-      completion as concurrent workers and returns when all have
-      finished; re-raises the first worker failure after joining all. *)
-end
 
 (** [with_parked_domain f] — run [f] while one extra domain exists,
     parked on a condition variable (zero CPU).
@@ -81,26 +67,24 @@ let with_parked_domain f =
   in
   Fun.protect ~finally f
 
-module Domains : S = struct
-  let name = "domains"
-  let deterministic = false
-
-  let spawn ~nthreads body =
-    let worker i () =
-      Domain.DLS.set tid_key i;
-      (* Mirror the slot into the C thread-local the armed flight emit
-         reads fused with its tick stamp (Clock.ticks_and_slot). *)
-      Clock.flight_set_slot (i + 1);
-      Fun.protect
-        ~finally:(fun () ->
-          Clock.flight_set_slot 0;
-          Domain.DLS.set tid_key (-1))
-        (fun () -> body i)
-    in
-    let domains = List.init nthreads (fun i -> Domain.spawn (worker i)) in
-    (* Join all even if one raised, then re-raise the first failure. *)
-    let results =
-      List.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
-    in
-    List.iter (function Error e -> raise e | Ok () -> ()) results
-end
+(** [spawn_domains ~nthreads body] runs [body 0 .. body (nthreads-1)] to
+    completion, one [Domain.spawn] worker each, and returns when all have
+    finished; re-raises the first worker failure after joining all. *)
+let spawn_domains ~nthreads body =
+  let worker i () =
+    Domain.DLS.set tid_key i;
+    (* Mirror the slot into the C thread-local the armed flight emit
+       reads fused with its tick stamp (Clock.ticks_and_slot). *)
+    Clock.flight_set_slot (i + 1);
+    Fun.protect
+      ~finally:(fun () ->
+        Clock.flight_set_slot 0;
+        Domain.DLS.set tid_key (-1))
+      (fun () -> body i)
+  in
+  let domains = List.init nthreads (fun i -> Domain.spawn (worker i)) in
+  (* Join all even if one raised, then re-raise the first failure. *)
+  let results =
+    List.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
+  in
+  List.iter (function Error e -> raise e | Ok () -> ()) results

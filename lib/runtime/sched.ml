@@ -188,7 +188,7 @@ exception Crashed
     continuation to abandon, so an injected crash parks the worker in
     {!Fault.crash_park} — published state frozen, still registered —
     until every surviving worker has finished, then unwinds by raising
-    this.  The Domains wrapper in {!backend_of_mode} swallows it (and any
+    this.  The Domains wrapper ({!run}) swallows it (and any
     exception a crashed worker's unwind provokes, e.g. a typed
     [Destroyed] from cleanup against a recycled domain), so the join sees
     the crash as a silent early exit, exactly like an abandoned fiber. *)
@@ -499,45 +499,30 @@ let run_fibers ~seed ~switch_every ~nthreads body =
   | Some (_tid, e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-(** [backend_of_mode mode] packages either substrate as a {!Backend.S}.
-    The Domains case wraps {!Backend.Domains} to clear the crash registry,
-    arm the crash-release latch, and absorb crashed workers' unwinds (the
-    backend itself cannot: it sits below this module); the Fibers case
-    closes the seed and switch rate over {!run_fibers}. *)
-let backend_of_mode : mode -> (module Backend.S) = function
-  | Domains ->
-      (module struct
-        include Backend.Domains
-
-        let spawn ~nthreads body =
-          reset_crashed ();
-          (* Crash-release latch: a crashed worker parks pinned in
-             [Fault.crash_park] until every non-crashed worker has
-             finished, so the stranding window spans the whole run and
-             the join-time census is exact.  [finished] counts every
-             worker exit (normal, failed, or crashed — the [Fun.protect]
-             below guarantees it), so the latch cannot deadlock even if
-             a sibling dies on a real bug. *)
-          let finished = Atomic.make 0 in
-          Fault.set_crash_release (fun () ->
-              Atomic.get finished >= nthreads - Atomic.get crashed_total);
+(* The Domains substrate: {!Backend.spawn_domains} plus what the backend
+   cannot do from below this module — clear the crash registry, arm the
+   crash-release latch, and absorb crashed workers' unwinds. *)
+let run_domains ~nthreads body =
+  reset_crashed ();
+  (* Crash-release latch: a crashed worker parks pinned in
+     [Fault.crash_park] until every non-crashed worker has finished, so
+     the stranding window spans the whole run and the join-time census is
+     exact.  [finished] counts every worker exit (normal, failed, or
+     crashed — the [Fun.protect] below guarantees it), so the latch cannot
+     deadlock even if a sibling dies on a real bug. *)
+  let finished = Atomic.make 0 in
+  Fault.set_crash_release (fun () ->
+      Atomic.get finished >= nthreads - Atomic.get crashed_total);
+  Fun.protect
+    ~finally:(fun () -> Fault.clear_crash_release ())
+    (fun () ->
+      Backend.spawn_domains ~nthreads (fun i ->
           Fun.protect
-            ~finally:(fun () -> Fault.clear_crash_release ())
+            ~finally:(fun () -> Atomic.incr finished)
             (fun () ->
-              Backend.Domains.spawn ~nthreads (fun i ->
-                  Fun.protect
-                    ~finally:(fun () -> Atomic.incr finished)
-                    (fun () ->
-                      try body i with
-                      | Crashed -> ()
-                      | _ when is_crashed i -> ())))
-      end)
-  | Fibers { seed; switch_every } ->
-      (module struct
-        let name = "fibers"
-        let deterministic = true
-        let spawn ~nthreads body = run_fibers ~seed ~switch_every ~nthreads body
-      end)
+              try body i with
+              | Crashed -> ()
+              | _ when is_crashed i -> ())))
 
 (** [run mode ~nthreads body] runs [body 0 .. body (nthreads-1)] to
     completion as concurrent workers under [mode] and returns when all have
@@ -546,8 +531,10 @@ let run mode ~nthreads body =
   if nthreads < 1 || nthreads > max_threads then
     invalid_arg
       (Printf.sprintf "Sched.run: nthreads must be in [1, %d]" max_threads);
-  let (module B : Backend.S) = backend_of_mode mode in
-  B.spawn ~nthreads body
+  match mode with
+  | Domains -> run_domains ~nthreads body
+  | Fibers { seed; switch_every } ->
+      run_fibers ~seed ~switch_every ~nthreads body
 
 (* Stats and Trace cannot depend on this module (we bump their counters),
    so we inject the identity and clock providers here, at link time. *)
