@@ -119,10 +119,13 @@ fi
 
 # Real-core benchmark smoke gate: one short hpbench run per workload
 # must give correct map answers with no failed operation (its own
-# census and teardown checks included), on the inlined build.
+# census and teardown checks included), on the inlined build.  Each run
+# is capped at 300 s: run.py's own `dune build` can hang holding
+# _build/.lock, and a hang must end as a FAIL, not a stuck gate.
 hpbench_smoke() {
   for w in list hash tree; do
-    res="$(python3 hpbench/run.py --workload "$w" --seed 1 --seconds 1 | tail -n 1)"
+    res="$(timeout 300 python3 hpbench/run.py --workload "$w" --seed 1 --seconds 1 | tail -n 1)"
+    [ -n "$res" ] || res="no output (run.py failed or hit the 300 s cap)"
     if ! printf '%s\n' "$res" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
