@@ -1,9 +1,9 @@
 (** Domains-mode flight recorder (DESIGN.md §15): per-domain lossy-but-
     counted trace rings, merged post-run into the {!Trace} record stream.
 
-    The fiber tracer ({!Trace}'s [Ring]/[Spool] sinks) is single-domain by
-    construction: all fibers multiplex on the caller, so plain mutable
-    sinks and the virtual tick clock are sound and byte-deterministic.
+    The fiber tracer ({!Trace}'s [Spool] sink) is single-domain by
+    construction: all fibers multiplex on the caller, so a plain mutable
+    sink and the virtual tick clock are sound and byte-deterministic.
     Neither property survives [Domain.spawn].  This module is the
     substrate-appropriate replacement: one private fixed-capacity ring per
     worker domain, written only by its owner (SPSC — the single consumer

@@ -24,6 +24,14 @@
     Deferred work is intrusive ({!Hpbrcu_core.Retired.entry} + the
     domain's [execute]), as in {!Epoch_core}.
 
+    Why not {!Epoch_core}: Algorithm 5 queues flushed batches on one
+    global TASKS stack stamped at flush time, where Epoch_core keeps
+    per-handle task vectors stamped at defer time; and BRCU's laggard
+    witness must skip quarantined readers, which Epoch_core's never
+    meets.  Sharing the code would make it branch on its caller.  What
+    BRCU does share is the neutralization send and the common quarantine
+    ({!Scheme_common.signal}, {!Scheme_common.quarantine}).
+
     Hot-path discipline (DESIGN.md §9): the TASKS list is a
     {!Hpbrcu_core.Segstack} whose segment stamps are the epoch tags (so
     expiry splits whole segments without touching items), local batches are
