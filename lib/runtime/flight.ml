@@ -1,33 +1,37 @@
-(** Domains-mode flight recorder (DESIGN.md §15): per-domain lossy-but-
-    counted trace rings, merged post-run into the {!Trace} record stream.
+(** The one trace store (DESIGN.md §7, §15): per-slot lossy-but-counted
+    rings, merged post-run into the {!Trace} record stream.  {!Trace}'s
+    sink picks only where a record's stamp and slot come from:
 
-    The fiber tracer ({!Trace}'s [Spool] sink) is single-domain by
-    construction: all fibers multiplex on the caller, so a plain mutable
-    sink and the virtual tick clock are sound and byte-deterministic.
-    Neither property survives [Domain.spawn].  This module is the
-    substrate-appropriate replacement: one private fixed-capacity ring per
-    worker domain, written only by its owner (SPSC — the single consumer
-    is the post-join merge), padded so two domains never share a cache
-    line of ring-header state, and stamped with a monotonic hardware tick
-    counter calibrated to the {!Clock.now_ns} [CLOCK_MONOTONIC] timebase.
+    - {b [Spool]} (fibers): the simulator's virtual tick and logical tid,
+      injected into {!Trace}, stored through {!store} and read back
+      verbatim (identity timebase, no GC track, no rebase), so a fiber
+      trace stays a pure function of the seed.
+    - {b [Flight]} (domains): a monotonic hardware tick counter and the
+      caller's slot from a C thread-local, calibrated to the
+      {!Clock.now_ns} [CLOCK_MONOTONIC] timebase at merge time.
+
+    Each slot's ring is written only by its owner (SPSC — the single
+    consumer is the post-join merge) and padded so two domains never
+    share a cache line of ring-header state.
 
     Contracts, in gate order:
 
-    - {b Lock-free, allocation-free hot path.}  An armed emit is a tick
-      read plus four int stores into the owner's preallocated ring — no
-      CAS, no lock, no allocation (rings for the announced domain count
-      are allocated at {!arm}; late registrants fall back to one
-      allocation on their first emit).  The [flight-emit] bench kernel
-      gates this at ≤ 25 ns and 0 minor words per event, which is why
-      records are stamped with {!Clock.raw_ticks} (~5–15 ns) rather than
-      [clock_gettime] (~35 ns — over budget on its own) and converted to
-      ns once, at merge time, through a two-point calibration.
+    - {b Lock-free, allocation-free hot path.}  An armed domains emit is
+      a tick read plus four int stores into the owner's preallocated ring
+      — no CAS, no lock, no allocation (rings for the announced domain
+      count are allocated at {!arm}; late registrants and every fiber
+      start small and double inside {!store} up to the capacity).  The
+      [flight-emit] bench kernel gates this at ≤ 25 ns and 0 minor words
+      per event, which is why records are stamped with
+      {!Clock.raw_ticks} (~5–15 ns) rather than [clock_gettime] (~35 ns
+      — over budget on its own) and converted to ns once, at merge time,
+      through a two-point calibration.
     - {b Overflow drops-and-counts.}  A full ring wraps, keeping the LAST
       [capacity] events; [n] counts everything ever emitted, so
-      [dropped = n - kept] per domain is exact even under concurrent
+      [dropped = n - kept] per slot is exact even under concurrent
       overflow — each [n] has a single writer, and the post-join read is
       ordered by the join.  The census identity [merged + dropped =
-      emitted] is asserted after every domains-mode cell.
+      emitted] is asserted after every traced cell.
     - {b GC correlation.}  {!arm} starts OCaml 5 [Runtime_events];
       {!gc_collected} polls the runtime's own ring and returns
       major/minor slice begin/end pairs in [CLOCK_MONOTONIC] ns — the
@@ -36,22 +40,22 @@
       Perfetto time axis.
 
     Like {!Stats} and {!Trace}, this module sits below the scheduler:
-    {!Trace} routes its [Flight]-sink emits here and owns all decoding;
-    this module never sees an {!Trace.event}, only raw int codes. *)
+    {!Trace} routes its emits here and owns all decoding; this module
+    never sees an {!Trace.event}, only raw int codes. *)
 
 (* ------------------------------------------------------------------ *)
 (* Rings                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One slot per logical tid + 1 (slot 0 = code outside any worker),
-   mirroring Trace's sink indexing.  [buf] holds [rec_ints * capacity]
-   ints; [n] counts events ever emitted by the owner.  [_pad] keeps two
-   ring headers allocated back-to-back from sharing a cache line
-   (Layout.spacer is GC-live filler), so one domain's [n] bump never
-   invalidates a neighbour's header line. *)
-type ring = { buf : int array; mutable n : int; _pad : int array }
+(* One slot per logical tid + 1 (slot 0 = code outside any worker).
+   [buf] holds [rec_ints] ints per record — at most [capacity] records,
+   fewer while a growing ring fills; [n] counts events ever emitted by
+   the owner.  [_pad] keeps two ring headers allocated back-to-back from
+   sharing a cache line (Layout.spacer is GC-live filler), so one
+   domain's [n] bump never invalidates a neighbour's header line. *)
+type ring = { mutable buf : int array; mutable n : int; _pad : int array }
 
-let rec_ints = 4 (* ticks, code, arg, arg2 *)
+let rec_ints = 4 (* stamp, code, arg, arg2 *)
 let max_slots = Stats.max_shards
 let rings : ring option array = Array.make max_slots None
 
@@ -62,41 +66,30 @@ let cap = ref default_capacity
 let mask = ref (default_capacity - 1)
 let armed_flag = ref false
 
+(* Records a ring that was not preallocated starts with; it doubles in
+   [store] until it holds [capacity]. *)
+let initial_records = 4096
+
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
-let new_ring () =
-  { buf = Array.make (rec_ints * !cap) 0; n = 0; _pad = Layout.spacer () }
+let new_ring records =
+  { buf = Array.make (rec_ints * records) 0; n = 0; _pad = Layout.spacer () }
 
 (* ------------------------------------------------------------------ *)
 (* Timebase                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Records are stamped with rebased hardware ticks (the high bits of
+(* Hardware records are stamped with rebased ticks (the high bits of
    {!Clock.ticks_and_slot}, zeroed at arm time by [Clock.flight_rebase]
    so the packed representation cannot overflow); [calibrate] fits the
    affine map ticks -> CLOCK_MONOTONIC ns through two (ns, ticks)
-   samples taken at arm time and at merge time.  Tests inject a scripted
-   tick source with [set_tick_source_for_tests], which also switches the
-   map to the identity so scripted "timestamps" survive the merge
-   verbatim. *)
+   samples taken at arm time and at merge time.  Virtual-clock stamps
+   ({!reset} without {!arm}) use the identity map. *)
 let ticks () = Clock.ticks_and_slot () asr 9
-let tick_source = ref ticks
-let identity_timebase = ref false
+let identity_timebase = ref true
 let cal_ns0 = ref 0
 let cal_t0 = ref 0
 let cal_scale = ref 1.0
-
-(* Notifies {!Trace} that the hardware-tick fast path must be bypassed:
-   its armed-flight dispatch checks one flag per event, so the scripted
-   tick source can't be consulted there — instead this hook drops the
-   flag and emits take the [tick_source]-honouring slow path.  (Flight
-   sits below Trace, so the dependency points through a hook.) *)
-let tick_source_override_hook : (unit -> unit) ref = ref (fun () -> ())
-
-let set_tick_source_for_tests f =
-  tick_source := f;
-  identity_timebase := true;
-  !tick_source_override_hook ()
 
 let calibrate () =
   if !identity_timebase then cal_scale := 1.0
@@ -156,25 +149,31 @@ let gc_collected () =
   List.rev !gc_buf
 
 (* ------------------------------------------------------------------ *)
-(* Arm / emit / drain                                                  *)
+(* Reset / arm / emit                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** [arm ?capacity ?ndomains ?gc ()] clears previous flight data and
-    starts recording: rings of [capacity] events (rounded up to a power
-    of two, default {!default_capacity}) are preallocated for worker
-    tids [0..ndomains-1] plus the outside-any-worker slot; domains
-    beyond [ndomains] get a ring lazily on first emit.  With [gc] (the
-    default) it also starts [Runtime_events] and opens a self cursor for
-    the GC track. *)
-let arm ?capacity ?(ndomains = 0) ?(gc = true) () =
-  cap := pow2_at_least (max 1 (Option.value capacity ~default:default_capacity)) 1;
+(** [reset ~capacity] drops every ring and sets the per-slot record
+    bound to [capacity] rounded up to a power of two.  Rings then grow
+    on first use; stamps are kept verbatim (identity timebase) until
+    {!arm} switches to the hardware clock. *)
+let reset ~capacity =
+  cap := pow2_at_least (max 1 capacity) 1;
   mask := !cap - 1;
   Array.fill rings 0 max_slots None;
-  for slot = 0 to min ndomains (max_slots - 1) do
-    rings.(slot) <- Some (new_ring ())
-  done;
   gc_buf := [];
-  tick_source := ticks;
+  identity_timebase := true
+
+(** [arm ?capacity ?ndomains ?gc ()] resets the store for hardware
+    stamps: rings of [capacity] events (default {!default_capacity}) are
+    preallocated for worker tids [0..ndomains-1] plus the
+    outside-any-worker slot; domains beyond [ndomains] get a growing
+    ring on first emit.  With [gc] (the default) it also starts
+    [Runtime_events] and opens a self cursor for the GC track. *)
+let arm ?(capacity = default_capacity) ?(ndomains = 0) ?(gc = true) () =
+  reset ~capacity;
+  for slot = 0 to min ndomains (max_slots - 1) do
+    rings.(slot) <- Some (new_ring !cap)
+  done;
   identity_timebase := false;
   Clock.flight_rebase !mask;
   cal_ns0 := Clock.now_ns ();
@@ -199,27 +198,32 @@ let disarm () =
     armed_flag := false
   end
 
-let armed () = !armed_flag
+(* A ring below capacity is full exactly when [n] reaches its length:
+   double it (capacity and [initial_records] are powers of two, so the
+   doubled ring never overshoots [capacity]). *)
+let grow r =
+  let len = Array.length r.buf in
+  let buf = Array.make (2 * len) 0 in
+  Array.blit r.buf 0 buf 0 len;
+  r.buf <- buf
 
-(** [emit ~slot ~code ~arg ~arg2] — the armed hot path: stamp the
-    owner's ring with the raw tick counter and four int stores.  [slot]
-    is [tid + 1] (slot 0 = outside any worker), matching {!Trace}'s sink
-    indexing; out-of-range slots are dropped silently like the fiber
-    sinks do. *)
-(* Shared ring-store tail of both emit paths.  [at + 3 <= 4*cap - 1 =
-   Array.length buf - 1] by construction: every live ring was allocated
-   under the current [cap] ([arm] clears the slots before changing it),
-   so the masked index never escapes [buf] and the stores can skip the
-   bounds checks. *)
-let[@inline] store slot t code arg arg2 =
+(** [store slot stamp code arg arg2] appends one record to [slot]'s
+    ring (allocating or growing it first if needed), wrapping over the
+    oldest record once the ring holds [capacity].  [slot] is [tid + 1]
+    and must lie in [0, max_slots). *)
+let store slot t code arg arg2 =
   let r =
-    match Array.unsafe_get rings slot with
+    match rings.(slot) with
     | Some r -> r
     | None ->
-        let r = new_ring () in
+        let r = new_ring (min !cap initial_records) in
         rings.(slot) <- Some r;
         r
   in
+  if r.n * rec_ints = Array.length r.buf && r.n < !cap then grow r;
+  (* [at + 3 < Array.length buf]: below capacity [n] is under the
+     ring's length and [n land mask = n]; at capacity the mask keeps
+     [at] inside the [rec_ints * capacity] buffer. *)
   let at = r.n land !mask * rec_ints in
   let buf = r.buf in
   Array.unsafe_set buf at t;
@@ -228,38 +232,26 @@ let[@inline] store slot t code arg arg2 =
   Array.unsafe_set buf (at + 3) arg2;
   r.n <- r.n + 1
 
-let emit ~slot ~code ~arg ~arg2 =
-  if slot >= 0 && slot < max_slots then
-    store slot (!tick_source ()) code arg arg2
-
-(** [emit_self ~code ~arg ~arg2] — the production hot path ({!Trace}'s
-    [Flight] branch): one fused {!Clock.ticks_and_slot} call yields both
-    the tick stamp and the caller's slot (mirrored into a C thread-local
-    by the Domains backend), skipping the ~6 ns [Domain.DLS] tid lookup
-    that would otherwise eat a quarter of the 25 ns/event budget.  Tests
-    with an injected tick source still get their scripted stamps. *)
 external emit_stub : ring option array -> int -> int -> int -> bool
   = "hpbrcu_flight_emit"
   [@@noalloc]
-(* The fused C emit (slot + tick + stores + count in one call; see
-   clock_stubs.c — the mask travels there at arm time via
-   [Clock.flight_rebase]).  Field order in the C stub matches the
-   [ring] declaration: Field 0 = buf, Field 1 = n.  [false] means the
-   slot has no ring yet — take the allocating slow path below.
-   {!Trace}'s armed-flight dispatch calls this directly to spare a call
-   frame; everything else should go through {!emit_self}. *)
+(* The fused C emit of the hardware path: one call reads the caller's
+   slot from the C thread-local the Domains backend mirrors it into,
+   stamps the tick counter, does the four stores and bumps the count
+   (see clock_stubs.c — the mask travels there at arm time via
+   [Clock.flight_rebase]), skipping the ~6 ns [Domain.DLS] tid lookup
+   that would otherwise eat a quarter of the 25 ns/event budget.  Field
+   order in the C stub matches the [ring] declaration: Field 0 = buf,
+   Field 1 = n.  [false] means the slot's ring is missing or still
+   growing — take {!emit_grow}.  {!Trace}'s armed dispatch calls this
+   directly to spare a call frame. *)
 
-(** Slow paths of the armed emit: a late registrant without a
-    preallocated ring (allocate one via [store]), or a test-scripted
-    tick source whose stamps must come from [tick_source], not the
-    hardware counter. *)
+(** Slow path of the hardware emit: a slot without a full-size ring
+    (allocate or grow it via {!store}). *)
 let emit_grow ~code ~arg ~arg2 =
-  let slot = Clock.ticks_and_slot () land 511 in
-  if slot < max_slots then store slot (!tick_source ()) code arg arg2
-
-let emit_self ~code ~arg ~arg2 =
-  if !identity_timebase || not (emit_stub rings code arg arg2) then
-    emit_grow ~code ~arg ~arg2
+  let ts = Clock.ticks_and_slot () in
+  let slot = ts land 511 in
+  if slot < max_slots then store slot (ts asr 9) code arg arg2
 
 (* ------------------------------------------------------------------ *)
 (* Drop accounting                                                     *)
@@ -272,13 +264,13 @@ let fold_rings f init =
     rings;
   !acc
 
-(** Events ever emitted, over all domains. *)
+(** Events ever emitted, over all slots. *)
 let emitted () = fold_rings (fun acc _ r -> acc + r.n) 0
 
-(** Events still resident in the rings (≤ capacity per domain). *)
+(** Events still resident in the rings (≤ capacity per slot). *)
 let kept () = fold_rings (fun acc _ r -> acc + min r.n !cap) 0
 
-(** Events lost to ring wraparound, over all domains.  Exact: each
+(** Events lost to ring wraparound, over all slots.  Exact: each
     ring's [n] has one writer, and [dropped = n - min n capacity] is
     computed from a single read of it. *)
 let dropped () = fold_rings (fun acc _ r -> acc + max 0 (r.n - !cap)) 0
@@ -290,8 +282,8 @@ let dropped () = fold_rings (fun acc _ r -> acc + max 0 (r.n - !cap)) 0
 (** [iter_kept f] calls [f slot seq ns code arg arg2] for every resident
     record, oldest first within each slot; [seq] is the owner's
     emission index (so the first surviving record of a wrapped ring has
-    [seq = dropped]).  Calibrates the tick->ns map first; call after
-    the workers have joined. *)
+    [seq = dropped]).  Calibrates the tick->ns map first (virtual stamps
+    pass through unchanged); call after the workers have joined. *)
 let iter_kept f =
   calibrate ();
   fold_rings

@@ -3,11 +3,11 @@
     When enabled, every interesting runtime event — epoch advances, signals,
     rollbacks, checkpoints, retirements, reclamations, stalls, deadline
     aborts, context switches, fiber wake-ups — is appended to a per-thread
-    sink as four unboxed ints (timestamp, event code, argument, correlation
+    ring as four unboxed ints (timestamp, event code, argument, correlation
     argument).  The {b disabled} fast path is a single ref read and branch
     and allocates nothing, so tracing can stay compiled into every scheme
     hot path (asserted by the [trace-emit-off] bench-reclaim kernel); the
-    {b enabled} path allocates only when a thread's sink grows.
+    {b enabled} path allocates only when a thread's ring grows.
 
     {b Causality} (DESIGN.md §10).  Events carry a second argument so a
     post-hoc analyzer can join the two ends of a lifecycle edge:
@@ -22,20 +22,21 @@
       [Op_begin]/[Op_end]) bracket phases so durations and abort rates fall
       out of the trace alone.
 
-    {b Sinks.}  The default {!Spool} sink is non-lossy up to a per-thread
-    record bound: it grows by fixed-size chunks (allocation amortized over
-    {!chunk_records} events, never on the steady emit path), which is what
-    `smrbench analyze` and the Perfetto export consume; past the bound it
-    counts what it drops.  The {!Flight} sink is the domains-mode flight
-    recorder.
+    {b Sinks.}  Both sinks write the one store, {!Flight}'s per-slot
+    rings, and differ only in where a record's stamp and slot come from:
+    the default {!Spool} sink (fibers) takes the injected virtual clock
+    and thread id, the {!Flight} sink (domains) the hardware tick counter
+    and a C thread-local slot.  Rings grow on fibers up to a per-thread
+    record bound (non-lossy below it, which is what `smrbench analyze`
+    and the Perfetto export consume); past it both keep the last records
+    and count what they drop.
 
-    Timestamps come from the scheduler's virtual clock ({!Sched.tick}), so
-    in fiber mode a trace is a pure function of the simulator seed: the
-    same seed and [switch_every] produce a byte-identical event log
-    ({!write_channel} output included), which is what makes traces
-    {e replayable} — re-run the seed, get the same story, add printf only
-    where the trace says to look.  In domain mode ticks are 0 and only
-    per-thread order is meaningful.
+    Fiber timestamps come from the scheduler's virtual clock
+    ({!Sched.tick}), so in fiber mode a trace is a pure function of the
+    simulator seed: the same seed and [switch_every] produce a
+    byte-identical event log ({!write_channel} output included), which is
+    what makes traces {e replayable} — re-run the seed, get the same
+    story, add printf only where the trace says to look.
 
     Like {!Stats}, this module must not depend on {!Sched} (the scheduler
     emits events); {!Sched} injects the clock and thread-id providers at
@@ -221,130 +222,64 @@ let set_tid_provider f = tid_provider := f
 (* Sinks                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The second sink is the domains-mode flight recorder ({!Flight},
-   DESIGN.md §15): per-domain SPSC rings stamped in calibrated
-   CLOCK_MONOTONIC ns instead of virtual ticks.  The dispatch lives here,
-   inside [emit_enabled], so every scheme call site stays substrate-
-   agnostic and the spool's code path (and therefore its byte-
-   deterministic traces) is untouched when the flight sink is armed. *)
+(* A sink is a stamp and slot source for the one store ({!Flight}'s
+   rings, DESIGN.md §15).  [Spool] stamps with the injected [clock] and
+   slots by [tid_provider] — byte-deterministic on fibers.  [Flight]
+   stamps with calibrated hardware ticks and slots by the C
+   thread-local: the injected clock is the fiber simulator's virtual
+   tick, which reads 0 under the Domains backend, and the DLS tid lookup
+   is too slow for the 25 ns/event gate. *)
 type sink = Spool | Flight
 
-(* Each record is four ints: tick, event code, arg, arg2. *)
-let rec_ints = 4
-
-(* One spool per logical tid (+1 slot for tid = -1).  Spools grow by
-   whole chunks so the steady emit path performs only int stores; the one
-   allocation per [chunk_records] events is what "allocation-amortized"
-   means.  [limit] bounds records kept; beyond it the spool only counts
-   ([sn] keeps growing, nothing is stored). *)
-type spool = {
-  mutable full : int array list;  (* filled chunks, newest first *)
-  mutable cur : int array;
-  mutable fill : int;  (* ints used in [cur] *)
-  mutable sn : int;  (* records ever emitted to this spool *)
-  limit : int;  (* max records kept *)
-}
-
-let chunk_records = 4096
-
-let max_spools = Stats.max_shards
-let spools : spool option array = Array.make max_spools None
-let spool_default_limit = 1 lsl 20
-let spool_limit = ref spool_default_limit
+let spool_default_capacity = 1 lsl 20
 let sink_mode = ref Spool
 let on = ref false
 
-(* [true] iff enabled with the {!Flight} sink on the hardware timebase.
-   Checked first in {!emit}/{!emit2} so the domains-mode hot path is one
-   ref load, one branch and the fused C stub — no sink match, no extra
-   call frame — because the flight-emit kernel gates the whole chain at
-   25 ns/event and on this class of machine the tick read alone costs
-   ~17 of them.  A test-scripted tick source clears the flag (hook
-   below), dropping those emits to the [emit_enabled] path that honours
-   [Flight.tick_source]. *)
+(* [true] iff enabled with the {!Flight} sink.  Checked first in
+   {!emit}/{!emit2} so the domains-mode hot path is one ref load, one
+   branch and the fused C stub — no sink match, no extra call frame —
+   because the flight-emit kernel gates the whole chain at 25 ns/event
+   and on this class of machine the tick read alone costs ~17 of
+   them. *)
 let flight_on = ref false
-
-let () =
-  Flight.tick_source_override_hook := fun () -> flight_on := false
 
 (* Bound once: a cross-module [Flight.rings] access is two dependent
    loads (module block, then field) on every event. *)
 let flight_rings = Flight.rings
 
 let enabled () = !on
-let sink () = !sink_mode
-
-let clear () = Array.fill spools 0 max_spools None
 
 (** [enable ?capacity ?sink ?ndomains ?gc ()] clears previous traces and
-    starts recording.  With the (default) {!Spool} sink, [capacity] is the
-    per-thread record bound (default {!spool_default_limit}, non-lossy
-    below it); with {!Flight}, it is the per-domain flight-ring size and
-    [ndomains]/[gc] are forwarded to {!Flight.arm} (rings preallocated per
+    starts recording.  [capacity] is the per-thread record bound,
+    rounded up to a power of two: by default {!spool_default_capacity}
+    with the (default) {!Spool} sink, whose rings grow up to it, and
+    {!Flight.default_capacity} with {!Flight}, whose rings
+    [ndomains]/[gc] are forwarded to {!Flight.arm} (preallocated per
     announced worker, GC track on by default). *)
-let enable ?capacity:cap ?(sink = Spool) ?(ndomains = 0) ?(gc = true) () =
-  clear ();
+let enable ?capacity ?(sink = Spool) ?(ndomains = 0) ?(gc = true) () =
   sink_mode := sink;
   (match sink with
-  | Spool -> spool_limit := max 1 (Option.value cap ~default:spool_default_limit)
-  | Flight -> Flight.arm ?capacity:cap ~ndomains ~gc ());
+  | Spool ->
+      Flight.reset
+        ~capacity:(Option.value capacity ~default:spool_default_capacity)
+  | Flight -> Flight.arm ?capacity ~ndomains ~gc ());
   flight_on := sink = Flight;
   on := true
 
 let disable () =
-  if !on && !sink_mode = Flight then Flight.disarm ();
+  if !flight_on then Flight.disarm ();
   flight_on := false;
   on := false
 
-(* Enabled-path body, out of line so the disabled path in emit/emit2 is a
-   ref read and a branch with no call. *)
+(* Enabled [Spool] body, out of line so the disabled path in emit/emit2
+   is a ref read and a branch with no call. *)
 let emit_enabled ev arg arg2 =
-  match !sink_mode with
-  | Flight ->
-      (* Flight stamps its own calibrated hardware-tick clock (the
-         injected [clock] is the fiber simulator's virtual tick, which
-         reads 0 under the Domains backend) and resolves the caller's
-         slot from the fused C thread-local, not [tid_provider] — the
-         DLS lookup is too slow for the 25 ns/event gate. *)
-      Flight.emit_self ~code:(event_code ev) ~arg ~arg2
-  | Spool ->
-      let i = !tid_provider () + 1 in
-      if i >= 0 && i < max_spools then begin
-        let t = !clock () and code = event_code ev in
-        let s =
-          match spools.(i) with
-          | Some s -> s
-          | None ->
-              let s =
-                {
-                  full = [];
-                  cur = Array.make (rec_ints * chunk_records) 0;
-                  fill = 0;
-                  sn = 0;
-                  limit = !spool_limit;
-                }
-              in
-              spools.(i) <- Some s;
-              s
-        in
-        if s.sn < s.limit then begin
-          if s.fill = Array.length s.cur then begin
-            s.full <- s.cur :: s.full;
-            s.cur <- Array.make (rec_ints * chunk_records) 0;
-            s.fill <- 0
-          end;
-          let slot = s.fill in
-          s.cur.(slot) <- t;
-          s.cur.(slot + 1) <- code;
-          s.cur.(slot + 2) <- arg;
-          s.cur.(slot + 3) <- arg2;
-          s.fill <- s.fill + rec_ints
-        end;
-        s.sn <- s.sn + 1
-      end
+  let slot = !tid_provider () + 1 in
+  if slot >= 0 && slot < Flight.max_slots then
+    Flight.store slot (!clock ()) (event_code_unsafe ev) arg arg2
 
 (** Record one event.  Zero-allocation no-op when disabled; when enabled,
-    four int stores into the calling thread's sink. *)
+    four int stores into the calling thread's ring. *)
 let emit ev arg =
   if !flight_on then begin
     if not (Flight.emit_stub flight_rings (event_code_unsafe ev) arg 0) then
@@ -374,18 +309,9 @@ type record = {
   arg2 : int;
 }
 
-(** Events dropped by the active sink — spool bound or flight-ring
-    wraparound — summed over threads. *)
-let dropped () =
-  match !sink_mode with
-  | Flight -> Flight.dropped ()
-  | Spool ->
-      Array.fold_left
-        (fun acc s ->
-          match s with
-          | None -> acc
-          | Some s -> acc + max 0 (s.sn - s.limit))
-        0 spools
+(** Events dropped past the per-thread record bound, summed over
+    threads. *)
+let dropped () = Flight.dropped ()
 
 let chronological acc =
   List.stable_sort
@@ -395,95 +321,56 @@ let chronological acc =
       | c -> c)
     acc
 
-(* A spool's chunks, oldest first, each paired with its used length. *)
-let spool_chunks s =
-  List.rev ((s.cur, s.fill) :: List.map (fun c -> (c, Array.length c)) s.full)
-
 (** Pseudo thread id carrying the merged GC track of a flight trace.
-    Outside the real tid range (spools cover tids -1..max_spools-2), so it
+    Outside the real tid range (rings cover tids -1..max_slots-2), so it
     can never collide with a worker; the Perfetto export names it "gc". *)
 let gc_tid = 4096
 
-(* Decode the flight recorder: per-domain rings (calibrated ns
-   timestamps) plus the Runtime_events GC slice edges on {!gc_tid}, all
-   rebased so the earliest record sits at t = 0 — absolute
-   CLOCK_MONOTONIC values are boot-relative noise nobody wants in a
-   trace file.  The shared {!chronological} sort is the merge: stable on
-   (tick, tid, seq), so equal-ns records across domains order
-   deterministically by tid and a domain's own records never reorder. *)
-let dump_flight () : record list =
+(* The Runtime_events GC slice edges of a flight trace, on {!gc_tid}. *)
+let gc_records () =
+  List.mapi
+    (fun seq (ns, kind, is_begin, dom) ->
+      {
+        tick = ns;
+        tid = gc_tid;
+        seq;
+        event = (if is_begin then Gc_begin else Gc_end);
+        arg = kind;
+        arg2 = dom;
+      })
+    (Flight.gc_collected ())
+
+(** [dump ()] decodes the store into a single chronological log, ordered
+    by (tick, tid, per-thread sequence): a stable sort, so equal stamps
+    across threads order deterministically by tid and a thread's own
+    records never reorder.  Deterministic in fiber mode.  A {!Flight}
+    trace is in calibrated CLOCK_MONOTONIC ns, joined by the GC track
+    and rebased so the earliest record sits at t = 0 — absolute
+    CLOCK_MONOTONIC values are boot-relative noise nobody wants in a
+    trace file. *)
+let dump () : record list =
   let acc = ref [] in
-  Flight.iter_kept (fun slot seq ns code arg arg2 ->
+  Flight.iter_kept (fun slot seq t code arg arg2 ->
       acc :=
-        { tick = ns; tid = slot - 1; seq; event = event_of_code code; arg; arg2 }
+        { tick = t; tid = slot - 1; seq; event = event_of_code code; arg; arg2 }
         :: !acc);
-  let gc_seq = ref 0 in
-  List.iter
-    (fun (ns, kind, is_begin, dom) ->
-      acc :=
-        {
-          tick = ns;
-          tid = gc_tid;
-          seq = !gc_seq;
-          event = (if is_begin then Gc_begin else Gc_end);
-          arg = kind;
-          arg2 = dom;
-        }
-        :: !acc;
-      incr gc_seq)
-    (Flight.gc_collected ());
-  let records = !acc in
-  let base =
-    List.fold_left (fun m r -> min m r.tick) max_int records
-  in
   let records =
-    if base = max_int then []
-    else List.map (fun r -> { r with tick = r.tick - base }) records
+    if !sink_mode = Spool then !acc
+    else
+      let records = List.rev_append (gc_records ()) !acc in
+      let base = List.fold_left (fun m r -> min m r.tick) max_int records in
+      List.map (fun r -> { r with tick = r.tick - base }) records
   in
   chronological records
 
-(** [dump ()] decodes the active sink into a single chronological log,
-    ordered by (tick, tid, per-thread sequence).  Deterministic in fiber
-    mode; in flight mode, tick is calibrated CLOCK_MONOTONIC ns rebased
-    to the first record. *)
-let dump () : record list =
-  if !sink_mode = Flight then dump_flight ()
-  else begin
-    let acc = ref [] in
-    Array.iteri
-      (fun i -> function
-        | None -> ()
-        | Some s ->
-            let seq = ref 0 in
-            List.iter
-              (fun (chunk, used) ->
-                for j = 0 to (used / rec_ints) - 1 do
-                  let slot = j * rec_ints in
-                  acc :=
-                    {
-                      tick = chunk.(slot);
-                      tid = i - 1;
-                      seq = !seq;
-                      event = event_of_code chunk.(slot + 1);
-                      arg = chunk.(slot + 2);
-                      arg2 = chunk.(slot + 3);
-                    }
-                    :: !acc;
-                  incr seq
-                done)
-              (spool_chunks s))
-      spools;
-    chronological !acc
-  end
-
-(** Census identity of the flight recorder (asserted after every
-    domains-mode cell): the merged stream's non-GC record count plus the
-    counted drops must equal the events ever emitted.  Catches
-    decode/merge bugs and lane-fold races alike.  Returns [(ok, msg)]
-    with a diagnostic message on failure, ["" ] otherwise. *)
+(** Census identity of the trace store (asserted after every traced
+    cell): the merged stream's non-GC record count plus the counted
+    drops must equal the events ever emitted.  Catches decode/merge bugs
+    and lane-fold races alike.  Returns [(ok, msg)] with a diagnostic
+    message on failure, ["" ] otherwise. *)
 let flight_census () =
   let merged =
-    List.length (List.filter (fun r -> r.tid <> gc_tid) (dump_flight ()))
+    List.length (List.filter (fun r -> r.tid <> gc_tid) (dump ()))
   in
   let emitted = Flight.emitted ()
   and kept = Flight.kept ()
@@ -496,13 +383,12 @@ let flight_census () =
          merged=kept and kept+dropped=emitted)"
         merged kept dropped emitted )
 
-(** [flight_checked ~who snap] — the end-of-cell step of every
-    domains-mode harness: when the flight recorder is armed, fail with
-    [who]'s prefix unless {!flight_census} holds, and fold the per-domain
-    drop lanes into [snap]'s [trace_dropped].  [snap] unchanged
-    otherwise. *)
+(** [flight_checked ~who snap] — the end-of-cell step of every harness:
+    when tracing is on, fail with [who]'s prefix unless {!flight_census}
+    holds, and fold the per-thread drop counts into [snap]'s
+    [trace_dropped].  [snap] unchanged otherwise. *)
 let flight_checked ~who (snap : Stats.snapshot) =
-  if not (!on && !sink_mode = Flight) then snap
+  if not !on then snap
   else begin
     let ok, msg = flight_census () in
     if not ok then failwith (who ^ ": " ^ msg);
@@ -514,7 +400,7 @@ let record_to_string r =
     r.arg r.arg2
 
 (* ------------------------------------------------------------------ *)
-(* Persistence (the spool's on-disk form)                              *)
+(* Persistence (the on-disk form)                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* One line per record, stable integer fields only, so the same seed

@@ -281,20 +281,18 @@ type cell = {
   planned_crashes : int;  (** tid-indexed [Crash] rules of the plan *)
   census_ok : bool;
       (** [unreclaimed = retired - reclaimed], no double frees, and a
-          traced domains cell's flight records all merged or counted *)
+          traced cell's records all merged or counted *)
   census_msg : string;  (** "" when clean *)
   injected : Fault.injected;
   snap : Stats.snapshot;  (** typed scheme counters at window end *)
 }
 
-(* The allocator's census, joined by the flight recorder's when a domains
-   cell is traced. *)
+(* The allocator's census, joined by the trace store's when the cell is
+   traced. *)
 let census () =
   let checks =
     Alloc.census ()
-    :: (if Trace.enabled () && Trace.sink () = Trace.Flight then
-          [ Trace.flight_census () ]
-        else [])
+    :: (if Trace.enabled () then [ Trace.flight_census () ] else [])
   in
   ( List.for_all fst checks,
     String.concat "; "

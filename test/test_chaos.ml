@@ -57,6 +57,22 @@ let test_crash_quarantine () =
       end)
     r.Chaos.cells
 
+(* A traced fiber cell joins the trace store's census to the
+   allocator's, as a traced domains cell does: every record emitted is
+   merged into the returned log or counted as dropped. *)
+let test_traced_census () =
+  let c, log =
+    Chaos.run_one ~traced:true ~substrate:`Fibers ~scheme:"HP-BRCU"
+      ~plan_id:Chaos.Crash_reader ~seed:1 Chaos.quick
+  in
+  Alcotest.(check string) "census (allocator and trace store)" ""
+    c.Chaos.census_msg;
+  Alcotest.(check bool) "census ok" true c.Chaos.census_ok;
+  Alcotest.(check int) "every record merged" (Hpbrcu_runtime.Flight.emitted ())
+    (List.length log);
+  Alcotest.(check bool) "census holds after the cell" true
+    (fst (Hpbrcu_runtime.Trace.flight_census ()))
+
 let test_replay () =
   let r = Lazy.force report in
   Alcotest.(check int) "every probe ran" 3 r.Chaos.probes;
@@ -175,6 +191,7 @@ let () =
           Alcotest.test_case "EBR collapse discriminator" `Quick
             test_discriminator;
           Alcotest.test_case "crashes quarantined" `Quick test_crash_quarantine;
+          Alcotest.test_case "traced cell census" `Quick test_traced_census;
           Alcotest.test_case "traces replay byte-identically" `Quick test_replay;
           Alcotest.test_case "probe count follows --no-replay" `Quick
             test_probe_count;

@@ -166,77 +166,104 @@ let test_event_code_identity () =
         (Trace.event_code_unsafe ev))
     Trace.all_events
 
-(* Adversarial cross-domain stamps — out-of-order between domains and
+(* Drive the trace store through the [Spool] sink's injected stamp and
+   slot sources, scripted by [t] (the stamp) and [tid]; Sched's
+   providers are restored afterwards. *)
+let scripted ?capacity f =
+  let clock = !Trace.clock and tid_provider = !Trace.tid_provider in
+  let t = ref 0 and tid = ref 0 in
+  Trace.set_clock (fun () -> !t);
+  Trace.set_tid_provider (fun () -> !tid);
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.set_clock clock;
+      Trace.set_tid_provider tid_provider)
+    (fun () ->
+      Trace.enable ?capacity ();
+      f t tid)
+
+(* Adversarial cross-thread stamps — out-of-order between threads and
    exactly equal across them — must merge into one monotone stream,
-   with equal-ns ties broken by tid and per-domain emission order
-   preserved.  The scripted tick source makes the "timestamps" exact. *)
+   with equal-stamp ties broken by tid and per-thread emission order
+   preserved.  The scripted stamps make the "timestamps" exact. *)
 let test_flight_merge_adversarial () =
-  Trace.enable ~sink:Trace.Flight ~ndomains:2 ~gc:false ();
-  let t = ref 0 in
-  Flight.set_tick_source_for_tests (fun () -> !t);
-  let retire = Trace.event_code Trace.Retire in
-  (* slot = tid + 1; each domain's own stamps are monotone, the
-     interleaving across domains is not. *)
-  t := 100;
-  Flight.emit ~slot:1 ~code:retire ~arg:1 ~arg2:0;
-  t := 300;
-  Flight.emit ~slot:2 ~code:retire ~arg:2 ~arg2:0;
-  t := 500;
-  Flight.emit ~slot:1 ~code:retire ~arg:3 ~arg2:0;
-  Flight.emit ~slot:1 ~code:retire ~arg:4 ~arg2:0;
-  Flight.emit ~slot:2 ~code:retire ~arg:5 ~arg2:0;
-  let merged = Trace.dump () in
-  Trace.disable ();
+  let merged =
+    scripted (fun t tid ->
+        (* Each thread's own stamps are monotone, the interleaving across
+           threads is not. *)
+        let emit who at arg =
+          tid := who;
+          t := at;
+          Trace.emit Trace.Retire arg
+        in
+        emit 0 100 1;
+        emit 1 300 2;
+        emit 0 500 3;
+        emit 0 500 4;
+        emit 1 500 5;
+        Trace.dump ())
+  in
   Alcotest.(check int) "all records merged" 5 (List.length merged);
   let ticks = List.map (fun r -> r.Trace.tick) merged in
-  Alcotest.(check bool) "ns monotone" true
+  Alcotest.(check bool) "stamps monotone" true
     (List.for_all2 ( <= ) ticks (List.tl ticks @ [ max_int ]));
-  (* Rebased to the earliest stamp; equal-ns group (tick 400) orders
-     t0 before t1, and t0's two records keep their emission order. *)
+  (* The equal-stamp group (500) orders t0 before t1, and t0's two
+     records keep their emission order. *)
   Alcotest.(check (list int)) "merge order (args)" [ 1; 2; 3; 4; 5 ]
     (List.map (fun r -> r.Trace.arg) merged);
   Alcotest.(check (list int)) "merge order (tids)" [ 0; 1; 0; 0; 1 ]
     (List.map (fun r -> r.Trace.tid) merged);
-  Alcotest.(check (list int)) "rebased ticks" [ 0; 200; 400; 400; 400 ] ticks
+  Alcotest.(check (list int)) "virtual stamps kept verbatim"
+    [ 100; 300; 500; 500; 500 ] ticks;
+  (* The hardware sink rebases its calibrated ns so the earliest record
+     sits at t = 0. *)
+  Trace.enable ~sink:Trace.Flight ~gc:false ();
+  for k = 1 to 3 do
+    Trace.emit Trace.Retire k
+  done;
+  let hw = Trace.dump () in
+  Trace.disable ();
+  Alcotest.(check (list int)) "hardware records in emission order" [ 1; 2; 3 ]
+    (List.map (fun r -> r.Trace.arg) hw);
+  let ns = List.map (fun r -> r.Trace.tick) hw in
+  Alcotest.(check int) "rebased to t = 0" 0 (List.hd ns);
+  Alcotest.(check bool) "ns monotone" true
+    (List.for_all2 ( <= ) ns (List.tl ns @ [ max_int ]))
 
 (* Wraparound keeps the LAST capacity events and counts the rest:
    kept + dropped = emitted exactly, and the first survivor's seq equals
    the drop count. *)
 let test_flight_drop_census () =
-  Trace.enable ~capacity:8 ~sink:Trace.Flight ~ndomains:1 ~gc:false ();
-  let t = ref 0 in
-  Flight.set_tick_source_for_tests (fun () -> !t);
-  let retire = Trace.event_code Trace.Retire in
-  for k = 1 to 20 do
-    t := k * 10;
-    Flight.emit ~slot:1 ~code:retire ~arg:k ~arg2:0
-  done;
-  let merged = Trace.dump () in
-  let ok, msg = Trace.flight_census () in
-  Alcotest.(check int) "kept = capacity" 8 (List.length merged);
-  Alcotest.(check int) "dropped" 12 (Trace.dropped ());
-  Alcotest.(check string) "census msg" "" msg;
-  Alcotest.(check bool) "census identity" true ok;
-  (match merged with
-  | first :: _ ->
-      Alcotest.(check int) "first survivor seq = dropped" 12 first.Trace.seq;
-      Alcotest.(check int) "last 8 events survive" 13 first.Trace.arg
-  | [] -> Alcotest.fail "empty merge");
-  Trace.disable ()
+  scripted ~capacity:8 (fun t _ ->
+      for k = 1 to 20 do
+        t := k * 10;
+        Trace.emit Trace.Retire k
+      done;
+      let merged = Trace.dump () in
+      let ok, msg = Trace.flight_census () in
+      Alcotest.(check int) "kept = capacity" 8 (List.length merged);
+      Alcotest.(check int) "dropped" 12 (Trace.dropped ());
+      Alcotest.(check string) "census msg" "" msg;
+      Alcotest.(check bool) "census identity" true ok;
+      match merged with
+      | first :: _ ->
+          Alcotest.(check int) "first survivor seq = dropped" 12 first.Trace.seq;
+          Alcotest.(check int) "last 8 events survive" 13 first.Trace.arg
+      | [] -> Alcotest.fail "empty merge")
 
-(* A merged ns trace written with the ns unit tag must roundtrip through
+(* A merged trace written with the ns unit tag must roundtrip through
    the on-disk format record-for-record, unit included. *)
 let test_flight_file_roundtrip () =
-  Trace.enable ~sink:Trace.Flight ~ndomains:2 ~gc:false ();
-  let t = ref 0 in
-  Flight.set_tick_source_for_tests (fun () -> !t);
-  let retire = Trace.event_code Trace.Retire in
-  for k = 1 to 6 do
-    t := k * 7;
-    Flight.emit ~slot:(1 + (k mod 2)) ~code:retire ~arg:k ~arg2:(k * k)
-  done;
-  let merged = Trace.dump () in
-  Trace.disable ();
+  let merged =
+    scripted (fun t tid ->
+        for k = 1 to 6 do
+          t := k * 7;
+          tid := k mod 2;
+          Trace.emit2 Trace.Retire k (k * k)
+        done;
+        Trace.dump ())
+  in
   let path = Filename.temp_file "flight" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

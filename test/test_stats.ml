@@ -5,6 +5,7 @@
 
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
+module Flight = Hpbrcu_runtime.Flight
 module Sched = Hpbrcu_runtime.Sched
 module Registry = Hpbrcu_schemes.Registry
 module H = Stats.Histogram
@@ -200,14 +201,15 @@ let test_gauge () =
     (List.mem_assoc "max_signals_inflight" fields)
 
 (* ------------------------------------------------------------------ *)
-(* Spool sink                                                          *)
+(* Spool sink (the store's virtual-clock path)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Non-lossy growth: more events than one chunk holds, nothing dropped,
-   order preserved. *)
+(* Non-lossy growth: one fiber's ring grows past the hardware sink's
+   preallocated 2^16 records (a traced HP-BRCU longrun writer emits
+   ~130k), nothing dropped, order preserved. *)
 let test_spool_growth () =
   Trace.enable ~sink:Trace.Spool ();
-  let n = (3 * Trace.chunk_records) + 5 in
+  let n = (2 * Flight.default_capacity) + 5 in
   for i = 0 to n - 1 do
     Trace.emit2 Trace.Retire i (i * 2)
   done;
@@ -223,8 +225,9 @@ let test_spool_growth () =
       end)
     recs
 
-(* Bounded: past the per-thread record bound the spool counts but stops
-   storing — the FIRST [capacity] events survive. *)
+(* Bounded: the per-thread record bound is rounded up to a power of two
+   (10 -> 16); past it the ring wraps — the LAST 16 events survive and
+   the rest are counted. *)
 let test_spool_bound () =
   Trace.enable ~capacity:10 ~sink:Trace.Spool ();
   for i = 0 to 24 do
@@ -232,11 +235,11 @@ let test_spool_bound () =
   done;
   let recs = Trace.dump () in
   Trace.disable ();
-  Alcotest.(check int) "kept = bound" 10 (List.length recs);
-  Alcotest.(check int) "dropped counted" 15 (Trace.dropped ());
+  Alcotest.(check int) "kept = rounded bound" 16 (List.length recs);
+  Alcotest.(check int) "dropped counted" 9 (Trace.dropped ());
   Alcotest.(check (list int))
-    "the FIRST events survive"
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+    "the LAST events survive"
+    (List.init 16 (fun i -> 9 + i))
     (List.map (fun r -> r.Trace.arg) recs)
 
 (* to_file/read_file invert each other. *)
