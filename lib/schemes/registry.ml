@@ -201,18 +201,24 @@ module Participants = struct
 
   (** [remove_where t pred] clears every slot whose participant satisfies
       [pred] — the teardown path for {e crashed} tids, which can never call
-      [unregister] themselves.  Unlike {!remove}, the index is {e not}
-      recycled: the dead thread's handle still holds it, and handing it to
-      a new participant would let a stale [remove idx] evict the wrong
-      record.  Burned slots are reclaimed by {!reset} between runs, so the
-      leak is bounded by the number of crashes per run. *)
+      [unregister] themselves — and returns whether this call cleared
+      one.  Each clear is a CAS from the [Some] it read, so when several
+      ejectors race for one corpse exactly one of them gets [true].
+      Unlike {!remove}, the index is {e not} recycled: the dead thread's
+      handle still holds it, and handing it to a new participant would
+      let a stale [remove idx] evict the wrong record.  Burned slots are
+      reclaimed by {!reset} between runs, so the leak is bounded by the
+      number of crashes per run. *)
   let remove_where t pred =
     let n = min (Atomic.get t.hwm) capacity in
+    let cleared = ref false in
     for i = 0 to n - 1 do
       match Atomic.get t.slots.(i) with
-      | Some l when pred l -> Atomic.set t.slots.(i) None
+      | Some l as v when pred l ->
+          if Atomic.compare_and_set t.slots.(i) v None then cleared := true
       | _ -> ()
-    done
+    done;
+    !cleared
 
   let reset t =
     let n = min (Atomic.get t.hwm) capacity in

@@ -60,11 +60,14 @@ let signal n box ~is_out =
     [Dead_receiver]: a confirmed crash never reads again, so its record
     leaves the registry and its frozen announcement stops blocking.  Only
     the crash registry's verdict, never a timeout, may reach this path:
-    quarantining a live reader would be a use-after-free. *)
+    quarantining a live reader would be a use-after-free.  Of several
+    ejectors that reach one corpse, only the one that removes it counts
+    the quarantine and emits [Participant_quarantined]. *)
 let quarantine n participants l box =
-  Stats.Counter.incr n.quarantines;
-  Trace.emit Trace.Participant_quarantined box.Signal.owner_tid;
-  Registry.Participants.remove_where participants (fun l' -> l' == l)
+  if Registry.Participants.remove_where participants (fun l' -> l' == l) then begin
+    Stats.Counter.incr n.quarantines;
+    Trace.emit Trace.Participant_quarantined box.Signal.owner_tid
+  end
 
 (** [signal] plus the common verdict: [Delivered] and a quarantined
     [Dead_receiver] are [true]; [No_ack] is [false], a live reader that

@@ -380,6 +380,53 @@ let test_scoped_crash_mid_section () =
   | _ -> Alcotest.fail "register after force-destroy must raise"
   | exception Dom.Destroyed _ -> ())
 
+(* Two ejectors reach one crashed reader: both see [Dead_receiver], but
+   only the one whose CAS removes the participant counts the
+   quarantine. *)
+let test_quarantine_once () =
+  let module SC = Hpbrcu_schemes.Scheme_common in
+  let module Signal = Hpbrcu_runtime.Signal in
+  let n = SC.neutralizer (Dom.make ~scheme:"PEBR" Config.default) in
+  let participants = Hpbrcu_schemes.Registry.Participants.create () in
+  let corpse = ref 0 in
+  ignore (Hpbrcu_schemes.Registry.Participants.add participants corpse : int);
+  let box = Signal.make () in
+  let verdicts = ref [] in
+  Fault.install
+    {
+      Fault.label = "crash-t0";
+      rules =
+        [ { Fault.site = Yield; tid = 0; start = 5; period = 0; action = Crash } ];
+    };
+  Sched.run
+    (Sched.Fibers { seed = 13; switch_every = 1 })
+    ~nthreads:3
+    (fun tid ->
+      if tid = 0 then begin
+        Signal.attach box;
+        for _ = 1 to 1000 do
+          Sched.yield ()
+        done
+      end
+      else begin
+        for _ = 1 to 50 do
+          Sched.yield_now ()
+        done;
+        verdicts :=
+          SC.neutralize n participants corpse box ~is_out:(fun () -> false)
+          :: !verdicts
+      end);
+  Fault.clear ();
+  Alcotest.(check int) "one crash" 1 (Sched.crashed_count ());
+  Alcotest.(check (list bool)) "both ejectors pass the corpse" [ true; true ]
+    !verdicts;
+  Alcotest.(check int) "quarantined once" 1
+    (Stats.Counter.value n.SC.quarantines);
+  Alcotest.(check int) "participant removed" 0
+    (let k = ref 0 in
+     Hpbrcu_schemes.Registry.Participants.iter participants (fun _ -> incr k);
+     !k)
+
 (* VBR reclaims immediately: the unreclaimed count never exceeds ~0. *)
 let test_vbr_immediate () =
   with_scheme "VBR" @@ fun (module S) ->
@@ -438,4 +485,6 @@ let () =
           Alcotest.test_case "crash-mid-section" `Quick
             test_scoped_crash_mid_section;
         ] );
+      ( "neutralize",
+        [ Alcotest.test_case "quarantine-once" `Quick test_quarantine_once ] );
     ]
