@@ -1654,14 +1654,18 @@ let hunt_cmd =
              complementary (uniform random's fine-grained interleavings
              build the multi-node marked chains the nomask leak needs; PCT's
              long uninterrupted stretches strand the torn checkpoints the
-             nodb use-after-free needs). *)
+             nodb use-after-free needs), so each target tries the one that
+             convicts it first and stops at the first finding. *)
+          let strategies s =
+            if s = "HP-BRCU!nodb" then [ "pct"; "rand" ] else [ "rand"; "pct" ]
+          in
           let convicted ~runs s =
             List.exists
               (fun strategy ->
                 not
                   (C.Hunt.clean
                      (hunt_one ~strategy ~seed ~runs ~shrink_budget ~out s)))
-              [ "rand"; "pct" ]
+              (strategies s)
           in
           (* A mutant gets three times a real scheme's budget: over seeds
              1-10 the cases it takes to convict one spread from 1 to a few
