@@ -228,10 +228,6 @@ module Histogram = struct
 
   let mean (s : summary) =
     if s.count = 0 then 0.0 else float_of_int s.sum /. float_of_int s.count
-
-  let pp_summary ppf (s : summary) =
-    Fmt.pf ppf "n=%d p50=%d p90=%d p99=%d p999=%d max=%d" s.count s.p50 s.p90
-      s.p99 s.p999 s.max
 end
 
 (* ------------------------------------------------------------------ *)
