@@ -152,10 +152,10 @@ let sweep_cmd =
 let trace_out_arg =
   let doc =
     "Record the run's event log and write it to $(docv) — the input format \
-     of $(b,smrbench analyze).  Fiber runs spool non-lossily (tick \
-     timestamps, replayable from the seed); domain runs record through the \
-     per-domain flight rings (lossy-but-counted, calibrated ns timestamps, \
-     GC track included)."
+     of $(b,smrbench analyze).  Fiber runs keep every record up to 2^20 per \
+     thread (tick timestamps, replayable from the seed); domain runs keep \
+     the last 2^16 per domain and count the rest (calibrated ns \
+     timestamps, GC track included)."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -179,11 +179,11 @@ let longrun_cmd =
     match trace_out with
     | Some out ->
         (* One traced cell; the grid forms make no sense with a single
-           trace.  Under fibers the non-lossy spool is timestamped by the
+           trace.  Under fibers the records are stamped by the
            deterministic tick clock (a pure function of the seed); under
-           domains the flight recorder (DESIGN.md §15) captures
-           per-domain rings merged into calibrated CLOCK_MONOTONIC ns
-           with the GC track riding along — this used to be rejected. *)
+           domains by hardware ticks (DESIGN.md §15), merged into
+           calibrated CLOCK_MONOTONIC ns with the GC track riding
+           along. *)
         let scheme = Option.value scheme ~default:"HP-BRCU" in
         let range =
           match p.W.Figures.longrun_ranges with r :: _ -> r | [] -> 4096
@@ -247,9 +247,9 @@ let trace_cmd =
   in
   let run scheme ds ops threads seed range last trace_out =
     (* Always the deterministic simulator: traces are timestamped by the
-       virtual tick clock, so the same seed replays the same event log.
-       The sink is the spool: non-lossy up to its per-thread bound,
-       printed or written to --trace-out (analyze input). *)
+       virtual tick clock, so the same seed replays the same event log,
+       non-lossy up to the per-thread bound, printed or written to
+       --trace-out (analyze input). *)
     T.enable ();
     let cell =
       W.Spec.cell ~threads ~key_range:range ~workload:W.Spec.Read_write

@@ -229,10 +229,10 @@ gate chaos-fibers chaos_fibers
 gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
   --out /tmp/BENCH_reclaim.ci.json
 
-# Analyze smoke gate (DESIGN.md §10): spool a small traced longrun cell,
+# Analyze smoke gate (DESIGN.md §10): trace a small fiber longrun cell,
 # run the trace analyzer over it, and require non-empty time-to-reclaim
 # percentiles plus a loadable Perfetto export.  An empty join here means
-# the correlation ids or the spool sink broke.
+# the correlation ids or the trace store's fiber path broke.
 analyze_smoke() {
   dune exec bin/smrbench.exe -- longrun --scheme HP-BRCU --trace-out /tmp/smrbench.ci.trace &&
   dune exec bin/smrbench.exe -- analyze --require-ttr --outdir /tmp/smrbench.ci.results \

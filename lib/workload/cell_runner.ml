@@ -26,11 +26,10 @@ let sched_mode : Spec.mode -> Sched.mode = function
   | Spec.Fibers seed -> Sched.Fibers { seed; switch_every = 4 }
   | Spec.Domains -> Sched.Domains
 
-(** [trace_sink mode] — the tracer's sink for a run under [mode], and the
-    unit its trace file is tagged with: the non-lossy spool in virtual
-    ticks on fibers (the log is a pure function of the seed), or the
-    flight recorder's per-domain rings merged into calibrated ns on
-    domains (DESIGN.md §15), tagged ["ns"]. *)
+(** [trace_sink mode] — the tracer's stamp source for a run under [mode],
+    and the unit its trace file is tagged with: virtual ticks on fibers
+    (the log is a pure function of the seed), or hardware ticks merged
+    into calibrated ns on domains (DESIGN.md §15), tagged ["ns"]. *)
 let trace_sink : Sched.mode -> Trace.sink * string option = function
   | Sched.Fibers _ -> (Trace.Spool, None)
   | Sched.Domains -> (Trace.Flight, Some "ns")

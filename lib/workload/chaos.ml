@@ -37,9 +37,8 @@
       {!Cell_runner.wall_budget_s}, where a crashed reader is a worker
       parked forever while pinned ({!Hpbrcu_runtime.Fault.crash_park});
     + the stamp and the trace sink ({!Cell_runner.trace_sink}) — a fiber
-      cell records its last virtual tick and traces to the non-lossy
-      spool, a domains cell its elapsed wall-clock ns and traces to the
-      flight recorder;
+      cell records its last virtual tick and traces in ticks, a domains
+      cell its elapsed wall-clock ns and traces in hardware ns;
     + the verdict policy ({!discriminator}) — on fibers, RCU's
       crashed-reader peak must exceed 10× its fault-free peak and the
       traced replay probes must reproduce byte-identical event logs
@@ -415,8 +414,8 @@ let run_one ?(traced = false) ?(topology = One) ~substrate ~scheme ~plan_id
 
 (** [run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out p] — one
     traced chaos cell written to [out] for [smrbench analyze] / Perfetto
-    export: the fiber spool in virtual ticks, or the merged flight trace
-    under a [# unit: ns] header. *)
+    export: in virtual ticks on fibers, or in merged ns under a
+    [# unit: ns] header on domains. *)
 let run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out (p : params) :
     cell =
   let c, log = run_one ~traced:true ~substrate ~scheme ~plan_id ~seed p in
