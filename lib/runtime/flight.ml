@@ -72,8 +72,18 @@ let initial_records = 4096
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
+(* A ring buffer of [n] words the major GC never scans: a flat float
+   array (one word per element on 64-bit, Double_array_tag) viewed as an
+   int array.  It only ever holds tagged ints, so skipping it is sound.
+   A growing ring allocates twice its final size, and every major cycle
+   that allocation triggers would otherwise walk every live ring field
+   by field: with scanned rings a traced fiber emit cost ~45 ns against
+   ~20 ns here.  Reads, writes, [Array.length] and [Array.blit] on the
+   view see plain words; the C emit's [Field]/[Wosize_val] do too. *)
+let unscanned n : int array = Obj.magic (Array.make n 0.0)
+
 let new_ring records =
-  { buf = Array.make (rec_ints * records) 0; n = 0; _pad = Layout.spacer () }
+  { buf = unscanned (rec_ints * records); n = 0; _pad = Layout.spacer () }
 
 (* ------------------------------------------------------------------ *)
 (* Timebase                                                            *)
@@ -203,7 +213,7 @@ let disarm () =
    doubled ring never overshoots [capacity]). *)
 let grow r =
   let len = Array.length r.buf in
-  let buf = Array.make (2 * len) 0 in
+  let buf = unscanned (2 * len) in
   Array.blit r.buf 0 buf 0 len;
   r.buf <- buf
 

@@ -232,7 +232,6 @@ let set_tid_provider f = tid_provider := f
 type sink = Spool | Flight
 
 let spool_default_capacity = 1 lsl 20
-let sink_mode = ref Spool
 let on = ref false
 
 (* [true] iff enabled with the {!Flight} sink.  Checked first in
@@ -257,7 +256,6 @@ let enabled () = !on
     [ndomains]/[gc] are forwarded to {!Flight.arm} (preallocated per
     announced worker, GC track on by default). *)
 let enable ?capacity ?(sink = Spool) ?(ndomains = 0) ?(gc = true) () =
-  sink_mode := sink;
   (match sink with
   | Spool ->
       Flight.reset
@@ -355,7 +353,7 @@ let dump () : record list =
         { tick = t; tid = slot - 1; seq; event = event_of_code code; arg; arg2 }
         :: !acc);
   let records =
-    if !sink_mode = Spool then !acc
+    if !Flight.identity_timebase then !acc
     else
       let records = List.rev_append (gc_records ()) !acc in
       let base = List.fold_left (fun m r -> min m r.tick) max_int records in
@@ -364,14 +362,14 @@ let dump () : record list =
   chronological records
 
 (** Census identity of the trace store (asserted after every traced
-    cell): the merged stream's non-GC record count plus the counted
-    drops must equal the events ever emitted.  Catches decode/merge bugs
-    and lane-fold races alike.  Returns [(ok, msg)] with a diagnostic
+    cell): the records the decode pass yields plus the counted drops
+    must equal the events ever emitted.  Catches decode bugs and
+    lane-fold races alike.  Returns [(ok, msg)] with a diagnostic
     message on failure, ["" ] otherwise. *)
 let flight_census () =
-  let merged =
-    List.length (List.filter (fun r -> r.tid <> gc_tid) (dump ()))
-  in
+  let merged = ref 0 in
+  Flight.iter_kept (fun _ _ _ _ _ _ -> incr merged);
+  let merged = !merged in
   let emitted = Flight.emitted ()
   and kept = Flight.kept ()
   and dropped = Flight.dropped () in
