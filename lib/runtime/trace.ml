@@ -252,9 +252,9 @@ let enabled () = !on
     starts recording.  [capacity] is the per-thread record bound,
     rounded up to a power of two: by default {!spool_default_capacity}
     with the (default) {!Spool} sink, whose rings grow up to it, and
-    {!Flight.default_capacity} with {!Flight}, whose rings
-    [ndomains]/[gc] are forwarded to {!Flight.arm} (preallocated per
-    announced worker, GC track on by default). *)
+    {!Flight.default_capacity} with {!Flight}, whose rings are
+    preallocated per announced worker; [ndomains] and [gc] (GC track,
+    on by default) are forwarded to {!Flight.arm}. *)
 let enable ?capacity ?(sink = Spool) ?(ndomains = 0) ?(gc = true) () =
   (match sink with
   | Spool ->
