@@ -678,6 +678,26 @@ module Reclaim_bench = struct
     ( (t1 -. t0) *. 1e9 /. float_of_int iters,
       Float.max 0. (w1 -. w0 -. probe_overhead) /. float_of_int iters )
 
+  (* [measure], counting the words a call allocates in either heap:
+     minor words plus blocks born directly in the major heap (arrays above
+     [Max_young_wosize], such as a shield chunk), less the promoted words
+     the major count includes.  Minor words come from [Gc.minor_words]:
+     [Gc.counters]' minor count omits what was allocated since the last
+     minor collection.  The probes' few boxed words are noise against the
+     thousands a domain costs, so no calibration is subtracted. *)
+  let measure_allocated ~iters f =
+    let allocated () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    for _ = 1 to 16 do f () done;
+    let w0 = allocated () in
+    let t0 = Clock.now () in
+    for _ = 1 to iters do f () done;
+    let t1 = Clock.now () in
+    let w1 = allocated () in
+    ((t1 -. t0) *. 1e9 /. float_of_int iters, (w1 -. w0) /. float_of_int iters)
+
   let ring_size = 512
 
   (* A ring of recyclable blocks: retire -> (scheme reclaims) -> the free
@@ -749,6 +769,37 @@ module Reclaim_bench = struct
     Alloc.reset ();
     row ~kernel:"scan" ~scheme:"HP" ~hazards ~iters ~ops:1 ~gated:true
       (ns, words)
+
+  (* Words of either heap one HP-BRCU [domain-create] cycle may allocate.
+     It reads ~6.3k words on 2 lanes: one 1024-slot shield chunk (~3.1k),
+     the domain's own records, and ~13 stats counters of ~22 words per
+     lane.  A table that built all 16384 slots at [create], with 257
+     thread shards per counter, read ~62k.  The bound leaves ~45% headroom
+     and grows with [Counter.lanes], which the machine's recommended
+     domain count sets. *)
+  let domain_create_words =
+    8192. +. (512. *. float_of_int Hpbrcu_runtime.Counter.lanes)
+
+  (* One cycle = create a domain, register one session, give it 8
+     shields, unregister it and destroy the domain: what a per-structure
+     reclamation domain costs to set up and tear down, in words of either
+     heap.  HP-BRCU's words per cycle are gated at [domain_create_words]. *)
+  let domain_create_kernel ~iters (module X : Smr_intf.SCHEME) =
+    Alloc.reset ();
+    let cycle () =
+      let d = X.create ~label:"bench-create" Config.default in
+      let h = X.register d in
+      for _ = 1 to 8 do
+        ignore (Sys.opaque_identity (X.new_shield h) : X.shield)
+      done;
+      X.unregister h;
+      X.destroy ~force:true d
+    in
+    let ns, words = measure_allocated ~iters cycle in
+    Alloc.reset ();
+    let scheme = (X.caps Config.default).Hpbrcu_core.Caps.name in
+    row ~kernel:"domain-create" ~scheme ~iters ~ops:1
+      ~gated:(scheme = "HP-BRCU") (ns, words)
 
   let dom_make ~scheme =
     Smr_intf.Dom.make ~scheme ~label:"bench" Config.default
@@ -1173,6 +1224,7 @@ module Reclaim_bench = struct
     let sc = if quick then 8 else 1 in
     let it n = max 8 (n / sc) in
     let retire ~gated m = retire_kernel ~iters:(it 1000) ~gated m in
+    let create m = domain_create_kernel ~iters:(it 400) m in
     [
       (* Allocation-free single-step retire/scan cycles (gated). *)
       retire ~gated:true (module Hp.Impl : Smr_intf.SCHEME);
@@ -1189,6 +1241,9 @@ module Reclaim_bench = struct
       scan_kernel ~iters:(it 1000) ~hazards:64;
       scan_kernel ~iters:(it 300) ~hazards:1024;
       scan_kernel ~iters:(it 60) ~hazards:16384;
+      create (module Hp_brcu.Impl : Smr_intf.SCHEME);
+      create (module Hp.Impl : Smr_intf.SCHEME);
+      create (module Ebr.Impl : Smr_intf.SCHEME);
       pin_kernel ~iters:(it 1000);
       brcu_crit_kernel ~iters:(it 1000);
       advance_kernel ~iters:(it 1000);
@@ -1233,9 +1288,13 @@ module Reclaim_bench = struct
   let gate_threshold = 0.05
 
   (* Words per op a gated row may allocate: none, except one header per
-     [block-alloc] op. *)
+     [block-alloc] op and one domain's setup per [domain-create] cycle. *)
   let words_bound r =
-    (if r.kernel = "block-alloc" then block_words else 0.) +. gate_threshold
+    (match r.kernel with
+    | "block-alloc" -> block_words
+    | "domain-create" -> domain_create_words
+    | _ -> 0.)
+    +. gate_threshold
 
   let run ~out ~gate ~quick =
     let rows = run_all ~quick in
@@ -1257,7 +1316,7 @@ module Reclaim_bench = struct
       List.iter
         (fun r ->
           Printf.eprintf
-            "bench-reclaim: GATE FAIL %s/%s H=%d allocates %.4f minor \
+            "bench-reclaim: GATE FAIL %s/%s H=%d allocates %.4f \
              words/op in steady state (bound %.2f)\n"
             r.kernel r.scheme r.hazards r.minor_words_per_op (words_bound r))
         bad;
@@ -1291,8 +1350,9 @@ module Reclaim_bench = struct
       if bad = [] && slow_emit = [] && slow_flight = [] then begin
         Printf.printf "bench-reclaim: allocation gate passed (all gated \
                        kernels <= %.2f words/op, block-alloc <= %.0f, \
-                       disabled emit < 10 ns, armed flight emit <= 25 ns)\n"
-          gate_threshold block_words;
+                       domain-create <= %.0f, disabled emit < 10 ns, armed \
+                       flight emit <= 25 ns)\n"
+          gate_threshold block_words domain_create_words;
         0
       end
       else 1

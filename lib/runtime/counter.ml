@@ -25,7 +25,7 @@
       at every moment (lanes may individually go negative when a block
       retired on one domain is reclaimed on another; the sum telescopes).
     - [peak] folds the lane peaks.  On a single domain — the fiber
-      simulator, and this 1-core container where the lane table has one
+      simulator, and a 1-core box where the lane table has one
       entry — that is exactly the old single-cell semantics, bit for bit,
       which the unit tests and every fiber-mode gate rely on.  Across
       [k > 1] domains it is an {e upper bound} on the true peak
@@ -34,8 +34,13 @@
 
     The lane count is sized once at start-up from
     [Domain.recommended_domain_count] (rounded up to a power of two,
-    capped at 64): fiber-only processes pay a single lane and zero fold
-    overhead; a 64-core box gets 64-way spreading. *)
+    capped at 64): a 1-core box pays a single lane and zero fold
+    overhead; a 64-core box gets 64-way spreading.
+
+    This is the runtime's one sharding rule: {!Stats.Counter} uses the
+    same [lanes] and [lane_ix], so every sharded counter costs a few
+    padded cells per lane, not one cell per thread id, and a reclamation
+    domain's counters stay cheap to create. *)
 
 let lanes =
   let rec pow2 n k = if k >= n then k else pow2 n (k * 2) in

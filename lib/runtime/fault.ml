@@ -79,7 +79,7 @@ let no_faults = { label = "none"; rules = [] }
    the seeded scheduler.  [-1]-tid (any) rules also count in the calling
    thread's slot, so "every k-th occurrence" is per thread; either way the
    firing pattern is schedule-independent given the seed. *)
-let counter_width = 257 (* tids -1..255, same layout as Stats shards *)
+let counter_width = 257 (* tids -1..255, one slot per tid as in Flight *)
 
 (* All of this state is read from worker domains in domains mode, so none
    of it may live in a bare ref: the plan and its hooks bit are published by

@@ -56,7 +56,7 @@
 type ring = { mutable buf : int array; mutable n : int; _pad : int array }
 
 let rec_ints = 4 (* stamp, code, arg, arg2 *)
-let max_slots = Stats.max_shards
+let max_slots = 257 (* tids -1..255 *)
 let rings : ring option array = Array.make max_slots None
 
 (* Capacity is rounded up to a power of two so the wraparound index is a

@@ -13,9 +13,15 @@
       allocated} in a transposed order, so cells at adjacent {e indices}
       are ~[groups] allocations (≥ one cache line) apart in memory while
       cells adjacent in memory are [n/groups] apart in index.  Zero memory
-      overhead — the right tool for big slot tables (the 16K-entry
-      hazard-pointer registry) where per-slot spacers would cost
-      megabytes per [create].
+      overhead — the right tool for big slot tables (a 1024-slot chunk of
+      the hazard-pointer registry) where per-slot spacers would cost more
+      than the table.  The table must be bigger than [Max_young_wosize]
+      (256 words) so that it is born in the major heap: its young cells
+      then reach the major heap through the remembered set in allocation
+      order, and the stride survives promotion.  A young table promotes
+      its cells in index order instead, packing index neighbours onto one
+      line again (a 64-slot chunk measured slower per op for exactly
+      this).
 
     - {!spacer} is a 128-byte GC-live filler block.  Storing one in a
       record field between two hot allocations keeps at least a cache

@@ -536,10 +536,9 @@ let run mode ~nthreads body =
   | Fibers { seed; switch_every } ->
       run_fibers ~seed ~switch_every ~nthreads body
 
-(* Stats and Trace cannot depend on this module (we bump their counters),
-   so we inject the identity and clock providers here, at link time. *)
+(* Trace cannot depend on this module (we emit its events), so we inject
+   the identity and clock providers here, at link time. *)
 let () =
-  assert (max_threads + 1 <= Stats.max_shards);
-  Stats.set_tid_provider self;
+  assert (max_threads + 1 <= Flight.max_slots);
   Trace.set_clock tick;
   Trace.set_tid_provider self

@@ -1,4 +1,4 @@
-(** Typed observability primitives (DESIGN.md §7): sharded per-thread
+(** Typed observability primitives (DESIGN.md §7): per-domain sharded
     counters, log-bucketed latency histograms, and the {!snapshot} record
     that replaces the old stringly association-list stats API.
 
@@ -7,8 +7,9 @@
     - {b Hot-path cost.}  Schemes bump counters on every rollback, signal,
       scan and traversal step.  A single global [Atomic.t] per counter puts
       a contended cache line on every such event; {!Counter} instead keeps
-      one cell per logical thread id (one {!shard} per {!Sched.self}), so a
-      bump is an uncontended RMW on a cell only its owner writes.  Sums are
+      one padded cell per domain lane, by the same lane rule as
+      {!Hpbrcu_runtime.Counter} (OCaml domain id, masked), so a bump is an
+      uncontended RMW on a cell only its domain writes.  Sums are
       computed lazily at {!Counter.value} (snapshot) time — the classic
       "statistical counter" trade (exact totals, cheap increments).
     - {b Typed access.}  Schemes report through the {!snapshot} record, so
@@ -21,48 +22,39 @@
       snapshots (asserted by the determinism test).
 
     This module must not depend on {!Sched} (the scheduler itself bumps
-    counters); {!Sched} injects the thread-id provider at init via
-    {!set_tid_provider}. *)
-
-(* ------------------------------------------------------------------ *)
-(* Shard selection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** One shard per logical thread id, plus one for code running outside any
-    worker ([Sched.self () = -1]).  Must cover [Sched.max_threads + 1];
-    {!Sched} asserts this at init. *)
-let max_shards = 257
-
-let tid_provider : (unit -> int) ref = ref (fun () -> -1)
-
-(** Installed by {!Sched} at module init; tests never need to call it. *)
-let set_tid_provider f = tid_provider := f
-
-let[@inline] shard () =
-  let s = !tid_provider () + 1 in
-  if s < 0 || s >= max_shards then 0 else s
+    counters); a lane is a property of the running domain, so it needs no
+    thread id. *)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded counters                                                    *)
 (* ------------------------------------------------------------------ *)
 
 module Counter = struct
-  type t = int Atomic.t array
+  (* One lane per [Counter.lanes] of the runtime's {!Counter} module (one
+     per recommended domain, rounded to a power of two), indexed by its
+     [lane_ix]: one lane rule for every sharded counter in the runtime,
+     each cell followed by a {!Layout.spacer} so two domains' cells never
+     share a cache line.  A counter is ~22 words per lane, so the ~13 a
+     domain owns stay cheap to create.  The fiber simulator runs on one
+     domain and bumps lane 0 only. *)
+  type lane = { n : int Atomic.t; _pad : int array }
+  type t = lane array
 
-  (* Shards are indexed by tid, so under the Domains backend neighbouring
-     workers bump neighbouring cells; the index stride keeps those cells
-     off each other's cache lines (see {!Layout}). *)
-  let make () : t = Layout.strided_init max_shards (fun _ -> Atomic.make 0)
+  let make () : t =
+    Array.init Counter.lanes (fun _ ->
+        { n = Atomic.make 0; _pad = Layout.spacer () })
 
-  let[@inline] incr (t : t) = Atomic.incr t.(shard ())
-  let[@inline] add (t : t) n = ignore (Atomic.fetch_and_add t.(shard ()) n)
+  let[@inline] incr (t : t) = Atomic.incr t.(Counter.lane_ix ()).n
 
-  (** Sum over all shards.  Exact once writers are quiescent; during a run
+  let[@inline] add (t : t) n =
+    ignore (Atomic.fetch_and_add t.(Counter.lane_ix ()).n n)
+
+  (** Sum over all lanes.  Exact once writers are quiescent; during a run
       it is a linearizable-enough statistical read, like any per-CPU
       counter sum. *)
-  let value (t : t) = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t
+  let value (t : t) = Array.fold_left (fun acc l -> acc + Atomic.get l.n) 0 t
 
-  let reset (t : t) = Array.iter (fun c -> Atomic.set c 0) t
+  let reset (t : t) = Array.iter (fun l -> Atomic.set l.n 0) t
 end
 
 (* ------------------------------------------------------------------ *)

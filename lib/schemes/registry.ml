@@ -7,9 +7,11 @@
       reclaimer walks to compute the minimum announced epoch (Algorithm 5's
       [LOCALS]).
 
-    Both are fixed-capacity arrays with a high-water mark and a free list:
+    Both are fixed-capacity tables with a high-water mark and a free list:
     grow-only scans are what real implementations do, and bounded capacity
-    keeps scans cheap and allocation-free. *)
+    keeps scans cheap and allocation-free.  The shield table builds its
+    slots a 1024-slot chunk at a time, as [hwm] reaches them, so a domain
+    costs what its sessions register, not the whole capacity. *)
 
 module Block = Hpbrcu_alloc.Block
 
@@ -30,15 +32,36 @@ module Shields = struct
      protect is then an int store (no GC write barrier on a pointer), and
      a scan reads ints instead of dereferencing one [Block.t] per slot.
      Scans always compared retired blocks to the protected set by id, so
-     which blocks a slot protects is unchanged. *)
+     which blocks a slot protects is unchanged.
+
+     The table's [max_shields] slots live in [chunk_slots]-slot chunks
+     behind a fixed spine, and a chunk is built only when [hwm] first
+     reaches it: a domain whose sessions register a few dozen shields
+     builds one chunk, not the whole table (an HP-BRCU create, 8-shield
+     session and destroy allocates ~6k words; all 16384 slots cost ~62k).
+     A chunk is published in the spine {e before} [hwm] passes into it,
+     so a scanner that reads [hwm] finds every chunk below it. *)
   type t = {
-    slots : int Atomic.t array;  (* -1 = empty *)
-    hwm : int Atomic.t;  (* slots.(0 .. hwm-1) have been handed out *)
+    spine : int Atomic.t array Atomic.t array;
+        (* [no_chunk] until built; then [chunk_slots] cells, -1 = empty *)
+    hwm : int Atomic.t;  (* slots 0 .. hwm-1 have been handed out *)
     free : int list Atomic.t;
   }
 
   let empty = -1
   let max_shields = 1 lsl 14
+  let chunk_bits = 10
+  let chunk_slots = 1 lsl chunk_bits
+  let chunk_mask = chunk_slots - 1
+  let no_chunk : int Atomic.t array = [||]
+
+  let create () =
+    {
+      spine =
+        Array.init (max_shields / chunk_slots) (fun _ -> Atomic.make no_chunk);
+      hwm = Atomic.make 0;
+      free = Atomic.make [];
+    }
 
   (* Slots are handed out in index order (hwm bump), so under the Domains
      backend thread [k] and thread [k+1] own adjacent indices — with a
@@ -46,17 +69,30 @@ module Shields = struct
      adjacent in memory and false-share a cache line on every protect.
      [strided_init] transposes the allocation order so index-neighbours
      land ~a cache line apart (the OCaml analogue of the CLPAD padding in
-     C++ hazard-pointer tables); the scanner's sequential read of the
-     whole table degrades into a few interleaved streams, which prefetch
-     fine. *)
-  let create () =
-    {
-      slots =
-        Hpbrcu_runtime.Layout.strided_init max_shields (fun _ ->
-            Atomic.make empty);
-      hwm = Atomic.make 0;
-      free = Atomic.make [];
-    }
+     C++ hazard-pointer tables); the scanner's sequential read of a chunk
+     degrades into a few interleaved streams, which prefetch fine.
+
+     The chunk size matters for that separation to survive promotion.  A
+     1024-slot pointer array exceeds [Max_young_wosize] (256 words), so it
+     is born in the major heap, and its young cells reach the major heap
+     through the remembered set in allocation order: the stride holds, as
+     it did for the one 16384-slot table.  A 64-slot chunk is a young
+     array, and a minor GC promotes its cells in index order, packing
+     index neighbours onto one line again: measured, it cost hpbench
+     [list] +4.5% [op_p50_ns] (won 1 of 6 pairs) and lost
+     [throughput_mops] in 6 of 6. *)
+  let build_chunk () =
+    Hpbrcu_runtime.Layout.strided_init chunk_slots (fun _ -> Atomic.make empty)
+
+  (* Publish chunk [c] unless it is there already.  Racing builders CAS
+     from [no_chunk]; a loser drops its copy and uses the winner's. *)
+  let ensure_chunk t c =
+    let cell = t.spine.(c) in
+    if Atomic.get cell == no_chunk then
+      ignore (Atomic.compare_and_set cell no_chunk (build_chunk ()) : bool)
+
+  let[@inline] cell t idx =
+    (Atomic.get t.spine.(idx lsr chunk_bits)).(idx land chunk_mask)
 
   type shield = { slot : int Atomic.t; idx : int; owner : t }
 
@@ -64,7 +100,7 @@ module Shields = struct
     match Atomic.get t.free with
     | idx :: rest as old ->
         if Atomic.compare_and_set t.free old rest then
-          { slot = t.slots.(idx); idx; owner = t }
+          { slot = cell t idx; idx; owner = t }
         else begin
           Hpbrcu_runtime.Sched.yield ();
           alloc t
@@ -77,8 +113,9 @@ module Shields = struct
         let idx = Atomic.get t.hwm in
         if idx >= max_shields then
           raise (Exhausted "Shields.alloc: registry exhausted");
+        ensure_chunk t (idx lsr chunk_bits);
         if Atomic.compare_and_set t.hwm idx (idx + 1) then
-          { slot = t.slots.(idx); idx; owner = t }
+          { slot = cell t idx; idx; owner = t }
         else begin
           Hpbrcu_runtime.Sched.yield ();
           alloc t
@@ -106,6 +143,12 @@ module Shields = struct
   let protect (s : shield) (b : Block.t) = Atomic.set s.slot (Block.id b)
   let clear (s : shield) = Atomic.set s.slot empty
 
+  (* The number of chunks holding slots [0, n).  Each of them is
+     published: a chunk enters the spine before [hwm] passes into it.
+     [snapshot] and [reset] spell their loops out rather than take a
+     closure, so a scan allocates nothing. *)
+  let[@inline] chunks_below n = (n + chunk_mask) lsr chunk_bits
+
   (** Snapshot the ids of all currently protected blocks into the caller's
       reusable scratch set (cleared first; caller sorts).  The scan of
       Algorithm 1 line 14; the caller's preceding SC operation plays the
@@ -113,15 +156,22 @@ module Shields = struct
   let snapshot t (ids : Hpbrcu_core.Idset.t) =
     Hpbrcu_core.Idset.clear ids;
     let n = min (Atomic.get t.hwm) max_shields in
-    for i = 0 to n - 1 do
-      let id = Atomic.get t.slots.(i) in
-      if id <> empty then Hpbrcu_core.Idset.add ids id
+    for c = 0 to chunks_below n - 1 do
+      let chunk = Atomic.get t.spine.(c) in
+      for i = 0 to min chunk_slots (n - (c lsl chunk_bits)) - 1 do
+        let id = Atomic.get chunk.(i) in
+        if id <> empty then Hpbrcu_core.Idset.add ids id
+      done
     done
 
+  (* Built chunks stay in the spine: a reused table does not rebuild them. *)
   let reset t =
     let n = min (Atomic.get t.hwm) max_shields in
-    for i = 0 to n - 1 do
-      Atomic.set t.slots.(i) empty
+    for c = 0 to chunks_below n - 1 do
+      let chunk = Atomic.get t.spine.(c) in
+      for i = 0 to min chunk_slots (n - (c lsl chunk_bits)) - 1 do
+        Atomic.set chunk.(i) empty
+      done
     done;
     Atomic.set t.hwm 0;
     Atomic.set t.free []

@@ -73,6 +73,42 @@ let exhaust_check _tid =
   | exception Registry.Exhausted _ -> ()
   | _ -> failwith "expected typed Exhausted from Participants.add"
 
+(* Two domains claim 600 shields each at once, so the table's second
+   1024-slot chunk is built while the other side is allocating, and
+   protect distinct blocks: one snapshot after the join holds all 1200.
+   The same two workers bump one stats counter 100k times each, and the
+   lane sum reads exactly 200k. *)
+let test_shields_across_chunks () =
+  let module S = Registry.Shields in
+  let module Idset = Hpbrcu_core.Idset in
+  let module Counter = Hpbrcu_runtime.Stats.Counter in
+  Alloc.reset ();
+  let per = 600 and bumps = 100_000 in
+  let t = S.create () in
+  let blocks = Array.init (2 * per) (fun _ -> Alloc.block ()) in
+  let c = Counter.make () in
+  let ready = Atomic.make 0 in
+  let worker w () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do Domain.cpu_relax () done;
+    let sh = Array.init per (fun _ -> S.alloc t) in
+    Array.iteri (fun i s -> S.protect s blocks.((w * per) + i)) sh;
+    for _ = 1 to bumps do Counter.incr c done
+  in
+  List.iter Domain.join [ Domain.spawn (worker 0); Domain.spawn (worker 1) ];
+  Alcotest.(check int) "hwm" (2 * per) (Atomic.get t.S.hwm);
+  let ids = Idset.create () in
+  S.snapshot t ids;
+  Idset.sort ids;
+  Alcotest.(check int) "snapshot holds all" (2 * per) (Idset.length ids);
+  Array.iter
+    (fun b ->
+      if not (Idset.mem ids (Hpbrcu_alloc.Block.id b)) then
+        Alcotest.failf "block %d missing from snapshot" (Hpbrcu_alloc.Block.id b))
+    blocks;
+  Alcotest.(check int) "counter sum" (2 * bumps) (Counter.value c);
+  Alloc.reset ()
+
 let test_exhausted_parity () =
   on_fibers exhaust_check;
   on_domains exhaust_check
@@ -389,6 +425,11 @@ let () =
         [
           Alcotest.test_case "exhausted parity" `Quick test_exhausted_parity;
           Alcotest.test_case "destroyed parity" `Quick test_destroyed_parity;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "shields across chunks, counter lanes" `Quick
+            test_shields_across_chunks;
         ] );
       ( "scoped",
         [

@@ -100,7 +100,7 @@ let test_percentiles_edges () =
 let test_counter_shards_sum () =
   let c = Stats.Counter.make () in
   Stats.Counter.incr c;
-  (* tid = -1: the outside-any-worker shard *)
+  (* bumped outside any worker *)
   Sched.run
     (Sched.Fibers { seed = 3; switch_every = 1 })
     ~nthreads:4
@@ -284,6 +284,40 @@ let test_shields_exhaustion () =
   Alcotest.(check int) "recycled via free list" 7 s.Registry.Shields.idx;
   Alcotest.(check int) "hwm still untouched" Registry.Shields.max_shields (hwm ())
 
+(* The 1025th shield opens the table's second 1024-slot chunk: a protect
+   on it shows in [snapshot], and its released index comes back through
+   the free list on the same cell. *)
+let test_shields_second_chunk () =
+  let module S = Registry.Shields in
+  let module Idset = Hpbrcu_core.Idset in
+  Hpbrcu_alloc.Alloc.reset ();
+  let t = S.create () in
+  let all = Array.init (S.chunk_slots + 1) (fun _ -> S.alloc t) in
+  let s = all.(S.chunk_slots) in
+  Alcotest.(check int) "1025th shield is index 1024" 1024 s.S.idx;
+  Alcotest.(check int) "in chunk 1" 1 (s.S.idx lsr S.chunk_bits);
+  let b = Hpbrcu_alloc.Alloc.block () in
+  S.protect s b;
+  let ids = Idset.create () in
+  let snapshot () =
+    S.snapshot t ids;
+    Idset.sort ids;
+    Idset.length ids
+  in
+  Alcotest.(check int) "one protected id" 1 (snapshot ());
+  Alcotest.(check bool) "chunk-1 protect in snapshot" true
+    (Idset.mem ids (Hpbrcu_alloc.Block.id b));
+  S.release s;
+  Alcotest.(check int) "release empties it" 0 (snapshot ());
+  let s' = S.alloc t in
+  Alcotest.(check int) "chunk-1 index recycled via free list" s.S.idx s'.S.idx;
+  Alcotest.(check bool) "same cell" true (s'.S.slot == s.S.slot);
+  Alcotest.(check int) "hwm untouched" (S.chunk_slots + 1) (Atomic.get t.S.hwm);
+  S.protect s' b;
+  S.reset t;
+  Alcotest.(check int) "reset empties chunk 1" 0 (snapshot ());
+  Hpbrcu_alloc.Alloc.reset ()
+
 let test_participants_exhaustion () =
   let t = Registry.Participants.create () in
   let idxs =
@@ -446,6 +480,8 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "shields-exhaustion" `Quick test_shields_exhaustion;
+          Alcotest.test_case "shields-second-chunk" `Quick
+            test_shields_second_chunk;
           Alcotest.test_case "participants-exhaustion" `Quick
             test_participants_exhaustion;
         ] );

@@ -14,8 +14,9 @@ the machine during the series falls on both sides alike.
 
 Prints, per metric of BENCHMARK.json (`end_to_end`, or `per_layer` under
 `--trace 1`), a markdown table with a row per pair, the first quartile,
-median and third quartile of each side, and how many pairs the change
-won in the metric's `better` direction; then each run's `correct` flag
+median and third quartile of each side, how many pairs the change won
+in the metric's `better` direction and how far the change's median lies
+from the parent's, in percent; then each run's `correct` flag
 and failed-operation count.  Exits 1 if any run was not correct or
 printed no result.
 """
@@ -47,6 +48,13 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def rel_change(parent, change):
+    """The change's median relative to the parent's, in percent."""
+    if parent == 0 or parent != parent or change != change:
+        return "change n/a"
+    return "%+.1f%%" % (100.0 * (change - parent) / parent)
 
 
 def fmt(v):
@@ -92,10 +100,12 @@ def main():
         for i, (p, c) in enumerate(zip(vals["parent"], vals["change"]), 1):
             wins += (c < p) if lower else (c > p)
             print("| %d | %s | %s |" % (i, fmt(p), fmt(c)))
-        qs = {s: " / ".join(fmt(q) for q in quartiles(vals[s])) for s in sides}
+        qv = {s: quartiles(vals[s]) for s in sides}
+        qs = {s: " / ".join(fmt(q) for q in qv[s]) for s in sides}
         print("| Q1 / median / Q3 | %s | %s |" % (qs["parent"], qs["change"]))
-        print("\n%s (%s is better): the change won %d of %d pairs.\n"
-              % (name, m["better"], wins, args.pairs))
+        print("\n%s (%s is better): the change won %d of %d pairs; median %s.\n"
+              % (name, m["better"], wins, args.pairs,
+                 rel_change(qv["parent"][1], qv["change"][1])))
     print("| run | parent correct | failed | change correct | failed |")
     print("|---|---|---|---|---|")
     def cell(r):
