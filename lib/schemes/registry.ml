@@ -78,9 +78,9 @@ module Shields = struct
      through the remembered set in allocation order: the stride holds, as
      it did for the one 16384-slot table.  A 64-slot chunk is a young
      array, and a minor GC promotes its cells in index order, packing
-     index neighbours onto one line again: measured, it cost hpbench
-     [list] +4.5% [op_p50_ns] (won 1 of 6 pairs) and lost
-     [throughput_mops] in 6 of 6. *)
+     index neighbours onto one line again: against 1024-slot chunks it
+     cost hpbench [list] +6.3% [op_p50_ns] and +4.1% [cpu_ns_per_op]
+     (won 1 of 6 pairs in each). *)
   let build_chunk () =
     Hpbrcu_runtime.Layout.strided_init chunk_slots (fun _ -> Atomic.make empty)
 
