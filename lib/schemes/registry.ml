@@ -10,8 +10,7 @@
     Both are fixed-capacity tables with a high-water mark and a free list:
     grow-only scans are what real implementations do, and bounded capacity
     keeps scans cheap and allocation-free.  The shield table builds its
-    slots a 1024-slot chunk at a time, as [hwm] reaches them, so a domain
-    costs what its sessions register, not the whole capacity. *)
+    slots in chunks, as [hwm] reaches them (see {!Shields}). *)
 
 module Block = Hpbrcu_alloc.Block
 
