@@ -770,20 +770,28 @@ module Reclaim_bench = struct
     row ~kernel:"scan" ~scheme:"HP" ~hazards ~iters ~ops:1 ~gated:true
       (ns, words)
 
-  (* Words of either heap one HP-BRCU [domain-create] cycle may allocate.
-     It reads ~6.3k words on 2 lanes: one 1024-slot shield chunk (~3.1k),
-     the domain's own records, and ~13 stats counters of ~22 words per
-     lane.  A table that built all 16384 slots at [create], with 257
-     thread shards per counter, read ~62k.  The bound leaves ~45% headroom
-     and grows with [Counter.lanes], which the machine's recommended
-     domain count sets. *)
-  let domain_create_words =
-    8192. +. (512. *. float_of_int Hpbrcu_runtime.Counter.lanes)
+  (* Words of either heap one [domain-create] cycle of a gated scheme may
+     allocate; [None] for a reported row.  HP-BRCU reads ~4.8k words on 2
+     lanes: one 1024-slot shield chunk (~3.1k), one 64-slot participant
+     chunk, the domain's own records, and ~13 stats counters of ~22 words
+     per lane.  A shield table that built all 16384 slots at [create],
+     with 257 thread shards per counter, read ~62k.  RCU reads ~470 words:
+     the participant chunk, the session's records and 2 counters; with
+     all 512 participant slots built at [create] it read ~1.8k.  Both
+     bounds leave headroom and grow with [Counter.lanes], which the
+     machine's recommended domain count sets. *)
+  let domain_create_words scheme =
+    let lanes = float_of_int Hpbrcu_runtime.Counter.lanes in
+    match scheme with
+    | "HP-BRCU" -> Some (8192. +. (512. *. lanes))
+    | "RCU" -> Some (640. +. (64. *. lanes))
+    | _ -> None
 
   (* One cycle = create a domain, register one session, give it 8
      shields, unregister it and destroy the domain: what a per-structure
      reclamation domain costs to set up and tear down, in words of either
-     heap.  HP-BRCU's words per cycle are gated at [domain_create_words]. *)
+     heap.  HP-BRCU's and RCU's words per cycle are gated at
+     [domain_create_words]. *)
   let domain_create_kernel ~iters (module X : Smr_intf.SCHEME) =
     Alloc.reset ();
     let cycle () =
@@ -799,7 +807,7 @@ module Reclaim_bench = struct
     Alloc.reset ();
     let scheme = (X.caps Config.default).Hpbrcu_core.Caps.name in
     row ~kernel:"domain-create" ~scheme ~iters ~ops:1
-      ~gated:(scheme = "HP-BRCU") (ns, words)
+      ~gated:(domain_create_words scheme <> None) (ns, words)
 
   let dom_make ~scheme =
     Smr_intf.Dom.make ~scheme ~label:"bench" Config.default
@@ -1292,7 +1300,7 @@ module Reclaim_bench = struct
   let words_bound r =
     (match r.kernel with
     | "block-alloc" -> block_words
-    | "domain-create" -> domain_create_words
+    | "domain-create" -> Option.get (domain_create_words r.scheme)
     | _ -> 0.)
     +. gate_threshold
 
@@ -1350,9 +1358,11 @@ module Reclaim_bench = struct
       if bad = [] && slow_emit = [] && slow_flight = [] then begin
         Printf.printf "bench-reclaim: allocation gate passed (all gated \
                        kernels <= %.2f words/op, block-alloc <= %.0f, \
-                       domain-create <= %.0f, disabled emit < 10 ns, armed \
-                       flight emit <= 25 ns)\n"
-          gate_threshold block_words domain_create_words;
+                       domain-create <= %.0f (HP-BRCU) and %.0f (RCU), \
+                       disabled emit < 10 ns, armed flight emit <= 25 ns)\n"
+          gate_threshold block_words
+          (Option.get (domain_create_words "HP-BRCU"))
+          (Option.get (domain_create_words "RCU"));
         0
       end
       else 1

@@ -225,9 +225,10 @@ gate chaos-fibers chaos_fibers
 # NR, RCU, HP-RCU and HP-BRCU) must stay at zero minor-heap words per
 # cycle (threshold 0.05 words/op absorbs probe calibration noise),
 # block-alloc at one 8-word header per Alloc.block (), and domain-create
-# (one HP-BRCU domain created, given an 8-shield session and destroyed)
-# at 8192 + 512 x Counter.lanes words of either heap per cycle (~6.3k on
-# 2 lanes; HP and RCU rows are reported, not gated); the disabled emit
+# (one domain created, given an 8-shield session and destroyed) at
+# 8192 + 512 x Counter.lanes words of either heap per cycle for HP-BRCU
+# (~4.8k on 2 lanes) and 640 + 64 x Counter.lanes for RCU (~470 on 2
+# lanes; the HP row is reported, not gated); the disabled emit
 # additionally must stay single-digit ns.
 gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
   --out /tmp/BENCH_reclaim.ci.json

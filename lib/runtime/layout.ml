@@ -51,16 +51,22 @@ let spacer () = Array.make cache_line_words 0
     order: cell [i] and cell [i+1] are allocated ~[groups] allocations
     apart, so boxed cells at adjacent indices do not share a cache line
     even though the array of pointers itself is dense.  [f] is called
-    exactly once per index (plus once more for index 0, whose first
-    result seeds the array and is discarded when [n > 1]).  Scans that
-    walk the array in index order degrade into [groups] interleaved
-    sequential streams — hardware prefetchers handle that shape well. *)
+    exactly once per index, and must not return a float.  Scans that walk
+    the array in index order degrade into [groups] interleaved sequential
+    streams — hardware prefetchers handle that shape well. *)
 let strided_init ?(groups = 8) n f =
   if n <= 2 * groups || groups <= 1 then Array.init n f
   else begin
     let g = groups in
     let cols = (n + g - 1) / g in
-    let arr = Array.make n (f 0) in
+    (* Seeded with the immediate 0, not with a first result of [f]: an
+       array over [Max_young_wosize] is born in the major heap, and
+       [Array.make] empties the minor heap before it stores a young seed
+       into one.  The placeholder never escapes, as every index is
+       overwritten below before the array is returned; and since [f]
+       returns no float, the array is an ordinary block array, as
+       [Array.init] would have made it. *)
+    let arr = Array.make n (Obj.magic 0) in
     (* Allocation proceeds down the columns of a [g × cols] grid whose
        rows are index-contiguous: consecutive allocations are [cols]
        apart in index, consecutive indices are [g] allocations apart in
@@ -68,7 +74,7 @@ let strided_init ?(groups = 8) n f =
     for c = 0 to cols - 1 do
       for r = 0 to g - 1 do
         let i = (r * cols) + c in
-        if i > 0 && i < n then arr.(i) <- f i
+        if i < n then arr.(i) <- f i
       done
     done;
     arr

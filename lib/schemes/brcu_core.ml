@@ -16,8 +16,8 @@
     at most [2GN + GN² + H] unreclaimed blocks.
 
     Since the first-class-domain redesign all of this — global epoch,
-    registry, TASKS stack, quarantine lot, counters, the tid→local lookup
-    and the laggard witness — lives in a {!domain} record.  Signal boxes
+    registry, TASKS stack, quarantine lot, counters and the laggard
+    witness — lives in a {!domain} record.  Signal boxes
     are attached with the domain's id and every neutralization send is
     stamped with it, so one domain's forced advances can never page
     readers of another domain ({!Hpbrcu_runtime.Signal}'s routing fence).
@@ -114,14 +114,6 @@ type domain = {
      on every check, so it can only err towards the full walk. *)
   lag_epoch : int Atomic.t;
   lag_local : local option Atomic.t;
-  locals_by_tid : local option array;
-      (* thread-id → local lookup so that operations without a handle in
-         scope (shield protection during checkpoints) can still act as
-         signal delivery points — in the paper a signal can land between
-         any two instructions, in particular between the two protect
-         stores of a checkpoint (the case double buffering exists for,
-         §4.3).  Per-domain: a tid can hold one local in each domain it
-         registered with. *)
   force_threshold : int;
   max_local_tasks : int;
   abort_masking : bool;
@@ -145,7 +137,6 @@ let create ?execute meta =
     lag_gauge = Stats.Gauge.make ();
     lag_epoch = Atomic.make (-1);
     lag_local = Atomic.make None;
-    locals_by_tid = Array.make Sched.max_threads None;
     force_threshold = cfg.Hpbrcu_core.Config.force_threshold;
     max_local_tasks = cfg.Hpbrcu_core.Config.max_local_tasks;
     abort_masking = cfg.Hpbrcu_core.Config.abort_masking;
@@ -171,9 +162,6 @@ let register d =
   in
   Signal.attach ~domain:(Dom.id d.meta) l.box;
   let idx = Registry.Participants.add d.participants l in
-  let tid = Sched.self () in
-  if tid >= 0 && tid < Array.length d.locals_by_tid then
-    d.locals_by_tid.(tid) <- Some l;
   { d; l; idx; ltasks = Vec.create (dummy_entry ()); push_cnt = 0 }
 
 let epoch d = Atomic.get d.global
@@ -198,21 +186,11 @@ let handler d l () =
    keep [poll] from inlining. *)
 let poll_slow h = Signal.poll h.l.box ~handler:(handler h.d h.l)
 
-(** Neutralization delivery point: every mediated read/deref polls.  The
-    [deliverable] test comes first so that the common no-signal poll does
-    not allocate the [handler] closure; it inlines into the caller. *)
+(** Neutralization delivery point: every mediated read/deref polls, and
+    so does HP-BRCU's shield store.  The [deliverable] test comes first so
+    that the common no-signal poll does not allocate the [handler]
+    closure; it inlines into the caller. *)
 let[@inline] poll h = if Signal.deliverable h.l.box then poll_slow h
-
-(** Delivery point for contexts that only know the calling thread and the
-    domain (e.g. shield stores inside a checkpoint). *)
-let poll_self d =
-  let tid = Sched.self () in
-  if tid >= 0 && tid < Array.length d.locals_by_tid then
-    match d.locals_by_tid.(tid) with
-    | Some l when Signal.deliverable l.box ->
-        Signal.poll l.box ~handler:(handler d l)
-    | Some _
-    | None -> ()
 
 let in_cs h = h.l.status <> st_out
 
@@ -490,11 +468,6 @@ let unregister h =
   assert (not (in_cs h));
   flush h;
   Signal.detach h.l.box;
-  let tid = Sched.self () in
-  (if tid >= 0 && tid < Array.length h.d.locals_by_tid then
-     match h.d.locals_by_tid.(tid) with
-     | Some l when l == h.l -> h.d.locals_by_tid.(tid) <- None
-     | _ -> ());
   Registry.Participants.remove h.d.participants h.idx
 
 (** Domain teardown: the run is over and every fiber (crashed ones
@@ -508,7 +481,6 @@ let drain d =
   in
   drain_stack d.tasks;
   drain_stack d.leaked;
-  Array.fill d.locals_by_tid 0 (Array.length d.locals_by_tid) None;
   Registry.Participants.reset d.participants;
   Atomic.set d.global 2;
   Atomic.set d.lag_epoch (-1);

@@ -17,9 +17,9 @@
     bound of §5: at most [2GN + GN² + H] unreclaimed blocks with
     [G = max_local_tasks × force_threshold], [N] threads and [H] shields.
 
-    Both halves share one {!Smr_intf.Dom.t}; shields close over the BRCU
-    domain so the simulator's checkpoint delivery point can poll the
-    owning domain's pending signals.  The paper's ablation mutants
+    Both halves share one {!Smr_intf.Dom.t}; a shield carries its
+    session's BRCU handle, so the simulator's checkpoint delivery point
+    polls that session's own signal box.  The paper's ablation mutants
     (no-masking, no-double-buffering) are no longer separate functors:
     they are just domains created from configs with [abort_masking] or
     [double_buffering] off. *)
@@ -97,9 +97,13 @@ module Impl : Smr_intf.SCHEME = struct
       Dom.finish_destroy d.meta
     end
 
-  (* The HP slot plus the BRCU domain: the checkpoint delivery point must
-     poll the owning domain's pending signals, not some global. *)
-  type shield = { hs : H.shield; sbd : B.domain }
+  (* The HP slot plus the BRCU handle of the session that owns it.  A
+     shield belongs to one session, and a checkpoint runs inside that
+     session's own [crit], so the handle is the one a signal aimed at the
+     checkpoint's section lands on: in the paper a signal can land between
+     any two instructions, in particular between the two protect stores of
+     a checkpoint (the case double buffering exists for, §4.3). *)
+  type shield = { hs : H.shield; sbh : B.handle }
 
   (* The running traversal's state lives in the handle, and [section] —
      the critical-section body — is built once per handle, so neither a
@@ -223,7 +227,7 @@ module Impl : Smr_intf.SCHEME = struct
     B.flush h.bh;
     H.flush h.hh
 
-  let new_shield h = { hs = H.new_shield h.hh; sbd = h.d.bd }
+  let new_shield h = { hs = H.new_shield h.hh; sbh = h.bh }
 
   (* A shield store is a preemption and delivery point: the paper's
      signals are truly asynchronous and can abort a checkpoint between its
@@ -236,7 +240,7 @@ module Impl : Smr_intf.SCHEME = struct
        store is just a store. *)
     if Sched.fiber_mode () then begin
       Sched.yield ();
-      B.poll_self s.sbd
+      B.poll s.sbh
     end
 
   let clear s = H.clear s.hs

@@ -337,6 +337,38 @@ let test_bare_rollback cfg ~masked =
   Alcotest.(check int) (name ^ ": one rollback") 1 (B.stats bd).Stats.rollbacks;
   Alcotest.(check int) (name ^ ": section re-ran once") 2 !runs
 
+(* A checkpoint's shield store polls the signal box of the session that
+   owns the shield.  One fiber registers handle A, then handle B, in one
+   HP-BRCU domain.  Inside A's section two of B's retires flush: the
+   first advances the epoch past A's announcement, so the second
+   neutralizes A.  The next protect on A's shield must roll A's section
+   back, although B is the handle the fiber registered last. *)
+let test_checkpoint_polls_own_handle () =
+  reset ();
+  let module X = Hpbrcu_schemes.Hp_brcu.Impl in
+  let d = X.create ~label:"test" self_cfg in
+  let runs = ref 0 in
+  Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:1 (fun _ ->
+      let a = X.register d in
+      let b = X.register d in
+      let s = X.new_shield a in
+      let blk = Alloc.block () in
+      X.crit a (fun () ->
+          incr runs;
+          if !runs = 1 then begin
+            for _ = 1 to 2 do
+              X.retire b (Alloc.block ())
+            done;
+            X.protect s blk
+          end);
+      X.clear s;
+      X.unregister b;
+      X.unregister a);
+  Alcotest.(check int) "one rollback" 1 (X.stats d).Stats.rollbacks;
+  Alcotest.(check int) "section re-ran once" 2 !runs;
+  X.destroy ~force:true d;
+  Alloc.reset ()
+
 (* The §5 bound: with G = max_local_tasks × force_threshold, N threads and
    H shields, peak unreclaimed ≤ 2GN + GN² + H (we run HP-BRCU under churn
    and check the measured peak against the formula). *)
@@ -740,6 +772,8 @@ let () =
           Alcotest.test_case "bare-rollback" `Quick (test_bare_rollback self_cfg ~masked:false);
           Alcotest.test_case "unmasked-rollback" `Quick
             (test_bare_rollback { self_cfg with abort_masking = false } ~masked:true);
+          Alcotest.test_case "checkpoint-polls-own-handle" `Quick
+            test_checkpoint_polls_own_handle;
         ] );
       ( "flush",
         [

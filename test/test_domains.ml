@@ -96,7 +96,7 @@ let test_shields_across_chunks () =
     for _ = 1 to bumps do Counter.incr c done
   in
   List.iter Domain.join [ Domain.spawn (worker 0); Domain.spawn (worker 1) ];
-  Alcotest.(check int) "hwm" (2 * per) (Atomic.get t.S.hwm);
+  Alcotest.(check int) "hwm" (2 * per) (Atomic.get t.Registry.Table.hwm);
   let ids = Idset.create () in
   S.snapshot t ids;
   Idset.sort ids;
@@ -108,6 +108,40 @@ let test_shields_across_chunks () =
     blocks;
   Alcotest.(check int) "counter sum" (2 * bumps) (Counter.value c);
   Alloc.reset ()
+
+(* Two domains add 100 participants each at once, so the 64-slot chunks
+   past the first are built while the other side is adding: one [iter]
+   after the join visits all 200.  Then two domains race [remove_where]
+   at one participant, and exactly one of them clears it. *)
+let test_participants_across_chunks () =
+  let module P = Registry.Participants in
+  let per = 100 in
+  let t = P.create () in
+  let ready = Atomic.make 0 in
+  let race f =
+    Atomic.set ready 0;
+    let worker w () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      f w
+    in
+    List.map Domain.join [ Domain.spawn (worker 0); Domain.spawn (worker 1) ]
+  in
+  ignore
+    (race (fun w ->
+         for i = 0 to per - 1 do
+           ignore (P.add t ((w * per) + i) : int)
+         done)
+      : unit list);
+  let seen = Array.make (2 * per) 0 in
+  P.iter t (fun v -> seen.(v) <- seen.(v) + 1);
+  Alcotest.(check (array int)) "iter visits each once" (Array.make (2 * per) 1) seen;
+  let wins = race (fun _ -> P.remove_where t (fun v -> v = per + (per / 2))) in
+  Alcotest.(check int) "one ejector clears it" 1
+    (List.length (List.filter Fun.id wins));
+  let left = ref 0 in
+  P.iter t (fun _ -> incr left);
+  Alcotest.(check int) "the rest remain" ((2 * per) - 1) !left
 
 let test_exhausted_parity () =
   on_fibers exhaust_check;
@@ -430,6 +464,8 @@ let () =
         [
           Alcotest.test_case "shields across chunks, counter lanes" `Quick
             test_shields_across_chunks;
+          Alcotest.test_case "participants across chunks" `Quick
+            test_participants_across_chunks;
         ] );
       ( "scoped",
         [

@@ -267,7 +267,7 @@ let test_shields_exhaustion () =
   let all =
     Array.init Registry.Shields.max_shields (fun _ -> Registry.Shields.alloc t)
   in
-  let hwm () = Atomic.get t.Registry.Shields.hwm in
+  let hwm () = Atomic.get t.Registry.Table.hwm in
   Alcotest.(check int) "full" Registry.Shields.max_shields (hwm ());
   for _ = 1 to 3 do
     (try
@@ -312,11 +312,29 @@ let test_shields_second_chunk () =
   let s' = S.alloc t in
   Alcotest.(check int) "chunk-1 index recycled via free list" s.S.idx s'.S.idx;
   Alcotest.(check bool) "same cell" true (s'.S.slot == s.S.slot);
-  Alcotest.(check int) "hwm untouched" (S.chunk_slots + 1) (Atomic.get t.S.hwm);
+  Alcotest.(check int) "hwm untouched" (S.chunk_slots + 1) (Atomic.get t.Registry.Table.hwm);
   S.protect s' b;
   S.reset t;
   Alcotest.(check int) "reset empties chunk 1" 0 (snapshot ());
   Hpbrcu_alloc.Alloc.reset ()
+
+(* Building a shield chunk forces no minor collection: a 1024-slot chunk
+   is born in the major heap, and [Layout.strided_init] seeds it with an
+   immediate, not with a young block that [Array.make] would first have
+   to promote. *)
+let test_chunk_build_no_minor_gc () =
+  let module S = Registry.Shields in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let tables =
+    Array.init 8 (fun _ ->
+        let t = S.create () in
+        ignore (S.alloc t : S.shield);
+        t)
+  in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore (Sys.opaque_identity tables);
+  Alcotest.(check int) "minor collections" 0 (after - before)
 
 let test_participants_exhaustion () =
   let t = Registry.Participants.create () in
@@ -324,7 +342,7 @@ let test_participants_exhaustion () =
     Array.init Registry.Participants.capacity (fun i ->
         Registry.Participants.add t i)
   in
-  let hwm () = Atomic.get t.Registry.Participants.hwm in
+  let hwm () = Atomic.get t.Registry.Table.hwm in
   Alcotest.(check int) "full" Registry.Participants.capacity (hwm ());
   for _ = 1 to 3 do
     (try
@@ -484,6 +502,8 @@ let () =
             test_shields_second_chunk;
           Alcotest.test_case "participants-exhaustion" `Quick
             test_participants_exhaustion;
+          Alcotest.test_case "chunk-build-no-minor-gc" `Quick
+            test_chunk_build_no_minor_gc;
         ] );
       ( "determinism",
         [
