@@ -777,20 +777,22 @@ module Reclaim_bench = struct
      per lane.  A shield table that built all 16384 slots at [create],
      with 257 thread shards per counter, read ~62k.  RCU reads ~470 words:
      the participant chunk, the session's records and 2 counters; with
-     all 512 participant slots built at [create] it read ~1.8k.  Both
-     bounds leave headroom and grow with [Counter.lanes], which the
+     all 512 participant slots built at [create] it read ~1.8k.  IBR
+     reads ~450 words under RCU's bound: its session's snapshot arrays
+     start at 8 pairs, and sized to the registry's 512 they read ~1.5k.
+     The bounds leave headroom and grow with [Counter.lanes], which the
      machine's recommended domain count sets. *)
   let domain_create_words scheme =
     let lanes = float_of_int Hpbrcu_runtime.Counter.lanes in
     match scheme with
     | "HP-BRCU" -> Some (8192. +. (512. *. lanes))
-    | "RCU" -> Some (640. +. (64. *. lanes))
+    | "RCU" | "IBR" -> Some (640. +. (64. *. lanes))
     | _ -> None
 
   (* One cycle = create a domain, register one session, give it 8
      shields, unregister it and destroy the domain: what a per-structure
      reclamation domain costs to set up and tear down, in words of either
-     heap.  HP-BRCU's and RCU's words per cycle are gated at
+     heap.  HP-BRCU's, RCU's and IBR's words per cycle are gated at
      [domain_create_words]. *)
   let domain_create_kernel ~iters (module X : Smr_intf.SCHEME) =
     Alloc.reset ();
@@ -1023,42 +1025,6 @@ module Reclaim_bench = struct
     in
     row ~kernel:"yield" ~scheme:"-" ~iters ~ops ~gated:true (ns, words)
 
-  (* The P0484-style scoped guards (Smr_intf.Scoped): with_op/with_crit/
-     with_mask are direct aliases of the underlying phase combinators, so
-     the guard layer must add exactly nothing over the bare phases.  The
-     gated number is the guarded-minus-bare allocation delta (EBR's op
-     allocates its retry closure by design — DESIGN.md §9 — in both
-     columns, so it cancels). *)
-  let guards_kernel ~iters =
-    let module X = Ebr.Impl in
-    let module G = Smr_intf.Scoped (X) in
-    Alloc.reset ();
-    let d = X.create ~label:"bench-guards" Config.default in
-    let h = X.register d in
-    let ops = 256 in
-    let body = fun () -> () in
-    let bare () =
-      for _ = 1 to ops do
-        X.op h body;
-        X.crit h body;
-        X.mask h body
-      done
-    in
-    let guarded () =
-      for _ = 1 to ops do
-        G.with_op h body;
-        G.with_crit h body;
-        G.with_mask h body
-      done
-    in
-    let _, bare_words = measure ~iters bare in
-    let ns, words = measure ~iters guarded in
-    X.unregister h;
-    X.destroy ~force:true d;
-    Alloc.reset ();
-    row ~kernel:"guards" ~scheme:"EBR" ~iters ~ops:(ops * 3) ~gated:true
-      (ns, Float.max 0. (words -. bare_words))
-
   let brcu_advance_kernel ~iters =
     let bd = Brcu_core.create (dom_make ~scheme:"BRCU") in
     let hs = Array.init 64 (fun _ -> Brcu_core.register bd) in
@@ -1097,14 +1063,21 @@ module Reclaim_bench = struct
     Alloc.reset ();
     row ~kernel:"block-alloc" ~scheme:"-" ~iters ~ops ~gated:true (ns, words)
 
+  (* Words one HHSList [get] allocates besides its walk: 24.9 under NR,
+     RCU, HP-RCU and HP-BRCU alike, none of it the operation frame.  A
+     retry frame around the body read 4-8 words more (NR 29.9, RCU 32.9,
+     HP-RCU 28.9). *)
+  let traverse_get_words = 25.
+
   (* The Traverse read path (DESIGN.md §9): an HHSList [get] of an absent
      key beyond the tail, which walks every node, on a 128-node and on a
      1024-node list.  The difference of the two costs per get, over the
      896 extra nodes, is the cost per traversed node, with every per-get
      constant (op wrapper, critical-section entry, final protect)
-     cancelled: gated at zero words per node.  Reported, not gated, on a
-     [traverse-get] row: the 128-node get's ns, and its per-get constant
-     in words (the 128-node get less 128 nodes' worth). *)
+     cancelled: gated at zero words per node.  A [traverse-get] row
+     reports the 128-node get's ns and gates its per-get constant in
+     words (the 128-node get less 128 nodes' worth) at
+     [traverse_get_words]. *)
   let traverse_kernels ~iters (module X : Smr_intf.SCHEME) =
     Alloc.reset ();
     let d = X.create ~label:"bench-walk" Config.default in
@@ -1132,7 +1105,7 @@ module Reclaim_bench = struct
     [
       row ~kernel:"traverse-walk" ~scheme ~iters ~ops:1 ~gated:true
         (ns_node, words_node);
-      row ~kernel:"traverse-get" ~scheme ~iters ~ops:1 ~gated:false
+      row ~kernel:"traverse-get" ~scheme ~iters ~ops:1 ~gated:true
         (ns_s, Float.max 0. (words_s -. (float_of_int short *. words_node)));
     ]
 
@@ -1252,10 +1225,10 @@ module Reclaim_bench = struct
       create (module Hp_brcu.Impl : Smr_intf.SCHEME);
       create (module Hp.Impl : Smr_intf.SCHEME);
       create (module Ebr.Impl : Smr_intf.SCHEME);
+      create (module Ibr.Impl : Smr_intf.SCHEME);
       pin_kernel ~iters:(it 1000);
       brcu_crit_kernel ~iters:(it 1000);
       advance_kernel ~iters:(it 1000);
-      guards_kernel ~iters:(it 1000);
       brcu_advance_kernel ~iters:(it 500);
       trace_emit_off_kernel ~iters:(it 2000);
       flight_emit_kernel ~iters:(it 2000);
@@ -1296,11 +1269,13 @@ module Reclaim_bench = struct
   let gate_threshold = 0.05
 
   (* Words per op a gated row may allocate: none, except one header per
-     [block-alloc] op and one domain's setup per [domain-create] cycle. *)
+     [block-alloc] op, one domain's setup per [domain-create] cycle and
+     one get's constant per [traverse-get]. *)
   let words_bound r =
     (match r.kernel with
     | "block-alloc" -> block_words
     | "domain-create" -> Option.get (domain_create_words r.scheme)
+    | "traverse-get" -> traverse_get_words
     | _ -> 0.)
     +. gate_threshold
 
@@ -1358,11 +1333,13 @@ module Reclaim_bench = struct
       if bad = [] && slow_emit = [] && slow_flight = [] then begin
         Printf.printf "bench-reclaim: allocation gate passed (all gated \
                        kernels <= %.2f words/op, block-alloc <= %.0f, \
-                       domain-create <= %.0f (HP-BRCU) and %.0f (RCU), \
-                       disabled emit < 10 ns, armed flight emit <= 25 ns)\n"
+                       domain-create <= %.0f (HP-BRCU) and %.0f (RCU, IBR), \
+                       traverse-get <= %.0f, disabled emit < 10 ns, armed \
+                       flight emit <= 25 ns)\n"
           gate_threshold block_words
           (Option.get (domain_create_words "HP-BRCU"))
-          (Option.get (domain_create_words "RCU"));
+          (Option.get (domain_create_words "RCU"))
+          traverse_get_words;
         0
       end
       else 1

@@ -227,9 +227,11 @@ gate chaos-fibers chaos_fibers
 # block-alloc at one 8-word header per Alloc.block (), and domain-create
 # (one domain created, given an 8-shield session and destroyed) at
 # 8192 + 512 x Counter.lanes words of either heap per cycle for HP-BRCU
-# (~4.8k on 2 lanes) and 640 + 64 x Counter.lanes for RCU (~470 on 2
-# lanes; the HP row is reported, not gated); the disabled emit
-# additionally must stay single-digit ns.
+# (~4.8k on 2 lanes) and 640 + 64 x Counter.lanes for RCU and IBR (~470
+# and ~450 on 2 lanes; the HP row is reported, not gated), and
+# traverse-get (an HHSList get's per-get constant under NR, RCU, HP-RCU
+# and HP-BRCU) at 25 words; the disabled emit additionally must stay
+# single-digit ns.
 gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
   --out /tmp/BENCH_reclaim.ci.json
 

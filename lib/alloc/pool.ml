@@ -65,11 +65,9 @@ let pop t =
   go 0
 
 (** [acquire t] returns a recycled node if one is available ([None] means
-    the caller must allocate fresh).  The caller is responsible for
-    reanimating the embedded {!Block.t} (the VBR scheme does this so the
-    era/version bookkeeping stays in one place).  An injected
-    [Exhaust_pool] fault makes this miss even when the free list is
-    non-empty, exercising the fresh-allocation path under reuse
+    the caller must allocate fresh); {!reuse} reanimates its block.  An
+    injected [Exhaust_pool] fault makes this miss even when the free list
+    is non-empty, exercising the fresh-allocation path under reuse
     pressure. *)
 let acquire t =
   if Fault.active () && Fault.on_pool_acquire ~tid:(Sched.self ()) then None
@@ -82,6 +80,46 @@ let acquire t =
 
 (** [release t x] returns [x] to the pool for reuse. *)
 let release t x = push t x
+
+(* The life cycle of a node a structure may draw from a pool: VBR's
+   reuse-or-allocate decision, written once.  [recycles] is the scheme's
+   [recycles] flag (a scheme that does not recycle never touches a pool)
+   and [blk] projects a node's block. *)
+
+(** [reuse ~recycles t ~blk ~era] returns a pooled node reanimated at
+    [era], or [None] when the caller must allocate ({!fresh}).  Reuse is
+    cross-era only (see VBR's module comment): the block must have been
+    retired before [era].  The caller reads [era] before the pop, so on
+    domains another thread may advance the era and retire (and VBR pool)
+    a node after that read; such a node, retired at or after [era], goes
+    back to the pool, as does one that [fits], a structure's own filter,
+    refuses.  A reused node is thus always born strictly after its
+    retirement.  The caller resets the node's fields. *)
+let reuse ~recycles ?(fits = fun _ -> true) t ~blk ~era =
+  if not recycles then None
+  else
+    match acquire t with
+    | Some n when fits n && Block.retire_era (blk n) < era ->
+        Alloc.reanimate (blk n) ~era;
+        Some n
+    | Some n ->
+        release t n;
+        None
+    | None -> None
+
+(** [fresh ~recycles ~era] is the block of a newly allocated node, born
+    at [era]: IBR and VBR compare lifetimes by it. *)
+let fresh ~recycles ~era =
+  let b = Alloc.block ~recyclable:recycles () in
+  Block.set_birth_era b ~era;
+  b
+
+(** [discard ~recycles t ~blk n] gives back a node that was allocated but
+    never published: to the pool under a recycling scheme, otherwise to
+    the allocator as abandoned, or the leak-at-quiescence oracle
+    (DESIGN.md §11) would count it as stranded by a lost retirement. *)
+let discard ~recycles t ~blk n =
+  if recycles then release t n else Alloc.abandon (blk n)
 
 (** [free_hook ~recycles t x] — the [free] callback to retire [x] with:
     return it to [t] after reclamation under a recycling scheme, and no

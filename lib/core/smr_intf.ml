@@ -17,10 +17,11 @@
     The phase discipline underneath is unchanged and is what the paper
     compares:
 
-    - {!S.op} wraps a whole operation.  EBR pins an epoch for its entire
-      extent; VBR/PEBR put their announce-and-retry loop here; most
-      others are transparent retry-on-{!S.Restart} loops, and HP-BRCU,
-      which never raises it, runs the body directly.
+    - {!S.op} wraps a whole operation.  RCU pins an epoch for its entire
+      extent and IBR opens its reservation interval; VBR and PEBR put
+      their announce-and-restart loop here, around a private exception
+      that only their own [read]/[deref] raise.  Every other scheme runs
+      the body directly: no retry frame, no closure.
     - {!S.read} mediates every traversal link load.  HP-family schemes run
       the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here,
       into a ring of {!hop_ring} shields the handle owns — the "per-node
@@ -45,10 +46,11 @@
       block header carries the owning domain's id so the allocator debits
       the right domain's unreclaimed watermark at reclaim time.
 
-    Concurrency/rollback contract: scheme methods may raise two exceptions.
-    [Rollback] (scheme-internal) unwinds to the nearest {!S.crit}; {!S.Restart}
-    unwinds to {!S.op}.  Data-structure code must therefore be
-    abort-rollback-safe inside critical sections (paper R3): shared-memory
+    Concurrency/rollback contract: a scheme's [Rollback] (scheme-internal)
+    unwinds to the nearest {!S.crit}, and VBR's and PEBR's restart unwinds
+    to their own {!S.op}; neither escapes the scheme.  Data-structure code
+    must therefore be abort-rollback-safe inside critical sections (paper
+    R3), and inside a whole operation under VBR and PEBR: shared-memory
     writes that cannot be repeated go inside {!S.mask}. *)
 
 module Block = Hpbrcu_alloc.Block
@@ -306,8 +308,6 @@ module type SCHEME = sig
 
   (** {1 Phases} *)
 
-  exception Restart
-
   val op : handle -> (unit -> 'a) -> 'a
   val crit : handle -> (unit -> 'a) -> 'a
   val mask : handle -> (unit -> 'a) -> 'a
@@ -389,13 +389,11 @@ module type S = sig
 
   (** {1 Phases} *)
 
-  exception Restart
-  (** Coarse-grained operation restart: raised by [read]/[deref] in schemes
-      that recover by re-running the whole operation (VBR, PEBR).  {!op}
-      catches it. *)
-
   val op : handle -> (unit -> 'a) -> 'a
-  (** Wrap one data-structure operation (the unit of linearization). *)
+  (** Wrap one data-structure operation (the unit of linearization).  VBR
+      and PEBR re-run the body from scratch when a [read]/[deref] inside
+      it finds the operation invalidated; every other scheme runs it
+      once. *)
 
   val crit : handle -> (unit -> 'a) -> 'a
   (** Critical section.  For rollback-capable schemes the body may run many
@@ -421,8 +419,8 @@ module type S = sig
       across the handle's next [hop_ring - 1] reads; a cursor that holds
       more nodes than that across hops keeps the rest in lasting shields
       of its own.  BRCU-family: plain load, after polling for
-      neutralization.  VBR: plain load, then era validation (may raise
-      {!Restart}). *)
+      neutralization.  VBR: plain load, then era validation (may restart
+      the enclosing {!op}). *)
 
   val deref : handle -> Block.t -> unit
   (** Declare an access to a node's fields other than its links (key,
@@ -524,8 +522,6 @@ end) : S = struct
   let protect = X.protect
   let clear = X.clear
 
-  exception Restart = X.Restart
-
   let op = X.op
   let crit = X.crit
   let mask = X.mask
@@ -536,31 +532,4 @@ end) : S = struct
   let current_era () = X.current_era D.it
   let traverse = X.traverse
   let stats () = X.stats D.it
-end
-
-(* ------------------------------------------------------------------ *)
-(* P0484-style scoped guards                                           *)
-(* ------------------------------------------------------------------ *)
-
-(** Scoped-guard combinators over a domain-valued scheme, mirroring
-    P0484's RAII types ([rcu_reader] ≈ {!with_session}+{!with_crit};
-    [rcu_domain::retire] ≈ the intrusive {!SCHEME.retire}).  The phase
-    guards are direct aliases of the scheme's own combinators — zero
-    additional allocation per guarded region, which check.sh's allocation
-    gate enforces — while {!with_session} pairs register/unregister
-    exception-safely on the cold path. *)
-module Scoped (X : SCHEME) = struct
-  (** [with_session d f] — register a participant for the extent of [f].
-      Cold path (slot allocation); don't wrap per-operation code in it. *)
-  let with_session d f =
-    let h = X.register d in
-    Fun.protect ~finally:(fun () -> X.unregister h) (fun () -> f h)
-
-  let with_op = X.op
-  let with_crit = X.crit
-  let with_mask = X.mask
-
-  (** [with_flush h f] — run [f] and flush the handle's deferred batches
-      on the way out, even on exceptions. *)
-  let with_flush h f = Fun.protect ~finally:(fun () -> X.flush h) (fun () -> f h)
 end

@@ -92,35 +92,18 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* ---------------- allocation (pool-aware for VBR) ---------------- *)
 
   let alloc_node t key value =
-    let reuse =
-      if not S.recycles then None
-      else
-        match Pool.acquire t.pool with
-        | Some n when Block.retire_era n.blk <> S.current_era () ->
-            (* Cross-era reuse only: see Vbr's module comment. *)
-            Alloc.reanimate n.blk ~era:(S.current_era ());
-            n.key <- key;
-            n.value <- value;
-            Link.set (next_cell n) Link.null;
-            Some n
-        | Some n ->
-            Pool.release t.pool n;
-            None
-        | None -> None
-    in
-    match reuse with
-    | Some n -> n
+    let era = S.current_era () in
+    match Pool.reuse ~recycles:S.recycles t.pool ~blk ~era with
+    | Some n ->
+        n.key <- key;
+        n.value <- value;
+        Link.set (next_cell n) Link.null;
+        n
     | None ->
-        let b = Alloc.block ~recyclable:S.recycles () in
-        Block.set_birth_era b ~era:(S.current_era ());
+        let b = Pool.fresh ~recycles:S.recycles ~era in
         { next_ = Link.null_tagged 0; blk = b; key; value; pool = t.pool }
 
-  (* A node that was allocated but never published: recyclers take it back
-     into the pool; everyone else must tell the allocator it was abandoned,
-     or the leak-at-quiescence oracle (DESIGN.md §11) would book it as
-     stranded by a lost retirement. *)
-  let discard t n =
-    if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
+  let discard t n = Pool.discard ~recycles:S.recycles t.pool ~blk n
 
   (* ---------------- Traverse plumbing (Algorithm 8) ---------------- *)
 

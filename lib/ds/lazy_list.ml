@@ -61,51 +61,36 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     w : S.shield walker;
   }
 
-  let mk_node ?(recyclable = false) key value =
+  let mk_node blk key value =
     {
       next_ = Link.null_tagged 0;
-      blk = Alloc.block ~recyclable ();
+      blk;
       key;
       value;
       lock = Atomic.make false;
       marked = Atomic.make false;
     }
 
-  let create () = { head = mk_node min_int 0; pool = Pool.create () }
+  let create () =
+    { head = mk_node (Alloc.block ()) min_int 0; pool = Pool.create () }
 
   let close_session s =
     S.flush s.h;
     S.unregister s.h
 
   let alloc_node t key value =
-    let reuse =
-      if not S.recycles then None
-      else
-        match Pool.acquire t.pool with
-        | Some n when Block.retire_era n.blk <> S.current_era () ->
-            Alloc.reanimate n.blk ~era:(S.current_era ());
-            n.key <- key;
-            n.value <- value;
-            Link.set (next_cell n) Link.null;
-            Atomic.set n.lock false;
-            Atomic.set n.marked false;
-            Some n
-        | Some n ->
-            Pool.release t.pool n;
-            None
-        | None -> None
-    in
-    match reuse with
-    | Some n -> n
-    | None ->
-        let n = mk_node ~recyclable:S.recycles key value in
-        Block.set_birth_era n.blk ~era:(S.current_era ());
+    let era = S.current_era () in
+    match Pool.reuse ~recycles:S.recycles t.pool ~blk ~era with
+    | Some n ->
+        n.key <- key;
+        n.value <- value;
+        Link.set (next_cell n) Link.null;
+        Atomic.set n.lock false;
+        Atomic.set n.marked false;
         n
+    | None -> mk_node (Pool.fresh ~recycles:S.recycles ~era) key value
 
-  (* Unpublished node: back to the pool, or booked as abandoned so the
-     leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
-  let discard t n =
-    if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
+  let discard t n = Pool.discard ~recycles:S.recycles t.pool ~blk n
 
   (* Spin lock; only ever taken in write phases on shield-protected
      nodes.  Never called while the deadline-protected section holds

@@ -73,10 +73,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     w : S.shield walker;
   }
 
-  let mk_leaf ?(recyclable = false) key value =
-    let b = Alloc.block ~recyclable () in
+  let mk_leaf blk key value =
     {
-      blk = b;
+      blk;
       key;
       value;
       leaf = true;
@@ -87,9 +86,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let create () =
     (* R(inf2) -- left --> S(inf1) -- left --> leaf(inf0);
        right children are sentinel leaves. *)
-    let l_inf0 = mk_leaf inf0 0 in
-    let l_inf1 = mk_leaf inf1 0 in
-    let l_inf2 = mk_leaf inf2 0 in
+    let l_inf0 = mk_leaf (Alloc.block ()) inf0 0 in
+    let l_inf1 = mk_leaf (Alloc.block ()) inf1 0 in
+    let l_inf2 = mk_leaf (Alloc.block ()) inf2 0 in
     let s =
       {
         blk = Alloc.block ();
@@ -116,34 +115,21 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.flush s.h;
     S.unregister s.h
 
+  (* The pool holds retired internals too; only a leaf is reused. *)
+  let is_leaf n = n.leaf
+
   let alloc_leaf t key value =
-    let reuse =
-      if not S.recycles then None
-      else
-        match Pool.acquire t.pool with
-        | Some n
-          when n.leaf && Block.retire_era n.blk <> S.current_era () ->
-            Alloc.reanimate n.blk ~era:(S.current_era ());
-            n.key <- key;
-            n.value <- value;
-            Some n
-        | Some n ->
-            Pool.release t.pool n;
-            None
-        | None -> None
-    in
-    match reuse with
-    | Some n -> n
-    | None ->
-        let n = mk_leaf ~recyclable:S.recycles key value in
-        Block.set_birth_era n.blk ~era:(S.current_era ());
+    let era = S.current_era () in
+    match Pool.reuse ~recycles:S.recycles ~fits:is_leaf t.pool ~blk ~era with
+    | Some n ->
+        n.key <- key;
+        n.value <- value;
         n
+    | None -> mk_leaf (Pool.fresh ~recycles:S.recycles ~era) key value
 
   let alloc_internal key ~left ~right =
-    let b = Alloc.block ~recyclable:S.recycles () in
-    Block.set_birth_era b ~era:(S.current_era ());
     {
-      blk = b;
+      blk = Pool.fresh ~recycles:S.recycles ~era:(S.current_era ());
       key;
       value = 0;
       leaf = false;
@@ -372,10 +358,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           seek t s key ~hold:true;
           let c = s.live and found = s.found in
           if found then begin
-            (* Unpublished leaf: pool it, or book it as abandoned so the
-               leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
-            if S.recycles then Pool.release t.pool leaf
-            else Alloc.abandon leaf.blk;
+            Pool.discard ~recycles:S.recycles t.pool ~blk leaf;
             false
           end
           else if Link.tag c.plink <> 0 then begin

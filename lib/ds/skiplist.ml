@@ -103,33 +103,19 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let alloc_node t s key value =
     let h = random_height s in
-    let reuse =
-      if not S.recycles then None
-      else
-        match Pool.acquire t.pools.(h) with
-        | Some n when Block.retire_era n.blk <> S.current_era () ->
-            Alloc.reanimate n.blk ~era:(S.current_era ());
-            n.key <- key;
-            n.value <- value;
-            Array.iter (fun c -> Link.set c Link.null) n.next;
-            Some n
-        | Some n ->
-            Pool.release t.pools.(h) n;
-            None
-        | None -> None
-    in
-    match reuse with
-    | Some n -> n
+    let era = S.current_era () in
+    match Pool.reuse ~recycles:S.recycles t.pools.(h) ~blk ~era with
+    | Some n ->
+        n.key <- key;
+        n.value <- value;
+        Array.iter (fun c -> Link.set c Link.null) n.next;
+        n
     | None ->
-        let b = Alloc.block ~recyclable:S.recycles () in
-        Block.set_birth_era b ~era:(S.current_era ());
+        let b = Pool.fresh ~recycles:S.recycles ~era in
         { blk = b; key; value; next = Array.init h (fun _ -> Link.null_cell ()) }
 
-  (* Unpublished node: back to the pool, or booked as abandoned so the
-     leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
   let discard t n =
-    if S.recycles then Pool.release t.pools.(height n) n
-    else Alloc.abandon n.blk
+    Pool.discard ~recycles:S.recycles t.pools.(height n) ~blk n
 
   (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
      publishes the whole cursor (every level's pred and link) with

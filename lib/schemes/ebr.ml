@@ -62,15 +62,9 @@ module Impl : Smr_intf.SCHEME = struct
   let protect () _ = ()
   let clear () = ()
 
-  exception Restart
-
   (* The whole operation is one critical section; retries (CAS races) stay
      inside it, as in crossbeam-style RCU data structures. *)
-  let op h body =
-    E.crit h (fun () ->
-        let rec go () = try body () with Restart -> go () in
-        go ())
-
+  let op = E.crit
   let crit = E.crit
   let mask _ body = body ()
 

@@ -126,11 +126,7 @@ module Impl : Smr_intf.SCHEME = struct
 
   let clear s = Registry.Shields.clear s.sh
 
-  exception Restart
-
-  let op _ body =
-    let rec go () = try body () with Restart -> go () in
-    go ()
+  let op _ body = body ()
 
   let crit _ body = body ()
   let mask _ body = body ()

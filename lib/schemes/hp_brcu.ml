@@ -245,11 +245,8 @@ module Impl : Smr_intf.SCHEME = struct
 
   let clear s = H.clear s.hs
 
-  exception Restart
-
-  (* Nothing raises [Restart] here: a rollback unwinds to [crit], and no
-     structure raises it.  So an operation needs no retry frame, and
-     builds no retry closure. *)
+  (* A rollback unwinds to [crit], never past it: an operation needs no
+     retry frame. *)
   let op _ body = body ()
 
   let crit h body = B.crit h.bh body

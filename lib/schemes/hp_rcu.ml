@@ -148,11 +148,7 @@ module Impl : Smr_intf.SCHEME = struct
   let protect = H.protect
   let clear = H.clear
 
-  exception Restart
-
-  let op _ body =
-    let rec go () = try body () with Restart -> go () in
-    go ()
+  let op _ body = body ()
 
   let crit h body = E.crit h.eh body
   let mask _ body = body ()

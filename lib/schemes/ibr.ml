@@ -164,13 +164,9 @@ module Impl : Smr_intf.SCHEME = struct
       }
     in
     let idx = Registry.Participants.add d.participants l in
-    let sc =
-      {
-        lo = Array.make Registry.Participants.capacity 0;
-        up = Array.make Registry.Participants.capacity 0;
-        n = 0;
-      }
-    in
+    (* Room for a few participants; [push_pair] doubles it on demand, so a
+       session costs no more than the census its scans meet. *)
+    let sc = { lo = Array.make 8 0; up = Array.make 8 0; n = 0 } in
     {
       d;
       l;
@@ -194,9 +190,8 @@ module Impl : Smr_intf.SCHEME = struct
   let protect () _ = ()
   let clear () = ()
 
-  exception Restart
-
-  (* Operations delimit the reservation interval. *)
+  (* Operations and critical sections delimit the reservation interval;
+     nested ones share the outermost interval. *)
   let start_op h =
     if h.nest = 0 then begin
       let e = Atomic.get h.d.era in
@@ -213,25 +208,17 @@ module Impl : Smr_intf.SCHEME = struct
     end
 
   let op h body =
-    let rec go () =
-      start_op h;
-      match body () with
-      | r ->
-          end_op h;
-          r
-      | exception Restart ->
-          end_op h;
-          go ()
-      | exception e ->
-          end_op h;
-          raise e
-    in
-    go ()
-
-  let crit h body =
     start_op h;
-    Fun.protect ~finally:(fun () -> end_op h) body
+    match body () with
+    | r ->
+        end_op h;
+        r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        end_op h;
+        Printexc.raise_with_backtrace e bt
 
+  let crit = op
   let mask _ body = body ()
 
   (* Each read widens the reservation to the current era before the load —

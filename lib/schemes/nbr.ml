@@ -133,8 +133,6 @@ module Impl : Smr_intf.SCHEME = struct
   let protect = Core.protect
   let clear = Core.clear
 
-  exception Restart
-
   let handler l () = if Atomic.get l.status = st_incs then raise Rollback
 
   (* [deliverable] first: the no-signal poll allocates no closure. *)
@@ -142,9 +140,7 @@ module Impl : Smr_intf.SCHEME = struct
     if Signal.deliverable h.l.box then
       Signal.poll h.l.box ~handler:(handler h.l)
 
-  let op _ body =
-    let rec go () = try body () with Restart -> go () in
-    go ()
+  let op _ body = body ()
 
   (* Read phase.  A rollback restarts the body from scratch — NBR's
      coarse-grained recovery. *)

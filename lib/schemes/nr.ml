@@ -53,11 +53,7 @@ module Impl : Smr_intf.SCHEME = struct
   let protect () _ = ()
   let clear () = ()
 
-  exception Restart
-
-  let op _ body =
-    let rec go () = try body () with Restart -> go () in
-    go ()
+  let op _ body = body ()
 
   let crit _ body = body ()
   let mask _ body = body ()

@@ -7,15 +7,16 @@
     instead of quiescence: every block carries a version bumped on reuse
     and birth/retire era stamps; an operation records the global era when
     it starts, and any read that reaches a block recycled {e after} the
-    operation began raises {!Impl.Restart} — a coarse-grained restart from
-    scratch, which is why VBR (like NBR and PEBR) starves on long-running
-    operations (Figures 1, 6).
+    operation began raises a private [Restart] that the operation's own
+    [op] catches — a coarse-grained restart from scratch, which is why VBR
+    (like NBR and PEBR) starves on long-running operations (Figures 1,
+    6).
 
     Substitutions vs. the real VBR: the 128-bit versioned pointers become
     OCaml link records (whose CAS compares physical identity, so a stale
     CAS fails exactly as a version-mismatch CAS would), and reuse is
-    restricted to be cross-era (the pool refuses blocks retired in the
-    current era), which together with the birth-era check gives the same
+    restricted to be cross-era (the pool refuses blocks retired at or
+    after the era the allocating thread read), which together with the birth-era check gives the same
     guarantee the version arithmetic gives: an operation can never observe
     a reincarnation of a block through links obtained before the
     reincarnation.

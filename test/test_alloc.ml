@@ -226,6 +226,68 @@ let test_pool_concurrent () =
      [recycled] and the rest still sit in the pool. *)
   Alcotest.(check int) "conservation" 800 (Pool.recycled p + Pool.size p)
 
+(* [Pool.reuse]: reuse takes only a node retired before the caller's era,
+   a reused node is reanimated at that era, and an injected [Exhaust_pool] fault makes it miss. *)
+type node = { blk : Block.t }
+
+let node_blk n = n.blk
+
+let retired_node ~era =
+  let n = { blk = Alloc.block ~recyclable:true () } in
+  Block.mark_retire_era n.blk ~era;
+  Alloc.retire n.blk;
+  Alloc.reclaim n.blk;
+  n
+
+let test_pool_reuse () =
+  reset ();
+  let module Fault = Hpbrcu_runtime.Fault in
+  let p = Pool.create () in
+  let reuse ~era = Pool.reuse ~recycles:true p ~blk:node_blk ~era in
+  let n = retired_node ~era:5 in
+  Pool.release p n;
+  Alcotest.(check bool) "retired this era: miss" true
+    (Option.is_none (reuse ~era:5));
+  Alcotest.(check int) "back in the pool" 1 (Pool.size p);
+  Alcotest.(check bool) "not reanimated" true (Block.is_reclaimed n.blk);
+  (* A caller's era may be stale on domains: a node retired after it (here
+     at 5, against a caller that read 4) must not be born before its
+     retirement. *)
+  Alcotest.(check bool) "retired after the caller's era: miss" true
+    (Option.is_none (reuse ~era:4));
+  Alcotest.(check int) "still in the pool" 1 (Pool.size p);
+  Alcotest.(check bool) "still reclaimed" true (Block.is_reclaimed n.blk);
+  (match reuse ~era:6 with
+  | None -> Alcotest.fail "a node from an older era must be reused"
+  | Some m ->
+      Alcotest.(check bool) "the pooled node" true (m == n);
+      Alcotest.(check bool) "live again" true (Block.is_live n.blk);
+      Alcotest.(check int) "born at the current era" 6 (Block.birth_era n.blk);
+      Alcotest.(check int) "next incarnation" 1 (Block.version n.blk));
+  Alcotest.(check int) "pool drained" 0 (Pool.size p);
+  Pool.release p (retired_node ~era:1);
+  Fault.install
+    {
+      Fault.label = "exhaust-pool";
+      rules =
+        [
+          {
+            Fault.site = Pool_acquire;
+            tid = -1;
+            start = 0;
+            period = 1;
+            action = Exhaust_pool;
+          };
+        ];
+    };
+  let exhausted = reuse ~era:9 in
+  Fault.clear ();
+  Alcotest.(check bool) "exhausted pool: miss" true (Option.is_none exhausted);
+  Alcotest.(check int) "node left in the pool" 1 (Pool.size p);
+  Alcotest.(check bool) "non-recycling scheme: miss" true
+    (Option.is_none (Pool.reuse ~recycles:false p ~blk:node_blk ~era:9));
+  Alcotest.(check int) "pool untouched" 1 (Pool.size p)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -255,5 +317,6 @@ let () =
         [
           Alcotest.test_case "lifo" `Quick test_pool_lifo;
           Alcotest.test_case "concurrent" `Quick test_pool_concurrent;
+          Alcotest.test_case "reuse" `Quick test_pool_reuse;
         ] );
     ]

@@ -302,45 +302,69 @@ let test_epochs_independent () =
   X.destroy d1;
   X.destroy d2
 
-(* The P0484-style scoped guards: session/flush guards release on every
-   exit path, and the op/crit aliases pass values through. *)
-let test_scoped_guards () =
-  Alloc.reset ();
-  Alloc.set_strict false;
-  let module X = (val (Option.get (Schemes.find_impl "RCU")) : SI.SCHEME) in
-  let module G = SI.Scoped (X) in
-  let d = X.create ~label:"guards" Config.default in
-  let r =
-    G.with_session d (fun h ->
-        G.with_flush h (fun h ->
-            for _ = 1 to 64 do
-              X.retire h (Alloc.block ())
-            done;
-            G.with_op h (fun () -> G.with_crit h (fun () -> 42))))
-  in
-  Alcotest.(check int) "value through the guard stack" 42 r;
-  Alcotest.(check int) "session closed" 0 (Dom.live_handles (X.dom d));
-  (* Exceptional exit still unregisters. *)
-  (try
-     G.with_session d (fun _ -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "session closed on raise" 0
-    (Dom.live_handles (X.dom d));
-  X.destroy d
+(* An operation frame is free: 1000 [op]s around a prebuilt body allocate
+   no minor word, except under VBR and PEBR, whose restart loop closes over
+   the body. *)
+let op_frame_case (name, (module X : SI.SCHEME)) =
+  Alcotest.test_case ("op-frame/" ^ name) `Quick (fun () ->
+      Alloc.reset ();
+      let d = X.create ~label:"op-frame" Config.default in
+      let h = X.register d in
+      let body () = () in
+      let ops () =
+        for _ = 1 to 1000 do
+          X.op h body
+        done
+      in
+      ops ();
+      let w0 = Gc.minor_words () in
+      ops ();
+      let words = Gc.minor_words () -. w0 in
+      X.unregister h;
+      X.destroy d;
+      Alcotest.(check (float 0.)) "minor words" 0. words)
 
-(* A fiber that crashes inside [Scoped.with_session] never unwinds, so
-   the guard cannot release — the handle must stay VISIBLE in the live
-   census (a typed Domain_active on destroy), never a silent pin that
-   force-destroy's leak accounting then loses. *)
-let test_scoped_crash_mid_section () =
+(* What one IBR session costs: register + unregister, averaged over 200
+   cycles, in words of either heap (minor, plus blocks born in the major
+   heap, less what was promoted).  Snapshot arrays sized to the registry's
+   capacity read ~1.1k words a cycle; sized to a few participants, ~130. *)
+let ibr_session_words = 256.
+
+let test_ibr_session_cost () =
+  Alloc.reset ();
+  let module X = (val (Option.get (Schemes.find_impl "IBR")) : SI.SCHEME) in
+  let d = X.create ~label:"ibr-session" Config.default in
+  let cycle () = X.unregister (X.register d) in
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  for _ = 1 to 16 do
+    cycle ()
+  done;
+  let n = 200 in
+  let w0 = allocated () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let words = (allocated () -. w0) /. float_of_int n in
+  X.destroy d;
+  if words > ibr_session_words then
+    Alcotest.failf "an IBR session costs %.1f words (bound %.0f)" words
+      ibr_session_words
+
+(* A fiber that crashes inside a session never reaches its [unregister],
+   so the handle must stay VISIBLE in the live census (a typed
+   Domain_active on destroy), never a silent pin that force-destroy's
+   leak accounting then loses. *)
+let test_session_crash_mid_section () =
   Alloc.reset ();
   Alloc.set_strict false;
   let module X = (val (Option.get (Schemes.find_impl "RCU")) : SI.SCHEME) in
-  let module G = SI.Scoped (X) in
-  let d = X.create ~label:"scoped-crash" Config.default in
+  let d = X.create ~label:"session-crash" Config.default in
   Fault.install
     {
-      Fault.label = "crash-in-guard";
+      Fault.label = "crash-in-session";
       rules =
         [ { Fault.site = Yield; tid = 0; start = 10; period = 0; action = Crash } ];
     };
@@ -348,30 +372,30 @@ let test_scoped_crash_mid_section () =
     (Sched.Fibers { seed = 5; switch_every = 1 })
     ~nthreads:2
     (fun tid ->
+      let h = X.register d in
       if tid = 0 then
-        G.with_session d (fun h ->
-            G.with_op h (fun () ->
-                G.with_crit h (fun () ->
-                    for _ = 1 to 100 do
-                      X.retire h (Alloc.block ());
-                      (* The mediated switch point — where Yield-site
-                         faults (the crash) are consulted. *)
-                      Sched.yield ()
-                    done)))
+        X.op h (fun () ->
+            X.crit h (fun () ->
+                for _ = 1 to 100 do
+                  X.retire h (Alloc.block ());
+                  (* The mediated switch point — where Yield-site faults
+                     (the crash) are consulted. *)
+                  Sched.yield ()
+                done))
       else
-        G.with_session d (fun h ->
-            for _ = 1 to 20 do
-              X.retire h (Alloc.block ());
-              Sched.yield ()
-            done));
+        for _ = 1 to 20 do
+          X.retire h (Alloc.block ());
+          Sched.yield ()
+        done;
+      X.unregister h);
   Fault.clear ();
   Alcotest.(check int) "one fiber crashed" 1 (Sched.crashed_count ());
-  (* The survivor's guard released; the victim's could not and must be
-     counted, not dropped. *)
-  Alcotest.(check int) "crashed guard still in the census" 1
+  (* The survivor unregistered; the victim could not and must be counted,
+     not dropped. *)
+  Alcotest.(check int) "crashed session still in the census" 1
     (Dom.live_handles (X.dom d));
   (match X.destroy d with
-  | () -> Alcotest.fail "destroy under a crashed guard must raise"
+  | () -> Alcotest.fail "destroy under a crashed session must raise"
   | exception Dom.Domain_active { live; _ } ->
       Alcotest.(check int) "census names the pin" 1 live);
   (* Teardown under dead readers is the documented force path. *)
@@ -473,17 +497,22 @@ let () =
             Alcotest.test_case "leak-census" `Quick test_leak_census;
             Alcotest.test_case "epochs-independent" `Quick
               test_epochs_independent;
-            Alcotest.test_case "scoped-guards" `Quick test_scoped_guards;
+            Alcotest.test_case "ibr-session-cost" `Quick test_ibr_session_cost;
           ] );
+      ( "op-frame",
+        List.map op_frame_case
+          (List.filter
+             (fun (n, _) -> not (List.mem n [ "VBR"; "PEBR" ]))
+             Schemes.impls) );
       ( "vbr",
         [
           Alcotest.test_case "immediate-reclaim" `Quick test_vbr_immediate;
           Alcotest.test_case "era-advances" `Quick test_vbr_era_advances;
         ] );
-      ( "scoped",
+      ( "session",
         [
           Alcotest.test_case "crash-mid-section" `Quick
-            test_scoped_crash_mid_section;
+            test_session_crash_mid_section;
         ] );
       ( "neutralize",
         [ Alcotest.test_case "quarantine-once" `Quick test_quarantine_once ] );
