@@ -156,44 +156,71 @@ fiber_golden() {
 }
 gate fiber-golden fiber_golden
 
-# Field-0 audit gate (DESIGN.md §9): a "%identity" external that views a
-# record as an Atomic.t reads, stores and CASes the record's field 0, so
-# it is memory-safe only while field 0 is the field the view's type
-# names.  The allowlist is Block.cell (a header's word) and the next_cell
-# of the three list nodes, and each of their records must declare the
-# viewed field first.  Any other "%identity" under lib/, a missing or
-# extra view, or a reordered record fails, naming the file.
-field0_view() {
-  # field0_view FILE TYPE FIRST-FIELD VIEW
+# Field-0 and header-prefix audit gate (DESIGN.md §9).  A "%identity"
+# external views a record as another type, so it is memory-safe only
+# while the two layouts agree.  Two kinds are allowlisted.  A list node's
+# next_cell views the node as an Atomic.t, whose primitives act on field
+# 0: HList/HHSList, HMList and the lazy list must declare
+# `mutable next_ : node Link.t;` first.  Every structure's blk views its
+# node as a Block.t: the node's fields 1 to 7 must be Block.t's, in
+# order, with the same names, types and mutability (the header-prefix
+# rule).  Any other "%identity" under lib/, a missing or extra view, or a
+# reordered record fails, naming the file.
+record_fields() {
+  # record_fields FILE TYPE: the field declarations of record TYPE, one a
+  # line, comments dropped
+  awk -v ty="$2" '
+    $0 ~ "^ *type " ty " = [{] *$" { inrec = 1; next }
+    inrec && /^ *[}]/ { exit }
+    inrec && /^ *(mutable +)?[a-z_][A-Za-z0-9_]* : [^;]*;/ {
+      l = $0; sub(/^ */, "", l); sub(/;.*/, ";", l); print l }' "$1"
+}
+header_view() {
+  # header_view FILE FIRST-FIELD VIEWS: FILE's node record starts with
+  # FIRST-FIELD then Block.t's header, and VIEWS are its only views
   views="$(grep -F '"%identity"' "$1" | sed 's/^ *//')"
-  if [ "$views" != "$4" ]; then
-    echo "check.sh: $1: expected exactly one \"%identity\" view: $4" >&2
+  if [ "$views" != "$3" ]; then
+    echo "check.sh: $1: expected exactly these \"%identity\" views: $3" >&2
     return 1
   fi
-  if ! awk -v ty="$2" -v field="$3" '
-    $0 ~ "^ *type " ty " = [{] *$" { getline; sub(/^ */, ""); n++; bad += ($0 != field) }
-    END { exit !(n == 1 && bad == 0) }' "$1"; then
-    echo "check.sh: $1: type $2 must declare '$3' as its first field" >&2
+  fields="$(record_fields "$1" node)"
+  if [ "$(printf '%s\n' "$fields" | head -n 1)" != "$2" ]; then
+    echo "check.sh: $1: type node must declare '$2' as its first field" >&2
+    return 1
+  fi
+  if [ "$(printf '%s\n' "$fields" | sed -n 2,8p)" != "$header" ]; then
+    echo "check.sh: $1: type node's fields 1-7 must be Block.t's:" $header >&2
     return 1
   fi
 }
 field0_audit() {
   ok=0
+  header="$(record_fields lib/alloc/block.ml t | sed -n 2,8p)"
+  if [ "$(printf '%s\n' "$header" | wc -l)" -ne 7 ]; then
+    echo "check.sh: lib/alloc/block.ml: cannot read Block.t's 7 header fields" >&2
+    return 1
+  fi
+  lists="lib/ds/harris_list.ml lib/ds/hm_list.ml lib/ds/lazy_list.ml"
+  trees="lib/ds/skiplist.ml lib/ds/nmtree.ml lib/ds/efrb_bst.ml"
   for f in $(grep -rlF '"%identity"' lib --include='*.ml'); do
-    case $f in
-      lib/alloc/block.ml | lib/ds/harris_list.ml | lib/ds/hm_list.ml | lib/ds/lazy_list.ml) ;;
+    case " $lists $trees " in
+      *" $f "*) ;;
       *)
-        echo "check.sh: $f: \"%identity\" outside the field-0 allowlist" >&2
+        echo "check.sh: $f: \"%identity\" outside the allowlist" >&2
         ok=1
         ;;
     esac
   done
-  field0_view lib/alloc/block.ml t 'mutable word : int;' \
-    'external cell : t -> int Atomic.t = "%identity"' || ok=1
-  for f in lib/ds/harris_list.ml lib/ds/hm_list.ml lib/ds/lazy_list.ml; do
-    field0_view "$f" node 'mutable next_ : node Link.t;' \
-      'external next_cell : node -> node Link.cell = "%identity"' || ok=1
+  blk='external blk : node -> Block.t = "%identity"'
+  for f in $lists; do
+    header_view "$f" 'mutable next_ : node Link.t;' \
+      "$(printf '%s\n%s' \
+        'external next_cell : node -> node Link.cell = "%identity"' "$blk")" \
+      || ok=1
   done
+  header_view lib/ds/skiplist.ml 'next : node Link.cell array;' "$blk" || ok=1
+  header_view lib/ds/nmtree.ml 'left : node Link.cell;' "$blk" || ok=1
+  header_view lib/ds/efrb_bst.ml 'left : node Link.cell;' "$blk" || ok=1
   return $ok
 }
 gate field0-audit field0_audit

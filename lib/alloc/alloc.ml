@@ -201,7 +201,15 @@ let reset_owner_peaks () =
 (** Re-arm only the peak tracker (measure the peak of a window). *)
 let reset_peak () = Hpbrcu_runtime.Counter.reset_peak unreclaimed
 
-(** [block ()] allocates a fresh lifecycle header for a node. *)
+(** [fresh_id ()] counts one allocation and returns its block id: a
+    structure calls it as it builds a node, whose record starts with the
+    header's fields (DESIGN.md §9, "the header-prefix rule"). *)
+let fresh_id () =
+  Atomic.incr allocated;
+  Block.fresh_id ()
+
+(** [block ()] allocates a standalone lifecycle header, counted as an
+    allocation like a node. *)
 let block ?recyclable () =
   Atomic.incr allocated;
   Block.make ?recyclable ()

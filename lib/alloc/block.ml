@@ -15,18 +15,21 @@
     reclaim instantly into a type-stable pool and detect stale readers by
     version arithmetic rather than by blocking reuse.
 
-    {b Representation} (DESIGN.md §9, "objects per hop").  A header is one
-    7-field record — 8 words, one object — so a reader that reaches a node
-    touches one more object for its header, not eight.  Field 0, [word],
-    packs the lifecycle state into its low 2 bits and the version above
-    them; it is the only field written concurrently, and it is read and
-    CAS'd only through {!cell}, an [int Atomic.t] view of the record.
-    OCaml 5.1 has no atomic record fields, but an [Atomic.t] is a one-field
-    block whose primitives act on field 0, so the view is exact.  The other
-    mutable fields are plain: each is written before the block passes
-    through an atomic (the [word] itself, a link CAS, a pool or segment
-    CAS) and read only after it was received through one, so the atomic's
-    release/acquire orders them. *)
+    {b Representation} (DESIGN.md §9, "the header-prefix rule").  A
+    header is not an object of its own: every managed node's record
+    starts with [t]'s fields, and a node's block is the node itself, seen
+    through a [%identity] view ([blk : node -> Block.t]).  Field 0 is a
+    placeholder here and the node's own first field there (a list node's
+    [next_], which keeps its field-0 [Atomic] view); the header proper
+    starts at field 1.  [word] (field 1) packs the lifecycle state into
+    its low 2 bits and the version above them.  It is the only field
+    written concurrently: it is CAS'd through the runtime's field CAS
+    ([caml_obj_compare_and_swap], a full barrier) and read by a plain
+    load (DESIGN.md §2.1).  The other mutable fields are plain: each is
+    written before the block passes through an atomic (a [word] CAS, a
+    link CAS, a pool or segment CAS) and read only after it was received
+    through one, so that atomic orders them.  A standalone [t] (from
+    {!make}, {!none}) is the same layout with field 0 unused. *)
 
 type state = Live | Retired | Reclaimed
 
@@ -37,10 +40,12 @@ let pp_state ppf s =
   Fmt.string ppf (match s with Live -> "Live" | Retired -> "Retired" | Reclaimed -> "Reclaimed")
 
 type t = {
+  _node : Obj.t;
+      (** field 0: the node's own first field, never read through [t] *)
   mutable word : int;
-      (** [version lsl 2 lor state]: access only through {!cell}.  The
-          version is bumped each time the block is recycled through a
-          pool; VBR's stale-read detector *)
+      (** [version lsl 2 lor state]: read by a plain load, written only
+          by {!cas_word}.  The version is bumped each time the block is
+          recycled through a pool; VBR's stale-read detector *)
   id : int;  (** unique allocation id (stable across pool reuse) *)
   recyclable : bool;
       (** pool-managed blocks may legally be observed post-reclaim (VBR);
@@ -63,10 +68,12 @@ type t = {
           per-retire closure. *)
 }
 
-(** The atomic view of [word] (field 0).  One of the library's four
-    field-0 views (DESIGN.md §9, "the field-0 rule"), with the list nodes'
-    [next_cell]s: [word] must stay the first field of [t]. *)
-external cell : t -> int Atomic.t = "%identity"
+(* OCaml 5.1.1's runtime CAS of field [i] of a block (a sequentially
+   consistent CAS plus the write barrier), used at [word]'s index only. *)
+external cas_field : t -> int -> int -> int -> bool = "caml_obj_compare_and_swap"
+
+let word_field = 1
+let[@inline] cas_word t ~expected ~desired = cas_field t word_field expected desired
 
 let state_mask = 3
 
@@ -80,9 +87,17 @@ let next_id = Atomic.make 0
     a reclaim, never permit one, so a missed reset degrades nothing. *)
 let reset_ids () = Atomic.set next_id 0
 
+(** The [word] of a block born [Live] at version 0. *)
+let live = state_to_int Live
+
+(** The next allocation id.  A node draws it where it is built, so ids
+    follow allocation order. *)
+let fresh_id () = Atomic.fetch_and_add next_id 1
+
 let build id recyclable =
   {
-    word = state_to_int Live;
+    _node = Obj.repr 0;
+    word = live;
     id;
     recyclable;
     birth_era = 0;
@@ -91,8 +106,9 @@ let build id recyclable =
     owner = 0;
   }
 
-let make ?(recyclable = false) () =
-  build (Atomic.fetch_and_add next_id 1) recyclable
+(** A standalone header (field 0 unused): the allocator's test blocks and
+    the retired-batch placeholder. *)
+let make ?(recyclable = false) () = build (fresh_id ()) recyclable
 
 (** The block of no node: the [src] of a read from a cell that no managed
     node owns (an entry point), and the value that empties a hazard slot.
@@ -104,8 +120,8 @@ let none = build (-1) false
 let id t = t.id
 let owner t = t.owner
 let set_owner t o = t.owner <- o
-let state t = state_of_int (Atomic.get (cell t) land state_mask)
-let version t = Atomic.get (cell t) lsr 2
+let state t = state_of_int (t.word land state_mask)
+let version t = t.word lsr 2
 let birth_era t = t.birth_era
 let retire_era t = t.retire_era
 let recyclable t = t.recyclable
@@ -115,14 +131,13 @@ let is_retired t = state t = Retired
 
 (* The fast path of every mediated read's access check, so one load and
    an int compare: 2 is [state_to_int Reclaimed]. *)
-let[@inline] is_reclaimed t = Atomic.get (cell t) land state_mask = 2
+let[@inline] is_reclaimed t = t.word land state_mask = 2
 
 (* Toplevel, so that the retry loop closes over nothing. *)
 let rec cas_state t from to_ =
-  let w = Atomic.get (cell t) in
+  let w = t.word in
   if w land state_mask <> from then false
-  else
-    Atomic.compare_and_set (cell t) w (w - from + to_) || cas_state t from to_
+  else cas_word t ~expected:w ~desired:(w - from + to_) || cas_state t from to_
 
 (** Atomically transition [from -> to_], keeping the version; returns
     [false] if the block was not in [from] (e.g. a double retire). *)
@@ -136,7 +151,8 @@ let poison t = t.poison <- 1 + version t
 let is_poisoned t = t.poison <> 0
 
 (** Reset a recycled block to [Live], bumping its version.  Only the pool
-    calls this.  The plain fields are written first; one atomic store then
+    calls this, on a block it popped, so no other thread writes [word]
+    meanwhile.  The plain fields are written first; one CAS then
     publishes the new version and [Live] together. *)
 let reanimate t ~era =
   assert t.recyclable;
@@ -144,7 +160,9 @@ let reanimate t ~era =
   t.retire_era <- -1;
   t.poison <- 0;
   t.owner <- 0;
-  Atomic.set (cell t) ((version t + 1) lsl 2 lor state_to_int Live)
+  let w = t.word in
+  let ok = cas_word t ~expected:w ~desired:(((w lsr 2) + 1) lsl 2 lor live) in
+  assert ok
 
 let mark_retire_era t ~era = t.retire_era <- era
 let set_birth_era t ~era = t.birth_era <- era

@@ -87,9 +87,10 @@ let release t x = push t x
    and [blk] projects a node's block. *)
 
 (** [reuse ~recycles t ~blk ~era] returns a pooled node reanimated at
-    [era], or [None] when the caller must allocate ({!fresh}).  Reuse is
-    cross-era only (see VBR's module comment): the block must have been
-    retired before [era].  The caller reads [era] before the pop, so on
+    [era], or [None] when the caller must build a node born at [era] (IBR
+    and VBR compare lifetimes by its birth era).  Reuse is cross-era only
+    (see VBR's module comment): the block must have been retired before
+    [era].  The caller reads [era] before the pop, so on
     domains another thread may advance the era and retire (and VBR pool)
     a node after that read; such a node, retired at or after [era], goes
     back to the pool, as does one that [fits], a structure's own filter,
@@ -106,13 +107,6 @@ let reuse ~recycles ?(fits = fun _ -> true) t ~blk ~era =
         release t n;
         None
     | None -> None
-
-(** [fresh ~recycles ~era] is the block of a newly allocated node, born
-    at [era]: IBR and VBR compare lifetimes by it. *)
-let fresh ~recycles ~era =
-  let b = Alloc.block ~recyclable:recycles () in
-  Block.set_birth_era b ~era;
-  b
 
 (** [discard ~recycles t ~blk n] gives back a node that was allocated but
     never published: to the pool under a recycling scheme, otherwise to

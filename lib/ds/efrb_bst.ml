@@ -21,30 +21,72 @@ module Alloc = Hpbrcu_alloc.Alloc
 module Link = Hpbrcu_core.Link
 open Hpbrcu_core.Smr_intf
 
+(* A node is its own block (DESIGN.md §9, "objects per hop"): [Block.t]'s
+   fields follow field 0 (the header-prefix rule), read and CAS'd only
+   through {!blk}. *)
+type node = {
+  left : node Link.cell;
+  mutable word : int;
+  id : int;
+  recyclable : bool;
+  mutable birth_era : int;
+  mutable retire_era : int;
+  mutable poison : int;
+  mutable owner : int;
+  key : int;  (* routing key; leaves store the element *)
+  leaf : bool;
+  right : node Link.cell;
+  update : update Atomic.t;
+}
+
+and update = Clean | IFlag of iinfo | DFlag of dinfo | Mark of dinfo
+
+and iinfo = { ip : node; il : node; inew : node (* new internal *) }
+
+and dinfo = {
+  dgp : node;
+  dp : node;
+  dl : node;
+  dpupdate : update;  (* p's update word observed at flag time *)
+}
+
+external blk : node -> Block.t = "%identity"
+
+(* Every leaf's [left] and [right]: one cell, holding the shared null for
+   good; and every leaf's [update]: one box, holding [Clean] for good.  No
+   operation reads or writes either: [walk] reads a node's [update] and
+   child only when it is not a leaf; [cas_child] and [help_marked] act on
+   a descriptor's [ip], [dgp] and [dp], and [insert] and [remove] CAS the
+   cursor's [p] and [gp], all of them internal nodes met above a leaf (or
+   [no_node], which [remove] tests for first); and nothing pools EFRB
+   nodes. *)
+let leaf_child : node Link.cell = Link.cell Link.null
+let leaf_update = Atomic.make Clean
+
+(** A fresh node, [Live].  [recyclable] so that VBR's instant reuse keeps
+    its access-check exemption: EFRB does not pool, but under VBR an
+    optimistic reader may legally observe a reclaimed node. *)
+let mk_node ~recyclable key ~leaf ~left ~right ~update =
+  {
+    left;
+    word = Block.live; id = Alloc.fresh_id (); recyclable;
+    birth_era = 0; retire_era = -1; poison = 0; owner = 0;
+    key;
+    leaf;
+    right;
+    update;
+  }
+
+let mk_leaf ~recyclable key =
+  mk_node ~recyclable key ~leaf:true ~left:leaf_child ~right:leaf_child
+    ~update:leaf_update
+
+let mk_internal ~recyclable key ~left ~right =
+  mk_node ~recyclable key ~leaf:false ~left:(Link.cell (Link.ptr left))
+    ~right:(Link.cell (Link.ptr right)) ~update:(Atomic.make Clean)
+
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "EFRB-BST(" ^ S.name ^ ")"
-
-  type node = {
-    blk : Block.t;
-    key : int;  (* routing key; leaves store the element *)
-    leaf : bool;
-    left : node Link.cell;
-    right : node Link.cell;
-    update : update Atomic.t;
-  }
-
-  and update = Clean | IFlag of iinfo | DFlag of dinfo | Mark of dinfo
-
-  and iinfo = { ip : node; il : node; inew : node (* new internal *) }
-
-  and dinfo = {
-    dgp : node;
-    dp : node;
-    dl : node;
-    dpupdate : update;  (* p's update word observed at flag time *)
-  }
-
-  let blk n = n.blk
 
   (* Sentinels: inf1 < inf2, both above every real key. *)
   let inf1 = max_int - 1
@@ -52,28 +94,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   type t = { root : node }
 
-  (* [recyclable] so that VBR's instant reuse keeps its access-check
-     exemption; EFRB does not pool, but under VBR an optimistic reader may
-     legally observe a reclaimed node. *)
-  let mk_leaf key =
-    {
-      blk = Alloc.block ~recyclable:S.recycles ();
-      key;
-      leaf = true;
-      left = Link.null_cell ();
-      right = Link.null_cell ();
-      update = Atomic.make Clean;
-    }
-
-  let mk_internal key ~left ~right =
-    {
-      blk = Alloc.block ~recyclable:S.recycles ();
-      key;
-      leaf = false;
-      left = Link.cell (Link.ptr left);
-      right = Link.cell (Link.ptr right);
-      update = Atomic.make Clean;
-    }
+  let mk_leaf = mk_leaf ~recyclable:S.recycles
+  let mk_internal = mk_internal ~recyclable:S.recycles
 
   let create () =
     { root = mk_internal inf2 ~left:(mk_leaf inf1) ~right:(mk_leaf inf2) }
@@ -95,16 +117,21 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   (* The grandparent of a cursor still at the root: a node outside the
-     tree, whose block is {!Block.none}. *)
+     tree, with no block of its own ({!gp_blk}). *)
   let no_node =
     {
-      blk = Block.none;
+      left = leaf_child;
+      word = Block.live; id = -1; recyclable = false;
+      birth_era = 0; retire_era = -1; poison = 0; owner = 0;
       key = min_int;
       leaf = true;
-      left = Link.null_cell ();
-      right = Link.null_cell ();
-      update = Atomic.make Clean;
+      right = leaf_child;
+      update = leaf_update;
     }
+
+  (* The grandparent's block: {!Block.none} for {!no_node}, which, like
+     an entry point, is protected by emptying the slot. *)
+  let gp_blk gp = if gp == no_node then Block.none else blk gp
 
   type session = {
     h : S.handle;
@@ -125,9 +152,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
-    S.protect sh.(0) c.gp.blk;
-    S.protect sh.(1) c.p.blk;
-    S.protect sh.(2) c.l.blk
+    S.protect sh.(0) (gp_blk c.gp);
+    S.protect sh.(1) (blk c.p);
+    S.protect sh.(2) (blk c.l)
 
   (* Resuming a checkpointed EFRB cursor cannot be revalidated locally
      (deletion state lives in ancestors' update words), so rollbacks
@@ -146,7 +173,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let init_cursor t s =
     let l0 =
-      Link.target_exn (S.read s.h ~src:t.root.blk ~hdr:blk t.root.left)
+      Link.target_exn (S.read s.h ~src:(blk t.root) ~hdr:blk t.root.left)
     in
     let pupdate = Atomic.get t.root.update in
     let cursor () =
@@ -178,7 +205,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       end
       else begin
         let lupdate = Atomic.get l.update in
-        let next = S.read s.h ~src:l.blk ~hdr:blk (child_cell l key) in
+        let next = S.read s.h ~src:(blk l) ~hdr:blk (child_cell l key) in
         match next with
         | Link.Null _ -> walk_fail (* torn read; retry *)
         | Link.Ptr { target = nl; _ } -> walk s key (n - 1) p pupdate l lupdate nl
@@ -282,10 +309,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         | Link.Ptr { target = other; _ } ->
             if cas_child op.dgp op.dp other then begin
               (* We unlinked p (and l with it): retire both. *)
-              if Alloc.try_retire op.dp.blk then
-                S.retire s.h op.dp.blk ~claimed:true ~patch:[ other.blk ];
-              if Alloc.try_retire op.dl.blk then
-                S.retire s.h op.dl.blk ~claimed:true
+              if Alloc.try_retire (blk op.dp) then
+                S.retire s.h (blk op.dp) ~claimed:true ~patch:[ (blk other) ];
+              if Alloc.try_retire (blk op.dl) then
+                S.retire s.h (blk op.dl) ~claimed:true
             end
         | Link.Null _ -> ());
         unflag_delete op)
@@ -346,8 +373,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               (* IFlag lost: [op] was never published, so the fresh leaf
                  and wrapper are unreachable — write them off as abandoned
                  (leak-at-quiescence accounting, DESIGN.md §11). *)
-              Alloc.abandon new_leaf.blk;
-              Alloc.abandon new_internal.blk;
+              Alloc.abandon (blk new_leaf);
+              Alloc.abandon (blk new_internal);
               help s (Atomic.get c.p.update);
               attempt ()
             end

@@ -26,34 +26,53 @@ module type FLAVOUR = sig
   val flavour_name : string
 end
 
+(* [pool] is the list's free pool, shared by all of its nodes: only the
+   recycling branches read it, and keeping it in every node lets the list
+   itself be its head node (a HashMap bucket slot then points straight at
+   the head, one dependent load fewer per operation).
+
+   A node is one object (DESIGN.md §9, "objects per hop"): its own [next]
+   cell and its own block.  [next_] must stay field 0, read, set and CAS'd
+   only through {!next_cell}, so a hop goes node -> link -> node with no
+   [Atomic.t] box in between; [Block.t]'s fields follow it (the
+   header-prefix rule), read and CAS'd only through {!blk}. *)
+type node = {
+  mutable next_ : node Link.t;
+  mutable word : int;
+  id : int;
+  recyclable : bool;
+  mutable birth_era : int;
+  mutable retire_era : int;
+  mutable poison : int;
+  mutable owner : int;
+  mutable key : int;
+  mutable value : int;
+  pool : node Pool.t;
+}
+
+(* The atomic view of [next_], and the node's block. *)
+external next_cell : node -> node Link.cell = "%identity"
+external blk : node -> Block.t = "%identity"
+
+(** A fresh node, [Live] and born at [era].  Its link is the shared null:
+    an insert sets it before publishing the node. *)
+let mk_node ~recyclable ~era key value pool =
+  {
+    next_ = Link.null;
+    word = Block.live; id = Alloc.fresh_id (); recyclable;
+    birth_era = era; retire_era = -1; poison = 0; owner = 0;
+    key;
+    value;
+    pool;
+  }
+
 module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = F.flavour_name ^ "(" ^ S.name ^ ")"
 
-  (* [pool] is the list's free pool, shared by all of its nodes: only the
-     recycling branches read it, and keeping it in every node lets the
-     list itself be its head node (a HashMap bucket slot then points
-     straight at the head, one dependent load fewer per operation).
-
-     A node is its own [next] cell (DESIGN.md §9, "objects per hop"):
-     [next_] must stay field 0, and it is read, set and CAS'd only through
-     {!next_cell}, so a hop goes node -> link -> node with no [Atomic.t]
-     box in between. *)
-  type node = {
-    mutable next_ : node Link.t;
-    blk : Block.t;
-    mutable key : int;
-    mutable value : int;
-    pool : node Pool.t;
-  }
-
-  (* The atomic view of [next_], as {!Block.cell} is of a header's word. *)
-  external next_cell : node -> node Link.cell = "%identity"
-
-  let blk n = n.blk
-  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
   (* HP++'s patch set of a retired node: its successor, if any. *)
-  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ p.target.blk ]
+  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ]
 
   (* The list is its head sentinel (key = min_int). *)
   type t = node
@@ -90,13 +109,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let unused_pool = Pool.create ()
 
   let create () =
-    {
-      next_ = Link.null_tagged 0;
-      blk = Alloc.block ();
-      key = min_int;
-      value = 0;
-      pool = (if S.recycles then Pool.create () else unused_pool);
-    }
+    mk_node ~recyclable:false ~era:0 min_int 0
+      (if S.recycles then Pool.create () else unused_pool)
 
   let close_session s =
     S.flush s.h;
@@ -110,9 +124,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         n.value <- value;
         Link.set (next_cell n) Link.null;
         n
-    | None ->
-        let b = Pool.fresh ~recycles:S.recycles ~era in
-        { next_ = Link.null_tagged 0; blk = b; key; value; pool = t.pool }
+    | None -> mk_node ~recyclable:S.recycles ~era key value t.pool
 
   let discard t n = Pool.discard ~recycles:S.recycles t.pool ~blk n
 
@@ -122,12 +134,12 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      before the hop's [read ~src], whose check covers the load. *)
   let key_of s (n : node) =
     let k = n.key in
-    S.deref s.h n.blk;
+    S.deref s.h (blk n);
     k
 
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
-    S.protect sh.(0) c.left.blk;
+    S.protect sh.(0) (blk c.left);
     S.protect sh.(1) (link_blk c.left_next);
     S.protect sh.(2) (link_blk c.node)
 
@@ -137,10 +149,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let validate_cursor c =
     match c.node with
     | Link.Ptr { target = n; _ } ->
-        Alloc.check_access n.blk;
+        Alloc.check_access (blk n);
         not (Link.is_marked (Link.get (next_cell n)))
     | Link.Null _ ->
-        Alloc.check_access c.left.blk;
+        Alloc.check_access (blk c.left);
         not (Link.is_marked (Link.get (next_cell c.left)))
 
   let copy_cursor ~src ~dst =
@@ -156,7 +168,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
       | Link.Ptr { target = x; _ } when Link.points_to stop x -> ()
       | Link.Ptr { target = x; _ } ->
           let nx = Link.get (next_cell x) in
-          S.retire s.h x.blk ~patch:(patch_of nx)
+          S.retire s.h (blk x) ~patch:(patch_of nx)
             ?free:(Pool.free_hook ~recycles:S.recycles x.pool x);
           go nx
     in
@@ -166,7 +178,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      [left.next], then retire the chain.  Abort-rollback-unsafe, so masked
      on outliving protections. *)
   let snip s c =
-    S.protect s.mask0 c.left.blk;
+    S.protect s.mask0 (blk c.left);
     S.protect s.mask1 (link_blk c.node);
     let desired = Link.with_tag c.node 0 in
     S.mask s.h (fun () ->
@@ -223,7 +235,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
              covers it, so the hop needs no [deref] of its own. *)
           let k = tnode.key in
           let t_next =
-            S.read s.h ~src:tnode.blk ~hdr:blk (next_cell tnode)
+            S.read s.h ~src:(blk tnode) ~hdr:blk (next_cell tnode)
           in
           if Link.is_marked t_next then
             (* t is logically deleted: walk past it. *)
@@ -326,7 +338,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
             let left = s.live.left and left_next = s.live.left_next in
             let right = Link.target_exn left_next in
             let r_next =
-              S.read s.h ~src:right.blk ~hdr:blk (next_cell right)
+              S.read s.h ~src:(blk right) ~hdr:blk (next_cell right)
             in
             if Link.is_marked r_next then go ()
             else if
@@ -334,12 +346,12 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
                 ~desired:(Link.with_tag r_next 1)
             then begin
               (* Try to unlink immediately; otherwise later searches snip. *)
-              S.protect s.mask0 left.blk;
-              S.protect s.mask1 right.blk;
+              S.protect s.mask0 (blk left);
+              S.protect s.mask1 (blk right);
               let desired = Link.with_tag r_next 0 in
               S.mask s.h (fun () ->
                   if Link.cas (next_cell left) ~expected:left_next ~desired then
-                    S.retire s.h right.blk ~patch:(patch_of r_next)
+                    S.retire s.h (blk right) ~patch:(patch_of r_next)
                       ?free:(Pool.free_hook ~recycles:S.recycles right.pool right));
               true
             end

@@ -19,34 +19,53 @@ module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
 open Hpbrcu_core.Smr_intf
 
+(* [pool] is the list's free pool, shared by all of its nodes: only the
+   recycling branches read it, and keeping it in every node lets the list
+   itself be its head node (a HashMap bucket slot then points straight at
+   the head, one dependent load fewer per operation).
+
+   A node is one object (DESIGN.md §9, "objects per hop"): its own [next]
+   cell and its own block.  [next_] must stay field 0, read, set and CAS'd
+   only through {!next_cell}, so a hop goes node -> link -> node with no
+   [Atomic.t] box in between; [Block.t]'s fields follow it (the
+   header-prefix rule), read and CAS'd only through {!blk}. *)
+type node = {
+  mutable next_ : node Link.t;
+  mutable word : int;
+  id : int;
+  recyclable : bool;
+  mutable birth_era : int;
+  mutable retire_era : int;
+  mutable poison : int;
+  mutable owner : int;
+  mutable key : int;  (* mutable only for pool reuse (VBR) *)
+  mutable value : int;
+  pool : node Pool.t;
+}
+
+(* The atomic view of [next_], and the node's block. *)
+external next_cell : node -> node Link.cell = "%identity"
+external blk : node -> Block.t = "%identity"
+
+(** A fresh node, [Live] and born at [era].  Its link is the shared null:
+    an insert sets it before publishing the node. *)
+let mk_node ~recyclable ~era key value pool =
+  {
+    next_ = Link.null;
+    word = Block.live; id = Alloc.fresh_id (); recyclable;
+    birth_era = era; retire_era = -1; poison = 0; owner = 0;
+    key;
+    value;
+    pool;
+  }
+
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "HMList(" ^ S.name ^ ")"
 
-  (* [pool] is the list's free pool, shared by all of its nodes: only the
-     recycling branches read it, and keeping it in every node lets the
-     list itself be its head node (a HashMap bucket slot then points
-     straight at the head, one dependent load fewer per operation).
-
-     A node is its own [next] cell (DESIGN.md §9, "objects per hop"):
-     [next_] must stay field 0, and it is read, set and CAS'd only through
-     {!next_cell}, so a hop goes node -> link -> node with no [Atomic.t]
-     box in between. *)
-  type node = {
-    mutable next_ : node Link.t;
-    blk : Block.t;
-    mutable key : int;  (* mutable only for pool reuse (VBR) *)
-    mutable value : int;
-    pool : node Pool.t;
-  }
-
-  (* The atomic view of [next_], as {!Block.cell} is of a header's word. *)
-  external next_cell : node -> node Link.cell = "%identity"
-
-  let blk n = n.blk
-  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
   (* HP++'s patch set of a retired node: its successor, if any. *)
-  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ p.target.blk ]
+  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ]
 
   (* The list is its head sentinel (key = min_int). *)
   type t = node
@@ -77,13 +96,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let unused_pool = Pool.create ()
 
   let create () =
-    {
-      next_ = Link.null_tagged 0;
-      blk = Alloc.block ();
-      key = min_int;
-      value = 0;
-      pool = (if S.recycles then Pool.create () else unused_pool);
-    }
+    mk_node ~recyclable:false ~era:0 min_int 0
+      (if S.recycles then Pool.create () else unused_pool)
 
   let close_session s =
     S.flush s.h;
@@ -99,9 +113,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         n.value <- value;
         Link.set (next_cell n) Link.null;
         n
-    | None ->
-        let b = Pool.fresh ~recycles:S.recycles ~era in
-        { next_ = Link.null_tagged 0; blk = b; key; value; pool = t.pool }
+    | None -> mk_node ~recyclable:S.recycles ~era key value t.pool
 
   let discard t n = Pool.discard ~recycles:S.recycles t.pool ~blk n
 
@@ -110,7 +122,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* ListCursorProtector.protect: publish both cursor nodes. *)
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
-    S.protect sh.(0) c.prev.blk;
+    S.protect sh.(0) (blk c.prev);
     S.protect sh.(1) (link_blk c.pnext)
 
   (* ListCursor.validate: the node the resumed traversal will dereference
@@ -120,10 +132,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let validate_cursor c =
     match c.pnext with
     | Link.Null _ ->
-        Alloc.check_access c.prev.blk;
+        Alloc.check_access (blk c.prev);
         not (Link.is_marked (Link.get (next_cell c.prev)))
     | Link.Ptr { target = cur; _ } ->
-        Alloc.check_access cur.blk;
+        Alloc.check_access (blk cur);
         not (Link.is_marked (Link.get (next_cell cur)))
 
   let copy_cursor ~src ~dst =
@@ -151,11 +163,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      The unlink + retire pair is abort-rollback-unsafe, so it runs masked
      on outliving protections (Algorithm 8 lines 23-27). *)
   let help_unlink s prev pnext cur next desired =
-    S.protect s.mask0 prev.blk;
-    S.protect s.mask1 cur.blk;
+    S.protect s.mask0 (blk prev);
+    S.protect s.mask1 (blk cur);
     S.mask s.h (fun () ->
         if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
-          S.retire s.h cur.blk ~patch:(patch_of next)
+          S.retire s.h (blk cur) ~patch:(patch_of next)
             ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur);
           true
         end
@@ -174,7 +186,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
              validation) of [cur] follows the load and covers it, so the
              hop needs no [deref] (DESIGN.md §9). *)
           let k = cur.key in
-          let next = S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur) in
+          let next = S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur) in
           if Link.is_marked next then begin
             let desired = Link.with_tag next 0 in
             if help_unlink s prev pnext cur next desired then
@@ -266,7 +278,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           else
             let prev = s.live.prev and pnext = s.live.pnext in
             let cur = Link.target_exn pnext in
-            let next = S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur) in
+            let next = S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur) in
             if Link.is_marked next then go ()  (* lost the race *)
             else if
               (* Logical deletion: mark cur's next link. *)
@@ -276,7 +288,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                  finish the job (and retire the node). *)
               let desired = Link.with_tag next 0 in
               if Link.cas (next_cell prev) ~expected:pnext ~desired then
-                S.retire s.h cur.blk ~patch:(patch_of next)
+                S.retire s.h (blk cur) ~patch:(patch_of next)
                   ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur)
               else search t s key ~hold:true;
               true

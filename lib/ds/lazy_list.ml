@@ -22,26 +22,46 @@ module Link = Hpbrcu_core.Link
 module Sched = Hpbrcu_runtime.Sched
 open Hpbrcu_core.Smr_intf
 
+(* A node is its own [next] cell and its own block (DESIGN.md §9,
+   "objects per hop"): [next_] must stay field 0, read and set only
+   through {!next_cell}, and [Block.t]'s fields follow it (the
+   header-prefix rule), read and CAS'd only through {!blk}. *)
+type node = {
+  mutable next_ : node Link.t;
+  mutable word : int;
+  id : int;
+  recyclable : bool;
+  mutable birth_era : int;
+  mutable retire_era : int;
+  mutable poison : int;
+  mutable owner : int;
+  mutable key : int;
+  mutable value : int;
+  lock : bool Atomic.t;
+  marked : bool Atomic.t;  (* logical deletion flag (not a link tag) *)
+}
+
+(* The atomic view of [next_], and the node's block. *)
+external next_cell : node -> node Link.cell = "%identity"
+external blk : node -> Block.t = "%identity"
+
+(** A fresh node, [Live] and born at [era].  Its link is the shared null:
+    an insert sets it before publishing the node. *)
+let mk_node ~recyclable ~era key value =
+  {
+    next_ = Link.null;
+    word = Block.live; id = Alloc.fresh_id (); recyclable;
+    birth_era = era; retire_era = -1; poison = 0; owner = 0;
+    key;
+    value;
+    lock = Atomic.make false;
+    marked = Atomic.make false;
+  }
+
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "LazyList(" ^ S.name ^ ")"
 
-  (* A node is its own [next] cell (DESIGN.md §9, "objects per hop"):
-     [next_] must stay field 0, and it is read and set only through
-     {!next_cell}. *)
-  type node = {
-    mutable next_ : node Link.t;
-    blk : Block.t;
-    mutable key : int;
-    mutable value : int;
-    lock : bool Atomic.t;
-    marked : bool Atomic.t;  (* logical deletion flag (not a link tag) *)
-  }
-
-  (* The atomic view of [next_], as {!Block.cell} is of a header's word. *)
-  external next_cell : node -> node Link.cell = "%identity"
-
-  let blk n = n.blk
-  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
   type t = { head : node; pool : node Pool.t }
 
@@ -61,18 +81,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     w : S.shield walker;
   }
 
-  let mk_node blk key value =
-    {
-      next_ = Link.null_tagged 0;
-      blk;
-      key;
-      value;
-      lock = Atomic.make false;
-      marked = Atomic.make false;
-    }
-
   let create () =
-    { head = mk_node (Alloc.block ()) min_int 0; pool = Pool.create () }
+    { head = mk_node ~recyclable:false ~era:0 min_int 0; pool = Pool.create () }
 
   let close_session s =
     S.flush s.h;
@@ -88,7 +98,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         Atomic.set n.lock false;
         Atomic.set n.marked false;
         n
-    | None -> mk_node (Pool.fresh ~recycles:S.recycles ~era) key value
+    | None -> mk_node ~recyclable:S.recycles ~era key value
 
   let discard t n = Pool.discard ~recycles:S.recycles t.pool ~blk n
 
@@ -114,12 +124,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
-    S.protect sh.(0) c.prev.blk;
+    S.protect sh.(0) (blk c.prev);
     S.protect sh.(1) (link_blk c.pnext)
 
   (* Resuming follows prev.next: prev must not be logically deleted. *)
   let validate_cursor c =
-    Alloc.check_access c.prev.blk;
+    Alloc.check_access (blk c.prev);
     not (Atomic.get c.prev.marked)
 
   let copy_cursor ~src ~dst =
@@ -159,9 +169,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           let k = cur.key in
           if k < key then
             walk s key (n - 1) cur
-              (S.read s.h ~src:cur.blk ~hdr:blk (next_cell cur))
+              (S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur))
           else begin
-            S.deref s.h cur.blk;
+            S.deref s.h (blk cur);
             finish s prev pnext (k = key && not (Atomic.get cur.marked))
           end
     end
@@ -273,10 +283,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             in
             match outcome with
             | `Removed ->
-                S.retire s.h cur.blk
+                S.retire s.h (blk cur)
                   ~patch:(match Link.get (next_cell cur) with
                          | Link.Null _ -> []
-                         | Link.Ptr { target = nx; _ } -> [ nx.blk ])
+                         | Link.Ptr { target = nx; _ } -> [ blk nx ])
                   ?free:(Pool.free_hook ~recycles:S.recycles t.pool cur);
                 true
             | `Retry -> go ()

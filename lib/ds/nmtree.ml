@@ -23,20 +23,57 @@ open Hpbrcu_core.Smr_intf
 let flag_bit = 1 (* the leaf below is being deleted *)
 let tag_bit = 2 (* the edge must not accept insertions (sibling move) *)
 
+(* A node is its own block (DESIGN.md §9, "objects per hop"): [Block.t]'s
+   fields follow field 0 (the header-prefix rule), read and CAS'd only
+   through {!blk}. *)
+type node = {
+  left : node Link.cell;
+  mutable word : int;
+  id : int;
+  recyclable : bool;
+  mutable birth_era : int;
+  mutable retire_era : int;
+  mutable poison : int;
+  mutable owner : int;
+  mutable key : int;
+  mutable value : int;
+  leaf : bool;
+  right : node Link.cell;
+}
+
+external blk : node -> Block.t = "%identity"
+
+(* Every leaf's [left] and [right]: one cell, holding the shared null for
+   good.  No operation reads or writes a leaf's children: [walk] reads a
+   child only of a node that is not a leaf; [validate_cursor] returns
+   before it reads [par]'s children when [cur] is a leaf, and [par] is
+   never one; [retire_region] reads no child of a leaf; every CAS
+   ([insert]'s and [remove]'s on [par], [cleanup_edge]'s on [par]'s and
+   [anc]'s) lands on an internal node; and VBR's pool hands a leaf out
+   only as a leaf ([alloc_leaf]'s [fits]). *)
+let leaf_child : node Link.cell = Link.cell Link.null
+
+(** A fresh node, [Live] and born at [era]. *)
+let mk_node ~recyclable ~era key value ~leaf ~left ~right =
+  {
+    left;
+    word = Block.live; id = Alloc.fresh_id (); recyclable;
+    birth_era = era; retire_era = -1; poison = 0; owner = 0;
+    key;
+    value;
+    leaf;
+    right;
+  }
+
+(** A fresh leaf. *)
+let mk_leaf ~recyclable ~era key value =
+  mk_node ~recyclable ~era key value ~leaf:true ~left:leaf_child
+    ~right:leaf_child
+
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "NMTree(" ^ S.name ^ ")"
 
-  type node = {
-    blk : Block.t;
-    mutable key : int;
-    mutable value : int;
-    leaf : bool;
-    left : node Link.cell;
-    right : node Link.cell;
-  }
-
-  let blk n = n.blk
-  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
   (* Sentinel keys: every real key must be < inf0. *)
   let inf0 = max_int - 2
@@ -73,42 +110,18 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     w : S.shield walker;
   }
 
-  let mk_leaf blk key value =
-    {
-      blk;
-      key;
-      value;
-      leaf = true;
-      left = Link.null_cell ();
-      right = Link.null_cell ();
-    }
-
   let create () =
     (* R(inf2) -- left --> S(inf1) -- left --> leaf(inf0);
        right children are sentinel leaves. *)
-    let l_inf0 = mk_leaf (Alloc.block ()) inf0 0 in
-    let l_inf1 = mk_leaf (Alloc.block ()) inf1 0 in
-    let l_inf2 = mk_leaf (Alloc.block ()) inf2 0 in
-    let s =
-      {
-        blk = Alloc.block ();
-        key = inf1;
-        value = 0;
-        leaf = false;
-        left = Link.cell (Link.ptr l_inf0);
-        right = Link.cell (Link.ptr l_inf1);
-      }
+    let sentinel key ~left ~right =
+      mk_node ~recyclable:false ~era:0 key 0 ~leaf:false
+        ~left:(Link.cell (Link.ptr left)) ~right:(Link.cell (Link.ptr right))
     in
-    let r =
-      {
-        blk = Alloc.block ();
-        key = inf2;
-        value = 0;
-        leaf = false;
-        left = Link.cell (Link.ptr s);
-        right = Link.cell (Link.ptr l_inf2);
-      }
-    in
+    let l_inf0 = mk_leaf ~recyclable:false ~era:0 inf0 0 in
+    let l_inf1 = mk_leaf ~recyclable:false ~era:0 inf1 0 in
+    let l_inf2 = mk_leaf ~recyclable:false ~era:0 inf2 0 in
+    let s = sentinel inf1 ~left:l_inf0 ~right:l_inf1 in
+    let r = sentinel inf2 ~left:s ~right:l_inf2 in
     { root = r; pool = Pool.create () }
 
   let close_session s =
@@ -125,17 +138,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         n.key <- key;
         n.value <- value;
         n
-    | None -> mk_leaf (Pool.fresh ~recycles:S.recycles ~era) key value
+    | None -> mk_leaf ~recyclable:S.recycles ~era key value
 
   let alloc_internal key ~left ~right =
-    {
-      blk = Pool.fresh ~recycles:S.recycles ~era:(S.current_era ());
-      key;
-      value = 0;
-      leaf = false;
-      left = Link.cell (Link.ptr left);
-      right = Link.cell (Link.ptr right);
-    }
+    mk_node ~recyclable:S.recycles ~era:(S.current_era ()) key 0 ~leaf:false
+      ~left:(Link.cell (Link.ptr left)) ~right:(Link.cell (Link.ptr right))
 
   (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
      publishes the whole cursor with [protect_cursor] inside the section.
@@ -145,7 +152,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let key_of s (n : node) =
     let k = n.key in
-    S.deref s.h n.blk;
+    S.deref s.h (blk n);
     k
 
   let child_cell (n : node) key = if key < n.key then n.left else n.right
@@ -154,10 +161,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
-    S.protect sh.(0) c.anc.blk;
+    S.protect sh.(0) (blk c.anc);
     S.protect sh.(1) (link_blk c.alink);
-    S.protect sh.(2) c.par.blk;
-    S.protect sh.(3) c.cur.blk;
+    S.protect sh.(2) (blk c.par);
+    S.protect sh.(3) (blk c.cur);
     S.protect sh.(4) (link_blk c.plink)
 
   (* Revalidation (§3.3): resuming descends from [cur]; conservative and
@@ -167,7 +174,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let validate_cursor c =
     if c.cur.leaf then true
     else begin
-      Alloc.check_access c.par.blk;
+      Alloc.check_access (blk c.par);
       let ok cell =
         let lk = Link.get cell in
         Link.points_to lk c.cur && Link.tag lk = 0
@@ -185,7 +192,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let init_cursor t s =
     let alink = S.read s.h ~src:Block.none ~hdr:blk t.root.left in
     let su = Link.target_exn alink in
-    let plink = S.read s.h ~src:su.blk ~hdr:blk su.left in
+    let plink = S.read s.h ~src:(blk su) ~hdr:blk su.left in
     let cur = Link.target_exn plink in
     let cursor () = { anc = t.root; alink; par = su; plink; cur } in
     s.live <- cursor ();
@@ -212,7 +219,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         stop s anc alink par plink cur walk_done
       end
       else begin
-        let next = S.read s.h ~src:cur.blk ~hdr:blk (child_cell cur key) in
+        let next = S.read s.h ~src:(blk cur) ~hdr:blk (child_cell cur key) in
         match next with
         | Link.Null _ -> walk_fail (* torn read of a recycled node (VBR): retry *)
         | Link.Ptr { target = nx; _ } ->
@@ -221,8 +228,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             let anc = if untagged then par else anc in
             let alink = if untagged then plink else alink in
             if hop_shields then begin
-              S.protect s.lasting.(0) anc.blk;
-              S.protect s.lasting.(1) cur.blk
+              S.protect s.lasting.(0) (blk anc);
+              S.protect s.lasting.(1) (blk cur)
             end;
             walk s key (n - 1) anc alink cur next nx
       end
@@ -292,10 +299,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      region is flagged or tagged, so the links are immutable. *)
   let retire_region s ~from ~keep =
     let rec go n =
-      if n != keep && Alloc.try_retire n.blk then begin
+      if n != keep && Alloc.try_retire (blk n) then begin
         let l = if n.leaf then Link.null else Link.get n.left in
         let r = if n.leaf then Link.null else Link.get n.right in
-        S.retire s.h n.blk ~claimed:true;
+        S.retire s.h (blk n) ~claimed:true;
         go_link l;
         go_link r
       end
@@ -380,7 +387,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               (* Lost the race; the internal wrapper is unpublished (the
                  GC collects it — it was never shared), but its lifecycle
                  header must still be written off as abandoned. *)
-              Alloc.abandon internal.blk;
+              Alloc.abandon (blk internal);
               attempt ()
             end
           end

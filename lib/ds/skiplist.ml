@@ -25,18 +25,39 @@ open Hpbrcu_core.Smr_intf
 
 let max_level = 12
 
+(* A node is its own block (DESIGN.md §9, "objects per hop"): [Block.t]'s
+   fields follow field 0 (the header-prefix rule), read and CAS'd only
+   through {!blk}. *)
+type node = {
+  next : node Link.cell array;  (* length = tower height *)
+  mutable word : int;
+  id : int;
+  recyclable : bool;
+  mutable birth_era : int;
+  mutable retire_era : int;
+  mutable poison : int;
+  mutable owner : int;
+  mutable key : int;
+  mutable value : int;
+}
+
+external blk : node -> Block.t = "%identity"
+
+(** A fresh node, [Live] and born at [era], with a tower of [height]
+    null links. *)
+let mk_node ~recyclable ~era ~height key value =
+  {
+    next = Array.init height (fun _ -> Link.null_cell ());
+    word = Block.live; id = Alloc.fresh_id (); recyclable;
+    birth_era = era; retire_era = -1; poison = 0; owner = 0;
+    key;
+    value;
+  }
+
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "SkipList(" ^ S.name ^ ")"
 
-  type node = {
-    blk : Block.t;
-    mutable key : int;
-    mutable value : int;
-    next : node Link.cell array;  (* length = tower height *)
-  }
-
-  let blk n = n.blk
-  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> p.target.blk
+  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
   let height n = Array.length n.next
 
   type t = {
@@ -80,12 +101,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let create () =
     {
       head =
-        {
-          blk = Alloc.block ();
-          key = min_int;
-          value = 0;
-          next = Array.init max_level (fun _ -> Link.null_cell ());
-        };
+        mk_node ~recyclable:false ~era:0 ~height:max_level min_int 0;
       pools = Array.init (max_level + 1) (fun _ -> Pool.create ());
       level_seed = Atomic.make 1;
     }
@@ -110,9 +126,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         n.value <- value;
         Array.iter (fun c -> Link.set c Link.null) n.next;
         n
-    | None ->
-        let b = Pool.fresh ~recycles:S.recycles ~era in
-        { blk = b; key; value; next = Array.init h (fun _ -> Link.null_cell ()) }
+    | None -> mk_node ~recyclable:S.recycles ~era ~height:h key value
 
   let discard t n =
     Pool.discard ~recycles:S.recycles t.pools.(height n) ~blk n
@@ -126,13 +140,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Checkpoint protection: every node the cursor can still reach. *)
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
-    S.protect sh.(0) c.pred.blk;
+    S.protect sh.(0) (blk c.pred);
     S.protect sh.(1) (link_blk c.plink);
     let rec levels i = function
       | [] -> ()
       | lr :: rest ->
           if (2 * i) + 3 < Array.length sh then begin
-            S.protect sh.((2 * i) + 2) lr.lpred.blk;
+            S.protect sh.((2 * i) + 2) (blk lr.lpred);
             S.protect sh.((2 * i) + 3) (link_blk lr.llink)
           end;
           levels (i + 1) rest
@@ -142,7 +156,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Revalidation: resuming follows pred.next.(lvl); pred must not be
      deleted at that level (mark check suffices, §3.3). *)
   let validate_cursor c =
-    Alloc.check_access c.pred.blk;
+    Alloc.check_access (blk c.pred);
     not (Link.is_marked (Link.get c.pred.next.(c.lvl)))
 
   let copy_cursor ~src ~dst =
@@ -153,7 +167,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let init_cursor t s =
     let lvl = max_level - 1 in
-    if hop_shields then S.protect s.lasting.(0) t.head.blk;
+    if hop_shields then S.protect s.lasting.(0) (blk t.head);
     let plink = S.read s.h ~src:Block.none ~hdr:blk t.head.next.(lvl) in
     let cursor () = { lvl; pred = t.head; plink; levels = [] } in
     s.live <- cursor ();
@@ -182,7 +196,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           (* Key before read: the read's access check (and VBR's
              validation) of [curr] follows the load and covers it. *)
           let k = curr.key in
-          let succ = S.read s.h ~src:curr.blk ~hdr:blk curr.next.(lvl) in
+          let succ = S.read s.h ~src:(blk curr) ~hdr:blk curr.next.(lvl) in
           if Link.is_marked succ then
             if help then begin
               (* Unlink curr.  The expected value must be unmarked: CASing
@@ -197,7 +211,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             else
               walk s key help (n - 1) lvl pred (Link.with_tag succ 0) levels
           else if k < key then begin
-            if hop_shields then S.protect s.lasting.(0) curr.blk;
+            if hop_shields then S.protect s.lasting.(0) (blk curr);
             walk s key help (n - 1) lvl curr succ levels
           end
           else complete_level s key help n lvl pred plink levels (k = key)
@@ -216,7 +230,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     else begin
       let i = max_level - 1 - lvl in
       if hop_shields then begin
-        S.protect s.lasting.((2 * i) + 1) pred.blk;
+        S.protect s.lasting.((2 * i) + 1) (blk pred);
         S.protect s.lasting.((2 * i) + 2) (link_blk plink)
       end;
       let levels = { lpred = pred; llink = plink } :: levels in
@@ -387,7 +401,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             | `Won ->
                 (* Unlink everywhere via the helping search, then retire. *)
                 search t s key ~help:true ~hold:true;
-                S.retire s.h victim.blk
+                S.retire s.h (blk victim)
                   ?free:(Pool.free_hook ~recycles:S.recycles t.pools.(vh) victim);
                 true
         in

@@ -118,27 +118,26 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* An ejected operation restarts from scratch.  Its rollback is traced
      before the section's [Cs_end 1]. *)
-  let op h body =
+  (* A restart re-enters the operation by a tail call, so [op] builds no
+     retry closure per call. *)
+  let rec op h body =
     let eh = h.eh in
-    let rec go () =
-      E.pin eh;
-      match body () with
-      | r ->
-          E.unpin eh;
-          r
-      | exception Restart ->
-          Stats.Counter.incr h.d.restarts;
-          (* The ejection that raised Restart was consumed by poll; cite
-             its send-sequence id so the analyzer can join the edge. *)
-          Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq h.box);
-          E.unpin_as eh 1;
-          Sched.yield ();
-          go ()
-      | exception e ->
-          E.unpin_as eh 2;
-          raise e
-    in
-    go ()
+    E.pin eh;
+    match body () with
+    | r ->
+        E.unpin eh;
+        r
+    | exception Restart ->
+        Stats.Counter.incr h.d.restarts;
+        (* The ejection that raised Restart was consumed by poll; cite
+           its send-sequence id so the analyzer can join the edge. *)
+        Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq h.box);
+        E.unpin_as eh 1;
+        Sched.yield ();
+        op h body
+    | exception e ->
+        E.unpin_as eh 2;
+        raise e
 
   let crit h body = E.crit h.eh body
   let mask _ body = body ()

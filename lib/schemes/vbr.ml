@@ -97,17 +97,16 @@ module Impl : Smr_intf.SCHEME = struct
 
   exception Restart
 
-  let op h body =
-    let rec go () =
-      h.start_era <- Atomic.get h.d.era;
-      try body ()
-      with Restart ->
-        Stats.Counter.incr h.d.restarts;
-        Trace.emit Trace.Rollback 0;
-        Sched.yield ();
-        go ()
-    in
-    go ()
+  (* A restart re-enters the operation by a tail call, so [op] builds no
+     retry closure per call. *)
+  let rec op h body =
+    h.start_era <- Atomic.get h.d.era;
+    try body ()
+    with Restart ->
+      Stats.Counter.incr h.d.restarts;
+      Trace.emit Trace.Rollback 0;
+      Sched.yield ();
+      op h body
 
   let crit _ body = body ()
   let mask _ body = body ()

@@ -1,5 +1,6 @@
 (* Simulated allocator: lifecycle transitions, UAF detection, counters,
-   peak tracking, pool reuse. *)
+   peak tracking, pool reuse, and the header-prefix rule of every
+   structure's nodes. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Block = Hpbrcu_alloc.Block
@@ -288,6 +289,124 @@ let test_pool_reuse () =
     (Option.is_none (Pool.reuse ~recycles:false p ~blk:node_blk ~era:9));
   Alcotest.(check int) "pool untouched" 1 (Pool.size p)
 
+(* The header-prefix rule (DESIGN.md §9): every structure's node is its
+   own block.  [Spy] passes a scheme through, recording the node every
+   read reaches with its block as the structure's [hdr] projects it, and
+   every block retired. *)
+module Link = Hpbrcu_core.Link
+module Smr_intf = Hpbrcu_core.Smr_intf
+module Ds = Hpbrcu_ds
+module Sched = Hpbrcu_runtime.Sched
+
+module Spy (S : Smr_intf.S) = struct
+  include S
+
+  let reached : (Obj.t * Block.t) list ref = ref []
+  let retired : Block.t list ref = ref []
+
+  let read h ~src ~hdr cell =
+    let l = S.read h ~src ~hdr cell in
+    (match l with
+    | Link.Ptr { target; _ } -> reached := (Obj.repr target, hdr target) :: !reached
+    | Link.Null _ -> ());
+    l
+
+  let retire h ?free ?patch ?claimed b =
+    retired := b :: !retired;
+    S.retire h ?free ?patch ?claimed b
+end
+
+module type MAKE = functor (S : Smr_intf.S) -> Ds.Ds_intf.MAP
+
+let structures : (string * (module MAKE)) list =
+  [
+    ("HList", (module Ds.Harris_list.Make));
+    ("HHSList", (module Ds.Harris_list.Make_hhs));
+    ("HMList", (module Ds.Hm_list.Make));
+    ("HashMap", (module Ds.Hashmap.Make));
+    ("LazyList", (module Ds.Lazy_list.Make));
+    ("SkipList", (module Ds.Skiplist.Make));
+    ("NMTree", (module Ds.Nmtree.Make));
+    ("EFRB-BST", (module Ds.Efrb_bst.Make));
+  ]
+
+let on_fibers f =
+  Sched.run (Sched.Fibers { seed = 1; switch_every = 2 }) ~nthreads:1 (fun _ -> f ())
+
+(* For each key inserted: the insert's nodes draw the next ids in order,
+   and a [get] of the key reaches each of them, each its own block.  Then
+   a remove retires nodes that reads reached, which the view shows
+   [Retired]; a reclaim (HP-BRCU's, through its flush; NR never reclaims,
+   so the allocator's) shows [Reclaimed], and a strict access check of
+   the reclaimed node raises [Use_after_free] with the node itself. *)
+let test_header_prefix scheme (module M : MAKE) () =
+  Test_util.with_scheme scheme (fun (module S) ->
+      let module Sp = Spy (S) in
+      let module L = M (Sp) in
+      on_fibers (fun () ->
+          let t = L.create () in
+          let se = L.session t in
+          let seen = ref [] in
+          for k = 1 to 16 do
+            let a0 = (Alloc.stats ()).allocated in
+            Alcotest.(check bool) "insert" true (L.insert t se (k * 7 mod 17) k);
+            let a1 = (Alloc.stats ()).allocated in
+            Sp.reached := [];
+            Alcotest.(check bool) "get" true (L.get t se (k * 7 mod 17));
+            List.iter
+              (fun (n, b) ->
+                if Obj.repr b != n then Alcotest.fail "a node's view is not the node")
+              !Sp.reached;
+            for id = a0 to a1 - 1 do
+              if not (List.exists (fun (_, b) -> Block.id b = id) !Sp.reached) then
+                Alcotest.failf "key %d: get reached no node with id %d" k id
+            done;
+            seen := !Sp.reached @ !seen
+          done;
+          Sp.retired := [];
+          Alcotest.(check bool) "remove" true (L.remove t se 7);
+          L.cleanup t se;
+          let views = !Sp.retired in
+          Alcotest.(check bool) "retired some" true (views <> []);
+          List.iter
+            (fun b ->
+              if not (List.exists (fun (n, _) -> n == Obj.repr b) !seen) then
+                Alcotest.fail "retired a block that is not a node";
+              Alcotest.(check bool) "retired" true (Block.state b = Block.Retired))
+            views;
+          L.close_session se;
+          (* HP-BRCU's two-step retire needs epoch advances and a scan. *)
+          let h = Sp.register () in
+          for _ = 1 to 4 do
+            Sp.flush h
+          done;
+          Sp.unregister h;
+          if scheme = "NR" then List.iter Alloc.reclaim views;
+          List.iter
+            (fun b ->
+              Alcotest.(check bool) "reclaimed" true (Block.is_reclaimed b);
+              match Alloc.check_access b with
+              | () -> Alcotest.fail "access to a reclaimed node passed"
+              | exception Alloc.Use_after_free b' ->
+                  Alcotest.(check bool) "the node itself" true (b' == b))
+            views))
+
+(* The external trees' leaves share one child cell (and EFRB's one
+   update box), which must still hold what it was made with after a
+   mixed run of inserts and removes on four fibers. *)
+let test_leaf_cells scheme () =
+  Test_util.with_scheme scheme (fun (module S) ->
+      Test_util.stress (module Ds.Nmtree.Make (S)) ~seed:5 ();
+      Test_util.stress (module Ds.Efrb_bst.Make (S)) ~seed:5 ());
+  Alcotest.(check bool) "NMTree leaf cell" true
+    (Link.get Ds.Nmtree.leaf_child == Link.null);
+  Alcotest.(check bool) "EFRB leaf cell" true
+    (Link.get Ds.Efrb_bst.leaf_child == Link.null);
+  Alcotest.(check bool) "EFRB leaf update" true
+    (match Atomic.get Ds.Efrb_bst.leaf_update with
+    | Ds.Efrb_bst.Clean -> true
+    | _ -> false)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -319,4 +438,17 @@ let () =
           Alcotest.test_case "concurrent" `Quick test_pool_concurrent;
           Alcotest.test_case "reuse" `Quick test_pool_reuse;
         ] );
+      ( "header-prefix",
+        List.concat_map
+          (fun scheme ->
+            List.map
+              (fun (ds, m) ->
+                Alcotest.test_case (ds ^ "/" ^ scheme) `Quick
+                  (test_header_prefix scheme m))
+              structures
+            @ [
+                Alcotest.test_case ("leaf-cells/" ^ scheme) `Quick
+                  (test_leaf_cells scheme);
+              ])
+          [ "NR"; "HP-BRCU" ] );
     ]

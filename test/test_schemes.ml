@@ -303,8 +303,7 @@ let test_epochs_independent () =
   X.destroy d2
 
 (* An operation frame is free: 1000 [op]s around a prebuilt body allocate
-   no minor word, except under VBR and PEBR, whose restart loop closes over
-   the body. *)
+   no minor word under any scheme. *)
 let op_frame_case (name, (module X : SI.SCHEME)) =
   Alcotest.test_case ("op-frame/" ^ name) `Quick (fun () ->
       Alloc.reset ();
@@ -499,11 +498,7 @@ let () =
               test_epochs_independent;
             Alcotest.test_case "ibr-session-cost" `Quick test_ibr_session_cost;
           ] );
-      ( "op-frame",
-        List.map op_frame_case
-          (List.filter
-             (fun (n, _) -> not (List.mem n [ "VBR"; "PEBR" ]))
-             Schemes.impls) );
+      ("op-frame", List.map op_frame_case Schemes.impls);
       ( "vbr",
         [
           Alcotest.test_case "immediate-reclaim" `Quick test_vbr_immediate;

@@ -15,9 +15,11 @@ the machine during the series falls on both sides alike.
 Prints, per metric of BENCHMARK.json (`end_to_end`, or `per_layer` under
 `--trace 1`), a markdown table with a row per pair, the first quartile,
 median and third quartile of each side, how many pairs the change won
-in the metric's `better` direction and how far the change's median lies
-from the parent's, in percent; then each run's `correct` flag
-and failed-operation count.  Exits 1 if any run was not correct or
+in the metric's `better` direction, how far the change's median lies
+from the parent's, in percent, and whether the claim rule holds (the
+change won at least nine tenths of the pairs, and its median lies beyond
+the parent's first or third quartile in the `better` direction); then
+each run's `correct` flag and failed-operation count.  Exits 1 if any run was not correct or
 printed no result.
 """
 
@@ -55,6 +57,22 @@ def rel_change(parent, change):
     if parent == 0 or parent != parent or change != change:
         return "change n/a"
     return "%+.1f%%" % (100.0 * (change - parent) / parent)
+
+
+def claim_verdict(wins, pairs, parent_q, change_median, lower):
+    """The claim rule: the change won at least nine tenths of the pairs
+    (ties count for neither side) and its median lies beyond the parent's
+    first quartile (lower is better) or third quartile (higher is
+    better)."""
+    need = -(-9 * pairs // 10)
+    bound, side = (parent_q[0], "below the parent's Q1") if lower \
+        else (parent_q[2], "above the parent's Q3")
+    beyond = change_median < bound if lower else change_median > bound
+    holds = wins >= need and beyond
+    return ("Claim rule %s: won %d of %d pairs (needs %d); median %s %s %s."
+            % ("holds" if holds else "does not hold", wins, pairs, need,
+               fmt(change_median), "lies" if beyond else "does not lie",
+               side + " (" + fmt(bound) + ")"))
 
 
 def fmt(v):
@@ -103,9 +121,11 @@ def main():
         qv = {s: quartiles(vals[s]) for s in sides}
         qs = {s: " / ".join(fmt(q) for q in qv[s]) for s in sides}
         print("| Q1 / median / Q3 | %s | %s |" % (qs["parent"], qs["change"]))
-        print("\n%s (%s is better): the change won %d of %d pairs; median %s.\n"
+        print("\n%s (%s is better): the change won %d of %d pairs; median %s."
               % (name, m["better"], wins, args.pairs,
                  rel_change(qv["parent"][1], qv["change"][1])))
+        print(claim_verdict(wins, args.pairs, qv["parent"], qv["change"][1],
+                            lower) + "\n")
     print("| run | parent correct | failed | change correct | failed |")
     print("|---|---|---|---|---|")
     def cell(r):
