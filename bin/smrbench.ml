@@ -1141,35 +1141,24 @@ module Reclaim_bench = struct
 
   (* The floor under [traverse-walk]: the same get past the tail of a
      128-node and of a 1024-node list, per node over the 896 extra nodes,
-     on a local record with HHSList's node layout ([next_] in field 0
-     behind a ["%identity"] atomic view, header, key, value, pool) walked
-     by a plain loop: no scheme, walker, [read], yield or access check.
-     Reported, not gated: NR's [traverse-walk] over this row is what the
-     library's mediation costs per node. *)
-  type raw_node = {
-    mutable next_ : raw_node Link.t;
-    blk : Block.t;
-    key : int;
-    value : int;
-    pool : raw_node Hpbrcu_alloc.Pool.t;
-  }
-
-  external raw_next : raw_node -> raw_node Link.cell = "%identity"
+     on HHSList's own nodes walked by a plain loop: no scheme, walker,
+     [read], yield or access check.  Reported, not gated: NR's
+     [traverse-walk] over this row is what the library's mediation costs
+     per node. *)
+  module Hl = Hpbrcu_ds.Harris_list
 
   (* HHSList's [get], minus the scheme: skip marked nodes, stop at the
      first key >= [key]. *)
   let rec raw_walk key = function
     | Link.Null _ -> false
-    | Link.Ptr { target = n; _ } ->
+    | Link.Ptr { target = (n : Hl.node); _ } ->
         let k = n.key in
-        let next = Link.get (raw_next n) in
+        let next = Link.get (Hl.next_cell n) in
         if Link.is_marked next || k < key then raw_walk key next else k = key
 
   let raw_walk_kernel ~iters =
     let pool = Hpbrcu_alloc.Pool.create () in
-    let node key =
-      { next_ = Link.null_tagged 0; blk = Alloc.block (); key; value = 0; pool }
-    in
+    let node key = Hl.mk_node ~recyclable:false ~era:0 key 0 pool in
     let per_get n =
       (* Linked in key order, allocated in key order, as the inserts of
          [traverse_kernels] leave an HHSList. *)
@@ -1177,9 +1166,10 @@ module Reclaim_bench = struct
       let nodes = Array.init n node in
       Array.iteri
         (fun k x ->
-          Link.set (raw_next (if k = 0 then head else nodes.(k - 1))) (Link.ptr x))
+          Link.set (Hl.next_cell (if k = 0 then head else nodes.(k - 1)))
+            (Link.ptr x))
         nodes;
-      let walk () = raw_walk n (Link.get (raw_next head)) in
+      let walk () = raw_walk n (Link.get (Hl.next_cell head)) in
       median_best ~iters (fun () -> ignore (Sys.opaque_identity (walk ()) : bool))
     in
     let short, long = (128, 1024) in

@@ -251,7 +251,9 @@ gate chaos-fibers chaos_fibers
 # and the traverse-walk words per traversed node of an HHSList get under
 # NR, RCU, HP-RCU and HP-BRCU) must stay at zero minor-heap words per
 # cycle (threshold 0.05 words/op absorbs probe calibration noise),
-# block-alloc at one 8-word header per Alloc.block (), and domain-create
+# node-alloc at one node per structure's constructor call (12 words for
+# HHSList and HMList, 13 for an NMTree or EFRB leaf, 17 for a LazyList
+# node and a height-1 skip-list node), and domain-create
 # (one domain created, given an 8-shield session and destroyed) at
 # 8192 + 512 x Counter.lanes words of either heap per cycle for HP-BRCU
 # (~4.8k on 2 lanes) and 640 + 64 x Counter.lanes for RCU and IBR (~470

@@ -2,8 +2,8 @@
 
     OCaml's GC never exposes frees, so the paper's central objects —
     "retired blocks", "reclaimed blocks", "use-after-free" — are modelled
-    explicitly: every node managed by a reclamation scheme embeds a
-    [Block.t] whose atomic lifecycle state walks
+    explicitly: every node managed by a reclamation scheme is also a
+    [Block.t], whose lifecycle state walks
 
     {v  Live --retire--> Retired --reclaim--> Reclaimed --(pool)--> Live  v}
 
@@ -24,8 +24,8 @@
     starts at field 1.  [word] (field 1) packs the lifecycle state into
     its low 2 bits and the version above them.  It is the only field
     written concurrently: it is CAS'd through the runtime's field CAS
-    ([caml_obj_compare_and_swap], a full barrier) and read by a plain
-    load (DESIGN.md §2.1).  The other mutable fields are plain: each is
+    ([caml_atomic_cas_field], a full barrier) and read by a plain load
+    (DESIGN.md §2.1).  The other mutable fields are plain: each is
     written before the block passes through an atomic (a [word] CAS, a
     link CAS, a pool or segment CAS) and read only after it was received
     through one, so that atomic orders them.  A standalone [t] (from
@@ -68,12 +68,24 @@ type t = {
           per-retire closure. *)
 }
 
-(* OCaml 5.1.1's runtime CAS of field [i] of a block (a sequentially
-   consistent CAS plus the write barrier), used at [word]'s index only. *)
-external cas_field : t -> int -> int -> int -> bool = "caml_obj_compare_and_swap"
+(* The OCaml 5.1.1 runtime's CAS of field [i] of a block (sequentially
+   consistent, plus the write barrier, a no-op for ints), used at
+   [word]'s index only.  Native code calls [caml_atomic_cas_field]
+   directly, as [Atomic.compare_and_set] calls [caml_atomic_cas]: it
+   neither allocates, raises nor polls, so [noalloc] holds and the call
+   skips [caml_obj_compare_and_swap]'s OCaml-call frame and GC poll
+   (~5 ns per CAS).  Its C [int] result is read by its low bit only: the
+   upper half of the return register is unspecified.  Bytecode calls
+   [caml_obj_compare_and_swap], which takes and returns tagged ints. *)
+external cas_field :
+  t -> (int[@untagged]) -> int -> int -> (int[@untagged])
+  = "caml_obj_compare_and_swap" "caml_atomic_cas_field"
+  [@@noalloc]
 
 let word_field = 1
-let[@inline] cas_word t ~expected ~desired = cas_field t word_field expected desired
+
+let[@inline] cas_word t ~expected ~desired =
+  cas_field t word_field expected desired land 1 = 1
 
 let state_mask = 3
 

@@ -94,11 +94,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   type t = { root : node }
 
-  let mk_leaf = mk_leaf ~recyclable:S.recycles
-  let mk_internal = mk_internal ~recyclable:S.recycles
+  let recyclable = S.recycles
 
   let create () =
-    { root = mk_internal inf2 ~left:(mk_leaf inf1) ~right:(mk_leaf inf2) }
+    {
+      root =
+        mk_internal ~recyclable inf2 ~left:(mk_leaf ~recyclable inf1)
+          ~right:(mk_leaf ~recyclable inf2);
+    }
 
   let child_cell n key = if key < n.key then n.left else n.right
 
@@ -358,11 +361,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             attempt ()
           end
           else begin
-            let new_leaf = mk_leaf key in
+            let new_leaf = mk_leaf ~recyclable key in
             let new_internal =
               if key < c.l.key then
-                mk_internal c.l.key ~left:new_leaf ~right:c.l
-              else mk_internal key ~left:c.l ~right:new_leaf
+                mk_internal ~recyclable c.l.key ~left:new_leaf ~right:c.l
+              else mk_internal ~recyclable key ~left:c.l ~right:new_leaf
             in
             let op = { ip = c.p; il = c.l; inew = new_internal } in
             if Atomic.compare_and_set c.p.update c.pupdate (IFlag op) then begin

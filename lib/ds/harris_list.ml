@@ -55,7 +55,8 @@ external next_cell : node -> node Link.cell = "%identity"
 external blk : node -> Block.t = "%identity"
 
 (** A fresh node, [Live] and born at [era].  Its link is the shared null:
-    an insert sets it before publishing the node. *)
+    the end of the list for a head, and set by an insert before it
+    publishes any other node. *)
 let mk_node ~recyclable ~era key value pool =
   {
     next_ = Link.null;

@@ -65,10 +65,14 @@ let mk_node ~recyclable ~era key value ~leaf ~left ~right =
     right;
   }
 
-(** A fresh leaf. *)
+(** A fresh leaf, and a fresh internal node routing on [key]. *)
 let mk_leaf ~recyclable ~era key value =
   mk_node ~recyclable ~era key value ~leaf:true ~left:leaf_child
     ~right:leaf_child
+
+let mk_internal ~recyclable ~era key ~left ~right =
+  mk_node ~recyclable ~era key 0 ~leaf:false ~left:(Link.cell (Link.ptr left))
+    ~right:(Link.cell (Link.ptr right))
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name = "NMTree(" ^ S.name ^ ")"
@@ -113,10 +117,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let create () =
     (* R(inf2) -- left --> S(inf1) -- left --> leaf(inf0);
        right children are sentinel leaves. *)
-    let sentinel key ~left ~right =
-      mk_node ~recyclable:false ~era:0 key 0 ~leaf:false
-        ~left:(Link.cell (Link.ptr left)) ~right:(Link.cell (Link.ptr right))
-    in
+    let sentinel = mk_internal ~recyclable:false ~era:0 in
     let l_inf0 = mk_leaf ~recyclable:false ~era:0 inf0 0 in
     let l_inf1 = mk_leaf ~recyclable:false ~era:0 inf1 0 in
     let l_inf2 = mk_leaf ~recyclable:false ~era:0 inf2 0 in
@@ -141,8 +142,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     | None -> mk_leaf ~recyclable:S.recycles ~era key value
 
   let alloc_internal key ~left ~right =
-    mk_node ~recyclable:S.recycles ~era:(S.current_era ()) key 0 ~leaf:false
-      ~left:(Link.cell (Link.ptr left)) ~right:(Link.cell (Link.ptr right))
+    mk_internal ~recyclable:S.recycles ~era:(S.current_era ()) key ~left ~right
 
   (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
      publishes the whole cursor with [protect_cursor] inside the section.
