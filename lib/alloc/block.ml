@@ -74,7 +74,7 @@ type t = {
    directly, as [Atomic.compare_and_set] calls [caml_atomic_cas]: it
    neither allocates, raises nor polls, so [noalloc] holds and the call
    skips [caml_obj_compare_and_swap]'s OCaml-call frame and GC poll
-   (~5 ns per CAS).  Its C [int] result is read by its low bit only: the
+   (4-5 ns per CAS).  Its C [int] result is read by its low bit only: the
    upper half of the return register is unspecified.  Bytecode calls
    [caml_obj_compare_and_swap], which takes and returns tagged ints. *)
 external cas_field :
