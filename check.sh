@@ -164,7 +164,8 @@ gate fiber-golden fiber_golden
 # `mutable next_ : node Link.t;` first.  Every structure's blk views its
 # node as a Block.t: the node's fields 1 to 7 must be Block.t's, in
 # order, with the same names, types and mutability (the header-prefix
-# rule).  Any other "%identity" under lib/, a missing or extra view, or a
+# rule), and Block.t's field 1 must be word, the field Block.cas_word
+# CASes by index.  Any other "%identity" under lib/, a missing or extra view, or a
 # reordered record fails, naming the file.
 record_fields() {
   # record_fields FILE TYPE: the field declarations of record TYPE, one a
@@ -196,8 +197,10 @@ header_view() {
 field0_audit() {
   ok=0
   header="$(record_fields lib/alloc/block.ml t | sed -n 2,8p)"
-  if [ "$(printf '%s\n' "$header" | wc -l)" -ne 7 ]; then
-    echo "check.sh: lib/alloc/block.ml: cannot read Block.t's 7 header fields" >&2
+  if [ "$(printf '%s\n' "$header" | wc -l)" -ne 7 ] ||
+    [ "$(printf '%s\n' "$header" | head -n 1)" != 'mutable word : int;' ]; then
+    echo "check.sh: lib/alloc/block.ml: Block.t must declare 7 header fields" \
+      "after field 0, 'mutable word : int;' first (Block.word_field = 1)" >&2
     return 1
   fi
   lists="lib/ds/harris_list.ml lib/ds/hm_list.ml lib/ds/lazy_list.ml"
