@@ -1054,12 +1054,14 @@ module Reclaim_bench = struct
      record (13 words) for an NMTree or EFRB leaf, whose children and
      update word are shared; a LazyList node's record plus its lock and
      mark boxes (13 + 2 + 2); a height-1 skip-list node's 10-field record
-     plus its tower (11 + 2 + one cell holding a fresh null, 4).  A
-     separate header record read 8 words more per node. *)
+     plus its tower (11 + 2 + one cell holding the shared null, 2; a
+     cell holding a fresh null read 2 more).  A separate header record
+     read 8 words more per node. *)
   let node_words = function
     | "HHSList" | "HMList" -> Some 12.
     | "NMTree" | "EFRB-BST" -> Some 13.
-    | "LazyList" | "SkipList" -> Some 17.
+    | "LazyList" -> Some 17.
+    | "SkipList" -> Some 15.
     | _ -> None
 
   let node_alloc_kernels ~iters =

@@ -65,6 +65,20 @@ skip() {
 gate build dune build
 gate runtest dune runtest
 
+# Examples gate: the four programs under examples/ are the quickstart and
+# tours the README points to, with runtime asserts of their own; each
+# prebuilt binary must exit 0 (about 5 s together).
+examples() {
+  for e in quickstart olap_scan kv_workload brcu_tour; do
+    echo "check.sh: examples/$e.exe"
+    if ! "_build/default/examples/$e.exe"; then
+      echo "check.sh: examples/$e.exe failed" >&2
+      return 1
+    fi
+  done
+}
+gate examples examples
+
 # No-opaque gate (DESIGN.md §9): dune-workspace selects the release
 # profile, because the dev profile compiles every library module with
 # -opaque, which hides its .cmx from callers and stops cross-module
@@ -256,7 +270,7 @@ gate chaos-fibers chaos_fibers
 # cycle (threshold 0.05 words/op absorbs probe calibration noise),
 # node-alloc at one node per structure's constructor call (12 words for
 # HHSList and HMList, 13 for an NMTree or EFRB leaf, 17 for a LazyList
-# node and a height-1 skip-list node), and domain-create
+# node, 15 for a height-1 skip-list node), and domain-create
 # (one domain created, given an 8-shield session and destroyed) at
 # 8192 + 512 x Counter.lanes words of either heap per cycle for HP-BRCU
 # (~4.8k on 2 lanes) and 640 + 64 x Counter.lanes for RCU and IBR (~470

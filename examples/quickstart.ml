@@ -6,7 +6,7 @@
      1. look a scheme up by name (here the paper's full solution, HP-BRCU)
         and open a fresh reclamation domain of it;
      2. instantiate a data structure functor with the scheme bound to
-        that domain;
+        that domain (the [D] that [with_domain] hands over);
      3. per thread: open a session, run operations, close the session;
      4. the allocator's counters show retirement/reclamation behaviour.
    The domain is destroyed when the scope exits. *)
@@ -17,7 +17,7 @@ module Schemes = Hpbrcu_schemes.Schemes
 
 let () =
   Schemes.with_domain (Schemes.find "HP-BRCU") @@ fun (module D) ->
-  let module List_set = Hpbrcu_ds.Harris_list.Make_hhs (D.S) in
+  let module List_set = Hpbrcu_ds.Harris_list.Make_hhs (D) in
   let set = List_set.create () in
 
   (* Single-threaded taste. *)
@@ -47,7 +47,7 @@ let () =
 
   let st = Alloc.stats () in
   Fmt.pr "allocator: %a@." Alloc.pp_stats st;
-  Fmt.pr "scheme:    %a@." Hpbrcu_runtime.Stats.pp (D.S.stats ());
+  Fmt.pr "scheme:    %a@." Hpbrcu_runtime.Stats.pp (D.stats D.it);
   assert (st.Alloc.uaf = 0);
   Fmt.pr "quickstart OK: no use-after-free, %d blocks reclaimed@."
     st.Alloc.reclaimed

@@ -65,9 +65,6 @@ let with_tag l tag =
 
 let cell (l : 'a t) : 'a cell = Atomic.make l
 
-(** A cell holding a fresh tag-0 null. *)
-let null_cell () : 'a cell = Atomic.make (null_tagged 0)
-
 (** [get c] — an unmediated load.  Scheme code only; data structures must go
     through their scheme's [read]. *)
 let get (c : 'a cell) = Atomic.get c

@@ -9,7 +9,7 @@
       the domain, so one process can run any number of independent
       instances of the same scheme (the sharded map in
       [lib/ds/sharded_hashmap.ml] depends on exactly this).
-    - {!S} is a scheme bound to one caller-owned domain ({!Bind}): the
+    - {!S} is {!SCHEME} plus one caller-owned domain [it] ({!Bind}): the
       surface every data structure in [lib/ds] is a functor over.  The
       caller creates the domain, binds it, and destroys it when done;
       [Hpbrcu_schemes.Schemes.with_domain] packages that lifecycle.
@@ -17,18 +17,18 @@
     The phase discipline underneath is unchanged and is what the paper
     compares:
 
-    - {!S.op} wraps a whole operation.  RCU pins an epoch for its entire
+    - {!SCHEME.op} wraps a whole operation.  RCU pins an epoch for its entire
       extent and IBR opens its reservation interval; VBR and PEBR put
       their announce-and-restart loop here, around a private exception
       that only their own [read]/[deref] raise.  Every other scheme runs
       the body directly: no retry frame, no closure.
-    - {!S.read} mediates every traversal link load.  HP-family schemes run
+    - {!SCHEME.read} mediates every traversal link load.  HP-family schemes run
       the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here,
       into a ring of {!hop_ring} shields the handle owns — the "per-node
       overhead" of Table 2; coarse schemes do a plain load (plus signal
       poll and use-after-free check).  The data structure passes no
       shield: per-hop protection is the scheme's business.
-    - {!S.traverse} is the paper's Traverse combinator (Algorithm 7): the
+    - {!SCHEME.traverse} is the paper's Traverse combinator (Algorithm 7): the
       data structure supplies a budgeted {!walker}, and each scheme
       instantiates its phase structure by the budgets and checkpoints it
       drives the walker with: a single unbounded critical
@@ -36,9 +36,9 @@
       rollback-and-resume with double-buffered checkpoints (HP-BRCU), or
       restart-from-entry (NBR) — which is precisely the difference that
       produces the paper's long-running-operation results.
-    - {!S.crit} / {!S.mask} expose critical sections and abort-masked
+    - {!SCHEME.crit} / {!SCHEME.mask} expose critical sections and abort-masked
       regions (Algorithms 5–6) for code written directly against a scheme.
-    - {!S.retire} hands a block to the scheme; HP-(B)RCU implements it as
+    - {!SCHEME.retire} hands a block to the scheme; HP-(B)RCU implements it as
       the two-step defer-then-hp-retire (Algorithm 4).  Retirement is
       {e intrusive}: the deferred work is recorded as a
       {!Hpbrcu_alloc.Block.t} plus an epoch stamp in a preallocated entry
@@ -47,16 +47,16 @@
       the right domain's unreclaimed watermark at reclaim time.
 
     Concurrency/rollback contract: a scheme's [Rollback] (scheme-internal)
-    unwinds to the nearest {!S.crit}, and VBR's and PEBR's restart unwinds
-    to their own {!S.op}; neither escapes the scheme.  Data-structure code
+    unwinds to the nearest {!SCHEME.crit}, and VBR's and PEBR's restart unwinds
+    to their own {!SCHEME.op}; neither escapes the scheme.  Data-structure code
     must therefore be abort-rollback-safe inside critical sections (paper
     R3), and inside a whole operation under VBR and PEBR: shared-memory
-    writes that cannot be repeated go inside {!S.mask}. *)
+    writes that cannot be repeated go inside {!SCHEME.mask}. *)
 
 module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
 
-(** A data structure's traversal, handed to {!S.traverse} (paper
+(** A data structure's traversal, handed to {!SCHEME.traverse} (paper
     Algorithm 7's cursor and step, turned inside out so that the scheme
     drives budgets instead of single steps).  The structure builds one
     walker per session and reuses it for every traversal; the {e live
@@ -76,13 +76,13 @@ module Alloc = Hpbrcu_alloc.Alloc
       so an ordinary step allocates nothing and stores no pointer into
       the heap;
       [walk n] is observably [n] calls of [walk 1].  It must be
-      abort-rollback-safe except inside {!S.mask};
+      abort-rollback-safe except inside {!SCHEME.mask};
     - [save i] / [restore i] copy the live cursor into checkpoint slot
       [i] (0 or 1) or back from it; [restore] then revalidates the
       cursor (paper R1, §3.3) and returns whether it may be resumed;
     - [protect sh] publishes the live cursor into the shield array [sh]
       (a scheme's checkpoint: hops between checkpoints are protected, if
-      at all, by {!S.read}'s own ring).  A scheme calls it only for a
+      at all, by {!SCHEME.read}'s own ring).  A scheme calls it only for a
       cursor that outlives the critical section it was read in: one it
       resumes from in a later section, or, under [~hold:true], the
       destination the caller keeps using;
@@ -105,7 +105,7 @@ type 'sh walker = {
 }
 
 (** K of the HP paper: how many hop shields a handle of a scheme whose
-    {!S.read} publishes protection (HP, HP++, PEBR, HE) rotates through.
+    {!SCHEME.read} publishes protection (HP, HP++, PEBR, HE) rotates through.
     The most any structure's cursor holds across a hop (NMTree, EFRB). *)
 let hop_ring = 5
 
@@ -251,7 +251,7 @@ module Dom = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* The primary, domain-valued scheme interface                         *)
+(* The scheme interface                                                *)
 (* ------------------------------------------------------------------ *)
 
 module type SCHEME = sig
@@ -261,7 +261,7 @@ module type SCHEME = sig
 
   val caps : Config.t -> Caps.t
   (** Robustness/applicability metadata (Tables 1 and 2) for a domain
-      running under [config]. *)
+      running under [config]; a bound scheme's are {!val-caps} of it. *)
 
   (** {1 Domain lifecycle} *)
 
@@ -295,80 +295,8 @@ module type SCHEME = sig
   (** Raises {!Dom.Destroyed} on a destroyed domain. *)
 
   val unregister : handle -> unit
-
-  val flush : handle -> unit
-
-  (** {1 Shields (hazard-pointer slots)} *)
-
-  type shield
-
-  val new_shield : handle -> shield
-  val protect : shield -> Block.t -> unit
-  val clear : shield -> unit
-
-  (** {1 Phases} *)
-
-  val op : handle -> (unit -> 'a) -> 'a
-  val crit : handle -> (unit -> 'a) -> 'a
-  val mask : handle -> (unit -> 'a) -> 'a
-
-  (** {1 Mediated memory accesses} *)
-
-  val read :
-    handle -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
-
-  val deref : handle -> Block.t -> unit
-
-  (** {1 Retirement and allocation} *)
-
-  val retire :
-    handle ->
-    ?free:(unit -> unit) ->
-    ?patch:Block.t list ->
-    ?claimed:bool ->
-    Block.t ->
-    unit
-
-  val recycles : bool
-
-  val current_era : domain -> int
-
-  (** {1 Traversal} *)
-
-  val traverse :
-    handle ->
-    hold:bool ->
-    prot:shield array ->
-    backup:shield array ->
-    shield walker ->
-    bool
-
-  (** {1 Introspection} *)
-
-  val stats : domain -> Hpbrcu_runtime.Stats.snapshot
-  (** Typed counters for this domain only, identified by
-      [domain_id]/[domain_label]. *)
-end
-
-(* ------------------------------------------------------------------ *)
-(* A scheme bound to a domain                                          *)
-(* ------------------------------------------------------------------ *)
-
-module type S = sig
-  val name : string
-
-  val caps : Caps.t
-  (** Robustness/applicability metadata (Tables 1 and 2). *)
-
-  (** {1 Thread lifecycle} *)
-
-  type handle
-  (** Per-thread participant state. *)
-
-  val register : unit -> handle
-  val unregister : handle -> unit
-  (** [unregister] drains the handle's deferred work (best effort) and
-      releases its slots. *)
+  (** Drain the handle's deferred work (best effort) and release its
+      slots. *)
 
   val flush : handle -> unit
   (** Force-drain this handle's retired/deferred batches so that, once all
@@ -380,6 +308,7 @@ module type S = sig
   type shield
 
   val new_shield : handle -> shield
+
   val protect : shield -> Block.t -> unit
   (** Publish protection of a block (no validation; paper R2 situations);
       {!Hpbrcu_alloc.Block.none} empties the slot.  No-op in schemes
@@ -456,9 +385,9 @@ module type S = sig
   (** True for schemes (VBR) that reclaim into a type-stable pool; data
       structures then allocate via their pool and mark blocks recyclable. *)
 
-  val current_era : unit -> int
-  (** The global era for birth-stamping recycled nodes (VBR); [0]
-      elsewhere. *)
+  val current_era : domain -> int
+  (** The domain's global era for birth-stamping recycled nodes (VBR);
+      [0] elsewhere. *)
 
   (** {1 Traversal} *)
 
@@ -488,48 +417,39 @@ module type S = sig
 
   (** {1 Introspection} *)
 
-  val stats : unit -> Hpbrcu_runtime.Stats.snapshot
-  (** Scheme counters (epochs advanced, signals sent, restarts, ejections …)
-      as a typed snapshot for tests and experiment reports.  Fields the
-      scheme does not own stay at {!Hpbrcu_runtime.Stats.empty}'s zero;
-      composite schemes merge their halves with
-      {!Hpbrcu_runtime.Stats.add}. *)
+  val stats : domain -> Hpbrcu_runtime.Stats.snapshot
+  (** This domain's counters (epochs advanced, signals sent, restarts,
+      ejections …) as a typed snapshot for tests and experiment reports,
+      identified by [domain_id]/[domain_label].  Fields the scheme does
+      not own stay at {!Hpbrcu_runtime.Stats.empty}'s zero; composite
+      schemes merge their halves with {!Hpbrcu_runtime.Stats.add}. *)
 end
 
 (* ------------------------------------------------------------------ *)
-(* Binding a domain                                                    *)
+(* A scheme bound to a domain                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** A scheme together with one caller-owned domain: the surface every data
+    structure in [lib/ds] is a functor over.  A structure registers with
+    [S.register S.it] and reads its caps and name through {!val-caps}. *)
+module type S = sig
+  include SCHEME
+
+  val it : domain
+end
+
+(** [caps (module S)] — the capabilities of [S] under its domain's config,
+    [name] (the display name, NBR-Large included) among them. *)
+let caps (module S : S) = S.caps (Dom.config (S.dom S.it))
+
 (** [Bind (X) (D)] — view a caller-owned domain through {!S}, so the
-    data-structure functors (which are written over {!S}) run inside an
-    explicit domain — each shard of the sharded hashmap binds its own.
-    The domain's lifetime belongs to the caller. *)
+    data-structure functors run inside an explicit domain — each shard of
+    the sharded hashmap binds its own.  The domain's lifetime belongs to
+    the caller. *)
 module Bind (X : SCHEME) (D : sig
   val it : X.domain
 end) : S = struct
-  let caps = X.caps (Dom.config (X.dom D.it))
-  let name = caps.Caps.name
+  include X
 
-  type handle = X.handle
-
-  let register () = X.register D.it
-  let unregister = X.unregister
-  let flush = X.flush
-
-  type shield = X.shield
-
-  let new_shield = X.new_shield
-  let protect = X.protect
-  let clear = X.clear
-
-  let op = X.op
-  let crit = X.crit
-  let mask = X.mask
-  let read = X.read
-  let deref = X.deref
-  let retire = X.retire
-  let recycles = X.recycles
-  let current_era () = X.current_era D.it
-  let traverse = X.traverse
-  let stats () = X.stats D.it
+  let it = D.it
 end

@@ -86,7 +86,7 @@ let mk_internal ~recyclable key ~left ~right =
     ~right:(Link.cell (Link.ptr right)) ~update:(Atomic.make Clean)
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "EFRB-BST(" ^ S.name ^ ")"
+  let name = "EFRB-BST(" ^ (caps (module S)).Hpbrcu_core.Caps.name ^ ")"
 
   (* Sentinels: inf1 < inf2, both above every real key. *)
   let inf1 = max_int - 1
@@ -216,7 +216,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     end
 
   let session t =
-    let h = S.register () in
+    let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 3 in
     let backup = shields 3 in

@@ -68,7 +68,8 @@ let mk_node ~recyclable ~era key value pool =
   }
 
 module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = F.flavour_name ^ "(" ^ S.name ^ ")"
+  let name =
+    F.flavour_name ^ "(" ^ (caps (module S)).Hpbrcu_core.Caps.name ^ ")"
 
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
@@ -118,7 +119,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     S.unregister s.h
 
   let alloc_node t key value =
-    let era = S.current_era () in
+    let era = S.current_era S.it in
     match Pool.reuse ~recycles:S.recycles t.pool ~blk ~era with
     | Some n ->
         n.key <- key;
@@ -252,7 +253,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     end
 
   let session t =
-    let h = S.register () in
+    let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 3 in
     let backup = shields 3 in

@@ -60,7 +60,7 @@ let mk_node ~recyclable ~era key value =
   }
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "LazyList(" ^ S.name ^ ")"
+  let name = "LazyList(" ^ (caps (module S)).Hpbrcu_core.Caps.name ^ ")"
 
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
@@ -90,7 +90,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.unregister s.h
 
   let alloc_node t key value =
-    let era = S.current_era () in
+    let era = S.current_era S.it in
     match Pool.reuse ~recycles:S.recycles t.pool ~blk ~era with
     | Some n ->
         n.key <- key;
@@ -178,7 +178,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     end
 
   let session t =
-    let h = S.register () in
+    let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 2 in
     let backup = shields 2 in

@@ -75,7 +75,8 @@ let mk_internal ~recyclable ~era key ~left ~right =
     ~right:(Link.cell (Link.ptr right))
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "NMTree(" ^ S.name ^ ")"
+  let caps = caps (module S)
+  let name = "NMTree(" ^ caps.Hpbrcu_core.Caps.name ^ ")"
 
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
@@ -133,7 +134,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let is_leaf n = n.leaf
 
   let alloc_leaf t key value =
-    let era = S.current_era () in
+    let era = S.current_era S.it in
     match Pool.reuse ~recycles:S.recycles ~fits:is_leaf t.pool ~blk ~era with
     | Some n ->
         n.key <- key;
@@ -142,13 +143,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     | None -> mk_leaf ~recyclable:S.recycles ~era key value
 
   let alloc_internal key ~left ~right =
-    mk_internal ~recyclable:S.recycles ~era:(S.current_era ()) key ~left ~right
+    mk_internal ~recyclable:S.recycles ~era:(S.current_era S.it) key ~left
+      ~right
 
   (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
      publishes the whole cursor with [protect_cursor] inside the section.
      Otherwise [read]'s ring holds the hops, and [lasting] the ancestor
      and parent a seek may keep longer than the ring does. *)
-  let hop_shields = Hpbrcu_core.Caps.hop_shields S.caps
+  let hop_shields = Hpbrcu_core.Caps.hop_shields caps
 
   let key_of s (n : node) =
     let k = n.key in
@@ -236,7 +238,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     end
 
   let session t =
-    let h = S.register () in
+    let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 5 in
     let backup = shields 5 in

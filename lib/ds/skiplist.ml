@@ -44,10 +44,14 @@ type node = {
 external blk : node -> Block.t = "%identity"
 
 (** A fresh node, [Live] and born at [era], with a tower of [height]
-    null links. *)
+    null links.  Every level starts at the shared {!Link.null}, as a
+    recycled tower does: every skip-list CAS takes its expected value from
+    the cell it CASes, and [insert] overwrites every level before it
+    publishes the node, so no CAS can meet the shared null as a stale
+    expectation. *)
 let mk_node ~recyclable ~era ~height key value =
   {
-    next = Array.init height (fun _ -> Link.null_cell ());
+    next = Array.init height (fun _ -> Link.cell Link.null);
     word = Block.live; id = Alloc.fresh_id (); recyclable;
     birth_era = era; retire_era = -1; poison = 0; owner = 0;
     key;
@@ -55,7 +59,8 @@ let mk_node ~recyclable ~era ~height key value =
   }
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "SkipList(" ^ S.name ^ ")"
+  let caps = caps (module S)
+  let name = "SkipList(" ^ caps.Caps.name ^ ")"
 
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
   let height n = Array.length n.next
@@ -119,7 +124,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let alloc_node t s key value =
     let h = random_height s in
-    let era = S.current_era () in
+    let era = S.current_era S.it in
     match Pool.reuse ~recycles:S.recycles t.pools.(h) ~blk ~era with
     | Some n ->
         n.key <- key;
@@ -135,7 +140,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      publishes the whole cursor (every level's pred and link) with
      [protect_cursor] inside the section.  Otherwise [read]'s ring holds
      the hops, and [lasting] what the search keeps longer than that. *)
-  let hop_shields = Caps.hop_shields S.caps
+  let hop_shields = Caps.hop_shields caps
 
   (* Checkpoint protection: every node the cursor can still reach. *)
   let protect_cursor s (sh : S.shield array) =
@@ -246,7 +251,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     end
 
   let session t =
-    let h = S.register () in
+    let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields ((2 * max_level) + 2) in
     let backup = shields ((2 * max_level) + 2) in
@@ -308,7 +313,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* HP must help (it cannot traverse past marked nodes safely); everyone
      else gets the read-only search. *)
-  let helping_get = S.caps.Caps.per_node = Caps.ProtectAndValidate
+  let helping_get = caps.Caps.per_node = Caps.ProtectAndValidate
 
   let get t s key =
     S.op s.h (fun () ->

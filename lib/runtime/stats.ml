@@ -14,7 +14,7 @@
       "statistical counter" trade (exact totals, cheap increments).
     - {b Typed access.}  Schemes report through the {!snapshot} record, so
       harness and bench code read counters as fields
-      ([(S.stats ()).Stats.rollbacks]), never by string key.  The only
+      ([(S.stats S.it).Stats.rollbacks]), never by string key.  The only
       string-keyed view is {!to_fields}, the serializer boundary used by
       the JSON/CSV emitters and pretty-printers.
     - {b Determinism.}  In fiber mode all increments are scheduled by the

@@ -101,15 +101,10 @@ let find ?(tuning = `Default) name : (module SI.SCHEME) * Config.t =
       (Option.get (find_impl base), match tuning with `Default -> default | `Small -> small)
   | None -> invalid_arg ("unknown scheme: " ^ name)
 
-(** A fresh domain of one scheme: the scheme [X], the domain [it], and [S],
-    the scheme bound to [it] — the surface the data-structure functors
-    take. *)
+(** A fresh domain of one scheme: the scheme bound to it ({!SI.S}, the
+    surface the data-structure functors take), plus its teardown. *)
 module type DOMAIN = sig
-  module X : SI.SCHEME
-
-  val it : X.domain
-
-  module S : SI.S
+  include SI.S
 
   val teardown : unit -> unit
   (** Force-destroy [it] now, to close a census's books before reading
@@ -124,13 +119,11 @@ end
 let with_domain ?label ((module X : SI.SCHEME), config) f =
   let label = Option.value label ~default:(X.caps config).Caps.name in
   let module D = struct
-    module X = X
+    include X
 
-    let it = X.create ~label config
-
-    module S = SI.Bind (X) (struct let it = it end)
+    let it = create ~label config
 
     let teardown () =
-      if not (SI.Dom.destroyed (X.dom it)) then X.destroy ~force:true it
+      if not (SI.Dom.destroyed (dom it)) then destroy ~force:true it
   end in
   Fun.protect ~finally:D.teardown (fun () -> f (module D : DOMAIN))

@@ -382,7 +382,7 @@ let run_one ?(traced = false) ?(topology = One) ~substrate ~scheme ~plan_id
   | One ->
       Matrix.with_list impl (fun (module L) (module D) ->
           start ();
-          cell (module L) ~scheme_stats:D.S.stats
+          cell (module L) ~scheme_stats:(fun () -> D.stats D.it)
             ~dom_peaks:(fun () -> [| Alloc.peak_unreclaimed () |])
             (L.create ()))
   | Isolated | Shared ->

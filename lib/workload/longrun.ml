@@ -116,7 +116,7 @@ let with_run ~scheme (c : config) k =
           writer_tput = float_of_int (sum c.readers c.writers) /. elapsed /. 1e6;
           peak_unreclaimed = st.Alloc.peak_unreclaimed;
           uaf = st.Alloc.uaf;
-          scheme = Trace.flight_checked ~who:"Longrun" (D.S.stats ());
+          scheme = Trace.flight_checked ~who:"Longrun" (D.stats D.it);
           latency_unit =
             (match c.mode with Spec.Fibers _ -> "tick" | Spec.Domains -> "ns");
           reader_latency = Stats.Histogram.summary readers;

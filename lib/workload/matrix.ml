@@ -76,7 +76,7 @@ let ds_of_string = function
   | s -> invalid_arg ("unknown data structure: " ^ s)
 
 (* NBR-Large shares NBR's applicability. *)
-let supports (module S : SI.S) ds = S.caps.Caps.supports ds <> Caps.No
+let supports s ds = (SI.caps s).Caps.supports ds <> Caps.No
 
 (** [list_for caps] — the sorted list a scheme with [caps] runs, whole or
     as HashMap buckets: HHSList where Table 1 allows it, HMList otherwise
@@ -94,8 +94,8 @@ let list_for (caps : Caps.t) : (module Ds.Hashmap.BUCKETS) =
     chaos cell's one-domain topology and the hunt's unsharded cases. *)
 let with_list ?label impl k =
   Schemes.with_domain ?label impl (fun (module D : Schemes.DOMAIN) ->
-      let module B = (val list_for D.S.caps) in
-      k (module B (D.S) : Ds.Ds_intf.MAP) (module D : Schemes.DOMAIN))
+      let module B = (val list_for (SI.caps (module D))) in
+      k (module B (D) : Ds.Ds_intf.MAP) (module D : Schemes.DOMAIN))
 
 (* Hash tables sized so the expected chain length matches the paper's
    (≈1.7 nodes at 50% occupancy). *)
@@ -106,14 +106,13 @@ let bucket_hint key_range = max 16 (key_range / 4)
     is destroyed — a traced caller dumps its log in [k], so the teardown
     drain never reaches it.  [None] when the pair is excluded by Table 1. *)
 let with_cell ~(ds : Caps.ds_id) ~(scheme : string) (cell : Spec.cell) k =
-  Schemes.with_domain (Schemes.find scheme) (fun (module D) ->
-      let module S = D.S in
+  Schemes.with_domain (Schemes.find scheme) (fun (module S : Schemes.DOMAIN) ->
       if not (supports (module S) ds) then None
       else
         let run (type a) (module L : Ds.Ds_intf.MAP with type t = a)
             ?(create : (unit -> a) option) () =
           let module R = Cell_runner.Make (L) in
-          k (R.run ?create cell ~scheme_stats:S.stats)
+          k (R.run ?create cell ~scheme_stats:(fun () -> S.stats S.it))
         in
         let buckets = bucket_hint cell.Spec.key_range in
         Some
@@ -122,7 +121,7 @@ let with_cell ~(ds : Caps.ds_id) ~(scheme : string) (cell : Spec.cell) k =
           | Caps.HMList -> run (module Ds.Hm_list.Make (S)) ()
           | Caps.HHSList -> run (module Ds.Harris_list.Make_hhs (S)) ()
           | Caps.HashMap ->
-              let module B = (val list_for S.caps) in
+              let module B = (val list_for (SI.caps (module S))) in
               let module L = Ds.Hashmap.Make_gen (B) (S) in
               run (module L) ~create:(fun () -> L.create_sized buckets) ()
           | Caps.SkipList -> run (module Ds.Skiplist.Make (S)) ()

@@ -316,19 +316,8 @@ module Spy (S : Smr_intf.S) = struct
     S.retire h ?free ?patch ?claimed b
 end
 
-module type MAKE = functor (S : Smr_intf.S) -> Ds.Ds_intf.MAP
-
-let structures : (string * (module MAKE)) list =
-  [
-    ("HList", (module Ds.Harris_list.Make));
-    ("HHSList", (module Ds.Harris_list.Make_hhs));
-    ("HMList", (module Ds.Hm_list.Make));
-    ("HashMap", (module Ds.Hashmap.Make));
-    ("LazyList", (module Ds.Lazy_list.Make));
-    ("SkipList", (module Ds.Skiplist.Make));
-    ("NMTree", (module Ds.Nmtree.Make));
-    ("EFRB-BST", (module Ds.Efrb_bst.Make));
-  ]
+let structures =
+  Test_util.structures @ [ ("HashMap", (module Ds.Hashmap.Make : Test_util.MAKE)) ]
 
 let on_fibers f =
   Sched.run (Sched.Fibers { seed = 1; switch_every = 2 }) ~nthreads:1 (fun _ -> f ())
@@ -339,7 +328,7 @@ let on_fibers f =
    [Retired]; a reclaim (HP-BRCU's, through its flush; NR never reclaims,
    so the allocator's) shows [Reclaimed], and a strict access check of
    the reclaimed node raises [Use_after_free] with the node itself. *)
-let test_header_prefix scheme (module M : MAKE) () =
+let test_header_prefix scheme (module M : Test_util.MAKE) () =
   Test_util.with_scheme scheme (fun (module S) ->
       let module Sp = Spy (S) in
       let module L = M (Sp) in
@@ -376,7 +365,7 @@ let test_header_prefix scheme (module M : MAKE) () =
             views;
           L.close_session se;
           (* HP-BRCU's two-step retire needs epoch advances and a scan. *)
-          let h = Sp.register () in
+          let h = Sp.register Sp.it in
           for _ = 1 to 4 do
             Sp.flush h
           done;

@@ -25,7 +25,7 @@ let with_small name f =
   Schemes.with_domain (fst (Schemes.find name), small) (fun (module D) ->
       Alloc.reset ();
       Alloc.set_strict false;
-      f (module D.S : Hpbrcu_core.Smr_intf.S))
+      f (module D : Hpbrcu_core.Smr_intf.S))
 
 (* The stalled-reader plan: each reader (tids 0 and 1) is suspended for
    300k ticks at every 1500th yield, i.e. preempted mid-operation. *)
@@ -172,7 +172,10 @@ let structures : (string * Caps.ds_id option * maker) list =
     ( "HashMap",
       Some Caps.HashMap,
       fun (module S) ->
-        let module B = (val Hpbrcu_workload.Matrix.list_for S.caps) in
+        let module B =
+          (val Hpbrcu_workload.Matrix.list_for
+                 (Hpbrcu_core.Smr_intf.caps (module S)))
+        in
         (module Ds.Hashmap.Make_gen (B) (S)) );
     ( "SkipList",
       Some Caps.SkipList,

@@ -380,7 +380,7 @@ let test_hpbrcu_bound () =
     { Config.default with batch = 16; max_local_tasks = 8; force_threshold = 2 }
   in
   Schemes.with_domain (fst (Schemes.find "HP-BRCU"), config) @@ fun (module D) ->
-  let module L = Hpbrcu_ds.Harris_list.Make_hhs (D.S) in
+  let module L = Hpbrcu_ds.Harris_list.Make_hhs (D) in
   let nthreads = 6 in
   let t = L.create () in
   Sched.run (Sched.Fibers { seed = 11; switch_every = 2 }) ~nthreads (fun tid ->
@@ -458,7 +458,7 @@ module Counting_steps (S : Hpbrcu_core.Smr_intf.S) = struct
 
   (* The scheme's published counters equal the walker's totals. *)
   let exact what =
-    let st = S.stats () in
+    let st = S.stats S.it in
     Alcotest.(check int) (what ^ ": steps") (Atomic.get calls) st.Stats.traverse_steps;
     Alcotest.(check int) (what ^ ": traverses") (Atomic.get traversals) st.Stats.traverses;
     Alcotest.(check int) (what ^ ": resumes") (Atomic.get resumes) st.Stats.traverse_resumes
@@ -471,7 +471,7 @@ let test_traverse_steps_exact () =
     { Config.default with batch = 4; max_local_tasks = 4; force_threshold = 1 }
   in
   Schemes.with_domain (fst (Schemes.find "HP-BRCU"), config) @@ fun (module D) ->
-  let module C = Counting_steps (D.S) in
+  let module C = Counting_steps (D) in
   let module L = Hpbrcu_ds.Harris_list.Make_hhs (C) in
   let t = L.create () in
   (* The tick deadline turns a walker that loses its place (and so
@@ -506,7 +506,7 @@ let test_traverse_steps_exact () =
         else if i land 1 = 0 then ignore (L.insert t s 1 0 : bool)
         else ignore (L.remove t s 1 : bool)
       done);
-  let st = D.S.stats () in
+  let st = D.stats D.it in
   Alcotest.(check bool) "a traversal was rolled back" true
     (st.Stats.rollbacks > 0 && st.Stats.traverse_resumes > st.Stats.traverses);
   exact "rollback"
@@ -521,7 +521,7 @@ let test_traverse_steps_exact_domains () =
     { Config.default with batch = 4; max_local_tasks = 4; force_threshold = 1 }
   in
   Schemes.with_domain (fst (Schemes.find "HP-BRCU"), config) @@ fun (module D) ->
-  let module C = Counting_steps (D.S) in
+  let module C = Counting_steps (D) in
   let module L = Hpbrcu_ds.Harris_list.Make_hhs (C) in
   let t = L.create () in
   Sched.run Sched.Domains ~nthreads:2 (fun tid ->
@@ -551,15 +551,15 @@ let test_tallies_fold_points () =
   Schemes.with_domain (Schemes.find "HP-BRCU") @@ fun (module D) ->
   let module SI = Hpbrcu_core.Smr_intf in
   let counts () =
-    let st = D.S.stats () in
+    let st = D.stats D.it in
     (st.Stats.traverses, st.Stats.traverse_steps, st.Stats.traverse_resumes)
   in
   let check what expected =
     Alcotest.(check (triple int int int)) what expected (counts ())
   in
   Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:1 (fun _ ->
-      let h = D.S.register () in
-      let prot = [| D.S.new_shield h |] and backup = [| D.S.new_shield h |] in
+      let h = D.register D.it in
+      let prot = [| D.new_shield h |] and backup = [| D.new_shield h |] in
       (* Two steps per traversal, one section run each. *)
       let rec w =
         {
@@ -577,16 +577,16 @@ let test_tallies_fold_points () =
       in
       let traverse n =
         for _ = 1 to n do
-          Alcotest.(check bool) "done" true (D.S.traverse h ~hold:true ~prot ~backup w)
+          Alcotest.(check bool) "done" true (D.traverse h ~hold:true ~prot ~backup w)
         done
       in
       traverse 5;
       check "before flush" (0, 0, 0);
-      D.S.flush h;
+      D.flush h;
       check "after flush" (5, 10, 5);
       traverse 3;
       check "between" (5, 10, 5);
-      D.S.unregister h;
+      D.unregister h;
       check "after unregister" (8, 16, 8))
 
 (* The walker's budgets are invisible to the answers: a seeded
@@ -594,26 +594,13 @@ let test_tallies_fold_points () =
    contents whether the scheme walks one step per budget
    ([backup_period = max_steps = 1], so HP-BRCU checkpoints and HP-RCU
    saves and restores at every node) or with the default budgets. *)
-module type MAP_OF = functor (S : Hpbrcu_core.Smr_intf.S) -> Hpbrcu_ds.Ds_intf.MAP
-
-let structures : (string * (module MAP_OF)) list =
-  let open Hpbrcu_ds in
-  [
-    ("HList", (module Harris_list.Make));
-    ("HHSList", (module Harris_list.Make_hhs));
-    ("HMList", (module Hm_list.Make));
-    ("LazyList", (module Lazy_list.Make));
-    ("SkipList", (module Skiplist.Make));
-    ("NMTree", (module Nmtree.Make));
-    ("EFRB-BST", (module Efrb_bst.Make));
-  ]
 
 (* The op sequence's answers, then the final contents. *)
-let answers ~scheme ~config (module M : MAP_OF) =
+let answers ~scheme ~config (module M : Test_util.MAKE) =
   reset ();
   let module Schemes = Hpbrcu_schemes.Schemes in
   Schemes.with_domain (fst (Schemes.find scheme), config) @@ fun (module D) ->
-  let module L = M (D.S) in
+  let module L = M (D) in
   let t = L.create () in
   let answers = ref [] and contents = ref [] in
   (* A walker that loses its place under a small budget walks forever;
@@ -649,7 +636,7 @@ let test_budgets_invisible () =
           Alcotest.(check (list bool)) (what ^ " answers") a a1;
           Alcotest.(check (list int)) (what ^ " contents") c c1;
           Alcotest.(check bool) (what ^ " not empty") true (c <> []))
-        structures)
+        Test_util.structures)
     [ "NR"; "HP-RCU"; "HP-BRCU" ]
 
 (* A session is not bound to the structure it was opened on: HashMap
@@ -659,11 +646,11 @@ let test_session_follows_structure () =
   List.iter
     (fun scheme ->
       List.iter
-        (fun (ds, (module M : MAP_OF)) ->
+        (fun (ds, (module M : Test_util.MAKE)) ->
           reset ();
           let module Schemes = Hpbrcu_schemes.Schemes in
           Schemes.with_domain (Schemes.find scheme) @@ fun (module D) ->
-          let module L = M (D.S) in
+          let module L = M (D) in
           let t1 = L.create () and t2 = L.create () in
           Sched.run (Sched.Fibers { seed = 5; switch_every = 1 }) ~nthreads:1
             (fun _ ->
@@ -677,7 +664,7 @@ let test_session_follows_structure () =
                 Alcotest.(check bool) (what ^ " not in t1") false (L.get t1 s k)
               done;
               L.close_session s))
-        structures)
+        Test_util.structures)
     [ "NR"; "HP-BRCU" ]
 
 (* A checkpoint carries a cursor out of its critical section, so a
@@ -702,12 +689,13 @@ let test_checkpoint_counts () =
   List.iter
     (fun (scheme, rollback) ->
       List.iter
-        (fun (ds, (module M : MAP_OF)) ->
+        (fun (ds, (module M : Test_util.MAKE)) ->
           Test_util.with_scheme scheme @@ fun (module S) ->
           let supported =
             match row ds with
             | None -> true
-            | Some id -> S.caps.Caps.supports id <> Caps.No
+            | Some id ->
+                (Hpbrcu_core.Smr_intf.caps (module S)).Caps.supports id <> Caps.No
           in
           if supported then begin
             let module C = Test_util.Walker_protects (S) in
@@ -743,7 +731,8 @@ let test_checkpoint_counts () =
                   (counts (fun () -> L.insert t s 9 0)));
             L.close_session s
           end)
-        (structures @ [ ("HashMap", (module Hpbrcu_ds.Hashmap.Make : MAP_OF)) ]))
+        (Test_util.structures
+        @ [ ("HashMap", (module Hpbrcu_ds.Hashmap.Make : Test_util.MAKE)) ]))
     [
       ("HP-BRCU", Some Hpbrcu_schemes.Brcu_core.Rollback);
       ("HP-RCU", None);

@@ -39,7 +39,7 @@ let test_link_basics () =
   (* A store of [with_tag] replaces the block, so a CAS that still expects
      the block loaded before the store fails, although the two denote the
      same target. *)
-  let c = Link.null_cell () in
+  let c = Link.cell (Link.null_tagged 0) in
   let stale = Link.get c in
   Link.set c (Link.with_tag stale 0);
   Alcotest.(check bool) "re-tagged store is same" true (Link.same stale (Link.get c));

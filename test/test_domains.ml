@@ -183,7 +183,7 @@ let test_scoped_teardown () =
   let r =
     Schemes.with_domain ~label (Schemes.find "HP-BRCU") (fun (module D) ->
         Alcotest.(check bool) "slot live inside" true (live ());
-        dom := Some (D.X.dom D.it);
+        dom := Some (D.dom D.it);
         42)
   in
   Alcotest.(check int) "value through the scope" 42 r;
@@ -193,7 +193,7 @@ let test_scoped_teardown () =
   (match
      Schemes.with_domain ~label (Schemes.find "RCU") (fun (module D) ->
          (* A registered reader left behind, as a crashed one would be. *)
-         ignore (D.S.register () : D.S.handle);
+         ignore (D.register D.it : D.handle);
          failwith "boom")
    with
   | () -> Alcotest.fail "the body's exception must propagate"

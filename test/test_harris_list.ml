@@ -11,8 +11,6 @@ let schemes =
 
 module Ds_sig = Hpbrcu_ds.Ds_intf
 
-module type LIST_MAKE = functor (S : Hpbrcu_core.Smr_intf.S) -> Ds_sig.MAP
-
 module type CHECK = sig
   val seq : unit -> unit
   val stress : seed:int -> unit -> unit
@@ -63,7 +61,7 @@ module Check (L : Ds_sig.MAP) = struct
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 end
 
-let cases (flavour : string) (make_list : (module LIST_MAKE)) =
+let cases (flavour : string) (make_list : (module Test_util.MAKE)) =
   let module M = (val make_list) in
   List.concat_map
     (fun n ->

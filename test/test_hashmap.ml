@@ -55,7 +55,7 @@ let test_vbr_reuse_stays_in_bucket () =
   Schemes.with_domain (fst (Schemes.find "VBR"), config) @@ fun (module D) ->
   Alloc.reset ();
   Alloc.set_strict true;
-  let module T = Track (D.S) in
+  let module T = Track (D) in
   let module M = Hpbrcu_ds.Hashmap.Make_gen (Hpbrcu_ds.Harris_list.Make_hhs) (T) in
   let t = M.create_sized 4 in
   let index k =
@@ -94,7 +94,7 @@ let test_compaction_on_domains scheme () =
   Schemes.with_domain (Schemes.find scheme) @@ fun (module D) ->
   Alloc.reset ();
   Alloc.set_strict true;
-  let module M = Hpbrcu_ds.Hashmap.Make_gen (Hpbrcu_ds.Harris_list.Make_hhs) (D.S) in
+  let module M = Hpbrcu_ds.Hashmap.Make_gen (Hpbrcu_ds.Harris_list.Make_hhs) (D) in
   let t = M.create_sized 64 in
   let keys = 512 in
   let present = Array.make keys false in

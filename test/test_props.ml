@@ -31,12 +31,9 @@ let ops_arb range = Q.make ~print:(fun ops ->
          ops))
     Q.Gen.(list_size (int_range 0 400) (op_gen range))
 
-module type MAKE = functor (S : Hpbrcu_core.Smr_intf.S) ->
-  Hpbrcu_ds.Ds_intf.MAP
-
 (* One sequential run, in a fresh domain of [scheme], must agree with
    Stdlib.Set on every result. *)
-let model_agrees scheme (module M : MAKE) ops =
+let model_agrees scheme (module M : Test_util.MAKE) ops =
   Test_util.with_scheme scheme @@ fun (module S) ->
   let module L = M (S) in
   let t = L.create () in

@@ -15,7 +15,7 @@ let with_scheme = Test_util.with_scheme
    all get reclaimed after flush + a second flush round. *)
 module Drain (S : Hpbrcu_core.Smr_intf.S) = struct
   let run () =
-    let h = S.register () in
+    let h = S.register S.it in
     let n = 1000 in
     for _ = 1 to n do
       S.retire h (Alloc.block ())
@@ -26,7 +26,7 @@ module Drain (S : Hpbrcu_core.Smr_intf.S) = struct
     S.unregister h;
     let st = Alloc.stats () in
     Alcotest.(check int) "retired" n st.Alloc.retired;
-    if S.name <> "NR" then
+    if S.scheme <> "NR" then
       Alcotest.(check int) "all reclaimed" n st.Alloc.reclaimed
     else Alcotest.(check int) "NR reclaims nothing" 0 st.Alloc.reclaimed
 end
@@ -43,7 +43,7 @@ let drain_case name =
    withhold nothing. *)
 let test_hp_protection_defers () =
   with_scheme "HP" @@ fun (module S) ->
-  let h = S.register () in
+  let h = S.register S.it in
   let sh = S.new_shield h and empty = S.new_shield h in
   let b = Alloc.block () and c = Alloc.block () in
   S.protect sh b;
@@ -67,12 +67,12 @@ let hop_ring_case name =
   Alcotest.test_case ("hop-ring/" ^ name) `Quick (fun () ->
       with_scheme name @@ fun (module S) ->
       let k = Hpbrcu_core.Smr_intf.hop_ring in
-      let h = S.register () in
+      let h = S.register S.it in
       let targets =
         Array.init (k + 1) (fun _ ->
             S.flush h;
             let b = Alloc.block () in
-            Block.set_birth_era b ~era:(S.current_era ());
+            Block.set_birth_era b ~era:(S.current_era S.it);
             let cell = Link.cell (Link.ptr b) in
             ignore (S.read h ~src:Block.none ~hdr:Fun.id cell : Block.t Link.t);
             S.retire h b;
@@ -129,7 +129,7 @@ let test_ebr_pin_blocks () =
         (fun tid ->
           if tid = 0 then begin
             (* Reader pins across many scheduler quanta. *)
-            let h = S.register () in
+            let h = S.register S.it in
             S.crit h (fun () ->
                 for _ = 1 to 400 do
                   Sched.yield ()
@@ -143,7 +143,7 @@ let test_ebr_pin_blocks () =
             S.unregister h
           end
           else begin
-            let h = S.register () in
+            let h = S.register S.it in
             for _ = 1 to 600 do
               S.retire h (Alloc.block ());
               Sched.yield ()
@@ -164,7 +164,7 @@ module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
   let run () =
     Sched.run (Sched.Fibers { seed = 2; switch_every = 1 }) ~nthreads:2 (fun tid ->
         if tid = 0 then begin
-          let h = S.register () in
+          let h = S.register S.it in
           let sh = S.new_shield h in
           let b = Alloc.block () in
           (* Publish b so the writer can retire it. *)
@@ -175,14 +175,14 @@ module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
             Sched.yield ()
           done;
           Alcotest.(check bool)
-            (S.name ^ ": shielded block not reclaimed")
+            (S.scheme ^ ": shielded block not reclaimed")
             false (Block.is_reclaimed b);
           S.clear sh;
           S.flush h;
           S.unregister h
         end
         else begin
-          let h = S.register () in
+          let h = S.register S.it in
           (* Wait for the block, retire it, then churn to force epochs. *)
           while !shared = None do
             Sched.yield ()
@@ -323,6 +323,50 @@ let op_frame_case (name, (module X : SI.SCHEME)) =
       X.destroy d;
       Alcotest.(check (float 0.)) "minor words" 0. words)
 
+(* The bound view [with_domain] hands over is the scheme plus its
+   domain: caps read through [SI.caps] are the scheme's under the
+   domain's config (so NBR-Large keeps its display name), and
+   [register D.it] / [unregister] move that domain's handle census. *)
+let bound_view_case name =
+  Alcotest.test_case ("bound-view/" ^ name) `Quick (fun () ->
+      let ((module X : SI.SCHEME), config) as impl = Schemes.find name in
+      Schemes.with_domain impl @@ fun (module D) ->
+      let view (c : Hpbrcu_core.Caps.t) =
+        ( (c.name, c.robust_stalled, c.robust_longrun, c.per_node),
+          (c.starvation, List.map c.supports Hpbrcu_core.Caps.all_ds),
+          c.bound ~nthreads:4 )
+      in
+      Alcotest.(check bool) "caps are the scheme's" true
+        (view (SI.caps (module D)) = view (X.caps config));
+      let live () = Dom.live_handles (D.dom D.it) in
+      let before = live () in
+      let h = D.register D.it in
+      Alcotest.(check int) "register counts" (before + 1) (live ());
+      D.unregister h;
+      Alcotest.(check int) "unregister uncounts" before (live ()))
+
+(* Each structure's [name], read through the bound view: the strings
+   reports and figures key on. *)
+let structure_names_case scheme =
+  Alcotest.test_case ("structure-names/" ^ scheme) `Quick (fun () ->
+      Schemes.with_domain (Schemes.find scheme) @@ fun (module D) ->
+      let name (_, (module M : Test_util.MAKE)) =
+        let module L = M (D) in
+        L.name
+      in
+      let maps : (string * (module Test_util.MAKE)) list =
+        Hpbrcu_ds.Hashmap.[ ("HashMap", (module Make)); ("HashMap", (module Make_hm)) ]
+      in
+      Alcotest.(check (list string)) "names"
+        (List.map
+           (fun fmt -> Printf.sprintf fmt scheme)
+           [
+             "HList(%s)"; "HHSList(%s)"; "HMList(%s)"; "LazyList(%s)";
+             "SkipList(%s)"; "NMTree(%s)"; "EFRB-BST(%s)";
+             "HashMap[HHSList(%s)]"; "HashMap[HMList(%s)]";
+           ])
+        (List.map name (Test_util.structures @ maps)))
+
 (* What one IBR session costs: register + unregister, averaged over 200
    cycles, in words of either heap (minor, plus blocks born in the major
    heap, less what was promoted).  Snapshot arrays sized to the registry's
@@ -453,7 +497,7 @@ let test_quarantine_once () =
 (* VBR reclaims immediately: the unreclaimed count never exceeds ~0. *)
 let test_vbr_immediate () =
   with_scheme "VBR" @@ fun (module S) ->
-  let h = S.register () in
+  let h = S.register S.it in
   for _ = 1 to 500 do
     S.retire h (Alloc.block ~recyclable:true ())
   done;
@@ -465,12 +509,12 @@ let test_vbr_immediate () =
 (* VBR era advances with retirement volume. *)
 let test_vbr_era_advances () =
   with_scheme "VBR" @@ fun (module S) ->
-  let h = S.register () in
-  let e0 = S.current_era () in
+  let h = S.register S.it in
+  let e0 = S.current_era S.it in
   for _ = 1 to 1000 do
     S.retire h (Alloc.block ~recyclable:true ())
   done;
-  Alcotest.(check bool) "era advanced" true (S.current_era () > e0);
+  Alcotest.(check bool) "era advanced" true (S.current_era S.it > e0);
   S.unregister h
 
 let () =
@@ -498,6 +542,9 @@ let () =
               test_epochs_independent;
             Alcotest.test_case "ibr-session-cost" `Quick test_ibr_session_cost;
           ] );
+      ( "bound-view",
+        List.map bound_view_case Schemes.names
+        @ List.map structure_names_case [ "NR"; "HP"; "NBR-Large" ] );
       ("op-frame", List.map op_frame_case Schemes.impls);
       ( "vbr",
         [

@@ -23,7 +23,23 @@ let with_scheme name f =
   Schemes.with_domain (Schemes.find name) (fun (module D) ->
       Alloc.reset ();
       Alloc.set_strict true;
-      f (module D.S : Hpbrcu_core.Smr_intf.S))
+      f (module D : Hpbrcu_core.Smr_intf.S))
+
+(* A structure functor, and the seven structures by name. *)
+module type MAKE = functor (S : Hpbrcu_core.Smr_intf.S) ->
+  Hpbrcu_ds.Ds_intf.MAP
+
+let structures : (string * (module MAKE)) list =
+  let open Hpbrcu_ds in
+  [
+    ("HList", (module Harris_list.Make));
+    ("HHSList", (module Harris_list.Make_hhs));
+    ("HMList", (module Hm_list.Make));
+    ("LazyList", (module Lazy_list.Make));
+    ("SkipList", (module Skiplist.Make));
+    ("NMTree", (module Nmtree.Make));
+    ("EFRB-BST", (module Efrb_bst.Make));
+  ]
 
 (* Random ops checked against a sequential model. *)
 let seq (module L : Hpbrcu_ds.Ds_intf.MAP) ?(ops = 2000) ?(range = 64) ~seed
@@ -322,7 +338,8 @@ let hop_shield_cases ~make ds =
              with_scheme n (fun (module S) ->
                  let shallow = hop_protects ~make (module S) 16 in
                  let deep = hop_protects ~make (module S) 4096 in
-                 if S.caps.per_node = Hpbrcu_core.Caps.NoOverhead then
+                 let caps = Hpbrcu_core.Smr_intf.caps (module S) in
+                 if caps.per_node = Hpbrcu_core.Caps.NoOverhead then
                    Alcotest.(check int)
                      (Printf.sprintf "NoOverhead: deep = shallow (%d)" shallow)
                      shallow deep

@@ -14,8 +14,10 @@ module Runner = Hpbrcu_check.Runner
 
 let picked_list scheme =
   Schemes.with_domain (Schemes.find scheme) (fun (module D) ->
-      let module B = (val W.Matrix.list_for D.S.caps) in
-      let module L = B (D.S) in
+      let module B =
+        (val W.Matrix.list_for (Hpbrcu_core.Smr_intf.caps (module D)))
+      in
+      let module L = B (D) in
       List.hd (String.split_on_char '(' L.name))
 
 let test_list_pick () =

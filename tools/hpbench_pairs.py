@@ -18,9 +18,12 @@ median and third quartile of each side, how many pairs the change won
 in the metric's `better` direction, how far the change's median lies
 from the parent's, in percent, and whether the claim rule holds (the
 change won at least nine tenths of the pairs, and its median lies beyond
-the parent's first or third quartile in the `better` direction); then
-each run's `correct` flag and failed-operation count.  Exits 1 if any run was not correct or
-printed no result.
+the parent's first or third quartile in the `better` direction), and,
+for a metric with a `bound`, how far the change's median lies from the
+parent's in the metric's worse direction beside that bound (the
+no-regression evidence); then each run's `correct` flag and
+failed-operation count.  Exits 1 if any run was not correct or printed
+no result.
 """
 
 import argparse
@@ -75,6 +78,21 @@ def claim_verdict(wins, pairs, parent_q, change_median, lower):
                side + " (" + fmt(bound) + ")"))
 
 
+def bound_verdict(parent_median, change_median, lower, bound):
+    """The change's median against the parent's, as a fraction in the
+    metric's worse direction, beside the metric's regression bound."""
+    if parent_median == 0 or parent_median != parent_median \
+            or change_median != change_median:
+        return "Bound: change n/a, bound %g." % bound
+    worse = (change_median - parent_median) / parent_median
+    if not lower:
+        worse = -worse
+    side = "worse" if worse > 0 else "better" if worse < 0 else "unchanged"
+    return ("Bound: %.1f%% %s, %s the %g bound."
+            % (100.0 * abs(worse), side,
+               "inside" if worse <= bound else "outside", bound))
+
+
 def fmt(v):
     return "%.0f" % v if v == 0 or abs(v) >= 100 else "%#.4g" % v
 
@@ -125,7 +143,11 @@ def main():
               % (name, m["better"], wins, args.pairs,
                  rel_change(qv["parent"][1], qv["change"][1])))
         print(claim_verdict(wins, args.pairs, qv["parent"], qv["change"][1],
-                            lower) + "\n")
+                            lower))
+        if "bound" in m:
+            print(bound_verdict(qv["parent"][1], qv["change"][1], lower,
+                                m["bound"]))
+        print()
     print("| run | parent correct | failed | change correct | failed |")
     print("|---|---|---|---|---|")
     def cell(r):
