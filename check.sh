@@ -263,11 +263,14 @@ chaos_fibers() {
 gate chaos-fibers chaos_fibers
 
 # Steady-state allocation gate (DESIGN.md §9): every gated reclamation
-# kernel (retire, scan, pin/unpin, HP-BRCU crit enter/exit around a
+# kernel (retire under HP, HP++, HE and IBR, scan, pin/unpin, HP-BRCU crit enter/exit around a
 # prebuilt body (brcu-crit), failed advance, disabled trace emit,
 # and the traverse-walk words per traversed node of an HHSList get under
 # NR, RCU, HP-RCU and HP-BRCU) must stay at zero minor-heap words per
 # cycle (threshold 0.05 words/op absorbs probe calibration noise),
+# RCU's and PEBR's retire at 1 word/op (a defer queues the block itself;
+# ~0.2 and ~0.3 read, a record per defer read ~5.2; HP-RCU's and
+# HP-BRCU's two-step retire, ~9.2 and ~10.9, and NBR's are reported),
 # node-alloc at one node per structure's constructor call (12 words for
 # HHSList and HMList, 13 for an NMTree or EFRB leaf, 17 for a LazyList
 # node, 15 for a height-1 skip-list node), and domain-create

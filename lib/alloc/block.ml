@@ -51,7 +51,11 @@ type t = {
       (** pool-managed blocks may legally be observed post-reclaim (VBR);
           access checks skip them *)
   mutable birth_era : int;  (** VBR: global era at (re)allocation *)
-  mutable retire_era : int;  (** VBR: global era at retirement; -1 = live *)
+  mutable retire_era : int;
+      (** the retiring scheme's stamp, -1 = live: the global era at
+          retirement under IBR, HE and VBR, the epoch at defer under the
+          epoch schemes (EBR, PEBR, HP-RCU's RCU half), which queue the
+          block itself as its deferral *)
   mutable poison : int;
       (** poison stamp written at reclaim time when the allocator's
           poisoning mode is on: [1 + version-at-free], the simulation's

@@ -91,16 +91,15 @@ let release t x = push t x
     and VBR compare lifetimes by its birth era).  Reuse is cross-era only
     (see VBR's module comment): the block must have been retired before
     [era].  The caller reads [era] before the pop, so on
-    domains another thread may advance the era and retire (and VBR pool)
+    domains another thread may advance the era and retire (and recycle)
     a node after that read; such a node, retired at or after [era], goes
-    back to the pool, as does one that [fits], a structure's own filter,
-    refuses.  A reused node is thus always born strictly after its
-    retirement.  The caller resets the node's fields. *)
-let reuse ~recycles ?(fits = fun _ -> true) t ~blk ~era =
+    back to the pool.  A reused node is thus always born strictly after
+    its retirement.  The caller resets the node's fields. *)
+let reuse ~recycles t ~blk ~era =
   if not recycles then None
   else
     match acquire t with
-    | Some n when fits n && Block.retire_era (blk n) < era ->
+    | Some n when Block.retire_era (blk n) < era ->
         Alloc.reanimate (blk n) ~era;
         Some n
     | Some n ->
@@ -115,12 +114,12 @@ let reuse ~recycles ?(fits = fun _ -> true) t ~blk ~era =
 let discard ~recycles t ~blk n =
   if recycles then release t n else Alloc.abandon (blk n)
 
-(** [free_hook ~recycles t x] — the [free] callback to retire [x] with:
-    return it to [t] after reclamation under a recycling scheme, and no
-    callback at all otherwise, so non-recycling retires allocate no
-    closure. *)
-let free_hook ~recycles t x =
-  if recycles then Some (fun () -> release t x) else None
+(** [recycle ~recycles t n] returns a node the structure has just
+    retired to [t] under a recycling scheme, and does nothing otherwise.
+    The structure calls it right after the scheme's [retire], which under
+    a recycling scheme has already reclaimed the block (the [recycles]
+    contract of the scheme interface). *)
+let recycle ~recycles t n = if recycles then release t n
 
 let recycled t = Atomic.get t.recycled
 let size t = List.length (Atomic.get t.free)

@@ -4,150 +4,123 @@
     shields, advances epochs, signals) once a batch fills — the paper's
     per-128-retirement trigger.  This module is that shared buffer.
 
-    Representation (DESIGN.md §9): a growable array of {e mutable} entry
-    records.  [push] overwrites a preallocated slot, and [reclaim_where]
-    compacts survivors in place by swapping records — no [List.partition],
-    no recount, and zero minor-heap words in steady state.  Records are
-    reused across cells; only [drain]/[drain_array] (the cold
-    orphan-handoff path) copy entries out, because the slots behind them
-    are immediately recycled.
+    Representation (DESIGN.md §9): a growable array of the retired blocks
+    themselves — a block is its own deferral, so a push stores one
+    pointer and allocates nothing in steady state.  HP++'s patch lists
+    ride in a parallel array, [[]] for every other scheme.
+    [reclaim_where] compacts survivors in place: a survivor moves only
+    when it passes a reclaimed slot, and the vacated tail is cleared once.
 
-    The compaction visits entries in push (FIFO) order — a deterministic
+    The compaction visits blocks in push (FIFO) order — a deterministic
     order, so traced replays of the same seed still agree byte-for-byte
     (the list representation reclaimed in LIFO order; either is fine, what
     matters is that the order is a pure function of the push sequence). *)
 
 module Block = Hpbrcu_alloc.Block
 
-type entry = {
-  mutable blk : Block.t;
-  mutable free : (unit -> unit) option;
-      (** post-reclaim finalizer (pooling) *)
-  mutable stamp : int;  (** scheme-specific tag: epoch/era at retirement *)
-  mutable patches : Block.t list;
-      (** blocks protected on the retirer's behalf while this entry is
-          pending (HP++'s protect-on-retire) *)
-}
-
-(* Placeholder occupying empty slots; never retired or reclaimed. *)
-let dummy_block = Block.make ()
-
-let fresh_slot () = { blk = dummy_block; free = None; stamp = 0; patches = [] }
-
 type t = {
-  mutable slots : entry array;  (* slots.(0 .. count-1) are live *)
+  mutable blks : Block.t array;  (* blks.(0 .. count-1) are live *)
+  mutable patches : Block.t list array;
+      (* blocks protected on the retirer's behalf while the block at the
+         same index is pending (HP++'s protect-on-retire) *)
   mutable count : int;
-  mutable npatches : int;  (* total patch-list length over live entries *)
+  mutable npatches : int;  (* total patch-list length over live blocks *)
 }
 
 let create () =
-  { slots = Array.init 8 (fun _ -> fresh_slot ()); count = 0; npatches = 0 }
+  { blks = Array.make 8 Block.none; patches = Array.make 8 []; count = 0; npatches = 0 }
 
 let length t = t.count
 let is_empty t = t.count = 0
 
-(** Number of patch blocks held by pending entries; scans use it to skip
+(** Number of patch blocks held by pending blocks; scans use it to skip
     the patch pass entirely when nothing is patched. *)
 let npatches t = t.npatches
 
-(** Direct slot access for allocation-free scan loops; [i < length t]. *)
-let get t i = t.slots.(i)
+(** The [i]th pending block in push order, and its patch list;
+    [i < length t]. *)
+let get t i = t.blks.(i)
+
+let patches t i = t.patches.(i)
 
 let grow t =
-  let old = t.slots in
-  let n = Array.length old in
-  t.slots <- Array.init (2 * n) (fun i -> if i < n then old.(i) else fresh_slot ())
+  let n = Array.length t.blks in
+  let blks = Array.make (2 * n) Block.none and patches = Array.make (2 * n) [] in
+  Array.blit t.blks 0 blks 0 n;
+  Array.blit t.patches 0 patches 0 n;
+  t.blks <- blks;
+  t.patches <- patches
 
-let push t ?free ?(stamp = 0) ?(patches = []) blk =
-  if t.count = Array.length t.slots then grow t;
-  let e = t.slots.(t.count) in
-  e.blk <- blk;
-  e.free <- free;
-  e.stamp <- stamp;
-  e.patches <- patches;
-  (match patches with
+(** [push_patched t ps blk] queues [blk] with its patch list [ps]. *)
+let push_patched t ps blk =
+  if t.count = Array.length t.blks then grow t;
+  t.blks.(t.count) <- blk;
+  (match ps with
   | [] -> ()
-  | ps -> t.npatches <- t.npatches + List.length ps);
+  | ps ->
+      t.patches.(t.count) <- ps;
+      t.npatches <- t.npatches + List.length ps);
   t.count <- t.count + 1
 
-let push_entry t e = push t ?free:e.free ~stamp:e.stamp ~patches:e.patches e.blk
+let push t blk = push_patched t [] blk
 
-let clear_slot e =
-  e.blk <- dummy_block;
-  e.free <- None;
-  e.stamp <- 0;
-  e.patches <- []
-
-(** Remove all entries as fresh records (the slots behind them are reused,
-    so aliasing live slots out of the batch would be unsound). *)
-let drain_array t =
-  let n = t.count in
-  let a =
-    Array.init n (fun i ->
-        let e = t.slots.(i) in
-        { blk = e.blk; free = e.free; stamp = e.stamp; patches = e.patches })
-  in
-  for i = 0 to n - 1 do
-    clear_slot t.slots.(i)
+(* Empty slots [from, count) and set the length to [from]. *)
+let truncate t from =
+  for i = from to t.count - 1 do
+    t.blks.(i) <- Block.none;
+    t.patches.(i) <- []
   done;
-  t.count <- 0;
+  t.count <- from
+
+(** Remove all blocks, as a fresh array (for handing ownership to a
+    segment).  Their patch lists are dropped: an orphaned block stays
+    protected only by its retirer's published patch set, which HP++
+    freezes at unregister until the domain is destroyed. *)
+let drain_array t =
+  let a = Array.sub t.blks 0 t.count in
+  truncate t 0;
   t.npatches <- 0;
   a
 
-(** Remove and return all entries (copies; see {!drain_array}). *)
-let drain t = Array.to_list (drain_array t)
-
-let reclaim_entry e =
-  Hpbrcu_alloc.Alloc.reclaim e.blk;
-  match e.free with None -> () | Some f -> f ()
-
-(* Tail-recursive compaction.  Invariant: slots[0, kept) hold survivors,
-   slots[kept, i) hold cleared records, so reclaiming clears in place and
-   keeping swaps the survivor down past the cleared run — the array's
-   record population is conserved either way.  Plain loop state (no refs,
-   no closures beyond the caller's [pred]). *)
-let rec compact t pred i kept freed =
-  if i >= t.count then begin
-    t.count <- kept;
-    freed
-  end
+(* Tail-recursive compaction.  Invariant: slots [0, kept) hold the
+   survivors seen so far, in order; a survivor at [i] moves down only when
+   something before it was reclaimed ([kept < i]), so a batch that keeps
+   everything writes nothing.  Plain loop state (no refs, no closures
+   beyond the caller's [pred]). *)
+let rec compact t pred i kept =
+  if i >= t.count then kept
   else begin
-    let e = t.slots.(i) in
-    if pred e then begin
-      (match e.patches with
+    let b = t.blks.(i) in
+    if pred b then begin
+      (match t.patches.(i) with
       | [] -> ()
       | ps -> t.npatches <- t.npatches - List.length ps);
-      reclaim_entry e;
-      clear_slot e;
-      compact t pred (i + 1) kept (freed + 1)
+      Hpbrcu_alloc.Alloc.reclaim b;
+      compact t pred (i + 1) kept
     end
     else begin
       if kept < i then begin
-        let k = t.slots.(kept) in
-        t.slots.(kept) <- e;
-        t.slots.(i) <- k
+        t.blks.(kept) <- b;
+        t.patches.(kept) <- t.patches.(i)
       end;
-      compact t pred (i + 1) (kept + 1) freed
+      compact t pred (i + 1) (kept + 1)
     end
   end
 
-(** Reclaim the entries satisfying [pred], keeping the rest (in order).
+(** Reclaim the blocks satisfying [pred], keeping the rest (in order).
     Returns the number reclaimed.  Callers on hot paths keep [pred] cached
     in their handle so the scan itself allocates nothing. *)
-let reclaim_where t pred = compact t pred 0 0 0
+let reclaim_where t pred =
+  let n = t.count in
+  let kept = compact t pred 0 0 in
+  truncate t kept;
+  n - kept
 
-(** Move every entry of [t] into [into], emptying [t].  Entry records are
-    copied field-wise into [into]'s slots; nothing is shared. *)
+(** Move every block of [t] (with its patches) into [into], emptying
+    [t]. *)
 let transfer t ~into =
   for i = 0 to t.count - 1 do
-    let e = t.slots.(i) in
-    push_entry into e;
-    clear_slot e
+    push_patched into t.patches.(i) t.blks.(i)
   done;
-  t.count <- 0;
+  truncate t 0;
   t.npatches <- 0
-
-let iter t f =
-  for i = 0 to t.count - 1 do
-    f t.slots.(i)
-  done

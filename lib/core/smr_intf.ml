@@ -365,15 +365,9 @@ module type SCHEME = sig
 
   (** {1 Retirement and allocation} *)
 
-  val retire :
-    handle ->
-    ?free:(unit -> unit) ->
-    ?patch:Block.t list ->
-    ?claimed:bool ->
-    Block.t ->
-    unit
-  (** Hand an unlinked node to the scheme.  [free] runs after the block is
-      reclaimed (used by pooling schemes to recycle the node).  [patch]
+  val retire : handle -> ?patch:Block.t list -> ?claimed:bool -> Block.t -> unit
+  (** Hand an unlinked node to the scheme; the block itself is the unit
+      of deferred work, queued until the scheme reclaims it.  [patch]
       lists the node's current successors: HP++ keeps them protected on the
       retirer's behalf until this block is reclaimed, which is what makes
       optimistic traversal safe under HP++ (its extra per-node cost);
@@ -383,7 +377,10 @@ module type SCHEME = sig
 
   val recycles : bool
   (** True for schemes (VBR) that reclaim into a type-stable pool; data
-      structures then allocate via their pool and mark blocks recyclable. *)
+      structures then allocate via their pool and mark blocks recyclable.
+      The contract: a recycling scheme has reclaimed the block by the time
+      {!retire} returns, so the structure hands the node straight back to
+      its pool ({!Hpbrcu_alloc.Pool.recycle}). *)
 
   val current_era : domain -> int
   (** The domain's global era for birth-stamping recycled nodes (VBR);

@@ -4,7 +4,7 @@
     write into a preallocated slot, and draining resets the length while
     keeping the array, so steady-state defer/collect cycles stop churning
     the minor heap (DESIGN.md §9).  [dummy] fills vacated slots so the
-    vector never pins dead closures for the GC. *)
+    vector never pins dead values for the GC. *)
 
 type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
 

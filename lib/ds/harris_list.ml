@@ -170,8 +170,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
       | Link.Ptr { target = x; _ } when Link.points_to stop x -> ()
       | Link.Ptr { target = x; _ } ->
           let nx = Link.get (next_cell x) in
-          S.retire s.h (blk x) ~patch:(patch_of nx)
-            ?free:(Pool.free_hook ~recycles:S.recycles x.pool x);
+          S.retire s.h (blk x) ~patch:(patch_of nx);
+          Pool.recycle ~recycles:S.recycles x.pool x;
           go nx
     in
     go from
@@ -352,9 +352,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
               S.protect s.mask1 (blk right);
               let desired = Link.with_tag r_next 0 in
               S.mask s.h (fun () ->
-                  if Link.cas (next_cell left) ~expected:left_next ~desired then
-                    S.retire s.h (blk right) ~patch:(patch_of r_next)
-                      ?free:(Pool.free_hook ~recycles:S.recycles right.pool right));
+                  if Link.cas (next_cell left) ~expected:left_next ~desired then begin
+                    S.retire s.h (blk right) ~patch:(patch_of r_next);
+                    Pool.recycle ~recycles:S.recycles right.pool right
+                  end);
               true
             end
             else go ()

@@ -168,8 +168,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.protect s.mask1 (blk cur);
     S.mask s.h (fun () ->
         if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
-          S.retire s.h (blk cur) ~patch:(patch_of next)
-            ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur);
+          S.retire s.h (blk cur) ~patch:(patch_of next);
+          Pool.recycle ~recycles:S.recycles cur.pool cur;
           true
         end
         else false)
@@ -288,9 +288,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               (* Physical deletion; on failure a helping traversal will
                  finish the job (and retire the node). *)
               let desired = Link.with_tag next 0 in
-              if Link.cas (next_cell prev) ~expected:pnext ~desired then
-                S.retire s.h (blk cur) ~patch:(patch_of next)
-                  ?free:(Pool.free_hook ~recycles:S.recycles cur.pool cur)
+              if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
+                S.retire s.h (blk cur) ~patch:(patch_of next);
+                Pool.recycle ~recycles:S.recycles cur.pool cur
+              end
               else search t s key ~hold:true;
               true
             end

@@ -287,8 +287,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                 S.retire s.h (blk cur)
                   ~patch:(match Link.get (next_cell cur) with
                          | Link.Null _ -> []
-                         | Link.Ptr { target = nx; _ } -> [ blk nx ])
-                  ?free:(Pool.free_hook ~recycles:S.recycles t.pool cur);
+                         | Link.Ptr { target = nx; _ } -> [ blk nx ]);
+                Pool.recycle ~recycles:S.recycles t.pool cur;
                 true
             | `Retry -> go ()
         in

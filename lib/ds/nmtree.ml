@@ -49,8 +49,9 @@ external blk : node -> Block.t = "%identity"
    before it reads [par]'s children when [cur] is a leaf, and [par] is
    never one; [retire_region] reads no child of a leaf; every CAS
    ([insert]'s and [remove]'s on [par], [cleanup_edge]'s on [par]'s and
-   [anc]'s) lands on an internal node; and VBR's pool hands a leaf out
-   only as a leaf ([alloc_leaf]'s [fits]). *)
+   [anc]'s) lands on an internal node; and a node reused from VBR's pool
+   is a leaf, since the only release into it is [insert]'s discard of a
+   leaf it never published ([alloc_leaf] asserts it). *)
 let leaf_child : node Link.cell = Link.cell Link.null
 
 (** A fresh node, [Live] and born at [era]. *)
@@ -85,7 +86,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let inf1 = max_int - 1
   let inf2 = max_int
 
-  type t = { root : node; pool : node Pool.t (* leaves and internals *) }
+  type t = { root : node; pool : node Pool.t (* unpublished leaves *) }
 
   (* Seek record (the NM paper's seekRecord): ancestor = deepest node whose
      edge toward the key is untagged; successor = that edge's target;
@@ -130,13 +131,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.flush s.h;
     S.unregister s.h
 
-  (* The pool holds retired internals too; only a leaf is reused. *)
-  let is_leaf n = n.leaf
-
+  (* The pool holds only leaves [insert] discarded unpublished:
+     [retire_region] returns no retired node to it. *)
   let alloc_leaf t key value =
     let era = S.current_era S.it in
-    match Pool.reuse ~recycles:S.recycles ~fits:is_leaf t.pool ~blk ~era with
+    match Pool.reuse ~recycles:S.recycles t.pool ~blk ~era with
     | Some n ->
+        assert n.leaf;
         n.key <- key;
         n.value <- value;
         n

@@ -406,8 +406,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             | `Won ->
                 (* Unlink everywhere via the helping search, then retire. *)
                 search t s key ~help:true ~hold:true;
-                S.retire s.h (blk victim)
-                  ?free:(Pool.free_hook ~recycles:S.recycles t.pools.(vh) victim);
+                S.retire s.h (blk victim);
+                Pool.recycle ~recycles:S.recycles t.pools.(vh) victim;
                 true
         in
         attempt ())

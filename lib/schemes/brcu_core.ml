@@ -21,8 +21,8 @@
     are attached with the domain's id and every neutralization send is
     stamped with it, so one domain's forced advances can never page
     readers of another domain ({!Hpbrcu_runtime.Signal}'s routing fence).
-    Deferred work is intrusive ({!Hpbrcu_core.Retired.entry} + the
-    domain's [execute]), as in {!Epoch_core}.
+    Deferred work is intrusive (the retired block itself + the domain's
+    [execute]), as in {!Epoch_core}.
 
     Why not {!Epoch_core}: Algorithm 5 queues flushed batches on one
     global TASKS stack stamped at flush time, where Epoch_core keeps
@@ -41,8 +41,9 @@
     while its announcement stays frozen, and a cache that kept citing it
     would veto advancement forever. *)
 
+module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 module Dom = Hpbrcu_core.Smr_intf.Dom
-module Retired = Hpbrcu_core.Retired
 module Sched = Hpbrcu_runtime.Sched
 module Signal = Hpbrcu_runtime.Signal
 module Stats = Hpbrcu_runtime.Stats
@@ -58,9 +59,6 @@ let st_out = 0
 let st_incs = 1
 let st_inrm = 2
 let st_rbreq = 3
-
-let dummy_entry () =
-  { Retired.blk = Retired.dummy_block; free = None; stamp = 0; patches = [] }
 
 type local = {
   epoch : int Atomic.t;  (* -1 = ⊥ *)
@@ -85,17 +83,17 @@ type domain = {
   meta : Dom.t;
   global : int Atomic.t;
   participants : local Registry.Participants.t;
-  tasks : Retired.entry Segstack.t;
+  tasks : Block.t Segstack.t;
       (* TASKS (Algorithm 5 line 6): a lock-free stack of epoch-stamped
          segments; the stamp is the batch's epoch tag. *)
-  leaked : Retired.entry Segstack.t;
+  leaked : Block.t Segstack.t;
       (* Quarantine parking lot (DESIGN.md §8): batches a crashed reader
          still pins move here and are never run during the run — leaked,
          but bounded: a crashed reader pins only epochs ≤ its announced
          one, so at most the batches already queued at quarantine time
          land here.  [drain] (domain teardown, when every fiber is gone)
          finally reclaims them. *)
-  execute : Retired.entry -> unit;
+  execute : Block.t -> unit;
   (* Sharded: bumped on scheme hot paths (every rollback/signal/advance),
      read only at snapshot time. *)
   advances : Stats.Counter.t;
@@ -127,8 +125,7 @@ let create ?execute meta =
     participants = Registry.Participants.create ();
     tasks = Segstack.create ();
     leaked = Segstack.create ();
-    execute =
-      (match execute with Some f -> f | None -> Retired.reclaim_entry);
+    execute = (match execute with Some f -> f | None -> Alloc.reclaim);
     advances = Stats.Counter.make ();
     forced = Stats.Counter.make ();
     rollbacks = Stats.Counter.make ();
@@ -146,7 +143,7 @@ type handle = {
   d : domain;
   l : local;
   idx : int;
-  ltasks : Retired.entry Vec.t;
+  ltasks : Block.t Vec.t;
   mutable push_cnt : int;  (* Algorithm 5 line 13 *)
 }
 
@@ -162,7 +159,7 @@ let register d =
   in
   Signal.attach ~domain:(Dom.id d.meta) l.box;
   let idx = Registry.Participants.add d.participants l in
-  { d; l; idx; ltasks = Vec.create (dummy_entry ()); push_cnt = 0 }
+  { d; l; idx; ltasks = Vec.create Block.none; push_cnt = 0 }
 
 let epoch d = Atomic.get d.global
 
@@ -267,7 +264,7 @@ let mask h body =
   else mask_in_cs h body
 
 (* Pop every segment stamped ≤ limit and run it (Algorithm 5 line 34).
-   Surviving segments go back with one CAS before any entry runs. *)
+   Surviving segments go back with one CAS before any block runs. *)
 let run_expired d limit =
   match Segstack.take_all d.tasks with
   | None -> 0
@@ -277,6 +274,18 @@ let run_expired d limit =
       let n = Segstack.total expired in
       Segstack.iter expired d.execute;
       n
+
+(* Move the global epoch from [eg] to [eg + 1] — losing the CAS means
+   another thread already did — then run every batch stamped before [eg]
+   (Algorithm 5 lines 33-34).  Tells whether this call advanced. *)
+let advance_from d eg =
+  let advanced = Atomic.compare_and_set d.global eg (eg + 1) in
+  if advanced then begin
+    Stats.Counter.incr d.advances;
+    Trace.emit Trace.Epoch_advance (eg + 1)
+  end;
+  ignore (run_expired d (eg - 1) : int);
+  advanced
 
 (* Quarantine a participant whose box answered [Dead_receiver]
    ({!Scheme_common.quarantine}), once: the flag also keeps the laggard
@@ -417,24 +426,17 @@ let flush_and_advance h =
              Degrade gracefully — keep the batches queued and try again
              after the next force_threshold flushes. *)
           ()
-        else begin
-          if Atomic.compare_and_set d.global eg (eg + 1) then begin
-            Stats.Counter.incr d.advances;
-            outcome := 0;
-            Trace.emit Trace.Epoch_advance (eg + 1)
-          end;
-          ignore (run_expired d (eg - 1) : int)
-        end
+        else if advance_from d eg then outcome := 0
       end
     end;
     Trace.emit Trace.Flush_end !outcome
   end
 
-(** Defer (Algorithm 5 line 22) — intrusive: block + [free] ride in a
-    preallocated entry; the segment stamp added at flush carries the
-    epoch tag. *)
-let defer h ?free blk =
-  Vec.push h.ltasks { Retired.blk; free; stamp = 0; patches = [] };
+(** Defer (Algorithm 5 line 22) — intrusive: the block itself is pushed
+    into the reusable local batch; the segment stamp added at flush
+    carries the epoch tag. *)
+let defer h blk =
+  Vec.push h.ltasks blk;
   if Vec.length h.ltasks >= h.d.max_local_tasks then flush_and_advance h
 
 let flush h =
@@ -456,12 +458,7 @@ let flush h =
             end);
     match !lagging with
     | Some l -> cache_witness d eg l
-    | None ->
-        if Atomic.compare_and_set d.global eg (eg + 1) then begin
-          Stats.Counter.incr d.advances;
-          Trace.emit Trace.Epoch_advance (eg + 1)
-        end;
-        ignore (run_expired d (eg - 1) : int)
+    | None -> ignore (advance_from d eg : bool)
   end
 
 let unregister h =

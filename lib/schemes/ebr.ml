@@ -7,9 +7,9 @@
     footprint of Figures 1b and 6b).
 
     The domain is the {!Epoch_core.domain} itself, with the default
-    executor (reclaim on expiry).  Retirement is intrusive: the block
-    header and epoch stamp land in a preallocated {!Retired.entry}, no
-    closure per retire. *)
+    executor (reclaim on expiry).  Retirement is intrusive: the retired
+    block itself is the deferral, its epoch stamped into its own header,
+    so a retire allocates nothing. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 open Hpbrcu_core
@@ -76,10 +76,10 @@ module Impl : Smr_intf.SCHEME = struct
 
   let deref _ blk = Alloc.check_access blk
 
-  let retire (h : handle) ?free ?patch:_ ?(claimed = false) blk =
+  let retire (h : handle) ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h.E.d.E.meta blk;
-    E.defer h ?free blk
+    E.defer h blk
 
   let recycles = false
   let current_era _ = 0

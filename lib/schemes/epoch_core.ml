@@ -17,15 +17,14 @@
     epochs in one domain never wait on readers of another.
 
     Deferred work is {e intrusive} (P0484's [rcu_obj_base] idea): a
-    deferral is a {!Hpbrcu_core.Retired.entry} — the block header plus an
-    epoch stamp in a preallocated slot — executed by the domain's
+    deferral is the retired block itself, its epoch stamped into the
+    block's own [retire_era] header field, executed by the domain's
     [execute] function once expired.  EBR's and PEBR's executor reclaims
-    directly; HP-RCU installs one that hands the entry to its
-    hazard-pointer half ({!Hp_core.retire_deferred_entry}).  No per-retire
-    closure is allocated anywhere on the path (the optional [free]
-    callback rides in the entry's existing field).
+    directly; HP-RCU installs one that hands the block to its
+    hazard-pointer half ({!Hp_core.retire_deferred}).  A defer stores one
+    pointer into a reusable vector: nothing is allocated per retire.
 
-    Hot-path discipline (DESIGN.md §9): deferred entries live in a
+    Hot-path discipline (DESIGN.md §9): deferred blocks live in a
     reusable {!Hpbrcu_core.Vec} partitioned in place, orphan batches
     travel as {!Hpbrcu_core.Segstack} segments that carry their counts,
     and a failed [try_advance] caches the laggard it saw so repeated
@@ -33,16 +32,13 @@
     lagging. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 module Dom = Hpbrcu_core.Smr_intf.Dom
-module Retired = Hpbrcu_core.Retired
 module Sched = Hpbrcu_runtime.Sched
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 module Vec = Hpbrcu_core.Vec
 module Segstack = Hpbrcu_core.Segstack
-
-let dummy_entry () =
-  { Retired.blk = Retired.dummy_block; free = None; stamp = 0; patches = [] }
 
 (* ['x] is what the embedding scheme attaches to its participant record:
    PEBR's ejection signal box, [unit] for EBR and HP-RCU. *)
@@ -60,10 +56,10 @@ type 'x domain = {
   meta : Dom.t;
   global : int Atomic.t;
   participants : 'x local Registry.Participants.t;
-  orphans : Retired.entry Segstack.t;
-      (* deferred entries of unregistered threads, adopted by later
+  orphans : Block.t Segstack.t;
+      (* deferred blocks of unregistered threads, adopted by later
          collectors *)
-  execute : Retired.entry -> unit;
+  execute : Block.t -> unit;
       (* what "running" an expired deferral means: reclaim (EBR) or hand
          to the HP half (HP-RCU, PEBR) *)
   advances : Stats.Counter.t;
@@ -90,8 +86,7 @@ let create ?execute meta =
     global = Atomic.make 2;
     participants = Registry.Participants.create ();
     orphans = Segstack.create ();
-    execute =
-      (match execute with Some f -> f | None -> Retired.reclaim_entry);
+    execute = (match execute with Some f -> f | None -> Alloc.reclaim);
     advances = Stats.Counter.make ();
     advance_failures = Stats.Counter.make ();
     lag_gauge = Stats.Gauge.make ();
@@ -105,8 +100,8 @@ type 'x handle = {
   l : 'x local;
   idx : int;
   mutable nest : int;
-  tasks : Retired.entry Vec.t;
-  expired : Retired.entry Vec.t;  (* scratch for [run_expired]'s partition *)
+  tasks : Block.t Vec.t;
+  expired : Block.t Vec.t;  (* scratch for [run_expired]'s partition *)
   mutable running : bool;  (* reentrancy guard: executors may defer *)
 }
 
@@ -120,8 +115,8 @@ let register d ext =
     l;
     idx;
     nest = 0;
-    tasks = Vec.create (dummy_entry ());
-    expired = Vec.create (dummy_entry ());
+    tasks = Vec.create Block.none;
+    expired = Vec.create Block.none;
     running = false;
   }
 
@@ -220,17 +215,17 @@ let adopt_orphans h =
   | None -> ()
   | Some _ as chain -> Segstack.iter chain (fun t -> Vec.push h.tasks t)
 
-(* Run every local entry whose stamp is ≤ global - 2 (Fraser's safety
-   margin).  Returns the number executed.  Reentrant calls (an executor's
-   free callback deferring enough to trigger another collect) are cut off
-   so the [expired] scratch is never clobbered mid-iteration. *)
+(* Run every local block whose stamp is ≤ global - 2 (Fraser's safety
+   margin).  Returns the number executed.  Reentrant calls (an executor
+   deferring enough to trigger another collect) are cut off so the
+   [expired] scratch is never clobbered mid-iteration. *)
 let run_expired h =
   if h.running then 0
   else begin
     h.running <- true;
     let limit = Atomic.get h.d.global - 2 in
     Vec.clear h.expired;
-    Vec.partition_into h.tasks (fun e -> e.Retired.stamp <= limit) h.expired;
+    Vec.partition_into h.tasks (fun b -> Block.retire_era b <= limit) h.expired;
     let n = Vec.length h.expired in
     (try Vec.iter h.expired h.d.execute
      with e ->
@@ -240,8 +235,8 @@ let run_expired h =
     n
   end
 
-(** Attempt an epoch advance and collect expired deferred entries; the
-    per-[batch]-retirements trigger of §6.  Returns entries executed. *)
+(** Attempt an epoch advance and collect expired deferred blocks; the
+    per-[batch]-retirements trigger of §6.  Returns blocks executed. *)
 let advance_and_collect h =
   adopt_orphans h;
   Trace.emit Trace.Flush_begin (Atomic.get h.d.global);
@@ -249,24 +244,23 @@ let advance_and_collect h =
   Trace.emit Trace.Flush_end (if advanced then 0 else 1);
   run_expired h
 
-(** [push h ?free blk] queues [blk]'s deferral, stamped with the current
-    global epoch, and tells whether the local queue has reached the batch
-    size — the caller's cue to collect. *)
-let[@inline] push h ?free blk =
-  Vec.push h.tasks
-    { Retired.blk; free; stamp = Atomic.get h.d.global; patches = [] };
+(** [push h blk] queues [blk]'s deferral, its [retire_era] stamped with
+    the current global epoch, and tells whether the local queue has
+    reached the batch size — the caller's cue to collect. *)
+let[@inline] push h blk =
+  Block.mark_retire_era blk ~era:(Atomic.get h.d.global);
+  Vec.push h.tasks blk;
   Vec.length h.tasks >= h.d.batch_n
 
-(** [defer h ?free blk] schedules [blk]'s deferred work (RCU's Defer,
+(** [defer h blk] schedules [blk]'s deferred work (RCU's Defer,
     Algorithm 2): once all current critical sections have ended, the
-    domain's executor runs on the entry.  Intrusive — the block and the
-    epoch stamp land in a preallocated {!Retired.entry}, no closure. *)
-let defer h ?free blk =
-  if push h ?free blk then ignore (advance_and_collect h : int)
+    domain's executor runs on the block.  Intrusive — the block carries
+    its own epoch stamp, no closure and no record. *)
+let defer h blk = if push h blk then ignore (advance_and_collect h : int)
 
 let flush h = ignore (advance_and_collect h : int)
 
-(** Leave the domain: orphan the not-yet-expired entries for later
+(** Leave the domain: orphan the not-yet-expired blocks for later
     collectors and free the participant slot. *)
 let leave h =
   assert (h.nest = 0);

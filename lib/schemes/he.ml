@@ -49,7 +49,7 @@ module Impl : Smr_intf.SCHEME = struct
     era : int Atomic.t;
     scans : Stats.Counter.t;
     slots : Registry.Shields.t;  (* each slot holds a reserved era, -1 = none *)
-    orphans : Retired.entry Segstack.t;
+    orphans : Block.t Segstack.t;
         (* batches of departed threads, adopted by later scanners *)
     batch_n : int;
   }
@@ -72,7 +72,7 @@ module Impl : Smr_intf.SCHEME = struct
       Registry.Shields.reset d.slots;
       (match Segstack.take_all d.orphans with
       | None -> ()
-      | Some _ as chain -> Segstack.iter chain Retired.reclaim_entry);
+      | Some _ as chain -> Segstack.iter chain Alloc.reclaim);
       Atomic.set d.era 1;
       Stats.Counter.reset d.scans;
       Dom.finish_destroy d.meta
@@ -86,7 +86,7 @@ module Impl : Smr_intf.SCHEME = struct
         (* the per-hop ring of era slots [read] rotates *)
     mutable hop : int;
     eras : Idset.t;  (* scratch: reserved eras, rebuilt per scan *)
-    scan_pred : Retired.entry -> bool;  (* built once; reads [eras] *)
+    scan_pred : Block.t -> bool;  (* built once; reads [eras] *)
   }
 
   let register d =
@@ -103,8 +103,7 @@ module Impl : Smr_intf.SCHEME = struct
       hop = 0;
       eras;
       scan_pred =
-        (fun e ->
-          let b = e.Retired.blk in
+        (fun b ->
           (* Reclaimable iff no reserved era falls in [birth, retire]. *)
           not (Idset.mem_range eras (Block.birth_era b) (Block.retire_era b)));
     }
@@ -162,16 +161,16 @@ module Impl : Smr_intf.SCHEME = struct
     (match Segstack.take_all h.d.orphans with
     | None -> ()
     | Some _ as chain ->
-        Segstack.iter chain (fun e -> Retired.push_entry h.batch e));
+        Segstack.iter chain (Retired.push h.batch));
     Registry.Shields.snapshot h.d.slots h.eras;
     Idset.sort h.eras;
     ignore (Retired.reclaim_where h.batch h.scan_pred : int)
 
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
+  let retire h ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h.d.meta blk;
     Block.mark_retire_era blk ~era:(Atomic.get h.d.era);
-    Retired.push h.batch ?free blk;
+    Retired.push h.batch blk;
     if Retired.length h.batch >= h.d.batch_n then begin
       Atomic.incr h.d.era;
       Trace.emit Trace.Epoch_advance (Atomic.get h.d.era);

@@ -100,8 +100,8 @@ module Impl : Smr_intf.SCHEME = struct
 
   let deref _ blk = Alloc.check_access blk
 
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
-    Core.retire h ?free ~patches:[] ~claimed blk
+  let retire h ?patch:_ ?(claimed = false) blk =
+    Core.retire h ~patches:[] ~claimed blk
 
   let recycles = false
   let current_era _ = 0

@@ -12,8 +12,9 @@
     HP-protected pointers.
 
     Retirement is the two-step [BRCU.defer (fun () -> HP.retire p)] —
-    intrusively, the deferred {!Hpbrcu_core.Retired.entry} flows from the
-    BRCU side's task list into the HP side's orphan list — giving the
+    intrusively, the retired block itself flows from the BRCU side's task
+    list into the HP side's orphan list ({!Hp_core.retire_deferred}), with
+    no closure or record built per retire — giving the
     bound of §5: at most [2GN + GN² + H] unreclaimed blocks with
     [G = max_local_tasks × force_threshold], [N] threads and [H] shields.
 
@@ -78,7 +79,7 @@ module Impl : Smr_intf.SCHEME = struct
       hd;
       (* Two-step retirement's second step: expired deferrals land in the
          HP half, still subject to the shield scan. *)
-      bd = B.create ~execute:(H.retire_deferred_entry hd) meta;
+      bd = B.create ~execute:(H.retire_deferred hd) meta;
       tr_steps = Stats.Counter.make ();
       tr_validate_fail = Stats.Counter.make ();
       tr_traverses = Stats.Counter.make ();
@@ -266,10 +267,10 @@ module Impl : Smr_intf.SCHEME = struct
     Alloc.check_access blk
 
   (* Two-step retirement (Algorithm 4) through BRCU's Defer, intrusive. *)
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
+  let retire h ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h.d.meta blk;
-    B.defer h.bh ?free blk;
+    B.defer h.bh blk;
     H.maybe_scan h.hh
 
   let recycles = false

@@ -9,12 +9,13 @@
     one process.  Composite schemes (HP-RCU, HP-BRCU, NBR, PEBR) embed one
     of these in their own domain, sharing the {!Smr_intf.Dom.t} identity.
 
-    Retired blocks live in per-thread batches; when a batch reaches the
-    configured threshold the owner scans the shield table and reclaims the
-    unprotected entries (Algorithm 1, Retire/Reclaim).  A per-domain orphan
-    list holds (a) batches of threads that unregistered and (b) blocks
-    retired by {e deferred} tasks of the epoch schemes, which may execute
-    on any thread.
+    Retired blocks live in per-thread {!Hpbrcu_core.Retired} batches of
+    the blocks themselves; when a batch reaches the configured threshold
+    the owner scans the shield table and reclaims the unprotected blocks
+    (Algorithm 1, Retire/Reclaim).  A per-domain orphan list of blocks
+    holds (a) batches of threads that unregistered and (b) blocks retired
+    by {e deferred} tasks of the epoch schemes, which may execute on any
+    thread ({!retire_deferred}).
 
     Hot-path discipline (DESIGN.md §9): the scan snapshots every protected
     id into a per-handle scratch {!Hpbrcu_core.Idset}, sorts it once, and
@@ -48,13 +49,13 @@ let rec add_published ids = function
 type domain = {
   meta : Dom.t;
   shields : Registry.Shields.t;
-  orphans : Retired.entry Segstack.t;
+  orphans : Block.t Segstack.t;
       (* blocks whose reclamation nobody currently owns: still subject to
          the shield scan *)
   scans : Stats.Counter.t;
   reclaimed_by_scan : Stats.Counter.t;
   published_patches : Block.t list Atomic.t list Atomic.t;
-      (* HP++: patch protections of other threads' pending entries must
+      (* HP++: patch protections of other threads' pending blocks must
          also defer reclamation.  Batches are thread-local, so each thread
          publishes its live patch set here for reclaimers to read. *)
   orphan_count : int Atomic.t;
@@ -86,7 +87,7 @@ type handle = {
   mutable patch_slot : Block.t list Atomic.t option;
       (* present only under HP++: the handle's published patch set *)
   scan_ids : Idset.t;  (* scratch: protected ids, rebuilt per scan *)
-  scan_pred : Retired.entry -> bool;
+  scan_pred : Block.t -> bool;
       (* built once; reads [scan_ids], so allocates nothing per scan *)
 }
 
@@ -110,7 +111,7 @@ let register ~hop_ring d =
     hop = 0;
     patch_slot = None;
     scan_ids;
-    scan_pred = (fun e -> not (Idset.mem scan_ids (Block.id e.Retired.blk)));
+    scan_pred = (fun b -> not (Idset.mem scan_ids (Block.id b)));
   }
 
 type shield = Registry.Shields.shield
@@ -139,24 +140,24 @@ let rec publish_patch_slot d slot =
 
 (** One reclamation pass: scan shields (line 13's SC fence is implied by
     the SC atomic reads) plus the patch protections of every pending
-    entry, then reclaim every unprotected retired block from the handle's
+    block, then reclaim every unprotected retired block from the handle's
     batch and the orphan list, keeping the rest. *)
 let scan h =
   Stats.Counter.incr h.d.scans;
   Trace.emit Trace.Scan_begin (Retired.length h.batch);
   Registry.Shields.snapshot h.d.shields h.scan_ids;
-  (* Patches of entries pending anywhere count as protected until their
-     patron entry is reclaimed. *)
+  (* Patches of blocks pending anywhere count as protected until their
+     patron block is reclaimed. *)
   (match Atomic.get h.d.published_patches with
   | [] -> ()
   | slots -> add_published h.scan_ids slots);
   (match Segstack.take_all h.d.orphans with
   | None -> ()
   | Some _ as chain ->
-      Segstack.iter chain (fun e -> Retired.push_entry h.batch e));
+      Segstack.iter chain (Retired.push h.batch));
   if Retired.npatches h.batch > 0 then
     for i = 0 to Retired.length h.batch - 1 do
-      add_patch_ids h.scan_ids (Retired.get h.batch i).Retired.patches
+      add_patch_ids h.scan_ids (Retired.patches h.batch i)
     done;
   Idset.sort h.scan_ids;
   let n = Retired.reclaim_where h.batch h.scan_pred in
@@ -170,7 +171,7 @@ let enable_patches h =
   publish_patch_slot h.d slot
 
 (* Re-publish this handle's current patch set after batch changes.  When
-   no pending entry holds patches the published set collapses to [] with
+   no pending block holds patches the published set collapses to [] with
    a single conditional store — the common case under HP++ is that most
    retirements carry no patches. *)
 let republish h =
@@ -183,7 +184,7 @@ let republish h =
       else begin
         let acc = ref [] in
         for i = 0 to Retired.length h.batch - 1 do
-          acc := List.rev_append (Retired.get h.batch i).Retired.patches !acc
+          acc := List.rev_append (Retired.patches h.batch i) !acc
         done;
         Atomic.set slot !acc
       end
@@ -194,12 +195,10 @@ let republish h =
     an S-level entry point (HP, HP++): the block is stamped with the
     domain's owner id here.  The deferred/counted variants below are
     second steps of two-step retirement and must NOT re-stamp. *)
-let retire h ?free ~patches ~claimed blk =
+let retire h ~patches ~claimed blk =
   if not claimed then Alloc.retire blk;
   Dom.tag_retire h.d.meta blk;
-  (match patches with
-  | [] -> Retired.push h.batch ?free blk
-  | ps -> Retired.push h.batch ?free ~patches:ps blk);
+  Retired.push_patched h.batch patches blk;
   (match h.patch_slot with None -> () | Some _ -> republish h);
   if Retired.length h.batch >= h.d.batch_n
   then begin
@@ -211,10 +210,10 @@ let retire h ?free ~patches ~claimed blk =
 
 (** The deferred half of two-step retirement (Algorithm 4): the epoch
     scheme's expired-task executor, possibly on any thread.  The epoch
-    side drains its expired {!Retired.entry}s straight into this domain's
-    orphan list, no per-block closure anywhere on the path. *)
-let retire_deferred_entry d (e : Retired.entry) =
-  Segstack.push_one d.orphans e;
+    side drains its expired blocks straight into this domain's orphan
+    list, no per-block closure anywhere on the path. *)
+let retire_deferred d blk =
+  Segstack.push_one d.orphans blk;
   Atomic.incr d.orphan_count
 
 (** Scan if deferred retirements have piled up past the batch size. *)
@@ -229,9 +228,9 @@ let flush h = scan h
 
 let unregister h =
   (* Whatever the final scan could not reclaim becomes orphaned.  The
-     patch set is frozen *before* draining so orphaned entries' patches
-     stay visible (conservatively, until destroy) while they await
-     adoption. *)
+     patch set is frozen *before* draining, which drops the batch's own
+     patch lists: the frozen set keeps orphaned blocks' patches visible
+     (conservatively, until destroy) while they await adoption. *)
   scan h;
   republish h;
   Segstack.push_arr h.d.orphans (Retired.drain_array h.batch);
@@ -243,7 +242,7 @@ let drain d =
   Registry.Shields.reset d.shields;
   (match Segstack.take_all d.orphans with
   | None -> ()
-  | Some _ as chain -> Segstack.iter chain Retired.reclaim_entry);
+  | Some _ as chain -> Segstack.iter chain Alloc.reclaim);
   (* The deferred-retire scan trigger must not carry residue into a reused
      domain: a leftover count shifts when the first scans fire, which
      would make re-runs of the same seed diverge. *)

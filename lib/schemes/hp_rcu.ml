@@ -16,8 +16,9 @@
 
     The domain embeds an epoch half and an HP half sharing one
     {!Smr_intf.Dom.t} identity; the epoch half's executor hands expired
-    {!Hpbrcu_core.Retired.entry}s straight to the HP half's orphan list
-    (intrusive two-step retirement, no closure per retire). *)
+    blocks straight to the HP half's orphan list ({!Hp_core.retire_deferred}:
+    intrusive two-step retirement, the block itself is the deferral and
+    no closure or record is built per retire). *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
@@ -57,7 +58,7 @@ module Impl : Smr_intf.SCHEME = struct
       hd;
       (* Two-step retirement's second step: expired deferrals land in the
          HP half, still subject to the shield scan. *)
-      ed = E.create ~execute:(H.retire_deferred_entry hd) meta;
+      ed = E.create ~execute:(H.retire_deferred hd) meta;
       max_steps = config.Config.max_steps;
     }
 
@@ -163,12 +164,12 @@ module Impl : Smr_intf.SCHEME = struct
 
   let deref _ blk = Alloc.check_access blk
 
-  (* Two-step retirement (Algorithm 4), intrusive: the entry deferred on
-     the epoch side is the same record the HP side later scans. *)
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
+  (* Two-step retirement (Algorithm 4), intrusive: the block deferred on
+     the epoch side is the same block the HP side later scans. *)
+  let retire h ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h.d.meta blk;
-    E.defer h.eh ?free blk;
+    E.defer h.eh blk;
     H.maybe_scan h.hh
 
   let recycles = false

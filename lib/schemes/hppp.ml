@@ -110,8 +110,8 @@ module Impl : Smr_intf.SCHEME = struct
 
   let deref _ blk = Alloc.check_access blk
 
-  let retire h ?free ?(patch = []) ?(claimed = false) blk =
-    Core.retire h ?free ~patches:patch ~claimed blk
+  let retire h ?(patch = []) ?(claimed = false) blk =
+    Core.retire h ~patches:patch ~claimed blk
 
   let recycles = false
   let current_era _ = 0

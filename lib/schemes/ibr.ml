@@ -115,7 +115,7 @@ module Impl : Smr_intf.SCHEME = struct
     era : int Atomic.t;
     scans : Stats.Counter.t;
     participants : local Registry.Participants.t;
-    orphans : Retired.entry Segstack.t;
+    orphans : Block.t Segstack.t;
     batch_n : int;
   }
 
@@ -136,7 +136,7 @@ module Impl : Smr_intf.SCHEME = struct
     begin
       (match Segstack.take_all d.orphans with
       | None -> ()
-      | Some _ as chain -> Segstack.iter chain Retired.reclaim_entry);
+      | Some _ as chain -> Segstack.iter chain Alloc.reclaim);
       Registry.Participants.reset d.participants;
       Atomic.set d.era 1;
       Stats.Counter.reset d.scans;
@@ -151,7 +151,7 @@ module Impl : Smr_intf.SCHEME = struct
     mutable nest : int;
     sc : scratch;  (* reservation snapshot, rebuilt per scan *)
     snap : local -> unit;  (* built once; appends into [sc] *)
-    pred : Retired.entry -> bool;  (* built once; queries [sc] *)
+    pred : Block.t -> bool;  (* built once; queries [sc] *)
   }
 
   let register d =
@@ -179,9 +179,7 @@ module Impl : Smr_intf.SCHEME = struct
           let lw = Atomic.get l.lower and up = Atomic.get l.upper in
           if lw <> -1 then push_pair sc lw up);
       pred =
-        (fun e ->
-          let b = e.Retired.blk in
-          not (covered sc (Block.birth_era b) (Block.retire_era b)));
+        (fun b -> not (covered sc (Block.birth_era b) (Block.retire_era b)));
     }
 
   type shield = unit
@@ -238,18 +236,18 @@ module Impl : Smr_intf.SCHEME = struct
     (match Segstack.take_all h.d.orphans with
     | None -> ()
     | Some _ as chain ->
-        Segstack.iter chain (fun e -> Retired.push_entry h.batch e));
+        Segstack.iter chain (Retired.push h.batch));
     h.sc.n <- 0;
     Registry.Participants.iter h.d.participants h.snap;
     sort_pairs h.sc.lo h.sc.up h.sc.n;
     prefix_max h.sc.up h.sc.n;
     ignore (Retired.reclaim_where h.batch h.pred : int)
 
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
+  let retire h ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h.d.meta blk;
     Block.mark_retire_era blk ~era:(Atomic.get h.d.era);
-    Retired.push h.batch ?free blk;
+    Retired.push h.batch blk;
     if Retired.length h.batch >= h.d.batch_n then begin
       Atomic.incr h.d.era;
       Trace.emit Trace.Epoch_advance (Atomic.get h.d.era);

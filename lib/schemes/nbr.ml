@@ -221,10 +221,10 @@ module Impl : Smr_intf.SCHEME = struct
       Core.scan h.hph
     end
 
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
+  let retire h ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h.d.meta blk;
-    Retired.push h.pending ?free blk;
+    Retired.push h.pending blk;
     if Retired.length h.pending >= h.d.batch_n then neutralize_and_reclaim h
 
   let recycles = false

@@ -64,7 +64,7 @@ module Impl : Smr_intf.SCHEME = struct
 
   let deref _ _ = ()
 
-  let retire h ?free:_ ?patch:_ ?(claimed = false) blk =
+  let retire h ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h blk
 

@@ -20,9 +20,10 @@
     The epoch half is an {!Epoch_core} domain whose participant records
     carry the ejection signal box; PEBR adds only its ejecting advance,
     [op]'s restart loop and its counters.  An embedded {!Hp_core.domain}
-    holds the shields [read] protects into.  Deferral is intrusive
-    ({!Hpbrcu_core.Retired.entry} vectors, no per-retire closure), and
-    ejection signals are routed by domain id. *)
+    holds the shields [read] protects into.  Deferral is intrusive (the
+    retired blocks themselves, queued in reusable vectors: nothing is
+    allocated per retire), and ejection signals are routed by domain
+    id. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Block = Hpbrcu_alloc.Block
@@ -199,10 +200,10 @@ module Impl : Smr_intf.SCHEME = struct
     E.adopt_orphans h.eh;
     ignore (E.run_expired h.eh : int)
 
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
+  let retire h ?patch:_ ?(claimed = false) blk =
     if not claimed then Alloc.retire blk;
     Dom.tag_retire (dom h.d) blk;
-    if E.push h.eh ?free blk then try_advance h
+    if E.push h.eh blk then try_advance h
 
   let recycles = false
   let current_era _ = 0

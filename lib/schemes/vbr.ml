@@ -130,15 +130,15 @@ module Impl : Smr_intf.SCHEME = struct
     Alloc.check_access blk;
     validate_block h blk
 
-  (* Immediate reclamation: stamp the retire era, advance the era every
-     [batch] retirements, reclaim, and let [free] return the node to its
-     pool. *)
-  let retire h ?free ?patch:_ ?(claimed = false) blk =
+  (* Immediate reclamation: stamp the retire era, reclaim, and advance the
+     era every [batch] retirements.  The block is reclaimed when [retire]
+     returns, so the structure returns the node to its pool right after
+     ({!Hpbrcu_alloc.Pool.recycle}). *)
+  let retire h ?patch:_ ?(claimed = false) blk =
     Block.mark_retire_era blk ~era:(Atomic.get h.d.era);
     if not claimed then Alloc.retire blk;
     Dom.tag_retire h.d.meta blk;
     Alloc.reclaim blk;
-    (match free with None -> () | Some f -> f ());
     h.retire_count <- h.retire_count + 1;
     if h.retire_count >= h.d.batch_n then begin
       h.retire_count <- 0;

@@ -303,6 +303,7 @@ module Spy (S : Smr_intf.S) = struct
 
   let reached : (Obj.t * Block.t) list ref = ref []
   let retired : Block.t list ref = ref []
+  let versions : (Block.t * int) list ref = ref []  (* at each retire *)
 
   let read h ~src ~hdr cell =
     let l = S.read h ~src ~hdr cell in
@@ -311,9 +312,10 @@ module Spy (S : Smr_intf.S) = struct
     | Link.Null _ -> ());
     l
 
-  let retire h ?free ?patch ?claimed b =
+  let retire h ?patch ?claimed b =
     retired := b :: !retired;
-    S.retire h ?free ?patch ?claimed b
+    versions := (b, Block.version b) :: !versions;
+    S.retire h ?patch ?claimed b
 end
 
 let structures =
@@ -396,6 +398,23 @@ let test_leaf_cells scheme () =
     | Ds.Efrb_bst.Clean -> true
     | _ -> false)
 
+(* Under VBR a list or skip-list node goes back to its pool right after
+   [retire] ([Pool.recycle]).  On a short era (4 retirements) a fiber
+   stress run must reanimate at least one node after it was retired, which
+   no node is if the structure leaves its retire sites' [Pool.recycle]
+   out: then only nodes an insert discarded unpublished are reused. *)
+let test_vbr_recycles (module M : Test_util.MAKE) () =
+  let module Schemes = Hpbrcu_schemes.Schemes in
+  let config = { Hpbrcu_core.Config.default with batch = 4 } in
+  Schemes.with_domain (fst (Schemes.find "VBR"), config) @@ fun (module D) ->
+  Alloc.reset ();
+  Alloc.set_strict true;
+  let module Sp = Spy (D) in
+  Test_util.stress (module M (Sp)) ~seed:5 ();
+  Alcotest.(check bool) "retired some" true (!Sp.versions <> []);
+  Alcotest.(check bool) "a retired node was reanimated" true
+    (List.exists (fun (b, v) -> Block.version b > v) !Sp.versions)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -439,5 +458,15 @@ let () =
                 Alcotest.test_case ("leaf-cells/" ^ scheme) `Quick
                   (test_leaf_cells scheme);
               ])
-          [ "NR"; "HP-BRCU" ] );
+          [ "NR"; "HP-BRCU" ]
+        @ [ Alcotest.test_case "leaf-cells/VBR" `Quick (test_leaf_cells "VBR") ] );
+      ( "vbr-recycles",
+        List.filter_map
+          (fun (ds, m) ->
+            if List.mem ds [ "HHSList"; "HMList"; "LazyList"; "SkipList" ] then
+              Some
+                (Alcotest.test_case ("vbr-recycles/" ^ ds) `Quick
+                   (test_vbr_recycles m))
+            else None)
+          Test_util.structures );
     ]

@@ -155,27 +155,22 @@ let test_retired_batch () =
   let t = Retired.create () in
   Alcotest.(check bool) "empty" true (Retired.is_empty t);
   let bs = List.init 6 (fun _ -> Alloc.block ()) in
-  List.iteri (fun i b -> Retired.push t ~stamp:i b) bs;
+  List.iteri
+    (fun i b ->
+      Hpbrcu_alloc.Block.mark_retire_era b ~era:i;
+      Retired.push t b)
+    bs;
   List.iter Alloc.retire bs;
   Alcotest.(check int) "length" 6 (Retired.length t);
-  (* Reclaim entries with even stamp. *)
-  let n = Retired.reclaim_where t (fun e -> e.Retired.stamp mod 2 = 0) in
+  (* Reclaim blocks with an even stamp. *)
+  let n =
+    Retired.reclaim_where t (fun b -> Hpbrcu_alloc.Block.retire_era b mod 2 = 0)
+  in
   Alcotest.(check int) "reclaimed" 3 n;
   Alcotest.(check int) "kept" 3 (Retired.length t);
-  let drained = Retired.drain t in
-  Alcotest.(check int) "drained" 3 (List.length drained);
+  let drained = Retired.drain_array t in
+  Alcotest.(check int) "drained" 3 (Array.length drained);
   Alcotest.(check bool) "empty again" true (Retired.is_empty t)
-
-let test_retired_free_callback () =
-  Alloc.reset ();
-  let t = Retired.create () in
-  let hit = ref 0 in
-  let b = Alloc.block () in
-  Alloc.retire b;
-  Retired.push t ~free:(fun () -> incr hit) b;
-  ignore (Retired.reclaim_where t (fun _ -> true) : int);
-  Alcotest.(check int) "finalizer ran" 1 !hit;
-  Alcotest.(check bool) "block reclaimed" true Hpbrcu_alloc.Block.(is_reclaimed b)
 
 (* Capability metadata must match the paper's applicability matrix for the
    schemes and structures we implement (Table 1's relevant rows). *)
@@ -299,7 +294,6 @@ let () =
       ( "retired",
         [
           Alcotest.test_case "batch" `Quick test_retired_batch;
-          Alcotest.test_case "free-callback" `Quick test_retired_free_callback;
         ] );
       ( "caps",
         [

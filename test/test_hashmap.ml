@@ -43,8 +43,8 @@ module Track (S : Hpbrcu_core.Smr_intf.S) = struct
     note blk;
     S.deref h blk
 
-  let retire h ?free ?patch ?claimed blk =
-    S.retire h ?free ?patch ?claimed blk;
+  let retire h ?patch ?claimed blk =
+    S.retire h ?patch ?claimed blk;
     Hashtbl.replace freed (Block.id blk) ()
 end
 

@@ -13,17 +13,17 @@ module Idset = Hpbrcu_core.Idset
 (* ---------------- Retired vs list model ---------------- *)
 
 type op =
-  | Push of int * bool * int  (* stamp, attach finalizer?, patch count *)
-  | Reclaim_le of int  (* reclaim entries with stamp <= k *)
+  | Push of int * int  (* stamp (the block's retire era), patch count *)
+  | Reclaim_le of int  (* reclaim blocks with stamp <= k *)
   | Reclaim_all
-  | Drain
+  | Drain  (* drain to an array and push the blocks back, unpatched *)
   | Transfer  (* move everything into a second batch and back *)
 
 let op_gen =
   Q.Gen.(
     frequency
       [
-        (6, map3 (fun s f p -> Push (s, f, p)) (int_bound 7) bool (int_bound 2));
+        (6, map2 (fun s p -> Push (s, p)) (int_bound 7) (int_bound 2));
         (2, map (fun k -> Reclaim_le k) (int_bound 7));
         (1, return Reclaim_all);
         (1, return Drain);
@@ -31,7 +31,7 @@ let op_gen =
       ])
 
 let pp_op = function
-  | Push (s, f, p) -> Printf.sprintf "P(%d,%b,%d)" s f p
+  | Push (s, p) -> Printf.sprintf "P(%d,%d)" s p
   | Reclaim_le k -> Printf.sprintf "R<=%d" k
   | Reclaim_all -> "R*"
   | Drain -> "D"
@@ -42,86 +42,50 @@ let ops_arb =
     ~print:(fun ops -> String.concat ";" (List.map pp_op ops))
     Q.Gen.(list_size (int_range 0 200) op_gen)
 
-(* Model entry: block, stamp, patch-list length, finalizer id (-1 = none). *)
-type mentry = { mblk : Block.t; mstamp : int; mpatch : int; mfin : int }
+(* Model entry: block and patch-list length; the stamp is the block's own
+   retire era. *)
+type mentry = { mblk : Block.t; mpatch : int }
 
-(* The batch must mirror the model exactly: same length, same entries in
-   the same (FIFO) order, and npatches equal to the summed patch lengths.
-   Reclaimed entries must have actually reclaimed their block and fired
-   their finalizer exactly once. *)
+(* The batch must mirror the model exactly: same length, same blocks in
+   the same (FIFO) order with their patch lists, and npatches equal to the
+   summed patch lengths. *)
 let check_mirror t model =
   Retired.length t = List.length model
   && Retired.npatches t = List.fold_left (fun a m -> a + m.mpatch) 0 model
   && List.for_all2
        (fun m i ->
-         let e = Retired.get t i in
-         e.Retired.blk == m.mblk
-         && e.Retired.stamp = m.mstamp
-         && List.length e.Retired.patches = m.mpatch
-         && (m.mfin >= 0) = (e.Retired.free <> None))
+         Retired.get t i == m.mblk
+         && List.length (Retired.patches t i) = m.mpatch)
        model
        (List.init (List.length model) Fun.id)
+
+let stamp m = Block.retire_era m.mblk
 
 let retired_agrees ops =
   Alloc.reset ();
   Alloc.set_strict true;
   let t = Retired.create () in
   let aux = Retired.create () in
-  let fired = Hashtbl.create 64 in
-  let fin_seq = ref 0 in
   let model = ref [] in
   let ok = ref true in
   let expect b = if not b then ok := false in
-  let reclaimed_set ms =
-    (* every removed entry: block reclaimed + finalizer fired once *)
-    List.iter
-      (fun m ->
-        expect (Block.is_reclaimed m.mblk);
-        if m.mfin >= 0 then
-          expect (Hashtbl.find_opt fired m.mfin = Some 1))
-      ms
-  in
+  (* Every removed block was reclaimed (a second reclaim would count as a
+     double reclaim). *)
+  let reclaimed_set ms = List.iter (fun m -> expect (Block.is_reclaimed m.mblk)) ms in
   List.iter
     (fun op ->
       (match op with
-      | Push (stamp, with_fin, npatch) ->
+      | Push (stamp, npatch) ->
           let b = Alloc.block () in
           Alloc.retire b;
-          let fin =
-            if with_fin then begin
-              let id = !fin_seq in
-              incr fin_seq;
-              Hashtbl.replace fired id 0;
-              Some id
-            end
-            else None
-          in
-          let free =
-            Option.map
-              (fun id () ->
-                Hashtbl.replace fired id (1 + Hashtbl.find fired id))
-              fin
-          in
+          Block.mark_retire_era b ~era:stamp;
           let patches = List.init npatch (fun _ -> Alloc.block ()) in
-          (match (free, patches) with
-          | None, [] -> Retired.push t ~stamp b
-          | None, ps -> Retired.push t ~stamp ~patches:ps b
-          | Some f, [] -> Retired.push t ~free:f ~stamp b
-          | Some f, ps -> Retired.push t ~free:f ~stamp ~patches:ps b);
-          model :=
-            !model
-            @ [
-                {
-                  mblk = b;
-                  mstamp = stamp;
-                  mpatch = npatch;
-                  mfin = Option.value fin ~default:(-1);
-                };
-              ]
+          Retired.push_patched t patches b;
+          model := !model @ [ { mblk = b; mpatch = npatch } ]
       | Reclaim_le k ->
-          let gone, keep = List.partition (fun m -> m.mstamp <= k) !model in
+          let gone, keep = List.partition (fun m -> stamp m <= k) !model in
           let freed =
-            Retired.reclaim_where t (fun e -> e.Retired.stamp <= k)
+            Retired.reclaim_where t (fun b -> Block.retire_era b <= k)
           in
           expect (freed = List.length gone);
           reclaimed_set gone;
@@ -133,15 +97,14 @@ let retired_agrees ops =
           reclaimed_set gone;
           model := []
       | Drain ->
-          let es = Retired.drain t in
+          let bs = Retired.drain_array t in
           expect (Retired.length t = 0 && Retired.npatches t = 0);
-          expect (List.length es = List.length !model);
-          List.iter2
-            (fun e m ->
-              expect (e.Retired.blk == m.mblk && e.Retired.stamp = m.mstamp))
-            es !model;
-          (* drained copies stay valid: push them back *)
-          List.iter (fun e -> Retired.push_entry t e) es
+          expect
+            (Array.length bs = List.length !model
+            && List.for_all2 (fun b m -> b == m.mblk) (Array.to_list bs) !model);
+          (* the drained blocks come back without their patch lists *)
+          Array.iter (Retired.push t) bs;
+          model := List.map (fun m -> { m with mpatch = 0 }) !model
       | Transfer ->
           Retired.transfer t ~into:aux;
           expect (Retired.length t = 0 && Retired.npatches t = 0);
@@ -154,9 +117,8 @@ let retired_agrees ops =
   expect (Retired.reclaim_where t (fun _ -> true) = List.length gone);
   reclaimed_set gone;
   expect (Retired.length t = 0 && Retired.npatches t = 0);
-  (* No finalizer ever fired twice or spuriously. *)
-  Hashtbl.iter (fun _ n -> expect (n = 0 || n = 1)) fired;
   !ok && Alloc.uaf_count () = 0
+    && (Alloc.stats ()).Alloc.double_reclaims = 0
 
 let retired_prop =
   Q.Test.make ~count:200 ~name:"Retired-array+model" ops_arb retired_agrees

@@ -517,6 +517,24 @@ let test_vbr_era_advances () =
   Alcotest.(check bool) "era advanced" true (S.current_era S.it > e0);
   S.unregister h
 
+(* The contract the structures' [Pool.recycle] relies on: a recycling
+   scheme has reclaimed the block by the time [retire] returns.  Under
+   the others a retired block is never live again at that point. *)
+let recycles_reclaims_case name =
+  Alcotest.test_case ("recycles-reclaims/" ^ name) `Quick (fun () ->
+      with_scheme name @@ fun (module S) ->
+      let h = S.register S.it in
+      for _ = 1 to 300 do
+        let b = Alloc.block ~recyclable:S.recycles () in
+        S.retire h b;
+        if S.recycles then
+          Alcotest.(check bool) "reclaimed when retire returns" true
+            (Block.is_reclaimed b)
+        else Alcotest.(check bool) "not live" false (Block.is_live b)
+      done;
+      S.flush h;
+      S.unregister h)
+
 let () =
   let all = Test_util.all_schemes in
   let two_step_schemes =
@@ -546,6 +564,7 @@ let () =
         List.map bound_view_case Schemes.names
         @ List.map structure_names_case [ "NR"; "HP"; "NBR-Large" ] );
       ("op-frame", List.map op_frame_case Schemes.impls);
+      ("recycles", List.map recycles_reclaims_case Schemes.names);
       ( "vbr",
         [
           Alcotest.test_case "immediate-reclaim" `Quick test_vbr_immediate;
