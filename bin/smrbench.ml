@@ -1050,15 +1050,15 @@ module Reclaim_bench = struct
      words it builds: one 11-field record (12 words) for the Harris lists
      (HList, HHSList and the HashMap's buckets) and HMList; one 12-field
      record (13 words) for an NMTree or EFRB leaf, whose children and
-     update word are shared; a LazyList node's record plus its lock and
-     mark boxes (13 + 2 + 2); a height-1 skip-list node's 10-field record
+     update word are shared, and for a LazyList node, whose lock and mark
+     are int fields (as [Atomic.t] boxes they read 4 words more); a
+     height-1 skip-list node's 10-field record
      plus its tower (11 + 2 + one cell holding the shared null, 2; a
      cell holding a fresh null read 2 more).  A separate header record
      read 8 words more per node. *)
   let node_words = function
     | "HHSList" | "HMList" -> Some 12.
-    | "NMTree" | "EFRB-BST" -> Some 13.
-    | "LazyList" -> Some 17.
+    | "NMTree" | "EFRB-BST" | "LazyList" -> Some 13.
     | "SkipList" -> Some 15.
     | _ -> None
 
@@ -1093,11 +1093,17 @@ module Reclaim_bench = struct
       kernel "EFRB-BST" (fun k -> keep (D.Efrb_bst.mk_leaf ~recyclable:false k));
     ]
 
-  (* Words one HHSList [get] allocates besides its walk: 24.9 under NR,
-     RCU, HP-RCU and HP-BRCU alike, none of it the operation frame.  A
-     retry frame around the body read 4-8 words more (NR 29.9, RCU 32.9,
-     HP-RCU 28.9). *)
-  let traverse_get_words = 25.
+  (* Words one [get] of the 128-node HHSList allocates besides its walk:
+     its live cursor (4 words), plus a 4-word slot per checkpoint slot the
+     scheme fills on the way (HP-RCU ends a 64-step phase into slot 0,
+     HP-BRCU checkpoints every 64 steps into both slots).  Three cursor
+     records, a cursor closure and the op body's closure per get read
+     24.9 under all four schemes; a retry frame around the body read 4-8
+     words more. *)
+  let traverse_get_words = function
+    | "HP-RCU" -> 8.
+    | "HP-BRCU" -> 12.
+    | _ -> 4.
 
   (* The Traverse read path (DESIGN.md §9): an HHSList [get] of an absent
      key beyond the tail, which walks every node, on a 128-node and on a
@@ -1106,7 +1112,7 @@ module Reclaim_bench = struct
      constant (op wrapper, critical-section entry, final protect)
      cancelled: gated at zero words per node.  A [traverse-get] row
      reports the 128-node get's ns and gates its per-get constant in
-     words (the 128-node get less 128 nodes' worth) at
+     words (the 128-node get less 128 nodes' worth) at the scheme's
      [traverse_get_words]. *)
   let traverse_kernels ~iters (module X : Smr_intf.SCHEME) =
     Alloc.reset ();
@@ -1306,7 +1312,7 @@ module Reclaim_bench = struct
     | "retire", ("RCU" | "PEBR") -> retire_deferred_words
     | "node-alloc", ds -> Option.get (node_words ds) +. gate_threshold
     | "domain-create", sch -> Option.get (domain_create_words sch) +. gate_threshold
-    | "traverse-get", _ -> traverse_get_words +. gate_threshold
+    | "traverse-get", sch -> traverse_get_words sch +. gate_threshold
     | _ -> gate_threshold
 
   let run ~out ~gate ~quick =
@@ -1364,12 +1370,13 @@ module Reclaim_bench = struct
         Printf.printf "bench-reclaim: allocation gate passed (all gated \
                        kernels <= %.2f words/op, node-alloc <= one node \
                        (%.0f words for HHSList), domain-create <= %.0f \
-                       (HP-BRCU) and %.0f (RCU, IBR), traverse-get <= %.0f, \
-                       disabled emit < 10 ns, armed flight emit <= 25 ns)\n"
+                       (HP-BRCU) and %.0f (RCU, IBR), traverse-get <= %.0f \
+                       (NR, RCU) to %.0f (HP-BRCU), disabled emit < 10 ns, \
+                       armed flight emit <= 25 ns)\n"
           gate_threshold (Option.get (node_words "HHSList"))
           (Option.get (domain_create_words "HP-BRCU"))
           (Option.get (domain_create_words "RCU"))
-          traverse_get_words;
+          (traverse_get_words "NR") (traverse_get_words "HP-BRCU");
         0
       end
       else 1

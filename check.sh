@@ -272,15 +272,17 @@ gate chaos-fibers chaos_fibers
 # ~0.2 and ~0.3 read, a record per defer read ~5.2; HP-RCU's and
 # HP-BRCU's two-step retire, ~9.2 and ~10.9, and NBR's are reported),
 # node-alloc at one node per structure's constructor call (12 words for
-# HHSList and HMList, 13 for an NMTree or EFRB leaf, 17 for a LazyList
+# HHSList and HMList, 13 for an NMTree or EFRB leaf and for a LazyList
 # node, 15 for a height-1 skip-list node), and domain-create
 # (one domain created, given an 8-shield session and destroyed) at
 # 8192 + 512 x Counter.lanes words of either heap per cycle for HP-BRCU
 # (~4.8k on 2 lanes) and 640 + 64 x Counter.lanes for RCU and IBR (~470
 # and ~450 on 2 lanes; the HP row is reported, not gated), and
-# traverse-get (an HHSList get's per-get constant under NR, RCU, HP-RCU
-# and HP-BRCU) at 25 words; the disabled emit additionally must stay
-# single-digit ns.
+# traverse-get (a 128-node HHSList get's per-get constant: its live
+# cursor, 4 words, plus 4 per checkpoint slot it fills) at 4 words under
+# NR and RCU, 8 under HP-RCU and 12 under HP-BRCU (three cursor records
+# and two closures per get read 24.9); the disabled emit additionally
+# must stay single-digit ns.
 gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
   --out /tmp/BENCH_reclaim.ci.json
 

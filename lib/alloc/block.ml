@@ -82,14 +82,21 @@ type t = {
    upper half of the return register is unspecified.  Bytecode calls
    [caml_obj_compare_and_swap], which takes and returns tagged ints. *)
 external cas_field :
-  t -> (int[@untagged]) -> int -> int -> (int[@untagged])
+  'a -> (int[@untagged]) -> int -> int -> (int[@untagged])
   = "caml_obj_compare_and_swap" "caml_atomic_cas_field"
   [@@noalloc]
 
 let word_field = 1
 
 let[@inline] cas_word t ~expected ~desired =
-  cas_field t word_field expected desired land 1 = 1
+  cas_field (t : t) word_field expected desired land 1 = 1
+
+(** [cas_int r i ~expected ~desired] — the same CAS on field [i] of the
+    record [r], which must be an int field: a node's own concurrently
+    written int fields (the lazy list's [lock] and [marked]) take it as
+    [word] does, and are read by plain loads. *)
+let[@inline] cas_int r i ~expected ~desired =
+  cas_field r i expected desired land 1 = 1
 
 let state_mask = 3
 

@@ -63,11 +63,13 @@ module Alloc = Hpbrcu_alloc.Alloc
     cursor} and the answer live in the session, and each field below
     acts on them:
 
-    - [init ()] loads the entry-point cursor into the session, into
-      cursor records it allocates afresh: young records keep the few
-      cursor writes a traversal makes (write-backs, slot copies) on the
-      write barrier's fast path, where rewriting long-lived session
-      records would cost a slow [caml_modify] each;
+    - [init ()] loads the entry-point cursor into the session, in one
+      cursor record it allocates afresh: the live cursor, which the walk
+      writes back to when it stops.  A young record keeps those
+      write-backs on the write barrier's fast path; writing them into a
+      long-lived session record instead read [hash] [op_p50_ns] +11.6%
+      over 10 pairs (EXPERIMENTS.md, "Fresh cursor records").  Nothing
+      else is built per traversal: the checkpoint slots are not;
     - [walk n] advances at most [n] steps and returns {!walk_more} (the
       budget is used up), {!walk_done} (reached the destination) or
       {!walk_fail} (the cursor was invalidated; the operation restarts).
@@ -79,7 +81,10 @@ module Alloc = Hpbrcu_alloc.Alloc
       abort-rollback-safe except inside {!SCHEME.mask};
     - [save i] / [restore i] copy the live cursor into checkpoint slot
       [i] (0 or 1) or back from it; [restore] then revalidates the
-      cursor (paper R1, §3.3) and returns whether it may be resumed;
+      cursor (paper R1, §3.3) and returns whether it may be resumed.
+      [save] allocates the copy the slot keeps, so a walk that never
+      checkpoints (most [get]s) allocates no slot; a scheme calls
+      [restore i] only after a [save i] of the same traversal;
     - [protect sh] publishes the live cursor into the shield array [sh]
       (a scheme's checkpoint: hops between checkpoints are protected, if
       at all, by {!SCHEME.read}'s own ring).  A scheme calls it only for a
@@ -381,6 +386,10 @@ module type SCHEME = sig
       The contract: a recycling scheme has reclaimed the block by the time
       {!retire} returns, so the structure hands the node straight back to
       its pool ({!Hpbrcu_alloc.Pool.recycle}). *)
+
+  val patches : bool
+  (** True for schemes (HP++) whose {!retire} consumes [patch]: a
+      structure builds a node's patch list only under such a scheme. *)
 
   val current_era : domain -> int
   (** The domain's global era for birth-stamping recycled nodes (VBR);

@@ -108,9 +108,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* ---------------- search ---------------- *)
 
   (* Cursor: grandparent, parent, leaf plus the update words observed when
-     crossing them (the EFRB search postcondition).  A session keeps the
-     live cursor and the walker's two checkpoint slots in records like
-     this; [gp] is {!no_node} until the search has a grandparent. *)
+     crossing them (the EFRB search postcondition).  The live cursor is
+     built afresh by each traversal's [init], a checkpoint slot by each
+     [save]; [gp] is {!no_node} until the search has a grandparent. *)
   type cursor = {
     mutable gp : node;
     mutable gpupdate : update;
@@ -136,16 +136,32 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      an entry point, is protected by emptying the slot. *)
   let gp_blk gp = if gp == no_node then Block.none else blk gp
 
+  (* The descriptors a session holds before its first update. *)
+  let no_iinfo = { ip = no_node; il = no_node; inew = no_node }
+  let no_dinfo = { dgp = no_node; dp = no_node; dl = no_node; dpupdate = Clean }
+
   type session = {
     h : S.handle;
     prot : S.shield array;  (* gp, p, l *)
     backup : S.shield array;
-    mutable key : int;  (* the running search's key and answer *)
-    mutable found : bool;
-    mutable ds : t;  (* the structure the running search walks *)
+    mutable key : int;  (* the running operation's key ... *)
+    mutable found : bool;  (* ... and its search's answer *)
+    mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
     w : S.shield walker;
+    mutable iop : iinfo;  (* [insert_masked]'s descriptor *)
+    mutable dop : dinfo;  (* [delete_masked]'s and [marked_masked]'s *)
+    get_body : unit -> bool;
+        (* the bodies [S.op] and [S.mask] run, built once per session:
+           their arguments travel in the fields above; a mask body reads
+           its descriptor first, since it may mask another *)
+    insert_body : unit -> bool;
+    remove_body : unit -> bool;
+    insert_masked : unit -> unit;
+    delete_masked : unit -> bool;
+    marked_masked : unit -> unit;
   }
 
   let close_session s =
@@ -174,17 +190,23 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.pupdate <- src.pupdate;
     dst.l <- src.l
 
+  (* A traversal's first save into slot [i] builds the slot; later ones
+     copy into it. *)
+  let save_cursor s i =
+    let c = s.live in
+    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
+    else begin
+      s.slots.(i) <- { gp = c.gp; gpupdate = c.gpupdate; p = c.p; pupdate = c.pupdate; l = c.l };
+      s.saved <- s.saved lor (1 lsl i)
+    end
+
   let init_cursor t s =
     let l0 =
       Link.target_exn (S.read s.h ~src:(blk t.root) ~hdr:blk t.root.left)
     in
     let pupdate = Atomic.get t.root.update in
-    let cursor () =
-      { gp = no_node; gpupdate = Clean; p = t.root; pupdate; l = l0 }
-    in
-    s.live <- cursor ();
-    s.slots.(0) <- cursor ();
-    s.slots.(1) <- cursor ()
+    s.saved <- 0;
+    s.live <- { gp = no_node; gpupdate = Clean; p = t.root; pupdate; l = l0 }
 
   (* The walk stops: write the cursor back to the session. *)
   let stop s gp gpupdate p pupdate l r =
@@ -215,51 +237,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       end
     end
 
-  let session t =
-    let h = S.register S.it in
-    let shields n = Array.init n (fun _ -> S.new_shield h) in
-    let prot = shields 3 in
-    let backup = shields 3 in
-    let cursor () =
-      { gp = no_node; gpupdate = Clean; p = t.root; pupdate = Clean; l = t.root }
-    in
-    let rec s =
-      {
-        h;
-        prot;
-        backup;
-        key = 0;
-        found = false;
-        ds = t;
-        live = cursor ();
-        slots = [| cursor (); cursor () |];
-        w =
-          {
-            init = (fun () -> init_cursor s.ds s);
-            walk =
-              (fun n ->
-                let c = s.live in
-                walk s s.key n c.gp c.gpupdate c.p c.pupdate c.l);
-            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
-            restore =
-              (fun i ->
-                copy_cursor ~src:s.slots.(i) ~dst:s.live;
-                validate_cursor s.live);
-            protect = (fun sh -> protect_cursor s sh);
-            resumable = false;
-            steps = 0;
-          };
-      }
-    in
-    s
-
-  (* Search for [key]; the cursor and the answer stay in the session, the
-     cursor protected when [hold]. *)
-  let rec search t s key ~hold =
-    s.ds <- t;
-    s.key <- key;
+  (* Search [s.ds] for [s.key]; the cursor and the answer stay in the
+     session, the cursor protected when [hold]. *)
+  let rec search s ~hold =
     if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key ~hold
+      search s ~hold
 
   (* ---------------- helping ---------------- *)
 
@@ -292,44 +274,49 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         ignore (Atomic.compare_and_set op.dgp.update cur Clean : bool)
     | _ -> ()
 
-  let help_insert _s (op : iinfo) =
+  let help_insert (op : iinfo) =
     (* Swing p's child from l to the new internal, then unflag. *)
     ignore (cas_child op.ip op.il op.inew : bool);
     unflag_insert op
 
-  (* The Mark on p is permanent; the winner of the gp child swing retires
-     p and l (unique: the expected link record wins once).  The whole
-     unlink+retire pair is abort-masked so a rollback cannot separate
-     them. *)
-  let help_marked s (op : dinfo) =
-    S.mask s.h (fun () ->
-        (* Identify p's other child (frozen: p is marked). *)
-        let other =
-          let l = Link.get op.dp.left in
-          if Link.points_to l op.dl then Link.get op.dp.right else l
-        in
-        (match other with
-        | Link.Ptr { target = other; _ } ->
-            if cas_child op.dgp op.dp other then begin
-              (* We unlinked p (and l with it): retire both. *)
-              if Alloc.try_retire (blk op.dp) then
-                S.retire s.h (blk op.dp) ~claimed:true ~patch:[ (blk other) ];
-              if Alloc.try_retire (blk op.dl) then
-                S.retire s.h (blk op.dl) ~claimed:true
-            end
-        | Link.Null _ -> ());
-        unflag_delete op)
+  (* [marked_masked]: the Mark on p is permanent; the winner of the gp
+     child swing retires p and l (unique: the expected link record wins
+     once).  The whole unlink+retire pair is abort-masked so a rollback
+     cannot separate them. *)
+  let marked s (op : dinfo) =
+    (* Identify p's other child (frozen: p is marked). *)
+    let other =
+      let l = Link.get op.dp.left in
+      if Link.points_to l op.dl then Link.get op.dp.right else l
+    in
+    (match other with
+    | Link.Ptr { target = other; _ } ->
+        if cas_child op.dgp op.dp other then begin
+          (* We unlinked p (and l with it): retire both. *)
+          if Alloc.try_retire (blk op.dp) then
+            if S.patches then
+              S.retire s.h (blk op.dp) ~claimed:true ~patch:[ blk other ]
+            else S.retire s.h (blk op.dp) ~claimed:true;
+          if Alloc.try_retire (blk op.dl) then
+            S.retire s.h (blk op.dl) ~claimed:true
+        end
+    | Link.Null _ -> ());
+    unflag_delete op
+
+  let help_marked s op =
+    s.dop <- op;
+    S.mask s.h s.marked_masked
 
   let rec help s (u : update) =
     match u with
-    | IFlag op -> help_insert s op
+    | IFlag op -> help_insert op
     | Mark op -> help_marked s op
-    | DFlag op -> help_delete s op
+    | DFlag op -> ignore (help_delete s op : bool)
     | Clean -> ()
 
+  (* Whether the delete [op] marked p.  Success (or an existing identical
+     mark) lets the delete proceed; a foreign update on p aborts ours. *)
   and help_delete s (op : dinfo) =
-    (* Try to mark p; success (or an existing identical mark) lets the
-       delete proceed; a foreign update on p aborts ours. *)
     let marked =
       Atomic.compare_and_set op.dp.update op.dpupdate (Mark op)
       ||
@@ -340,104 +327,143 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       help s (Atomic.get op.dp.update);
       (* Back out: unflag gp so others can proceed. *)
       unflag_delete op
-    end
+    end;
+    marked
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key =
-    S.op s.h (fun () ->
-        search t s key ~hold:false;
-        s.found)
+  (* The operation bodies read their structure and key from the session:
+     [get], [insert] and [remove] store them there and hand [S.op] the
+     session's prebuilt body. *)
+  let get_op s =
+    search s ~hold:false;
+    s.found
 
-  let insert t s key value =
-    ignore value;
-    S.op s.h (fun () ->
-        let rec attempt () =
-          search t s key ~hold:true;
-          let c = s.live and found = s.found in
-          if found then false
-          else if c.pupdate <> Clean then begin
-            help s c.pupdate;
-            attempt ()
-          end
-          else begin
-            let new_leaf = mk_leaf ~recyclable key in
-            let new_internal =
-              if key < c.l.key then
-                mk_internal ~recyclable c.l.key ~left:new_leaf ~right:c.l
-              else mk_internal ~recyclable key ~left:c.l ~right:new_leaf
-            in
-            let op = { ip = c.p; il = c.l; inew = new_internal } in
-            if Atomic.compare_and_set c.p.update c.pupdate (IFlag op) then begin
-              S.mask s.h (fun () -> help_insert s op);
-              true
-            end
-            else begin
-              (* IFlag lost: [op] was never published, so the fresh leaf
-                 and wrapper are unreachable — write them off as abandoned
-                 (leak-at-quiescence accounting, DESIGN.md §11). *)
-              Alloc.abandon (blk new_leaf);
-              Alloc.abandon (blk new_internal);
-              help s (Atomic.get c.p.update);
-              attempt ()
-            end
-          end
-        in
-        attempt ())
+  let rec insert_op s =
+    search s ~hold:true;
+    let c = s.live in
+    if s.found then false
+    else if c.pupdate <> Clean then begin
+      help s c.pupdate;
+      insert_op s
+    end
+    else begin
+      let key = s.key in
+      let new_leaf = mk_leaf ~recyclable key in
+      let new_internal =
+        if key < c.l.key then
+          mk_internal ~recyclable c.l.key ~left:new_leaf ~right:c.l
+        else mk_internal ~recyclable key ~left:c.l ~right:new_leaf
+      in
+      let op = { ip = c.p; il = c.l; inew = new_internal } in
+      if Atomic.compare_and_set c.p.update c.pupdate (IFlag op) then begin
+        s.iop <- op;
+        S.mask s.h s.insert_masked;
+        true
+      end
+      else begin
+        (* IFlag lost: [op] was never published, so the fresh leaf and
+           wrapper are unreachable — write them off as abandoned
+           (leak-at-quiescence accounting, DESIGN.md §11). *)
+        Alloc.abandon (blk new_leaf);
+        Alloc.abandon (blk new_internal);
+        help s (Atomic.get c.p.update);
+        insert_op s
+      end
+    end
+
+  let rec remove_op s =
+    search s ~hold:true;
+    let c = s.live in
+    if not s.found then false
+    else
+      let gp = c.gp in
+      if gp == no_node then false (* a sentinel child of the root *)
+      else if c.gpupdate <> Clean then begin
+        help s c.gpupdate;
+        remove_op s
+      end
+      else if c.pupdate <> Clean then begin
+        help s c.pupdate;
+        remove_op s
+      end
+      else begin
+        let op = { dgp = gp; dp = c.p; dl = c.l; dpupdate = c.pupdate } in
+        if Atomic.compare_and_set gp.update c.gpupdate (DFlag op) then begin
+          (* Marking may fail (competitor on p): then the flag is backed
+             out inside help_delete and we retry. *)
+          s.dop <- op;
+          S.mask s.h s.delete_masked || remove_op s
+        end
+        else begin
+          help s (Atomic.get gp.update);
+          remove_op s
+        end
+      end
+
+  let session t =
+    let h = S.register S.it in
+    let shields n = Array.init n (fun _ -> S.new_shield h) in
+    let prot = shields 3 in
+    let backup = shields 3 in
+    (* A placeholder for the live cursor and the slots until the first
+       traversal's [init] and [save]s replace it. *)
+    let idle =
+      { gp = no_node; gpupdate = Clean; p = t.root; pupdate = Clean; l = t.root }
+    in
+    let rec s =
+      {
+        h;
+        prot;
+        backup;
+        key = 0;
+        found = false;
+        ds = t;
+        live = idle;
+        slots = [| idle; idle |];
+        saved = 0;
+        w =
+          {
+            init = (fun () -> init_cursor s.ds s);
+            walk =
+              (fun n ->
+                let c = s.live in
+                walk s s.key n c.gp c.gpupdate c.p c.pupdate c.l);
+            save = (fun i -> save_cursor s i);
+            restore =
+              (fun i ->
+                copy_cursor ~src:s.slots.(i) ~dst:s.live;
+                validate_cursor s.live);
+            protect = (fun sh -> protect_cursor s sh);
+            resumable = false;
+            steps = 0;
+          };
+        iop = no_iinfo;
+        dop = no_dinfo;
+        get_body = (fun () -> get_op s);
+        insert_body = (fun () -> insert_op s);
+        remove_body = (fun () -> remove_op s);
+        insert_masked = (fun () -> help_insert s.iop);
+        delete_masked = (fun () -> help_delete s s.dop);
+        marked_masked = (fun () -> marked s s.dop);
+      }
+    in
+    s
+
+  let get t s key =
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.get_body
+
+  let insert t s key _value =
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.insert_body
 
   let remove t s key =
-    S.op s.h (fun () ->
-        let rec attempt () =
-          search t s key ~hold:true;
-          let c = s.live and found = s.found in
-          if not found then false
-          else
-            let gp = c.gp in
-            if gp == no_node then false (* a sentinel child of the root *)
-            else
-                if c.gpupdate <> Clean then begin
-                  help s c.gpupdate;
-                  attempt ()
-                end
-                else if c.pupdate <> Clean then begin
-                  help s c.pupdate;
-                  attempt ()
-                end
-                else begin
-                  let op =
-                    { dgp = gp; dp = c.p; dl = c.l; dpupdate = c.pupdate }
-                  in
-                  if Atomic.compare_and_set gp.update c.gpupdate (DFlag op)
-                  then begin
-                    (* Marking may fail (competitor on p): then the flag is
-                       backed out inside help_delete and we retry. *)
-                    let won = ref false in
-                    S.mask s.h (fun () ->
-                        let marked =
-                          Atomic.compare_and_set op.dp.update op.dpupdate
-                            (Mark op)
-                          ||
-                          match Atomic.get op.dp.update with
-                          | Mark op' -> op' == op
-                          | _ -> false
-                        in
-                        if marked then begin
-                          help_marked s op;
-                          won := true
-                        end
-                        else begin
-                          help s (Atomic.get op.dp.update);
-                          unflag_delete op
-                        end);
-                    if !won then true else attempt ()
-                  end
-                  else begin
-                    help s (Atomic.get gp.update);
-                    attempt ()
-                  end
-                end
-        in
-        attempt ())
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.remove_body
 
   let cleanup _t _s = ()
 end

@@ -73,8 +73,14 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
 
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
-  (* HP++'s patch set of a retired node: its successor, if any. *)
-  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ]
+  (* Retire [x], whose successor link is [next].  Only a scheme that
+     consumes patches (HP++) gets [x]'s patch set, its successor if any:
+     the list and the optional argument's box are built for it alone. *)
+  let retire_node h x next =
+    if S.patches then
+      S.retire h (blk x)
+        ~patch:(match next with Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ])
+    else S.retire h (blk x)
 
   (* The list is its head sentinel (key = min_int). *)
   type t = node
@@ -83,8 +89,9 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      [left_next] (the snip CAS's expected value); [node] = a loaded link
      whose target is the node under examination (null = end of list; its
      tag is ignored).  [node] and [left_next] share their target iff no
-     marked chain is pending between them.  A session keeps the live
-     cursor and the walker's two checkpoint slots in records like this. *)
+     marked chain is pending between them.  The live cursor is built
+     afresh by each traversal's [init], a checkpoint slot by each
+     [save]. *)
   type cursor = {
     mutable left : node;
     mutable left_next : node Link.t;
@@ -97,13 +104,22 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     backup : S.shield array;
     mask0 : S.shield;
     mask1 : S.shield;
-    mutable key : int;  (* the running search's key ... *)
-    mutable help : bool;  (* ... whether it snips marked chains ... *)
-    mutable found : bool;  (* ... and its answer *)
-    mutable ds : t;  (* the structure the running search walks *)
+    mutable key : int;  (* the running operation's key ... *)
+    mutable value : int;  (* ... the value an insert publishes ... *)
+    mutable help : bool;  (* ... whether its search snips marked chains ... *)
+    mutable found : bool;  (* ... and the search's answer *)
+    mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;  (* the live cursor *)
-    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
     w : S.shield walker;
+    get_body : unit -> bool;
+        (* the bodies [S.op] and [S.mask] run, built once per session:
+           their arguments travel in the fields above and in [live] *)
+    insert_body : unit -> bool;
+    remove_body : unit -> bool;
+    unlink_body : unit -> bool;
+    snip_body : unit -> bool;
   }
 
   (* Non-recycling schemes never read a node's pool: their lists share
@@ -162,40 +178,45 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     dst.left_next <- src.left_next;
     dst.node <- src.node
 
+  (* A traversal's first save into slot [i] builds the slot; later ones
+     copy into it. *)
+  let save_cursor s i =
+    let c = s.live in
+    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
+    else begin
+      s.slots.(i) <- { left = c.left; left_next = c.left_next; node = c.node };
+      s.saved <- s.saved lor (1 lsl i)
+    end
+
   (* Retire the frozen marked chain [from .. stop), patching successors for
      HP++.  Links of marked nodes are immutable, so the walk is stable. *)
-  let retire_chain s ~from ~stop =
-    let rec go = function
-      | Link.Null _ -> ()
-      | Link.Ptr { target = x; _ } when Link.points_to stop x -> ()
-      | Link.Ptr { target = x; _ } ->
-          let nx = Link.get (next_cell x) in
-          S.retire s.h (blk x) ~patch:(patch_of nx);
-          Pool.recycle ~recycles:S.recycles x.pool x;
-          go nx
-    in
-    go from
+  let rec retire_chain h stop = function
+    | Link.Null _ -> ()
+    | Link.Ptr { target = x; _ } when Link.points_to stop x -> ()
+    | Link.Ptr { target = x; _ } ->
+        let nx = Link.get (next_cell x) in
+        retire_node h x nx;
+        Pool.recycle ~recycles:S.recycles x.pool x;
+        retire_chain h stop nx
 
-  (* Snip the marked chain between left and [c.node]: one CAS on
-     [left.next], then retire the chain.  Abort-rollback-unsafe, so masked
-     on outliving protections. *)
-  let snip s c =
-    S.protect s.mask0 (blk c.left);
-    S.protect s.mask1 (link_blk c.node);
+  (* [snip_body]: snip the marked chain between the live cursor's left
+     and node with one CAS on [left.next], retire the chain, and leave
+     the new link in [left_next].  Abort-rollback-unsafe, so it runs
+     masked, on outliving protections ({!finish_snip}). *)
+  let snip s =
+    let c = s.live in
     let desired = Link.with_tag c.node 0 in
-    S.mask s.h (fun () ->
-        if Link.cas (next_cell c.left) ~expected:c.left_next ~desired then begin
-          retire_chain s ~from:c.left_next ~stop:c.node;
-          Some desired
-        end
-        else None)
+    if Link.cas (next_cell c.left) ~expected:c.left_next ~desired then begin
+      retire_chain s.h c.node c.left_next;
+      c.left_next <- desired;
+      true
+    end
+    else false
 
   let init_cursor t s =
     let ln = S.read s.h ~src:Block.none ~hdr:blk (next_cell t) in
-    let cursor () = { left = t; left_next = ln; node = ln } in
-    s.live <- cursor ();
-    s.slots.(0) <- cursor ();
-    s.slots.(1) <- cursor ()
+    s.saved <- 0;
+    s.live <- { left = t; left_next = ln; node = ln }
 
   (* The walk stops: write the cursor back to the session. *)
   let stop s left left_next node r =
@@ -212,12 +233,13 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   (* Finish after snipping the marked chain between [left] and [node]. *)
   let finish_snip s left left_next node found =
     ignore (stop s left left_next node walk_done : int);
-    match snip s s.live with
-    | Some ln ->
-        s.live.left_next <- ln;
-        s.found <- found;
-        walk_done
-    | None -> walk_fail
+    S.protect s.mask0 (blk left);
+    S.protect s.mask1 (link_blk node);
+    if S.mask s.h s.snip_body then begin
+      s.found <- found;
+      walk_done
+    end
+    else walk_fail
 
   (* Harris's search, at most [n] steps of it, with the cursor in the
      arguments.  [s.help] enables chain snipping. *)
@@ -252,6 +274,78 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
           else finish s left left_next node (k = key)
     end
 
+  (* Search [s.ds] for [s.key]; the cursor it stops at and its answer
+     stay in the session, the cursor protected when [hold] (see
+     {!S.traverse}).  Retried from the entry point when revalidation
+     fails. *)
+  let rec search s ~help ~hold =
+    s.help <- help;
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search s ~help ~hold
+
+  (* ---------------- operations ---------------- *)
+
+  (* The operation bodies read their structure, key and value from the
+     session: [get], [insert] and [remove] store them there and hand
+     [S.op] the session's prebuilt body. *)
+  let get_op s =
+    search s ~help:F.helping_get ~hold:false;
+    s.found
+
+  let rec insert_op s = link_node s (alloc_node s.ds s.key s.value)
+
+  (* Search for [n]'s key and link [n] in; a lost CAS searches again
+     with the same node. *)
+  and link_node s n =
+    search s ~help:true ~hold:true;
+    if s.found then begin
+      discard s.ds n;
+      false
+    end
+    else begin
+      (* After a helping search, left and right are adjacent:
+         left_next's target is right (or null). *)
+      let c = s.live in
+      Link.set (next_cell n) (Link.with_tag c.left_next 0);
+      Link.cas (next_cell c.left) ~expected:c.left_next ~desired:(Link.ptr n)
+      || link_node s n
+    end
+
+  let rec remove_op s =
+    search s ~help:true ~hold:true;
+    if not s.found then false
+    else
+      let c = s.live in
+      let right = Link.target_exn c.left_next in
+      let r_next = S.read s.h ~src:(blk right) ~hdr:blk (next_cell right) in
+      if Link.is_marked r_next then remove_op s
+      else if
+        Link.cas (next_cell right) ~expected:r_next
+          ~desired:(Link.with_tag r_next 1)
+      then begin
+        (* Try to unlink immediately; otherwise later searches snip.
+           The cursor's [node] becomes right's successor, the link the
+           unlink CAS installs. *)
+        S.protect s.mask0 (blk c.left);
+        S.protect s.mask1 (blk right);
+        c.node <- Link.with_tag r_next 0;
+        ignore (S.mask s.h s.unlink_body : bool);
+        true
+      end
+      else remove_op s
+
+  (* [unlink_body]: swing the live cursor's [left] past [left_next]'s
+     target to [node], and retire the target if that won. *)
+  let unlink s =
+    let c = s.live in
+    Link.cas (next_cell c.left) ~expected:c.left_next ~desired:c.node
+    && begin
+         let right = Link.target_exn c.left_next in
+         retire_node s.h right c.node;
+         Pool.recycle ~recycles:S.recycles right.pool right;
+         true
+       end
+
   let session t =
     let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
@@ -259,7 +353,9 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     let backup = shields 3 in
     let mask0 = S.new_shield h in
     let mask1 = S.new_shield h in
-    let cursor () = { left = t; left_next = Link.null; node = Link.null } in
+    (* A placeholder for the live cursor and the slots until the first
+       traversal's [init] and [save]s replace it. *)
+    let idle = { left = t; left_next = Link.null; node = Link.null } in
     let rec s =
       {
         h;
@@ -268,11 +364,13 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         mask0;
         mask1;
         key = 0;
+        value = 0;
         help = false;
         found = false;
         ds = t;
-        live = cursor ();
-        slots = [| cursor (); cursor () |];
+        live = idle;
+        slots = [| idle; idle |];
+        saved = 0;
         w =
           {
             init = (fun () -> init_cursor s.ds s);
@@ -280,7 +378,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
               (fun n ->
                 let c = s.live in
                 walk s s.key n c.left c.left_next c.node);
-            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            save = (fun i -> save_cursor s i);
             restore =
               (fun i ->
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
@@ -289,78 +387,30 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
             resumable = true;
             steps = 0;
           };
+        get_body = (fun () -> get_op s);
+        insert_body = (fun () -> insert_op s);
+        remove_body = (fun () -> remove_op s);
+        unlink_body = (fun () -> unlink s);
+        snip_body = (fun () -> snip s);
       }
     in
     s
 
-  (* Search for [key]; the cursor it stops at and its answer stay in the
-     session, the cursor protected when [hold] (see {!S.traverse}).
-     Retried from the entry point when revalidation fails. *)
-  let rec search t s key ~help ~hold =
+  let get t s key =
     s.ds <- t;
     s.key <- key;
-    s.help <- help;
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key ~help ~hold
-
-  (* ---------------- operations ---------------- *)
-
-  let get t s key =
-    S.op s.h (fun () ->
-        search t s key ~help:F.helping_get ~hold:false;
-        s.found)
+    S.op s.h s.get_body
 
   let insert t s key value =
-    S.op s.h (fun () ->
-        let n = alloc_node t key value in
-        let rec go () =
-          search t s key ~help:true ~hold:true;
-          if s.found then begin
-            discard t n;
-            false
-          end
-          else begin
-            (* After a helping search, left and right are adjacent:
-               left_next's target is right (or null). *)
-            let c = s.live in
-            Link.set (next_cell n) (Link.with_tag c.left_next 0);
-            let desired = Link.ptr n in
-            if Link.cas (next_cell c.left) ~expected:c.left_next ~desired then true
-            else go ()
-          end
-        in
-        go ())
+    s.ds <- t;
+    s.key <- key;
+    s.value <- value;
+    S.op s.h s.insert_body
 
   let remove t s key =
-    S.op s.h (fun () ->
-        let rec go () =
-          search t s key ~help:true ~hold:true;
-          if not s.found then false
-          else
-            let left = s.live.left and left_next = s.live.left_next in
-            let right = Link.target_exn left_next in
-            let r_next =
-              S.read s.h ~src:(blk right) ~hdr:blk (next_cell right)
-            in
-            if Link.is_marked r_next then go ()
-            else if
-              Link.cas (next_cell right) ~expected:r_next
-                ~desired:(Link.with_tag r_next 1)
-            then begin
-              (* Try to unlink immediately; otherwise later searches snip. *)
-              S.protect s.mask0 (blk left);
-              S.protect s.mask1 (blk right);
-              let desired = Link.with_tag r_next 0 in
-              S.mask s.h (fun () ->
-                  if Link.cas (next_cell left) ~expected:left_next ~desired then begin
-                    S.retire s.h (blk right) ~patch:(patch_of r_next);
-                    Pool.recycle ~recycles:S.recycles right.pool right
-                  end);
-              true
-            end
-            else go ()
-        in
-        go ())
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.remove_body
 
   (* A single max_int search is not enough: [walk] advances [left]
      past a marked chain whenever the next live node's key is below the
@@ -370,10 +420,12 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      Sweeping the live keys in order puts every marked chain between some
      search's left and right, where the snip CAS removes it. *)
   let cleanup t s =
+    s.ds <- t;
     ignore
       (S.op s.h (fun () ->
            let rec sweep key =
-             search t s key ~help:true ~hold:true;
+             s.key <- key;
+             search s ~help:true ~hold:true;
              match s.live.node with
              | Link.Ptr { target = n; _ } ->
                  let k = key_of s n in

@@ -65,17 +65,23 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
 
-  (* HP++'s patch set of a retired node: its successor, if any. *)
-  let patch_of = function Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ]
+  (* Retire [x], whose successor link is [next].  Only a scheme that
+     consumes patches (HP++) gets [x]'s patch set, its successor if any:
+     the list and the optional argument's box are built for it alone. *)
+  let retire_node h x next =
+    if S.patches then
+      S.retire h (blk x)
+        ~patch:(match next with Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ])
+    else S.retire h (blk x)
 
   (* The list is its head sentinel (key = min_int). *)
   type t = node
 
   (* The traversal cursor: [prev] and the link loaded from [prev.next]
      (whose target is [cur]).  Keeping the loaded link (not just the
-     target) gives CASes their physical-equality expected value.  A
-     session keeps the live cursor and the walker's two checkpoint slots
-     in records like this. *)
+     target) gives CASes their physical-equality expected value.  The
+     live cursor is built afresh by each traversal's [init], a
+     checkpoint slot by each [save]. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
   type session = {
@@ -84,12 +90,19 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     backup : S.shield array;  (* double-buffer twin *)
     mask0 : S.shield;  (* outliving shields for masked regions (Alg. 8) *)
     mask1 : S.shield;
-    mutable key : int;  (* the running search's key and answer *)
-    mutable found : bool;
-    mutable ds : t;  (* the structure the running search walks *)
+    mutable key : int;  (* the running operation's key ... *)
+    mutable value : int;  (* ... the value an insert publishes ... *)
+    mutable found : bool;  (* ... and its search's answer *)
+    mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
     w : S.shield walker;
+    get_body : unit -> bool;
+        (* the bodies [S.op] runs, built once per session: their
+           arguments travel in the fields above *)
+    insert_body : unit -> bool;
+    remove_body : unit -> bool;
   }
 
   (* Non-recycling schemes never read a node's pool: their lists share
@@ -143,12 +156,20 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.prev <- src.prev;
     dst.pnext <- src.pnext
 
+  (* A traversal's first save into slot [i] builds the slot; later ones
+     copy into it. *)
+  let save_cursor s i =
+    let c = s.live in
+    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
+    else begin
+      s.slots.(i) <- { prev = c.prev; pnext = c.pnext };
+      s.saved <- s.saved lor (1 lsl i)
+    end
+
   let init_cursor t s =
     let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell t) in
-    let cursor () = { prev = t; pnext } in
-    s.live <- cursor ();
-    s.slots.(0) <- cursor ();
-    s.slots.(1) <- cursor ()
+    s.saved <- 0;
+    s.live <- { prev = t; pnext }
 
   (* The walk stops: write the cursor back to the session. *)
   let stop s prev pnext r =
@@ -168,7 +189,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     S.protect s.mask1 (blk cur);
     S.mask s.h (fun () ->
         if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
-          S.retire s.h (blk cur) ~patch:(patch_of next);
+          retire_node s.h cur next;
           Pool.recycle ~recycles:S.recycles cur.pool cur;
           true
         end
@@ -198,6 +219,64 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           else walk s key (n - 1) cur next
     end
 
+  (* TrySearch: traverse [s.ds] until the position of [s.key]; retry
+     the whole operation if revalidation failed (rare).  On success the
+     cursor and the answer stay in the session, the cursor protected by
+     one of its shield arrays when [hold]. *)
+  let rec search s ~hold =
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search s ~hold
+
+  (* ---------------- operations ---------------- *)
+
+  (* The operation bodies read their structure, key and value from the
+     session: [get], [insert] and [remove] store them there and hand
+     [S.op] the session's prebuilt body. *)
+  let get_op s =
+    search s ~hold:false;
+    s.found
+
+  let rec insert_op s = link_node s (alloc_node s.ds s.key s.value)
+
+  (* Search for [n]'s key and link [n] in; a lost CAS searches again
+     with the same node. *)
+  and link_node s n =
+    search s ~hold:true;
+    if s.found then begin
+      discard s.ds n;
+      false
+    end
+    else begin
+      let c = s.live in
+      Link.set (next_cell n) (Link.with_tag c.pnext 0);
+      Link.cas (next_cell c.prev) ~expected:c.pnext ~desired:(Link.ptr n)
+      || link_node s n
+    end
+
+  let rec remove_op s =
+    search s ~hold:true;
+    if not s.found then false
+    else
+      let prev = s.live.prev and pnext = s.live.pnext in
+      let cur = Link.target_exn pnext in
+      let next = S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur) in
+      if Link.is_marked next then remove_op s (* lost the race *)
+      else if
+        (* Logical deletion: mark cur's next link. *)
+        Link.cas (next_cell cur) ~expected:next ~desired:(Link.with_tag next 1)
+      then begin
+        (* Physical deletion; on failure a helping traversal will finish
+           the job (and retire the node). *)
+        let desired = Link.with_tag next 0 in
+        if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
+          retire_node s.h cur next;
+          Pool.recycle ~recycles:S.recycles cur.pool cur
+        end
+        else search s ~hold:true;
+        true
+      end
+      else remove_op s
+
   let session t =
     let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
@@ -205,7 +284,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let backup = shields 2 in
     let mask0 = S.new_shield h in
     let mask1 = S.new_shield h in
-    let cursor () = { prev = t; pnext = Link.null } in
+    (* A placeholder for the live cursor and the slots until the first
+       traversal's [init] and [save]s replace it. *)
+    let idle = { prev = t; pnext = Link.null } in
     let rec s =
       {
         h;
@@ -214,15 +295,17 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         mask0;
         mask1;
         key = 0;
+        value = 0;
         found = false;
         ds = t;
-        live = cursor ();
-        slots = [| cursor (); cursor () |];
+        live = idle;
+        slots = [| idle; idle |];
+        saved = 0;
         w =
           {
             init = (fun () -> init_cursor s.ds s);
             walk = (fun n -> walk s s.key n s.live.prev s.live.pnext);
-            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            save = (fun i -> save_cursor s i);
             restore =
               (fun i ->
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
@@ -231,73 +314,28 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             resumable = true;
             steps = 0;
           };
+        get_body = (fun () -> get_op s);
+        insert_body = (fun () -> insert_op s);
+        remove_body = (fun () -> remove_op s);
       }
     in
     s
 
-  (* TrySearch: traverse until the position of [key]; retry the whole
-     operation if revalidation failed (rare).  On success the cursor and
-     the answer stay in the session, the cursor protected by one of its
-     shield arrays when [hold]. *)
-  let rec search t s key ~hold =
+  let get t s key =
     s.ds <- t;
     s.key <- key;
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key ~hold
-
-  (* ---------------- operations ---------------- *)
-
-  let get t s key =
-    S.op s.h (fun () ->
-        search t s key ~hold:false;
-        s.found)
+    S.op s.h s.get_body
 
   let insert t s key value =
-    S.op s.h (fun () ->
-        let n = alloc_node t key value in
-        let rec go () =
-          search t s key ~hold:true;
-          if s.found then begin
-            discard t n;
-            false
-          end
-          else begin
-            let c = s.live in
-            Link.set (next_cell n) (Link.with_tag c.pnext 0);
-            let desired = Link.ptr n in
-            if Link.cas (next_cell c.prev) ~expected:c.pnext ~desired then true
-            else go ()
-          end
-        in
-        go ())
+    s.ds <- t;
+    s.key <- key;
+    s.value <- value;
+    S.op s.h s.insert_body
 
   let remove t s key =
-    S.op s.h (fun () ->
-        let rec go () =
-          search t s key ~hold:true;
-          if not s.found then false
-          else
-            let prev = s.live.prev and pnext = s.live.pnext in
-            let cur = Link.target_exn pnext in
-            let next = S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur) in
-            if Link.is_marked next then go ()  (* lost the race *)
-            else if
-              (* Logical deletion: mark cur's next link. *)
-              Link.cas (next_cell cur) ~expected:next ~desired:(Link.with_tag next 1)
-            then begin
-              (* Physical deletion; on failure a helping traversal will
-                 finish the job (and retire the node). *)
-              let desired = Link.with_tag next 0 in
-              if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
-                S.retire s.h (blk cur) ~patch:(patch_of next);
-                Pool.recycle ~recycles:S.recycles cur.pool cur
-              end
-              else search t s key ~hold:true;
-              true
-            end
-            else go ()
-        in
-        go ())
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.remove_body
 
   (* Walk the whole list once, helping every pending unlink. *)
   let cleanup t s = ignore (get t s max_int : bool)

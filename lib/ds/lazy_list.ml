@@ -22,10 +22,13 @@ module Link = Hpbrcu_core.Link
 module Sched = Hpbrcu_runtime.Sched
 open Hpbrcu_core.Smr_intf
 
-(* A node is its own [next] cell and its own block (DESIGN.md §9,
-   "objects per hop"): [next_] must stay field 0, read and set only
-   through {!next_cell}, and [Block.t]'s fields follow it (the
-   header-prefix rule), read and CAS'd only through {!blk}. *)
+(* A node is one object: its own [next] cell, its own block and its own
+   lock (DESIGN.md §9, "objects per hop"): [next_] must stay field 0,
+   read and set only through {!next_cell}, and [Block.t]'s fields follow
+   it (the header-prefix rule), read and CAS'd only through {!blk}.
+   [lock] and [marked] are ints written only by {!Block.cas_int} at
+   {!lock_field} and {!marked_field}, and read by plain loads, as
+   [word] is (DESIGN.md §2.1). *)
 type node = {
   mutable next_ : node Link.t;
   mutable word : int;
@@ -37,9 +40,29 @@ type node = {
   mutable owner : int;
   mutable key : int;
   mutable value : int;
-  lock : bool Atomic.t;
-  marked : bool Atomic.t;  (* logical deletion flag (not a link tag) *)
+  mutable lock : int;  (* 1 = held *)
+  mutable marked : int;  (* 1 = logically deleted (not a link tag) *)
 }
+
+let lock_field = 10
+let marked_field = 11
+
+(* The two indices name [lock] and [marked]: checked once, on a record
+   that is not a node of any list. *)
+let () =
+  let probe =
+    {
+      next_ = Link.null;
+      word = Block.live; id = -1; recyclable = false;
+      birth_era = 0; retire_era = -1; poison = 0; owner = 0;
+      key = 0;
+      value = 0;
+      lock = 1;
+      marked = 2;
+    }
+  in
+  assert (Obj.field (Obj.repr probe) lock_field == Obj.repr 1);
+  assert (Obj.field (Obj.repr probe) marked_field == Obj.repr 2)
 
 (* The atomic view of [next_], and the node's block. *)
 external next_cell : node -> node Link.cell = "%identity"
@@ -55,8 +78,8 @@ let mk_node ~recyclable ~era key value =
     birth_era = era; retire_era = -1; poison = 0; owner = 0;
     key;
     value;
-    lock = Atomic.make false;
-    marked = Atomic.make false;
+    lock = 0;
+    marked = 0;
   }
 
 module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
@@ -66,20 +89,27 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   type t = { head : node; pool : node Pool.t }
 
-  (* The traversal cursor; a session keeps the live cursor and the
-     walker's two checkpoint slots in records like this. *)
+  (* The traversal cursor.  The live cursor is built afresh by each
+     traversal's [init], a checkpoint slot by each [save]. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
   type session = {
     h : S.handle;
     prot : S.shield array;
     backup : S.shield array;
-    mutable key : int;  (* the running search's key and answer *)
-    mutable found : bool;
-    mutable ds : t;  (* the structure the running search walks *)
+    mutable key : int;  (* the running operation's key ... *)
+    mutable value : int;  (* ... the value an insert publishes ... *)
+    mutable found : bool;  (* ... and its search's answer *)
+    mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
     w : S.shield walker;
+    get_body : unit -> bool;
+        (* the bodies [S.op] runs, built once per session: their
+           arguments travel in the fields above *)
+    insert_body : unit -> bool;
+    remove_body : unit -> bool;
   }
 
   let create () =
@@ -96,30 +126,29 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         n.key <- key;
         n.value <- value;
         Link.set (next_cell n) Link.null;
-        Atomic.set n.lock false;
-        Atomic.set n.marked false;
+        n.lock <- 0;
+        n.marked <- 0;
         n
     | None -> mk_node ~recyclable:S.recycles ~era key value
 
   let discard t n = Pool.discard ~recycles:S.recycles t.pool ~blk n
 
   (* Spin lock; only ever taken in write phases on shield-protected
-     nodes.  Never called while the deadline-protected section holds
-     another resource without a Fun.protect (see callers). *)
-  let acquire n = Sched.wait_until (fun () -> Atomic.compare_and_set n.lock false true)
-  let release n = Atomic.set n.lock false
+     nodes.  A spin pauses as {!Sched.wait_until} does, and may raise
+     [Sched.Deadline] from a pause: a caller that already holds a lock
+     releases it then (see [remove_op]).  The code under a lock neither
+     yields nor raises. *)
+  let rec spin n spins =
+    if not (Block.cas_int n lock_field ~expected:0 ~desired:1) then begin
+      let spins = spins + 1 in
+      Sched.spin_pause spins;
+      spin n spins
+    end
 
-  let with_locked2 a b f =
-    acquire a;
-    Fun.protect
-      ~finally:(fun () -> release a)
-      (fun () ->
-        acquire b;
-        Fun.protect ~finally:(fun () -> release b) f)
+  let acquire n = spin n 0
 
-  let with_locked a f =
-    acquire a;
-    Fun.protect ~finally:(fun () -> release a) f
+  let release n =
+    ignore (Block.cas_int n lock_field ~expected:1 ~desired:0 : bool)
 
   (* ---------------- traversal ---------------- *)
 
@@ -131,18 +160,26 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Resuming follows prev.next: prev must not be logically deleted. *)
   let validate_cursor c =
     Alloc.check_access (blk c.prev);
-    not (Atomic.get c.prev.marked)
+    c.prev.marked = 0
 
   let copy_cursor ~src ~dst =
     dst.prev <- src.prev;
     dst.pnext <- src.pnext
 
+  (* A traversal's first save into slot [i] builds the slot; later ones
+     copy into it. *)
+  let save_cursor s i =
+    let c = s.live in
+    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
+    else begin
+      s.slots.(i) <- { prev = c.prev; pnext = c.pnext };
+      s.saved <- s.saved lor (1 lsl i)
+    end
+
   let init_cursor t s =
     let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell t.head) in
-    let cursor () = { prev = t.head; pnext } in
-    s.live <- cursor ();
-    s.slots.(0) <- cursor ();
-    s.slots.(1) <- cursor ()
+    s.saved <- 0;
+    s.live <- { prev = t.head; pnext }
 
   let finish s prev pnext found =
     s.found <- found;
@@ -173,31 +210,127 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               (S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur))
           else begin
             S.deref s.h (blk cur);
-            finish s prev pnext (k = key && not (Atomic.get cur.marked))
+            finish s prev pnext (k = key && cur.marked = 0)
           end
     end
+
+  (* Search [s.ds] for [s.key]; the cursor and the answer stay in the
+     session, the cursor protected when [hold]. *)
+  let rec search s ~hold =
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search s ~hold
+
+  (* Heller et al.'s validation, under locks: [prev] is live and still
+     links to [pnext]. *)
+  let validate_locked prev pnext =
+    prev.marked = 0 && Link.get (next_cell prev) == pnext
+
+  (* ---------------- operations ---------------- *)
+
+  (* The operation bodies read their structure, key and value from the
+     session: [get], [insert] and [remove] store them there and hand
+     [S.op] the session's prebuilt body. *)
+  let get_op s =
+    search s ~hold:false;
+    s.found
+
+  let rec insert_op s = link_node s (alloc_node s.ds s.key s.value)
+
+  (* Search for [n]'s key and link [n] in under [prev]'s lock; a failed
+     validation searches again with the same node. *)
+  and link_node s n =
+    search s ~hold:true;
+    if s.found then begin
+      discard s.ds n;
+      false
+    end
+    else
+      let c = s.live in
+      let prev = c.prev and pnext = c.pnext in
+      acquire prev;
+      let outcome =
+        if not (validate_locked prev pnext) then `Retry
+        else
+          match pnext with
+          | Link.Ptr { target = cur; _ } when cur.key = s.key && cur.marked = 0
+            ->
+              `Present
+          | _ ->
+              Link.set (next_cell n) (Link.with_tag pnext 0);
+              Link.set (next_cell prev) (Link.ptr n);
+              `Inserted
+      in
+      release prev;
+      match outcome with
+      | `Inserted -> true
+      | `Present ->
+          discard s.ds n;
+          false
+      | `Retry -> link_node s n
+
+  let rec remove_op s =
+    search s ~hold:true;
+    if not s.found then false
+    else
+      let c = s.live in
+      let prev = c.prev and pnext = c.pnext in
+      let cur = Link.target_exn pnext in
+      acquire prev;
+      (match acquire cur with
+      | () -> ()
+      | exception e ->
+          release prev;
+          raise e);
+      let removed =
+        validate_locked prev pnext && cur.marked = 0
+        && begin
+             (* Logical then physical deletion, both under locks. *)
+             ignore
+               (Block.cas_int cur marked_field ~expected:0 ~desired:1 : bool);
+             Link.set (next_cell prev) (Link.get (next_cell cur));
+             true
+           end
+      in
+      release cur;
+      release prev;
+      if removed then begin
+        (if S.patches then
+           S.retire s.h (blk cur)
+             ~patch:
+               (match Link.get (next_cell cur) with
+               | Link.Null _ -> []
+               | Link.Ptr { target = nx; _ } -> [ blk nx ])
+         else S.retire s.h (blk cur));
+        Pool.recycle ~recycles:S.recycles s.ds.pool cur;
+        true
+      end
+      else remove_op s
 
   let session t =
     let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 2 in
     let backup = shields 2 in
-    let cursor () = { prev = t.head; pnext = Link.null } in
+    (* A placeholder for the live cursor and the slots until the first
+       traversal's [init] and [save]s replace it. *)
+    let idle = { prev = t.head; pnext = Link.null } in
     let rec s =
       {
         h;
         prot;
         backup;
         key = 0;
+        value = 0;
         found = false;
         ds = t;
-        live = cursor ();
-        slots = [| cursor (); cursor () |];
+        live = idle;
+        slots = [| idle; idle |];
+        saved = 0;
         w =
           {
             init = (fun () -> init_cursor s.ds s);
             walk = (fun n -> walk s s.key n s.live.prev s.live.pnext);
-            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            save = (fun i -> save_cursor s i);
             restore =
               (fun i ->
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
@@ -206,93 +339,28 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             resumable = true;
             steps = 0;
           };
+        get_body = (fun () -> get_op s);
+        insert_body = (fun () -> insert_op s);
+        remove_body = (fun () -> remove_op s);
       }
     in
     s
 
-  (* Search for [key]; the cursor and the answer stay in the session, the
-     cursor protected when [hold]. *)
-  let rec search t s key ~hold =
+  let get t s key =
     s.ds <- t;
     s.key <- key;
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key ~hold
-
-  (* Heller et al.'s two-node validation, under locks. *)
-  let validate_locked prev cur_opt pnext =
-    (not (Atomic.get prev.marked))
-    && Link.get (next_cell prev) == pnext
-    && match cur_opt with Some c -> not (Atomic.get c.marked) | None -> true
-
-  (* ---------------- operations ---------------- *)
-
-  let get t s key =
-    S.op s.h (fun () ->
-        search t s key ~hold:false;
-        s.found)
+    S.op s.h s.get_body
 
   let insert t s key value =
-    S.op s.h (fun () ->
-        let n = alloc_node t key value in
-        let rec go () =
-          search t s key ~hold:true;
-          if s.found then begin
-            discard t n;
-            false
-          end
-          else
-            let c = s.live in
-            let outcome =
-              with_locked c.prev (fun () ->
-                  if not (validate_locked c.prev None c.pnext) then `Retry
-                  else
-                    match c.pnext with
-                    | Link.Ptr { target = cur; _ }
-                      when cur.key = key && not (Atomic.get cur.marked) ->
-                        `Present
-                    | _ ->
-                        Link.set (next_cell n) (Link.with_tag c.pnext 0);
-                        Link.set (next_cell c.prev) (Link.ptr n);
-                        `Inserted)
-            in
-            match outcome with
-            | `Inserted -> true
-            | `Present ->
-                discard t n;
-                false
-            | `Retry -> go ()
-        in
-        go ())
+    s.ds <- t;
+    s.key <- key;
+    s.value <- value;
+    S.op s.h s.insert_body
 
   let remove t s key =
-    S.op s.h (fun () ->
-        let rec go () =
-          search t s key ~hold:true;
-          if not s.found then false
-          else
-            let c = s.live in
-            let cur = Link.target_exn c.pnext in
-            let outcome =
-              with_locked2 c.prev cur (fun () ->
-                  if not (validate_locked c.prev (Some cur) c.pnext) then `Retry
-                  else begin
-                    (* Logical then physical deletion, both under locks. *)
-                    Atomic.set cur.marked true;
-                    Link.set (next_cell c.prev) (Link.get (next_cell cur));
-                    `Removed
-                  end)
-            in
-            match outcome with
-            | `Removed ->
-                S.retire s.h (blk cur)
-                  ~patch:(match Link.get (next_cell cur) with
-                         | Link.Null _ -> []
-                         | Link.Ptr { target = nx; _ } -> [ blk nx ]);
-                Pool.recycle ~recycles:S.recycles t.pool cur;
-                true
-            | `Retry -> go ()
-        in
-        go ())
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.remove_body
 
   let cleanup t s = ignore (get t s max_int : bool)
 end

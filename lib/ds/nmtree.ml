@@ -91,8 +91,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Seek record (the NM paper's seekRecord): ancestor = deepest node whose
      edge toward the key is untagged; successor = that edge's target;
      parent = leaf's parent; cur = current node (leaf at the destination).
-     A session keeps the live cursor and the walker's two checkpoint slots
-     in records like this. *)
+     The live cursor is built afresh by each traversal's [init], a
+     checkpoint slot by each [save]. *)
   type cursor = {
     mutable anc : node;
     mutable alink : node Link.t;  (* loaded ancestor child link (untagged) *)
@@ -108,12 +108,21 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     lasting : S.shield array;
         (* ancestor and parent across hops, under {!hop_shields} only;
            empty otherwise *)
-    mutable key : int;  (* the running seek's key and answer *)
-    mutable found : bool;
-    mutable ds : t;  (* the structure the running search walks *)
+    mutable key : int;  (* the running operation's key ... *)
+    mutable value : int;  (* ... the value an insert publishes ... *)
+    mutable found : bool;  (* ... and its seek's answer *)
+    mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
     w : S.shield walker;
+    mutable prune_to : node Link.t;  (* [prune_body]'s new ancestor edge *)
+    get_body : unit -> bool;
+        (* the bodies [S.op] and [S.mask] run, built once per session:
+           their arguments travel in the fields above *)
+    insert_body : unit -> bool;
+    remove_body : unit -> bool;
+    prune_body : unit -> bool;
   }
 
   let create () =
@@ -192,15 +201,23 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.plink <- src.plink;
     dst.cur <- src.cur
 
+  (* A traversal's first save into slot [i] builds the slot; later ones
+     copy into it. *)
+  let save_cursor s i =
+    let c = s.live in
+    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
+    else begin
+      s.slots.(i) <- { anc = c.anc; alink = c.alink; par = c.par; plink = c.plink; cur = c.cur };
+      s.saved <- s.saved lor (1 lsl i)
+    end
+
   let init_cursor t s =
     let alink = S.read s.h ~src:Block.none ~hdr:blk t.root.left in
     let su = Link.target_exn alink in
     let plink = S.read s.h ~src:(blk su) ~hdr:blk su.left in
     let cur = Link.target_exn plink in
-    let cursor () = { anc = t.root; alink; par = su; plink; cur } in
-    s.live <- cursor ();
-    s.slots.(0) <- cursor ();
-    s.slots.(1) <- cursor ()
+    s.saved <- 0;
+    s.live <- { anc = t.root; alink; par = su; plink; cur }
 
   (* The walk stops: write the cursor back to the session. *)
   let stop s anc alink par plink cur r =
@@ -238,13 +255,159 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       end
     end
 
+  (* Seek [s.key] in [s.ds]; the seek record and the answer stay in the
+     session, the record protected when [hold]. *)
+  let rec seek s ~hold =
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      seek s ~hold
+
+  (* ---------------- retirement of a pruned region ---------------- *)
+
+  (* After a successful prune CAS the whole old-successor subtree except
+     the preserved sibling subtree [keep] is unreachable.  Several pruners
+     may race on nested regions, so each node is claimed: only the
+     claimer descends (and it reads the children *before* handing the
+     block to the scheme, which may reclaim instantly under VBR).  Every
+     edge in the region is flagged or tagged, so the links are
+     immutable. *)
+  let rec retire_region s keep n =
+    if n != keep && Alloc.try_retire (blk n) then begin
+      let l = if n.leaf then Link.null else Link.get n.left in
+      let r = if n.leaf then Link.null else Link.get n.right in
+      S.retire s.h (blk n) ~claimed:true;
+      retire_link s keep l;
+      retire_link s keep r
+    end
+
+  and retire_link s keep = function
+    | Link.Null _ -> ()
+    | Link.Ptr p -> retire_region s keep p.target
+
+  (* ---------------- operations ---------------- *)
+
+  (* The operation bodies read their structure, key and value from the
+     session: [get], [insert] and [remove] store them there and hand
+     [S.op] the session's prebuilt body. *)
+  let get_op s =
+    seek s ~hold:false;
+    s.found
+
+  (* Tag [cell] so no insertion lands under it. *)
+  let rec tag_edge cell =
+    let lk = Link.get cell in
+    if Link.tag lk land tag_bit = 0 then
+      if
+        not
+          (Link.cas cell ~expected:lk
+             ~desired:(Link.with_tag lk (Link.tag lk lor tag_bit)))
+      then tag_edge cell
+
+  (* [prune_body]: swing the live cursor's ancestor edge toward [s.key]
+     from [alink] to [s.prune_to], and retire the old successor's region
+     if that won. *)
+  let prune s =
+    let c = s.live in
+    Link.cas (child_cell c.anc s.key) ~expected:c.alink ~desired:s.prune_to
+    && begin
+         (match (c.alink, s.prune_to) with
+         | Link.Ptr { target = old_successor; _ }, Link.Ptr { target = keep; _ }
+           ->
+             retire_region s keep old_successor
+         | _ -> ());
+         true
+       end
+
+  (* Cleanup (NM) of the live seek record: tag the sibling edge, then
+     swing the ancestor edge to the sibling subtree (preserving its flag,
+     clearing its tag).  Returns true iff the prune CAS succeeded. *)
+  let cleanup_edge s =
+    let parent = s.live.par in
+    let toward_left = s.key < parent.key in
+    (* If the child edge is not flagged, the deletion being helped flagged
+       the other side: preserve the child side instead. *)
+    let child_c = if toward_left then parent.left else parent.right in
+    let sibling_c =
+      if Link.tag (Link.get child_c) land flag_bit = 0 then child_c
+      else if toward_left then parent.right
+      else parent.left
+    in
+    tag_edge sibling_c;
+    match Link.get sibling_c with
+    | Link.Null _ -> false
+    | Link.Ptr { target = keep; tag } ->
+        s.prune_to <- Link.Ptr { target = keep; tag = tag land flag_bit };
+        S.mask s.h s.prune_body
+
+  let rec insert_op s = link_leaf s (alloc_leaf s.ds s.key s.value)
+
+  (* Seek [leaf]'s key and link [leaf] in under a fresh internal node; a
+     lost CAS seeks again with the same leaf. *)
+  and link_leaf s leaf =
+    seek s ~hold:true;
+    let c = s.live in
+    if s.found then begin
+      Pool.discard ~recycles:S.recycles s.ds.pool ~blk leaf;
+      false
+    end
+    else if Link.tag c.plink <> 0 then begin
+      (* The edge is flagged/tagged: help the pending delete. *)
+      ignore (cleanup_edge s : bool);
+      link_leaf s leaf
+    end
+    else begin
+      let key = s.key in
+      let sib = c.cur in
+      let skey = sib.key in
+      let internal =
+        if key < skey then alloc_internal skey ~left:leaf ~right:sib
+        else alloc_internal key ~left:sib ~right:leaf
+      in
+      Link.cas (child_cell c.par key) ~expected:c.plink
+        ~desired:(Link.ptr internal)
+      || begin
+           (* Lost the race; the internal wrapper is unpublished (the GC
+              collects it — it was never shared), but its lifecycle
+              header must still be written off as abandoned. *)
+           Alloc.abandon (blk internal);
+           link_leaf s leaf
+         end
+    end
+
+  let rec remove_op s =
+    seek s ~hold:true;
+    let c = s.live in
+    if not s.found then false
+    else if Link.tag c.plink <> 0 then begin
+      (* Edge already flagged/tagged: help, then retry. *)
+      ignore (cleanup_edge s : bool);
+      remove_op s
+    end
+    else if
+      Link.cas (child_cell c.par s.key) ~expected:c.plink
+        ~desired:(Link.with_tag c.plink flag_bit)
+    then begin
+      (* Injection succeeded: we own the deletion of this leaf.  Prune
+         until it is gone (by us or a helper). *)
+      until_gone s c.cur;
+      true
+    end
+    else remove_op s
+
+  and until_gone s victim =
+    if not (cleanup_edge s) then begin
+      seek s ~hold:true;
+      if s.found && s.live.cur == victim then until_gone s victim
+    end
+
   let session t =
     let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
     let prot = shields 5 in
     let backup = shields 5 in
     let lasting = shields (if hop_shields then 2 else 0) in
-    let cursor () =
+    (* A placeholder for the live cursor and the slots until the first
+       traversal's [init] and [save]s replace it. *)
+    let idle =
       {
         anc = t.root;
         alink = Link.null;
@@ -260,10 +423,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         backup;
         lasting;
         key = 0;
+        value = 0;
         found = false;
         ds = t;
-        live = cursor ();
-        slots = [| cursor (); cursor () |];
+        live = idle;
+        slots = [| idle; idle |];
+        saved = 0;
         w =
           {
             init = (fun () -> init_cursor s.ds s);
@@ -271,7 +436,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               (fun n ->
                 let c = s.live in
                 walk s s.key n c.anc c.alink c.par c.plink c.cur);
-            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            save = (fun i -> save_cursor s i);
             restore =
               (fun i ->
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
@@ -280,157 +445,31 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             resumable = true;
             steps = 0;
           };
+        prune_to = Link.null;
+        get_body = (fun () -> get_op s);
+        insert_body = (fun () -> insert_op s);
+        remove_body = (fun () -> remove_op s);
+        prune_body = (fun () -> prune s);
       }
     in
     s
 
-  (* Seek [key]; the seek record and the answer stay in the session, the
-     record protected when [hold]. *)
-  let rec seek t s key ~hold =
-    s.ds <- t;
-    s.key <- key;
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      seek t s key ~hold
-
-  (* ---------------- retirement of a pruned region ---------------- *)
-
-  (* After a successful prune CAS the whole old-successor subtree except
-     the preserved sibling subtree is unreachable.  Several pruners may
-     race on nested regions, so each node is claimed: only the claimer
-     descends (and it reads the children *before* handing the block to the
-     scheme, which may reclaim instantly under VBR).  Every edge in the
-     region is flagged or tagged, so the links are immutable. *)
-  let retire_region s ~from ~keep =
-    let rec go n =
-      if n != keep && Alloc.try_retire (blk n) then begin
-        let l = if n.leaf then Link.null else Link.get n.left in
-        let r = if n.leaf then Link.null else Link.get n.right in
-        S.retire s.h (blk n) ~claimed:true;
-        go_link l;
-        go_link r
-      end
-    and go_link = function Link.Null _ -> () | Link.Ptr p -> go p.target in
-    go from
-
-  (* ---------------- operations ---------------- *)
 
   let get t s key =
-    S.op s.h (fun () ->
-        seek t s key ~hold:false;
-        s.found)
-
-  (* Cleanup (NM): tag the sibling edge, then swing the ancestor edge to
-     the sibling subtree (preserving its flag, clearing its tag).  Returns
-     true iff the prune CAS succeeded. *)
-  let cleanup_edge t s key (c : cursor) =
-    ignore t;
-    let parent = c.par in
-    let child_c, sibling_c =
-      if key < parent.key then (parent.left, parent.right)
-      else (parent.right, parent.left)
-    in
-    (* If the child edge is not flagged, the deletion being helped flagged
-       the other side: preserve the child side instead. *)
-    let child_lk = Link.get child_c in
-    let sibling_c =
-      if Link.tag child_lk land flag_bit <> 0 then sibling_c else child_c
-    in
-    (* Tag the sibling edge so no insertion lands under it. *)
-    let rec tag_edge () =
-      let lk = Link.get sibling_c in
-      if Link.tag lk land tag_bit = 0 then
-        if
-          not
-            (Link.cas sibling_c ~expected:lk
-               ~desired:(Link.with_tag lk (Link.tag lk lor tag_bit)))
-        then tag_edge ()
-    in
-    tag_edge ();
-    let slink = Link.get sibling_c in
-    match slink with
-    | Link.Null _ -> false
-    | Link.Ptr { target = keep; tag } ->
-        S.mask s.h (fun () ->
-            let desired = Link.Ptr { target = keep; tag = tag land flag_bit } in
-            if Link.cas (child_cell c.anc key) ~expected:c.alink ~desired then begin
-              (match c.alink with
-              | Link.Ptr { target = old_successor; _ } ->
-                  retire_region s ~from:old_successor ~keep
-              | Link.Null _ -> ());
-              true
-            end
-            else false)
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.get_body
 
   let insert t s key value =
-    S.op s.h (fun () ->
-        let leaf = alloc_leaf t key value in
-        let rec attempt () =
-          seek t s key ~hold:true;
-          let c = s.live and found = s.found in
-          if found then begin
-            Pool.discard ~recycles:S.recycles t.pool ~blk leaf;
-            false
-          end
-          else if Link.tag c.plink <> 0 then begin
-            (* The edge is flagged/tagged: help the pending delete. *)
-            ignore (cleanup_edge t s key c : bool);
-            attempt ()
-          end
-          else begin
-            let sib = c.cur in
-            let skey = sib.key in
-            let internal =
-              if key < skey then alloc_internal skey ~left:leaf ~right:sib
-              else alloc_internal key ~left:sib ~right:leaf
-            in
-            let cell = child_cell c.par key in
-            if Link.cas cell ~expected:c.plink ~desired:(Link.ptr internal)
-            then true
-            else begin
-              (* Lost the race; the internal wrapper is unpublished (the
-                 GC collects it — it was never shared), but its lifecycle
-                 header must still be written off as abandoned. *)
-              Alloc.abandon (blk internal);
-              attempt ()
-            end
-          end
-        in
-        attempt ())
+    s.ds <- t;
+    s.key <- key;
+    s.value <- value;
+    S.op s.h s.insert_body
 
   let remove t s key =
-    S.op s.h (fun () ->
-        let rec injection () =
-          seek t s key ~hold:true;
-          let c = s.live and found = s.found in
-          if not found then false
-          else begin
-            let cell = child_cell c.par key in
-            if Link.tag c.plink <> 0 then begin
-              (* Edge already flagged/tagged: help, then retry. *)
-              ignore (cleanup_edge t s key c : bool);
-              injection ()
-            end
-            else if
-              Link.cas cell ~expected:c.plink
-                ~desired:(Link.with_tag c.plink flag_bit)
-            then begin
-              (* Injection succeeded: we own the deletion of this leaf.
-                 Prune until it is gone (by us or a helper). *)
-              let victim = c.cur in
-              let rec until_gone c =
-                if not (cleanup_edge t s key c) then begin
-                  seek t s key ~hold:true;
-                  let c' = s.live and found = s.found in
-                  if found && c'.cur == victim then until_gone c'
-                end
-              in
-              until_gone { c with plink = Link.with_tag c.plink flag_bit };
-              true
-            end
-            else injection ()
-          end
-        in
-        injection ())
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.remove_body
 
   let cleanup t s = ignore (get t s (inf0 - 1) : bool)
 end

@@ -77,8 +77,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* Search cursor: current level walk state plus the completed levels
      above (head of [levels] = most recently completed = lowest finished
-     level).  A session keeps the live cursor and the walker's two
-     checkpoint slots in records like this. *)
+     level).  The live cursor is built afresh by each traversal's
+     [init], a checkpoint slot by each [save]. *)
   type cursor = {
     mutable lvl : int;
     mutable pred : node;
@@ -94,13 +94,20 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         (* under {!hop_shields} only, empty otherwise: the current pred
            across steps at 0, then each completed level's pred and link *)
     rng : Hpbrcu_runtime.Rng.t;
-    mutable key : int;  (* the running search's key ... *)
-    mutable help : bool;  (* ... whether it unlinks marked nodes ... *)
-    mutable found : bool;  (* ... and its answer *)
-    mutable ds : t;  (* the structure the running search walks *)
+    mutable key : int;  (* the running operation's key ... *)
+    mutable value : int;  (* ... the value an insert publishes ... *)
+    mutable help : bool;  (* ... whether its search unlinks marked nodes ... *)
+    mutable found : bool;  (* ... and the search's answer *)
+    mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 *)
+    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
     w : S.shield walker;
+    get_body : unit -> bool;
+        (* the bodies [S.op] runs, built once per session: their
+           arguments travel in the fields above *)
+    insert_body : unit -> bool;
+    remove_body : unit -> bool;
   }
 
   let create () =
@@ -143,20 +150,20 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let hop_shields = Caps.hop_shields caps
 
   (* Checkpoint protection: every node the cursor can still reach. *)
+  let rec protect_levels (sh : S.shield array) i = function
+    | [] -> ()
+    | lr :: rest ->
+        if (2 * i) + 3 < Array.length sh then begin
+          S.protect sh.((2 * i) + 2) (blk lr.lpred);
+          S.protect sh.((2 * i) + 3) (link_blk lr.llink)
+        end;
+        protect_levels sh (i + 1) rest
+
   let protect_cursor s (sh : S.shield array) =
     let c = s.live in
     S.protect sh.(0) (blk c.pred);
     S.protect sh.(1) (link_blk c.plink);
-    let rec levels i = function
-      | [] -> ()
-      | lr :: rest ->
-          if (2 * i) + 3 < Array.length sh then begin
-            S.protect sh.((2 * i) + 2) (blk lr.lpred);
-            S.protect sh.((2 * i) + 3) (link_blk lr.llink)
-          end;
-          levels (i + 1) rest
-    in
-    levels 0 c.levels
+    protect_levels sh 0 c.levels
 
   (* Revalidation: resuming follows pred.next.(lvl); pred must not be
      deleted at that level (mark check suffices, §3.3). *)
@@ -170,14 +177,22 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     dst.plink <- src.plink;
     dst.levels <- src.levels
 
+  (* A traversal's first save into slot [i] builds the slot; later ones
+     copy into it. *)
+  let save_cursor s i =
+    let c = s.live in
+    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
+    else begin
+      s.slots.(i) <- { lvl = c.lvl; pred = c.pred; plink = c.plink; levels = c.levels };
+      s.saved <- s.saved lor (1 lsl i)
+    end
+
   let init_cursor t s =
     let lvl = max_level - 1 in
     if hop_shields then S.protect s.lasting.(0) (blk t.head);
     let plink = S.read s.h ~src:Block.none ~hdr:blk t.head.next.(lvl) in
-    let cursor () = { lvl; pred = t.head; plink; levels = [] } in
-    s.live <- cursor ();
-    s.slots.(0) <- cursor ();
-    s.slots.(1) <- cursor ()
+    s.saved <- 0;
+    s.live <- { lvl; pred = t.head; plink; levels = [] }
 
   (* The walk stops: write the cursor back to the session. *)
   let stop s lvl pred plink levels r =
@@ -250,6 +265,122 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           levels
     end
 
+  (* Full search of [s.ds] for [s.key]: the completed level records stay
+     in [s.live.levels] (head = level 0), protected when [hold], and
+     whether the key was found at level 0 in [s.found]. *)
+  let rec search s ~help ~hold =
+    s.help <- help;
+    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
+      search s ~help ~hold
+
+  (* ---------------- operations ---------------- *)
+
+  (* HP must help (it cannot traverse past marked nodes safely); everyone
+     else gets the read-only search. *)
+  let helping_get = caps.Caps.per_node = Caps.ProtectAndValidate
+
+  (* The operation bodies read their structure, key and value from the
+     session: [get], [insert] and [remove] store them there and hand
+     [S.op] the session's prebuilt body. *)
+  let get_op s =
+    search s ~help:helping_get ~hold:false;
+    s.found
+
+  (* Prepare [n]'s tower: level [l] and up point at the successors
+     [levels] observed. *)
+  let rec set_tower n l = function
+    | lr :: rest when l < height n ->
+        Link.set n.next.(l) (Link.with_tag lr.llink 0);
+        set_tower n (l + 1) rest
+    | _ -> ()
+
+  let rec insert_op s = link_node s (alloc_node s.ds s s.key s.value)
+
+  (* Search for [n]'s key and link [n] at level 0 (the linearization
+     point), then above; a lost level-0 CAS searches again with the
+     same node. *)
+  and link_node s n =
+    search s ~help:true ~hold:true;
+    if s.found then begin
+      discard s.ds n;
+      false
+    end
+    else begin
+      let levels = s.live.levels in
+      set_tower n 0 levels;
+      let l0 = List.hd levels in
+      if Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.ptr n)
+      then begin
+        link_upper s n 1;
+        true
+      end
+      else link_node s n
+    end
+
+  (* Link level [l] and above of the linked [n], refreshing the search on
+     a stale predecessor, until [n]'s tower is in or [n] got deleted. *)
+  and link_upper s n l =
+    if l < height n then begin
+      let lr = List.nth s.live.levels l in
+      (* Point n's level-l link at the current successor unless n got
+         deleted meanwhile. *)
+      let mine = Link.get n.next.(l) in
+      if not (Link.is_marked mine) then begin
+        if not (Link.tag mine = 0 && Link.same_target mine lr.llink) then
+          ignore
+            (Link.cas n.next.(l) ~expected:mine
+               ~desired:(Link.with_tag lr.llink 0)
+              : bool);
+        if not (Link.is_marked (Link.get n.next.(l))) then
+          if Link.cas lr.lpred.next.(l) ~expected:lr.llink ~desired:(Link.ptr n)
+          then link_upper s n (l + 1)
+          else begin
+            (* Stale pred at this level: re-search. *)
+            search s ~help:true ~hold:true;
+            link_upper s n l
+          end
+      end
+    end
+
+  (* Mark [victim]'s level [l], unless some remover already did. *)
+  let rec mark_level victim l =
+    let lk = Link.get victim.next.(l) in
+    if
+      (not (Link.is_marked lk))
+      && not
+           (Link.cas victim.next.(l) ~expected:lk
+              ~desired:(Link.with_tag lk 1))
+    then mark_level victim l
+
+  (* Mark level 0: [true] for the one remover whose CAS marks it. *)
+  let rec mark0 victim =
+    let lk = Link.get victim.next.(0) in
+    (not (Link.is_marked lk))
+    && (Link.cas victim.next.(0) ~expected:lk ~desired:(Link.with_tag lk 1)
+       || mark0 victim)
+
+  let remove_op s =
+    search s ~help:true ~hold:true;
+    if not s.found then false
+    else begin
+      let victim = Link.target_exn (List.hd s.live.levels).llink in
+      let vh = height victim in
+      (* Mark the upper levels top-down. *)
+      for l = vh - 1 downto 1 do
+        mark_level victim l
+      done;
+      (* Level 0: the winner owns the removal; a concurrent remover that
+         won it answers for the key. *)
+      mark0 victim
+      && begin
+           (* Unlink everywhere via the helping search, then retire. *)
+           search s ~help:true ~hold:true;
+           S.retire s.h (blk victim);
+           Pool.recycle ~recycles:S.recycles s.ds.pools.(vh) victim;
+           true
+         end
+    end
+
   let session t =
     let h = S.register S.it in
     let shields n = Array.init n (fun _ -> S.new_shield h) in
@@ -260,7 +391,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       Hpbrcu_runtime.Rng.create
         ~seed:(Atomic.fetch_and_add t.level_seed 0x9E3779B9)
     in
-    let cursor () = { lvl = 0; pred = t.head; plink = Link.null; levels = [] } in
+    (* A placeholder for the live cursor and the slots until the first
+       traversal's [init] and [save]s replace it. *)
+    let idle = { lvl = 0; pred = t.head; plink = Link.null; levels = [] } in
     let rec s =
       {
         h;
@@ -269,11 +402,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         lasting;
         rng;
         key = 0;
+        value = 0;
         help = false;
         found = false;
         ds = t;
-        live = cursor ();
-        slots = [| cursor (); cursor () |];
+        live = idle;
+        slots = [| idle; idle |];
+        saved = 0;
         w =
           {
             init = (fun () -> init_cursor s.ds s);
@@ -281,7 +416,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               (fun n ->
                 let c = s.live in
                 walk s s.key s.help n c.lvl c.pred c.plink c.levels);
-            save = (fun i -> copy_cursor ~src:s.live ~dst:s.slots.(i));
+            save = (fun i -> save_cursor s i);
             restore =
               (fun i ->
                 copy_cursor ~src:s.slots.(i) ~dst:s.live;
@@ -290,128 +425,31 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             resumable = true;
             steps = 0;
           };
+        get_body = (fun () -> get_op s);
+        insert_body = (fun () -> insert_op s);
+        remove_body = (fun () -> remove_op s);
       }
     in
     s
 
-  (* Full search: the completed level records stay in [s.live.levels]
-     (head = level 0), protected when [hold], and whether the key was
-     found at level 0 in [s.found]. *)
-  let rec search t s key ~help ~hold =
+  let get t s key =
     s.ds <- t;
     s.key <- key;
-    s.help <- help;
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search t s key ~help ~hold
-
-  (* A held search's level records as an array (index 0 = level 0). *)
-  let search_levels t s key =
-    search t s key ~help:true ~hold:true;
-    Array.of_list s.live.levels
-
-  (* ---------------- operations ---------------- *)
-
-  (* HP must help (it cannot traverse past marked nodes safely); everyone
-     else gets the read-only search. *)
-  let helping_get = caps.Caps.per_node = Caps.ProtectAndValidate
-
-  let get t s key =
-    S.op s.h (fun () ->
-        search t s key ~help:helping_get ~hold:false;
-        s.found)
+    S.op s.h s.get_body
 
   let insert t s key value =
-    S.op s.h (fun () ->
-        let n = alloc_node t s key value in
-        let h = height n in
-        let rec attempt () =
-          let levels = search_levels t s key in
-          if s.found then begin
-            discard t n;
-            false
-          end
-          else begin
-            (* Prepare the tower: level l points at the observed succ. *)
-            for l = 0 to h - 1 do
-              Link.set n.next.(l) (Link.with_tag levels.(l).llink 0)
-            done;
-            (* Link level 0 (the linearization point). *)
-            let l0 = levels.(0) in
-            if not (Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.ptr n))
-            then attempt ()
-            else begin
-              (* Link the upper levels, refreshing the search on failure. *)
-              let l = ref 1 in
-              let give_up = ref false in
-              let lv = ref levels in
-              while !l < h && not !give_up do
-                let cur_levels = !lv in
-                let lr = cur_levels.(!l) in
-                (* Point n's level-l link at the current successor unless n
-                   got deleted meanwhile. *)
-                let mine = Link.get n.next.(!l) in
-                if Link.is_marked mine then give_up := true
-                else begin
-                  if not (Link.tag mine = 0 && Link.same_target mine lr.llink)
-                  then
-                    ignore
-                      (Link.cas n.next.(!l) ~expected:mine
-                         ~desired:(Link.with_tag lr.llink 0)
-                        : bool);
-                  if Link.is_marked (Link.get n.next.(!l)) then give_up := true
-                  else if
-                    Link.cas lr.lpred.next.(!l) ~expected:lr.llink
-                      ~desired:(Link.ptr n)
-                  then incr l
-                  else begin
-                    (* Stale pred at this level: re-search. *)
-                    lv := search_levels t s key
-                  end
-                end
-              done;
-              true
-            end
-          end
-        in
-        attempt ())
+    s.ds <- t;
+    s.key <- key;
+    s.value <- value;
+    S.op s.h s.insert_body
 
   let remove t s key =
-    S.op s.h (fun () ->
-        let attempt () =
-          let levels = search_levels t s key in
-          if not s.found then false
-          else
-            let victim = Link.target_exn levels.(0).llink in
-            let vh = height victim in
-            (* Mark the upper levels top-down. *)
-            for l = vh - 1 downto 1 do
-              let rec mark () =
-                let lk = Link.get victim.next.(l) in
-                if not (Link.is_marked lk) then
-                  if not (Link.cas victim.next.(l) ~expected:lk ~desired:(Link.with_tag lk 1))
-                  then mark ()
-              in
-              mark ()
-            done;
-            (* Level 0: the winner owns the removal. *)
-            let rec mark0 () =
-              let lk = Link.get victim.next.(0) in
-              if Link.is_marked lk then `Lost
-              else if Link.cas victim.next.(0) ~expected:lk ~desired:(Link.with_tag lk 1)
-              then `Won
-              else mark0 ()
-            in
-            match mark0 () with
-            | `Lost -> false  (* a concurrent remover won the level-0 mark *)
-            | `Won ->
-                (* Unlink everywhere via the helping search, then retire. *)
-                search t s key ~help:true ~hold:true;
-                S.retire s.h (blk victim);
-                Pool.recycle ~recycles:S.recycles t.pools.(vh) victim;
-                true
-        in
-        attempt ())
+    s.ds <- t;
+    s.key <- key;
+    S.op s.h s.remove_body
 
   let cleanup t s =
-    S.op s.h (fun () -> search t s max_int ~help:true ~hold:true)
+    s.ds <- t;
+    s.key <- max_int;
+    S.op s.h (fun () -> search s ~help:true ~hold:true)
 end

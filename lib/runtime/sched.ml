@@ -300,6 +300,18 @@ let stall n =
     | Some _ -> Effect.perform (Stall n)
     | None -> Unix.sleepf (float_of_int n *. 1e-6)
 
+(** [spin_pause spins] — the pause after a spin loop's [spins]-th failed
+    try (counted from 1), as {!wait_until} takes it: a yield in fiber mode
+    and for the first 63 tries on domains, then a deadline check and a
+    1 µs sleep.  For a spin that must build no [pred] closure per call
+    (the lazy list's lock). *)
+let spin_pause spins =
+  if fiber_mode () || spins < 64 then yield_now ()
+  else begin
+    check_deadline ();
+    Unix.sleepf 1e-6
+  end
+
 (** [wait_until pred] spins (cooperatively in fiber mode) until [pred ()]
     holds.  Fiber mode guarantees progress: each spin iteration yields
     unconditionally, advancing virtual time and thus waking sleepers.  In
@@ -310,11 +322,7 @@ let wait_until pred =
   let spins = ref 0 in
   while not (pred ()) do
     incr spins;
-    if fiber_mode () || !spins < 64 then yield_now ()
-    else begin
-      check_deadline ();
-      Unix.sleepf 1e-6
-    end
+    spin_pause !spins
   done
 
 (** [await_crash_victims plan] — the survivors' half of the domains crash

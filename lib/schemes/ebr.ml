@@ -82,6 +82,7 @@ module Impl : Smr_intf.SCHEME = struct
     E.defer h blk
 
   let recycles = false
+  let patches = false
   let current_era _ = 0
 
   let traverse _ ~hold ~prot ~backup:_ w =

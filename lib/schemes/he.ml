@@ -178,6 +178,7 @@ module Impl : Smr_intf.SCHEME = struct
     end
 
   let recycles = false
+  let patches = false
 
   (* Blocks must be born with the current era for interval checks. *)
   let current_era d = Atomic.get d.era

@@ -104,6 +104,7 @@ module Impl : Smr_intf.SCHEME = struct
     Core.retire h ~patches:[] ~claimed blk
 
   let recycles = false
+  let patches = false
   let current_era _ = 0
 
   let traverse _ ~hold ~prot ~backup:_ w =

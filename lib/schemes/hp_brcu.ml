@@ -274,6 +274,7 @@ module Impl : Smr_intf.SCHEME = struct
     H.maybe_scan h.hh
 
   let recycles = false
+  let patches = false
   let current_era _ = 0
 
   (* Traverse with double buffering (Algorithm 7). *)

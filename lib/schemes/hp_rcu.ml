@@ -173,6 +173,7 @@ module Impl : Smr_intf.SCHEME = struct
     H.maybe_scan h.hh
 
   let recycles = false
+  let patches = false
   let current_era _ = 0
 
   (* Leaving and re-entering the critical section is the point: the epoch

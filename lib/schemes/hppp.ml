@@ -114,6 +114,7 @@ module Impl : Smr_intf.SCHEME = struct
     Core.retire h ~patches:patch ~claimed blk
 
   let recycles = false
+  let patches = true
   let current_era _ = 0
 
   let traverse _ ~hold ~prot ~backup:_ w =

@@ -255,6 +255,7 @@ module Impl : Smr_intf.SCHEME = struct
     end
 
   let recycles = false
+  let patches = false
   let current_era d = Atomic.get d.era
 
   let flush h =

@@ -228,6 +228,7 @@ module Impl : Smr_intf.SCHEME = struct
     if Retired.length h.pending >= h.d.batch_n then neutralize_and_reclaim h
 
   let recycles = false
+  let patches = false
   let current_era _ = 0
 
   let flush h = neutralize_and_reclaim h

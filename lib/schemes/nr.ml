@@ -69,6 +69,7 @@ module Impl : Smr_intf.SCHEME = struct
     Dom.tag_retire h blk
 
   let recycles = false
+  let patches = false
   let current_era _ = 0
 
   let traverse _ ~hold ~prot ~backup:_ w =

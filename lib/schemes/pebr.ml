@@ -206,6 +206,7 @@ module Impl : Smr_intf.SCHEME = struct
     if E.push h.eh blk then try_advance h
 
   let recycles = false
+  let patches = false
   let current_era _ = 0
 
   let flush h = try_advance h

@@ -147,6 +147,7 @@ module Impl : Smr_intf.SCHEME = struct
     end
 
   let recycles = true
+  let patches = false
   let current_era d = Atomic.get d.era
 
   let traverse _ ~hold ~prot ~backup:_ w =
