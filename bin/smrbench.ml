@@ -1145,6 +1145,47 @@ module Reclaim_bench = struct
         (ns_s, Float.max 0. (words_s -. (float_of_int short *. words_node)));
     ]
 
+  (* Words one HHSList update allocates when the key decides it changes
+     nothing: an [insert-present] row inserts a present key, a
+     [remove-absent] row removes an absent one, on a 32-key list (the
+     even keys below 64).  Each builds its live cursor (4 words); under
+     HP-BRCU the held destination also takes a checkpoint, whose slot is
+     4 words more.  Building the node before the search read 12 words
+     more per insert, and the operation's closures 20-30 more per
+     update. *)
+  let update_words = function "HP-BRCU" -> 8. | _ -> 4.
+
+  let update_kernels ~iters (module X : Smr_intf.SCHEME) =
+    Alloc.reset ();
+    let d = X.create ~label:"bench-update" Config.default in
+    let module S = Smr_intf.Bind (X) (struct let it = d end) in
+    let module L = Hpbrcu_ds.Harris_list.Make_hhs (S) in
+    let t = L.create () in
+    let s = L.session t in
+    let n = 32 in
+    for k = 0 to n - 1 do
+      ignore (L.insert t s (2 * k) 0 : bool)
+    done;
+    let scheme = (X.caps Config.default).Hpbrcu_core.Caps.name in
+    let kernel name op =
+      let cycle () =
+        for k = 0 to n - 1 do
+          ignore (op k : bool)
+        done
+      in
+      row ~kernel:name ~scheme ~iters ~ops:n ~gated:true (measure ~iters cycle)
+    in
+    let rows =
+      [
+        kernel "insert-present" (fun k -> L.insert t s (2 * k) 0);
+        kernel "remove-absent" (fun k -> L.remove t s ((2 * k) + 1));
+      ]
+    in
+    L.close_session s;
+    X.destroy ~force:true d;
+    Alloc.reset ();
+    rows
+
   (* The floor under [traverse-walk]: the same get past the tail of a
      128-node and of a 1024-node list, per node over the 896 extra nodes,
      on HHSList's own nodes walked by a plain loop: no scheme, walker,
@@ -1267,6 +1308,12 @@ module Reclaim_bench = struct
     ]
     @ node_alloc_kernels ~iters:(it 2000)
     @ List.concat_map
+        (fun m -> update_kernels ~iters:(it 400) m)
+        [
+          (module Hpbrcu_schemes.Nr.Impl : Smr_intf.SCHEME);
+          (module Hp_brcu.Impl : Smr_intf.SCHEME);
+        ]
+    @ List.concat_map
         (fun m ->
           traverse_kernels ~iters:(it 400) m
           @ [ tree_get_kernel ~iters:(it 100) m; hash_get_kernel ~iters:(it 100) m ])
@@ -1305,14 +1352,18 @@ module Reclaim_bench = struct
 
   (* Words per op a gated row may allocate: none, except one node per
      [node-alloc] op, one domain's setup per [domain-create] cycle, one
-     get's constant per [traverse-get] and a collect's share per RCU or
-     PEBR [retire] (a bound that already has room for the probes). *)
+     get's constant per [traverse-get], one update's cursor per
+     [insert-present] and [remove-absent] op and a collect's share per
+     RCU or PEBR [retire] (a bound that already has room for the
+     probes). *)
   let words_bound r =
     match (r.kernel, r.scheme) with
     | "retire", ("RCU" | "PEBR") -> retire_deferred_words
     | "node-alloc", ds -> Option.get (node_words ds) +. gate_threshold
     | "domain-create", sch -> Option.get (domain_create_words sch) +. gate_threshold
     | "traverse-get", sch -> traverse_get_words sch +. gate_threshold
+    | ("insert-present" | "remove-absent"), sch ->
+        update_words sch +. gate_threshold
     | _ -> gate_threshold
 
   let run ~out ~gate ~quick =
@@ -1371,12 +1422,14 @@ module Reclaim_bench = struct
                        kernels <= %.2f words/op, node-alloc <= one node \
                        (%.0f words for HHSList), domain-create <= %.0f \
                        (HP-BRCU) and %.0f (RCU, IBR), traverse-get <= %.0f \
-                       (NR, RCU) to %.0f (HP-BRCU), disabled emit < 10 ns, \
-                       armed flight emit <= 25 ns)\n"
+                       (NR, RCU) to %.0f (HP-BRCU), insert-present and \
+                       remove-absent <= %.0f (NR) and %.0f (HP-BRCU), \
+                       disabled emit < 10 ns, armed flight emit <= 25 ns)\n"
           gate_threshold (Option.get (node_words "HHSList"))
           (Option.get (domain_create_words "HP-BRCU"))
           (Option.get (domain_create_words "RCU"))
-          (traverse_get_words "NR") (traverse_get_words "HP-BRCU");
+          (traverse_get_words "NR") (traverse_get_words "HP-BRCU")
+          (update_words "NR") (update_words "HP-BRCU");
         0
       end
       else 1

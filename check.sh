@@ -281,7 +281,11 @@ gate chaos-fibers chaos_fibers
 # traverse-get (a 128-node HHSList get's per-get constant: its live
 # cursor, 4 words, plus 4 per checkpoint slot it fills) at 4 words under
 # NR and RCU, 8 under HP-RCU and 12 under HP-BRCU (three cursor records
-# and two closures per get read 24.9); the disabled emit additionally
+# and two closures per get read 24.9), and insert-present and
+# remove-absent (an HHSList insert of a present key and remove of an
+# absent one: the live cursor, plus HP-BRCU's checkpoint slot) at 4
+# words under NR and 8 under HP-BRCU (a node built before the search
+# and per-call closures read 48 and 35); the disabled emit additionally
 # must stay single-digit ns.
 gate bench-reclaim dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
   --out /tmp/BENCH_reclaim.ci.json

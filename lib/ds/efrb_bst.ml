@@ -339,17 +339,26 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     search s ~hold:false;
     s.found
 
-  let rec insert_op s =
+  (* Search, and link a leaf in if the key is absent.  [new_leaf] is
+     {!no_node} until a search has missed at a clean parent: the leaf is
+     built only then, and an attempt that loses its IFlag retries with
+     it. *)
+  let rec insert_op s new_leaf =
     search s ~hold:true;
     let c = s.live in
-    if s.found then false
+    if s.found then begin
+      if new_leaf != no_node then Alloc.abandon (blk new_leaf);
+      false
+    end
     else if c.pupdate <> Clean then begin
       help s c.pupdate;
-      insert_op s
+      insert_op s new_leaf
     end
     else begin
       let key = s.key in
-      let new_leaf = mk_leaf ~recyclable key in
+      let new_leaf =
+        if new_leaf == no_node then mk_leaf ~recyclable key else new_leaf
+      in
       let new_internal =
         if key < c.l.key then
           mk_internal ~recyclable c.l.key ~left:new_leaf ~right:c.l
@@ -362,13 +371,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         true
       end
       else begin
-        (* IFlag lost: [op] was never published, so the fresh leaf and
-           wrapper are unreachable — write them off as abandoned
-           (leak-at-quiescence accounting, DESIGN.md §11). *)
-        Alloc.abandon (blk new_leaf);
+        (* IFlag lost: [op] was never published, so the wrapper is
+           unreachable — write it off as abandoned (leak-at-quiescence
+           accounting, DESIGN.md §11). *)
         Alloc.abandon (blk new_internal);
         help s (Atomic.get c.p.update);
-        insert_op s
+        insert_op s new_leaf
       end
     end
 
@@ -441,7 +449,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         iop = no_iinfo;
         dop = no_dinfo;
         get_body = (fun () -> get_op s);
-        insert_body = (fun () -> insert_op s);
+        insert_body = (fun () -> insert_op s no_node);
         remove_body = (fun () -> remove_op s);
         insert_masked = (fun () -> help_insert s.iop);
         delete_masked = (fun () -> help_delete s s.dop);

@@ -292,24 +292,27 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     search s ~help:F.helping_get ~hold:false;
     s.found
 
-  let rec insert_op s = link_node s (alloc_node s.ds s.key s.value)
-
-  (* Search for [n]'s key and link [n] in; a lost CAS searches again
-     with the same node. *)
-  and link_node s n =
+  (* The node is built only once the search has missed. *)
+  let rec insert_op s =
     search s ~help:true ~hold:true;
-    if s.found then begin
-      discard s.ds n;
-      false
-    end
-    else begin
-      (* After a helping search, left and right are adjacent:
-         left_next's target is right (or null). *)
-      let c = s.live in
-      Link.set (next_cell n) (Link.with_tag c.left_next 0);
-      Link.cas (next_cell c.left) ~expected:c.left_next ~desired:(Link.ptr n)
-      || link_node s n
-    end
+    (not s.found) && link_node s (alloc_node s.ds s.key s.value)
+
+  (* Link [n] in at the cursor of a search that missed; a lost CAS
+     searches again with the same node. *)
+  and link_node s n =
+    (* After a helping search, left and right are adjacent: left_next's
+       target is right (or null). *)
+    let c = s.live in
+    Link.set (next_cell n) (Link.with_tag c.left_next 0);
+    Link.cas (next_cell c.left) ~expected:c.left_next ~desired:(Link.ptr n)
+    || begin
+         search s ~help:true ~hold:true;
+         if s.found then begin
+           discard s.ds n;
+           false
+         end
+         else link_node s n
+       end
 
   let rec remove_op s =
     search s ~help:true ~hold:true;

@@ -236,22 +236,25 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     search s ~hold:false;
     s.found
 
-  let rec insert_op s = link_node s (alloc_node s.ds s.key s.value)
-
-  (* Search for [n]'s key and link [n] in; a lost CAS searches again
-     with the same node. *)
-  and link_node s n =
+  (* The node is built only once the search has missed. *)
+  let rec insert_op s =
     search s ~hold:true;
-    if s.found then begin
-      discard s.ds n;
-      false
-    end
-    else begin
-      let c = s.live in
-      Link.set (next_cell n) (Link.with_tag c.pnext 0);
-      Link.cas (next_cell c.prev) ~expected:c.pnext ~desired:(Link.ptr n)
-      || link_node s n
-    end
+    (not s.found) && link_node s (alloc_node s.ds s.key s.value)
+
+  (* Link [n] in at the cursor of a search that missed; a lost CAS
+     searches again with the same node. *)
+  and link_node s n =
+    let c = s.live in
+    Link.set (next_cell n) (Link.with_tag c.pnext 0);
+    Link.cas (next_cell c.prev) ~expected:c.pnext ~desired:(Link.ptr n)
+    || begin
+         search s ~hold:true;
+         if s.found then begin
+           discard s.ds n;
+           false
+         end
+         else link_node s n
+       end
 
   let rec remove_op s =
     search s ~hold:true;

@@ -234,39 +234,42 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     search s ~hold:false;
     s.found
 
-  let rec insert_op s = link_node s (alloc_node s.ds s.key s.value)
-
-  (* Search for [n]'s key and link [n] in under [prev]'s lock; a failed
-     validation searches again with the same node. *)
-  and link_node s n =
+  (* The node is built only once the search has missed. *)
+  let rec insert_op s =
     search s ~hold:true;
-    if s.found then begin
-      discard s.ds n;
-      false
-    end
-    else
-      let c = s.live in
-      let prev = c.prev and pnext = c.pnext in
-      acquire prev;
-      let outcome =
-        if not (validate_locked prev pnext) then `Retry
-        else
-          match pnext with
-          | Link.Ptr { target = cur; _ } when cur.key = s.key && cur.marked = 0
-            ->
-              `Present
-          | _ ->
-              Link.set (next_cell n) (Link.with_tag pnext 0);
-              Link.set (next_cell prev) (Link.ptr n);
-              `Inserted
-      in
-      release prev;
-      match outcome with
-      | `Inserted -> true
-      | `Present ->
+    (not s.found) && link_node s (alloc_node s.ds s.key s.value)
+
+  (* Link [n] in under [prev]'s lock at the cursor of a search that
+     missed; a failed validation searches again with the same node. *)
+  and link_node s n =
+    let c = s.live in
+    let prev = c.prev and pnext = c.pnext in
+    acquire prev;
+    let outcome =
+      if not (validate_locked prev pnext) then `Retry
+      else
+        match pnext with
+        | Link.Ptr { target = cur; _ } when cur.key = s.key && cur.marked = 0
+          ->
+            `Present
+        | _ ->
+            Link.set (next_cell n) (Link.with_tag pnext 0);
+            Link.set (next_cell prev) (Link.ptr n);
+            `Inserted
+    in
+    release prev;
+    match outcome with
+    | `Inserted -> true
+    | `Present ->
+        discard s.ds n;
+        false
+    | `Retry ->
+        search s ~hold:true;
+        if s.found then begin
           discard s.ds n;
           false
-      | `Retry -> link_node s n
+        end
+        else link_node s n
 
   let rec remove_op s =
     search s ~hold:true;

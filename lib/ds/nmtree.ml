@@ -54,6 +54,19 @@ external blk : node -> Block.t = "%identity"
    leaf it never published ([alloc_leaf] asserts it). *)
 let leaf_child : node Link.cell = Link.cell Link.null
 
+(* The leaf an insert holds until its seek has missed: a node of no
+   tree, never published. *)
+let no_leaf =
+  {
+    left = leaf_child;
+    word = Block.live; id = -1; recyclable = false;
+    birth_era = 0; retire_era = -1; poison = 0; owner = 0;
+    key = 0;
+    value = 0;
+    leaf = true;
+    right = leaf_child;
+  }
+
 (** A fresh node, [Live] and born at [era]. *)
 let mk_node ~recyclable ~era key value ~leaf ~left ~right =
   {
@@ -338,24 +351,24 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         s.prune_to <- Link.Ptr { target = keep; tag = tag land flag_bit };
         S.mask s.h s.prune_body
 
-  let rec insert_op s = link_leaf s (alloc_leaf s.ds s.key s.value)
-
-  (* Seek [leaf]'s key and link [leaf] in under a fresh internal node; a
-     lost CAS seeks again with the same leaf. *)
-  and link_leaf s leaf =
+  (* Seek, and link a leaf in if the key is absent.  [leaf] is {!no_leaf}
+     until a seek has missed: the leaf is built only then, and an
+     attempt that loses its CAS retries with it. *)
+  let rec insert_op s leaf =
     seek s ~hold:true;
     let c = s.live in
     if s.found then begin
-      Pool.discard ~recycles:S.recycles s.ds.pool ~blk leaf;
+      if leaf != no_leaf then Pool.discard ~recycles:S.recycles s.ds.pool ~blk leaf;
       false
     end
     else if Link.tag c.plink <> 0 then begin
       (* The edge is flagged/tagged: help the pending delete. *)
       ignore (cleanup_edge s : bool);
-      link_leaf s leaf
+      insert_op s leaf
     end
     else begin
       let key = s.key in
+      let leaf = if leaf == no_leaf then alloc_leaf s.ds key s.value else leaf in
       let sib = c.cur in
       let skey = sib.key in
       let internal =
@@ -369,7 +382,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               collects it — it was never shared), but its lifecycle
               header must still be written off as abandoned. *)
            Alloc.abandon (blk internal);
-           link_leaf s leaf
+           insert_op s leaf
          end
     end
 
@@ -447,7 +460,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           };
         prune_to = Link.null;
         get_body = (fun () -> get_op s);
-        insert_body = (fun () -> insert_op s);
+        insert_body = (fun () -> insert_op s no_leaf);
         remove_body = (fun () -> remove_op s);
         prune_body = (fun () -> prune s);
       }

@@ -129,8 +129,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     done;
     !lvl
 
-  let alloc_node t s key value =
-    let h = random_height s in
+  let alloc_node t ~height:h key value =
     let era = S.current_era S.it in
     match Pool.reuse ~recycles:S.recycles t.pools.(h) ~blk ~era with
     | Some n ->
@@ -294,25 +293,31 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         set_tower n (l + 1) rest
     | _ -> ()
 
-  let rec insert_op s = link_node s (alloc_node s.ds s s.key s.value)
-
-  (* Search for [n]'s key and link [n] at level 0 (the linearization
-     point), then above; a lost level-0 CAS searches again with the
-     same node. *)
-  and link_node s n =
+  (* The node is built only once the search has missed.  Its height is
+     drawn before the search, so the session's sequence of heights does
+     not depend on which inserts find their key. *)
+  let rec insert_op s =
+    let height = random_height s in
     search s ~help:true ~hold:true;
-    if s.found then begin
-      discard s.ds n;
-      false
+    (not s.found) && link_node s (alloc_node s.ds ~height s.key s.value)
+
+  (* Link [n] at level 0 (the linearization point) at the cursor of a
+     search that missed, then above; a lost level-0 CAS searches again
+     with the same node. *)
+  and link_node s n =
+    let levels = s.live.levels in
+    set_tower n 0 levels;
+    let l0 = List.hd levels in
+    if Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.ptr n)
+    then begin
+      link_upper s n 1;
+      true
     end
     else begin
-      let levels = s.live.levels in
-      set_tower n 0 levels;
-      let l0 = List.hd levels in
-      if Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.ptr n)
-      then begin
-        link_upper s n 1;
-        true
+      search s ~help:true ~hold:true;
+      if s.found then begin
+        discard s.ds n;
+        false
       end
       else link_node s n
     end

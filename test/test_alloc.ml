@@ -415,6 +415,28 @@ let test_vbr_recycles (module M : Test_util.MAKE) () =
   Alcotest.(check bool) "a retired node was reanimated" true
     (List.exists (fun (b, v) -> Block.version b > v) !Sp.versions)
 
+(* An insert of a present key builds no node: it answers [false] and
+   leaves the allocator's [allocated] and [abandoned] counts as they
+   were (a node built before the search would bump [allocated], and
+   [abandoned] when given back; under VBR a pooled one is reanimated). *)
+let test_present_insert scheme (module M : Test_util.MAKE) () =
+  Test_util.with_scheme scheme (fun (module S) ->
+      let module L = M (S) in
+      on_fibers (fun () ->
+          let t = L.create () in
+          let se = L.session t in
+          for k = 0 to 15 do
+            ignore (L.insert t se k k : bool)
+          done;
+          for k = 0 to 15 do
+            let before = Alloc.stats () in
+            Alcotest.(check bool) "present" false (L.insert t se k 0);
+            let after = Alloc.stats () in
+            Alcotest.(check int) "allocated" before.allocated after.allocated;
+            Alcotest.(check int) "abandoned" before.abandoned after.abandoned
+          done;
+          L.close_session se))
+
 let () =
   Alcotest.run "alloc"
     [
@@ -460,6 +482,15 @@ let () =
               ])
           [ "NR"; "HP-BRCU" ]
         @ [ Alcotest.test_case "leaf-cells/VBR" `Quick (test_leaf_cells "VBR") ] );
+      ( "present-insert",
+        List.concat_map
+          (fun scheme ->
+            List.map
+              (fun (ds, m) ->
+                Alcotest.test_case (ds ^ "/" ^ scheme) `Quick
+                  (test_present_insert scheme m))
+              Test_util.structures)
+          [ "NR"; "HP-BRCU"; "VBR" ] );
       ( "vbr-recycles",
         List.filter_map
           (fun (ds, m) ->
