@@ -173,7 +173,7 @@ let pinned_rows =
       "HE        crash-reader seed=1  ok       ops=12046  peak=283    bound=2304    crashes=1 faults[stall=0 crash=1 drop=0 delay=0 pool=0] quar=0 leak=0" );
     ( "HE",
       Chaos.Signal_chaos,
-      "HE        signal-chaos seed=1  ok       ops=1580   peak=259    bound=2304    crashes=0 faults[stall=0 crash=0 drop=0 delay=0 pool=0] quar=0 leak=0" );
+      "HE        signal-chaos seed=1  ok       ops=1580   peak=258    bound=2304    crashes=0 faults[stall=0 crash=0 drop=0 delay=0 pool=0] quar=0 leak=0" );
   ]
 
 let test_pinned_row (scheme, plan_id, expected) () =
