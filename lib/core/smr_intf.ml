@@ -64,12 +64,12 @@ module Alloc = Hpbrcu_alloc.Alloc
     acts on them:
 
     - [init ()] loads the entry-point cursor into the session, in one
-      cursor record it allocates afresh: the live cursor, which the walk
-      writes back to when it stops.  A young record keeps those
-      write-backs on the write barrier's fast path; writing them into a
-      long-lived session record instead read [hash] [op_p50_ns] +11.6%
-      over 10 pairs (EXPERIMENTS.md, "Fresh cursor records").  Nothing
-      else is built per traversal: the checkpoint slots are not;
+      record it allocates afresh: the live cursor, which the walk writes
+      back to when it stops.  The rule is to write only into cursor
+      records born in the running traversal: a young record keeps those
+      writes on the write barrier's fast path, while writing them into
+      the session's long-lived records read [hash] [op_p50_ns] +11.6%
+      over 10 pairs (EXPERIMENTS.md, "Fresh cursor records");
     - [walk n] advances at most [n] steps and returns {!walk_more} (the
       budget is used up), {!walk_done} (reached the destination) or
       {!walk_fail} (the cursor was invalidated; the operation restarts).
@@ -82,9 +82,10 @@ module Alloc = Hpbrcu_alloc.Alloc
     - [save i] / [restore i] copy the live cursor into checkpoint slot
       [i] (0 or 1) or back from it; [restore] then revalidates the
       cursor (paper R1, §3.3) and returns whether it may be resumed.
-      [save] allocates the copy the slot keeps, so a walk that never
-      checkpoints (most [get]s) allocates no slot; a scheme calls
-      [restore i] only after a [save i] of the same traversal;
+      A traversal's first [save i] allocates slot [i] and later ones
+      copy into it, so a walk that never checkpoints (most [get]s)
+      allocates no slot and a walk of any length at most two; a scheme
+      calls [restore i] only after a [save i] of the same traversal;
     - [protect sh] publishes the live cursor into the shield array [sh]
       (a scheme's checkpoint: hops between checkpoints are protected, if
       at all, by {!SCHEME.read}'s own ring).  A scheme calls it only for a

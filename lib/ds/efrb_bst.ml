@@ -109,8 +109,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* Cursor: grandparent, parent, leaf plus the update words observed when
      crossing them (the EFRB search postcondition).  The live cursor is
-     built afresh by each traversal's [init], a checkpoint slot by each
-     [save]; [gp] is {!no_node} until the search has a grandparent. *)
+     built afresh by each traversal's [init], a checkpoint slot by its
+     first [save]; [gp] is {!no_node} until the search has a grandparent. *)
   type cursor = {
     mutable gp : node;
     mutable gpupdate : update;
@@ -149,7 +149,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
     slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
     w : S.shield walker;
     mutable iop : iinfo;  (* [insert_masked]'s descriptor *)
     mutable dop : dinfo;  (* [delete_masked]'s and [marked_masked]'s *)
@@ -196,7 +196,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let c = s.live in
     if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
     else begin
-      s.slots.(i) <- { gp = c.gp; gpupdate = c.gpupdate; p = c.p; pupdate = c.pupdate; l = c.l };
+      s.slots.(i) <-
+        {
+          gp = c.gp;
+          gpupdate = c.gpupdate;
+          p = c.p;
+          pupdate = c.pupdate;
+          l = c.l;
+        };
       s.saved <- s.saved lor (1 lsl i)
     end
 

@@ -79,7 +79,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   let retire_node h x next =
     if S.patches then
       S.retire h (blk x)
-        ~patch:(match next with Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ])
+        ~patch:
+          (match next with Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ])
     else S.retire h (blk x)
 
   (* The list is its head sentinel (key = min_int). *)
@@ -90,8 +91,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      whose target is the node under examination (null = end of list; its
      tag is ignored).  [node] and [left_next] share their target iff no
      marked chain is pending between them.  The live cursor is built
-     afresh by each traversal's [init], a checkpoint slot by each
-     [save]. *)
+     afresh by each traversal's [init], a checkpoint slot by its
+     first [save]. *)
   type cursor = {
     mutable left : node;
     mutable left_next : node Link.t;
@@ -111,7 +112,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;  (* the live cursor *)
     slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
     w : S.shield walker;
     get_body : unit -> bool;
         (* the bodies [S.op] and [S.mask] run, built once per session:

@@ -71,7 +71,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let retire_node h x next =
     if S.patches then
       S.retire h (blk x)
-        ~patch:(match next with Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ])
+        ~patch:
+          (match next with Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ])
     else S.retire h (blk x)
 
   (* The list is its head sentinel (key = min_int). *)
@@ -81,7 +82,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      (whose target is [cur]).  Keeping the loaded link (not just the
      target) gives CASes their physical-equality expected value.  The
      live cursor is built afresh by each traversal's [init], a
-     checkpoint slot by each [save]. *)
+     checkpoint slot by its first [save]. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
   type session = {
@@ -96,7 +97,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
     slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
     w : S.shield walker;
     get_body : unit -> bool;
         (* the bodies [S.op] runs, built once per session: their

@@ -90,7 +90,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   type t = { head : node; pool : node Pool.t }
 
   (* The traversal cursor.  The live cursor is built afresh by each
-     traversal's [init], a checkpoint slot by each [save]. *)
+     traversal's [init], a checkpoint slot by its first [save]. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
   type session = {
@@ -103,7 +103,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
     slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
     w : S.shield walker;
     get_body : unit -> bool;
         (* the bodies [S.op] runs, built once per session: their

@@ -105,7 +105,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      edge toward the key is untagged; successor = that edge's target;
      parent = leaf's parent; cur = current node (leaf at the destination).
      The live cursor is built afresh by each traversal's [init], a
-     checkpoint slot by each [save]. *)
+     checkpoint slot by its first [save]. *)
   type cursor = {
     mutable anc : node;
     mutable alink : node Link.t;  (* loaded ancestor child link (untagged) *)
@@ -127,7 +127,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
     slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
     w : S.shield walker;
     mutable prune_to : node Link.t;  (* [prune_body]'s new ancestor edge *)
     get_body : unit -> bool;
@@ -220,7 +220,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let c = s.live in
     if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
     else begin
-      s.slots.(i) <- { anc = c.anc; alink = c.alink; par = c.par; plink = c.plink; cur = c.cur };
+      s.slots.(i) <-
+        {
+          anc = c.anc;
+          alink = c.alink;
+          par = c.par;
+          plink = c.plink;
+          cur = c.cur;
+        };
       s.saved <- s.saved lor (1 lsl i)
     end
 
@@ -358,7 +365,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     seek s ~hold:true;
     let c = s.live in
     if s.found then begin
-      if leaf != no_leaf then Pool.discard ~recycles:S.recycles s.ds.pool ~blk leaf;
+      if leaf != no_leaf then
+        Pool.discard ~recycles:S.recycles s.ds.pool ~blk leaf;
       false
     end
     else if Link.tag c.plink <> 0 then begin
@@ -368,7 +376,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     end
     else begin
       let key = s.key in
-      let leaf = if leaf == no_leaf then alloc_leaf s.ds key s.value else leaf in
+      let leaf =
+        if leaf == no_leaf then alloc_leaf s.ds key s.value else leaf
+      in
       let sib = c.cur in
       let skey = sib.key in
       let internal =

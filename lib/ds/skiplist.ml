@@ -78,7 +78,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Search cursor: current level walk state plus the completed levels
      above (head of [levels] = most recently completed = lowest finished
      level).  The live cursor is built afresh by each traversal's
-     [init], a checkpoint slot by each [save]. *)
+     [init], a checkpoint slot by its first [save]. *)
   type cursor = {
     mutable lvl : int;
     mutable pred : node;
@@ -101,7 +101,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable ds : t;  (* the structure the running operation acts on *)
     mutable live : cursor;
     slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built slot [i] *)
+    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
     w : S.shield walker;
     get_body : unit -> bool;
         (* the bodies [S.op] runs, built once per session: their
@@ -182,7 +182,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let c = s.live in
     if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
     else begin
-      s.slots.(i) <- { lvl = c.lvl; pred = c.pred; plink = c.plink; levels = c.levels };
+      s.slots.(i) <-
+        { lvl = c.lvl; pred = c.pred; plink = c.plink; levels = c.levels };
       s.saved <- s.saved lor (1 lsl i)
     end
 
