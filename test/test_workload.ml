@@ -197,6 +197,89 @@ let test_pin_cell () =
         [ 900; 468; 11024; 20; 44; 64; 78 ]
         [ r.W.Spec.total_ops; g.H.count; g.H.sum; g.H.p50; g.H.p90; g.H.p99; g.H.max ]
 
+(* ------------------------------------------------------------------ *)
+(* Structure pins                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [S] with the walkers its traversals drove (each session's walker
+   counts its own steps, and none is ever reset) and the checkpoints
+   they published through the walker's [protect]. *)
+module Walk_count (S : Hpbrcu_core.Smr_intf.S) = struct
+  include S
+
+  let walkers : S.shield Hpbrcu_core.Smr_intf.walker list ref = ref []
+  let checkpoints = ref 0
+
+  let traverse h ~hold ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker)
+      =
+    if not (List.memq w !walkers) then walkers := w :: !walkers;
+    let protect sh =
+      incr checkpoints;
+      w.protect sh
+    in
+    S.traverse h ~hold ~prot ~backup { w with protect }
+end
+
+(* Exact figures of a seeded fiber stress run of a structure that
+   [smrbench trace] cannot trace (LazyList, EFRB-BST): the last fiber's
+   tick, the walker steps and checkpoints, and the allocator's books.
+   Four workers of 250 mixed operations over 32 keys; a change to the
+   structure that moves a yield, a read, an allocation or a retire
+   shows here. *)
+let test_pin_structure (module M : Test_util.MAKE) scheme want () =
+  Test_util.with_scheme scheme (fun (module S) ->
+      let module C = Walk_count (S) in
+      let module L = M (C) in
+      let t = L.create () in
+      let ticks = ref 0 in
+      Hpbrcu_runtime.Sched.run
+        (Hpbrcu_runtime.Sched.Fibers { seed = 11; switch_every = 2 })
+        ~nthreads:4
+        (fun tid ->
+          let s = L.session t in
+          let rng = Hpbrcu_runtime.Rng.create ~seed:(11 + (tid * 65599)) in
+          for _ = 1 to 250 do
+            let k = Hpbrcu_runtime.Rng.int rng 32 in
+            match Hpbrcu_runtime.Rng.int rng 3 with
+            | 0 -> ignore (L.insert t s k tid : bool)
+            | 1 -> ignore (L.remove t s k : bool)
+            | _ -> ignore (L.get t s k : bool)
+          done;
+          L.close_session s;
+          ticks := max !ticks (Hpbrcu_runtime.Sched.tick ()));
+      let steps =
+        List.fold_left
+          (fun n (w : _ Hpbrcu_core.Smr_intf.walker) -> n + w.steps)
+          0 !C.walkers
+      in
+      let a = Hpbrcu_alloc.Alloc.stats () in
+      Alcotest.(check (list int))
+        "ticks, steps, checkpoints; allocated, retired, reclaimed, \
+         abandoned, peak"
+        want
+        [
+          !ticks;
+          steps;
+          !C.checkpoints;
+          a.allocated;
+          a.retired;
+          a.reclaimed;
+          a.abandoned;
+          a.peak_unreclaimed;
+        ])
+
+let structure_pins =
+  let open Hpbrcu_ds in
+  [
+    ( "LazyList",
+      (module Lazy_list.Make : Test_util.MAKE),
+      "HP-BRCU",
+      [ 5250; 9079; 695; 174; 158; 158; 0; 154 ] );
+    ("LazyList", (module Lazy_list.Make), "VBR", [ 4389; 8768; 683; 177; 162; 162; 0; 1 ]);
+    ("EFRB-BST", (module Efrb_bst.Make), "HP-BRCU", [ 4392; 6703; 689; 393; 321; 321; 4; 287 ]);
+    ("EFRB-BST", (module Efrb_bst.Make), "VBR", [ 3145; 6304; 686; 367; 332; 332; 0; 1 ]);
+  ]
+
 let () =
   Alcotest.run "workload"
     [
@@ -206,6 +289,12 @@ let () =
           Alcotest.test_case "hunt cases" `Quick test_pin_hunt;
           Alcotest.test_case "figure cell" `Quick test_pin_cell;
         ] );
+      ( "structure pins",
+        List.map
+          (fun (ds, m, scheme, want) ->
+            Alcotest.test_case (ds ^ "/" ^ scheme) `Quick
+              (test_pin_structure m scheme want))
+          structure_pins );
       ( "list pick",
         [
           Alcotest.test_case "HMList for HP/HE/IBR only" `Quick test_list_pick;
