@@ -132,27 +132,28 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Era-validated read: reserve the era, load, and retry until the era is
      stable across the load (then everything reachable at the reservation
-     is covered by it).  The reservation goes into the next slot of the
-     handle's ring. *)
+     is covered by it).  A module-level loop, so a hop builds no
+     closure. *)
+  let rec load_reserved era slot cell reserved =
+    let l = Link.get cell in
+    let e = Atomic.get era in
+    if e = reserved then l
+    else begin
+      Atomic.set slot e;
+      (* SC store acts as the fence before re-validation. *)
+      load_reserved era slot cell e
+    end
+
+  (* The reservation goes into the next slot of the handle's ring. *)
   let read h ~src ~hdr:_ cell =
     Sched.yield ();
     Alloc.check_access src;
     let i = h.hop in
     h.hop <- (if i + 1 = Smr_intf.hop_ring then 0 else i + 1);
     let slot = h.hops.(i).Registry.Shields.slot in
-    let rec loop reserved =
-      let l = Link.get cell in
-      let e = Atomic.get h.d.era in
-      if e = reserved then l
-      else begin
-        Atomic.set slot e;
-        (* SC store acts as the fence before re-validation. *)
-        loop e
-      end
-    in
     let e0 = Atomic.get h.d.era in
     Atomic.set slot e0;
-    loop e0
+    load_reserved h.d.era slot cell e0
 
   let deref _ blk = Alloc.check_access blk
 

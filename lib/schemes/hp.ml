@@ -78,25 +78,24 @@ module Impl : Smr_intf.SCHEME = struct
      re-reading the source cell after the SC protection store; physical
      equality of the link record means the cell is unchanged, hence the
      target was still reachable from the source after the protection was
-     visible.  The hazard goes into the next shield of the handle's
-     ring. *)
+     visible.  A module-level loop, so a hop builds no closure. *)
+  let rec protect_from s hdr cell l =
+    (match l with
+    | Link.Null _ -> Core.protect s Block.none
+    | Link.Ptr { target; _ } -> Core.protect s (hdr target));
+    (* Atomic store above is SC: fence(SC) of line 7. *)
+    let l' = Link.get cell in
+    if l' == l then l
+    else begin
+      Hpbrcu_runtime.Sched.yield ();
+      protect_from s hdr cell l'
+    end
+
+  (* The hazard goes into the next shield of the handle's ring. *)
   let read h ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
     Alloc.check_access src;
-    let s = Core.next_hop h in
-    let rec loop l =
-      (match l with
-      | Link.Null _ -> Core.protect s Block.none
-      | Link.Ptr { target; _ } -> Core.protect s (hdr target));
-      (* Atomic store above is SC: fence(SC) of line 7. *)
-      let l' = Link.get cell in
-      if l' == l then l
-      else begin
-        Hpbrcu_runtime.Sched.yield ();
-        loop l'
-      end
-    in
-    loop (Link.get cell)
+    protect_from (Core.next_hop h) hdr cell (Link.get cell)
 
   let deref _ blk = Alloc.check_access blk
 

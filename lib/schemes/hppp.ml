@@ -88,25 +88,23 @@ module Impl : Smr_intf.SCHEME = struct
   (* ProtectFrom, but validation compares targets only: a source whose link
      became marked (tag change) stays valid — the HP++ capability of
      traversing out of logically-deleted nodes.  If the node was since
-     retired, its successor is held by the retirer's patch. *)
+     retired, its successor is held by the retirer's patch.  A
+     module-level loop, so a hop builds no closure. *)
+  let rec protect_from s hdr cell l =
+    (match l with
+    | Link.Null _ -> Core.protect s Block.none
+    | Link.Ptr { target; _ } -> Core.protect s (hdr target));
+    let l' = Link.get cell in
+    if l' == l || Link.same_target l' l then l'
+    else begin
+      Hpbrcu_runtime.Sched.yield ();
+      protect_from s hdr cell l'
+    end
+
   let read h ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
     Alloc.check_access src;
-    let s = Core.next_hop h in
-    let rec loop l =
-      (match l with
-      | Link.Null _ -> Core.protect s Block.none
-      | Link.Ptr { target; _ } -> Core.protect s (hdr target));
-      let l' = Link.get cell in
-      if
-        l' == l || Link.same_target l' l
-      then l'
-      else begin
-        Hpbrcu_runtime.Sched.yield ();
-        loop l'
-      end
-    in
-    loop (Link.get cell)
+    protect_from (Core.next_hop h) hdr cell (Link.get cell)
 
   let deref _ blk = Alloc.check_access blk
 

@@ -142,33 +142,34 @@ module Impl : Smr_intf.SCHEME = struct
 
   let op _ body = body ()
 
-  (* Read phase.  A rollback restarts the body from scratch — NBR's
-     coarse-grained recovery. *)
-  let crit h body =
+  (* Read phase, running [f a b c].  A rollback restarts it from scratch —
+     NBR's coarse-grained recovery — by a tail call rather than through a
+     closure built per [crit]. *)
+  let rec crit_run h f a b c =
     let l = h.l in
-    let rec go () =
-      Signal.consume_quietly l.box;
-      Atomic.set l.status st_incs;
-      Trace.emit Trace.Cs_begin 0;
-      match body () with
-      | r ->
-          Atomic.set l.status st_out;
-          Signal.consume_quietly l.box;
-          Trace.emit Trace.Cs_end 0;
-          r
-      | exception Rollback ->
-          Atomic.set l.status st_out;
-          Stats.Counter.incr h.d.rollbacks;
-          Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq l.box);
-          Trace.emit Trace.Cs_end 1;
-          Sched.yield ();
-          go ()
-      | exception e ->
-          Atomic.set l.status st_out;
-          Trace.emit Trace.Cs_end 2;
-          raise e
-    in
-    go ()
+    Signal.consume_quietly l.box;
+    Atomic.set l.status st_incs;
+    Trace.emit Trace.Cs_begin 0;
+    match f a b c with
+    | r ->
+        Atomic.set l.status st_out;
+        Signal.consume_quietly l.box;
+        Trace.emit Trace.Cs_end 0;
+        r
+    | exception Rollback ->
+        Atomic.set l.status st_out;
+        Stats.Counter.incr h.d.rollbacks;
+        Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq l.box);
+        Trace.emit Trace.Cs_end 1;
+        Sched.yield ();
+        crit_run h f a b c
+    | exception e ->
+        Atomic.set l.status st_out;
+        Trace.emit Trace.Cs_end 2;
+        raise e
+
+  let run_body body () () = body ()
+  let crit h body = crit_run h run_body body () ()
 
   (* NBR's write-phase marker: inside the region the thread does not count
      as "in a read phase", so a neutralization is not acted upon (the
@@ -180,7 +181,13 @@ module Impl : Smr_intf.SCHEME = struct
     let l = h.l in
     let saved = Atomic.get l.status in
     Atomic.set l.status st_out;
-    Fun.protect ~finally:(fun () -> Atomic.set l.status saved) body
+    match body () with
+    | r ->
+        Atomic.set l.status saved;
+        r
+    | exception e ->
+        Atomic.set l.status saved;
+        raise e
 
   let read h ~src ~hdr:_ cell =
     Sched.yield ();
@@ -243,8 +250,10 @@ module Impl : Smr_intf.SCHEME = struct
   (* NBR's traversal: one read-phase critical section from entry to
      destination, protecting the final cursor before the phase ends when
      the caller holds it past the section. *)
-  let traverse h ~hold ~prot ~backup:_ w =
-    crit h (fun () -> Scheme_common.plain_traverse ~hold ~prot w)
+  (* One read phase around the whole walk; its arguments travel as
+     [crit_run]'s, so a traversal builds no closure. *)
+  let walk_all hold prot w = Scheme_common.plain_traverse ~hold ~prot w
+  let traverse h ~hold ~prot ~backup:_ w = crit_run h walk_all hold prot w
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -437,6 +437,57 @@ let test_present_insert scheme (module M : Test_util.MAKE) () =
           done;
           L.close_session se))
 
+(* Minor words per call of [f k], over 50 rounds of keys 0..31. *)
+let words_per_call f =
+  for k = 0 to 31 do
+    f k
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 50 do
+    for k = 0 to 31 do
+      f k
+    done
+  done;
+  (Gc.minor_words () -. w0) /. 1600.
+
+(* Words per [get] of a present key and per [remove] of an absent one, on
+   a 32-key list [B] under [scheme]. *)
+let op_words (module B : Ds.Hashmap.BUCKETS) scheme =
+  Test_util.with_scheme scheme (fun (module S) ->
+      let module L = B (S) in
+      let t = L.create () in
+      let s = L.session t in
+      for k = 0 to 31 do
+        ignore (L.insert t s (2 * k) 0 : bool)
+      done;
+      let get = words_per_call (fun k -> ignore (L.get t s (2 * k) : bool)) in
+      let remove =
+        words_per_call (fun k -> ignore (L.remove t s ((2 * k) + 1) : bool))
+      in
+      L.close_session s;
+      (get, remove))
+
+(* A scheme's mediation allocates nothing per operation: a get and an
+   absent-key remove, on the list the scheme runs ({!Matrix.list_for}),
+   read NR's words on the same list (its cursor).  A read that builds
+   its validation loop as a closure per hop reads ~109 words per get
+   under HP++, and a traversal wrapped in a per-call closure ~6 more. *)
+let test_op_words scheme () =
+  let list =
+    Hpbrcu_schemes.Schemes.with_domain
+      (Hpbrcu_schemes.Schemes.find scheme)
+      (fun (module D) ->
+        Hpbrcu_workload.Matrix.list_for (Smr_intf.caps (module D)))
+  in
+  let nr_get, nr_remove = op_words list "NR" in
+  let get, remove = op_words list scheme in
+  let near what nr x =
+    if Float.abs (x -. nr) > 0.25 then
+      Alcotest.failf "%s: %.2f words per op, NR %.2f" what x nr
+  in
+  near "get" nr_get get;
+  near "remove-absent" nr_remove remove
+
 let () =
   Alcotest.run "alloc"
     [
@@ -491,6 +542,11 @@ let () =
                   (test_present_insert scheme m))
               Test_util.structures)
           [ "NR"; "HP-BRCU"; "VBR" ] );
+      ( "op-words",
+        List.map
+          (fun scheme ->
+            Alcotest.test_case scheme `Quick (test_op_words scheme))
+          [ "HP"; "HP++"; "HE"; "NBR" ] );
       ( "vbr-recycles",
         List.filter_map
           (fun (ds, m) ->
