@@ -633,6 +633,8 @@ module Reclaim_bench = struct
     ns_per_op : float;
     minor_words_per_op : float;
     gated : bool;  (* counted by check.sh's steady-state allocation gate *)
+    ns_range : (float * float) option;
+        (* a per-node walk row's lowest and highest round *)
   }
 
   (* Time [f] over [iters] calls and measure the minor-heap delta per call.
@@ -666,6 +668,7 @@ module Reclaim_bench = struct
       ns_per_op = ns /. float_of_int ops;
       minor_words_per_op = words /. float_of_int ops;
       gated;
+      ns_range = None;
     }
 
   let measure ~iters f =
@@ -901,15 +904,40 @@ module Reclaim_bench = struct
     warm cycle;
     best_of_five ~iters cycle
 
-  (* [median_best ~iters cycle] — [warm_best] for the per-node walk rows,
-     which are the difference of two such figures: the median ns of three
-     best-of-five windows, so one window's jitter no longer lands in the
-     per-node figure.  Words take the max over every window. *)
-  let median_best ~iters cycle =
-    warm cycle;
-    let rs = List.init 3 (fun _ -> best_of_five ~iters cycle) in
-    ( List.nth (List.sort Float.compare (List.map fst rs)) 1,
-      List.fold_left (fun w (_, w') -> Float.max w w') 0. rs )
+  (* The per-node walk rows ([traverse-walk], [raw-walk]): the same get
+     past the tail of a [walk_short]- and of a [walk_long]-node list,
+     per node over the extra nodes.  [walk_rounds] rounds each time one
+     best-of-five window of either length, back to back, so drift between
+     the two lengths lands inside a round; the row reports the median
+     round, and its [ns_range] the lowest and highest (a single best
+     window per length spread ~2x between processes).  [per_node] also
+     returns the short get's median ns and each length's words, the max
+     over every window. *)
+  let walk_short, walk_long = (128, 1024)
+  let walk_rounds = 9
+
+  let per_node ~iters short_cycle long_cycle =
+    warm short_cycle;
+    warm long_cycle;
+    let rounds =
+      List.init walk_rounds (fun _ ->
+          let s = best_of_five ~iters short_cycle in
+          (s, best_of_five ~iters long_cycle))
+    in
+    let median xs = List.nth (List.sort Float.compare xs) (walk_rounds / 2) in
+    let extra = float_of_int (walk_long - walk_short) in
+    let nodes =
+      List.map (fun ((ns_s, _), (ns_l, _)) -> (ns_l -. ns_s) /. extra) rounds
+    in
+    let words pick =
+      List.fold_left (fun w r -> Float.max w (snd (pick r))) 0. rounds
+    in
+    let words_s = words fst and words_l = words snd in
+    ( median nodes,
+      ( List.fold_left Float.min infinity nodes,
+        List.fold_left Float.max neg_infinity nodes ),
+      Float.max 0. ((words_l -. words_s) /. extra),
+      (median (List.map (fun ((ns_s, _), _) -> ns_s) rounds), words_s) )
 
   (* The disabled-tracer fast path: every hot-path emit in the runtime is
      one ref read and a branch when tracing is off (DESIGN.md §10).
@@ -1119,30 +1147,34 @@ module Reclaim_bench = struct
     let d = X.create ~label:"bench-walk" Config.default in
     let module S = Smr_intf.Bind (X) (struct let it = d end) in
     let module L = Hpbrcu_ds.Harris_list.Make_hhs (S) in
-    let per_get n =
+    let list n =
       let t = L.create () in
       let s = L.session t in
       for k = 0 to n - 1 do
         ignore (L.insert t s k 0 : bool)
       done;
-      let r = median_best ~iters (fun () -> ignore (L.get t s n : bool)) in
-      L.close_session s;
-      r
+      (s, fun () -> ignore (L.get t s n : bool))
     in
-    let short, long = (128, 1024) in
-    let ns_s, words_s = per_get short in
-    let ns_l, words_l = per_get long in
+    let s_short, short = list walk_short in
+    let s_long, long = list walk_long in
+    let ns_node, range, words_node, (ns_s, words_s) =
+      per_node ~iters short long
+    in
+    L.close_session s_short;
+    L.close_session s_long;
     X.destroy ~force:true d;
     Alloc.reset ();
-    let extra = float_of_int (long - short) in
-    let ns_node = (ns_l -. ns_s) /. extra in
-    let words_node = Float.max 0. ((words_l -. words_s) /. extra) in
     let scheme = (X.caps Config.default).Hpbrcu_core.Caps.name in
     [
-      row ~kernel:"traverse-walk" ~scheme ~iters ~ops:1 ~gated:true
-        (ns_node, words_node);
+      {
+        (row ~kernel:"traverse-walk" ~scheme ~iters ~ops:1 ~gated:true
+           (ns_node, words_node))
+        with
+        ns_range = Some range;
+      };
       row ~kernel:"traverse-get" ~scheme ~iters ~ops:1 ~gated:true
-        (ns_s, Float.max 0. (words_s -. (float_of_int short *. words_node)));
+        ( ns_s,
+          Float.max 0. (words_s -. (float_of_int walk_short *. words_node)) );
     ]
 
   (* Words one HHSList update allocates when the key decides it changes
@@ -1206,7 +1238,7 @@ module Reclaim_bench = struct
   let raw_walk_kernel ~iters =
     let pool = Hpbrcu_alloc.Pool.create () in
     let node key = Hl.mk_node ~recyclable:false ~era:0 key 0 pool in
-    let per_get n =
+    let list n =
       (* Linked in key order, allocated in key order, as the inserts of
          [traverse_kernels] leave an HHSList. *)
       let head = node min_int in
@@ -1216,16 +1248,21 @@ module Reclaim_bench = struct
           Link.set (Hl.next_cell (if k = 0 then head else nodes.(k - 1)))
             (Link.ptr x))
         nodes;
-      let walk () = raw_walk n (Link.get (Hl.next_cell head)) in
-      median_best ~iters (fun () -> ignore (Sys.opaque_identity (walk ()) : bool))
+      fun () ->
+        ignore
+          (Sys.opaque_identity (raw_walk n (Link.get (Hl.next_cell head)))
+            : bool)
     in
-    let short, long = (128, 1024) in
-    let ns_s, words_s = per_get short in
-    let ns_l, words_l = per_get long in
+    let ns_node, range, words_node, _ =
+      per_node ~iters (list walk_short) (list walk_long)
+    in
     Alloc.reset ();
-    let extra = float_of_int (long - short) in
-    row ~kernel:"raw-walk" ~scheme:"-" ~iters ~ops:1 ~gated:false
-      ((ns_l -. ns_s) /. extra, Float.max 0. ((words_l -. words_s) /. extra))
+    {
+      (row ~kernel:"raw-walk" ~scheme:"-" ~iters ~ops:1 ~gated:false
+         (ns_node, words_node))
+      with
+      ns_range = Some range;
+    }
 
   (* Short reads: 64 [get]s of present keys spread over a map of [n] keys
      inserted in a shuffled order.  [tree-get] is an NMTree of 4Ki keys
@@ -1333,9 +1370,12 @@ module Reclaim_bench = struct
         Printf.fprintf oc
           "    {\"kernel\": %S, \"scheme\": %S, \"hazards\": %d, \"iters\": \
            %d, \"ops_per_cycle\": %d, \"ns_per_op\": %.1f, \
-           \"minor_words_per_op\": %.4f, \"gated\": %b}%s\n"
+           \"minor_words_per_op\": %.4f, \"gated\": %b%s}%s\n"
           r.kernel r.scheme r.hazards r.iters r.ops_per_cycle r.ns_per_op
           r.minor_words_per_op r.gated
+          (match r.ns_range with
+          | Some (lo, hi) -> Printf.sprintf ", \"ns_range\": [%.2f, %.2f]" lo hi
+          | None -> "")
           (if i = last then "" else ","))
       rows;
     output_string oc "  ]\n}\n";
@@ -1370,9 +1410,13 @@ module Reclaim_bench = struct
     let rows = run_all ~quick in
     List.iter
       (fun r ->
-        Printf.printf "%-12s %-8s H=%-6d %10.1f ns/op %10.4f words/op%s\n"
+        Printf.printf "%-12s %-8s H=%-6d %10.1f ns/op %10.4f words/op%s%s\n"
           r.kernel r.scheme r.hazards r.ns_per_op r.minor_words_per_op
-          (if r.gated then "  [gated]" else ""))
+          (if r.gated then "  [gated]" else "")
+          (match r.ns_range with
+          | Some (lo, hi) ->
+              Printf.sprintf "  (%d rounds: %.2f..%.2f)" walk_rounds lo hi
+          | None -> ""))
       rows;
     write_json out rows;
     Printf.printf "wrote %s\n" out;
