@@ -108,9 +108,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* ---------------- search ---------------- *)
 
   (* Cursor: grandparent, parent, leaf plus the update words observed when
-     crossing them (the EFRB search postcondition).  The live cursor is
-     built afresh by each traversal's [init], a checkpoint slot by its
-     first [save]; [gp] is {!no_node} until the search has a grandparent. *)
+     crossing them (the EFRB search postcondition); [gp] is {!no_node}
+     until the search has a grandparent. *)
   type cursor = {
     mutable gp : node;
     mutable gpupdate : update;
@@ -140,83 +139,59 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let no_iinfo = { ip = no_node; il = no_node; inew = no_node }
   let no_dinfo = { dgp = no_node; dp = no_node; dl = no_node; dpupdate = Clean }
 
-  type session = {
-    h : S.handle;
-    prot : S.shield array;  (* gp, p, l *)
-    backup : S.shield array;
-    mutable key : int;  (* the running operation's key ... *)
-    mutable found : bool;  (* ... and its search's answer *)
-    mutable ds : t;  (* the structure the running operation acts on *)
-    mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
-    w : S.shield walker;
-    mutable iop : iinfo;  (* [insert_masked]'s descriptor *)
-    mutable dop : dinfo;  (* [delete_masked]'s and [marked_masked]'s *)
-    get_body : unit -> bool;
-        (* the bodies [S.op] and [S.mask] run, built once per session:
-           their arguments travel in the fields above; a mask body reads
-           its descriptor first, since it may mask another *)
-    insert_body : unit -> bool;
-    remove_body : unit -> bool;
-    insert_masked : unit -> unit;
-    delete_masked : unit -> bool;
-    marked_masked : unit -> unit;
+  module Sk =
+    Session.Make
+      (S)
+      (struct
+        type shield = S.shield
+        type t = cursor
+
+        let clone c =
+          { gp = c.gp; gpupdate = c.gpupdate; p = c.p; pupdate = c.pupdate; l = c.l }
+
+        let copy ~src ~dst =
+          dst.gp <- src.gp;
+          dst.gpupdate <- src.gpupdate;
+          dst.p <- src.p;
+          dst.pupdate <- src.pupdate;
+          dst.l <- src.l
+
+        (* Resuming a checkpointed EFRB cursor cannot be revalidated
+           locally (deletion state lives in ancestors' update words), so
+           rollbacks restart the operation from the root; EFRB searches
+           are short (log n), making restarts cheap.  The walker says so
+           ([~resumable:false]), so that HP-RCU walks it in one critical
+           section instead of ending a section it could never resume. *)
+        let validate _ = false
+
+        let protect (sh : S.shield array) c =
+          S.protect sh.(0) (gp_blk c.gp);
+          S.protect sh.(1) (blk c.p);
+          S.protect sh.(2) (blk c.l)
+      end)
+
+  (* A session's own fields: the descriptors [insert_masked] ([iop]) and
+     [delete_masked] and [marked_masked] ([dop]) act on, and those
+     bodies, built once per session.  A mask body reads its descriptor
+     first, since it may mask another. *)
+  type ext = {
+    mutable iop : iinfo;
+    mutable dop : dinfo;
+    mutable insert_masked : unit -> unit;
+    mutable delete_masked : unit -> bool;
+    mutable marked_masked : unit -> unit;
   }
 
-  let close_session s =
-    S.flush s.h;
-    S.unregister s.h
+  type session = (t, ext) Sk.session
 
-
-  let protect_cursor s (sh : S.shield array) =
-    let c = s.live in
-    S.protect sh.(0) (gp_blk c.gp);
-    S.protect sh.(1) (blk c.p);
-    S.protect sh.(2) (blk c.l)
-
-  (* Resuming a checkpointed EFRB cursor cannot be revalidated locally
-     (deletion state lives in ancestors' update words), so rollbacks
-     restart the operation from the root; EFRB searches are short (log n),
-     making restarts cheap.  The walker says so ([resumable = false]), so
-     that HP-RCU walks it in one critical section instead of ending a
-     section it could never resume. *)
-  let validate_cursor _ = false
-
-  let copy_cursor ~src ~dst =
-    dst.gp <- src.gp;
-    dst.gpupdate <- src.gpupdate;
-    dst.p <- src.p;
-    dst.pupdate <- src.pupdate;
-    dst.l <- src.l
-
-  (* A traversal's first save into slot [i] builds the slot; later ones
-     copy into it. *)
-  let save_cursor s i =
-    let c = s.live in
-    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
-    else begin
-      s.slots.(i) <-
-        {
-          gp = c.gp;
-          gpupdate = c.gpupdate;
-          p = c.p;
-          pupdate = c.pupdate;
-          l = c.l;
-        };
-      s.saved <- s.saved lor (1 lsl i)
-    end
-
-  let init_cursor t s =
-    let l0 =
-      Link.target_exn (S.read s.h ~src:(blk t.root) ~hdr:blk t.root.left)
-    in
-    let pupdate = Atomic.get t.root.update in
-    s.saved <- 0;
-    s.live <- { gp = no_node; gpupdate = Clean; p = t.root; pupdate; l = l0 }
+  let init (s : session) =
+    let root = s.ds.root in
+    let l0 = Link.target_exn (S.read s.h ~src:(blk root) ~hdr:blk root.left) in
+    let pupdate = Atomic.get root.update in
+    { gp = no_node; gpupdate = Clean; p = root; pupdate; l = l0 }
 
   (* The walk stops: write the cursor back to the session. *)
-  let stop s gp gpupdate p pupdate l r =
+  let stop (s : session) gp gpupdate p pupdate l r =
     let c = s.live in
     c.gp <- gp;
     c.gpupdate <- gpupdate;
@@ -227,7 +202,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* The search, at most [n] steps of it, with the cursor in the
      arguments. *)
-  let rec walk s key n gp gpupdate p pupdate l =
+  let rec walk_from (s : session) key n gp gpupdate p pupdate l =
     if n = 0 then stop s gp gpupdate p pupdate l walk_more
     else begin
       s.w.steps <- s.w.steps + 1;
@@ -240,15 +215,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         let next = S.read s.h ~src:(blk l) ~hdr:blk (child_cell l key) in
         match next with
         | Link.Null _ -> walk_fail (* torn read; retry *)
-        | Link.Ptr { target = nl; _ } -> walk s key (n - 1) p pupdate l lupdate nl
+        | Link.Ptr { target = nl; _ } ->
+            walk_from s key (n - 1) p pupdate l lupdate nl
       end
     end
 
-  (* Search [s.ds] for [s.key]; the cursor and the answer stay in the
-     session, the cursor protected when [hold]. *)
-  let rec search s ~hold =
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search s ~hold
+  let walk (s : session) n =
+    let c = s.live in
+    walk_from s s.key n c.gp c.gpupdate c.p c.pupdate c.l
 
   (* ---------------- helping ---------------- *)
 
@@ -290,7 +264,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      child swing retires p and l (unique: the expected link record wins
      once).  The whole unlink+retire pair is abort-masked so a rollback
      cannot separate them. *)
-  let marked s (op : dinfo) =
+  let marked (s : session) (op : dinfo) =
     (* Identify p's other child (frozen: p is marked). *)
     let other =
       let l = Link.get op.dp.left in
@@ -310,9 +284,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     | Link.Null _ -> ());
     unflag_delete op
 
-  let help_marked s op =
-    s.dop <- op;
-    S.mask s.h s.marked_masked
+  let help_marked (s : session) op =
+    s.x.dop <- op;
+    S.mask s.h s.x.marked_masked
 
   let rec help s (u : update) =
     match u with
@@ -339,146 +313,101 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  (* The operation bodies read their structure and key from the session:
-     [get], [insert] and [remove] store them there and hand [S.op] the
-     session's prebuilt body. *)
-  let get_op s =
-    search s ~hold:false;
-    s.found
-
   (* Search, and link a leaf in if the key is absent.  [new_leaf] is
      {!no_node} until a search has missed at a clean parent: the leaf is
      built only then, and an attempt that loses its IFlag retries with
      it. *)
-  let rec insert_op s new_leaf =
-    search s ~hold:true;
-    let c = s.live in
-    if s.found then begin
+  let rec insert_op (s : session) new_leaf =
+    if Sk.search s then begin
       if new_leaf != no_node then Alloc.abandon (blk new_leaf);
       false
     end
-    else if c.pupdate <> Clean then begin
-      help s c.pupdate;
-      insert_op s new_leaf
-    end
-    else begin
-      let key = s.key in
-      let new_leaf =
-        if new_leaf == no_node then mk_leaf ~recyclable key else new_leaf
-      in
-      let new_internal =
-        if key < c.l.key then
-          mk_internal ~recyclable c.l.key ~left:new_leaf ~right:c.l
-        else mk_internal ~recyclable key ~left:c.l ~right:new_leaf
-      in
-      let op = { ip = c.p; il = c.l; inew = new_internal } in
-      if Atomic.compare_and_set c.p.update c.pupdate (IFlag op) then begin
-        s.iop <- op;
-        S.mask s.h s.insert_masked;
-        true
-      end
-      else begin
-        (* IFlag lost: [op] was never published, so the wrapper is
-           unreachable — write it off as abandoned (leak-at-quiescence
-           accounting, DESIGN.md §11). *)
-        Alloc.abandon (blk new_internal);
-        help s (Atomic.get c.p.update);
+    else
+      let c = s.live in
+      if c.pupdate <> Clean then begin
+        help s c.pupdate;
         insert_op s new_leaf
       end
-    end
-
-  let rec remove_op s =
-    search s ~hold:true;
-    let c = s.live in
-    if not s.found then false
-    else
-      let gp = c.gp in
-      if gp == no_node then false (* a sentinel child of the root *)
-      else if c.gpupdate <> Clean then begin
-        help s c.gpupdate;
-        remove_op s
-      end
-      else if c.pupdate <> Clean then begin
-        help s c.pupdate;
-        remove_op s
-      end
       else begin
-        let op = { dgp = gp; dp = c.p; dl = c.l; dpupdate = c.pupdate } in
-        if Atomic.compare_and_set gp.update c.gpupdate (DFlag op) then begin
-          (* Marking may fail (competitor on p): then the flag is backed
-             out inside help_delete and we retry. *)
-          s.dop <- op;
-          S.mask s.h s.delete_masked || remove_op s
+        let key = s.key in
+        let new_leaf =
+          if new_leaf == no_node then mk_leaf ~recyclable key else new_leaf
+        in
+        let new_internal =
+          if key < c.l.key then
+            mk_internal ~recyclable c.l.key ~left:new_leaf ~right:c.l
+          else mk_internal ~recyclable key ~left:c.l ~right:new_leaf
+        in
+        let op = { ip = c.p; il = c.l; inew = new_internal } in
+        if Atomic.compare_and_set c.p.update c.pupdate (IFlag op) then begin
+          s.x.iop <- op;
+          S.mask s.h s.x.insert_masked;
+          true
         end
         else begin
-          help s (Atomic.get gp.update);
-          remove_op s
+          (* IFlag lost: [op] was never published, so the wrapper is
+             unreachable — write it off as abandoned (leak-at-quiescence
+             accounting, DESIGN.md §11). *)
+          Alloc.abandon (blk new_internal);
+          help s (Atomic.get c.p.update);
+          insert_op s new_leaf
         end
       end
 
+  let rec remove_op (s : session) =
+    Sk.search s
+    &&
+    let c = s.live in
+    let gp = c.gp in
+    if gp == no_node then false (* a sentinel child of the root *)
+    else if c.gpupdate <> Clean then begin
+      help s c.gpupdate;
+      remove_op s
+    end
+    else if c.pupdate <> Clean then begin
+      help s c.pupdate;
+      remove_op s
+    end
+    else begin
+      let op = { dgp = gp; dp = c.p; dl = c.l; dpupdate = c.pupdate } in
+      if Atomic.compare_and_set gp.update c.gpupdate (DFlag op) then begin
+        (* Marking may fail (competitor on p): then the flag is backed
+           out inside help_delete and we retry. *)
+        s.x.dop <- op;
+        S.mask s.h s.x.delete_masked || remove_op s
+      end
+      else begin
+        help s (Atomic.get gp.update);
+        remove_op s
+      end
+    end
+
   let session t =
-    let h = S.register S.it in
-    let shields n = Array.init n (fun _ -> S.new_shield h) in
-    let prot = shields 3 in
-    let backup = shields 3 in
-    (* A placeholder for the live cursor and the slots until the first
-       traversal's [init] and [save]s replace it. *)
-    let idle =
-      { gp = no_node; gpupdate = Clean; p = t.root; pupdate = Clean; l = t.root }
-    in
-    let rec s =
+    let ext _ =
       {
-        h;
-        prot;
-        backup;
-        key = 0;
-        found = false;
-        ds = t;
-        live = idle;
-        slots = [| idle; idle |];
-        saved = 0;
-        w =
-          {
-            init = (fun () -> init_cursor s.ds s);
-            walk =
-              (fun n ->
-                let c = s.live in
-                walk s s.key n c.gp c.gpupdate c.p c.pupdate c.l);
-            save = (fun i -> save_cursor s i);
-            restore =
-              (fun i ->
-                copy_cursor ~src:s.slots.(i) ~dst:s.live;
-                validate_cursor s.live);
-            protect = (fun sh -> protect_cursor s sh);
-            resumable = false;
-            steps = 0;
-          };
         iop = no_iinfo;
         dop = no_dinfo;
-        get_body = (fun () -> get_op s);
-        insert_body = (fun () -> insert_op s no_node);
-        remove_body = (fun () -> remove_op s);
-        insert_masked = (fun () -> help_insert s.iop);
-        delete_masked = (fun () -> help_delete s s.dop);
-        marked_masked = (fun () -> marked s s.dop);
+        insert_masked = ignore;
+        delete_masked = Fun.const false;
+        marked_masked = ignore;
       }
     in
+    let s =
+      Sk.create ~resumable:false ~shields:3
+        ~idle:
+          { gp = no_node; gpupdate = Clean; p = t.root; pupdate = Clean; l = t.root }
+        ~ext ~init ~walk
+        ~insert:(fun s -> insert_op s no_node)
+        ~remove:remove_op t
+    in
+    s.x.insert_masked <- (fun () -> help_insert s.x.iop);
+    s.x.delete_masked <- (fun () -> help_delete s s.x.dop);
+    s.x.marked_masked <- (fun () -> marked s s.x.dop);
     s
 
-  let get t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.get_body
-
-  let insert t s key _value =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.insert_body
-
-  let remove t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.remove_body
-
+  let close_session = Sk.close_session
+  let get = Sk.get
+  let insert = Sk.insert
+  let remove = Sk.remove
   let cleanup _t _s = ()
 end

@@ -80,31 +80,46 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* The traversal cursor: [prev] and the link loaded from [prev.next]
      (whose target is [cur]).  Keeping the loaded link (not just the
-     target) gives CASes their physical-equality expected value.  The
-     live cursor is built afresh by each traversal's [init], a
-     checkpoint slot by its first [save]. *)
+     target) gives CASes their physical-equality expected value. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
-  type session = {
-    h : S.handle;
-    prot : S.shield array;  (* protector: prev, cur *)
-    backup : S.shield array;  (* double-buffer twin *)
-    mask0 : S.shield;  (* outliving shields for masked regions (Alg. 8) *)
-    mask1 : S.shield;
-    mutable key : int;  (* the running operation's key ... *)
-    mutable value : int;  (* ... the value an insert publishes ... *)
-    mutable found : bool;  (* ... and its search's answer *)
-    mutable ds : t;  (* the structure the running operation acts on *)
-    mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
-    w : S.shield walker;
-    get_body : unit -> bool;
-        (* the bodies [S.op] runs, built once per session: their
-           arguments travel in the fields above *)
-    insert_body : unit -> bool;
-    remove_body : unit -> bool;
-  }
+  module Sk =
+    Session.Make
+      (S)
+      (struct
+        type shield = S.shield
+        type t = cursor
+
+        let clone c = { prev = c.prev; pnext = c.pnext }
+
+        let copy ~src ~dst =
+          dst.prev <- src.prev;
+          dst.pnext <- src.pnext
+
+        (* ListCursor.validate: the node the resumed traversal will
+           dereference must not be logically deleted (checking the mark
+           suffices for revalidation, §3.3).  Cursor nodes are
+           checkpoint-protected, hence unreclaimed, so bare loads are
+           safe here. *)
+        let validate c =
+          match c.pnext with
+          | Link.Null _ ->
+              Alloc.check_access (blk c.prev);
+              not (Link.is_marked (Link.get (next_cell c.prev)))
+          | Link.Ptr { target = cur; _ } ->
+              Alloc.check_access (blk cur);
+              not (Link.is_marked (Link.get (next_cell cur)))
+
+        (* ListCursorProtector.protect: publish both cursor nodes. *)
+        let protect (sh : S.shield array) c =
+          S.protect sh.(0) (blk c.prev);
+          S.protect sh.(1) (link_blk c.pnext)
+      end)
+
+  (* A session's own fields: outliving shields for masked regions
+     (Alg. 8). *)
+  type ext = { mask0 : S.shield; mask1 : S.shield }
+  type session = (t, ext) Sk.session
 
   (* Non-recycling schemes never read a node's pool: their lists share
      this one. *)
@@ -113,10 +128,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let create () =
     mk_node ~recyclable:false ~era:0 min_int 0
       (if S.recycles then Pool.create () else unused_pool)
-
-  let close_session s =
-    S.flush s.h;
-    S.unregister s.h
 
   (* ---------------- allocation (pool-aware for VBR) ---------------- *)
 
@@ -134,60 +145,26 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- Traverse plumbing (Algorithm 8) ---------------- *)
 
-  (* ListCursorProtector.protect: publish both cursor nodes. *)
-  let protect_cursor s (sh : S.shield array) =
-    let c = s.live in
-    S.protect sh.(0) (blk c.prev);
-    S.protect sh.(1) (link_blk c.pnext)
-
-  (* ListCursor.validate: the node the resumed traversal will dereference
-     must not be logically deleted (checking the mark suffices for
-     revalidation, §3.3).  Cursor nodes are checkpoint-protected, hence
-     unreclaimed, so bare loads are safe here. *)
-  let validate_cursor c =
-    match c.pnext with
-    | Link.Null _ ->
-        Alloc.check_access (blk c.prev);
-        not (Link.is_marked (Link.get (next_cell c.prev)))
-    | Link.Ptr { target = cur; _ } ->
-        Alloc.check_access (blk cur);
-        not (Link.is_marked (Link.get (next_cell cur)))
-
-  let copy_cursor ~src ~dst =
-    dst.prev <- src.prev;
-    dst.pnext <- src.pnext
-
-  (* A traversal's first save into slot [i] builds the slot; later ones
-     copy into it. *)
-  let save_cursor s i =
-    let c = s.live in
-    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
-    else begin
-      s.slots.(i) <- { prev = c.prev; pnext = c.pnext };
-      s.saved <- s.saved lor (1 lsl i)
-    end
-
-  let init_cursor t s =
-    let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell t) in
-    s.saved <- 0;
-    s.live <- { prev = t; pnext }
+  let init (s : session) =
+    let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell s.ds) in
+    { prev = s.ds; pnext }
 
   (* The walk stops: write the cursor back to the session. *)
-  let stop s prev pnext r =
+  let stop (s : session) prev pnext r =
     s.live.prev <- prev;
     s.live.pnext <- pnext;
     r
 
-  let finish s prev pnext found =
+  let finish (s : session) prev pnext found =
     s.found <- found;
     stop s prev pnext walk_done
 
   (* [cur] is logically deleted: help unlink it from [prev] and retire it.
      The unlink + retire pair is abort-rollback-unsafe, so it runs masked
      on outliving protections (Algorithm 8 lines 23-27). *)
-  let help_unlink s prev pnext cur next desired =
-    S.protect s.mask0 (blk prev);
-    S.protect s.mask1 (blk cur);
+  let help_unlink (s : session) prev pnext cur next desired =
+    S.protect s.x.mask0 (blk prev);
+    S.protect s.x.mask1 (blk cur);
     S.mask s.h (fun () ->
         if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
           retire_node s.h cur next;
@@ -198,7 +175,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* Algorithm 8's step closure, at most [n] steps of it, with the cursor
      in the arguments. *)
-  let rec walk s key n prev pnext =
+  let rec walk_from (s : session) key n prev pnext =
     if n = 0 then stop s prev pnext walk_more
     else begin
       s.w.steps <- s.w.steps + 1;
@@ -213,133 +190,71 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           if Link.is_marked next then begin
             let desired = Link.with_tag next 0 in
             if help_unlink s prev pnext cur next desired then
-              walk s key (n - 1) prev desired
+              walk_from s key (n - 1) prev desired
             else walk_fail
           end
           else if k >= key then finish s prev pnext (k = key)
-          else walk s key (n - 1) cur next
+          else walk_from s key (n - 1) cur next
     end
 
-  (* TrySearch: traverse [s.ds] until the position of [s.key]; retry
-     the whole operation if revalidation failed (rare).  On success the
-     cursor and the answer stay in the session, the cursor protected by
-     one of its shield arrays when [hold]. *)
-  let rec search s ~hold =
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search s ~hold
+  let walk (s : session) n = walk_from s s.key n s.live.prev s.live.pnext
 
   (* ---------------- operations ---------------- *)
 
-  (* The operation bodies read their structure, key and value from the
-     session: [get], [insert] and [remove] store them there and hand
-     [S.op] the session's prebuilt body. *)
-  let get_op s =
-    search s ~hold:false;
-    s.found
-
   (* The node is built only once the search has missed. *)
-  let rec insert_op s =
-    search s ~hold:true;
-    (not s.found) && link_node s (alloc_node s.ds s.key s.value)
+  let rec insert_op (s : session) =
+    (not (Sk.search s)) && link_node s (alloc_node s.ds s.key s.value)
 
   (* Link [n] in at the cursor of a search that missed; a lost CAS
      searches again with the same node. *)
-  and link_node s n =
+  and link_node (s : session) n =
     let c = s.live in
     Link.set (next_cell n) (Link.with_tag c.pnext 0);
     Link.cas (next_cell c.prev) ~expected:c.pnext ~desired:(Link.ptr n)
     || begin
-         search s ~hold:true;
-         if s.found then begin
+         if Sk.search s then begin
            discard s.ds n;
            false
          end
          else link_node s n
        end
 
-  let rec remove_op s =
-    search s ~hold:true;
-    if not s.found then false
-    else
-      let prev = s.live.prev and pnext = s.live.pnext in
-      let cur = Link.target_exn pnext in
-      let next = S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur) in
-      if Link.is_marked next then remove_op s (* lost the race *)
-      else if
-        (* Logical deletion: mark cur's next link. *)
-        Link.cas (next_cell cur) ~expected:next ~desired:(Link.with_tag next 1)
-      then begin
-        (* Physical deletion; on failure a helping traversal will finish
-           the job (and retire the node). *)
-        let desired = Link.with_tag next 0 in
-        if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
-          retire_node s.h cur next;
-          Pool.recycle ~recycles:S.recycles cur.pool cur
-        end
-        else search s ~hold:true;
-        true
+  let rec remove_op (s : session) =
+    Sk.search s
+    &&
+    let prev = s.live.prev and pnext = s.live.pnext in
+    let cur = Link.target_exn pnext in
+    let next = S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur) in
+    if Link.is_marked next then remove_op s (* lost the race *)
+    else if
+      (* Logical deletion: mark cur's next link. *)
+      Link.cas (next_cell cur) ~expected:next ~desired:(Link.with_tag next 1)
+    then begin
+      (* Physical deletion; on failure a helping traversal will finish
+         the job (and retire the node). *)
+      let desired = Link.with_tag next 0 in
+      if Link.cas (next_cell prev) ~expected:pnext ~desired then begin
+        retire_node s.h cur next;
+        Pool.recycle ~recycles:S.recycles cur.pool cur
       end
-      else remove_op s
+      else ignore (Sk.search s : bool);
+      true
+    end
+    else remove_op s
 
   let session t =
-    let h = S.register S.it in
-    let shields n = Array.init n (fun _ -> S.new_shield h) in
-    let prot = shields 2 in
-    let backup = shields 2 in
-    let mask0 = S.new_shield h in
-    let mask1 = S.new_shield h in
-    (* A placeholder for the live cursor and the slots until the first
-       traversal's [init] and [save]s replace it. *)
-    let idle = { prev = t; pnext = Link.null } in
-    let rec s =
-      {
-        h;
-        prot;
-        backup;
-        mask0;
-        mask1;
-        key = 0;
-        value = 0;
-        found = false;
-        ds = t;
-        live = idle;
-        slots = [| idle; idle |];
-        saved = 0;
-        w =
-          {
-            init = (fun () -> init_cursor s.ds s);
-            walk = (fun n -> walk s s.key n s.live.prev s.live.pnext);
-            save = (fun i -> save_cursor s i);
-            restore =
-              (fun i ->
-                copy_cursor ~src:s.slots.(i) ~dst:s.live;
-                validate_cursor s.live);
-            protect = (fun sh -> protect_cursor s sh);
-            resumable = true;
-            steps = 0;
-          };
-        get_body = (fun () -> get_op s);
-        insert_body = (fun () -> insert_op s);
-        remove_body = (fun () -> remove_op s);
-      }
+    let ext h =
+      let mask0 = S.new_shield h in
+      let mask1 = S.new_shield h in
+      { mask0; mask1 }
     in
-    s
+    Sk.create ~shields:2 ~idle:{ prev = t; pnext = Link.null } ~ext ~init
+      ~walk ~insert:insert_op ~remove:remove_op t
 
-  let get t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.get_body
-
-  let insert t s key value =
-    s.ds <- t;
-    s.key <- key;
-    s.value <- value;
-    S.op s.h s.insert_body
-
-  let remove t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.remove_body
+  let close_session = Sk.close_session
+  let get = Sk.get
+  let insert = Sk.insert
+  let remove = Sk.remove
 
   (* Walk the whole list once, helping every pending unlink. *)
   let cleanup t s = ignore (get t s max_int : bool)

@@ -89,35 +89,37 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   type t = { head : node; pool : node Pool.t }
 
-  (* The traversal cursor.  The live cursor is built afresh by each
-     traversal's [init], a checkpoint slot by its first [save]. *)
+  (* The traversal cursor. *)
   type cursor = { mutable prev : node; mutable pnext : node Link.t }
 
-  type session = {
-    h : S.handle;
-    prot : S.shield array;
-    backup : S.shield array;
-    mutable key : int;  (* the running operation's key ... *)
-    mutable value : int;  (* ... the value an insert publishes ... *)
-    mutable found : bool;  (* ... and its search's answer *)
-    mutable ds : t;  (* the structure the running operation acts on *)
-    mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
-    w : S.shield walker;
-    get_body : unit -> bool;
-        (* the bodies [S.op] runs, built once per session: their
-           arguments travel in the fields above *)
-    insert_body : unit -> bool;
-    remove_body : unit -> bool;
-  }
+  module Sk =
+    Session.Make
+      (S)
+      (struct
+        type shield = S.shield
+        type t = cursor
+
+        let clone c = { prev = c.prev; pnext = c.pnext }
+
+        let copy ~src ~dst =
+          dst.prev <- src.prev;
+          dst.pnext <- src.pnext
+
+        (* Resuming follows prev.next: prev must not be logically
+           deleted. *)
+        let validate c =
+          Alloc.check_access (blk c.prev);
+          c.prev.marked = 0
+
+        let protect (sh : S.shield array) c =
+          S.protect sh.(0) (blk c.prev);
+          S.protect sh.(1) (link_blk c.pnext)
+      end)
+
+  type session = (t, unit) Sk.session
 
   let create () =
     { head = mk_node ~recyclable:false ~era:0 min_int 0; pool = Pool.create () }
-
-  let close_session s =
-    S.flush s.h;
-    S.unregister s.h
 
   let alloc_node t key value =
     let era = S.current_era S.it in
@@ -152,36 +154,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- traversal ---------------- *)
 
-  let protect_cursor s (sh : S.shield array) =
-    let c = s.live in
-    S.protect sh.(0) (blk c.prev);
-    S.protect sh.(1) (link_blk c.pnext)
+  let init (s : session) =
+    let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell s.ds.head) in
+    { prev = s.ds.head; pnext }
 
-  (* Resuming follows prev.next: prev must not be logically deleted. *)
-  let validate_cursor c =
-    Alloc.check_access (blk c.prev);
-    c.prev.marked = 0
-
-  let copy_cursor ~src ~dst =
-    dst.prev <- src.prev;
-    dst.pnext <- src.pnext
-
-  (* A traversal's first save into slot [i] builds the slot; later ones
-     copy into it. *)
-  let save_cursor s i =
-    let c = s.live in
-    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
-    else begin
-      s.slots.(i) <- { prev = c.prev; pnext = c.pnext };
-      s.saved <- s.saved lor (1 lsl i)
-    end
-
-  let init_cursor t s =
-    let pnext = S.read s.h ~src:Block.none ~hdr:blk (next_cell t.head) in
-    s.saved <- 0;
-    s.live <- { prev = t.head; pnext }
-
-  let finish s prev pnext found =
+  let finish (s : session) prev pnext found =
     s.found <- found;
     s.live.prev <- prev;
     s.live.pnext <- pnext;
@@ -190,7 +167,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Pure read steps, at most [n] of them, with the cursor in the
      arguments: walk (possibly across marked nodes) until key ≥ k.  No
      helping — physical removal is the remover's job, under locks. *)
-  let rec walk s key n prev pnext =
+  let rec walk_from (s : session) key n prev pnext =
     if n = 0 then begin
       s.live.prev <- prev;
       s.live.pnext <- pnext;
@@ -206,7 +183,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
              covers it.  Only the node the walk stops at needs a [deref]. *)
           let k = cur.key in
           if k < key then
-            walk s key (n - 1) cur
+            walk_from s key (n - 1) cur
               (S.read s.h ~src:(blk cur) ~hdr:blk (next_cell cur))
           else begin
             S.deref s.h (blk cur);
@@ -214,11 +191,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           end
     end
 
-  (* Search [s.ds] for [s.key]; the cursor and the answer stay in the
-     session, the cursor protected when [hold]. *)
-  let rec search s ~hold =
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search s ~hold
+  let walk (s : session) n = walk_from s s.key n s.live.prev s.live.pnext
 
   (* Heller et al.'s validation, under locks: [prev] is live and still
      links to [pnext]. *)
@@ -227,21 +200,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  (* The operation bodies read their structure, key and value from the
-     session: [get], [insert] and [remove] store them there and hand
-     [S.op] the session's prebuilt body. *)
-  let get_op s =
-    search s ~hold:false;
-    s.found
-
   (* The node is built only once the search has missed. *)
-  let rec insert_op s =
-    search s ~hold:true;
-    (not s.found) && link_node s (alloc_node s.ds s.key s.value)
+  let rec insert_op (s : session) =
+    (not (Sk.search s)) && link_node s (alloc_node s.ds s.key s.value)
 
   (* Link [n] in under [prev]'s lock at the cursor of a search that
      missed; a failed validation searches again with the same node. *)
-  and link_node s n =
+  and link_node (s : session) n =
     let c = s.live in
     let prev = c.prev and pnext = c.pnext in
     acquire prev;
@@ -264,106 +229,55 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         discard s.ds n;
         false
     | `Retry ->
-        search s ~hold:true;
-        if s.found then begin
+        if Sk.search s then begin
           discard s.ds n;
           false
         end
         else link_node s n
 
-  let rec remove_op s =
-    search s ~hold:true;
-    if not s.found then false
-    else
-      let c = s.live in
-      let prev = c.prev and pnext = c.pnext in
-      let cur = Link.target_exn pnext in
-      acquire prev;
-      (match acquire cur with
-      | () -> ()
-      | exception e ->
-          release prev;
-          raise e);
-      let removed =
-        validate_locked prev pnext && cur.marked = 0
-        && begin
-             (* Logical then physical deletion, both under locks. *)
-             ignore
-               (Block.cas_int cur marked_field ~expected:0 ~desired:1 : bool);
-             Link.set (next_cell prev) (Link.get (next_cell cur));
-             true
-           end
-      in
-      release cur;
-      release prev;
-      if removed then begin
-        (if S.patches then
-           S.retire s.h (blk cur)
-             ~patch:
-               (match Link.get (next_cell cur) with
-               | Link.Null _ -> []
-               | Link.Ptr { target = nx; _ } -> [ blk nx ])
-         else S.retire s.h (blk cur));
-        Pool.recycle ~recycles:S.recycles s.ds.pool cur;
-        true
-      end
-      else remove_op s
+  let rec remove_op (s : session) =
+    Sk.search s
+    &&
+    let c = s.live in
+    let prev = c.prev and pnext = c.pnext in
+    let cur = Link.target_exn pnext in
+    acquire prev;
+    (match acquire cur with
+    | () -> ()
+    | exception e ->
+        release prev;
+        raise e);
+    let removed =
+      validate_locked prev pnext && cur.marked = 0
+      && begin
+           (* Logical then physical deletion, both under locks. *)
+           ignore (Block.cas_int cur marked_field ~expected:0 ~desired:1 : bool);
+           Link.set (next_cell prev) (Link.get (next_cell cur));
+           true
+         end
+    in
+    release cur;
+    release prev;
+    if removed then begin
+      (if S.patches then
+         S.retire s.h (blk cur)
+           ~patch:
+             (match Link.get (next_cell cur) with
+             | Link.Null _ -> []
+             | Link.Ptr { target = nx; _ } -> [ blk nx ])
+       else S.retire s.h (blk cur));
+      Pool.recycle ~recycles:S.recycles s.ds.pool cur;
+      true
+    end
+    else remove_op s
 
   let session t =
-    let h = S.register S.it in
-    let shields n = Array.init n (fun _ -> S.new_shield h) in
-    let prot = shields 2 in
-    let backup = shields 2 in
-    (* A placeholder for the live cursor and the slots until the first
-       traversal's [init] and [save]s replace it. *)
-    let idle = { prev = t.head; pnext = Link.null } in
-    let rec s =
-      {
-        h;
-        prot;
-        backup;
-        key = 0;
-        value = 0;
-        found = false;
-        ds = t;
-        live = idle;
-        slots = [| idle; idle |];
-        saved = 0;
-        w =
-          {
-            init = (fun () -> init_cursor s.ds s);
-            walk = (fun n -> walk s s.key n s.live.prev s.live.pnext);
-            save = (fun i -> save_cursor s i);
-            restore =
-              (fun i ->
-                copy_cursor ~src:s.slots.(i) ~dst:s.live;
-                validate_cursor s.live);
-            protect = (fun sh -> protect_cursor s sh);
-            resumable = true;
-            steps = 0;
-          };
-        get_body = (fun () -> get_op s);
-        insert_body = (fun () -> insert_op s);
-        remove_body = (fun () -> remove_op s);
-      }
-    in
-    s
+    Sk.create ~shields:2 ~idle:{ prev = t.head; pnext = Link.null }
+      ~ext:ignore ~init ~walk ~insert:insert_op ~remove:remove_op t
 
-  let get t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.get_body
-
-  let insert t s key value =
-    s.ds <- t;
-    s.key <- key;
-    s.value <- value;
-    S.op s.h s.insert_body
-
-  let remove t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.remove_body
-
+  let close_session = Sk.close_session
+  let get = Sk.get
+  let insert = Sk.insert
+  let remove = Sk.remove
   let cleanup t s = ignore (get t s max_int : bool)
 end

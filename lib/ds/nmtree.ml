@@ -103,9 +103,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* Seek record (the NM paper's seekRecord): ancestor = deepest node whose
      edge toward the key is untagged; successor = that edge's target;
-     parent = leaf's parent; cur = current node (leaf at the destination).
-     The live cursor is built afresh by each traversal's [init], a
-     checkpoint slot by its first [save]. *)
+     parent = leaf's parent; cur = current node (leaf at the
+     destination). *)
   type cursor = {
     mutable anc : node;
     mutable alink : node Link.t;  (* loaded ancestor child link (untagged) *)
@@ -114,29 +113,58 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable cur : node;
   }
 
-  type session = {
-    h : S.handle;
-    prot : S.shield array;  (* anc, successor, par, cur, plink's target *)
-    backup : S.shield array;
+  module Sk =
+    Session.Make
+      (S)
+      (struct
+        type shield = S.shield
+        type t = cursor
+
+        let clone c =
+          { anc = c.anc; alink = c.alink; par = c.par; plink = c.plink; cur = c.cur }
+
+        let copy ~src ~dst =
+          dst.anc <- src.anc;
+          dst.alink <- src.alink;
+          dst.par <- src.par;
+          dst.plink <- src.plink;
+          dst.cur <- src.cur
+
+        (* Revalidation (§3.3): resuming descends from [cur]; conservative
+           and cheap: the parent must still hold a clean edge to cur.  (A
+           leaf cursor revalidates trivially: the result was derived while
+           the leaf was reachable, which is a valid linearization point
+           within the op.) *)
+        let validate c =
+          if c.cur.leaf then true
+          else begin
+            Alloc.check_access (blk c.par);
+            let ok cell =
+              let lk = Link.get cell in
+              Link.points_to lk c.cur && Link.tag lk = 0
+            in
+            ok c.par.left || ok c.par.right
+          end
+
+        (* anc, successor, par, cur, plink's target *)
+        let protect (sh : S.shield array) c =
+          S.protect sh.(0) (blk c.anc);
+          S.protect sh.(1) (link_blk c.alink);
+          S.protect sh.(2) (blk c.par);
+          S.protect sh.(3) (blk c.cur);
+          S.protect sh.(4) (link_blk c.plink)
+      end)
+
+  (* A session's own fields: [lasting] holds the ancestor and parent
+     across hops, under {!hop_shields} only (empty otherwise);
+     [prune_body] swings the live cursor's ancestor edge to [prune_to]. *)
+  type ext = {
     lasting : S.shield array;
-        (* ancestor and parent across hops, under {!hop_shields} only;
-           empty otherwise *)
-    mutable key : int;  (* the running operation's key ... *)
-    mutable value : int;  (* ... the value an insert publishes ... *)
-    mutable found : bool;  (* ... and its seek's answer *)
-    mutable ds : t;  (* the structure the running operation acts on *)
-    mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
-    w : S.shield walker;
-    mutable prune_to : node Link.t;  (* [prune_body]'s new ancestor edge *)
-    get_body : unit -> bool;
-        (* the bodies [S.op] and [S.mask] run, built once per session:
-           their arguments travel in the fields above *)
-    insert_body : unit -> bool;
-    remove_body : unit -> bool;
-    prune_body : unit -> bool;
+    mutable prune_to : node Link.t;
+    mutable prune_body : unit -> bool;
   }
+
+  type session = (t, ext) Sk.session
 
   let create () =
     (* R(inf2) -- left --> S(inf1) -- left --> leaf(inf0);
@@ -148,10 +176,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let s = sentinel inf1 ~left:l_inf0 ~right:l_inf1 in
     let r = sentinel inf2 ~left:s ~right:l_inf2 in
     { root = r; pool = Pool.create () }
-
-  let close_session s =
-    S.flush s.h;
-    S.unregister s.h
 
   (* The pool holds only leaves [insert] discarded unpublished:
      [retire_region] returns no retired node to it. *)
@@ -170,12 +194,12 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       ~right
 
   (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
-     publishes the whole cursor with [protect_cursor] inside the section.
+     publishes the whole cursor with its [protect] inside the section.
      Otherwise [read]'s ring holds the hops, and [lasting] the ancestor
      and parent a seek may keep longer than the ring does. *)
   let hop_shields = Hpbrcu_core.Caps.hop_shields caps
 
-  let key_of s (n : node) =
+  let key_of (s : session) (n : node) =
     let k = n.key in
     S.deref s.h (blk n);
     k
@@ -184,63 +208,16 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- seek (step-decomposed) ---------------- *)
 
-  let protect_cursor s (sh : S.shield array) =
-    let c = s.live in
-    S.protect sh.(0) (blk c.anc);
-    S.protect sh.(1) (link_blk c.alink);
-    S.protect sh.(2) (blk c.par);
-    S.protect sh.(3) (blk c.cur);
-    S.protect sh.(4) (link_blk c.plink)
-
-  (* Revalidation (§3.3): resuming descends from [cur]; conservative and
-     cheap: the parent must still hold a clean edge to cur.  (A leaf cursor
-     revalidates trivially: the result was derived while the leaf was
-     reachable, which is a valid linearization point within the op.) *)
-  let validate_cursor c =
-    if c.cur.leaf then true
-    else begin
-      Alloc.check_access (blk c.par);
-      let ok cell =
-        let lk = Link.get cell in
-        Link.points_to lk c.cur && Link.tag lk = 0
-      in
-      ok c.par.left || ok c.par.right
-    end
-
-  let copy_cursor ~src ~dst =
-    dst.anc <- src.anc;
-    dst.alink <- src.alink;
-    dst.par <- src.par;
-    dst.plink <- src.plink;
-    dst.cur <- src.cur
-
-  (* A traversal's first save into slot [i] builds the slot; later ones
-     copy into it. *)
-  let save_cursor s i =
-    let c = s.live in
-    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
-    else begin
-      s.slots.(i) <-
-        {
-          anc = c.anc;
-          alink = c.alink;
-          par = c.par;
-          plink = c.plink;
-          cur = c.cur;
-        };
-      s.saved <- s.saved lor (1 lsl i)
-    end
-
-  let init_cursor t s =
-    let alink = S.read s.h ~src:Block.none ~hdr:blk t.root.left in
+  let init (s : session) =
+    let root = s.ds.root in
+    let alink = S.read s.h ~src:Block.none ~hdr:blk root.left in
     let su = Link.target_exn alink in
     let plink = S.read s.h ~src:(blk su) ~hdr:blk su.left in
     let cur = Link.target_exn plink in
-    s.saved <- 0;
-    s.live <- { anc = t.root; alink; par = su; plink; cur }
+    { anc = root; alink; par = su; plink; cur }
 
   (* The walk stops: write the cursor back to the session. *)
-  let stop s anc alink par plink cur r =
+  let stop (s : session) anc alink par plink cur r =
     let c = s.live in
     c.anc <- anc;
     c.alink <- alink;
@@ -250,7 +227,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     r
 
   (* The seek, at most [n] steps of it, with the cursor in the arguments. *)
-  let rec walk s key n anc alink par plink cur =
+  let rec walk_from (s : session) key n anc alink par plink cur =
     if n = 0 then stop s anc alink par plink cur walk_more
     else begin
       s.w.steps <- s.w.steps + 1;
@@ -268,18 +245,16 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             let anc = if untagged then par else anc in
             let alink = if untagged then plink else alink in
             if hop_shields then begin
-              S.protect s.lasting.(0) (blk anc);
-              S.protect s.lasting.(1) (blk cur)
+              S.protect s.x.lasting.(0) (blk anc);
+              S.protect s.x.lasting.(1) (blk cur)
             end;
-            walk s key (n - 1) anc alink cur next nx
+            walk_from s key (n - 1) anc alink cur next nx
       end
     end
 
-  (* Seek [s.key] in [s.ds]; the seek record and the answer stay in the
-     session, the record protected when [hold]. *)
-  let rec seek s ~hold =
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      seek s ~hold
+  let walk (s : session) n =
+    let c = s.live in
+    walk_from s s.key n c.anc c.alink c.par c.plink c.cur
 
   (* ---------------- retirement of a pruned region ---------------- *)
 
@@ -290,7 +265,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      block to the scheme, which may reclaim instantly under VBR).  Every
      edge in the region is flagged or tagged, so the links are
      immutable. *)
-  let rec retire_region s keep n =
+  let rec retire_region (s : session) keep n =
     if n != keep && Alloc.try_retire (blk n) then begin
       let l = if n.leaf then Link.null else Link.get n.left in
       let r = if n.leaf then Link.null else Link.get n.right in
@@ -305,13 +280,6 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  (* The operation bodies read their structure, key and value from the
-     session: [get], [insert] and [remove] store them there and hand
-     [S.op] the session's prebuilt body. *)
-  let get_op s =
-    seek s ~hold:false;
-    s.found
-
   (* Tag [cell] so no insertion lands under it. *)
   let rec tag_edge cell =
     let lk = Link.get cell in
@@ -323,13 +291,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       then tag_edge cell
 
   (* [prune_body]: swing the live cursor's ancestor edge toward [s.key]
-     from [alink] to [s.prune_to], and retire the old successor's region
+     from [alink] to [prune_to], and retire the old successor's region
      if that won. *)
-  let prune s =
+  let prune (s : session) =
     let c = s.live in
-    Link.cas (child_cell c.anc s.key) ~expected:c.alink ~desired:s.prune_to
+    let prune_to = s.x.prune_to in
+    Link.cas (child_cell c.anc s.key) ~expected:c.alink ~desired:prune_to
     && begin
-         (match (c.alink, s.prune_to) with
+         (match (c.alink, prune_to) with
          | Link.Ptr { target = old_successor; _ }, Link.Ptr { target = keep; _ }
            ->
              retire_region s keep old_successor
@@ -340,7 +309,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* Cleanup (NM) of the live seek record: tag the sibling edge, then
      swing the ancestor edge to the sibling subtree (preserving its flag,
      clearing its tag).  Returns true iff the prune CAS succeeded. *)
-  let cleanup_edge s =
+  let cleanup_edge (s : session) =
     let parent = s.live.par in
     let toward_left = s.key < parent.key in
     (* If the child edge is not flagged, the deletion being helped flagged
@@ -355,52 +324,52 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     match Link.get sibling_c with
     | Link.Null _ -> false
     | Link.Ptr { target = keep; tag } ->
-        s.prune_to <- Link.Ptr { target = keep; tag = tag land flag_bit };
-        S.mask s.h s.prune_body
+        s.x.prune_to <- Link.Ptr { target = keep; tag = tag land flag_bit };
+        S.mask s.h s.x.prune_body
 
   (* Seek, and link a leaf in if the key is absent.  [leaf] is {!no_leaf}
      until a seek has missed: the leaf is built only then, and an
      attempt that loses its CAS retries with it. *)
-  let rec insert_op s leaf =
-    seek s ~hold:true;
-    let c = s.live in
-    if s.found then begin
+  let rec insert_op (s : session) leaf =
+    if Sk.search s then begin
       if leaf != no_leaf then
         Pool.discard ~recycles:S.recycles s.ds.pool ~blk leaf;
       false
     end
-    else if Link.tag c.plink <> 0 then begin
-      (* The edge is flagged/tagged: help the pending delete. *)
-      ignore (cleanup_edge s : bool);
-      insert_op s leaf
-    end
-    else begin
-      let key = s.key in
-      let leaf =
-        if leaf == no_leaf then alloc_leaf s.ds key s.value else leaf
-      in
-      let sib = c.cur in
-      let skey = sib.key in
-      let internal =
-        if key < skey then alloc_internal skey ~left:leaf ~right:sib
-        else alloc_internal key ~left:sib ~right:leaf
-      in
-      Link.cas (child_cell c.par key) ~expected:c.plink
-        ~desired:(Link.ptr internal)
-      || begin
-           (* Lost the race; the internal wrapper is unpublished (the GC
-              collects it — it was never shared), but its lifecycle
-              header must still be written off as abandoned. *)
-           Alloc.abandon (blk internal);
-           insert_op s leaf
-         end
-    end
+    else
+      let c = s.live in
+      if Link.tag c.plink <> 0 then begin
+        (* The edge is flagged/tagged: help the pending delete. *)
+        ignore (cleanup_edge s : bool);
+        insert_op s leaf
+      end
+      else begin
+        let key = s.key in
+        let leaf =
+          if leaf == no_leaf then alloc_leaf s.ds key s.value else leaf
+        in
+        let sib = c.cur in
+        let skey = sib.key in
+        let internal =
+          if key < skey then alloc_internal skey ~left:leaf ~right:sib
+          else alloc_internal key ~left:sib ~right:leaf
+        in
+        Link.cas (child_cell c.par key) ~expected:c.plink
+          ~desired:(Link.ptr internal)
+        || begin
+             (* Lost the race; the internal wrapper is unpublished (the GC
+                collects it — it was never shared), but its lifecycle
+                header must still be written off as abandoned. *)
+             Alloc.abandon (blk internal);
+             insert_op s leaf
+           end
+      end
 
-  let rec remove_op s =
-    seek s ~hold:true;
+  let rec remove_op (s : session) =
+    Sk.search s
+    &&
     let c = s.live in
-    if not s.found then false
-    else if Link.tag c.plink <> 0 then begin
+    if Link.tag c.plink <> 0 then begin
       (* Edge already flagged/tagged: help, then retry. *)
       ignore (cleanup_edge s : bool);
       remove_op s
@@ -416,83 +385,31 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     end
     else remove_op s
 
-  and until_gone s victim =
-    if not (cleanup_edge s) then begin
-      seek s ~hold:true;
-      if s.found && s.live.cur == victim then until_gone s victim
-    end
+  and until_gone (s : session) victim =
+    if not (cleanup_edge s) then
+      if Sk.search s && s.live.cur == victim then until_gone s victim
 
   let session t =
-    let h = S.register S.it in
-    let shields n = Array.init n (fun _ -> S.new_shield h) in
-    let prot = shields 5 in
-    let backup = shields 5 in
-    let lasting = shields (if hop_shields then 2 else 0) in
-    (* A placeholder for the live cursor and the slots until the first
-       traversal's [init] and [save]s replace it. *)
+    let ext h =
+      let lasting =
+        Array.init (if hop_shields then 2 else 0) (fun _ -> S.new_shield h)
+      in
+      { lasting; prune_to = Link.null; prune_body = Fun.const false }
+    in
     let idle =
-      {
-        anc = t.root;
-        alink = Link.null;
-        par = t.root;
-        plink = Link.null;
-        cur = t.root;
-      }
+      { anc = t.root; alink = Link.null; par = t.root; plink = Link.null; cur = t.root }
     in
-    let rec s =
-      {
-        h;
-        prot;
-        backup;
-        lasting;
-        key = 0;
-        value = 0;
-        found = false;
-        ds = t;
-        live = idle;
-        slots = [| idle; idle |];
-        saved = 0;
-        w =
-          {
-            init = (fun () -> init_cursor s.ds s);
-            walk =
-              (fun n ->
-                let c = s.live in
-                walk s s.key n c.anc c.alink c.par c.plink c.cur);
-            save = (fun i -> save_cursor s i);
-            restore =
-              (fun i ->
-                copy_cursor ~src:s.slots.(i) ~dst:s.live;
-                validate_cursor s.live);
-            protect = (fun sh -> protect_cursor s sh);
-            resumable = true;
-            steps = 0;
-          };
-        prune_to = Link.null;
-        get_body = (fun () -> get_op s);
-        insert_body = (fun () -> insert_op s no_leaf);
-        remove_body = (fun () -> remove_op s);
-        prune_body = (fun () -> prune s);
-      }
+    let s =
+      Sk.create ~shields:5 ~idle ~ext ~init ~walk
+        ~insert:(fun s -> insert_op s no_leaf)
+        ~remove:remove_op t
     in
+    s.x.prune_body <- (fun () -> prune s);
     s
 
-
-  let get t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.get_body
-
-  let insert t s key value =
-    s.ds <- t;
-    s.key <- key;
-    s.value <- value;
-    S.op s.h s.insert_body
-
-  let remove t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.remove_body
-
+  let close_session = Sk.close_session
+  let get = Sk.get
+  let insert = Sk.insert
+  let remove = Sk.remove
   let cleanup t s = ignore (get t s (inf0 - 1) : bool)
 end

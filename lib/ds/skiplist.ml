@@ -77,8 +77,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* Search cursor: current level walk state plus the completed levels
      above (head of [levels] = most recently completed = lowest finished
-     level).  The live cursor is built afresh by each traversal's
-     [init], a checkpoint slot by its first [save]. *)
+     level). *)
   type cursor = {
     mutable lvl : int;
     mutable pred : node;
@@ -86,29 +85,49 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     mutable levels : level_rec list;  (* levels (lvl+1 .. max-1), lowest first *)
   }
 
-  type session = {
-    h : S.handle;
-    prot : S.shield array;  (* 2*max_level + 2 *)
-    backup : S.shield array;
-    lasting : S.shield array;
-        (* under {!hop_shields} only, empty otherwise: the current pred
-           across steps at 0, then each completed level's pred and link *)
-    rng : Hpbrcu_runtime.Rng.t;
-    mutable key : int;  (* the running operation's key ... *)
-    mutable value : int;  (* ... the value an insert publishes ... *)
-    mutable help : bool;  (* ... whether its search unlinks marked nodes ... *)
-    mutable found : bool;  (* ... and the search's answer *)
-    mutable ds : t;  (* the structure the running operation acts on *)
-    mutable live : cursor;
-    slots : cursor array;  (* checkpoint slots 0 and 1 ... *)
-    mutable saved : int;  (* ... bit [i] set once this traversal built [i] *)
-    w : S.shield walker;
-    get_body : unit -> bool;
-        (* the bodies [S.op] runs, built once per session: their
-           arguments travel in the fields above *)
-    insert_body : unit -> bool;
-    remove_body : unit -> bool;
-  }
+  (* Checkpoint protection: every node the cursor can still reach. *)
+  let rec protect_levels (sh : S.shield array) i = function
+    | [] -> ()
+    | lr :: rest ->
+        if (2 * i) + 3 < Array.length sh then begin
+          S.protect sh.((2 * i) + 2) (blk lr.lpred);
+          S.protect sh.((2 * i) + 3) (link_blk lr.llink)
+        end;
+        protect_levels sh (i + 1) rest
+
+  module Sk =
+    Session.Make
+      (S)
+      (struct
+        type shield = S.shield
+        type t = cursor
+
+        let clone c =
+          { lvl = c.lvl; pred = c.pred; plink = c.plink; levels = c.levels }
+
+        let copy ~src ~dst =
+          dst.lvl <- src.lvl;
+          dst.pred <- src.pred;
+          dst.plink <- src.plink;
+          dst.levels <- src.levels
+
+        (* Revalidation: resuming follows pred.next.(lvl); pred must not
+           be deleted at that level (mark check suffices, §3.3). *)
+        let validate c =
+          Alloc.check_access (blk c.pred);
+          not (Link.is_marked (Link.get c.pred.next.(c.lvl)))
+
+        let protect (sh : S.shield array) c =
+          S.protect sh.(0) (blk c.pred);
+          S.protect sh.(1) (link_blk c.plink);
+          protect_levels sh 0 c.levels
+      end)
+
+  (* A session's own fields: [lasting] holds, under {!hop_shields} only
+     (empty otherwise), the current pred across steps at 0, then each
+     completed level's pred and link; [rng] draws tower heights. *)
+  type ext = { lasting : S.shield array; rng : Hpbrcu_runtime.Rng.t }
+  type session = (t, ext) Sk.session
 
   let create () =
     {
@@ -118,13 +137,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       level_seed = Atomic.make 1;
     }
 
-  let close_session s =
-    S.flush s.h;
-    S.unregister s.h
-
-  let random_height s =
+  let random_height (s : session) =
     let lvl = ref 1 in
-    while !lvl < max_level && Hpbrcu_runtime.Rng.bool s.rng do
+    while !lvl < max_level && Hpbrcu_runtime.Rng.bool s.x.rng do
       incr lvl
     done;
     !lvl
@@ -143,59 +158,21 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     Pool.discard ~recycles:S.recycles t.pools.(height n) ~blk n
 
   (* Under a [NoOverhead] scheme a hop stores no shield: [traverse]
-     publishes the whole cursor (every level's pred and link) with
-     [protect_cursor] inside the section.  Otherwise [read]'s ring holds
-     the hops, and [lasting] what the search keeps longer than that. *)
+     publishes the whole cursor (every level's pred and link) with the
+     cursor's [protect] inside the section.  Otherwise [read]'s ring
+     holds the hops, and [lasting] what the search keeps longer than
+     that. *)
   let hop_shields = Caps.hop_shields caps
 
-  (* Checkpoint protection: every node the cursor can still reach. *)
-  let rec protect_levels (sh : S.shield array) i = function
-    | [] -> ()
-    | lr :: rest ->
-        if (2 * i) + 3 < Array.length sh then begin
-          S.protect sh.((2 * i) + 2) (blk lr.lpred);
-          S.protect sh.((2 * i) + 3) (link_blk lr.llink)
-        end;
-        protect_levels sh (i + 1) rest
-
-  let protect_cursor s (sh : S.shield array) =
-    let c = s.live in
-    S.protect sh.(0) (blk c.pred);
-    S.protect sh.(1) (link_blk c.plink);
-    protect_levels sh 0 c.levels
-
-  (* Revalidation: resuming follows pred.next.(lvl); pred must not be
-     deleted at that level (mark check suffices, §3.3). *)
-  let validate_cursor c =
-    Alloc.check_access (blk c.pred);
-    not (Link.is_marked (Link.get c.pred.next.(c.lvl)))
-
-  let copy_cursor ~src ~dst =
-    dst.lvl <- src.lvl;
-    dst.pred <- src.pred;
-    dst.plink <- src.plink;
-    dst.levels <- src.levels
-
-  (* A traversal's first save into slot [i] builds the slot; later ones
-     copy into it. *)
-  let save_cursor s i =
-    let c = s.live in
-    if s.saved land (1 lsl i) <> 0 then copy_cursor ~src:c ~dst:s.slots.(i)
-    else begin
-      s.slots.(i) <-
-        { lvl = c.lvl; pred = c.pred; plink = c.plink; levels = c.levels };
-      s.saved <- s.saved lor (1 lsl i)
-    end
-
-  let init_cursor t s =
+  let init (s : session) =
     let lvl = max_level - 1 in
-    if hop_shields then S.protect s.lasting.(0) (blk t.head);
-    let plink = S.read s.h ~src:Block.none ~hdr:blk t.head.next.(lvl) in
-    s.saved <- 0;
-    s.live <- { lvl; pred = t.head; plink; levels = [] }
+    let head = s.ds.head in
+    if hop_shields then S.protect s.x.lasting.(0) (blk head);
+    let plink = S.read s.h ~src:Block.none ~hdr:blk head.next.(lvl) in
+    { lvl; pred = head; plink; levels = [] }
 
   (* The walk stops: write the cursor back to the session. *)
-  let stop s lvl pred plink levels r =
+  let stop (s : session) lvl pred plink levels r =
     let c = s.live in
     c.lvl <- lvl;
     c.pred <- pred;
@@ -207,7 +184,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      arguments.  [help] unlinks marked nodes (never retires — the remover
      does).  Completing a level records (pred, link, succ), protects them
      durably, and descends (or finishes at level 0). *)
-  let rec walk s key help n lvl pred plink levels =
+  let rec walk_from (s : session) key help n lvl pred plink levels =
     if n = 0 then stop s lvl pred plink levels walk_more
     else begin
       s.w.steps <- s.w.steps + 1;
@@ -225,14 +202,15 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
               else
                 let desired = Link.with_tag succ 0 in
                 if Link.cas pred.next.(lvl) ~expected:plink ~desired then
-                  walk s key help (n - 1) lvl pred desired levels
+                  walk_from s key help (n - 1) lvl pred desired levels
                 else walk_fail
             end
             else
-              walk s key help (n - 1) lvl pred (Link.with_tag succ 0) levels
+              walk_from s key help (n - 1) lvl pred (Link.with_tag succ 0)
+                levels
           else if k < key then begin
-            if hop_shields then S.protect s.lasting.(0) (blk curr);
-            walk s key help (n - 1) lvl curr succ levels
+            if hop_shields then S.protect s.x.lasting.(0) (blk curr);
+            walk_from s key help (n - 1) lvl curr succ levels
           end
           else complete_level s key help n lvl pred plink levels (k = key)
       | Link.Null _ -> complete_level s key help n lvl pred plink levels false
@@ -241,7 +219,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* [hit]: [plink]'s target holds the key.  A level completes in the
      step that read its target (or found none), so at level 0 [hit] is
      the answer, from a key load that step's read checked: no [deref]. *)
-  and complete_level s key help n lvl pred plink levels hit =
+  and complete_level (s : session) key help n lvl pred plink levels hit =
     (* The recorded link becomes a CAS expected value in the write phase;
        a marked link there would let the CAS *unmark* the predecessor
        (HS's CASes expect the unmarked flag).  Restart instead.  The
@@ -250,8 +228,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     else begin
       let i = max_level - 1 - lvl in
       if hop_shields then begin
-        S.protect s.lasting.((2 * i) + 1) (blk pred);
-        S.protect s.lasting.((2 * i) + 2) (link_blk plink)
+        S.protect s.x.lasting.((2 * i) + 1) (blk pred);
+        S.protect s.x.lasting.((2 * i) + 2) (link_blk plink)
       end;
       let levels = { lpred = pred; llink = plink } :: levels in
       if lvl = 0 then begin
@@ -260,31 +238,22 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       end
       else
         let lvl = lvl - 1 in
-        walk s key help (n - 1) lvl pred
+        walk_from s key help (n - 1) lvl pred
           (S.read s.h ~src:Block.none ~hdr:blk pred.next.(lvl))
           levels
     end
 
-  (* Full search of [s.ds] for [s.key]: the completed level records stay
-     in [s.live.levels] (head = level 0), protected when [hold], and
-     whether the key was found at level 0 in [s.found]. *)
-  let rec search s ~help ~hold =
-    s.help <- help;
-    if not (S.traverse s.h ~hold ~prot:s.prot ~backup:s.backup s.w) then
-      search s ~help ~hold
-
-  (* ---------------- operations ---------------- *)
-
   (* HP must help (it cannot traverse past marked nodes safely); everyone
-     else gets the read-only search. *)
+     else's [get] takes the read-only search.  An update's search always
+     helps.  The completed level records stay in [s.live.levels] (head =
+     level 0), and whether the key was found at level 0 in [s.found]. *)
   let helping_get = caps.Caps.per_node = Caps.ProtectAndValidate
 
-  (* The operation bodies read their structure, key and value from the
-     session: [get], [insert] and [remove] store them there and hand
-     [S.op] the session's prebuilt body. *)
-  let get_op s =
-    search s ~help:helping_get ~hold:false;
-    s.found
+  let walk (s : session) n =
+    let c = s.live in
+    walk_from s s.key (s.holds || helping_get) n c.lvl c.pred c.plink c.levels
+
+  (* ---------------- operations ---------------- *)
 
   (* Prepare [n]'s tower: level [l] and up point at the successors
      [levels] observed. *)
@@ -297,15 +266,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   (* The node is built only once the search has missed.  Its height is
      drawn before the search, so the session's sequence of heights does
      not depend on which inserts find their key. *)
-  let rec insert_op s =
+  let rec insert_op (s : session) =
     let height = random_height s in
-    search s ~help:true ~hold:true;
-    (not s.found) && link_node s (alloc_node s.ds ~height s.key s.value)
+    (not (Sk.search s)) && link_node s (alloc_node s.ds ~height s.key s.value)
 
   (* Link [n] at level 0 (the linearization point) at the cursor of a
      search that missed, then above; a lost level-0 CAS searches again
      with the same node. *)
-  and link_node s n =
+  and link_node (s : session) n =
     let levels = s.live.levels in
     set_tower n 0 levels;
     let l0 = List.hd levels in
@@ -314,18 +282,15 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       link_upper s n 1;
       true
     end
-    else begin
-      search s ~help:true ~hold:true;
-      if s.found then begin
-        discard s.ds n;
-        false
-      end
-      else link_node s n
+    else if Sk.search s then begin
+      discard s.ds n;
+      false
     end
+    else link_node s n
 
   (* Link level [l] and above of the linked [n], refreshing the search on
      a stale predecessor, until [n]'s tower is in or [n] got deleted. *)
-  and link_upper s n l =
+  and link_upper (s : session) n l =
     if l < height n then begin
       let lr = List.nth s.live.levels l in
       (* Point n's level-l link at the current successor unless n got
@@ -342,7 +307,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           then link_upper s n (l + 1)
           else begin
             (* Stale pred at this level: re-search. *)
-            search s ~help:true ~hold:true;
+            ignore (Sk.search s : bool);
             link_upper s n l
           end
       end
@@ -365,97 +330,50 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     && (Link.cas victim.next.(0) ~expected:lk ~desired:(Link.with_tag lk 1)
        || mark0 victim)
 
-  let remove_op s =
-    search s ~help:true ~hold:true;
-    if not s.found then false
-    else begin
-      let victim = Link.target_exn (List.hd s.live.levels).llink in
-      let vh = height victim in
-      (* Mark the upper levels top-down. *)
-      for l = vh - 1 downto 1 do
-        mark_level victim l
-      done;
-      (* Level 0: the winner owns the removal; a concurrent remover that
-         won it answers for the key. *)
-      mark0 victim
-      && begin
-           (* Unlink everywhere via the helping search, then retire. *)
-           search s ~help:true ~hold:true;
-           S.retire s.h (blk victim);
-           Pool.recycle ~recycles:S.recycles s.ds.pools.(vh) victim;
-           true
-         end
-    end
+  let remove_op (s : session) =
+    Sk.search s
+    &&
+    let victim = Link.target_exn (List.hd s.live.levels).llink in
+    let vh = height victim in
+    (* Mark the upper levels top-down. *)
+    for l = vh - 1 downto 1 do
+      mark_level victim l
+    done;
+    (* Level 0: the winner owns the removal; a concurrent remover that
+       won it answers for the key. *)
+    mark0 victim
+    && begin
+         (* Unlink everywhere via the helping search, then retire. *)
+         ignore (Sk.search s : bool);
+         S.retire s.h (blk victim);
+         Pool.recycle ~recycles:S.recycles s.ds.pools.(vh) victim;
+         true
+       end
 
   let session t =
-    let h = S.register S.it in
-    let shields n = Array.init n (fun _ -> S.new_shield h) in
-    let prot = shields ((2 * max_level) + 2) in
-    let backup = shields ((2 * max_level) + 2) in
-    let lasting = shields (if hop_shields then 1 + (2 * max_level) else 0) in
-    let rng =
-      Hpbrcu_runtime.Rng.create
-        ~seed:(Atomic.fetch_and_add t.level_seed 0x9E3779B9)
+    let ext h =
+      let lasting =
+        Array.init
+          (if hop_shields then 1 + (2 * max_level) else 0)
+          (fun _ -> S.new_shield h)
+      in
+      let rng =
+        Hpbrcu_runtime.Rng.create
+          ~seed:(Atomic.fetch_and_add t.level_seed 0x9E3779B9)
+      in
+      { lasting; rng }
     in
-    (* A placeholder for the live cursor and the slots until the first
-       traversal's [init] and [save]s replace it. *)
-    let idle = { lvl = 0; pred = t.head; plink = Link.null; levels = [] } in
-    let rec s =
-      {
-        h;
-        prot;
-        backup;
-        lasting;
-        rng;
-        key = 0;
-        value = 0;
-        help = false;
-        found = false;
-        ds = t;
-        live = idle;
-        slots = [| idle; idle |];
-        saved = 0;
-        w =
-          {
-            init = (fun () -> init_cursor s.ds s);
-            walk =
-              (fun n ->
-                let c = s.live in
-                walk s s.key s.help n c.lvl c.pred c.plink c.levels);
-            save = (fun i -> save_cursor s i);
-            restore =
-              (fun i ->
-                copy_cursor ~src:s.slots.(i) ~dst:s.live;
-                validate_cursor s.live);
-            protect = (fun sh -> protect_cursor s sh);
-            resumable = true;
-            steps = 0;
-          };
-        get_body = (fun () -> get_op s);
-        insert_body = (fun () -> insert_op s);
-        remove_body = (fun () -> remove_op s);
-      }
-    in
-    s
+    Sk.create ~shields:((2 * max_level) + 2)
+      ~idle:{ lvl = 0; pred = t.head; plink = Link.null; levels = [] }
+      ~ext ~init ~walk ~insert:insert_op ~remove:remove_op t
 
-  let get t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.get_body
+  let close_session = Sk.close_session
+  let get = Sk.get
+  let insert = Sk.insert
+  let remove = Sk.remove
 
-  let insert t s key value =
-    s.ds <- t;
-    s.key <- key;
-    s.value <- value;
-    S.op s.h s.insert_body
-
-  let remove t s key =
-    s.ds <- t;
-    s.key <- key;
-    S.op s.h s.remove_body
-
-  let cleanup t s =
+  let cleanup t (s : session) =
     s.ds <- t;
     s.key <- max_int;
-    S.op s.h (fun () -> search s ~help:true ~hold:true)
+    ignore (S.op s.h (fun () -> Sk.search s) : bool)
 end
