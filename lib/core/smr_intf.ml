@@ -58,10 +58,12 @@ module Alloc = Hpbrcu_alloc.Alloc
 
 (** A data structure's traversal, handed to {!SCHEME.traverse} (paper
     Algorithm 7's cursor and step, turned inside out so that the scheme
-    drives budgets instead of single steps).  The structure builds one
-    walker per session and reuses it for every traversal; the {e live
-    cursor} and the answer live in the session, and each field below
-    acts on them:
+    drives budgets instead of single steps).  Every structure gets its
+    walker from the session skeleton ([lib/ds/session.ml],
+    [Session.Make]), the one implementation of [init]'s installing,
+    [save], [restore] and [protect] below: one walker per session,
+    reused for every traversal.  The {e live cursor} and the answer live
+    in the session, and each field below acts on them:
 
     - [init ()] loads the entry-point cursor into the session, in one
       record it allocates afresh: the live cursor, which the walk writes

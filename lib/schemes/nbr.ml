@@ -249,9 +249,8 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* NBR's traversal: one read-phase critical section from entry to
      destination, protecting the final cursor before the phase ends when
-     the caller holds it past the section. *)
-  (* One read phase around the whole walk; its arguments travel as
-     [crit_run]'s, so a traversal builds no closure. *)
+     the caller holds it past the section.  The walk's arguments travel
+     as [crit_run]'s, so a traversal builds no closure. *)
   let walk_all hold prot w = Scheme_common.plain_traverse ~hold ~prot w
   let traverse h ~hold ~prot ~backup:_ w = crit_run h walk_all hold prot w
 

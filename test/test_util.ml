@@ -147,9 +147,11 @@ end
 
 (* [S] with a count of its walkers' [protect] calls — the checkpoints a
    traversal publishes, the complement of [Hop_protects] — and of their
-   [init] and [restore] calls.  Setting [rollback_once] makes the next
-   [walk] raise it before taking a step: a rollback injected before the
-   traversal's first periodic checkpoint. *)
+   [init] and [restore] calls, and the walkers it drove ([walkers]: each
+   session's walker counts its own [steps], and none is ever reset).
+   Setting [rollback_once] makes the next [walk] raise it before taking
+   a step: a rollback injected before the traversal's first periodic
+   checkpoint. *)
 module Walker_protects (S : Hpbrcu_core.Smr_intf.S) = struct
   include S
 
@@ -157,6 +159,7 @@ module Walker_protects (S : Hpbrcu_core.Smr_intf.S) = struct
   let inits = ref 0
   let restores = ref 0
   let rollback_once : exn option ref = ref None
+  let walkers : S.shield Hpbrcu_core.Smr_intf.walker list ref = ref []
 
   let reset () =
     protects := 0;
@@ -164,6 +167,7 @@ module Walker_protects (S : Hpbrcu_core.Smr_intf.S) = struct
     restores := 0
 
   let traverse h ~hold ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker) =
+    if not (List.memq w !walkers) then walkers := w :: !walkers;
     let walk n =
       match !rollback_once with
       | Some e ->

@@ -201,25 +201,6 @@ let test_pin_cell () =
 (* Structure pins                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [S] with the walkers its traversals drove (each session's walker
-   counts its own steps, and none is ever reset) and the checkpoints
-   they published through the walker's [protect]. *)
-module Walk_count (S : Hpbrcu_core.Smr_intf.S) = struct
-  include S
-
-  let walkers : S.shield Hpbrcu_core.Smr_intf.walker list ref = ref []
-  let checkpoints = ref 0
-
-  let traverse h ~hold ~prot ~backup (w : S.shield Hpbrcu_core.Smr_intf.walker)
-      =
-    if not (List.memq w !walkers) then walkers := w :: !walkers;
-    let protect sh =
-      incr checkpoints;
-      w.protect sh
-    in
-    S.traverse h ~hold ~prot ~backup { w with protect }
-end
-
 (* Exact figures of a seeded fiber stress run of a structure that
    [smrbench trace] cannot trace (LazyList, EFRB-BST): the last fiber's
    tick, the walker steps and checkpoints, and the allocator's books.
@@ -228,7 +209,7 @@ end
    shows here. *)
 let test_pin_structure (module M : Test_util.MAKE) scheme want () =
   Test_util.with_scheme scheme (fun (module S) ->
-      let module C = Walk_count (S) in
+      let module C = Test_util.Walker_protects (S) in
       let module L = M (C) in
       let t = L.create () in
       let ticks = ref 0 in
@@ -260,7 +241,7 @@ let test_pin_structure (module M : Test_util.MAKE) scheme want () =
         [
           !ticks;
           steps;
-          !C.checkpoints;
+          !C.protects;
           a.allocated;
           a.retired;
           a.reclaimed;
