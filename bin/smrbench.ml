@@ -1075,8 +1075,10 @@ module Reclaim_bench = struct
   (* One node as its structure builds it: a single record that starts
      with [Block.t]'s fields (DESIGN.md §9, "the header-prefix rule"),
      plus only what its own fields hold.  Gated, per structure, at the
-     words it builds: one 11-field record (12 words) for the Harris lists
-     (HList, HHSList and the HashMap's buckets) and HMList; one 12-field
+     words it builds: one 11-field record (12 words) for the sorted
+     list's node ([List_node], the one node of HList, HHSList, the
+     HashMap's buckets and HMList, so the HHSList and HMList rows build
+     the same node); one 12-field
      record (13 words) for an NMTree or EFRB leaf, whose children and
      update word are shared, and for a LazyList node, whose lock and mark
      are int fields (as [Atomic.t] boxes they read 4 words more); a
@@ -1093,7 +1095,7 @@ module Reclaim_bench = struct
   let node_alloc_kernels ~iters =
     let module D = Hpbrcu_ds in
     let module Pool = Hpbrcu_alloc.Pool in
-    let harris_pool = Pool.create () and hm_pool = Pool.create () in
+    let pool = Pool.create () in
     let kernel ds make =
       Alloc.reset ();
       let ops = 256 in
@@ -1109,9 +1111,9 @@ module Reclaim_bench = struct
     let keep n = ignore (Sys.opaque_identity n) in
     [
       kernel "HHSList" (fun k ->
-          keep (D.Harris_list.mk_node ~recyclable:false ~era:0 k 0 harris_pool));
+          keep (D.List_node.mk_node ~recyclable:false ~era:0 k 0 pool));
       kernel "HMList" (fun k ->
-          keep (D.Hm_list.mk_node ~recyclable:false ~era:0 k 0 hm_pool));
+          keep (D.List_node.mk_node ~recyclable:false ~era:0 k 0 pool));
       kernel "LazyList" (fun k ->
           keep (D.Lazy_list.mk_node ~recyclable:false ~era:0 k 0));
       kernel "SkipList" (fun k ->
@@ -1224,7 +1226,7 @@ module Reclaim_bench = struct
      [read], yield or access check.  Reported, not gated: NR's
      [traverse-walk] over this row is what the library's mediation costs
      per node. *)
-  module Hl = Hpbrcu_ds.Harris_list
+  module Hl = Hpbrcu_ds.List_node
 
   (* HHSList's [get], minus the scheme: skip marked nodes, stop at the
      first key >= [key]. *)

@@ -174,13 +174,14 @@ gate fiber-golden fiber_golden
 # external views a record as another type, so it is memory-safe only
 # while the two layouts agree.  Two kinds are allowlisted.  A list node's
 # next_cell views the node as an Atomic.t, whose primitives act on field
-# 0: HList/HHSList, HMList and the lazy list must declare
-# `mutable next_ : node Link.t;` first.  Every structure's blk views its
-# node as a Block.t: the node's fields 1 to 7 must be Block.t's, in
-# order, with the same names, types and mutability (the header-prefix
-# rule), and Block.t's field 1 must be word, the field Block.cas_word
-# CASes by index.  Any other "%identity" under lib/, a missing or extra view, or a
-# reordered record fails, naming the file.
+# 0: the sorted list's node (list_node.ml, shared by HList/HHSList and
+# HMList) and the lazy list's must declare `mutable next_ : node Link.t;`
+# first.  Every structure's blk views its node as a Block.t: the node's
+# fields 1 to 7 must be Block.t's, in order, with the same names, types
+# and mutability (the header-prefix rule), and Block.t's field 1 must be
+# word, the field Block.cas_word CASes by index.  Any other "%identity"
+# under lib/, a missing or extra view, or a reordered record fails,
+# naming the file.
 record_fields() {
   # record_fields FILE TYPE: the field declarations of record TYPE, one a
   # line, comments dropped
@@ -217,7 +218,7 @@ field0_audit() {
       "after field 0, 'mutable word : int;' first (Block.word_field = 1)" >&2
     return 1
   fi
-  lists="lib/ds/harris_list.ml lib/ds/hm_list.ml lib/ds/lazy_list.ml"
+  lists="lib/ds/list_node.ml lib/ds/lazy_list.ml"
   trees="lib/ds/skiplist.ml lib/ds/nmtree.ml lib/ds/efrb_bst.ml"
   for f in $(grep -rlF '"%identity"' lib --include='*.ml'); do
     case " $lists $trees " in
@@ -405,6 +406,14 @@ if command -v ocamlformat >/dev/null 2>&1; then
 else
   skip fmt "ocamlformat not installed"
 fi
+
+# Non-blank lines of the .ml and .mli files under each directory: a
+# recorded figure, not a gate.
+nonblank() {
+  find "$1" \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + |
+    grep -cv '^[[:space:]]*$'
+}
+record lines "lib $(nonblank lib), bin $(nonblank bin), lib/ds $(nonblank lib/ds)"
 
 echo "check.sh: summary"
 printf '%s' "$summary"

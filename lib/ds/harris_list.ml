@@ -17,74 +17,23 @@
 
 module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
-module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
 open Hpbrcu_core.Smr_intf
+open List_node
 
 module type FLAVOUR = sig
   val helping_get : bool
   val flavour_name : string
 end
 
-(* [pool] is the list's free pool, shared by all of its nodes: only the
-   recycling branches read it, and keeping it in every node lets the list
-   itself be its head node (a HashMap bucket slot then points straight at
-   the head, one dependent load fewer per operation).
-
-   A node is one object (DESIGN.md §9, "objects per hop"): its own [next]
-   cell and its own block.  [next_] must stay field 0, read, set and CAS'd
-   only through {!next_cell}, so a hop goes node -> link -> node with no
-   [Atomic.t] box in between; [Block.t]'s fields follow it (the
-   header-prefix rule), read and CAS'd only through {!blk}. *)
-type node = {
-  mutable next_ : node Link.t;
-  mutable word : int;
-  id : int;
-  recyclable : bool;
-  mutable birth_era : int;
-  mutable retire_era : int;
-  mutable poison : int;
-  mutable owner : int;
-  mutable key : int;
-  mutable value : int;
-  pool : node Pool.t;
-}
-
-(* The atomic view of [next_], and the node's block. *)
-external next_cell : node -> node Link.cell = "%identity"
-external blk : node -> Block.t = "%identity"
-
-(** A fresh node, [Live] and born at [era].  Its link is the shared null:
-    the end of the list for a head, and set by an insert before it
-    publishes any other node. *)
-let mk_node ~recyclable ~era key value pool =
-  {
-    next_ = Link.null;
-    word = Block.live; id = Alloc.fresh_id (); recyclable;
-    birth_era = era; retire_era = -1; poison = 0; owner = 0;
-    key;
-    value;
-    pool;
-  }
-
 module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let name =
     F.flavour_name ^ "(" ^ (caps (module S)).Hpbrcu_core.Caps.name ^ ")"
 
-  let link_blk = function Link.Null _ -> Block.none | Link.Ptr p -> blk p.target
-
-  (* Retire [x], whose successor link is [next].  Only a scheme that
-     consumes patches (HP++) gets [x]'s patch set, its successor if any:
-     the list and the optional argument's box are built for it alone. *)
-  let retire_node h x next =
-    if S.patches then
-      S.retire h (blk x)
-        ~patch:
-          (match next with Link.Null _ -> [] | Link.Ptr p -> [ blk p.target ])
-    else S.retire h (blk x)
-
   (* The list is its head sentinel (key = min_int). *)
   type t = node
+
+  include List_node.Make (S)
 
   (* Traversal cursor: [left] = last unmarked node whose loaded link is
      [left_next] (the snip CAS's expected value); [node] = a loaded link
@@ -141,26 +90,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
 
   type session = (t, ext) Sk.session
 
-  (* Non-recycling schemes never read a node's pool: their lists share
-     this one. *)
-  let unused_pool = Pool.create ()
-
-  let create () =
-    mk_node ~recyclable:false ~era:0 min_int 0
-      (if S.recycles then Pool.create () else unused_pool)
-
-  let alloc_node t key value =
-    let era = S.current_era S.it in
-    match Pool.reuse ~recycles:S.recycles t.pool ~blk ~era with
-    | Some n ->
-        n.key <- key;
-        n.value <- value;
-        Link.set (next_cell n) Link.null;
-        n
-    | None -> mk_node ~recyclable:S.recycles ~era key value t.pool
-
-  let discard t n = Pool.discard ~recycles:S.recycles t.pool ~blk n
-
   (* A node's key, for a node no read has checked: load, then [deref]
      (for VBR the order matters: the validation after the load detects a
      recycled node's junk key).  Walks need none: they load the key
@@ -178,7 +107,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     | Link.Ptr { target = x; _ } ->
         let nx = Link.get (next_cell x) in
         retire_node h x nx;
-        Pool.recycle ~recycles:S.recycles x.pool x;
         retire_chain h stop nx
 
   (* [snip_body]: snip the marked chain between the live cursor's left
@@ -317,7 +245,6 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     && begin
          let right = Link.target_exn c.left_next in
          retire_node s.h right c.node;
-         Pool.recycle ~recycles:S.recycles right.pool right;
          true
        end
 

@@ -50,8 +50,9 @@ external blk : node -> Block.t = "%identity"
    never one; [retire_region] reads no child of a leaf; every CAS
    ([insert]'s and [remove]'s on [par], [cleanup_edge]'s on [par]'s and
    [anc]'s) lands on an internal node; and a node reused from VBR's pool
-   is a leaf, since the only release into it is [insert]'s discard of a
-   leaf it never published ([alloc_leaf] asserts it). *)
+   is a leaf, since only leaves are released into it: [insert]'s discard
+   of a leaf it never published and [retire_region]'s recycling of a
+   retired one ([alloc_leaf] asserts it). *)
 let leaf_child : node Link.cell = Link.cell Link.null
 
 (* The leaf an insert holds until its seek has missed: a node of no
@@ -177,8 +178,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     let r = sentinel inf2 ~left:s ~right:l_inf2 in
     { root = r; pool = Pool.create () }
 
-  (* The pool holds only leaves [insert] discarded unpublished:
-     [retire_region] returns no retired node to it. *)
+  (* The pool holds leaves only: internal nodes are never pooled. *)
   let alloc_leaf t key value =
     let era = S.current_era S.it in
     match Pool.reuse ~recycles:S.recycles t.pool ~blk ~era with
@@ -262,14 +262,15 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      the preserved sibling subtree [keep] is unreachable.  Several pruners
      may race on nested regions, so each node is claimed: only the
      claimer descends (and it reads the children *before* handing the
-     block to the scheme, which may reclaim instantly under VBR).  Every
-     edge in the region is flagged or tagged, so the links are
-     immutable. *)
+     block to the scheme, which may reclaim instantly under VBR, and
+     then gives a leaf back to the pool).  Every edge in the region is
+     flagged or tagged, so the links are immutable. *)
   let rec retire_region (s : session) keep n =
     if n != keep && Alloc.try_retire (blk n) then begin
       let l = if n.leaf then Link.null else Link.get n.left in
       let r = if n.leaf then Link.null else Link.get n.right in
       S.retire s.h (blk n) ~claimed:true;
+      if n.leaf then Pool.recycle ~recycles:S.recycles s.ds.pool n;
       retire_link s keep l;
       retire_link s keep r
     end

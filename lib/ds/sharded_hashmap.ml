@@ -138,9 +138,6 @@ end
 (** Sharded map over HHSList-bucketed shards (all schemes but HP). *)
 module Make (X : Smr_intf.SCHEME) = Make_gen (Harris_list.Make_hhs) (X)
 
-(** Sharded map over HMList-bucketed shards (HP-compatible). *)
-module Make_hm (X : Smr_intf.SCHEME) = Make_gen (Hm_list.Make) (X)
-
 (** The sharded map as a plain {!Ds_intf.MAP} (parameters fixed by [P]),
     for harnesses written against the common interface — the hunt corpus
     drives its multi-domain smoke case through this.  Instances created

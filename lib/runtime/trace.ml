@@ -78,135 +78,73 @@ type event =
           on the {!gc_tid} pseudo-track, never emitted by schemes *)
   | Gc_end  (** arg/arg2 as [Gc_begin]; closes the matching slice *)
 
-let event_code = function
-  | Epoch_advance -> 0
-  | Signal_sent -> 1
-  | Rollback -> 2
-  | Checkpoint -> 3
-  | Retire -> 4
-  | Reclaim -> 5
-  | Stall -> 6
-  | Deadline_abort -> 7
-  | Context_switch -> 8
-  | Wake -> 9
-  | Fault_stall -> 10
-  | Fault_crash -> 11
-  | Signal_dropped -> 12
-  | Participant_quarantined -> 13
-  | Cs_begin -> 14
-  | Cs_end -> 15
-  | Checkpoint_begin -> 16
-  | Scan_begin -> 17
-  | Scan_end -> 18
-  | Flush_begin -> 19
-  | Flush_end -> 20
-  | Op_begin -> 21
-  | Op_end -> 22
-  | Owner_retire -> 23
-  | Gc_begin -> 24
-  | Gc_end -> 25
+(** The event table: every constructor with its name, in code order.  An
+    event's code is its index here; the decoders and the on-disk names
+    read it, and the functions below derive from it. *)
+let events =
+  [|
+    (Epoch_advance, "epoch-advance");
+    (Signal_sent, "signal-sent");
+    (Rollback, "rollback");
+    (Checkpoint, "checkpoint-end");
+    (Retire, "retire");
+    (Reclaim, "reclaim");
+    (Stall, "stall");
+    (Deadline_abort, "deadline-abort");
+    (Context_switch, "context-switch");
+    (Wake, "wake");
+    (Fault_stall, "fault-stall");
+    (Fault_crash, "fault-crash");
+    (Signal_dropped, "signal-dropped");
+    (Participant_quarantined, "quarantined");
+    (Cs_begin, "cs-begin");
+    (Cs_end, "cs-end");
+    (Checkpoint_begin, "checkpoint-begin");
+    (Scan_begin, "scan-begin");
+    (Scan_end, "scan-end");
+    (Flush_begin, "flush-begin");
+    (Flush_end, "flush-end");
+    (Op_begin, "op-begin");
+    (Op_end, "op-end");
+    (Owner_retire, "owner-retire");
+    (Gc_begin, "gc-begin");
+    (Gc_end, "gc-end");
+  |]
 
-(* The code table above is the identity on the runtime representation:
-   every [event] constructor is constant, so its immediate value is its
-   declaration index — which is exactly the code the table assigns.  The
-   armed flight emit uses the representation directly, saving the
-   jump-table dispatch of [event_code] (~2 ns of a 25 ns/event budget);
-   the explicit table stays as the readable on-disk spec and the
-   [all_events] roundtrip test asserts the two agree for every
-   constructor, so a reordered declaration fails loudly. *)
-let[@inline] event_code_unsafe (ev : event) : int = Obj.magic ev
-
-let event_of_code = function
-  | 0 -> Epoch_advance
-  | 1 -> Signal_sent
-  | 2 -> Rollback
-  | 3 -> Checkpoint
-  | 4 -> Retire
-  | 5 -> Reclaim
-  | 6 -> Stall
-  | 7 -> Deadline_abort
-  | 8 -> Context_switch
-  | 9 -> Wake
-  | 10 -> Fault_stall
-  | 11 -> Fault_crash
-  | 12 -> Signal_dropped
-  | 13 -> Participant_quarantined
-  | 14 -> Cs_begin
-  | 15 -> Cs_end
-  | 16 -> Checkpoint_begin
-  | 17 -> Scan_begin
-  | 18 -> Scan_end
-  | 19 -> Flush_begin
-  | 20 -> Flush_end
-  | 21 -> Op_begin
-  | 22 -> Op_end
-  | 23 -> Owner_retire
-  | 24 -> Gc_begin
-  | 25 -> Gc_end
-  | _ -> invalid_arg "Trace.event_of_code"
-
-(** Number of event codes; codes are contiguous in [0, n_event_codes).
-    The roundtrip test iterates this range against {!all_events}. *)
-let n_event_codes = 26
+(** Number of event codes; codes are contiguous in [0, n_event_codes). *)
+let n_event_codes = Array.length events
 
 (** Every constructor, in code order. *)
-let all_events =
-  [
-    Epoch_advance;
-    Signal_sent;
-    Rollback;
-    Checkpoint;
-    Retire;
-    Reclaim;
-    Stall;
-    Deadline_abort;
-    Context_switch;
-    Wake;
-    Fault_stall;
-    Fault_crash;
-    Signal_dropped;
-    Participant_quarantined;
-    Cs_begin;
-    Cs_end;
-    Checkpoint_begin;
-    Scan_begin;
-    Scan_end;
-    Flush_begin;
-    Flush_end;
-    Op_begin;
-    Op_end;
-    Owner_retire;
-    Gc_begin;
-    Gc_end;
-  ]
+let all_events = Array.to_list (Array.map fst events)
 
-let event_name = function
-  | Epoch_advance -> "epoch-advance"
-  | Signal_sent -> "signal-sent"
-  | Rollback -> "rollback"
-  | Checkpoint -> "checkpoint-end"
-  | Retire -> "retire"
-  | Reclaim -> "reclaim"
-  | Stall -> "stall"
-  | Deadline_abort -> "deadline-abort"
-  | Context_switch -> "context-switch"
-  | Wake -> "wake"
-  | Fault_stall -> "fault-stall"
-  | Fault_crash -> "fault-crash"
-  | Signal_dropped -> "signal-dropped"
-  | Participant_quarantined -> "quarantined"
-  | Cs_begin -> "cs-begin"
-  | Cs_end -> "cs-end"
-  | Checkpoint_begin -> "checkpoint-begin"
-  | Scan_begin -> "scan-begin"
-  | Scan_end -> "scan-end"
-  | Flush_begin -> "flush-begin"
-  | Flush_end -> "flush-end"
-  | Op_begin -> "op-begin"
-  | Op_end -> "op-end"
-  | Owner_retire -> "owner-retire"
-  | Gc_begin -> "gc-begin"
-  | Gc_end -> "gc-end"
+(* An event's code is also its runtime representation: every [event]
+   constructor is constant, so its immediate value is its declaration
+   index.  The armed flight emit ships it directly, saving a lookup
+   (~2 ns of a 25 ns/event budget); the check below fails every program
+   at start-up if the table's order drifts from the declaration's. *)
+let[@inline] event_code_unsafe (ev : event) : int = Obj.magic ev
+
+let () =
+  Array.iteri
+    (fun i (ev, _) ->
+      if event_code_unsafe ev <> i then invalid_arg "Trace.events: code order")
+    events
+
+(* The one exhaustive match: a new constructor does not compile until it
+   is listed here, and then needs its row in [events]. *)
+let event_code = function
+  | Epoch_advance | Signal_sent | Rollback | Checkpoint | Retire | Reclaim
+  | Stall | Deadline_abort | Context_switch | Wake | Fault_stall
+  | Fault_crash | Signal_dropped | Participant_quarantined | Cs_begin
+  | Cs_end | Checkpoint_begin | Scan_begin | Scan_end | Flush_begin
+  | Flush_end | Op_begin | Op_end | Owner_retire | Gc_begin | Gc_end as ev ->
+      event_code_unsafe ev
+
+let event_of_code c =
+  if c < 0 || c >= n_event_codes then invalid_arg "Trace.event_of_code"
+  else fst events.(c)
+
+let event_name ev = snd events.(event_code ev)
 
 (* ------------------------------------------------------------------ *)
 (* Providers (installed by Sched at init)                              *)

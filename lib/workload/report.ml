@@ -199,6 +199,5 @@ let write_stats_json () =
       Json.to_file path (Json.List (List.rev !recorded));
       Printf.printf "wrote %d cell records to %s\n%!" (List.length !recorded) path
 
-let f1 x = Printf.sprintf "%.1f" x
 let f3 x = Printf.sprintf "%.3f" x
 let i = string_of_int

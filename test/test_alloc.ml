@@ -398,11 +398,12 @@ let test_leaf_cells scheme () =
     | Ds.Efrb_bst.Clean -> true
     | _ -> false)
 
-(* Under VBR a list or skip-list node goes back to its pool right after
-   [retire] ([Pool.recycle]).  On a short era (4 retirements) a fiber
-   stress run must reanimate at least one node after it was retired, which
-   no node is if the structure leaves its retire sites' [Pool.recycle]
-   out: then only nodes an insert discarded unpublished are reused. *)
+(* Under VBR a list or skip-list node, or an NMTree leaf, goes back to
+   its pool right after [retire] ([Pool.recycle]).  On a short era (4
+   retirements) a fiber stress run must reanimate at least one node after
+   it was retired, which no node is if the structure leaves its retire
+   sites' [Pool.recycle] out: then only nodes an insert discarded
+   unpublished are reused. *)
 let test_vbr_recycles (module M : Test_util.MAKE) () =
   let module Schemes = Hpbrcu_schemes.Schemes in
   let config = { Hpbrcu_core.Config.default with batch = 4 } in
@@ -550,7 +551,10 @@ let () =
       ( "vbr-recycles",
         List.filter_map
           (fun (ds, m) ->
-            if List.mem ds [ "HHSList"; "HMList"; "LazyList"; "SkipList" ] then
+            if
+              List.mem ds
+                [ "HHSList"; "HMList"; "LazyList"; "SkipList"; "NMTree" ]
+            then
               Some
                 (Alcotest.test_case ("vbr-recycles/" ^ ds) `Quick
                    (test_vbr_recycles m))

@@ -146,8 +146,9 @@ let test_trace_enable_clears () =
 (* Event-code table and decoder                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The code<->constructor tables are hand-maintained; this is the
-   exhaustiveness check that keeps them honest when events are added. *)
+(* The event table is hand-maintained; this checks that it lists the
+   constructors in code order, that the decoder inverts the encoder and
+   that no two events share a name. *)
 let test_event_code_roundtrip () =
   Alcotest.(check int) "all_events covers every code" Trace.n_event_codes
     (List.length Trace.all_events);
