@@ -11,23 +11,23 @@
 open Cmdliner
 module W = Hpbrcu_workload
 
-let profile_of_string = function
-  | "quick" -> W.Figures.quick
-  | "full" -> W.Figures.full
-  | "sim" | "intel" -> W.Figures.sim
-  | s -> invalid_arg ("unknown profile: " ^ s)
+(* Every flag that picks from a fixed set parses with an [Arg.enum] built
+   from the table that names the choices, so a bad value is a usage error
+   (exit 124) that lists them, before any workload starts. *)
+let choices name table = Arg.enum (List.map (fun x -> (name x, x)) table)
+let scheme_conv = choices Fun.id Hpbrcu_schemes.Schemes.names
+let ds_conv = choices Hpbrcu_core.Caps.ds_name Hpbrcu_core.Caps.all_ds
+let workload_conv = choices W.Spec.workload_name W.Spec.all_workloads
 
 let profile_arg =
   let doc = "Measurement profile: quick (default), full, or sim (fiber simulator; plays the second machine)." in
-  Arg.(value & opt string "quick" & info [ "profile"; "p" ] ~doc)
-
-(* The substrate switch (ISSUE 8).  Historically a [Spec.Domains] profile
-   was silently rewritten to fibers in the longrun command; now the
-   substrate is an explicit flag and the rewrite is gone. *)
-let mode_of_string = function
-  | "fibers" -> `Fibers
-  | "domains" -> `Domains
-  | s -> invalid_arg ("unknown mode: " ^ s ^ " (expected fibers|domains)")
+  let profiles = W.Figures.[ quick; full; sim ] in
+  let profile_conv =
+    Arg.enum
+      (("intel", W.Figures.sim)
+      :: List.map (fun p -> (p.W.Figures.label, p)) profiles)
+  in
+  Arg.(value & opt profile_conv W.Figures.quick & info [ "profile"; "p" ] ~doc)
 
 let mode_arg =
   let doc =
@@ -35,7 +35,8 @@ let mode_arg =
      simulator) or $(b,domains) (real Domain.spawn workers; thread sweeps \
      are clamped to the hardware's parallelism)."
   in
-  Arg.(value & opt string "fibers" & info [ "mode" ] ~docv:"SUBSTRATE" ~doc)
+  let mode_conv = Arg.enum [ ("fibers", `Fibers); ("domains", `Domains) ] in
+  Arg.(value & opt mode_conv `Fibers & info [ "mode" ] ~docv:"SUBSTRATE" ~doc)
 
 let outdir_arg =
   let doc = "Directory for CSV outputs." in
@@ -61,7 +62,7 @@ let setup outdir stats_json =
 
 let with_profile f profile mode outdir stats_json =
   setup outdir stats_json;
-  f (W.Figures.with_mode (profile_of_string profile) (mode_of_string mode));
+  f (W.Figures.with_mode profile mode);
   W.Report.write_stats_json ();
   0
 
@@ -79,36 +80,24 @@ let fig7_cmd = simple_cmd "fig7" "Figure 7: write-heavy thread sweeps" W.Figures
 let appendix_cmd =
   let workload_arg =
     let doc = "Restrict to one workload (wo|rw|ri|ro)." in
-    Arg.(value & opt (some string) None & info [ "workload"; "w" ] ~doc)
+    Arg.(value & opt (some workload_conv) None & info [ "workload"; "w" ] ~doc)
   in
   let ds_arg =
     let doc = "Restrict to one data structure." in
-    Arg.(value & opt (some string) None & info [ "ds" ] ~doc)
+    Arg.(value & opt (some ds_conv) None & info [ "ds" ] ~doc)
   in
   let range_arg =
     let doc = "Restrict to small or large key ranges." in
-    Arg.(value & opt (some string) None & info [ "range" ] ~doc)
+    let range_conv = Arg.enum [ ("small", `Small); ("large", `Large) ] in
+    Arg.(value & opt (some range_conv) None & info [ "range" ] ~doc)
   in
   let run profile mode outdir stats_json wl ds range =
     setup outdir stats_json;
-    let p = W.Figures.with_mode (profile_of_string profile) (mode_of_string mode) in
-    let workloads =
-      match wl with
-      | None -> [ W.Spec.Write_only; W.Spec.Read_write; W.Spec.Read_intensive; W.Spec.Read_only ]
-      | Some s -> [ W.Spec.workload_of_string s ]
-    in
-    let dss =
-      match ds with
-      | None -> Hpbrcu_core.Caps.all_ds
-      | Some s -> [ W.Matrix.ds_of_string s ]
-    in
-    let ranges =
-      match range with
-      | None -> [ `Small; `Large ]
-      | Some "small" -> [ `Small ]
-      | Some "large" -> [ `Large ]
-      | Some s -> invalid_arg ("unknown range: " ^ s)
-    in
+    let p = W.Figures.with_mode profile mode in
+    let all default = Option.fold ~none:default ~some:(fun x -> [ x ]) in
+    let workloads = all W.Spec.all_workloads wl in
+    let dss = all Hpbrcu_core.Caps.all_ds ds in
+    let ranges = all [ `Small; `Large ] range in
     W.Figures.appendix ~workloads ~dss ~ranges p;
     W.Report.write_stats_json ();
     0
@@ -121,23 +110,25 @@ let appendix_cmd =
 
 let sweep_cmd =
   let ds_arg =
-    Arg.(required & opt (some string) None & info [ "ds" ] ~doc:"Data structure.")
+    Arg.(required & opt (some ds_conv) None & info [ "ds" ] ~doc:"Data structure.")
   in
   let wl_arg =
-    Arg.(value & opt string "rw" & info [ "workload"; "w" ] ~doc:"Workload (wo|rw|ri|ro).")
+    Arg.(
+      value
+      & opt workload_conv W.Spec.Read_write
+      & info [ "workload"; "w" ] ~doc:"Workload (wo|rw|ri|ro).")
   in
   let range_arg =
     Arg.(value & opt int 1024 & info [ "range" ] ~doc:"Key range.")
   in
   let run profile mode outdir stats_json ds wl range =
     setup outdir stats_json;
-    let p = W.Figures.with_mode (profile_of_string profile) (mode_of_string mode) in
+    let p = W.Figures.with_mode profile mode in
+    let ds_s = Hpbrcu_core.Caps.ds_name ds and wl_s = W.Spec.workload_name wl in
     W.Figures.sweep
-      ~title:(Printf.sprintf "sweep: %s %s range=%d" ds wl range)
-      ~file:(Printf.sprintf "sweep_%s_%s_%d" ds wl range)
-      p ~ds:(W.Matrix.ds_of_string ds)
-      ~workload:(W.Spec.workload_of_string wl)
-      ~key_range:range ();
+      ~title:(Printf.sprintf "sweep: %s %s range=%d" ds_s wl_s range)
+      ~file:(Printf.sprintf "sweep_%s_%s_%d" ds_s wl_s range)
+      p ~ds ~workload:wl ~key_range:range ();
     W.Report.write_stats_json ();
     0
   in
@@ -161,16 +152,14 @@ let trace_out_arg =
 
 let longrun_cmd =
   let scheme_arg =
-    Arg.(value & opt (some string) None & info [ "scheme" ] ~doc:"Single scheme (default: Figure 1 set).")
+    Arg.(value & opt (some scheme_conv) None & info [ "scheme" ] ~doc:"Single scheme (default: Figure 1 set).")
   in
   let range_arg =
     Arg.(value & opt (some int) None & info [ "range" ] ~doc:"Single key range.")
   in
-  let run profile mode_s outdir stats_json scheme range trace_out =
+  let run profile mode outdir stats_json scheme range trace_out =
     setup outdir stats_json;
-    let p =
-      W.Figures.with_mode (profile_of_string profile) (mode_of_string mode_s)
-    in
+    let p = W.Figures.with_mode profile mode in
     let p =
       match range with
       | None -> p
@@ -221,10 +210,10 @@ let longrun_cmd =
 let trace_cmd =
   let module T = Hpbrcu_runtime.Trace in
   let scheme_arg =
-    Arg.(value & opt string "HP-BRCU" & info [ "scheme" ] ~doc:"Scheme to trace.")
+    Arg.(value & opt scheme_conv "HP-BRCU" & info [ "scheme" ] ~doc:"Scheme to trace.")
   in
   let ds_arg =
-    Arg.(value & opt string "HHSList" & info [ "ds" ] ~doc:"Data structure.")
+    Arg.(value & opt ds_conv Hpbrcu_core.Caps.HHSList & info [ "ds" ] ~doc:"Data structure.")
   in
   let ops_arg =
     Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Operations per fiber.")
@@ -258,9 +247,10 @@ let trace_cmd =
     (* The log is taken before the cell's domain is torn down. *)
     let dump r = (r, T.dump (), T.dropped ()) in
     let code =
-      match W.Matrix.with_cell ~ds:(W.Matrix.ds_of_string ds) ~scheme cell dump with
+      match W.Matrix.with_cell ~ds ~scheme cell dump with
       | None ->
-          Printf.eprintf "%s does not support %s\n" scheme ds;
+          Printf.eprintf "%s does not support %s\n" scheme
+            (Hpbrcu_core.Caps.ds_name ds);
           1
       | Some (r, recs, dropped) ->
           let total = List.length recs in
@@ -315,13 +305,15 @@ let chaos_cmd =
   in
   let scheme_arg =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (list scheme_conv) W.Chaos.all_schemes
       & info [ "scheme" ]
           ~doc:"Comma-separated scheme subset (default: all twelve).")
   in
   let plan_arg =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (list (choices W.Chaos.plan_name W.Chaos.all_plans)) W.Chaos.all_plans
       & info [ "plan" ]
           ~doc:
             "Comma-separated fault-plan subset (baseline|stall-storm|\
@@ -362,18 +354,12 @@ let chaos_cmd =
              chaos-fibers / chaos-domains JSON document to $(docv) \
              (advisory baseline, e.g. for BENCH_domains.json).")
   in
-  let split s = String.split_on_char ',' s |> List.map String.trim in
-  let run mode seeds full quick scheme plan no_replay smoke threshold
+  let run substrate seeds full quick schemes plans no_replay smoke threshold
       baseline_out trace_out =
-    let substrate = mode_of_string mode in
     let p = if full && not quick then W.Chaos.full else W.Chaos.quick in
     let schemes, plans =
       if smoke then (W.Chaos.smoke_schemes, W.Chaos.smoke_plans)
-      else
-        ( (match scheme with None -> W.Chaos.all_schemes | Some s -> split s),
-          match plan with
-          | None -> W.Chaos.all_plans
-          | Some s -> List.map W.Chaos.plan_of_name (split s) )
+      else (schemes, plans)
     in
     match trace_out with
     | Some out ->
@@ -420,7 +406,7 @@ let chaos_cmd =
 let shards_cmd =
   let scheme_arg =
     Arg.(
-      value & opt string "RCU"
+      value & opt scheme_conv "RCU"
       & info [ "scheme" ]
           ~doc:
             "Scheme whose domains shard the map (the epoch-based default \
@@ -444,9 +430,8 @@ let shards_cmd =
       value & flag
       & info [ "quick" ] ~doc:"Quick chaos cells (the CI gate); default full.")
   in
-  let run mode outdir stats_json scheme seed threshold quick =
+  let run substrate outdir stats_json scheme seed threshold quick =
     setup outdir stats_json;
-    let substrate = mode_of_string mode in
     let threshold =
       Option.value threshold ~default:(W.Chaos.isolation_threshold substrate)
     in
@@ -1602,7 +1587,8 @@ let bench_domains_cmd =
   in
   let threads_arg =
     Arg.(
-      value & opt string "1,2,4,8"
+      value
+      & opt (list int) [ 1; 2; 4; 8 ]
       & info [ "threads"; "t" ]
           ~doc:
             "Comma-separated domain counts to sweep; clamped to the \
@@ -1611,14 +1597,14 @@ let bench_domains_cmd =
   let scheme_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (list scheme_conv) DB.all_scheme_names
       & info [ "scheme" ]
           ~doc:"Comma-separated scheme subset (default: all twelve).")
   in
   let ds_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (list ds_conv) DB.default_dss
       & info [ "ds" ]
           ~doc:
             "Comma-separated structure subset (default: \
@@ -1632,17 +1618,7 @@ let bench_domains_cmd =
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.")
   in
-  let split s = String.split_on_char ',' s |> List.map String.trim in
-  let run out gate quick threads scheme ds ops seed =
-    let threads = List.map int_of_string (split threads) in
-    let schemes =
-      match scheme with None -> DB.all_scheme_names | Some s -> split s
-    in
-    let dss =
-      match ds with
-      | None -> DB.default_dss
-      | Some s -> List.map W.Matrix.ds_of_string (split s)
-    in
+  let run out gate quick threads schemes dss ops seed =
     (* Cells must stay long enough to amortize Domain.spawn (~a
        millisecond per worker) or ns/op gates on spawn cost; the quick
        floor is 2000 ops, not lower. *)
@@ -1746,7 +1722,7 @@ let hunt_cmd =
   let scheme_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (list (choices Fun.id (List.map fst W.Matrix.hunt_impls)))) None
       & info [ "scheme" ]
           ~doc:
             "Comma-separated hunt targets (default: every real scheme in the \
@@ -1760,7 +1736,8 @@ let hunt_cmd =
   in
   let strategy_arg =
     Arg.(
-      value & opt string "rand"
+      value
+      & opt (choices C.Hunt.strategy_to_string [ `Rand; `Pct; `Dfs ]) `Rand
       & info [ "strategy" ] ~doc:"Search strategy: rand, pct or dfs.")
   in
   let runs_arg =
@@ -1819,9 +1796,7 @@ let hunt_cmd =
   let hunt_one ~strategy ~seed ~runs ~shrink_budget ~out scheme =
     let cfg =
       {
-        (C.Hunt.default_config ~scheme
-           ~strategy:(C.Hunt.strategy_of_string strategy)
-           ~seed ~runs)
+        (C.Hunt.default_config ~scheme ~strategy ~seed ~runs)
         with
         C.Hunt.shrink_budget;
         log = print_endline;
@@ -1842,7 +1817,7 @@ let hunt_cmd =
     | None ->
         let targets =
           match scheme with
-          | Some s -> String.split_on_char ',' s |> List.map String.trim
+          | Some l -> l
           | None when mutants -> W.Matrix.mutant_names
           | None -> W.Matrix.hunt_scheme_names
         in
@@ -1856,7 +1831,7 @@ let hunt_cmd =
              nodb use-after-free needs), so each target tries the one that
              convicts it first and stops at the first finding. *)
           let strategies s =
-            if s = "HP-BRCU!nodb" then [ "pct"; "rand" ] else [ "rand"; "pct" ]
+            if s = "HP-BRCU!nodb" then [ `Pct; `Rand ] else [ `Rand; `Pct ]
           in
           let convicted ~runs s =
             List.exists

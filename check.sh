@@ -79,6 +79,24 @@ examples() {
 }
 gate examples examples
 
+# CLI usage gate: a malformed value of a choice flag is a usage error
+# (cmdliner's exit 124, listing the valid choices), rejected before any
+# workload starts — never an uncaught exception (exit 125).
+cli_usage() {
+  for args in "chaos --mode foo" "chaos --plan nope" "chaos --scheme NOPE" \
+    "trace --ds NOPE" "hunt --strategy bogus" "hunt --scheme NOPE" \
+    "bench-domains --threads 1,x"; do
+    # $args is split into words on purpose.
+    _build/default/bin/smrbench.exe $args > /dev/null 2>&1
+    rc=$?
+    if [ "$rc" -ne 124 ]; then
+      echo "check.sh: smrbench $args exited $rc, expected 124" >&2
+      return 1
+    fi
+  done
+}
+gate cli-usage cli_usage
+
 # No-opaque gate (DESIGN.md §9): dune-workspace selects the release
 # profile, because the dev profile compiles every library module with
 # -opaque, which hides its .cmx from callers and stops cross-module

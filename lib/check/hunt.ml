@@ -31,12 +31,6 @@ module Matrix = Hpbrcu_workload.Matrix
 
 type strategy = [ `Rand | `Pct | `Dfs ]
 
-let strategy_of_string = function
-  | "rand" -> `Rand
-  | "pct" -> `Pct
-  | "dfs" -> `Dfs
-  | s -> invalid_arg ("unknown hunt strategy: " ^ s)
-
 let strategy_to_string = function `Rand -> "rand" | `Pct -> "pct" | `Dfs -> "dfs"
 
 (* Workload sized so one case runs in tens of milliseconds while still

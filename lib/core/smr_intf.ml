@@ -32,8 +32,9 @@
       data structure supplies a budgeted {!walker}, and each scheme
       instantiates its phase structure by the budgets and checkpoints it
       drives the walker with: a single unbounded critical
-      section (RCU), per-[max_steps] alternation (HP-RCU, Algorithm 3),
-      rollback-and-resume with double-buffered checkpoints (HP-BRCU), or
+      section (RCU), per-[checkpoint_steps] alternation (HP-RCU, Algorithm
+      3's MaxSteps), rollback-and-resume with double-buffered checkpoints
+      every [checkpoint_steps] (HP-BRCU, Algorithm 7's BackupPeriod), or
       restart-from-entry (NBR) — which is precisely the difference that
       produces the paper's long-running-operation results.
     - {!SCHEME.crit} / {!SCHEME.mask} expose critical sections and abort-masked

@@ -26,20 +26,25 @@
 
     Why not {!Epoch_core}: Algorithm 5 queues flushed batches on one
     global TASKS stack stamped at flush time, where Epoch_core keeps
-    per-handle task vectors stamped at defer time; and BRCU's laggard
-    witness must skip quarantined readers, which Epoch_core's never
-    meets.  Sharing the code would make it branch on its caller.  What
-    BRCU does share is the neutralization send and the common quarantine
-    ({!Scheme_common.signal}, {!Scheme_common.quarantine}).
+    per-handle task vectors stamped at defer time; and BRCU's quarantine
+    must drop a laggard witness that names the quarantined reader, which
+    Epoch_core's never meets.  Sharing the code would make it branch on
+    its caller.  What BRCU does share is the neutralization send and the
+    common quarantine ({!Scheme_common.signal},
+    {!Scheme_common.quarantine}).
 
     Hot-path discipline (DESIGN.md §9): the TASKS list is a
     {!Hpbrcu_core.Segstack} whose segment stamps are the epoch tags (so
     expiry splits whole segments without touching items), local batches are
     reusable {!Hpbrcu_core.Vec}s, and give-up flushes consult a cached
-    lagging-reader witness before walking the registry.  The witness check
-    excludes quarantined readers — a crashed reader leaves the registry
-    while its announcement stays frozen, and a cache that kept citing it
-    would veto advancement forever. *)
+    lagging-reader witness before walking the registry.  Quarantine drops
+    the witness when it names the quarantined reader — a crashed reader
+    leaves the registry while its announcement stays frozen, and a cache
+    that kept citing it would veto advancement forever.
+
+    Abort-masking is not optional: the hunt's planted [HP-BRCU!nomask]
+    mutant ({!Hpbrcu_workload.Matrix.hunt_impls}) drops it by replacing
+    HP-BRCU's [mask], not through this module. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Block = Hpbrcu_alloc.Block
@@ -70,7 +75,6 @@ type local = {
          Senders judge a reader by its [epoch] alone, so Algorithm 6's
          status CAS has no racing writer and a plain field suffices. *)
   box : Signal.box;
-  quarantined : bool Atomic.t;  (* confirmed crashed; no longer blocks *)
   _pad : int array;
       (* live spacer: [epoch] is stored by its owner on every
          critical-section entry and read by every flusher — registration
@@ -107,14 +111,14 @@ type domain = {
          neutralizing it *)
   (* Cached lagging-reader witness (same protocol as {!Epoch_core}): a
      failed give-up walk records the epoch and one violating reader; while
-     the global is unchanged and that reader is still announced below it —
-     and NOT quarantined — later give-up walks are skipped.  Re-validated
-     on every check, so it can only err towards the full walk. *)
+     the global is unchanged and that reader is still announced below it,
+     later give-up walks are skipped.  Re-validated on every check, and
+     dropped when its reader is quarantined ([cached_violating] gives the
+     one race). *)
   lag_epoch : int Atomic.t;
   lag_local : local option Atomic.t;
   force_threshold : int;
   max_local_tasks : int;
-  abort_masking : bool;
 }
 
 let create ?execute meta =
@@ -136,7 +140,6 @@ let create ?execute meta =
     lag_local = Atomic.make None;
     force_threshold = cfg.Hpbrcu_core.Config.force_threshold;
     max_local_tasks = cfg.Hpbrcu_core.Config.max_local_tasks;
-    abort_masking = cfg.Hpbrcu_core.Config.abort_masking;
   }
 
 type handle = {
@@ -153,7 +156,6 @@ let register d =
       epoch = Atomic.make (-1);
       status = st_out;
       box = Signal.make ();
-      quarantined = Atomic.make false;
       _pad = Hpbrcu_runtime.Layout.spacer ();
     }
   in
@@ -254,14 +256,7 @@ let mask_in_cs h body =
     raise Rollback
   end
 
-let mask h body =
-  if not h.d.abort_masking then
-    (* Mutation hook (lib/check): the region runs bare, so a
-       self-neutralization mid-body aborts it instead of being deferred
-       to the exit — Algorithm 6's bug, reintroduced on purpose. *)
-    body ()
-  else if h.l.status <> st_incs then body ()
-  else mask_in_cs h body
+let mask h body = if h.l.status <> st_incs then body () else mask_in_cs h body
 
 (* Pop every segment stamped ≤ limit and run it (Algorithm 5 line 34).
    Surviving segments go back with one CAS before any block runs. *)
@@ -288,15 +283,18 @@ let advance_from d eg =
   advanced
 
 (* Quarantine a participant whose box answered [Dead_receiver]
-   ({!Scheme_common.quarantine}), once: the flag also keeps the laggard
-   witness from citing it.  On top of the common path, every queued
-   batch its announced epoch could still pin (tag ≤ current global) moves
-   to the [leaked] parking lot — leaked because we must never run a task
-   a dead-but-pinning reader protects, bounded because no new batch can
-   acquire a tag the dead reader pins. *)
+   ({!Scheme_common.quarantine}).  The call that removes it from the
+   registry also drops a laggard witness that names it, and moves every
+   queued batch its announced epoch could still pin (tag ≤ current
+   global) to the [leaked] parking lot — leaked because we must never run
+   a task a dead-but-pinning reader protects, bounded because no new
+   batch can acquire a tag the dead reader pins. *)
 let quarantine d l =
-  if Atomic.compare_and_set l.quarantined false true then begin
-    Scheme_common.quarantine d.neut d.participants l l.box;
+  if Scheme_common.quarantine d.neut d.participants l l.box then begin
+    (match Atomic.get d.lag_local with
+    | Some w as cur when w == l ->
+        ignore (Atomic.compare_and_set d.lag_local cur None : bool)
+    | _ -> ());
     let eg = Atomic.get d.global in
     match Segstack.take_all d.tasks with
     | None -> ()
@@ -343,15 +341,17 @@ let neutralize d l ~eg =
   attempt 1
 
 (* Does the cached witness still show a violating reader at global [eg]?
-   Quarantined witnesses never count: their announcement is frozen, and
-   the quarantine path already stopped them from blocking advancement. *)
+   Quarantine drops a witness that names the quarantined reader, whose
+   frozen announcement must stop blocking advancement.  On fibers no
+   yield falls between a registry walk and [cache_witness], so a removed
+   reader is never cached again.  On domains a walk that raced the
+   removal can still cache it; that only skips give-up walks until the
+   next forced flush, which walks the registry and finds it gone. *)
 let cached_violating d eg =
   Atomic.get d.lag_epoch = eg
   && (match Atomic.get d.lag_local with
      | None -> false
      | Some l ->
-         (not (Atomic.get l.quarantined))
-         &&
          let e = Atomic.get l.epoch in
          e <> -1 && e < eg)
 

@@ -20,10 +20,10 @@
 
     Both halves share one {!Smr_intf.Dom.t}; a shield carries its
     session's BRCU handle, so the simulator's checkpoint delivery point
-    polls that session's own signal box.  The paper's ablation mutants
-    (no-masking, no-double-buffering) are no longer separate functors:
-    they are just domains created from configs with [abort_masking] or
-    [double_buffering] off. *)
+    polls that session's own signal box.  Abort-masking and double
+    buffering are always on: the hunt's planted mutants
+    ([HP-BRCU!nomask], [HP-BRCU!nodb]) include this module and replace
+    its [mask] or [traverse] ({!Hpbrcu_workload.Matrix.hunt_impls}). *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
@@ -67,8 +67,7 @@ module Impl : Smr_intf.SCHEME = struct
     tr_validate_fail : Stats.Counter.t;
     tr_traverses : Stats.Counter.t;
     tr_resumes : Stats.Counter.t;
-    double_buffering : bool;
-    backup_period : int;
+    backup_period : int;  (* Algorithm 7's BackupPeriod *)
   }
 
   let create ?label config =
@@ -84,8 +83,7 @@ module Impl : Smr_intf.SCHEME = struct
       tr_validate_fail = Stats.Counter.make ();
       tr_traverses = Stats.Counter.make ();
       tr_resumes = Stats.Counter.make ();
-      double_buffering = config.Config.double_buffering;
-      backup_period = config.Config.backup_period;
+      backup_period = config.Config.checkpoint_steps;
     }
 
   let dom d = d.meta
@@ -280,10 +278,6 @@ module Impl : Smr_intf.SCHEME = struct
   (* Traverse with double buffering (Algorithm 7). *)
   let traverse h ~hold ~prot ~backup w =
     if h.tw != w then h.tw <- w;
-    (* Ablation hook: without double buffering both checkpoint slots are
-       the same protector, so a rollback landing mid-checkpoint can leave
-       no complete protection (§4.3). *)
-    let backup = if h.d.double_buffering then backup else prot in
     if h.bufs0 != backup then h.bufs0 <- backup;
     if h.bufs1 != prot then h.bufs1 <- prot;
     h.comp <- -1;

@@ -10,9 +10,9 @@
     protectable without validation (Figure 4's timeline).
 
     Robust against long-running operations (each critical section is at
-    most [max_steps] long) but {e not} against stalled threads: a reader
-    preempted inside a critical section still blocks the epoch — the gap
-    HP-BRCU closes.
+    most [Config.checkpoint_steps] long, Algorithm 3's MaxSteps) but
+    {e not} against stalled threads: a reader preempted inside a critical
+    section still blocks the epoch — the gap HP-BRCU closes.
 
     The domain embeds an epoch half and an HP half sharing one
     {!Smr_intf.Dom.t} identity; the epoch half's executor hands expired
@@ -47,7 +47,7 @@ module Impl : Smr_intf.SCHEME = struct
     meta : Dom.t;
     ed : unit E.domain;
     hd : H.domain;
-    max_steps : int;
+    max_steps : int;  (* Algorithm 3's MaxSteps *)
   }
 
   let create ?label config =
@@ -59,7 +59,7 @@ module Impl : Smr_intf.SCHEME = struct
       (* Two-step retirement's second step: expired deferrals land in the
          HP half, still subject to the shield scan. *)
       ed = E.create ~execute:(H.retire_deferred hd) meta;
-      max_steps = config.Config.max_steps;
+      max_steps = config.Config.checkpoint_steps;
     }
 
   let dom d = d.meta

@@ -62,12 +62,14 @@ let signal n box ~is_out =
     the crash registry's verdict, never a timeout, may reach this path:
     quarantining a live reader would be a use-after-free.  Of several
     ejectors that reach one corpse, only the one that removes it counts
-    the quarantine and emits [Participant_quarantined]. *)
+    the quarantine, emits [Participant_quarantined] and gets [true]. *)
 let quarantine n participants l box =
-  if Registry.Participants.remove_where participants (fun l' -> l' == l) then begin
+  let removed = Registry.Participants.remove_where participants (fun l' -> l' == l) in
+  if removed then begin
     Stats.Counter.incr n.quarantines;
     Trace.emit Trace.Participant_quarantined box.Signal.owner_tid
-  end
+  end;
+  removed
 
 (** [signal] plus the common verdict: [Delivered] and a quarantined
     [Dead_receiver] are [true]; [No_ack] is [false], a live reader that
@@ -76,6 +78,6 @@ let neutralize n participants l box ~is_out =
   match signal n box ~is_out with
   | Signal.Delivered -> true
   | Signal.Dead_receiver ->
-      quarantine n participants l box;
+      ignore (quarantine n participants l box : bool);
       true
   | Signal.No_ack -> false

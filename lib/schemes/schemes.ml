@@ -20,7 +20,7 @@ module Caps = Hpbrcu_core.Caps
     the batch floor and the growth the experiment demonstrates would be
     invisible. *)
 let small =
-  { Config.default with batch = 32; max_local_tasks = 16; backup_period = 32; max_steps = 32 }
+  { Config.default with batch = 32; max_local_tasks = 16; checkpoint_steps = 32 }
 
 (** Hunt tuning (lib/check): tiny batches and a hair-trigger force
     threshold so the interesting reclamation machinery — flushes, forced
@@ -30,25 +30,7 @@ let small =
     and destroys it at census time — no cross-case state survives by
     construction. *)
 let hunt =
-  {
-    Config.default with
-    batch = 16;
-    max_local_tasks = 4;
-    backup_period = 16;
-    max_steps = 16;
-    force_threshold = 1;
-  }
-
-(* Planted bugs for mutation-testing the hunt itself (never part of any
-   benchmark suite).  [hunt_nomask] drops BRCU's Mask (Algorithm 6) so a
-   self-neutralization can abort a physical-deletion region mid-chain;
-   [hunt_nodb] drops §4.3's double buffering so rollbacks can tear
-   Traverse checkpoints.  A traversal publishes only its periodic
-   checkpoints (and an update's destination), and the hunt's writers
-   touch only the first few nodes of a list, so [hunt_nodb] checkpoints
-   every 2 steps: a torn checkpoint must sit where those writers unlink. *)
-let hunt_nomask = { hunt with abort_masking = false }
-let hunt_nodb = { hunt with double_buffering = false; backup_period = 2 }
+  { Config.batch = 16; checkpoint_steps = 16; force_threshold = 1; max_local_tasks = 4 }
 
 (** First-class scheme implementations, keyed by base scheme name. *)
 let impls : (string * (module SI.SCHEME)) list =

@@ -127,16 +127,6 @@ let plan_name = function
   | Pool_squeeze -> "pool-squeeze"
   | Stall_reader -> "stall-reader"
 
-let plan_of_name = function
-  | "baseline" -> Baseline
-  | "stall-storm" -> Stall_storm
-  | "crash-reader" -> Crash_reader
-  | "crash-many" -> Crash_many
-  | "signal-chaos" -> Signal_chaos
-  | "pool-squeeze" -> Pool_squeeze
-  | "stall-reader" -> Stall_reader
-  | s -> invalid_arg ("unknown fault plan: " ^ s)
-
 (* Readers are tids [0, readers); writers [readers, readers+writers). *)
 let plan_of (p : params) = function
   | Baseline -> Fault.no_faults

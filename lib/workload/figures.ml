@@ -245,7 +245,7 @@ let fig7 p =
 
 (** Appendix B/C grids (Figures 8-21, 23-36): every workload × data
     structure × range. *)
-let appendix ?(workloads = [ Spec.Write_only; Spec.Read_write; Spec.Read_intensive; Spec.Read_only ])
+let appendix ?(workloads = Spec.all_workloads)
     ?(dss = Caps.all_ds) ?(ranges = [ `Small; `Large ]) p =
   List.iter
     (fun wl ->

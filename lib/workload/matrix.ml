@@ -10,6 +10,29 @@ module Schemes = Hpbrcu_schemes.Schemes
 module Ds = Hpbrcu_ds
 module SI = Hpbrcu_core.Smr_intf
 
+(* Planted bugs for mutation-testing the hunt itself (never part of any
+   benchmark suite): HP-BRCU with one function replaced.  [Nomask] drops
+   BRCU's Mask (Algorithm 6), so a self-neutralization can abort a
+   physical-deletion region mid-chain; [Nodb] drops §4.3's double
+   buffering (both checkpoint slots are [prot]), so rollbacks can tear
+   Traverse checkpoints.  A traversal publishes only its periodic
+   checkpoints (and an update's destination), and the hunt's writers
+   touch only the first few nodes of a list, so [Nodb] runs with
+   checkpoints every 2 steps: a torn checkpoint must sit where those
+   writers unlink. *)
+module Nomask = struct
+  include Hpbrcu_schemes.Hp_brcu.Impl
+
+  let mask _ body = body ()
+end
+
+module Nodb = struct
+  include Hpbrcu_schemes.Hp_brcu.Impl
+
+  let traverse h ~hold ~prot ~backup:_ w =
+    Hpbrcu_schemes.Hp_brcu.Impl.traverse h ~hold ~prot ~backup:prot w
+end
+
 (* Hunt entries for lib/check's schedule/fault exploration: first-class
    implementations paired with hair-trigger reclamation configs — each
    hunt case [create]s a fresh domain from its entry and [destroy]s it at
@@ -30,8 +53,8 @@ let hunt_impls : (string * ((module SI.SCHEME) * Hpbrcu_core.Config.t)) list =
     ("HP-RCU", (impl "HP-RCU", hunt));
     ("HP-BRCU", (impl "HP-BRCU", hunt));
     ("RCU+shards", (impl "RCU", hunt));
-    ("HP-BRCU!nomask", (impl "HP-BRCU", Schemes.hunt_nomask));
-    ("HP-BRCU!nodb", (impl "HP-BRCU", Schemes.hunt_nodb));
+    ("HP-BRCU!nomask", ((module Nomask), hunt));
+    ("HP-BRCU!nodb", ((module Nodb), { hunt with checkpoint_steps = 2 }));
   ]
 
 let hunt_scheme_names =
@@ -65,15 +88,6 @@ let base_scheme_name n =
 (* The paper's §6 legend (figures use exactly these; HE/IBR remain
    addressable by name for custom sweeps and tests). *)
 let scheme_names = List.filter (fun n -> n <> "HE" && n <> "IBR") Schemes.names
-
-let ds_of_string = function
-  | "HList" -> Caps.HList
-  | "HMList" -> Caps.HMList
-  | "HHSList" -> Caps.HHSList
-  | "HashMap" -> Caps.HashMap
-  | "SkipList" -> Caps.SkipList
-  | "NMTree" -> Caps.NMTree
-  | s -> invalid_arg ("unknown data structure: " ^ s)
 
 (* NBR-Large shares NBR's applicability. *)
 let supports s ds = (SI.caps s).Caps.supports ds <> Caps.No

@@ -17,12 +17,8 @@ let workload_name = function
   | Read_write -> "rw"
   | Write_only -> "wo"
 
-let workload_of_string = function
-  | "ro" -> Read_only
-  | "ri" -> Read_intensive
-  | "rw" -> Read_write
-  | "wo" -> Write_only
-  | s -> invalid_arg ("unknown workload: " ^ s)
+(** The appendix's grid order. *)
+let all_workloads = [ Write_only; Read_write; Read_intensive; Read_only ]
 
 type mode =
   | Domains  (** real domains; wall-clock throughput *)

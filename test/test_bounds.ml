@@ -15,8 +15,7 @@ module Rng = Hpbrcu_runtime.Rng
 module Config = Hpbrcu_core.Config
 
 let small =
-  { Config.default with batch = 16; max_local_tasks = 8; force_threshold = 2;
-    backup_period = 16; max_steps = 16 }
+  { Config.batch = 16; checkpoint_steps = 16; force_threshold = 2; max_local_tasks = 8 }
 
 (* [with_small name f] — [f] over a fresh domain of [name] under [small],
    counting allocator. *)

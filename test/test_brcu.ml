@@ -221,11 +221,11 @@ let self_cfg = { Cfg.config with max_local_tasks = 1; force_threshold = 1 }
 let substrates =
   [ ("fibers", Sched.Fibers { seed = 1; switch_every = 1 }); ("domains", Sched.Domains) ]
 
-let on_each_substrate ?(cfg = self_cfg) body () =
+let on_each_substrate body () =
   List.iter
     (fun (name, mode) ->
       reset ();
-      with_brcu ~cfg (fun bd ->
+      with_brcu ~cfg:self_cfg (fun bd ->
           Sched.run mode ~nthreads:1 (fun _ ->
               let h = B.register bd in
               body name bd h;
@@ -318,24 +318,54 @@ let test_out_delivery_quiet =
   Alcotest.(check int) (name ^ ": no rollback") 0 (B.stats bd).Stats.rollbacks;
   Alcotest.(check int) (name ^ ": section ran once") 1 !runs
 
-(* A rollback in a bare section — no mask, or a mask with abort-masking
-   off — aborts the section at the self-neutralization itself, and the
-   re-run leaves the reader Out. *)
-let test_bare_rollback cfg ~masked =
-  on_each_substrate ~cfg @@ fun name bd h ->
+(* A rollback in a bare section aborts the section at the
+   self-neutralization itself, and the re-run leaves the reader Out. *)
+let test_bare_rollback =
+  on_each_substrate @@ fun name bd h ->
   let runs = ref 0 and torn = ref true in
-  let defers () =
-    for _ = 1 to 4 do
-      defer_fresh h
-    done;
-    torn := false
-  in
   B.crit h (fun () ->
       incr runs;
-      if !runs = 1 then if masked then B.mask h defers else defers ());
+      if !runs = 1 then begin
+        for _ = 1 to 4 do
+          defer_fresh h
+        done;
+        torn := false
+      end);
   Alcotest.(check bool) (name ^ ": aborted mid-body") true !torn;
   Alcotest.(check int) (name ^ ": one rollback") 1 (B.stats bd).Stats.rollbacks;
   Alcotest.(check int) (name ^ ": section re-ran once") 2 !runs
+
+(* The hunt's [HP-BRCU!nomask] entry against HP-BRCU, through the scheme
+   surface: a section retires four blocks inside a mask, each retire
+   flushes, and the second one self-neutralizes.  Under HP-BRCU the mask
+   body completes and the section rolls back once, at the mask's exit;
+   under the mutant the body is torn at the self-neutralization. *)
+let test_nomask_entry () =
+  List.iter
+    (fun (entry, completes) ->
+      List.iter
+        (fun (sub, mode) ->
+          reset ();
+          let name = entry ^ " on " ^ sub in
+          let impl = fst (Hpbrcu_workload.Matrix.find_hunt_impl entry) in
+          Hpbrcu_schemes.Schemes.with_domain (impl, self_cfg) @@ fun (module X) ->
+          let runs = ref 0 and body_done = ref false in
+          Sched.run mode ~nthreads:1 (fun _ ->
+              let h = X.register X.it in
+              X.crit h (fun () ->
+                  incr runs;
+                  if !runs = 1 then
+                    X.mask h (fun () ->
+                        for _ = 1 to 4 do
+                          X.retire h (Alloc.block ())
+                        done;
+                        body_done := true));
+              X.unregister h);
+          Alcotest.(check bool) (name ^ ": mask body completed") completes !body_done;
+          Alcotest.(check int) (name ^ ": one rollback") 1 (X.stats X.it).Stats.rollbacks;
+          Alcotest.(check int) (name ^ ": section re-ran once") 2 !runs)
+        substrates)
+    [ ("HP-BRCU", true); ("HP-BRCU!nomask", false) ]
 
 (* A checkpoint's shield store polls the signal box of the session that
    owns the shield.  One fiber registers handle A, then handle B, in one
@@ -592,7 +622,7 @@ let test_tallies_fold_points () =
 (* The walker's budgets are invisible to the answers: a seeded
    single-threaded op sequence gives the same answers and the same final
    contents whether the scheme walks one step per budget
-   ([backup_period = max_steps = 1], so HP-BRCU checkpoints and HP-RCU
+   ([checkpoint_steps = 1], so HP-BRCU checkpoints and HP-RCU
    saves and restores at every node) or with the default budgets. *)
 
 (* The op sequence's answers, then the final contents. *)
@@ -625,7 +655,7 @@ let answers ~scheme ~config (module M : Test_util.MAKE) =
   (List.rev !answers, !contents)
 
 let test_budgets_invisible () =
-  let one = { Config.default with backup_period = 1; max_steps = 1 } in
+  let one = { Config.default with checkpoint_steps = 1 } in
   List.iter
     (fun scheme ->
       List.iter
@@ -758,9 +788,8 @@ let () =
         [
           Alcotest.test_case "self-signal-in-mask" `Quick test_self_neutralization_in_mask;
           Alcotest.test_case "out-delivery-quiet" `Quick test_out_delivery_quiet;
-          Alcotest.test_case "bare-rollback" `Quick (test_bare_rollback self_cfg ~masked:false);
-          Alcotest.test_case "unmasked-rollback" `Quick
-            (test_bare_rollback { self_cfg with abort_masking = false } ~masked:true);
+          Alcotest.test_case "bare-rollback" `Quick test_bare_rollback;
+          Alcotest.test_case "nomask-entry" `Quick test_nomask_entry;
           Alcotest.test_case "checkpoint-polls-own-handle" `Quick
             test_checkpoint_polls_own_handle;
         ] );

@@ -258,7 +258,7 @@ let test_mutants_convicted () =
   let nodb =
     Hunt.run
       { (Hunt.default_config ~scheme:"HP-BRCU!nodb"
-           ~strategy:(Hunt.strategy_of_string "pct") ~seed:1 ~runs:480)
+           ~strategy:`Pct ~seed:1 ~runs:480)
         with Hunt.shrink_budget = 60; log = quiet }
   in
   match nodb.Hunt.finding with

@@ -239,11 +239,9 @@ let test_tables_render () =
 let test_config_defaults () =
   Alcotest.(check int) "batch" 128 Config.default.Config.batch;
   Alcotest.(check int) "force threshold" 2 Config.default.Config.force_threshold;
-  Alcotest.(check bool) "double buffering on" true
-    Config.default.Config.double_buffering;
   Alcotest.(check int) "NBR-Large batch" 8192 Config.large_batch.Config.batch;
   (* The scheme name table, pinned: every display name under each tuning
-     resolves to this scheme and these batch/max_steps.  NR and NBR-Large
+     resolves to this scheme and these batch/checkpoint_steps.  NR and NBR-Large
      ignore the tuning; HE and IBR keep the paper's config under both. *)
   let paper = (128, 64) and small = (32, 32) and large = (8192, 64) in
   let pinned =
@@ -262,14 +260,15 @@ let test_config_defaults () =
       ("IBR", paper, paper);
     ]
   in
-  let check name tuning tag (batch, max_steps) =
+  let check name tuning tag (batch, checkpoint_steps) =
     let label = name ^ "/" ^ tag in
     let (module X : Hpbrcu_core.Smr_intf.SCHEME), c =
       Hpbrcu_schemes.Schemes.find ~tuning name
     in
     Alcotest.(check string) (label ^ " caps.name") name (X.caps c).Caps.name;
     Alcotest.(check int) (label ^ " batch") batch c.Config.batch;
-    Alcotest.(check int) (label ^ " max_steps") max_steps c.Config.max_steps
+    Alcotest.(check int) (label ^ " checkpoint_steps") checkpoint_steps
+      c.Config.checkpoint_steps
   in
   List.iter
     (fun (name, default_cfg, small_cfg) ->
