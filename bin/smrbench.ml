@@ -518,62 +518,66 @@ let analyze_cmd =
   in
   let run outdir files perfetto require_ttr require_gc =
     W.Report.outdir := outdir;
-    let summaries = List.map W.Analyze.of_file files in
-    W.Analyze.report summaries;
-    let perfetto_ok =
-      match perfetto with
-      | None ->
-          if require_gc then
-            Printf.eprintf "analyze: --require-gc-track needs --perfetto\n";
-          not require_gc
-      | Some f -> (
-          T.perfetto_to_file f (T.read_file (List.hd files));
-          (* Validate what we just wrote with the in-tree JSON parser:
-             well-formed, nonzero events, and (for domains-mode smoke
-             tests) the expected track population. *)
-          match W.Analyze.Perfetto_check.validate f with
-          | exception Failure msg ->
-              Printf.eprintf "analyze: perfetto export invalid: %s\n" msg;
-              false
-          | v ->
-              let open W.Analyze.Perfetto_check in
-              Printf.printf
-                "wrote %s (load in ui.perfetto.dev): %d events, tracks: %s\n"
-                f v.pf_events
-                (String.concat ", " v.pf_tracks);
-              let workers =
-                List.filter
-                  (fun t -> String.length t >= 6 && String.sub t 0 6 = "worker")
-                  v.pf_tracks
-              in
-              if v.pf_events = 0 then begin
-                Printf.eprintf "analyze: perfetto export has zero events\n";
-                false
-              end
-              else if
-                require_gc && not (List.mem "gc" v.pf_tracks && workers <> [])
-              then begin
-                Printf.eprintf
-                  "analyze: perfetto export missing the gc track or any \
-                   worker track (got: %s)\n"
-                  (String.concat ", " v.pf_tracks);
-                false
-              end
-              else true)
-    in
-    let empties =
-      List.filter (fun s -> s.W.Analyze.ttr.H.count = 0) summaries
-    in
-    if require_ttr && empties <> [] then begin
-      List.iter
-        (fun s ->
-          Printf.eprintf "analyze: no retire->reclaim pairs in %s\n"
-            s.W.Analyze.source)
-        empties;
-      1
-    end
-    else if not perfetto_ok then 1
-    else 0
+    match List.map W.Analyze.of_file files with
+    | exception Failure msg ->
+        Printf.eprintf "analyze: %s\n" msg;
+        1
+    | summaries ->
+        W.Analyze.report summaries;
+        let perfetto_ok =
+          match perfetto with
+          | None ->
+              if require_gc then
+                Printf.eprintf "analyze: --require-gc-track needs --perfetto\n";
+              not require_gc
+          | Some f -> (
+              T.perfetto_to_file f (T.read_file (List.hd files));
+              (* Validate what we just wrote with the in-tree JSON parser:
+                 well-formed, nonzero events, and (for domains-mode smoke
+                 tests) the expected track population. *)
+              match W.Analyze.Perfetto_check.validate f with
+              | exception Failure msg ->
+                  Printf.eprintf "analyze: perfetto export invalid: %s\n" msg;
+                  false
+              | v ->
+                  let open W.Analyze.Perfetto_check in
+                  Printf.printf
+                    "wrote %s (load in ui.perfetto.dev): %d events, tracks: %s\n"
+                    f v.pf_events
+                    (String.concat ", " v.pf_tracks);
+                  let workers =
+                    List.filter
+                      (fun t -> String.length t >= 6 && String.sub t 0 6 = "worker")
+                      v.pf_tracks
+                  in
+                  if v.pf_events = 0 then begin
+                    Printf.eprintf "analyze: perfetto export has zero events\n";
+                    false
+                  end
+                  else if
+                    require_gc && not (List.mem "gc" v.pf_tracks && workers <> [])
+                  then begin
+                    Printf.eprintf
+                      "analyze: perfetto export missing the gc track or any \
+                       worker track (got: %s)\n"
+                      (String.concat ", " v.pf_tracks);
+                    false
+                  end
+                  else true)
+        in
+        let empties =
+          List.filter (fun s -> s.W.Analyze.ttr.H.count = 0) summaries
+        in
+        if require_ttr && empties <> [] then begin
+          List.iter
+            (fun s ->
+              Printf.eprintf "analyze: no retire->reclaim pairs in %s\n"
+                s.W.Analyze.source)
+            empties;
+          1
+        end
+        else if not perfetto_ok then 1
+        else 0
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -1765,7 +1769,7 @@ let hunt_cmd =
   let repro_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some file) None
       & info [ "repro" ] ~docv:"FILE"
           ~doc:
             "Replay the repro artifact $(docv) twice (traced) and verify the \
@@ -1787,7 +1791,7 @@ let hunt_cmd =
         (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
         let slug =
           String.map (function '!' -> '_' | c -> c) scheme
-          ^ "-" ^ C.Oracle.tag f.C.Hunt.repro.C.Repro.finding ^ ".repro"
+          ^ "-" ^ W.Oracle.tag f.C.Hunt.repro.C.Repro.finding ^ ".repro"
         in
         let path = Filename.concat dir slug in
         C.Repro.to_file path f.C.Hunt.repro;
@@ -1809,11 +1813,15 @@ let hunt_cmd =
   in
   let run scheme mutants strategy runs seed shrink_budget out repro smoke =
     match repro with
-    | Some file ->
-        let r = C.Repro.of_file file in
-        let v = C.Repro.replay r in
-        Fmt.pr "%s: %a@." file C.Repro.pp_verdict v;
-        if v.C.Repro.reproduced && v.C.Repro.deterministic then 0 else 1
+    | Some file -> (
+        match C.Repro.of_file file with
+        | exception Invalid_argument msg ->
+            Printf.eprintf "hunt: %s: %s\n" file msg;
+            1
+        | r ->
+            let v = C.Repro.replay r in
+            Fmt.pr "%s: %a@." file C.Repro.pp_verdict v;
+            if v.C.Repro.reproduced && v.C.Repro.deterministic then 0 else 1)
     | None ->
         let targets =
           match scheme with

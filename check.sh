@@ -79,21 +79,39 @@ examples() {
 }
 gate examples examples
 
-# CLI usage gate: a malformed value of a choice flag is a usage error
-# (cmdliner's exit 124, listing the valid choices), rejected before any
-# workload starts — never an uncaught exception (exit 125).
+# CLI usage gate: a malformed value of a choice flag, or a --repro file
+# that does not exist, is a usage error (cmdliner's exit 124, listing the
+# valid choices), rejected before any workload starts; a malformed repro
+# or trace file is an input error (exit 1, one line naming the file and
+# the bad line).  Neither is ever an uncaught exception (exit 125).
 cli_usage() {
+  dir="$(mktemp -d)" || return 1
+  printf '# smrbench-repro v1\nscheme HP\nseed x\n' > "$dir/bad-int.repro"
+  printf '# smrbench-repro v1\nscheme NOPE\nseed 1\n' > "$dir/bad-scheme.repro"
+  printf 'garbage line\n' > "$dir/bad.trace"
+  ok=0
   for args in "chaos --mode foo" "chaos --plan nope" "chaos --scheme NOPE" \
     "trace --ds NOPE" "hunt --strategy bogus" "hunt --scheme NOPE" \
-    "bench-domains --threads 1,x"; do
+    "bench-domains --threads 1,x" "hunt --repro $dir/missing.repro"; do
     # $args is split into words on purpose.
     _build/default/bin/smrbench.exe $args > /dev/null 2>&1
     rc=$?
     if [ "$rc" -ne 124 ]; then
       echo "check.sh: smrbench $args exited $rc, expected 124" >&2
-      return 1
+      ok=1
     fi
   done
+  for args in "hunt --repro $dir/bad-int.repro" \
+    "hunt --repro $dir/bad-scheme.repro" "analyze $dir/bad.trace"; do
+    _build/default/bin/smrbench.exe $args > /dev/null 2> "$dir/err"
+    rc=$?
+    if [ "$rc" -ne 1 ] || grep -q "internal error" "$dir/err"; then
+      echo "check.sh: smrbench $args exited $rc, expected 1 with no internal error" >&2
+      ok=1
+    fi
+  done
+  rm -rf "$dir"
+  return $ok
 }
 gate cli-usage cli_usage
 

@@ -28,8 +28,9 @@
     [repros/] run as regression tests. *)
 
 module Fault = Hpbrcu_runtime.Fault
-module Trace = Hpbrcu_runtime.Trace
 module Chaos = Hpbrcu_workload.Chaos
+module Matrix = Hpbrcu_workload.Matrix
+module Oracle = Hpbrcu_workload.Oracle
 
 type t = { case : Runner.case; finding : Oracle.finding }
 
@@ -72,9 +73,12 @@ let to_string (r : t) =
     r.case.Runner.plan.Fault.rules;
   Buffer.contents b
 
+(** [of_string s] parses an artifact.  Raises [Invalid_argument] naming
+    the first malformed line (a bad number, an unknown hunt scheme, rule
+    or finding), or the missing one. *)
 let of_string s : t =
   let fail why = invalid_arg ("Repro.of_string: " ^ why) in
-  let int x = match int_of_string_opt x with Some n -> n | None -> fail ("bad int: " ^ x) in
+  let int = int_of_string in
   let scheme = ref None
   and seed = ref None
   and params = ref None
@@ -83,36 +87,42 @@ let of_string s : t =
   and finding = ref None
   and label = ref "none"
   and rules = ref [] in
+  let parse l =
+    match String.split_on_char ' ' l with
+    | "scheme" :: rest ->
+        let name = String.concat " " rest in
+        ignore (Matrix.find_hunt_impl name);
+        scheme := Some name
+    | [ "seed"; n ] -> seed := Some (int n)
+    | [ "params"; kr; hw; r; w; ro; wo; tb ] ->
+        params :=
+          Some
+            {
+              Chaos.key_range = int kr;
+              hot_width = int hw;
+              readers = int r;
+              writers = int w;
+              reader_ops = int ro;
+              writer_ops = int wo;
+              tick_budget = int tb;
+            }
+    | [ "spec"; "rand" ] -> spec := Schedule.Rand
+    | [ "spec"; "pct"; cp ] -> spec := Schedule.Pct { change_period = int cp }
+    | [ "spec"; "replay" ] -> spec := Schedule.Replay [||]
+    | "schedule" :: ds ->
+        prefix := Array.of_list (List.map int ds)
+    | "finding" :: rest ->
+        finding := Some (Oracle.of_string (String.concat " " rest))
+    | "label" :: rest -> label := String.concat " " rest
+    | "rule" :: _ -> rules := Fault.rule_of_line l :: !rules
+    | _ -> raise Exit
+  in
   List.iter
     (fun raw ->
       let l = String.trim raw in
-      if l = "" || l.[0] = '#' then ()
-      else
-        match String.split_on_char ' ' l with
-        | "scheme" :: rest -> scheme := Some (String.concat " " rest)
-        | [ "seed"; n ] -> seed := Some (int n)
-        | [ "params"; kr; hw; r; w; ro; wo; tb ] ->
-            params :=
-              Some
-                {
-                  Chaos.key_range = int kr;
-                  hot_width = int hw;
-                  readers = int r;
-                  writers = int w;
-                  reader_ops = int ro;
-                  writer_ops = int wo;
-                  tick_budget = int tb;
-                }
-        | [ "spec"; "rand" ] -> spec := Schedule.Rand
-        | [ "spec"; "pct"; cp ] -> spec := Schedule.Pct { change_period = int cp }
-        | [ "spec"; "replay" ] -> spec := Schedule.Replay [||]
-        | "schedule" :: ds ->
-            prefix := Array.of_list (List.map int ds)
-        | "finding" :: rest ->
-            finding := Some (Oracle.of_string (String.concat " " rest))
-        | "label" :: rest -> label := String.concat " " rest
-        | "rule" :: _ -> rules := Fault.rule_of_line l :: !rules
-        | _ -> fail ("bad line: " ^ l))
+      if l <> "" && l.[0] <> '#' then
+        try parse l
+        with Exit | Failure _ | Invalid_argument _ -> fail ("bad line: " ^ l))
     (String.split_on_char '\n' s);
   let spec =
     match !spec with
@@ -159,22 +169,6 @@ type verdict = {
   divergence : string option;  (** first trace difference, when any *)
 }
 
-let first_divergence l1 l2 =
-  let rec go i = function
-    | [], [] -> None
-    | [], r :: _ ->
-        Some (Printf.sprintf "event %d only in re-run: %s" i (Trace.record_to_string r))
-    | r :: _, [] ->
-        Some (Printf.sprintf "event %d only in first run: %s" i (Trace.record_to_string r))
-    | a :: t1, b :: t2 ->
-        if a = b then go (i + 1) (t1, t2)
-        else
-          Some
-            (Printf.sprintf "event %d: %s vs %s" i (Trace.record_to_string a)
-               (Trace.record_to_string b))
-  in
-  go 0 (l1, l2)
-
 (** [replay r] — run the artifact twice, traced, and render both verdicts
     (kind recurrence and byte-identical logs). *)
 let replay (r : t) : verdict =
@@ -183,7 +177,7 @@ let replay (r : t) : verdict =
   let reproduced =
     List.exists (fun f -> Oracle.same_kind f r.finding) o1.Runner.findings
   in
-  let divergence = first_divergence l1 l2 in
+  let divergence = Chaos.first_divergence l1 l2 in
   {
     reproduced;
     deterministic = divergence = None && o1.Runner.findings = o2.Runner.findings;

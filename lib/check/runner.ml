@@ -2,13 +2,14 @@
     executed under the controlled scheduler with every oracle armed
     (DESIGN.md §11).
 
-    The workers run the chaos cell's drive
-    ({!Hpbrcu_workload.Chaos.Runner.drive}: the long-running-read body
-    over the cell engine — prefill to 50% occupancy before faults arm,
-    readers sweep the whole key range while writers churn a hot region,
-    op budgets, a plan's crash victims looping until they crash, a
-    virtual-tick deadline), with the scheduler switching at every
-    yield.  The hunt adds three things:
+    A case is the chaos cell ({!Hpbrcu_workload.Chaos.with_params}, the
+    long-running-read cell {!Hpbrcu_workload.Longrun.cell} under op
+    budgets: prefill to 50% occupancy before faults arm, readers sweep
+    the whole key range while writers churn a hot region, a plan's crash
+    victims loop until they crash, a virtual-tick deadline), over the
+    list its scheme runs or, for a "+shards" entry, chaos's [Isolated]
+    sharded map, with the scheduler switching at every yield.  The runner
+    builds no map of its own; it adds three things:
 
     + the scheduler's branching decisions are delegated to a
       {!Schedule.spec} and recorded, so the exact interleaving is an
@@ -19,10 +20,12 @@
       membership sweep, then a full scheme drain) closes the books:
       every allocated block must be abandoned, reclaimed or still present.
 
-    A case is a pure function of its tuple: running it twice — including
-    with the tracer on — produces identical outcomes and identical event
-    logs.  The repro format ({!Repro}) and the shrinker ({!Shrink}) lean
-    on that. *)
+    The books are then judged by the verdict chaos uses
+    ({!Hpbrcu_workload.Oracle.judge}), plus the hunt's leak and
+    lost-signal oracles.  A case is a pure function of its tuple: running
+    it twice — including with the tracer on — produces identical
+    outcomes and identical event logs.  The repro format ({!Repro}) and
+    the shrinker ({!Shrink}) lean on that. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
@@ -30,11 +33,11 @@ module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
 module Signal = Hpbrcu_runtime.Signal
 module Caps = Hpbrcu_core.Caps
-module Registry = Hpbrcu_schemes.Registry
 module Matrix = Hpbrcu_workload.Matrix
 module Chaos = Hpbrcu_workload.Chaos
+module Longrun = Hpbrcu_workload.Longrun
+module Oracle = Hpbrcu_workload.Oracle
 module Cell_runner = Hpbrcu_workload.Cell_runner
-module Ds = Hpbrcu_ds
 
 type case = {
   scheme : string;  (** hunt-matrix name, possibly a mutant ("HP-BRCU!nomask") *)
@@ -48,7 +51,7 @@ type outcome = {
   findings : Oracle.finding list;
   terminated : bool;  (** finished inside the tick budget *)
   crashes : int;
-  exhausted : bool;  (** a worker hit {!Registry.Exhausted} *)
+  exhausted : bool;  (** a worker ran a slot registry out *)
   ticks : int;
   total_ops : int;
   peak : int;
@@ -65,44 +68,6 @@ let pp_outcome ppf (o : outcome) =
     (if o.exhausted then " exhausted" else "");
   List.iter (fun f -> Fmt.pf ppf " [%a]" Oracle.pp f) o.findings
 
-module Smr_intf = Hpbrcu_core.Smr_intf
-
-(* The hunt's ds dispatch, following the chaos harness: the list the
-   scheme runs ({!Matrix.list_for}) — the harris-herlihy-shavit list,
-   whose multi-node marked chains are what make an aborted
-   [retire_chain] observable, wherever the scheme can traverse
-   optimistically.  Each case binds a FRESH
-   domain of its scheme — or, under the "+shards" topology variant, one
-   domain per shard of the sharded map — and hands the continuation a
-   [teardown] that force-destroys it at census time, so cross-case state
-   bleed is impossible by construction.  [sentinels] is the map's
-   head-block count for the leak equation. *)
-let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
-    (k :
-      (module Ds.Ds_intf.MAP) ->
-      sentinels:int ->
-      teardown:(unit -> unit) ->
-      'a) : 'a =
-  if sharded then begin
-    let module M =
-      Ds.Sharded_hashmap.As_map
-        (X)
-        (struct
-          let config = config
-          let shards = 4
-          let buckets_per_shard = 8
-          let label = "hunt"
-        end)
-    in
-    Fun.protect ~finally:M.destroy_created (fun () ->
-        k
-          (module M : Ds.Ds_intf.MAP)
-          ~sentinels:M.sentinels ~teardown:M.destroy_created)
-  end
-  else
-    Matrix.with_list ~label:"hunt" ((module X), config) (fun (module L) (module D) ->
-        k (module L) ~sentinels:1 ~teardown:D.teardown)
-
 let plan_has_signal_faults (pl : Fault.plan) =
   List.exists
     (fun r ->
@@ -111,21 +76,69 @@ let plan_has_signal_faults (pl : Fault.plan) =
       | Fault.Stall _ | Fault.Crash | Fault.Exhaust_pool -> false)
     pl.Fault.rules
 
+(* After a clean run, the quiescence audits in gate order, then the shared
+   verdict over the books as the census left them, plus the hunt's own
+   two oracles.  [undelivered_pending] must be read before the census
+   creates fresh boxes.  The census and drain are only meaningful (and
+   only exact) for a clean terminating run: a crashed or deadline-aborted
+   fiber may hold an in-flight node that is neither published nor
+   discarded. *)
+let audit (case : case) ~bound ~recycles (b : Longrun.books)
+    (module M : Longrun.LIVE) =
+  let r = b.Longrun.run in
+  let terminated = not r.Cell_runner.deadline_hit in
+  let crashes = r.Cell_runner.crashes in
+  let pending =
+    if terminated && crashes = 0 && not (plan_has_signal_faults case.plan)
+    then Signal.undelivered_pending ()
+    else 0
+  in
+  let clean = terminated && crashes = 0 && not r.Cell_runner.exhausted in
+  let present = ref 0 in
+  let census_ok = ref false in
+  if clean then begin
+    (try
+       let s = M.session M.it in
+       M.cleanup M.it s;
+       for k = 0 to case.p.Chaos.key_range - 1 do
+         if M.get M.it s k then incr present
+       done;
+       M.close_session s;
+       census_ok := true
+     with _ -> census_ok := false)
+  end;
+  let dom_peaks = M.dom_peaks () in
+  (* Destroying the case's domain(s) drains every retired queue, so the
+     books close before the stats read below; the cell's own teardown
+     re-runs it harmlessly. *)
+  if clean then M.teardown ();
+  let b = { b with Longrun.alloc = Alloc.stats (); dom_peaks } in
+  let st = b.Longrun.alloc in
+  (* allocated = abandoned + reclaimed + present (+ the map's list-head
+     sentinels); any slack is a block stranded Live-but-unreachable. *)
+  let lost =
+    st.Alloc.allocated - st.Alloc.abandoned - st.Alloc.reclaimed
+    - (!present + M.sentinels)
+  in
+  ( Oracle.judge ~bound b
+    @ (if clean && !census_ok && (not recycles) && lost > 0 then
+         [ Oracle.Leak { lost } ]
+       else [])
+    @ (if pending > 0 then [ Oracle.Lost_signal { pending } ] else []),
+    b )
+
 (** [run case] — execute [case].  With [~traced:true] the decoded event
     log of the whole run (prefill, workload, census) is returned for
     byte-identical replay checks. *)
 let run ?(traced = false) (case : case) : outcome * Trace.record list =
-  let spec = case.spec in
-  let impl, config = Matrix.find_hunt_impl case.scheme in
-  let (module X : Smr_intf.SCHEME) = impl in
-  let sharded = Matrix.is_sharded case.scheme in
-  let caps = X.caps config in
+  let ((module X : Hpbrcu_core.Smr_intf.SCHEME), config) as impl =
+    Matrix.find_hunt_impl case.scheme
+  in
   let p = case.p in
-  let nthreads = p.Chaos.readers + p.Chaos.writers in
-  let bound = caps.Caps.bound ~nthreads in
+  let bound =
+    (X.caps config).Caps.bound ~nthreads:(p.Chaos.readers + p.Chaos.writers)
+  in
   let mode = Sched.Fibers { seed = case.seed; switch_every = 1 } in
-  Alloc.reset ();
-  Alloc.set_strict false;
   Alloc.set_poisoning true;
   if traced then Trace.enable ~sink:(fst (Cell_runner.trace_sink mode)) ();
   let restore () =
@@ -134,87 +147,30 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
     if traced then Trace.disable ()
   in
   match
-    with_map (module X) ~config ~sharded (fun (module L : Ds.Ds_intf.MAP)
-                                              ~sentinels ~teardown ->
-        (* The chaos cell's drive: the long-running-read prefill (outside
-           fiber mode, so fault counters and schedule decisions index the
-           workload proper) and op step, so a hunt case draws the same
-           keys as the chaos cell with the same seed. *)
-        let module R = Chaos.Runner (L) in
-        let t = L.create () in
-        let r, recording =
-          Schedule.with_spec ~seed:case.seed spec (fun () ->
-              R.drive ~mode ~plan:case.plan ~seed:case.seed p t)
-        in
-        let crashes = r.Cell_runner.crashes in
-        let terminated = not r.Cell_runner.deadline_hit in
-        (* Quiescence audits, in gate order.  [undelivered_pending] must be
-           read before the census creates fresh boxes. *)
-        let pending =
-          if terminated && crashes = 0 && not (plan_has_signal_faults case.plan)
-          then Signal.undelivered_pending ()
-          else 0
-        in
-        (* Census + drain: only meaningful (and only exact) for a clean
-           terminating run — a crashed or deadline-aborted fiber may hold
-           an in-flight node that is neither published nor discarded. *)
-        let clean = terminated && crashes = 0 && not r.Cell_runner.exhausted in
-        let present = ref 0 in
-        let census_ok = ref false in
-        if clean then begin
-          (try
-             let s = L.session t in
-             L.cleanup t s;
-             for k = 0 to p.Chaos.key_range - 1 do
-               if L.get t s k then incr present
-             done;
-             L.close_session s;
-             census_ok := true
-           with _ -> census_ok := false);
-          (* Destroying the case's domain(s) drains every retired queue —
-             the books close before the stats read below.  The Fun.protect
-             in [with_map] re-runs it harmlessly (idempotent). *)
-          teardown ()
-        end;
-        let st = Alloc.stats () in
-        let findings = ref [] in
-        let add f = findings := f :: !findings in
-        if st.Alloc.uaf > 0 then
-          add (Oracle.Uaf { count = st.Alloc.uaf; poisoned = st.Alloc.poisoned_reads });
-        if st.Alloc.double_retires > 0 then
-          add (Oracle.Double_retire st.Alloc.double_retires);
-        if st.Alloc.double_reclaims > 0 then
-          add (Oracle.Double_reclaim st.Alloc.double_reclaims);
-        (match bound with
-        | Some b when st.Alloc.peak_unreclaimed > b ->
-            add (Oracle.Bound_exceeded { peak = st.Alloc.peak_unreclaimed; bound = b })
-        | _ -> ());
-        if clean && !census_ok && not X.recycles then begin
-          (* allocated = abandoned + reclaimed + present (+ the map's head
-             sentinels: 1 for a plain list, shards×buckets for the sharded
-             map); any slack is a block stranded Live-but-unreachable. *)
-          let lost =
-            st.Alloc.allocated - st.Alloc.abandoned - st.Alloc.reclaimed
-            - (!present + sentinels)
-          in
-          if lost > 0 then add (Oracle.Leak { lost })
-        end;
-        if pending > 0 then add (Oracle.Lost_signal { pending });
-        {
-          findings = List.rev !findings;
-          terminated;
-          crashes;
+    Schedule.with_spec ~seed:case.seed case.spec (fun () ->
+        Chaos.with_params ~mode ~impl
+          ~topology:
+            (if String.ends_with ~suffix:"+shards" case.scheme then
+               Chaos.Isolated
+             else Chaos.One)
+          ~plan:case.plan ~seed:case.seed p
+          (audit case ~bound ~recycles:X.recycles))
+  with
+  | (findings, b), recording ->
+      let log = if traced then Trace.dump () else [] in
+      restore ();
+      let r = b.Longrun.run in
+      ( {
+          findings;
+          terminated = not r.Cell_runner.deadline_hit;
+          crashes = r.Cell_runner.crashes;
           exhausted = r.Cell_runner.exhausted;
           ticks = r.Cell_runner.ticks;
           total_ops = Array.fold_left ( + ) 0 r.Cell_runner.ops;
-          peak = st.Alloc.peak_unreclaimed;
+          peak = b.Longrun.alloc.Alloc.peak_unreclaimed;
           recording;
-        })
-  with
-  | outcome ->
-      let log = if traced then Trace.dump () else [] in
-      restore ();
-      (outcome, log)
+        },
+        log )
   | exception e ->
       restore ();
       raise e

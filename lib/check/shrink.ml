@@ -25,6 +25,7 @@
 
 module Fault = Hpbrcu_runtime.Fault
 module Chaos = Hpbrcu_workload.Chaos
+module Oracle = Hpbrcu_workload.Oracle
 
 type result = {
   case : Runner.case;  (** the minimal still-failing case *)

@@ -289,7 +289,21 @@ let of_records ?(source = "trace") ?(unit_ = "tick")
     by_domain;
   }
 
+(** [of_file path] — {!of_records} over a trace file.  A record line
+    that is not six integers with a known event code raises [Failure]
+    naming the file and the line, where {!Trace.read_file} would raise
+    the scanner's own exception, or stop early at a short line. *)
 let of_file path =
+  let check i line =
+    if line <> "" && line.[0] <> '#' then
+      try
+        Scanf.sscanf line "%d %d %d %d %d %d" (fun _ _ _ code _ _ ->
+            ignore (Trace.event_of_code code))
+      with _ ->
+        failwith
+          (Printf.sprintf "%s: line %d: bad trace record: %s" path (i + 1) line)
+  in
+  List.iteri check (In_channel.with_open_text path In_channel.input_lines);
   of_records
     ~source:(Filename.remove_extension (Filename.basename path))
     ~unit_:(Trace.read_unit path) (Trace.read_file path)

@@ -8,18 +8,20 @@
     plans — stall storms, a stalled or crashed reader, lost and late
     signal deliveries, allocator-pool exhaustion.
 
-    The workers run through the cell engine ({!Cell_runner.Make.drive})
-    over the long-running-read body ({!Longrun.Body}); this module adds
-    the fault plans, the census and the {!cell} record, and one
-    {!run_one}, one {!run_grid}, one {!check_cell} and one report,
-    parameterised by a [[ `Fibers | `Domains ]] substrate and a
-    {!topology}: the one-domain list, or the sharded hash map with one
-    domain per shard ([Isolated]) or every shard in one domain ([Shared]),
-    whose pair of crashed-reader cells the {!isolation} verdict reads.
-    Every cell, on either substrate, must satisfy the same invariants:
-    termination within its budget, no registry exhaustion, zero
-    use-after-free, every domain's peak unreclaimed within the scheme's
-    declared {!Hpbrcu_core.Caps.t.bound} (schemes declaring [None] are
+    Every cell is the long-running-read cell ({!Longrun.cell}: the
+    map of a {!topology}, the prefill, the cell engine's drive and the
+    books); this module adds the fault plans, the op budgets of
+    {!params} and the {!cell} record, and one {!run_one}, one
+    {!run_grid}, one {!check_cell} and one report, parameterised by a
+    [[ `Fibers | `Domains ]] substrate and a topology: the one-domain
+    list, or the sharded hash map with one domain per shard ([Isolated])
+    or every shard in one domain ([Shared]), whose pair of crashed-reader
+    cells the {!isolation} verdict reads.  Every cell, on either
+    substrate, must satisfy the same invariants: termination within its
+    budget, no registry exhaustion, the memory-safety verdict the hunt
+    shares ({!Oracle.judge}: zero use-after-free, no double retire or
+    reclaim, every domain's peak unreclaimed within the scheme's
+    declared {!Hpbrcu_core.Caps.t.bound}; schemes declaring [None] are
     exempt: unboundedness under stalls is their documented failure mode,
     and the {!discriminator} asserts it actually shows), the exact
     allocator census (and the flight recorder's, when a domains cell is
@@ -53,8 +55,6 @@ module Fault = Hpbrcu_runtime.Fault
 module Backend = Hpbrcu_runtime.Backend
 module Schemes = Hpbrcu_schemes.Schemes
 module Caps = Hpbrcu_core.Caps
-module Dom = Hpbrcu_core.Smr_intf.Dom
-module Ds = Hpbrcu_ds
 module Json = Report.Json
 
 (* ------------------------------------------------------------------ *)
@@ -237,16 +237,7 @@ let effective_params p = function
 
 type substrate = [ `Fibers | `Domains ]
 
-(** What the cell's map is, and how many reclamation domains it spans. *)
-type topology =
-  | One  (** the list {!Matrix.list_for} picks, in one domain *)
-  | Isolated
-      (** {!Ds.Sharded_hashmap}, {!shards} × {!buckets_per_shard}, one
-          domain per shard *)
-  | Shared  (** the same sharded map, every shard in one domain *)
-
-let shards = 4
-let buckets_per_shard = 16
+type topology = Longrun.topology = One | Isolated | Shared
 
 type cell = {
   scheme : string;
@@ -266,6 +257,7 @@ type cell = {
   uaf : int;
   bound : int option;
       (** the scheme's declared per-domain bound at this thread count *)
+  findings : Oracle.finding list;  (** {!Oracle.judge} of the cell's books *)
   crashes : int;
   planned_crashes : int;  (** tid-indexed [Crash] rules of the plan *)
   census_ok : bool;
@@ -276,34 +268,17 @@ type cell = {
   snap : Stats.snapshot;  (** typed scheme counters at window end *)
 }
 
-(* The allocator's census, joined by the trace store's when the cell is
-   traced. *)
-let census () =
-  let checks =
-    Alloc.census ()
-    :: (if Trace.enabled () then [ Trace.flight_census () ] else [])
-  in
-  ( List.for_all fst checks,
-    String.concat "; "
-      (List.filter_map (fun (ok, m) -> if ok then None else Some m) checks) )
-
-(** The chaos workload over one map: the long-running-read body
-    ({!Longrun.Body}) under a fault plan and a cell's op budgets. *)
-module Runner (L : Ds.Ds_intf.MAP) = struct
-  module B = Longrun.Body (L)
-
-  (** [drive ~mode ~plan ~seed p t] — prefill [t], then run the body
-      under [plan] with each reader's and writer's op budget and [p]'s
-      tick budget.  The hunt runner drives its cases through this too. *)
-  let drive ~mode ~plan ~seed (p : params) t =
-    B.prefill ~key_range:p.key_range ~seed t;
-    B.drive ~mode
-      ~limit:
-        (Cell_runner.Ops
-           (fun tid -> if tid < p.readers then p.reader_ops else p.writer_ops))
-      ~ticks:p.tick_budget ~plan ~seed ~readers:p.readers ~writers:p.writers
-      ~key_range:p.key_range ~hot_width:p.hot_width t
-end
+(** [with_params ~mode ~impl ~topology ~plan ~seed p k] — the
+    long-running-read cell ({!Longrun.cell}) under [plan], each reader's
+    and writer's op budget and [p]'s tick budget.  The hunt runner drives
+    its cases through this too. *)
+let with_params ~mode ~impl ~topology ~plan ~seed (p : params) k =
+  Longrun.cell ~mode ~impl ~topology
+    ~limit:
+      (Cell_runner.Ops
+         (fun tid -> if tid < p.readers then p.reader_ops else p.writer_ops))
+    ~ticks:p.tick_budget ~plan ~seed ~key_range:p.key_range
+    ~readers:p.readers ~writers:p.writers ~hot_width:p.hot_width k
 
 (* The scheduler a chaos cell of [seed] runs under. *)
 let mode_of (substrate : substrate) ~seed =
@@ -325,82 +300,40 @@ let run_one ?(traced = false) ?(topology = One) ~substrate ~scheme ~plan_id
   let ((module X : Hpbrcu_core.Smr_intf.SCHEME), config) as impl =
     Schemes.find ~tuning:`Small scheme
   in
-  let caps = X.caps config in
-  let start () =
-    Alloc.reset ();
-    Alloc.set_strict false;
-    if traced then
-      Trace.enable ~sink:(fst (Cell_runner.trace_sink mode)) ~ndomains:nthreads ()
-  in
-  (* Drive [t], then read the books: [dom_peaks] gives the per-domain
-     peaks, and the log is taken before any domain is torn down. *)
-  let cell (type a) (module L : Ds.Ds_intf.MAP with type t = a) ~scheme_stats
-      ~dom_peaks (t : a) =
-    let module R = Runner (L) in
-    let r = R.drive ~mode ~plan:pl ~seed p t in
-    let st = Alloc.stats () in
-    let census_ok, census_msg = census () in
-    let c =
-      {
-        scheme;
-        plan = plan_name plan_id;
-        seed;
-        topology;
-        terminated = not r.deadline_hit;
-        exhausted = r.exhausted;
-        ticks = r.ticks;
-        wall_ns = (if substrate = `Fibers then 0 else r.elapsed_ns);
-        total_ops = Array.fold_left ( + ) 0 r.ops;
-        peak = st.Alloc.peak_unreclaimed;
-        dom_peaks = dom_peaks ();
-        final_unreclaimed = st.Alloc.unreclaimed;
-        uaf = st.Alloc.uaf;
-        bound = caps.Caps.bound ~nthreads;
-        crashes = r.crashes;
-        planned_crashes = List.length (Fault.crash_tids pl);
-        census_ok;
-        census_msg;
-        injected = r.injected;
-        snap = scheme_stats ();
-      }
-    in
-    let log = if traced then Trace.dump () else [] in
-    if traced then Trace.disable ();
-    (c, log)
-  in
-  match topology with
-  | One ->
-      Matrix.with_list impl (fun (module L) (module D) ->
-          start ();
-          cell (module L) ~scheme_stats:(fun () -> D.stats D.it)
-            ~dom_peaks:(fun () -> [| Alloc.peak_unreclaimed () |])
-            (L.create ()))
-  | Isolated | Shared ->
-      start ();
-      let module B = (val Matrix.list_for caps) in
-      let module Sh = Ds.Sharded_hashmap.Make_gen (B) (X) in
-      let t =
-        if topology = Shared then
-          Sh.create_shared ~label:"shared" ~shards ~buckets_per_shard config
-        else Sh.create ~label:"shard" ~shards ~buckets_per_shard config
+  let bound = (X.caps config).Caps.bound ~nthreads in
+  if traced then
+    Trace.enable ~sink:(fst (Cell_runner.trace_sink mode)) ~ndomains:nthreads ();
+  with_params ~mode ~impl ~topology ~plan:pl ~seed p (fun b _ ->
+      let r = b.Longrun.run and st = b.Longrun.alloc in
+      let census_ok, census_msg = b.Longrun.census in
+      let c =
+        {
+          scheme;
+          plan = plan_name plan_id;
+          seed;
+          topology;
+          terminated = not r.deadline_hit;
+          exhausted = r.exhausted;
+          ticks = r.ticks;
+          wall_ns = (if substrate = `Fibers then 0 else r.elapsed_ns);
+          total_ops = Array.fold_left ( + ) 0 r.ops;
+          peak = st.Alloc.peak_unreclaimed;
+          dom_peaks = b.Longrun.dom_peaks;
+          final_unreclaimed = st.Alloc.unreclaimed;
+          uaf = st.Alloc.uaf;
+          bound;
+          findings = Oracle.judge ~bound b;
+          crashes = r.crashes;
+          planned_crashes = List.length (Fault.crash_tids pl);
+          census_ok;
+          census_msg;
+          injected = r.injected;
+          snap = b.Longrun.snap;
+        }
       in
-      let doms = Sh.domains t in
-      Fun.protect
-        ~finally:(fun () -> Sh.destroy ~force:true t)
-        (fun () ->
-          cell
-            (module struct
-              include Sh
-
-              let name = "ShardedHashMap"
-              let create () = t
-            end : Ds.Ds_intf.MAP
-              with type t = Sh.t)
-            ~scheme_stats:(fun () ->
-              Array.fold_left (fun acc d -> Stats.add acc (X.stats d)) Stats.empty doms)
-            ~dom_peaks:(fun () ->
-              Array.map (fun d -> Dom.peak_unreclaimed (X.dom d)) doms)
-            t)
+      let log = if traced then Trace.dump () else [] in
+      if traced then Trace.disable ();
+      (c, log))
 
 (** [run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out p] — one
     traced chaos cell written to [out] for [smrbench analyze] / Perfetto
@@ -418,31 +351,24 @@ let run_traced_to_file ~substrate ~scheme ~plan_id ~seed ~out (p : params) :
 (* ------------------------------------------------------------------ *)
 
 (** Per-cell invariant check, the same on both substrates and every
-    topology (the bound holds per domain); returns human-readable
-    violations. *)
+    topology: the memory-safety findings ({!Oracle.judge}: the bound holds
+    per domain) and the cell's outcome — termination, no registry
+    exhaustion, the census and the planned crash count.  Returns
+    human-readable violations. *)
 let check_cell (c : cell) : string list =
-  let v = ref [] in
-  let fail msg = v := msg :: !v in
-  if not c.terminated then fail "did not terminate within its budget";
-  if c.exhausted then fail "a worker exhausted a slot registry";
-  if c.uaf > 0 then fail (Printf.sprintf "use-after-free detected: %d" c.uaf);
-  (match c.bound with
-  | Some b ->
-      Array.iteri
-        (fun i pk ->
-          if pk > b then
-            fail
-              (Printf.sprintf "%speak unreclaimed %d exceeds declared bound %d"
-                 (if c.topology = One then "" else Printf.sprintf "domain %d " i)
-                 pk b))
-        c.dom_peaks
-  | None -> ());
-  if not c.census_ok then fail ("census: " ^ c.census_msg);
-  if c.crashes <> c.planned_crashes then
-    fail
-      (Printf.sprintf "crashed %d of %d planned workers" c.crashes
-         c.planned_crashes);
-  List.rev !v
+  List.concat
+    [
+      (if c.terminated then [] else [ "did not terminate within its budget" ]);
+      (if c.exhausted then [ "a worker exhausted a slot registry" ] else []);
+      List.map Oracle.to_string c.findings;
+      (if c.census_ok then [] else [ "census: " ^ c.census_msg ]);
+      (if c.crashes = c.planned_crashes then []
+       else
+         [
+           Printf.sprintf "crashed %d of %d planned workers" c.crashes
+             c.planned_crashes;
+         ]);
+    ]
 
 (** The domains ratio gate's default threshold. *)
 let default_hw_threshold = 4.
@@ -563,17 +489,21 @@ type report = {
       (** cells whose traced re-run diverged, with the first divergence *)
 }
 
-(* First point where two event logs disagree, for the mismatch report. *)
+(** [first_divergence l1 l2] — the first point where two event logs
+    disagree, for a replay-mismatch report; [None] when they are equal. *)
 let first_divergence l1 l2 =
   let rec go i = function
-    | [], [] -> "logs identical (cell counters differed)"
-    | [], r :: _ -> Printf.sprintf "event %d only in re-run: %s" i (Trace.record_to_string r)
-    | r :: _, [] -> Printf.sprintf "event %d only in first run: %s" i (Trace.record_to_string r)
+    | [], [] -> None
+    | [], r :: _ ->
+        Some (Printf.sprintf "event %d only in re-run: %s" i (Trace.record_to_string r))
+    | r :: _, [] ->
+        Some (Printf.sprintf "event %d only in first run: %s" i (Trace.record_to_string r))
     | a :: t1, b :: t2 ->
         if a = b then go (i + 1) (t1, t2)
         else
-          Printf.sprintf "event %d: %s vs %s" i (Trace.record_to_string a)
-            (Trace.record_to_string b)
+          Some
+            (Printf.sprintf "event %d: %s vs %s" i (Trace.record_to_string a)
+               (Trace.record_to_string b))
   in
   go 0 (l1, l2)
 
@@ -640,7 +570,14 @@ let run_grid ?(schemes = all_schemes) ?(plans = all_plans) ?(seeds = [ 1 ])
         let c1, l1 = traced () in
         let c2, l2 = traced () in
         if l1 = l2 && c1.peak = c2.peak && c1.total_ops = c2.total_ops then []
-        else [ (scheme, plan_name plan_id, seed, first_divergence l1 l2) ])
+        else
+          [
+            ( scheme,
+              plan_name plan_id,
+              seed,
+              Option.value (first_divergence l1 l2)
+                ~default:"logs identical (cell counters differed)" );
+          ])
       probes
   in
   {

@@ -9,18 +9,25 @@
 
     What this module adds to the cell engine ({!Cell_runner.Make.drive})
     is the workload's body ({!Body}: the 50% prefill, the per-worker RNG
-    seed and the reader/writer step) and a wall-clock window.  The
-    robustness harnesses — {!Chaos} and the hunt runner in lib/check —
-    drive the same body under op budgets, faults and their own
-    schedules, so a seed draws the same keys everywhere.  Every scheme
-    runs the list {!Matrix.with_list} binds: HHSList, or HMList where
-    hazard pointers cannot traverse optimistically, as in §6. *)
+    seed and the reader/writer step) and {!cell}, the one function that
+    builds, drives and reads a long-running-read cell: the allocator
+    reset, the domain or domains and the map of a {!topology} (the list
+    the scheme runs, {!Matrix.list_for}: HHSList, or HMList where hazard
+    pointers cannot traverse optimistically, as in §6; or the sharded hash
+    map over it), the prefill, the drive and the {!books}.  Three
+    harnesses call it: {!with_run} here under a wall-clock window, and
+    the robustness harnesses — {!Chaos} and the hunt runner in lib/check
+    — under op budgets, faults and their own schedules, so a seed draws
+    the same keys everywhere; both judge the books with {!Oracle.judge}. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Rng = Hpbrcu_runtime.Rng
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 module Schemes = Hpbrcu_schemes.Schemes
+module Caps = Hpbrcu_core.Caps
+module Smr_intf = Hpbrcu_core.Smr_intf
+module Dom = Smr_intf.Dom
 module Ds = Hpbrcu_ds
 
 type config = {
@@ -84,39 +91,164 @@ module Body (L : Ds.Ds_intf.MAP) = struct
       ~pick t
 end
 
+(* ------------------------------------------------------------------ *)
+(* One cell                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** What a cell's map is, and how many reclamation domains it spans. *)
+type topology =
+  | One  (** the list {!Matrix.list_for} picks, in one domain *)
+  | Isolated
+      (** {!Ds.Sharded_hashmap}, {!shards} × {!buckets_per_shard} over the
+          same list, one domain per shard *)
+  | Shared  (** the same sharded map, every shard in one domain *)
+
+let shards = 4
+let buckets_per_shard = 16
+
+(** The books of one cell, read once its workers are joined. *)
+type books = {
+  run : Cell_runner.run;
+  alloc : Alloc.stats;
+  dom_peaks : int array;
+      (** peak unreclaimed per distinct domain, in shard order: the
+          allocator's peak for [One] *)
+  census : bool * string;
+      (** the allocator's census, joined by the flight recorder's when
+          the tracer records into it; the message is "" when clean *)
+  snap : Stats.snapshot;  (** typed scheme counters, summed over domains *)
+}
+
+(** The cell's map, still live, handed over with the books: what a
+    census needs. *)
+module type LIVE = sig
+  include Ds.Ds_intf.MAP
+
+  val it : t
+
+  val sentinels : int
+  (** list-head blocks the map allocated *)
+
+  val dom_peaks : unit -> int array
+  (** {!books.dom_peaks}, read now *)
+
+  val teardown : unit -> unit
+  (** destroy every domain of the map now; the cell's own teardown then
+      skips them *)
+end
+
+let census () =
+  let checks =
+    Alloc.census ()
+    :: (if Trace.enabled () then [ Trace.flight_census () ] else [])
+  in
+  ( List.for_all fst checks,
+    String.concat "; "
+      (List.filter_map (fun (ok, m) -> if ok then None else Some m) checks) )
+
+(** [cell ~mode ~impl ~topology ~limit ~seed ~key_range ~readers ~writers
+    ~hot_width k] — the long-running-read cell every harness runs: reset
+    the allocator (counting mode), build [impl]'s domain or domains and
+    the [topology]'s map over the list its scheme runs, prefill, drive
+    the {!Body} under [limit] (with [plan], [ticks] and [lat] as
+    {!Cell_runner.Make.drive} takes them), read the {!books} and hand
+    them with the live map to [k].  The domains are torn down when [k]
+    returns or raises.  A caller that traces arms the tracer first. *)
+let cell ~mode ~impl:((module X : Smr_intf.SCHEME), config) ~topology ~limit
+    ?ticks ?plan ?lat ~seed ~key_range ~readers ~writers ~hot_width k =
+  let caps = X.caps config in
+  let module B = (val Matrix.list_for caps) in
+  Alloc.reset ();
+  Alloc.set_strict false;
+  let doms =
+    match topology with
+    | One -> [| X.create ~label:caps.Caps.name config |]
+    | Isolated ->
+        Array.init shards (fun i ->
+            X.create ~label:(Printf.sprintf "shard%d" i) config)
+    | Shared -> [| X.create ~label:"shared" config |]
+  in
+  let teardown () =
+    Array.iter
+      (fun d -> if not (Dom.destroyed (X.dom d)) then X.destroy ~force:true d)
+      doms
+  in
+  let dom_peaks () =
+    if topology = One then [| Alloc.peak_unreclaimed () |]
+    else Array.map (fun d -> Dom.peak_unreclaimed (X.dom d)) doms
+  in
+  Fun.protect ~finally:teardown (fun () ->
+      let (module M : LIVE) =
+        match topology with
+        | One ->
+            let module L = B (struct include X let it = doms.(0) end) in
+            (module struct
+              include L
+
+              let it = L.create ()
+              let sentinels = 1
+              let dom_peaks = dom_peaks
+              let teardown = teardown
+            end)
+        | Isolated | Shared ->
+            let module Sh = Ds.Sharded_hashmap.Make_gen (B) (X) in
+            let t = Sh.create ~shards ~buckets_per_shard doms in
+            (module struct
+              include Sh
+
+              let name = "ShardedHashMap"
+              let create () = t
+              let it = t
+              let sentinels = shards * buckets_per_shard
+              let dom_peaks = dom_peaks
+              let teardown = teardown
+            end)
+      in
+      let module R = Body (M) in
+      R.prefill ~key_range ~seed M.it;
+      let run =
+        R.drive ~mode ~limit ?ticks ?plan ?lat ~seed ~readers ~writers
+          ~key_range ~hot_width M.it
+      in
+      k
+        {
+          run;
+          alloc = Alloc.stats ();
+          dom_peaks = dom_peaks ();
+          census = census ();
+          snap =
+            Array.fold_left
+              (fun acc d -> Stats.add acc (X.stats d))
+              Stats.empty doms;
+        }
+        (module M : LIVE))
+
 (** [with_run ~scheme c k] — the long-running-read cell for one scheme
     in a fresh small-batch domain (see {!Hpbrcu_schemes.Schemes.small}: the
     batch threshold scales down with the scaled key ranges), over the list
     the scheme runs, its outcome handed to [k] before the domain is
     destroyed.  Every worker runs until [c.duration] elapses. *)
 let with_run ~scheme (c : config) k =
-  Matrix.with_list (Schemes.find ~tuning:`Small scheme)
-    (fun (module L) (module D) ->
-      let module B = Body (L) in
-      Alloc.reset ();
-      Alloc.set_strict false;
-      let t = L.create () in
-      B.prefill ~key_range:c.key_range ~seed:c.seed t;
-      let readers = Stats.Histogram.make () and writers = Stats.Histogram.make () in
-      let r =
-        B.drive
-          ~mode:(Cell_runner.sched_mode c.mode)
-          ~limit:(Cell_runner.Duration c.duration)
-          ~lat:[| readers; writers; writers |]
-          ~seed:c.seed ~readers:c.readers ~writers:c.writers
-          ~key_range:c.key_range ~hot_width:c.hot_width t
-      in
+  let readers = Stats.Histogram.make () and writers = Stats.Histogram.make () in
+  cell
+    ~mode:(Cell_runner.sched_mode c.mode)
+    ~impl:(Schemes.find ~tuning:`Small scheme)
+    ~topology:One ~limit:(Cell_runner.Duration c.duration)
+    ~lat:[| readers; writers; writers |]
+    ~seed:c.seed ~key_range:c.key_range ~readers:c.readers ~writers:c.writers
+    ~hot_width:c.hot_width
+    (fun b _ ->
+      let r = b.run in
       if r.exhausted then failwith "Longrun: a worker exhausted a registry";
       let elapsed = float_of_int r.elapsed_ns *. 1e-9 in
       let sum a b = Array.fold_left ( + ) 0 (Array.sub r.ops a b) in
-      let st = Alloc.stats () in
       k
         {
           reader_tput = float_of_int (sum 0 c.readers) /. elapsed /. 1e6;
           writer_tput = float_of_int (sum c.readers c.writers) /. elapsed /. 1e6;
-          peak_unreclaimed = st.Alloc.peak_unreclaimed;
-          uaf = st.Alloc.uaf;
-          scheme = Trace.flight_checked ~who:"Longrun" (D.stats D.it);
+          peak_unreclaimed = b.alloc.Alloc.peak_unreclaimed;
+          uaf = b.alloc.Alloc.uaf;
+          scheme = Trace.flight_checked ~who:"Longrun" b.snap;
           latency_unit =
             (match c.mode with Spec.Fibers _ -> "tick" | Spec.Domains -> "ns");
           reader_latency = Stats.Histogram.summary readers;

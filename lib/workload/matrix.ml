@@ -38,9 +38,9 @@ end
    hunt case [create]s a fresh domain from its entry and [destroy]s it at
    census time, so no state bleeds between cases.  The table also carries
    the planted mutants ("<scheme>!<bug>") the hunt's mutation-testing gate
-   must catch, and the "+shards" topology variant the runner drives
-   through {!Hpbrcu_ds.Sharded_hashmap} (one domain per shard).  Variants
-   share their base scheme's applicability — [supports] callers strip the
+   must catch, and the "+shards" topology variant the runner drives over
+   chaos's [Isolated] sharded map (one domain per shard).  Variants share
+   their base scheme's applicability — [supports] callers strip the
    suffix. *)
 let hunt_impls : (string * ((module SI.SCHEME) * Hpbrcu_core.Config.t)) list =
   let impl name = fst (Schemes.find name) in
@@ -68,13 +68,6 @@ let find_hunt_impl name =
   | Some x -> x
   | None -> invalid_arg ("unknown hunt scheme: " ^ name)
 
-let has_suffix suffix n =
-  let ls = String.length suffix and ln = String.length n in
-  ln >= ls && String.sub n (ln - ls) ls = suffix
-
-(** [is_sharded n] — the "+shards" multi-domain topology variant. *)
-let is_sharded n = has_suffix "+shards" n
-
 (** [base_scheme_name n] strips a mutant's "!bug" or a topology variant's
     "+shards" suffix. *)
 let base_scheme_name n =
@@ -100,16 +93,6 @@ let list_for (caps : Caps.t) : (module Ds.Hashmap.BUCKETS) =
   if caps.Caps.supports Caps.HHSList <> Caps.No then
     (module Ds.Harris_list.Make_hhs)
   else (module Ds.Hm_list.Make)
-
-(** [with_list ?label impl k] — a fresh domain of [impl] and the list
-    its scheme runs ({!list_for}) bound to it, handed to [k] as
-    [k (module L) (module D)]; the domain is torn down when [k]
-    returns or raises.  The long-running-read list of {!Longrun}, the
-    chaos cell's one-domain topology and the hunt's unsharded cases. *)
-let with_list ?label impl k =
-  Schemes.with_domain ?label impl (fun (module D : Schemes.DOMAIN) ->
-      let module B = (val list_for (SI.caps (module D))) in
-      k (module B (D) : Ds.Ds_intf.MAP) (module D : Schemes.DOMAIN))
 
 (* Hash tables sized so the expected chain length matches the paper's
    (≈1.7 nodes at 50% occupancy). *)

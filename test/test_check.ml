@@ -7,7 +7,7 @@ module Alloc = Hpbrcu_alloc.Alloc
 module Registry = Hpbrcu_schemes.Registry
 module Chaos = Hpbrcu_workload.Chaos
 module Schedule = Hpbrcu_check.Schedule
-module Oracle = Hpbrcu_check.Oracle
+module Oracle = Hpbrcu_workload.Oracle
 module Runner = Hpbrcu_check.Runner
 module Shrink = Hpbrcu_check.Shrink
 module Repro = Hpbrcu_check.Repro
@@ -65,10 +65,59 @@ let test_oracle_roundtrip () =
       Oracle.Uaf { count = 3; poisoned = 2 };
       Oracle.Double_retire 1;
       Oracle.Double_reclaim 4;
-      Oracle.Bound_exceeded { peak = 99; bound = 64 };
+      Oracle.Bound_exceeded { domain = 2; peak = 99; bound = 64 };
       Oracle.Leak { lost = 2 };
       Oracle.Lost_signal { pending = 1 };
     ]
+
+(* A malformed repro is an input error naming its first bad line: a bad
+   number, or a scheme the hunt matrix does not have. *)
+let test_repro_bad_lines () =
+  List.iter
+    (fun (line, want) ->
+      match Repro.of_string ("# smrbench-repro v1\n" ^ line ^ "\nseed 1\n") with
+      | _ -> Alcotest.failf "%S parsed" line
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) line ("Repro.of_string: bad line: " ^ want) msg)
+    [ ("seed x", "seed x"); ("scheme NOPE", "scheme NOPE") ]
+
+(* The bound holds per domain.  A sharded cell's books (one domain per
+   shard) whose shards each stay under the bound get no finding, though
+   their sum, the whole map's peak, exceeds it; one shard over the bound
+   is named. *)
+let test_bound_per_domain () =
+  let books =
+    Chaos.with_params
+      ~mode:(Hpbrcu_runtime.Sched.Fibers { seed = 1; switch_every = 4 })
+      ~impl:(Hpbrcu_schemes.Schemes.find ~tuning:`Small "HP-BRCU")
+      ~topology:Chaos.Isolated ~plan:Fault.no_faults ~seed:1
+      { Chaos.quick with reader_ops = 4; writer_ops = 200 }
+      (fun b _ -> b)
+  in
+  Alloc.set_strict true;
+  Alcotest.(check int) "one peak per shard" Hpbrcu_workload.Longrun.shards
+    (Array.length books.Hpbrcu_workload.Longrun.dom_peaks);
+  Alcotest.(check (list string)) "the real cell is clean" []
+    (List.map Oracle.to_string (Oracle.judge ~bound:(Some 1000) books));
+  let with_peaks dom_peaks =
+    {
+      books with
+      Hpbrcu_workload.Longrun.dom_peaks;
+      alloc =
+        {
+          books.Hpbrcu_workload.Longrun.alloc with
+          Alloc.peak_unreclaimed = Array.fold_left ( + ) 0 dom_peaks;
+        };
+    }
+  in
+  let judge peaks =
+    List.map Oracle.to_string (Oracle.judge ~bound:(Some 64) (with_peaks peaks))
+  in
+  Alcotest.(check (list string)) "shards under, sum over: no finding" []
+    (judge [| 40; 40; 40; 40 |]);
+  Alcotest.(check (list string)) "one shard over: named"
+    [ "bound-exceeded 90 64 domain 2" ]
+    (judge [| 40; 40; 90; 40 |])
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: typed registry exhaustion                                *)
@@ -294,9 +343,13 @@ let () =
         [
           Alcotest.test_case "fault plans roundtrip" `Quick test_fault_roundtrip;
           Alcotest.test_case "oracle findings roundtrip" `Quick test_oracle_roundtrip;
+          Alcotest.test_case "malformed repros name the line" `Quick
+            test_repro_bad_lines;
         ] );
       ( "oracles",
         [
+          Alcotest.test_case "the bound is judged per domain" `Quick
+            test_bound_per_domain;
           Alcotest.test_case "registry exhaustion is typed" `Quick
             test_registry_exhausted;
           Alcotest.test_case "poisoning classifies freed reads" `Quick

@@ -206,16 +206,44 @@ let test_caps_match_table1 () =
       check "VBR" ds true)
     Caps.all_ds
 
+(* Every implemented scheme's caps against every mark of the paper's
+   Table 2: the two robustness rows read Y or -, per-node overhead
+   Y/^/- as NoOverhead/ValidationOnly/ProtectAndValidate, starvation
+   Y/^/- as Free/Fine/Coarse.  DEBRA+ is not implemented. *)
 let test_caps_match_table2 () =
-  let robust name = (caps name).Caps.robust_stalled in
-  let longrun name = (caps name).Caps.robust_longrun in
-  Alcotest.(check bool) "RCU not robust" false (robust "RCU");
-  Alcotest.(check bool) "HP-RCU not stall-robust" false (robust "HP-RCU");
-  Alcotest.(check bool) "HP-RCU longrun-robust" true (longrun "HP-RCU");
-  Alcotest.(check bool) "HP-BRCU stall-robust" true (robust "HP-BRCU");
-  Alcotest.(check bool) "HP-BRCU longrun-robust" true (longrun "HP-BRCU");
-  Alcotest.(check bool) "NBR stall-robust" true (robust "NBR");
-  Alcotest.(check bool) "HP robust both" true (robust "HP" && longrun "HP")
+  let yes_no b = if b then Caps.T_good else Caps.T_bad in
+  let rows (c : Caps.t) =
+    [|
+      yes_no c.robust_stalled;
+      yes_no c.robust_longrun;
+      (match c.per_node with
+      | Caps.NoOverhead -> Caps.T_good
+      | ValidationOnly -> T_mid
+      | ProtectAndValidate -> T_bad);
+      (match c.starvation with
+      | Caps.Free -> Caps.T_good
+      | Fine -> T_mid
+      | Coarse -> T_bad);
+    |]
+  in
+  let checked = ref 0 in
+  List.iteri
+    (fun row (criterion, marks) ->
+      List.iteri
+        (fun col column ->
+          List.iter
+            (fun name ->
+              if name <> "DEBRA+" then begin
+                incr checked;
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: %s" name criterion)
+                  (Caps.t2_str marks.(col))
+                  (Caps.t2_str (rows (caps name)).(row))
+              end)
+            (String.split_on_char ',' column))
+        Caps.table2_schemes)
+    Caps.table2;
+  Alcotest.(check int) "10 schemes x 4 criteria" 40 !checked
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in

@@ -87,7 +87,7 @@ let test_isolation_builds substrate () =
       Alcotest.(check (list string)) (name ^ " build: invariants") []
         (W.Chaos.check_cell c))
     [ ("isolated", isolated); ("shared", shared) ];
-  Alcotest.(check int) "one peak per shard" W.Chaos.shards
+  Alcotest.(check int) "one peak per shard" W.Longrun.shards
     (Array.length isolated.dom_peaks);
   Alcotest.(check int) "one shared domain" 1 (Array.length shared.dom_peaks)
 
